@@ -98,8 +98,8 @@ def _write_events_csv(path: Path, log: engine.EventLog, chash: str) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _write_metrics_json(path: Path, log: engine.EventLog, chash: str, mode: str) -> None:
-    rep = metrics.report(log)
+def _write_metrics_json(path: Path, rep: metrics.MetricsReport, chash: str,
+                        mode: str) -> None:
     path.write_text(metrics.report_to_json(rep, extra={"config_hash": chash, "mode": mode}),
                     encoding="ascii")
 
@@ -135,13 +135,13 @@ def cmd_run(cfg: RunConfig, mode: str, plot: bool) -> None:
     log, state = _run_once(cfg, mode)
     out = _out_dir(cfg)
     chash = runconfig.config_hash(cfg)
+    rep = metrics.report(log)
     _write_events_csv(out / f"{mode}_events.csv", log, chash)
-    _write_metrics_json(out / f"{mode}_metrics.json", log, chash, mode)
+    _write_metrics_json(out / f"{mode}_metrics.json", rep, chash, mode)
     if plot:
         svgplot.emit_score_plot(out / f"{mode}_scores.svg", log,
                                 m_in=state.margins.m_in,
                                 header_comment=f"config_hash={chash}")
-    rep = metrics.report(log)
     print(f"{mode}: fpr95={rep.fpr95:.4f} auroc={rep.auroc:.4f} id_acc={rep.id_acc:.4f}")
 
 

@@ -199,7 +199,8 @@ def step(state: AutoState, config: AutoConfig, x: np.ndarray,
         spec = _episode_spec(state, config, pred_0, lam2)
         losses: list[float] = []
         for _ in range(config.iters_t):
-            loss, grads = nn._loss_and_grad(state.model_t, x, spec)
+            loss, grads = nn._loss_and_grad(state.model_t, x, spec,
+                                            trainable=config.sgd.trainable_groups)
             if not math.isfinite(loss):
                 raise NonFiniteLossError(
                     f"non-finite loss {loss} at stream index {state.step_counter}"

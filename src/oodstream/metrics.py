@@ -64,18 +64,14 @@ def auroc(log: EventLog) -> float:
     id_scores, ood_scores = _split_scores(log.events)
     combined = np.concatenate([id_scores, ood_scores])
     order = np.argsort(combined, kind="mergesort")
-    ranks = np.empty(combined.size)
-    ranks[order] = np.arange(1, combined.size + 1)
-    # average ranks within tie groups (midranks)
     sorted_vals = combined[order]
-    i = 0
-    while i < combined.size:
-        j = i
-        while j + 1 < combined.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    # tie groups are runs of equal sorted values; each member gets the group's
+    # midrank, 0.5 * (first 1-based rank + last 1-based rank)
+    bounds = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1
+    starts = np.concatenate(([0], bounds))
+    ends = np.concatenate((bounds, [combined.size]))
+    ranks = np.empty(combined.size)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     n_id = id_scores.size
     u = ranks[:n_id].sum() - n_id * (n_id + 1) / 2.0
     return float(u / (n_id * ood_scores.size))

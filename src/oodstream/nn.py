@@ -95,10 +95,14 @@ class MlpModel:
 
 @dataclass
 class Gradients:
-    """Per-parameter gradient tensors, shape-matched to an MlpModel."""
+    """Per-parameter gradient tensors, shape-matched to an MlpModel.
 
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
+    A gradient restricted to some parameter groups holds None for the layers
+    outside them.
+    """
+
+    d_weights: list[np.ndarray | None]
+    d_biases: list[np.ndarray | None]
 
 
 def default_group_labels(layer_dims: list[int]) -> list[str]:
@@ -164,9 +168,13 @@ def forward_logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
         raise InputDimensionError(
             f"expected input of shape ({model.input_dim},), got {x.shape}"
         )
-    logits, _, _ = _forward_batch(model, x[None, :])
-    out = logits[0]
-    if not np.all(np.isfinite(out)):
+    # The same layer arithmetic as _forward_batch on one row, without keeping
+    # the intermediates that only backprop needs.
+    a = x[None, :]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = np.maximum(a @ w + b, 0.0)
+    out = (a @ model.weights[-1] + model.biases[-1])[0]
+    if not np.isfinite(out).all():
         raise FloatingPointError("non-finite logits in forward pass")
     return out
 
@@ -174,8 +182,8 @@ def forward_logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable log-softmax (max-shifted); shift-invariant."""
     z = np.asarray(logits, dtype=np.float64)
-    shifted = z - np.max(z)
-    return shifted - math.log(np.sum(np.exp(shifted)))
+    shifted = z - z.max()
+    return shifted - math.log(np.exp(shifted).sum())
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -254,31 +262,41 @@ class LossSpec:
 
 def _backprop(model: MlpModel, pre_acts: list[np.ndarray], acts: list[np.ndarray],
               dlogits: np.ndarray, grads: Gradients) -> None:
-    """Accumulate parameter gradients from batched dL/dlogits (N, C)."""
+    """Accumulate parameter gradients from batched dL/dlogits (N, C).
+
+    Only layers with an allocated (non-None) gradient are accumulated, and
+    the error signal is not propagated below the lowest of them.
+    """
+    lowest = next((i for i, g in enumerate(grads.d_weights) if g is not None),
+                  model.num_layers)
     delta = dlogits
-    for i in range(model.num_layers - 1, -1, -1):
-        grads.d_weights[i] += acts[i].T @ delta
-        grads.d_biases[i] += delta.sum(axis=0)
-        if i > 0:
+    for i in range(model.num_layers - 1, lowest - 1, -1):
+        if grads.d_weights[i] is not None:
+            grads.d_weights[i] += acts[i].T @ delta
+            grads.d_biases[i] += delta.sum(axis=0)
+        if i > lowest:
             delta = (delta @ model.weights[i].T) * (pre_acts[i - 1] > 0.0)
 
 
 def _probe_dlogits(logits: np.ndarray, spec: LossSpec) -> tuple[float, np.ndarray]:
     """Loss value and dL/dlogits for the terms evaluated at the probe input."""
     c = len(logits)
-    p = softmax(logits)
+    ls = log_softmax(logits)
+    p = np.exp(ls)
     loss = 0.0
     dl = np.zeros(c)
     if spec.label is not None and spec.label_weight != 0.0:
-        loss += spec.label_weight * loss_ce_label(logits, spec.label)
+        if not 0 <= spec.label < c:
+            raise ValueError(f"label {spec.label} out of range for {c} classes")
+        loss += spec.label_weight * float(-ls[spec.label])
         g = p.copy()
         g[spec.label] -= 1.0
         dl += spec.label_weight * g
     if spec.uniform_weight != 0.0:
-        loss += spec.uniform_weight * loss_ce_uniform(logits)
+        loss += spec.uniform_weight * float(-ls.mean())
         dl += spec.uniform_weight * (p - 1.0 / c)
     if spec.sc_weight != 0.0:
-        pred_t = int(np.argmax(logits))
+        pred_t = int(logits.argmax())
         ref = int(spec.sc_ref_pred)  # type: ignore[arg-type]
         loss += spec.sc_weight * loss_sc(p, pred_t, ref, spec.sc_phi)
         if pred_t != ref:
@@ -291,8 +309,21 @@ def _probe_dlogits(logits: np.ndarray, spec: LossSpec) -> tuple[float, np.ndarra
 
 
 def _loss_and_grad(model: MlpModel, x: np.ndarray | None, spec: LossSpec,
-                   want_grad: bool = True) -> tuple[float, Gradients | None]:
-    grads = zero_gradients(model) if want_grad else None
+                   want_grad: bool = True,
+                   trainable: frozenset[str] | None = None) -> tuple[float, Gradients | None]:
+    """Loss value and, if ``want_grad``, its gradients.
+
+    With ``trainable`` set, only layers in those groups get a gradient (the
+    others are None); their values equal the matching entries of the full
+    gradient bit for bit.
+    """
+    grads = None
+    if want_grad:
+        keep = [trainable is None or g in trainable for g in model.group_labels]
+        grads = Gradients(
+            [np.zeros_like(w) if k else None for w, k in zip(model.weights, keep)],
+            [np.zeros_like(b) if k else None for b, k in zip(model.biases, keep)],
+        )
     total = 0.0
     if x is not None:
         xv = np.asarray(x, dtype=np.float64)
@@ -303,7 +334,7 @@ def _loss_and_grad(model: MlpModel, x: np.ndarray | None, spec: LossSpec,
         logits, pre, acts = _forward_batch(model, xv[None, :])
         loss_x, dl = _probe_dlogits(logits[0], spec)
         total += loss_x
-        if want_grad and np.any(dl != 0.0):
+        if want_grad and (dl != 0.0).any():
             _backprop(model, pre, acts, dl[None, :], grads)  # type: ignore[arg-type]
     if spec.bank_inputs is not None and spec.bank_weight != 0.0:
         xb = np.asarray(spec.bank_inputs, dtype=np.float64)

@@ -91,6 +91,9 @@ class RunConfig:
             self.ood_sources = canonical_spec().ood_sources
         if self.stream not in ("single", "mixed", "timeseries"):
             raise ConfigError(f"unknown stream kind {self.stream!r}")
+        if self.momentum != 0.0:
+            raise ConfigError(f"sgd.momentum = {self.momentum!r} is not supported: online "
+                              "updates keep no velocity buffer; set it to 0")
 
     # -- derived objects ----------------------------------------------------
 

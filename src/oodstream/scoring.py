@@ -38,15 +38,15 @@ def score(kind: ScoreKind, logits: np.ndarray) -> float:
     """Scalar confidence for one logit vector."""
     z = np.asarray(logits, dtype=np.float64)
     if kind.kind == "msp":
-        return float(np.max(softmax(z)))
+        return float(softmax(z).max())
     if kind.kind == "maxlogit":
-        return float(np.max(z))
+        return float(z.max())
     t = kind.temperature
     zt = z / t
-    m = float(np.max(zt))
-    return t * (m + math.log(float(np.sum(np.exp(zt - m)))))
+    m = float(zt.max())
+    return t * (m + math.log(float(np.exp(zt - m).sum())))
 
 
 def predict(logits: np.ndarray) -> int:
     """Argmax class, ties broken by the lowest index."""
-    return int(np.argmax(np.asarray(logits)))
+    return int(np.asarray(logits).argmax())

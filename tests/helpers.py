@@ -1,12 +1,17 @@
-"""Shared test utilities: finite-difference gradients and log builders."""
+"""Shared test utilities: finite-difference gradients, log builders, and
+straight-line reference formulas that the fast paths must equal bit for bit."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from oodstream.engine import EventLog, RunCounts, StreamEvent
 from oodstream.filtering import FilterDecision
-from oodstream.nn import LossSpec, MlpModel, total_loss
+from oodstream.metrics import _split_scores
+from oodstream.nn import LossSpec, MlpModel, loss_sc, total_loss
+from oodstream.scoring import ScoreKind
 
 
 def finite_diff_grads(model: MlpModel, x, spec: LossSpec, step: float = 1e-5):
@@ -78,3 +83,76 @@ def random_log(rng: np.random.Generator, n_id: int, n_ood: int,
         id_scores = np.round(id_scores, 1)
         ood_scores = np.round(ood_scores, 1)
     return log_from_scores(id_scores, ood_scores)
+
+
+# ---------------------------------------------------------------------------
+# reference formulas (np.max / np.sum / np.argmax wrappers, explicit loops)
+
+
+def log_softmax_reference(logits) -> np.ndarray:
+    z = np.asarray(logits, dtype=np.float64)
+    shifted = z - np.max(z)
+    return shifted - math.log(np.sum(np.exp(shifted)))
+
+
+def score_reference(kind: ScoreKind, logits) -> float:
+    z = np.asarray(logits, dtype=np.float64)
+    if kind.kind == "msp":
+        return float(np.max(np.exp(log_softmax_reference(z))))
+    if kind.kind == "maxlogit":
+        return float(np.max(z))
+    t = kind.temperature
+    zt = z / t
+    m = float(np.max(zt))
+    return t * (m + math.log(float(np.sum(np.exp(zt - m)))))
+
+
+def predict_reference(logits) -> int:
+    return int(np.argmax(np.asarray(logits)))
+
+
+def probe_dlogits_reference(logits: np.ndarray, spec: LossSpec) -> tuple[float, np.ndarray]:
+    """Probe-input loss and dL/dlogits, each term from its own log-softmax."""
+    c = len(logits)
+    p = np.exp(log_softmax_reference(logits))
+    loss = 0.0
+    dl = np.zeros(c)
+    if spec.label is not None and spec.label_weight != 0.0:
+        loss += spec.label_weight * float(-log_softmax_reference(logits)[spec.label])
+        g = p.copy()
+        g[spec.label] -= 1.0
+        dl += spec.label_weight * g
+    if spec.uniform_weight != 0.0:
+        loss += spec.uniform_weight * float(-np.mean(log_softmax_reference(logits)))
+        dl += spec.uniform_weight * (p - 1.0 / c)
+    if spec.sc_weight != 0.0:
+        pred_t = int(np.argmax(logits))
+        ref = int(spec.sc_ref_pred)
+        loss += spec.sc_weight * loss_sc(p, pred_t, ref, spec.sc_phi)
+        if pred_t != ref:
+            g = -(p[pred_t] - p[ref]) * p
+            g[pred_t] += p[pred_t]
+            g[ref] -= p[ref]
+            dl += spec.sc_weight * g
+    return loss, dl
+
+
+def auroc_midrank_loop(log: EventLog) -> float:
+    """AUROC from midranks assigned by an explicit scan over tie groups."""
+    id_scores, ood_scores = _split_scores(log.events)
+    combined = np.concatenate([id_scores, ood_scores])
+    order = np.argsort(combined, kind="mergesort")
+    ranks = np.empty(combined.size)
+    ranks[order] = np.arange(1, combined.size + 1)
+    sorted_vals = combined[order]
+    i = 0
+    while i < combined.size:
+        j = i
+        while j + 1 < combined.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        if j > i:
+            ranks[order[i:j + 1]] = 0.5 * (i + 1 + j + 1)
+        i = j + 1
+    n_id = id_scores.size
+    u = ranks[:n_id].sum() - n_id * (n_id + 1) / 2.0
+    return float(u / (n_id * ood_scores.size))

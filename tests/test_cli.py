@@ -75,6 +75,20 @@ def test_run_without_checkpoint_fails(tmp_path):
     assert main(["--config", str(cfg_path), "run", "--mode", "auto"]) == 1
 
 
+@pytest.mark.parametrize("mode", ["auto", "frozen"])
+def test_nonzero_sgd_momentum_fails_at_load(tmp_path, capsys, mode):
+    text = to_text(RunConfig(**SMALL_OVERRIDES, out_dir=str(tmp_path / "out")))
+    assert "sgd.momentum = 0\n" in text
+    path = tmp_path / "momentum.cfg"
+    path.write_text(text.replace("sgd.momentum = 0\n", "sgd.momentum = 0.9\n"),
+                    encoding="ascii")
+    assert main(["--config", str(path), "run", "--mode", mode]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "sgd.momentum" in err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_frozen_constant_m_out(pretrained):
     cfg_path, out = pretrained
     assert main(["--config", str(cfg_path), "run", "--mode", "frozen"]) == 0

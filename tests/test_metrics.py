@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import log_from_scores, random_log
+from helpers import auroc_midrank_loop, log_from_scores, random_log
 from oodstream.engine import RunCounts
 from oodstream.metrics import (MetricsReport, auroc, auroc_bruteforce, fpr_at_tpr,
                                fpr_at_tpr_bruteforce, id_accuracy,
@@ -65,6 +65,25 @@ def test_oracle_equivalence_on_random_logs():
         log = random_log(rng, n_id, n_ood, with_ties=trial % 2 == 0)
         assert abs(auroc(log) - auroc_bruteforce(log)) <= 1e-12
         assert abs(fpr_at_tpr(log) - fpr_at_tpr_bruteforce(log)) <= 1e-12
+
+
+def test_auroc_equals_midrank_loop_exactly():
+    rng = np.random.default_rng(7)
+    for trial in range(200):
+        log = random_log(rng, int(rng.integers(1, 251)), int(rng.integers(1, 251)),
+                         with_ties=trial % 2 == 0)
+        assert auroc(log) == auroc_midrank_loop(log)
+
+
+def test_auroc_all_ties():
+    # every score value is shared, within and across the two classes
+    log = log_from_scores([0.1, 0.1, 0.5, 0.9, 0.9], [0.1, 0.5, 0.5, 0.9])
+    assert auroc(log) == auroc_midrank_loop(log) == auroc_bruteforce(log)
+
+
+def test_auroc_single_distinct_score():
+    log = log_from_scores([0.3] * 7, [0.3] * 4)
+    assert auroc(log) == auroc_midrank_loop(log) == auroc_bruteforce(log) == 0.5
 
 
 def test_auroc_invariant_under_monotone_transform():

@@ -66,6 +66,15 @@ def test_ood_source_count_mismatch():
         from_text(text)
 
 
+def test_nonzero_sgd_momentum_rejected():
+    with pytest.raises(ConfigError, match="sgd.momentum"):
+        from_text("scenario.kappa = 0.5\nsgd.momentum = 0.9\n")
+    with pytest.raises(ConfigError, match="sgd.momentum"):
+        RunConfig(momentum=0.5)
+    assert from_text("sgd.momentum = 0\n").momentum == 0.0
+    assert from_text("pretrain.momentum = 0.9\n").pretrain_momentum == 0.9
+
+
 def test_resolve_groups():
     cfg = RunConfig()
     model = nn.init_mlp([2, 4, 4, 3], seed=0)
