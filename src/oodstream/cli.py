@@ -249,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_ablate(cfg)
         elif args.command == "sweep":
             cmd_sweep(cfg, args.param, args.values.split(","))
-    except (CliError, ConfigError, engine.NonFiniteLossError,
+    except (CliError, ConfigError, engine.NonFiniteLossError, FloatingPointError,
             nn.CheckpointError, data.DatasetFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -133,6 +133,10 @@ def init_mlp(layer_dims: list[int], seed: int, scale: float | None = None) -> Ml
     return MlpModel(list(layer_dims), weights, biases, default_group_labels(layer_dims))
 
 
+def _empty_gradients(model: MlpModel) -> Gradients:
+    return Gradients([None] * model.num_layers, [None] * model.num_layers)
+
+
 def zero_gradients(model: MlpModel) -> Gradients:
     return Gradients(
         [np.zeros_like(w) for w in model.weights],
@@ -261,19 +265,30 @@ class LossSpec:
 
 
 def _backprop(model: MlpModel, pre_acts: list[np.ndarray], acts: list[np.ndarray],
-              dlogits: np.ndarray, grads: Gradients) -> None:
-    """Accumulate parameter gradients from batched dL/dlogits (N, C).
+              dlogits: np.ndarray, keep: list[bool], grads: Gradients) -> None:
+    """Add parameter gradients from batched dL/dlogits (N, C) into ``grads``.
 
-    Only layers with an allocated (non-None) gradient are accumulated, and
-    the error signal is not propagated below the lowest of them.
+    Only layers with ``keep[i]`` get a gradient, and the error signal is not
+    propagated below the lowest of them. A slot that is still None takes its
+    first contribution as is; later ones are added in place. The result equals
+    summing into zero-filled buffers except for the sign of an exact zero.
     """
-    lowest = next((i for i, g in enumerate(grads.d_weights) if g is not None),
-                  model.num_layers)
+    lowest = keep.index(True) if True in keep else model.num_layers
     delta = dlogits
     for i in range(model.num_layers - 1, lowest - 1, -1):
-        if grads.d_weights[i] is not None:
-            grads.d_weights[i] += acts[i].T @ delta
-            grads.d_biases[i] += delta.sum(axis=0)
+        if keep[i]:
+            if len(delta) == 1:
+                # One row: each entry is a single product, which the outer
+                # product gives exactly and numpy's K=1 matmul loop does slowly.
+                d_w = np.einsum("i,j->ij", acts[i][0], delta[0])
+            else:
+                d_w = acts[i].T @ delta
+            d_b = delta.sum(axis=0)
+            if grads.d_weights[i] is None:
+                grads.d_weights[i], grads.d_biases[i] = d_w, d_b
+            else:
+                grads.d_weights[i] += d_w
+                grads.d_biases[i] += d_b
         if i > lowest:
             delta = (delta @ model.weights[i].T) * (pre_acts[i - 1] > 0.0)
 
@@ -317,13 +332,8 @@ def _loss_and_grad(model: MlpModel, x: np.ndarray | None, spec: LossSpec,
     others are None); their values equal the matching entries of the full
     gradient bit for bit.
     """
-    grads = None
-    if want_grad:
-        keep = [trainable is None or g in trainable for g in model.group_labels]
-        grads = Gradients(
-            [np.zeros_like(w) if k else None for w, k in zip(model.weights, keep)],
-            [np.zeros_like(b) if k else None for b, k in zip(model.biases, keep)],
-        )
+    keep = [trainable is None or g in trainable for g in model.group_labels]
+    grads = _empty_gradients(model) if want_grad else None
     total = 0.0
     if x is not None:
         xv = np.asarray(x, dtype=np.float64)
@@ -335,7 +345,7 @@ def _loss_and_grad(model: MlpModel, x: np.ndarray | None, spec: LossSpec,
         loss_x, dl = _probe_dlogits(logits[0], spec)
         total += loss_x
         if want_grad and (dl != 0.0).any():
-            _backprop(model, pre, acts, dl[None, :], grads)  # type: ignore[arg-type]
+            _backprop(model, pre, acts, dl[None, :], keep, grads)  # type: ignore[arg-type]
     if spec.bank_inputs is not None and spec.bank_weight != 0.0:
         xb = np.asarray(spec.bank_inputs, dtype=np.float64)
         yb = np.asarray(spec.bank_labels, dtype=np.int64)
@@ -348,7 +358,13 @@ def _loss_and_grad(model: MlpModel, x: np.ndarray | None, spec: LossSpec,
         if want_grad:
             probs = np.exp(ls)
             probs[np.arange(len(yb)), yb] -= 1.0
-            _backprop(model, pre, acts, scale * probs, grads)  # type: ignore[arg-type]
+            _backprop(model, pre, acts, scale * probs, keep, grads)  # type: ignore[arg-type]
+    if grads is not None:
+        # A requested layer that no term reached has a zero gradient.
+        for i, k in enumerate(keep):
+            if k and grads.d_weights[i] is None:
+                grads.d_weights[i] = np.zeros_like(model.weights[i])
+                grads.d_biases[i] = np.zeros_like(model.biases[i])
     return total, grads
 
 
@@ -434,6 +450,7 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
         trainable_groups=frozenset(model.group_labels),
     )
     velocity = zero_gradients(model) if cfg.momentum != 0.0 else None
+    keep = [True] * model.num_layers
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -447,8 +464,13 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
             dlogits = probs
             dlogits[np.arange(len(yb)), yb] -= 1.0
             dlogits /= len(yb)
-            grads = zero_gradients(model)
-            _backprop(model, pre, acts, dlogits, grads)
+            step_grads = _empty_gradients(model)
+            _backprop(model, pre, acts, dlogits, keep, step_grads)
+            # Release the last step's gradients only now. Freed before this
+            # step's exist, their slots leave a hole at the heap top that the
+            # allocator trims and then faults back in on every step (about
+            # 800 page faults a step at 512 wide, measured with glibc).
+            grads = step_grads
             sgd_step(model, grads, train_cfg, velocity)
     if epochs > 0:
         logger.info("train_offline: %d epochs, final train accuracy %.4f",
@@ -468,7 +490,7 @@ def save_checkpoint(model: MlpModel, path) -> None:
     for i in range(model.num_layers):
         for name, tensor in ((f"W{i}", model.weights[i]), (f"b{i}", model.biases[i])):
             shape = " ".join(str(s) for s in tensor.shape)
-            values = " ".join(f"{v:.17g}" for v in tensor.ravel(order="C"))
+            values = " ".join(["%.17g"] * tensor.size) % tuple(tensor.ravel().tolist())
             lines.append(f"{name} {shape} {values}")
     with open(path, "w", encoding="ascii") as f:
         f.write("\n".join(lines) + "\n")

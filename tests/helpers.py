@@ -10,7 +10,9 @@ import numpy as np
 from oodstream.engine import EventLog, RunCounts, StreamEvent
 from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
-from oodstream.nn import LossSpec, MlpModel, loss_sc, total_loss
+from oodstream.nn import (CHECKPOINT_MAGIC, Gradients, LossSpec, MlpModel, SgdConfig,
+                          _forward_batch, _probe_dlogits, loss_sc, sgd_step, total_loss,
+                          zero_gradients)
 from oodstream.scoring import ScoreKind
 
 
@@ -156,3 +158,85 @@ def auroc_midrank_loop(log: EventLog) -> float:
     n_id = id_scores.size
     u = ranks[:n_id].sum() - n_id * (n_id + 1) / 2.0
     return float(u / (n_id * ood_scores.size))
+
+
+# ---------------------------------------------------------------------------
+# gradient and checkpoint oracles (zero-filled buffers, one matmul per layer,
+# one f-string per numpy scalar)
+
+
+def backprop_reference(model: MlpModel, pre_acts, acts, dlogits: np.ndarray,
+                       grads: Gradients) -> None:
+    """Add ``acts.T @ delta`` into every allocated (non-None) zero-filled slot."""
+    lowest = next((i for i, g in enumerate(grads.d_weights) if g is not None),
+                  model.num_layers)
+    delta = dlogits
+    for i in range(model.num_layers - 1, lowest - 1, -1):
+        if grads.d_weights[i] is not None:
+            grads.d_weights[i] += acts[i].T @ delta
+            grads.d_biases[i] += delta.sum(axis=0)
+        if i > lowest:
+            delta = (delta @ model.weights[i].T) * (pre_acts[i - 1] > 0.0)
+
+
+def loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
+                            trainable=None) -> tuple[float, Gradients]:
+    """Loss and gradients of ``spec``, every requested slot starting at zero."""
+    keep = [trainable is None or g in trainable for g in model.group_labels]
+    grads = Gradients(
+        [np.zeros_like(w) if k else None for w, k in zip(model.weights, keep)],
+        [np.zeros_like(b) if k else None for b, k in zip(model.biases, keep)],
+    )
+    total = 0.0
+    if x is not None:
+        logits, pre, acts = _forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
+        loss_x, dl = _probe_dlogits(logits[0], spec)
+        total += loss_x
+        if (dl != 0.0).any():
+            backprop_reference(model, pre, acts, dl[None, :], grads)
+    if spec.bank_inputs is not None and spec.bank_weight != 0.0:
+        yb = np.asarray(spec.bank_labels, dtype=np.int64)
+        logits, pre, acts = _forward_batch(model, np.asarray(spec.bank_inputs, dtype=np.float64))
+        ls = logits - logits.max(axis=1, keepdims=True)
+        ls = ls - np.log(np.exp(ls).sum(axis=1, keepdims=True))
+        scale = spec.bank_weight / (len(yb) if spec.bank_reduction == "mean" else 1)
+        total += scale * float(-ls[np.arange(len(yb)), yb].sum())
+        probs = np.exp(ls)
+        probs[np.arange(len(yb)), yb] -= 1.0
+        backprop_reference(model, pre, acts, scale * probs, grads)
+    return total, grads
+
+
+def train_offline_reference(model: MlpModel, features, labels, epochs: int,
+                            batch_size: int, cfg: SgdConfig, seed: int = 0) -> MlpModel:
+    """Minibatch SGD on mean label cross-entropy, gradients from the oracle."""
+    train_cfg = SgdConfig(learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay,
+                          momentum=cfg.momentum,
+                          trainable_groups=frozenset(model.group_labels))
+    velocity = zero_gradients(model) if cfg.momentum != 0.0 else None
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        order = rng.permutation(len(features))
+        for start in range(0, len(features), batch_size):
+            idx = order[start:start + batch_size]
+            logits, pre, acts = _forward_batch(model, features[idx])
+            probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+            probs /= probs.sum(axis=1, keepdims=True)
+            probs[np.arange(len(idx)), labels[idx]] -= 1.0
+            probs /= len(idx)
+            grads = zero_gradients(model)
+            backprop_reference(model, pre, acts, probs, grads)
+            sgd_step(model, grads, train_cfg, velocity)
+    return model
+
+
+def checkpoint_text_reference(model: MlpModel) -> str:
+    """Checkpoint file text with each value formatted by its own f-string."""
+    lines = [CHECKPOINT_MAGIC, " ".join(str(d) for d in model.layer_dims),
+             " ".join(model.group_labels)]
+    for i in range(model.num_layers):
+        for name, tensor in ((f"W{i}", model.weights[i]), (f"b{i}", model.biases[i])):
+            shape = " ".join(str(s) for s in tensor.shape)
+            values = " ".join(f"{v:.17g}" for v in tensor.ravel(order="C"))
+            lines.append(f"{name} {shape} {values}")
+    return "\n".join(lines) + "\n"

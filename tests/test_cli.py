@@ -89,6 +89,21 @@ def test_nonzero_sgd_momentum_fails_at_load(tmp_path, capsys, mode):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["auto", "frozen"])
+def test_non_finite_arrival_fails_with_one_line(pretrained, capsys, mode):
+    cfg_path, _ = pretrained
+    text = cfg_path.read_text()
+    center = [ln for ln in text.splitlines() if ln.startswith("scenario.ood1.center")]
+    assert len(center) == 1
+    cfg_path.write_text(text.replace(center[0], "scenario.ood1.center = 1.7e308,1.7e308"),
+                        encoding="ascii")
+    assert main(["--config", str(cfg_path), "run", "--mode", mode]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: non-finite logits in forward pass\n"
+
+
 def test_run_frozen_constant_m_out(pretrained):
     cfg_path, out = pretrained
     assert main(["--config", str(cfg_path), "run", "--mode", "frozen"]) == 0

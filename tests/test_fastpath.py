@@ -1,8 +1,10 @@
 """Fast paths equal their straight-line references bit for bit.
 
-The per-arrival path (forward, scoring, prediction) and the update episode
-(trainable-only gradients) skip work the references do, but must compute the
-same floating-point results: every comparison here is exact.
+The per-arrival path (forward, scoring, prediction), the update episode
+(trainable-only gradients), the gradient buffers (no zero fill, one-row
+weight gradients as outer products) and checkpoint writing skip work the
+references do, but must compute the same results: every comparison here is
+exact.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ import numpy as np
 import pytest
 
 from conftest import fresh_auto_config, fresh_state
-from helpers import (log_softmax_reference, predict_reference,
-                     probe_dlogits_reference, score_reference)
+from helpers import (checkpoint_text_reference, loss_and_grad_reference,
+                     log_softmax_reference, predict_reference, probe_dlogits_reference,
+                     score_reference, train_offline_reference)
 from oodstream import engine, nn
+from oodstream.data import LabeledSet
 from oodstream.nn import LossSpec, SgdConfig, _forward_batch, _probe_dlogits, init_mlp
 from oodstream.runconfig import RunConfig
 from oodstream.scoring import ScoreKind, predict, score
@@ -162,3 +166,82 @@ def test_canonical_replay_equals_full_gradient_replay(canonical, monkeypatch, gr
         assert np.array_equal(a, b)
     assert fast_state.margins == ref_state.margins
     assert np.array_equal(fast_state.bank.features, ref_state.bank.features)
+
+
+def assert_gradients_equal(got, expected):
+    for a, b in zip(got.d_weights + got.d_biases, expected.d_weights + expected.d_biases):
+        if b is None:
+            assert a is None
+        else:
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def term_spec(rng, model, terms):
+    """Probe terms, bank term, both, or neither; "bank" keeps the probe's
+    dL/dlogits all zero (no probe term carries weight)."""
+    probe = terms in ("probe", "both")
+    spec = full_spec(rng, model, with_probe_terms=probe)
+    if terms in ("probe", "none"):
+        spec.bank_weight = 0.0
+    return spec
+
+
+@pytest.mark.parametrize("dims", [[2, 128, 128, 3], [8, 512, 512, 4]])
+@pytest.mark.parametrize("terms", ["probe", "bank", "both", "none"])
+def test_gradients_equal_zero_filled_matmul_oracle(dims, terms):
+    rng = np.random.default_rng(len(terms) + dims[1])
+    model = init_mlp(dims, seed=2)
+    for b in model.biases:
+        b[:] = rng.normal(0.0, 0.1, size=b.shape)
+    for _ in range(3):
+        x = rng.normal(size=dims[0])
+        spec = term_spec(rng, model, terms)
+        ref_loss, ref = loss_and_grad_reference(model, x, spec)
+        assert_gradients_equal(nn.backward(model, x, spec), ref)
+        for groups in ({"block2"}, {"block1", "fc"}, {"fc"}):
+            trainable = frozenset(groups)
+            loss, part = nn._loss_and_grad(model, x, spec, trainable=trainable)
+            _, ref_part = loss_and_grad_reference(model, x, spec, trainable)
+            assert loss == ref_loss
+            assert_gradients_equal(part, ref_part)
+    if terms == "none":
+        assert all(not g.any() for g in ref.d_weights + ref.d_biases)
+
+
+def test_one_row_outer_product_equals_matmul():
+    rng = np.random.default_rng(13)
+    for h in (1, 3, 128, 512):
+        a = np.maximum(rng.normal(size=h), 0.0)  # ReLU rows hold exact zeros
+        d = rng.normal(size=h + 1)
+        d[::4] = 0.0
+        d[1::7] = -0.0
+        a[-1] = -0.0
+        assert np.array_equal(np.einsum("i,j->ij", a, d), a[None].T @ d[None])
+
+
+@pytest.mark.parametrize("momentum,weight_decay", [(0.0, 0.0), (0.9, 1e-3)])
+def test_train_offline_equals_oracle_trainer(momentum, weight_decay):
+    rng = np.random.default_rng(14)
+    feats = rng.normal(size=(61, 3))  # 61 = 4 * 15 + 1: the last batch has one row
+    labels = rng.integers(0, 4, size=61)
+    cfg = SgdConfig(learning_rate=0.05, weight_decay=weight_decay, momentum=momentum)
+    fast = nn.train_offline(init_mlp([3, 16, 16, 4], seed=4), LabeledSet(feats, labels, 4),
+                            epochs=5, batch_size=15, cfg=cfg, seed=3)
+    ref = train_offline_reference(init_mlp([3, 16, 16, 4], seed=4), feats, labels,
+                                  epochs=5, batch_size=15, cfg=cfg, seed=3)
+    for a, b in zip(fast.weights + fast.biases, ref.weights + ref.biases):
+        assert np.array_equal(a, b)
+
+
+def test_save_checkpoint_bytes_equal_per_scalar_formatter(tmp_path):
+    rng = np.random.default_rng(15)
+    model = init_mlp([3, 40, 5], seed=6)
+    specials = [-0.0, 0.0, 5e-324, -5e-324, 2.225e-308, 1e308, -1e308,
+                1.7976931348623157e308, 0.1, 1 / 3]
+    for t in model.weights + model.biases:
+        flat = t.reshape(-1)
+        flat[:] = rng.normal(0.0, 10.0 ** rng.uniform(-300, 300, size=flat.size))
+        flat[:len(specials)] = specials[:flat.size]
+    path = tmp_path / "model.ckpt"
+    nn.save_checkpoint(model, path)
+    assert path.read_bytes() == checkpoint_text_reference(model).encode("ascii")
