@@ -19,6 +19,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import data, engine, metrics, nn, runconfig, svgplot
 from .runconfig import ConfigError, RunConfig
 
@@ -78,12 +80,15 @@ def _run_once(cfg: RunConfig, mode: str) -> tuple[engine.EventLog, engine.AutoSt
     train, test_id, ood_sets = data.make_scenario(cfg.scenario_spec())
     stream = _make_stream(cfg, test_id, ood_sets)
     auto_cfg = cfg.auto_config(model)
-    state = engine.init_state(model, train, auto_cfg)
-    if mode == "frozen":
-        log = engine.run_posthoc(model, state.margins, stream, auto_cfg.score_kind,
-                                 update_margins=False)
-    else:
-        log = engine.run_stream(state, auto_cfg, stream)
+    # Non-finite logits and losses raise with the stream index, so numpy's
+    # overflow warnings on the way there would only repeat the error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = engine.init_state(model, train, auto_cfg)
+        if mode == "frozen":
+            log = engine.run_posthoc(model, state.margins, stream, auto_cfg.score_kind,
+                                     update_margins=False)
+        else:
+            log = engine.run_stream(state, auto_cfg, stream)
     return log, state
 
 

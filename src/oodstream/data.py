@@ -311,9 +311,12 @@ def load_dataset(path) -> LabeledSet:
             )
         try:
             labels.append(int(fields[0]))
-            feats.append([float(t) for t in fields[1:]])
+            row = [float(t) for t in fields[1:]]
         except ValueError as exc:
             raise DatasetFormatError(f"line {lineno}: unparsable value") from exc
+        if not all(map(math.isfinite, row)):
+            raise DatasetFormatError(f"line {lineno}: non-finite value")
+        feats.append(row)
     features = np.asarray(feats, dtype=np.float64).reshape(len(labels), dim)
     labels_arr = np.asarray(labels, dtype=np.int64)
     ood_mask = labels_arr < 0

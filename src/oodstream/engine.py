@@ -151,8 +151,10 @@ def init_state(model: MlpModel, train_set: LabeledSet, config: AutoConfig) -> Au
         if n < 1:
             raise ValueError("stats_subsample_n must keep at least one sample")
         feats = feats[:n]
-    scores = [scoring.score(config.score_kind, nn.forward_logits(model, x)) for x in feats]
-    stats = filtering.estimate_id_stats(scores)
+    logits = np.empty((len(feats), model.num_classes))
+    for i, x in enumerate(feats):
+        logits[i] = nn.forward_logits(model, x)
+    stats = filtering.estimate_id_stats(scoring.score_rows(config.score_kind, logits))
     margins = filtering.init_margins(stats, config.k1, config.k2,
                                      literal_m0=config.margin_literal_m0)
     if config.memory_mode == "prototype":
@@ -181,7 +183,10 @@ def step(state: AutoState, config: AutoConfig, x: np.ndarray,
     """Process one arrival; returns its event and, for update episodes, the
     loss trajectory. ``hidden_truth`` is recorded verbatim and never read by
     any decision."""
-    logits = nn.forward_logits(state.model_t, x)
+    try:
+        logits = nn.forward_logits(state.model_t, x)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{exc} at stream index {state.step_counter}") from exc
     arrival_score = scoring.score(config.score_kind, logits)
     prediction = scoring.predict(logits)
     decision = filtering.classify(state.margins, arrival_score)
@@ -259,15 +264,26 @@ def run_posthoc(model: MlpModel, margins: Margins, stream: Stream,
                 score_kind: ScoreKind, *, update_margins: bool = True) -> EventLog:
     """Straight-line post-hoc scorer: the model is never touched.
 
-    Detector bookkeeping still runs: classification against the margins and,
-    unless ``update_margins`` is false, the greedy outlier-margin update on
-    pseudo-OOD arrivals. Scores and metrics are unaffected by that toggle.
+    With the model fixed, every arrival's score and prediction depend on
+    that arrival alone, so they are computed for the whole stream at once
+    and only the margin bookkeeping runs per arrival: classification against
+    the margins and, unless ``update_margins`` is false, the greedy
+    outlier-margin update on pseudo-OOD arrivals. Scores and metrics are
+    unaffected by that toggle.
     """
+    # One forward_logits call per row, never one matrix product over the
+    # stream: BLAS does not promise a row the same bits in every batch shape.
+    logits = np.empty((len(stream), model.num_classes))
+    for i, x in enumerate(stream.features):
+        try:
+            logits[i] = nn.forward_logits(model, x)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{exc} at stream index {i}") from exc
+    scores = scoring.score_rows(score_kind, logits).tolist()
+    preds = logits.argmax(axis=1).tolist()
     log = EventLog()
-    for i in range(len(stream)):
-        logits = nn.forward_logits(model, stream.features[i])
-        s = scoring.score(score_kind, logits)
-        pred = scoring.predict(logits)
+    for i, (s, pred, is_ood, label) in enumerate(
+            zip(scores, preds, stream.is_ood.tolist(), stream.labels.tolist())):
         decision = filtering.classify(margins, s)
         if decision == FilterDecision.PSEUDO_ID:
             log.counts.pseudo_id += 1
@@ -277,13 +293,12 @@ def run_posthoc(model: MlpModel, margins: Margins, stream: Stream,
                 margins = filtering.update_outlier_margin(margins, s)
         else:
             log.counts.abstain += 1
-        label = int(stream.labels[i])
         log.events.append(StreamEvent(
             index=i,
             score_at_arrival=s,
             prediction=pred,
             decision=decision,
-            ground_truth_is_ood=bool(stream.is_ood[i]),
+            ground_truth_is_ood=bool(is_ood),
             ground_truth_label=None if label < 0 else label,
             m_out_after=margins.m_out,
         ))

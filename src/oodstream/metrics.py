@@ -1,8 +1,8 @@
 """Detection and classification metrics over an event log.
 
-All metrics consume arrival-time scores only. The module also carries
-brute-force oracle implementations (exhaustive threshold sweep, O(n^2)
-pairwise comparison) used to cross-check the fast paths in tests.
+All metrics consume arrival-time scores only. Brute-force oracles
+(exhaustive threshold sweep, O(n^2) pairwise comparison) that cross-check
+them live in the test suite.
 
 Threshold semantics: a score >= tau counts as an in-distribution call; tau is
 the largest threshold whose ID true-positive rate still meets the target, the
@@ -48,17 +48,6 @@ def fpr_at_tpr(log: EventLog, tpr_target: float = 0.95) -> float:
     return float(np.mean(ood_scores >= tau))
 
 
-def fpr_at_tpr_bruteforce(log: EventLog, tpr_target: float = 0.95) -> float:
-    """Exhaustive sweep over every observed score as a candidate threshold."""
-    id_scores, ood_scores = _split_scores(log.events)
-    feasible = [
-        t for t in np.unique(np.concatenate([id_scores, ood_scores]))
-        if np.mean(id_scores >= t) >= tpr_target
-    ]
-    tau = max(feasible)
-    return float(np.mean(ood_scores >= tau))
-
-
 def auroc(log: EventLog) -> float:
     """Probability an ID event outranks an OOD event, ties counted half."""
     id_scores, ood_scores = _split_scores(log.events)
@@ -77,14 +66,6 @@ def auroc(log: EventLog) -> float:
     return float(u / (n_id * ood_scores.size))
 
 
-def auroc_bruteforce(log: EventLog) -> float:
-    """O(n^2) pairwise count: wins plus half the ties."""
-    id_scores, ood_scores = _split_scores(log.events)
-    diff = id_scores[:, None] - ood_scores[None, :]
-    wins = np.sum(diff > 0) + 0.5 * np.sum(diff == 0)
-    return float(wins / diff.size)
-
-
 def id_accuracy(log: EventLog) -> float:
     """Fraction of labeled ID events whose arrival-time prediction is correct."""
     hits = total = 0
@@ -96,15 +77,6 @@ def id_accuracy(log: EventLog) -> float:
     if total == 0:
         raise ValueError("log has no labeled ID events")
     return hits / total
-
-
-def id_accuracy_recount(log: EventLog) -> float:
-    """Straight-line recount oracle for id_accuracy."""
-    pairs = [(e.prediction, e.ground_truth_label) for e in log.events
-             if not e.ground_truth_is_ood and e.ground_truth_label is not None]
-    if not pairs:
-        raise ValueError("log has no labeled ID events")
-    return sum(1 for p, t in pairs if p == t) / len(pairs)
 
 
 def report(log: EventLog) -> MetricsReport:

@@ -47,6 +47,25 @@ def score(kind: ScoreKind, logits: np.ndarray) -> float:
     return t * (m + math.log(float(np.exp(zt - m).sum())))
 
 
+def score_rows(kind: ScoreKind, logits: np.ndarray) -> np.ndarray:
+    """``score`` of every row of an (N, C) logit matrix, bit for bit.
+
+    The arithmetic is ``score``'s, done once per matrix: the same max shift,
+    elementwise ``np.exp`` and row sums, and ``math.log`` per row, because
+    ``np.log`` can differ from it in the last bit.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    if kind.kind == "maxlogit":
+        return z.max(axis=1)
+    zt = z if kind.kind == "msp" else z / kind.temperature
+    m = zt.max(axis=1, keepdims=True)
+    shifted = zt - m
+    logs = np.array([math.log(v) for v in np.exp(shifted).sum(axis=1).tolist()])
+    if kind.kind == "msp":
+        return np.exp(shifted - logs[:, None]).max(axis=1)
+    return kind.temperature * (m[:, 0] + logs)
+
+
 def predict(logits: np.ndarray) -> int:
     """Argmax class, ties broken by the lowest index."""
     return int(np.asarray(logits).argmax())

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from oodstream import filtering, nn, scoring
 from oodstream.engine import EventLog, RunCounts, StreamEvent
 from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
@@ -139,6 +140,34 @@ def probe_dlogits_reference(logits: np.ndarray, spec: LossSpec) -> tuple[float, 
     return loss, dl
 
 
+def fpr_at_tpr_bruteforce(log: EventLog, tpr_target: float = 0.95) -> float:
+    """Exhaustive sweep over every observed score as a candidate threshold."""
+    id_scores, ood_scores = _split_scores(log.events)
+    feasible = [
+        t for t in np.unique(np.concatenate([id_scores, ood_scores]))
+        if np.mean(id_scores >= t) >= tpr_target
+    ]
+    tau = max(feasible)
+    return float(np.mean(ood_scores >= tau))
+
+
+def auroc_bruteforce(log: EventLog) -> float:
+    """O(n^2) pairwise count: wins plus half the ties."""
+    id_scores, ood_scores = _split_scores(log.events)
+    diff = id_scores[:, None] - ood_scores[None, :]
+    wins = np.sum(diff > 0) + 0.5 * np.sum(diff == 0)
+    return float(wins / diff.size)
+
+
+def id_accuracy_recount(log: EventLog) -> float:
+    """Straight-line recount oracle for id_accuracy."""
+    pairs = [(e.prediction, e.ground_truth_label) for e in log.events
+             if not e.ground_truth_is_ood and e.ground_truth_label is not None]
+    if not pairs:
+        raise ValueError("log has no labeled ID events")
+    return sum(1 for p, t in pairs if p == t) / len(pairs)
+
+
 def auroc_midrank_loop(log: EventLog) -> float:
     """AUROC from midranks assigned by an explicit scan over tie groups."""
     id_scores, ood_scores = _split_scores(log.events)
@@ -158,6 +187,48 @@ def auroc_midrank_loop(log: EventLog) -> float:
     n_id = id_scores.size
     u = ranks[:n_id].sum() - n_id * (n_id + 1) / 2.0
     return float(u / (n_id * ood_scores.size))
+
+
+# ---------------------------------------------------------------------------
+# fixed-model scoring oracles (one forward, score and predict call per row)
+
+
+def init_margins_reference(model: MlpModel, features, config) -> filtering.Margins:
+    """``init_state``'s margins from a list of per-row ``scoring.score`` values."""
+    scores = [scoring.score(config.score_kind, nn.forward_logits(model, x)) for x in features]
+    stats = filtering.estimate_id_stats(scores)
+    return filtering.init_margins(stats, config.k1, config.k2,
+                                  literal_m0=config.margin_literal_m0)
+
+
+def run_posthoc_reference(model, margins, stream, score_kind, *,
+                          update_margins: bool = True) -> EventLog:
+    """The per-arrival post-hoc loop: forward, score and predict each arrival."""
+    log = EventLog()
+    for i in range(len(stream)):
+        logits = nn.forward_logits(model, stream.features[i])
+        s = scoring.score(score_kind, logits)
+        pred = scoring.predict(logits)
+        decision = filtering.classify(margins, s)
+        if decision == FilterDecision.PSEUDO_ID:
+            log.counts.pseudo_id += 1
+        elif decision == FilterDecision.PSEUDO_OOD:
+            log.counts.pseudo_ood += 1
+            if update_margins:
+                margins = filtering.update_outlier_margin(margins, s)
+        else:
+            log.counts.abstain += 1
+        label = int(stream.labels[i])
+        log.events.append(StreamEvent(
+            index=i,
+            score_at_arrival=s,
+            prediction=pred,
+            decision=decision,
+            ground_truth_is_ood=bool(stream.is_ood[i]),
+            ground_truth_label=None if label < 0 else label,
+            m_out_after=margins.m_out,
+        ))
+    return log
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ canonical defaults are exercised by the acceptance suite.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from oodstream import nn
+from oodstream import cli, data, nn
 from oodstream.cli import main
 from oodstream.runconfig import RunConfig, from_text, to_text
 
@@ -89,8 +91,6 @@ def test_nonzero_sgd_momentum_fails_at_load(tmp_path, capsys, mode):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("mode", ["auto", "frozen"])
 def test_non_finite_arrival_fails_with_one_line(pretrained, capsys, mode):
     cfg_path, _ = pretrained
@@ -99,9 +99,16 @@ def test_non_finite_arrival_fails_with_one_line(pretrained, capsys, mode):
     assert len(center) == 1
     cfg_path.write_text(text.replace(center[0], "scenario.ood1.center = 1.7e308,1.7e308"),
                         encoding="ascii")
-    assert main(["--config", str(cfg_path), "run", "--mode", mode]) == 1
+    cfg = from_text(cfg_path.read_text())
+    _, test_id, ood_sets = data.make_scenario(cfg.scenario_spec())
+    stream = cli._make_stream(cfg, test_id, ood_sets)
+    first = int(np.flatnonzero(np.abs(stream.features).max(axis=1) > 1e300)[0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", str(cfg_path), "run", "--mode", mode]) == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
-    assert err == "error: non-finite logits in forward pass\n"
+    assert err == f"error: non-finite logits in forward pass at stream index {first}\n"
 
 
 def test_run_frozen_constant_m_out(pretrained):

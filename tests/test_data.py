@@ -229,6 +229,14 @@ def test_dataset_unparsable_value_names_line(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+def test_dataset_non_finite_value_names_line(tmp_path, value):
+    path = tmp_path / "d.csv"
+    path.write_text(f"auto-ood-dataset v1,dim=2\n0,1.0,2.0\n1,0.5,{value}\n")
+    with pytest.raises(DatasetFormatError, match="^line 3: non-finite value$"):
+        load_dataset(path)
+
+
 def test_canonical_spec_is_pinned():
     spec = canonical_spec()
     assert spec.dim == 2 and spec.num_classes == 3

@@ -1,10 +1,11 @@
 """Fast paths equal their straight-line references bit for bit.
 
-The per-arrival path (forward, scoring, prediction), the update episode
-(trainable-only gradients), the gradient buffers (no zero fill, one-row
-weight gradients as outer products) and checkpoint writing skip work the
-references do, but must compute the same results: every comparison here is
-exact.
+The per-arrival path (forward, scoring, prediction), fixed-model scoring
+(all rows of the frozen replay and of the margin statistics at once), the
+update episode (trainable-only gradients), the gradient buffers (no zero
+fill, one-row weight gradients as outer products) and checkpoint writing
+skip work the references do, but must compute the same results: every
+comparison here is exact.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ import numpy as np
 import pytest
 
 from conftest import fresh_auto_config, fresh_state
-from helpers import (checkpoint_text_reference, loss_and_grad_reference,
-                     log_softmax_reference, predict_reference, probe_dlogits_reference,
-                     score_reference, train_offline_reference)
+from helpers import (checkpoint_text_reference, init_margins_reference,
+                     loss_and_grad_reference, log_softmax_reference, predict_reference,
+                     probe_dlogits_reference, run_posthoc_reference, score_reference,
+                     train_offline_reference)
 from oodstream import engine, nn
 from oodstream.data import LabeledSet
 from oodstream.nn import LossSpec, SgdConfig, _forward_batch, _probe_dlogits, init_mlp
 from oodstream.runconfig import RunConfig
-from oodstream.scoring import ScoreKind, predict, score
+from oodstream.scoring import ScoreKind, predict, score, score_rows
 
 KINDS = (ScoreKind("msp"), ScoreKind("maxlogit"), ScoreKind("energy"),
          ScoreKind("energy", temperature=0.3), ScoreKind("energy", temperature=4.0))
@@ -65,6 +67,57 @@ def test_score_and_predict_equal_reference_formulas():
         assert np.array_equal(nn.softmax(z), np.exp(log_softmax_reference(z)))
     assert score(KINDS[0], [1.0, 2.0, 3.0]) == score_reference(KINDS[0], [1.0, 2.0, 3.0])
     assert predict([0.0, 2.0, 2.0]) == predict_reference([0.0, 2.0, 2.0]) == 1
+
+
+ROW_KINDS = (ScoreKind("msp"), ScoreKind("energy"), ScoreKind("energy", temperature=0.5),
+             ScoreKind("maxlogit"))
+
+
+def random_logit_rows(rng, n, c):
+    """Rows at magnitudes from 1e-3 to 1e3; a quarter rounded to integers and
+    an eighth with the first two entries equal, so rows hold exact ties."""
+    z = rng.normal(0.0, 1.0, size=(n, c)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    z = np.clip(z, -1e3, 1e3)
+    z[::4] = np.round(z[::4])
+    z[1::8, 1] = z[1::8, 0]
+    return z
+
+
+@pytest.mark.parametrize("c", [2, 3, 4, 10])
+def test_score_rows_equals_score_per_row(c):
+    rng = np.random.default_rng(c)
+    z = random_logit_rows(rng, 25_000, c)
+    for kind in ROW_KINDS:
+        expected = np.array([score(kind, row) for row in z])
+        assert np.array_equal(score_rows(kind, z), expected)
+        assert score_rows(kind, z[:1]).tolist() == [score(kind, z[0])]
+    assert z.argmax(axis=1).tolist() == [predict(row) for row in z]
+
+
+@pytest.mark.parametrize("kind", ROW_KINDS, ids=lambda k: f"{k.kind}-T{k.temperature}")
+@pytest.mark.parametrize("update_margins", [True, False])
+def test_run_posthoc_equals_per_arrival_loop(canonical, kind, update_margins):
+    model = canonical["model"]
+    # k2 = 1 puts m_out where every kind sees pseudo-OOD arrivals
+    config = fresh_auto_config(model, score_kind=kind, k2=1.0)
+    margins = fresh_state(canonical, config).margins
+    stream = canonical["stream"]
+    fast = engine.run_posthoc(model, margins, stream, kind, update_margins=update_margins)
+    ref = run_posthoc_reference(model, margins, stream, kind, update_margins=update_margins)
+    assert ref.counts.pseudo_ood > 0 and ref.counts.pseudo_id > 0
+    assert fast.events == ref.events
+    assert fast.counts == ref.counts
+    assert fast.update_traces == ref.update_traces == []
+
+
+@pytest.mark.parametrize("kind", ROW_KINDS, ids=lambda k: f"{k.kind}-T{k.temperature}")
+@pytest.mark.parametrize("subsample", [None, 7])
+def test_init_state_margins_equal_per_row_oracle(canonical, kind, subsample):
+    model = canonical["model"]
+    config = fresh_auto_config(model, score_kind=kind, stats_subsample_n=subsample)
+    rows = canonical["train"].features[:subsample]
+    expected = init_margins_reference(model, rows, config)
+    assert fresh_state(canonical, config).margins == expected
 
 
 def test_probe_dlogits_equals_reference():

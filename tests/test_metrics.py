@@ -7,11 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from helpers import auroc_midrank_loop, log_from_scores, random_log
+from helpers import (auroc_bruteforce, auroc_midrank_loop, fpr_at_tpr_bruteforce,
+                     id_accuracy_recount, log_from_scores, random_log)
 from oodstream.engine import RunCounts
-from oodstream.metrics import (MetricsReport, auroc, auroc_bruteforce, fpr_at_tpr,
-                               fpr_at_tpr_bruteforce, id_accuracy,
-                               id_accuracy_recount, report, report_to_json)
+from oodstream.metrics import (MetricsReport, auroc, fpr_at_tpr, id_accuracy, report,
+                               report_to_json)
 
 
 def test_fpr95_worked_example():
