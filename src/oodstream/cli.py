@@ -26,10 +26,16 @@ from .runconfig import ConfigError, RunConfig
 
 EVENT_COLUMNS = "t,score,prediction,decision,is_ood_truth,label_truth,m_out"
 
-SWEEP_PARAMS = ("lambda2", "phi", "kappa", "iters_T", "trainable_groups",
-                "k1", "k2", "stats_subsample_n")
+# sweep parameter -> (RunConfig attribute, value parser)
+SWEEP_PARAMS = {"lambda2": ("lambda2", float), "phi": ("phi", float),
+                "kappa": ("kappa", float), "iters_T": ("iters_t", int),
+                "trainable_groups": ("trainable_groups", str), "k1": ("k1", float),
+                "k2": ("k2", float), "stats_subsample_n": ("stats_subsample_n", int)}
 
-ABLATION_COMBOS = ("id_only", "ood_only", "id_ood", "full")
+# ablation combo -> the objective weights it keeps; the others are set to 0.0
+OBJECTIVE_WEIGHTS = ("id_weight", "lambda1", "lambda2")
+ABLATION_COMBOS = {"id_only": ("id_weight",), "ood_only": ("lambda1",),
+                   "id_ood": ("id_weight", "lambda1"), "full": OBJECTIVE_WEIGHTS}
 
 
 class CliError(Exception):
@@ -89,17 +95,20 @@ def _run_once(cfg: RunConfig, mode: str) -> tuple[engine.EventLog, engine.AutoSt
                                      update_margins=False)
         else:
             log = engine.run_stream(state, auto_cfg, stream)
+    if mode == "auto" and log.updates == 0:
+        print(f"warning: no arrival scored below the outlier margin, so the model never "
+              f"adapted (auto.score = {cfg.score}, auto.k2 = {cfg.k2!r}, final m_out = "
+              f"{state.margins.m_out!r}); a smaller auto.k2 raises m_out", file=sys.stderr)
     return log, state
 
 
 def _write_events_csv(path: Path, log: engine.EventLog, chash: str) -> None:
+    names = np.array([d.value for d in engine.DECISIONS])
+    rows = zip(range(len(log)), log.score.tolist(), log.prediction.tolist(),
+               names[log.decision].tolist(), log.is_ood.tolist(), log.label.tolist(),
+               log.m_out.tolist())
     lines = [f"# config_hash={chash}", EVENT_COLUMNS]
-    for e in log.events:
-        label = -1 if e.ground_truth_label is None else e.ground_truth_label
-        lines.append(
-            f"{e.index},{e.score_at_arrival:.17g},{e.prediction},{e.decision.value},"
-            f"{int(e.ground_truth_is_ood)},{label},{e.m_out_after:.17g}"
-        )
+    lines += ["%d,%.17g,%d,%s,%d,%d,%.17g" % row for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -154,16 +163,9 @@ def _ablation_overrides(cfg: RunConfig, combo: str) -> RunConfig:
     """Objective combinations: update episodes always fire on pseudo-OOD
     arrivals; the combo decides which terms carry weight."""
     ov = replace(cfg)
-    if combo == "id_only":
-        ov.id_weight, ov.lambda1, ov.lambda2 = cfg.id_weight, 0.0, 0.0
-    elif combo == "ood_only":
-        ov.id_weight, ov.lambda1, ov.lambda2 = 0.0, cfg.lambda1, 0.0
-    elif combo == "id_ood":
-        ov.id_weight, ov.lambda1, ov.lambda2 = cfg.id_weight, cfg.lambda1, 0.0
-    elif combo == "full":
-        ov.id_weight, ov.lambda1, ov.lambda2 = cfg.id_weight, cfg.lambda1, cfg.lambda2
-    else:
-        raise CliError(f"unknown ablation combo {combo}")
+    for weight in OBJECTIVE_WEIGHTS:
+        if weight not in ABLATION_COMBOS[combo]:
+            setattr(ov, weight, 0.0)
     return ov
 
 
@@ -181,26 +183,13 @@ def cmd_ablate(cfg: RunConfig) -> None:
 
 
 def _apply_sweep_value(cfg: RunConfig, param: str, raw: str) -> RunConfig:
-    ov = replace(cfg)
+    attr, parse = SWEEP_PARAMS[param]
     try:
-        if param == "lambda2":
-            ov.lambda2 = float(raw)
-        elif param == "phi":
-            ov.phi = float(raw)
-        elif param == "kappa":
-            ov.kappa = float(raw)
-        elif param == "iters_T":
-            ov.iters_t = int(raw)
-        elif param == "trainable_groups":
-            ov.trainable_groups = raw
-        elif param == "k1":
-            ov.k1 = float(raw)
-        elif param == "k2":
-            ov.k2 = float(raw)
-        elif param == "stats_subsample_n":
-            ov.stats_subsample_n = int(raw)
+        value = parse(raw)
     except ValueError as exc:
         raise CliError(f"bad value {raw!r} for sweep parameter {param}") from exc
+    ov = replace(cfg)
+    setattr(ov, attr, value)
     return ov
 
 

@@ -78,8 +78,6 @@ class AutoState:
     bank: MemoryBank
     step_counter: int = 0
     update_counter: int = 0
-    bank_replacements: int = 0
-    contaminated_replacements: int = 0
 
 
 @dataclass(frozen=True)
@@ -114,16 +112,46 @@ class UpdateTrace:
     losses: tuple[float, ...]
 
 
+# Decision codes of the event log: row t decided DECISIONS[log.decision[t]].
+DECISIONS = tuple(FilterDecision)
+
+
 @dataclass
 class EventLog:
-    """Ordered event records plus run-level counters and episode traces."""
+    """One row per arrival, in stream order, as numpy columns, plus run-level
+    counters and episode traces. ``decision`` holds codes into ``DECISIONS``
+    and ``label`` holds -1 for an unlabeled arrival. The decision counts are
+    derived from the decision column, so they always partition the log."""
 
-    events: list[StreamEvent] = field(default_factory=list)
-    counts: RunCounts = field(default_factory=RunCounts)
+    score: np.ndarray
+    prediction: np.ndarray
+    decision: np.ndarray
+    is_ood: np.ndarray
+    label: np.ndarray
+    m_out: np.ndarray
+    updates: int = 0
+    bank_replacements: int = 0
+    contaminated_replacements: int = 0
     update_traces: list[UpdateTrace] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.decision)
+
+    @property
+    def counts(self) -> RunCounts:
+        pseudo_id, pseudo_ood, abstain = np.bincount(
+            self.decision, minlength=len(DECISIONS)).tolist()
+        return RunCounts(pseudo_id, pseudo_ood, abstain, self.updates,
+                         self.bank_replacements, self.contaminated_replacements)
+
+
+def _new_log(stream: Stream) -> EventLog:
+    """Empty per-arrival columns for ``stream``; the truth columns are copies."""
+    n = len(stream)
+    return EventLog(score=np.empty(n), prediction=np.empty(n, dtype=np.int64),
+                    decision=np.empty(n, dtype=np.int8),
+                    is_ood=stream.is_ood.astype(bool), label=stream.labels.astype(np.int64),
+                    m_out=np.empty(n))
 
 
 def lambda2_at(config: AutoConfig, update_counter: int) -> float:
@@ -194,10 +222,6 @@ def step(state: AutoState, config: AutoConfig, x: np.ndarray,
 
     if decision == FilterDecision.PSEUDO_ID:
         memory.replace(state.bank, x, prediction)
-        if not state.bank.prototype:
-            state.bank_replacements += 1
-            if hidden_truth[0]:
-                state.contaminated_replacements += 1
     elif decision == FilterDecision.PSEUDO_OOD:
         lam2 = lambda2_at(config, state.update_counter)
         pred_0 = scoring.predict(nn.forward_logits(state.model_0, x))
@@ -237,26 +261,29 @@ def step(state: AutoState, config: AutoConfig, x: np.ndarray,
     return event, trace
 
 
-def run_stream(state: AutoState, config: AutoConfig, stream: Stream,
-               log: EventLog | None = None) -> EventLog:
-    """Apply ``step`` to every arrival in order; extends ``log`` if given."""
-    if log is None:
-        log = EventLog()
-    for i in range(len(stream)):
-        truth = (bool(stream.is_ood[i]), int(stream.labels[i]))
-        event, trace = step(state, config, stream.features[i], truth)
-        log.events.append(event)
+def run_stream(state: AutoState, config: AutoConfig, stream: Stream) -> EventLog:
+    """Apply ``step`` to every arrival in order.
+
+    Every pseudo-OOD arrival runs one update episode. Every pseudo-ID arrival
+    writes the bank unless it is a prototype bank; a write is contaminated
+    when the arrival's hidden truth is OOD.
+    """
+    log = _new_log(stream)
+    for i, (x, is_ood, label) in enumerate(
+            zip(stream.features, log.is_ood.tolist(), log.label.tolist())):
+        event, trace = step(state, config, x, (is_ood, label))
+        log.score[i] = event.score_at_arrival
+        log.prediction[i] = event.prediction
+        log.decision[i] = DECISIONS.index(event.decision)
+        log.m_out[i] = event.m_out_after
         if trace is not None:
             log.update_traces.append(trace)
-        if event.decision == FilterDecision.PSEUDO_ID:
-            log.counts.pseudo_id += 1
-        elif event.decision == FilterDecision.PSEUDO_OOD:
-            log.counts.pseudo_ood += 1
-            log.counts.updates += 1
-        else:
-            log.counts.abstain += 1
-    log.counts.bank_replacements = state.bank_replacements
-    log.counts.contaminated_replacements = state.contaminated_replacements
+    counts = log.counts
+    log.updates = counts.pseudo_ood
+    if not state.bank.prototype:
+        log.bank_replacements = counts.pseudo_id
+        log.contaminated_replacements = int(np.count_nonzero(
+            log.is_ood[log.decision == DECISIONS.index(FilterDecision.PSEUDO_ID)]))
     return log
 
 
@@ -279,27 +306,13 @@ def run_posthoc(model: MlpModel, margins: Margins, stream: Stream,
             logits[i] = nn.forward_logits(model, x)
         except FloatingPointError as exc:
             raise FloatingPointError(f"{exc} at stream index {i}") from exc
-    scores = scoring.score_rows(score_kind, logits).tolist()
-    preds = logits.argmax(axis=1).tolist()
-    log = EventLog()
-    for i, (s, pred, is_ood, label) in enumerate(
-            zip(scores, preds, stream.is_ood.tolist(), stream.labels.tolist())):
+    log = _new_log(stream)
+    log.score = scoring.score_rows(score_kind, logits)
+    log.prediction = logits.argmax(axis=1)
+    for i, s in enumerate(log.score.tolist()):
         decision = filtering.classify(margins, s)
-        if decision == FilterDecision.PSEUDO_ID:
-            log.counts.pseudo_id += 1
-        elif decision == FilterDecision.PSEUDO_OOD:
-            log.counts.pseudo_ood += 1
-            if update_margins:
-                margins = filtering.update_outlier_margin(margins, s)
-        else:
-            log.counts.abstain += 1
-        log.events.append(StreamEvent(
-            index=i,
-            score_at_arrival=s,
-            prediction=pred,
-            decision=decision,
-            ground_truth_is_ood=bool(is_ood),
-            ground_truth_label=None if label < 0 else label,
-            m_out_after=margins.m_out,
-        ))
+        log.decision[i] = DECISIONS.index(decision)
+        if update_margins and decision == FilterDecision.PSEUDO_OOD:
+            margins = filtering.update_outlier_margin(margins, s)
+        log.m_out[i] = margins.m_out
     return log

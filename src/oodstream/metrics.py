@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .engine import EventLog, RunCounts, StreamEvent
-from .filtering import FilterDecision
+from .engine import EventLog, RunCounts
 
 
 @dataclass(frozen=True)
@@ -30,9 +29,8 @@ class MetricsReport:
     counts: RunCounts
 
 
-def _split_scores(events: list[StreamEvent]) -> tuple[np.ndarray, np.ndarray]:
-    id_scores = np.array([e.score_at_arrival for e in events if not e.ground_truth_is_ood])
-    ood_scores = np.array([e.score_at_arrival for e in events if e.ground_truth_is_ood])
+def _split_scores(log: EventLog) -> tuple[np.ndarray, np.ndarray]:
+    id_scores, ood_scores = log.score[~log.is_ood], log.score[log.is_ood]
     if id_scores.size == 0 or ood_scores.size == 0:
         raise ValueError("log must contain at least one ID and one OOD event")
     return id_scores, ood_scores
@@ -42,7 +40,7 @@ def fpr_at_tpr(log: EventLog, tpr_target: float = 0.95) -> float:
     """OOD false-positive rate at the largest threshold meeting the ID TPR target."""
     if not 0.0 < tpr_target <= 1.0:
         raise ValueError(f"tpr_target must be in (0, 1], got {tpr_target}")
-    id_scores, ood_scores = _split_scores(log.events)
+    id_scores, ood_scores = _split_scores(log)
     k = math.ceil(tpr_target * id_scores.size)
     tau = np.sort(id_scores)[id_scores.size - k]
     return float(np.mean(ood_scores >= tau))
@@ -50,7 +48,7 @@ def fpr_at_tpr(log: EventLog, tpr_target: float = 0.95) -> float:
 
 def auroc(log: EventLog) -> float:
     """Probability an ID event outranks an OOD event, ties counted half."""
-    id_scores, ood_scores = _split_scores(log.events)
+    id_scores, ood_scores = _split_scores(log)
     combined = np.concatenate([id_scores, ood_scores])
     order = np.argsort(combined, kind="mergesort")
     sorted_vals = combined[order]
@@ -68,27 +66,20 @@ def auroc(log: EventLog) -> float:
 
 def id_accuracy(log: EventLog) -> float:
     """Fraction of labeled ID events whose arrival-time prediction is correct."""
-    hits = total = 0
-    for e in log.events:
-        if e.ground_truth_is_ood or e.ground_truth_label is None:
-            continue
-        total += 1
-        hits += e.prediction == e.ground_truth_label
+    labeled = ~log.is_ood & (log.label >= 0)
+    total = int(np.count_nonzero(labeled))
     if total == 0:
         raise ValueError("log has no labeled ID events")
-    return hits / total
+    return int(np.count_nonzero(log.prediction[labeled] == log.label[labeled])) / total
 
 
 def report(log: EventLog) -> MetricsReport:
-    """All sub-metrics plus the run counters; counters must partition the log."""
-    c = log.counts
-    if c.pseudo_id + c.pseudo_ood + c.abstain != len(log.events):
-        raise ValueError("run counters do not partition the event log")
+    """All sub-metrics plus the run counters."""
     return MetricsReport(
         fpr95=fpr_at_tpr(log),
         auroc=auroc(log),
         id_acc=id_accuracy(log),
-        counts=c,
+        counts=log.counts,
     )
 
 
@@ -99,28 +90,15 @@ def report_to_json(rep: MetricsReport, extra: dict | None = None) -> str:
         "fpr95": rep.fpr95,
         "auroc": rep.auroc,
         "id_acc": rep.id_acc,
-        "counts": {
-            "pseudo_id": rep.counts.pseudo_id,
-            "pseudo_ood": rep.counts.pseudo_ood,
-            "abstain": rep.counts.abstain,
-            "updates": rep.counts.updates,
-            "bank_replacements": rep.counts.bank_replacements,
-            "contaminated_replacements": rep.counts.contaminated_replacements,
-        },
+        "counts": asdict(rep.counts),
     })
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
 def slice_log(log: EventLog, start: int, stop: int) -> EventLog:
-    """Sub-log over [start, stop); partition counters recomputed from events."""
-    events = log.events[start:stop]
-    counts = RunCounts()
-    for e in events:
-        if e.decision == FilterDecision.PSEUDO_ID:
-            counts.pseudo_id += 1
-        elif e.decision == FilterDecision.PSEUDO_OOD:
-            counts.pseudo_ood += 1
-            counts.updates += 1
-        else:
-            counts.abstain += 1
-    return EventLog(events=events, counts=counts)
+    """Rows [start, stop) of the log. Its decision counts follow from its
+    rows; the run-level counters and traces stay with the whole run."""
+    rows = slice(start, stop)
+    return EventLog(score=log.score[rows], prediction=log.prediction[rows],
+                    decision=log.decision[rows], is_ood=log.is_ood[rows],
+                    label=log.label[rows], m_out=log.m_out[rows])

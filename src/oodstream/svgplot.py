@@ -19,14 +19,14 @@ def _scale(values, lo, hi, out_lo, out_hi):
 
 
 def emit_score_plot(path, log: EventLog, m_in: float, header_comment: str = "") -> None:
-    events = log.events
-    if not events:
+    n = len(log)
+    if not n:
         raise ValueError("cannot plot an empty event log")
-    scores = [e.score_at_arrival for e in events]
-    m_outs = [e.m_out_after for e in events]
+    scores = log.score.tolist()
+    m_outs = log.m_out.tolist()
     lo = min(min(scores), min(m_outs), m_in)
     hi = max(max(scores), max(m_outs), m_in)
-    xs = _scale(range(len(events)), 0, max(len(events) - 1, 1), _PAD, _W - _PAD)
+    xs = _scale(range(n), 0, max(n - 1, 1), _PAD, _W - _PAD)
     ys = _scale(scores, lo, hi, _H - _PAD, _PAD)
     ym = _scale(m_outs, lo, hi, _H - _PAD, _PAD)
     (y_in,) = _scale([m_in], lo, hi, _H - _PAD, _PAD)
@@ -39,12 +39,12 @@ def emit_score_plot(path, log: EventLog, m_in: float, header_comment: str = "") 
     parts.append(f'<line x1="{_PAD}" y1="{_H - _PAD}" x2="{_W - _PAD}" y2="{_H - _PAD}" stroke="black"/>')
     parts.append(f'<line x1="{_PAD}" y1="{_PAD}" x2="{_PAD}" y2="{_H - _PAD}" stroke="black"/>')
     parts.append(f'<text x="{_PAD}" y="{_H - _PAD + 30}" font-size="12">t=0</text>')
-    parts.append(f'<text x="{_W - _PAD - 40}" y="{_H - _PAD + 30}" font-size="12">t={len(events) - 1}</text>')
+    parts.append(f'<text x="{_W - _PAD - 40}" y="{_H - _PAD + 30}" font-size="12">t={n - 1}</text>')
     parts.append(f'<text x="4" y="{_H - _PAD}" font-size="12">{lo:.3g}</text>')
     parts.append(f'<text x="4" y="{_PAD}" font-size="12">{hi:.3g}</text>')
     # scores
-    for e, x, y in zip(events, xs, ys):
-        color = "#d62728" if e.ground_truth_is_ood else "#1f77b4"
+    for is_ood, x, y in zip(log.is_ood.tolist(), xs, ys):
+        color = "#d62728" if is_ood else "#1f77b4"
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.8" fill="{color}"/>')
     # margins
     parts.append(

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from oodstream import filtering, nn, scoring
-from oodstream.engine import EventLog, RunCounts, StreamEvent
+from oodstream.engine import DECISIONS, EventLog, StreamEvent
 from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
 from oodstream.nn import (CHECKPOINT_MAGIC, Gradients, LossSpec, MlpModel, SgdConfig,
@@ -51,30 +51,52 @@ def max_grad_rel_err(model: MlpModel, x, spec: LossSpec, step: float = 1e-5) -> 
     return worst
 
 
-def make_event(index: int, score: float, is_ood: bool, prediction: int = 0,
-               label: int | None = 0,
-               decision: FilterDecision = FilterDecision.ABSTAIN,
-               m_out: float = 0.0) -> StreamEvent:
-    return StreamEvent(
-        index=index,
-        score_at_arrival=score,
-        prediction=prediction,
-        decision=decision,
-        ground_truth_is_ood=is_ood,
-        ground_truth_label=None if is_ood else label,
-        m_out_after=m_out,
+COLUMNS = ("score", "prediction", "decision", "is_ood", "label", "m_out")
+
+ABSTAIN = DECISIONS.index(FilterDecision.ABSTAIN)
+
+
+def log_from_columns(score, is_ood, prediction=None, label=None, decision=None,
+                     m_out=None) -> EventLog:
+    """Event log from per-row values. By default every row abstains with
+    prediction 0, m_out 0, label 0 for an ID row and -1 for an OOD row."""
+    is_ood = np.asarray(is_ood, dtype=bool)
+    n = len(is_ood)
+    return EventLog(
+        score=np.asarray(score, dtype=np.float64).reshape(n),
+        prediction=np.zeros(n, dtype=np.int64) if prediction is None
+        else np.asarray(prediction, dtype=np.int64),
+        decision=np.full(n, ABSTAIN, dtype=np.int8) if decision is None
+        else np.asarray(decision, dtype=np.int8),
+        is_ood=is_ood,
+        label=np.where(is_ood, -1, 0) if label is None else np.asarray(label, dtype=np.int64),
+        m_out=np.zeros(n) if m_out is None else np.asarray(m_out, dtype=np.float64),
     )
 
 
 def log_from_scores(id_scores, ood_scores) -> EventLog:
     """Synthetic event log carrying only scores and ground-truth flags."""
-    events = []
-    for s in id_scores:
-        events.append(make_event(len(events), float(s), is_ood=False))
-    for s in ood_scores:
-        events.append(make_event(len(events), float(s), is_ood=True))
-    counts = RunCounts(abstain=len(events))
-    return EventLog(events=events, counts=counts)
+    return log_from_columns(np.concatenate([id_scores, ood_scores]),
+                            [False] * len(id_scores) + [True] * len(ood_scores))
+
+
+def assert_columns_equal(got: EventLog, want: EventLog) -> None:
+    """Every column has the same dtype, shape and bytes."""
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def event_rows(log: EventLog, first_index: int = 0) -> list[StreamEvent]:
+    """The log's rows as the ``StreamEvent``s that ``engine.step`` returns."""
+    return [
+        StreamEvent(index=first_index + t, score_at_arrival=s, prediction=p,
+                    decision=DECISIONS[d], ground_truth_is_ood=o,
+                    ground_truth_label=None if y < 0 else y, m_out_after=m)
+        for t, (s, p, d, o, y, m) in enumerate(zip(*(getattr(log, c).tolist()
+                                                      for c in COLUMNS)))
+    ]
 
 
 def random_log(rng: np.random.Generator, n_id: int, n_ood: int,
@@ -142,7 +164,7 @@ def probe_dlogits_reference(logits: np.ndarray, spec: LossSpec) -> tuple[float, 
 
 def fpr_at_tpr_bruteforce(log: EventLog, tpr_target: float = 0.95) -> float:
     """Exhaustive sweep over every observed score as a candidate threshold."""
-    id_scores, ood_scores = _split_scores(log.events)
+    id_scores, ood_scores = _split_scores(log)
     feasible = [
         t for t in np.unique(np.concatenate([id_scores, ood_scores]))
         if np.mean(id_scores >= t) >= tpr_target
@@ -153,7 +175,7 @@ def fpr_at_tpr_bruteforce(log: EventLog, tpr_target: float = 0.95) -> float:
 
 def auroc_bruteforce(log: EventLog) -> float:
     """O(n^2) pairwise count: wins plus half the ties."""
-    id_scores, ood_scores = _split_scores(log.events)
+    id_scores, ood_scores = _split_scores(log)
     diff = id_scores[:, None] - ood_scores[None, :]
     wins = np.sum(diff > 0) + 0.5 * np.sum(diff == 0)
     return float(wins / diff.size)
@@ -161,8 +183,9 @@ def auroc_bruteforce(log: EventLog) -> float:
 
 def id_accuracy_recount(log: EventLog) -> float:
     """Straight-line recount oracle for id_accuracy."""
-    pairs = [(e.prediction, e.ground_truth_label) for e in log.events
-             if not e.ground_truth_is_ood and e.ground_truth_label is not None]
+    pairs = [(p, y) for p, y, is_ood in zip(log.prediction.tolist(), log.label.tolist(),
+                                            log.is_ood.tolist())
+             if not is_ood and y >= 0]
     if not pairs:
         raise ValueError("log has no labeled ID events")
     return sum(1 for p, t in pairs if p == t) / len(pairs)
@@ -170,7 +193,7 @@ def id_accuracy_recount(log: EventLog) -> float:
 
 def auroc_midrank_loop(log: EventLog) -> float:
     """AUROC from midranks assigned by an explicit scan over tie groups."""
-    id_scores, ood_scores = _split_scores(log.events)
+    id_scores, ood_scores = _split_scores(log)
     combined = np.concatenate([id_scores, ood_scores])
     order = np.argsort(combined, kind="mergesort")
     ranks = np.empty(combined.size)
@@ -204,31 +227,19 @@ def init_margins_reference(model: MlpModel, features, config) -> filtering.Margi
 def run_posthoc_reference(model, margins, stream, score_kind, *,
                           update_margins: bool = True) -> EventLog:
     """The per-arrival post-hoc loop: forward, score and predict each arrival."""
-    log = EventLog()
+    scores, preds, decisions, m_outs = [], [], [], []
     for i in range(len(stream)):
         logits = nn.forward_logits(model, stream.features[i])
         s = scoring.score(score_kind, logits)
-        pred = scoring.predict(logits)
         decision = filtering.classify(margins, s)
-        if decision == FilterDecision.PSEUDO_ID:
-            log.counts.pseudo_id += 1
-        elif decision == FilterDecision.PSEUDO_OOD:
-            log.counts.pseudo_ood += 1
-            if update_margins:
-                margins = filtering.update_outlier_margin(margins, s)
-        else:
-            log.counts.abstain += 1
-        label = int(stream.labels[i])
-        log.events.append(StreamEvent(
-            index=i,
-            score_at_arrival=s,
-            prediction=pred,
-            decision=decision,
-            ground_truth_is_ood=bool(stream.is_ood[i]),
-            ground_truth_label=None if label < 0 else label,
-            m_out_after=margins.m_out,
-        ))
-    return log
+        if update_margins and decision == FilterDecision.PSEUDO_OOD:
+            margins = filtering.update_outlier_margin(margins, s)
+        scores.append(s)
+        preds.append(scoring.predict(logits))
+        decisions.append(DECISIONS.index(decision))
+        m_outs.append(margins.m_out)
+    return log_from_columns(scores, stream.is_ood, prediction=preds, label=stream.labels,
+                            decision=decisions, m_out=m_outs)
 
 
 # ---------------------------------------------------------------------------

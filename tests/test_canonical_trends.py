@@ -50,7 +50,7 @@ def test_timeseries_second_segment_trend(canonical):
     frozen = engine.run_posthoc(canonical["model"], st0.margins, stream,
                                 ac.score_kind, update_margins=False)
 
-    seg2_adaptive = metrics.slice_log(adaptive, boundary, len(adaptive.events))
-    seg2_frozen = metrics.slice_log(frozen, boundary, len(frozen.events))
+    seg2_adaptive = metrics.slice_log(adaptive, boundary, len(adaptive))
+    seg2_frozen = metrics.slice_log(frozen, boundary, len(frozen))
     assert metrics.fpr_at_tpr(seg2_adaptive) < metrics.fpr_at_tpr(seg2_frozen)
     assert metrics.auroc(seg2_adaptive) > metrics.auroc(seg2_frozen)

@@ -195,3 +195,58 @@ def test_seed_override_changes_stream(pretrained):
     assert main(["--config", str(cfg_path), "--seed", "999", "run",
                  "--mode", "frozen"]) == 0
     assert (out / "frozen_events.csv").read_bytes() != first
+
+
+def test_sweep_bad_value_fails_with_one_line(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "out"))
+    assert main(["--config", str(cfg_path), "sweep", "--param", "iters_T",
+                 "--values", "x"]) == 1
+    assert capsys.readouterr().err == "error: bad value 'x' for sweep parameter iters_T\n"
+
+
+def test_ablation_combos_keep_their_weights_and_zero_the_rest():
+    cfg = RunConfig(id_weight=0.5, lambda1=2.0, lambda2=0.3)
+    kept = {"id_only": {"id_weight"}, "ood_only": {"lambda1"},
+            "id_ood": {"id_weight", "lambda1"}, "full": {"id_weight", "lambda1", "lambda2"}}
+    assert list(cli.ABLATION_COMBOS) == list(kept)
+    for combo, weights in kept.items():
+        ov = cli._ablation_overrides(cfg, combo)
+        for w in ("id_weight", "lambda1", "lambda2"):
+            assert getattr(ov, w) == (getattr(cfg, w) if w in weights else 0.0)
+
+
+@pytest.fixture(scope="module")
+def canonical_out(tmp_path_factory):
+    """Output directory holding the pinned canonical checkpoint."""
+    root = tmp_path_factory.mktemp("canonical")
+    cfg_path = root / "canonical.cfg"
+    cfg_path.write_text(to_text(RunConfig(out_dir=str(root / "out"))), encoding="ascii")
+    assert main(["--config", str(cfg_path), "pretrain"]) == 0
+    return root / "out"
+
+
+def test_canonical_msp_run_writes_nothing_to_stderr(canonical_out, tmp_path, capsys):
+    path = tmp_path / "msp.cfg"
+    path.write_text(to_text(RunConfig(out_dir=str(canonical_out))), encoding="ascii")
+    capsys.readouterr()
+    assert main(["--config", str(path), "run", "--mode", "auto"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_auto_run_without_updates_warns_once(canonical_out, tmp_path, capsys):
+    # with the energy score and the default k2 = 3, m_out sits below every
+    # canonical arrival's score, so no update episode ever runs
+    path = tmp_path / "energy.cfg"
+    path.write_text(to_text(RunConfig(score="energy", out_dir=str(canonical_out))),
+                    encoding="ascii")
+    capsys.readouterr()
+    assert main(["--config", str(path), "run", "--mode", "auto"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and err.count("\n") == 1
+    assert "auto.score = energy" in err and "auto.k2 = 3.0" in err
+    assert "final m_out = " in err
+    rep = json.loads((canonical_out / "auto_metrics.json").read_text())
+    assert rep["counts"]["updates"] == 0
+    # frozen mode never adapts by design and says nothing
+    assert main(["--config", str(path), "run", "--mode", "frozen"]) == 0
+    assert capsys.readouterr().err == ""

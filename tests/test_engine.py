@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import fresh_auto_config, fresh_state
+from helpers import COLUMNS, assert_columns_equal
 from oodstream import filtering, memory, nn, scoring
 from oodstream.data import Stream
 from oodstream.engine import (AutoConfig, AutoState, NonFiniteLossError,
@@ -76,7 +77,10 @@ def test_pseudo_id_replaces_bank_without_updates():
     assert trace is None
     assert unchanged(state.model_t, model_snap)
     assert np.array_equal(state.bank.features[event.prediction], x)
-    assert state.bank_replacements == 1
+    # the same arrival through run_stream counts as one bank write
+    state, config = tiny_setup()
+    log = run_stream(state, config, make_stream([x]))
+    assert log.bank_replacements == 1
 
 
 def test_pseudo_ood_runs_t_iterations_and_one_margin_update():
@@ -170,7 +174,7 @@ def test_empty_stream_empty_log():
     state, config = tiny_setup()
     snap = snapshot(state.model_t)
     log = run_stream(state, config, make_stream(np.zeros((0, 2))))
-    assert len(log.events) == 0
+    assert len(log) == 0
     assert unchanged(state.model_t, snap)
 
 
@@ -191,10 +195,10 @@ def test_log_partition_and_length():
                          is_ood=rng.random(120) < 0.5)
     log = run_stream(state, config, stream)
     c = log.counts
-    assert len(log.events) == len(stream)
+    assert len(log) == len(stream)
     assert c.pseudo_id + c.pseudo_ood + c.abstain == len(stream)
     assert c.updates == c.pseudo_ood
-    assert [e.index for e in log.events] == list(range(len(stream)))
+    assert state.step_counter == len(stream)
 
 
 def test_m_in_constant_and_m_out_monotone_over_run():
@@ -204,7 +208,7 @@ def test_m_in_constant_and_m_out_monotone_over_run():
     stream = make_stream(rng.normal(0, 2, size=(200, 2)))
     log = run_stream(state, config, stream)
     assert state.margins.m_in == m_in0
-    outs = [e.m_out_after for e in log.events]
+    outs = log.m_out.tolist()
     assert all(b <= a for a, b in zip(outs, outs[1:]))
 
 
@@ -233,24 +237,37 @@ def test_events_store_arrival_time_scores():
                              margins=filtering.Margins(0.9, 0.5, 1, 0.0, 3.0),
                              bank=memory.MemoryBank(initial_bank))
     replay = run_stream(replay_state, config, stream)
-    assert [e.score_at_arrival for e in replay.events] == \
-           [e.score_at_arrival for e in log.events]
+    assert replay.score.tolist() == log.score.tolist()
 
     final_scores = [scoring.score(config.score_kind, nn.forward_logits(state.model_t, x))
                     for x in stream.features]
-    mismatch = sum(e.score_at_arrival != s for e, s in zip(log.events, final_scores))
+    mismatch = sum(a != s for a, s in zip(log.score.tolist(), final_scores))
     assert mismatch > 0, "post-hoc re-scoring should differ from arrival-time scores"
 
 
-def test_run_stream_extends_existing_log():
-    state, config = tiny_setup()
+def test_run_stream_in_two_calls_equals_one_call():
+    # a second call on the same state goes on where the first stopped: its
+    # log continues the first one's rows, traces and counters
     rng = np.random.default_rng(13)
-    s1 = make_stream(rng.normal(0, 2, size=(30, 2)))
-    s2 = make_stream(rng.normal(0, 2, size=(20, 2)))
-    log = run_stream(state, config, s1)
-    log = run_stream(state, config, s2, log)
-    assert len(log.events) == 50
-    assert [e.index for e in log.events] == list(range(50))
+    features = rng.normal(0, 2, size=(50, 2))
+    is_ood = rng.random(50) < 0.5
+    labels = np.where(is_ood, -1, rng.integers(0, 3, size=50))
+    split_state, config = tiny_setup()
+    first = run_stream(split_state, config, make_stream(features[:30], is_ood[:30],
+                                                        labels[:30]))
+    second = run_stream(split_state, config, make_stream(features[30:], is_ood[30:],
+                                                         labels[30:]))
+    whole_state, _ = tiny_setup()
+    whole = run_stream(whole_state, config, make_stream(features, is_ood, labels))
+    assert whole.updates > 0 and whole.bank_replacements > 0
+    joined = {c: np.concatenate([getattr(first, c), getattr(second, c)]) for c in COLUMNS}
+    assert_columns_equal(type(whole)(**joined), whole)
+    assert first.update_traces + second.update_traces == whole.update_traces
+    for key in ("updates", "bank_replacements", "contaminated_replacements"):
+        assert getattr(first, key) + getattr(second, key) == getattr(whole, key)
+    assert split_state.step_counter == whole_state.step_counter == 50
+    assert split_state.margins == whole_state.margins
+    assert np.array_equal(split_state.bank.features, whole_state.bank.features)
 
 
 def test_config_defaults_are_pinned():
@@ -283,9 +300,9 @@ def test_alternate_score_functions_run_end_to_end(kind):
     rng = np.random.default_rng(16)
     stream = make_stream(rng.normal(0, 2, size=(80, 2)))
     log = run_stream(state, config, stream)
-    assert len(log.events) == 80
+    assert len(log) == 80
     # maxlogit and energy scores are unbounded above, unlike max-softmax
-    assert any(e.score_at_arrival > 1.0 for e in log.events)
+    assert (log.score > 1.0).any()
 
 
 def test_lambda2_decay_runs_end_to_end():
@@ -350,7 +367,7 @@ def test_degenerate_engine_matches_posthoc_scorer():
     log = run_stream(state, config, stream)
     baseline = run_posthoc(model0, margins0, stream, config.score_kind,
                            update_margins=True)
-    assert log.events == baseline.events
+    assert_columns_equal(log, baseline)
     assert unchanged(state.model_t, snapshot(model0))
 
 
@@ -361,7 +378,7 @@ def test_posthoc_frozen_margins_mode():
     stream = make_stream(rng.normal(0, 2, size=(100, 2)))
     log = run_posthoc(model0, state.margins, stream, config.score_kind,
                       update_margins=False)
-    outs = {e.m_out_after for e in log.events}
+    outs = set(log.m_out.tolist())
     assert outs == {state.margins.m_out}
 
 

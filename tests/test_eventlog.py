@@ -1,0 +1,95 @@
+"""The columnar event log: derived counts, and both replay modes equal their
+per-arrival references column for column."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import fresh_auto_config, fresh_state
+from helpers import assert_columns_equal, event_rows, log_from_columns, run_posthoc_reference
+from oodstream import engine, filtering, nn
+from oodstream.data import Stream
+from oodstream.engine import DECISIONS
+from oodstream.filtering import FilterDecision
+from oodstream.scoring import ScoreKind, score_rows
+
+KINDS = (ScoreKind("msp"), ScoreKind("maxlogit"), ScoreKind("energy"),
+         ScoreKind("energy", temperature=0.5))
+
+
+def test_decision_codes_follow_filter_decision_order():
+    assert DECISIONS == (FilterDecision.PSEUDO_ID, FilterDecision.PSEUDO_OOD,
+                         FilterDecision.ABSTAIN)
+
+
+@given(st.lists(st.integers(0, len(DECISIONS) - 1), max_size=300))
+def test_counts_partition_the_log(codes):
+    log = log_from_columns(np.zeros(len(codes)), [False] * len(codes), decision=codes)
+    c = log.counts
+    assert c.pseudo_id + c.pseudo_ood + c.abstain == len(log) == len(codes)
+    assert [c.pseudo_id, c.pseudo_ood, c.abstain] == [codes.count(i) for i in range(3)]
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k.kind}-T{k.temperature}")
+@pytest.mark.parametrize("update_margins", [True, False])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60),
+       quantiles=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_run_posthoc_equals_reference_on_random_streams(seed, n, kind, update_margins,
+                                                        quantiles):
+    rng = np.random.default_rng(seed)
+    model = nn.init_mlp([3, 8, 8, 4], seed=seed % 1000)
+    for b in model.biases:
+        b[:] = rng.normal(0.0, 0.5, size=b.shape)
+    is_ood = rng.random(n) < 0.5
+    stream = Stream(features=rng.normal(0.0, 3.0, size=(n, 3)), is_ood=is_ood,
+                    labels=np.where(is_ood, -1, rng.integers(0, 4, size=n)))
+    # margins at score quantiles of random inputs, so all three decisions occur
+    probe = rng.normal(0.0, 3.0, size=(20, 3))
+    scores = score_rows(kind, np.array([nn.forward_logits(model, x) for x in probe]))
+    m_out, m_in = sorted(np.quantile(scores, quantiles).tolist())
+    margins = filtering.Margins(m_in=m_in, m_out=m_out, m_count=1, k1=0.0, k2=3.0)
+    fast = engine.run_posthoc(model, margins, stream, kind, update_margins=update_margins)
+    ref = run_posthoc_reference(model, margins, stream, kind, update_margins=update_margins)
+    assert_columns_equal(fast, ref)
+    assert fast.counts == ref.counts
+    assert fast.update_traces == ref.update_traces == []
+
+
+def step_by_step(state, config, stream):
+    """Events and traces from calling ``engine.step`` on every arrival."""
+    events, traces = [], []
+    for x, is_ood, label in zip(stream.features, stream.is_ood, stream.labels):
+        event, trace = engine.step(state, config, x, (bool(is_ood), int(label)))
+        events.append(event)
+        if trace is not None:
+            traces.append(trace)
+    return events, traces
+
+
+@pytest.mark.parametrize("memory_mode", ["random", "prototype"])
+def test_run_stream_rows_equal_step_events(canonical, memory_mode):
+    stream = canonical["stream"]
+    if memory_mode == "prototype":
+        stream = Stream(features=stream.features[:2000], is_ood=stream.is_ood[:2000],
+                        labels=stream.labels[:2000])
+    config = fresh_auto_config(canonical["model"], memory_mode=memory_mode)
+    state = fresh_state(canonical, config)
+    log = engine.run_stream(state, config, stream)
+    ref_state = fresh_state(canonical, config)
+    events, traces = step_by_step(ref_state, config, stream)
+
+    assert event_rows(log) == events
+    assert log.update_traces == traces
+    writes = [e for e in events if e.decision == FilterDecision.PSEUDO_ID]
+    assert log.updates == sum(e.decision == FilterDecision.PSEUDO_OOD for e in events) > 0
+    if memory_mode == "prototype":
+        assert writes and log.bank_replacements == log.contaminated_replacements == 0
+    else:
+        assert log.bank_replacements == len(writes)
+        assert log.contaminated_replacements == sum(e.ground_truth_is_ood for e in writes) > 0
+    assert state.margins == ref_state.margins
+    assert np.array_equal(state.bank.features, ref_state.bank.features)

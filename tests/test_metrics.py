@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (auroc_bruteforce, auroc_midrank_loop, fpr_at_tpr_bruteforce,
-                     id_accuracy_recount, log_from_scores, random_log)
-from oodstream.engine import RunCounts
+                     id_accuracy_recount, log_from_columns, log_from_scores, random_log)
 from oodstream.metrics import (MetricsReport, auroc, fpr_at_tpr, id_accuracy, report,
                                report_to_json)
 
@@ -89,10 +88,8 @@ def test_auroc_single_distinct_score():
 def test_auroc_invariant_under_monotone_transform():
     rng = np.random.default_rng(3)
     base = random_log(rng, 40, 30, with_ties=True)
-    transformed = log_from_scores(
-        [np.exp(e.score_at_arrival) for e in base.events if not e.ground_truth_is_ood],
-        [np.exp(e.score_at_arrival) for e in base.events if e.ground_truth_is_ood],
-    )
+    transformed = log_from_scores(np.exp(base.score[~base.is_ood]),
+                                  np.exp(base.score[base.is_ood]))
     assert auroc(transformed) == pytest.approx(auroc(base), abs=1e-12)
 
 
@@ -112,12 +109,8 @@ def test_id_accuracy_all_correct_and_recount():
 
 
 def test_id_accuracy_reduces_to_plain_accuracy_without_ood():
-    from helpers import make_event
-    from oodstream.engine import EventLog
-    events = [make_event(0, 0.9, False, prediction=1, label=1),
-              make_event(1, 0.8, False, prediction=0, label=2),
-              make_event(2, 0.7, False, prediction=2, label=2)]
-    log = EventLog(events=events, counts=RunCounts(abstain=3))
+    log = log_from_columns([0.9, 0.8, 0.7], [False] * 3, prediction=[1, 0, 2],
+                           label=[1, 2, 2])
     assert id_accuracy(log) == pytest.approx(2 / 3)
 
 
@@ -131,15 +124,8 @@ def test_report_counts_partition_and_json_keys():
     rep = report(log)
     assert isinstance(rep, MetricsReport)
     c = rep.counts
-    assert c.pseudo_id + c.pseudo_ood + c.abstain == len(log.events)
+    assert c.pseudo_id + c.pseudo_ood + c.abstain == len(log)
     obj = json.loads(report_to_json(rep, extra={"config_hash": "abc"}))
     assert set(obj) == {"config_hash", "fpr95", "auroc", "id_acc", "counts"}
     assert set(obj["counts"]) == {"pseudo_id", "pseudo_ood", "abstain", "updates",
                                   "bank_replacements", "contaminated_replacements"}
-
-
-def test_report_rejects_broken_partition():
-    log = log_from_scores([0.9], [0.1])
-    log.counts = RunCounts(abstain=5)
-    with pytest.raises(ValueError):
-        report(log)
