@@ -194,33 +194,31 @@ def _compose(id_set: LabeledSet, ood_features: np.ndarray, ood_labels: np.ndarra
         raise ValueError("OOD pool must be nonempty")
     id_order = rng.permutation(n_id)
     ood_order = rng.permutation(n_ood)
-    feats, flags, labels = [], [], []
-    i = j = 0
-    exhausted = ""
-    while True:
-        take_id = rng.random() < kappa
-        if take_id:
-            if i >= n_id:
-                exhausted = "id"
-                break
-            k = id_order[i]
-            feats.append(id_set.features[k])
-            flags.append(False)
-            labels.append(id_set.labels[k])
-            i += 1
-        else:
-            if j >= n_ood:
-                exhausted = "ood"
-                break
-            k = ood_order[j]
-            feats.append(ood_features[k])
-            flags.append(True)
-            labels.append(ood_labels[k])
-            j += 1
+    # Slot t takes from the ID pool when its uniform is below kappa; the
+    # stream ends at the first slot whose pool is already empty. Every slot
+    # before it takes one row, so that slot is among the first
+    # n_id + n_ood + 1, and one bulk draw gives the values a draw per slot
+    # would. The draw may take more numbers from ``rng`` than the stream
+    # uses; every composer makes a fresh generator and reads nothing after.
+    take_id = rng.random(n_id + n_ood + 1) < kappa
+    taken_id = np.cumsum(take_id)
+    taken_ood = np.arange(1, len(take_id) + 1) - taken_id
+    end = int(np.argmax(np.where(take_id, taken_id > n_id, taken_ood > n_ood)))
+    exhausted = "id" if take_id[end] else "ood"
+    take_id = take_id[:end]
+    take_ood = ~take_id
+    id_rows = id_order[:np.count_nonzero(take_id)]
+    ood_rows = ood_order[:end - len(id_rows)]
+    features = np.empty((end, ood_features.shape[1]))
+    features[take_id] = id_set.features[id_rows]
+    features[take_ood] = ood_features[ood_rows]
+    labels = np.empty(end, dtype=np.int64)
+    labels[take_id] = id_set.labels[id_rows]
+    labels[take_ood] = ood_labels[ood_rows]
     return Stream(
-        features=np.asarray(feats, dtype=np.float64),
-        is_ood=np.asarray(flags, dtype=bool),
-        labels=np.asarray(labels, dtype=np.int64),
+        features=features,
+        is_ood=take_ood,
+        labels=labels,
         segment_bounds=(0,),
         exhausted_pool=exhausted,
     )

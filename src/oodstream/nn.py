@@ -18,7 +18,8 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_MAGIC = "auto-mlp v1"
+CHECKPOINT_MAGIC = "auto-mlp v2"
+CHECKPOINT_MAGIC_V1 = "auto-mlp v1"
 
 
 class InputDimensionError(ValueError):
@@ -391,7 +392,10 @@ def sgd_step(model: MlpModel, grads: Gradients, cfg: SgdConfig,
 
     Layers outside the trainable groups are never written, so they stay
     bit-identical. With nonzero momentum a ``velocity`` buffer must be
-    supplied and is updated in place.
+    supplied and is updated in place. Without momentum the step consumes
+    ``grads``: the trainable layers' gradients are scaled by the learning
+    rate in place, which gives ``param`` the bits of ``param -= lr * g``
+    without a full-size temporary per layer.
     """
     if cfg.momentum != 0.0 and velocity is None:
         raise ValueError("nonzero momentum requires a velocity buffer")
@@ -408,8 +412,9 @@ def sgd_step(model: MlpModel, grads: Gradients, cfg: SgdConfig,
             if cfg.momentum != 0.0:
                 vel *= cfg.momentum
                 vel += g
-                g = vel
-            param -= cfg.learning_rate * g
+                param -= cfg.learning_rate * vel
+            else:
+                param -= np.multiply(g, cfg.learning_rate, out=g)
     return model
 
 
@@ -464,13 +469,8 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
             dlogits = probs
             dlogits[np.arange(len(yb)), yb] -= 1.0
             dlogits /= len(yb)
-            step_grads = _empty_gradients(model)
-            _backprop(model, pre, acts, dlogits, keep, step_grads)
-            # Release the last step's gradients only now. Freed before this
-            # step's exist, their slots leave a hole at the heap top that the
-            # allocator trims and then faults back in on every step (about
-            # 800 page faults a step at 512 wide, measured with glibc).
-            grads = step_grads
+            grads = _empty_gradients(model)
+            _backprop(model, pre, acts, dlogits, keep, grads)
             sgd_step(model, grads, train_cfg, velocity)
     if epochs > 0:
         logger.info("train_offline: %d epochs, final train accuracy %.4f",
@@ -483,29 +483,37 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
 
 
 def save_checkpoint(model: MlpModel, path) -> None:
-    """Write the model as versioned line-oriented text, bit-exact on reload."""
+    """Write the model as versioned line-oriented text, bit-exact on reload.
+
+    Each tensor line is ``name shape... payload``, where the payload is the
+    hex of the tensor's little-endian float64 bytes in C order.
+    """
     lines = [CHECKPOINT_MAGIC]
     lines.append(" ".join(str(d) for d in model.layer_dims))
     lines.append(" ".join(model.group_labels))
     for i in range(model.num_layers):
         for name, tensor in ((f"W{i}", model.weights[i]), (f"b{i}", model.biases[i])):
             shape = " ".join(str(s) for s in tensor.shape)
-            values = " ".join(["%.17g"] * tensor.size) % tuple(tensor.ravel().tolist())
-            lines.append(f"{name} {shape} {values}")
+            lines.append(f"{name} {shape} {tensor.astype('<f8').tobytes().hex()}")
     with open(path, "w", encoding="ascii") as f:
         f.write("\n".join(lines) + "\n")
 
 
 def load_checkpoint(path) -> MlpModel:
-    """Reload a checkpoint, validating version, structure, and dimensions."""
+    """Reload a checkpoint, validating version, structure, and dimensions.
+
+    Reads the current hex format and the older ``auto-mlp v1`` format, whose
+    tensor lines list each value in decimal.
+    """
     with open(path, "r", encoding="ascii") as f:
-        lines = [ln.rstrip("\n") for ln in f]
+        lines = f.read().splitlines()
     if not lines:
         raise CheckpointFormatError("empty checkpoint file")
-    if lines[0] != CHECKPOINT_MAGIC:
+    if lines[0] not in (CHECKPOINT_MAGIC, CHECKPOINT_MAGIC_V1):
         raise CheckpointVersionError(
             f"unsupported checkpoint header {lines[0]!r}, expected {CHECKPOINT_MAGIC!r}"
         )
+    hex_payload = lines[0] == CHECKPOINT_MAGIC
     if len(lines) < 3:
         raise CheckpointFormatError("truncated checkpoint: missing header lines")
     try:
@@ -529,12 +537,14 @@ def load_checkpoint(path) -> MlpModel:
     biases: list[np.ndarray] = []
     for i in range(n_layers):
         w_shape = (layer_dims[i], layer_dims[i + 1])
-        weights.append(_parse_tensor(tensor_lines[2 * i], f"W{i}", w_shape))
-        biases.append(_parse_tensor(tensor_lines[2 * i + 1], f"b{i}", (layer_dims[i + 1],)))
+        weights.append(_parse_tensor(tensor_lines[2 * i], f"W{i}", w_shape, hex_payload))
+        biases.append(_parse_tensor(tensor_lines[2 * i + 1], f"b{i}", (layer_dims[i + 1],),
+                                    hex_payload))
     return MlpModel(layer_dims, weights, biases, group_labels)
 
 
-def _parse_tensor(line: str, name: str, shape: tuple[int, ...]) -> np.ndarray:
+def _parse_tensor(line: str, name: str, shape: tuple[int, ...],
+                  hex_payload: bool) -> np.ndarray:
     tokens = line.split()
     if not tokens or tokens[0] != name:
         raise CheckpointFormatError(f"expected tensor {name!r}, got line {line[:40]!r}")
@@ -549,14 +559,18 @@ def _parse_tensor(line: str, name: str, shape: tuple[int, ...]) -> np.ndarray:
         )
     count = int(np.prod(shape))
     raw = tokens[1 + ndim:]
-    if len(raw) != count:
-        raise CheckpointFormatError(
-            f"tensor {name}: expected {count} values, found {len(raw)}"
-        )
     try:
-        values = np.array([float(t) for t in raw], dtype=np.float64)
+        if hex_payload:
+            # A bytearray buffer keeps the array writable without another copy.
+            values = np.frombuffer(bytearray.fromhex(" ".join(raw)), dtype="<f8")
+        else:
+            values = np.array([float(t) for t in raw], dtype=np.float64)
     except ValueError as exc:
         raise CheckpointFormatError(f"tensor {name}: unparsable value") from exc
+    if values.size != count:
+        raise CheckpointFormatError(
+            f"tensor {name}: expected {count} values, found {values.size}"
+        )
     if not np.all(np.isfinite(values)):
         raise CheckpointFormatError(f"tensor {name}: non-finite value")
     return values.reshape(shape)

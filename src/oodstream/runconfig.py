@@ -94,6 +94,17 @@ class RunConfig:
         if self.momentum != 0.0:
             raise ConfigError(f"sgd.momentum = {self.momentum!r} is not supported: online "
                               "updates keep no velocity buffer; set it to 0")
+        # Written so that NaN fails every check.
+        for key, value, ok, rule in (
+            ("scenario.kappa", self.kappa, 0.0 <= self.kappa < 1.0, "in [0, 1)"),
+            ("auto.iters_T", self.iters_t, self.iters_t >= 0, ">= 0"),
+            ("auto.energy_temperature", self.energy_temperature,
+             self.energy_temperature > 0.0, "> 0"),
+            ("auto.k1", self.k1, self.k1 >= 0.0, ">= 0"),
+            ("auto.k2", self.k2, self.k2 >= 0.0, ">= 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{key} = {value!r} is out of range: it must be {rule}")
 
     # -- derived objects ----------------------------------------------------
 

@@ -4,15 +4,17 @@ straight-line reference formulas that the fast paths must equal bit for bit."""
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
 from oodstream import filtering, nn, scoring
+from oodstream.data import LabeledSet, Stream
 from oodstream.engine import DECISIONS, EventLog, StreamEvent
 from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
-from oodstream.nn import (CHECKPOINT_MAGIC, Gradients, LossSpec, MlpModel, SgdConfig,
-                          _forward_batch, _probe_dlogits, loss_sc, sgd_step, total_loss,
+from oodstream.nn import (CHECKPOINT_MAGIC, CHECKPOINT_MAGIC_V1, Gradients, LossSpec, MlpModel,
+                          SgdConfig, _forward_batch, _probe_dlogits, loss_sc, total_loss,
                           zero_gradients)
 from oodstream.scoring import ScoreKind
 
@@ -243,8 +245,8 @@ def run_posthoc_reference(model, margins, stream, score_kind, *,
 
 
 # ---------------------------------------------------------------------------
-# gradient and checkpoint oracles (zero-filled buffers, one matmul per layer,
-# one f-string per numpy scalar)
+# gradient, SGD and checkpoint oracles (zero-filled buffers, one matmul per
+# layer, a fresh lr * g per tensor, one formatter call per value)
 
 
 def backprop_reference(model: MlpModel, pre_acts, acts, dlogits: np.ndarray,
@@ -308,17 +310,116 @@ def train_offline_reference(model: MlpModel, features, labels, epochs: int,
             probs /= len(idx)
             grads = zero_gradients(model)
             backprop_reference(model, pre, acts, probs, grads)
-            sgd_step(model, grads, train_cfg, velocity)
+            sgd_step_reference(model, grads, train_cfg, velocity)
     return model
 
 
-def checkpoint_text_reference(model: MlpModel) -> str:
-    """Checkpoint file text with each value formatted by its own f-string."""
-    lines = [CHECKPOINT_MAGIC, " ".join(str(d) for d in model.layer_dims),
-             " ".join(model.group_labels)]
+def sgd_step_reference(model: MlpModel, grads: Gradients, cfg: SgdConfig,
+                       velocity: Gradients | None = None) -> None:
+    """``param -= lr * g`` with a fresh ``lr * g`` per tensor; ``grads`` untouched."""
+    for i, group in enumerate(model.group_labels):
+        if group not in cfg.trainable_groups:
+            continue
+        for param, grad, vel in (
+            (model.weights[i], grads.d_weights[i], velocity.d_weights[i] if velocity else None),
+            (model.biases[i], grads.d_biases[i], velocity.d_biases[i] if velocity else None),
+        ):
+            g = grad + cfg.weight_decay * param if cfg.weight_decay else grad
+            if cfg.momentum != 0.0:
+                vel *= cfg.momentum
+                vel += g
+                g = vel
+            param -= cfg.learning_rate * g
+
+
+def _checkpoint_text(model: MlpModel, magic: str, fmt_values) -> str:
+    lines = [magic, " ".join(str(d) for d in model.layer_dims), " ".join(model.group_labels)]
     for i in range(model.num_layers):
         for name, tensor in ((f"W{i}", model.weights[i]), (f"b{i}", model.biases[i])):
             shape = " ".join(str(s) for s in tensor.shape)
-            values = " ".join(f"{v:.17g}" for v in tensor.ravel(order="C"))
-            lines.append(f"{name} {shape} {values}")
+            lines.append(f"{name} {shape} {fmt_values(tensor.ravel(order='C').tolist())}")
     return "\n".join(lines) + "\n"
+
+
+def checkpoint_text_reference(model: MlpModel) -> str:
+    """``auto-mlp v1`` file text: each value formatted by its own f-string."""
+    return _checkpoint_text(model, CHECKPOINT_MAGIC_V1,
+                            lambda values: " ".join(f"{v:.17g}" for v in values))
+
+
+def _hex(value: float) -> str:
+    return struct.pack("<d", value).hex()
+
+
+def checkpoint_hex_text_reference(model: MlpModel) -> str:
+    """Current checkpoint file text: each value packed on its own as a
+    little-endian double and written as 16 hex digits."""
+    return _checkpoint_text(model, CHECKPOINT_MAGIC,
+                            lambda values: "".join(_hex(v) for v in values))
+
+
+# corruption -> edit of a hex payload
+CORRUPT_PAYLOADS = {
+    "odd_length": lambda p: p[:-1],
+    "non_hex": lambda p: "z" + p[1:],
+    "short": lambda p: p[:-16],
+    "nan": lambda p: _hex(math.nan) + p[16:],
+    "inf": lambda p: p[:-16] + _hex(-math.inf),
+}
+
+
+def corrupt_checkpoint(path, kind: str) -> None:
+    """Apply one corruption to the payload of the first tensor line (W0)."""
+    lines = path.read_text(encoding="ascii").split("\n")
+    head, payload = lines[3].rsplit(" ", 1)
+    lines[3] = f"{head} {CORRUPT_PAYLOADS[kind](payload)}"
+    path.write_text("\n".join(lines), encoding="ascii")
+
+
+# ---------------------------------------------------------------------------
+# stream composition oracle
+
+
+def compose_reference(id_set: LabeledSet, ood_features: np.ndarray, ood_labels: np.ndarray,
+                      kappa: float, rng: np.random.Generator) -> Stream:
+    """The per-slot interleaver: one ``rng.random()`` draw and one row copy per
+    slot, stopping at the first slot whose pool is empty."""
+    if not 0.0 <= kappa < 1.0:
+        raise ValueError(f"kappa must be in [0, 1), got {kappa}")
+    n_id, n_ood = len(id_set), len(ood_features)
+    if kappa > 0.0 and n_id == 0:
+        raise ValueError("kappa > 0 requires a nonempty ID pool")
+    if n_ood == 0:
+        raise ValueError("OOD pool must be nonempty")
+    id_order = rng.permutation(n_id)
+    ood_order = rng.permutation(n_ood)
+    feats, flags, labels = [], [], []
+    i = j = 0
+    exhausted = ""
+    while True:
+        take_id = rng.random() < kappa
+        if take_id:
+            if i >= n_id:
+                exhausted = "id"
+                break
+            k = id_order[i]
+            feats.append(id_set.features[k])
+            flags.append(False)
+            labels.append(id_set.labels[k])
+            i += 1
+        else:
+            if j >= n_ood:
+                exhausted = "ood"
+                break
+            k = ood_order[j]
+            feats.append(ood_features[k])
+            flags.append(True)
+            labels.append(ood_labels[k])
+            j += 1
+    return Stream(
+        features=np.asarray(feats, dtype=np.float64),
+        is_ood=np.asarray(flags, dtype=bool),
+        labels=np.asarray(labels, dtype=np.int64),
+        segment_bounds=(0,),
+        exhausted_pool=exhausted,
+    )

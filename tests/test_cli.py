@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import CORRUPT_PAYLOADS, corrupt_checkpoint
 from oodstream import cli, data, nn
 from oodstream.cli import main
 from oodstream.runconfig import RunConfig, from_text, to_text
@@ -89,6 +90,37 @@ def test_nonzero_sgd_momentum_fails_at_load(tmp_path, capsys, mode):
     assert err.count("\n") == 1 and "sgd.momentum" in err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value", [("scenario.kappa", "1"), ("auto.iters_T", "-1"),
+                                       ("auto.energy_temperature", "0"),
+                                       ("auto.k1", "-1"), ("auto.k2", "-0.5")])
+def test_out_of_range_value_fails_before_any_work(tmp_path, capsys, key, value):
+    lines = to_text(RunConfig(**SMALL_OVERRIDES, out_dir=str(tmp_path / "out"))).splitlines()
+    [i] = [i for i, ln in enumerate(lines) if ln.startswith(f"{key} = ")]
+    lines[i] = f"{key} = {value}"
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    for command in (["pretrain"], ["run", "--mode", "auto"], ["run", "--mode", "frozen"]):
+        assert main(["--config", str(path), *command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config error: {key} = ") and err.count("\n") == 1
+        assert "out of range" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_corrupt_checkpoint_fails_with_one_line(pretrained, capsys):
+    cfg_path, out = pretrained
+    ckpt = out / "model.ckpt"
+    good = ckpt.read_bytes()
+    for kind in CORRUPT_PAYLOADS:
+        ckpt.write_bytes(good)
+        corrupt_checkpoint(ckpt, kind)
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "run", "--mode", "frozen"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tensor W0: ") and err.count("\n") == 1, kind
+        assert not (out / "frozen_events.csv").exists()
 
 
 @pytest.mark.parametrize("mode", ["auto", "frozen"])

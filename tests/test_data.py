@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import compose_reference
+from oodstream import data
 from oodstream.data import (DatasetFormatError, GaussianSource, LabeledSet,
                             RingSource, ScenarioSpec, UniformBoxSource,
                             canonical_spec, compose_mixed, compose_stream,
@@ -173,6 +178,35 @@ def test_compose_timeseries_segments():
     seg1 = stream.features[:boundary][stream.is_ood[:boundary]]
     # source 2 lives at y < 0; segment 1 must contain none of it
     assert np.all(seg1[:, 1] > 0)
+
+
+def _compose_outcome(composer: str, id_set, ood_sets, kappa, seed):
+    """The composed stream's fields, or the error the composer raised."""
+    fn = getattr(data, f"compose_{composer}")
+    try:
+        stream = fn(id_set, ood_sets[0] if composer == "stream" else ood_sets, kappa, seed)
+    except ValueError as exc:
+        return str(exc)
+    arrays = [(a.dtype.str, a.shape, a.tobytes())
+              for a in (stream.features, stream.is_ood, stream.labels)]
+    return arrays, stream.segment_bounds, stream.exhausted_pool
+
+
+@pytest.mark.parametrize("composer", ["stream", "mixed", "timeseries"])
+@settings(max_examples=60, deadline=None)
+@given(n_id=st.integers(0, 40), n_oods=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+       dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       kappa=st.one_of(st.sampled_from([0.0, 0.5, 0.999]),
+                       st.floats(0.0, 0.999)))
+def test_composers_equal_per_slot_reference(composer, n_id, n_oods, dim, seed, kappa):
+    rng = np.random.default_rng(seed)
+    id_set = LabeledSet(rng.normal(size=(n_id, dim)), rng.integers(0, 3, size=n_id), 3)
+    ood_sets = [LabeledSet(rng.normal(size=(n, dim)) + 5.0, np.full(n, -1), 0)
+                for n in n_oods]
+    fast = _compose_outcome(composer, id_set, ood_sets, kappa, seed)
+    with mock.patch.object(data, "_compose", compose_reference):
+        ref = _compose_outcome(composer, id_set, ood_sets, kappa, seed)
+    assert fast == ref
 
 
 # ---------------------------------------------------------------------------

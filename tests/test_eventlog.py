@@ -59,6 +59,25 @@ def test_run_posthoc_equals_reference_on_random_streams(seed, n, kind, update_ma
     assert fast.update_traces == ref.update_traces == []
 
 
+def test_fixed_margin_posthoc_score_on_a_margin_abstains():
+    rng = np.random.default_rng(5)
+    model = nn.init_mlp([3, 8, 4], seed=5)
+    stream = Stream(features=rng.normal(0.0, 3.0, size=(40, 3)), is_ood=np.zeros(40, bool),
+                    labels=np.zeros(40, dtype=np.int64))
+    kind = ScoreKind("maxlogit")
+    scores = score_rows(kind, np.array([nn.forward_logits(model, x) for x in stream.features]))
+    on_out, on_in = np.argsort(scores)[[10, 30]]
+    margins = filtering.Margins(m_in=float(scores[on_in]), m_out=float(scores[on_out]),
+                                m_count=1, k1=0.0, k2=3.0)
+    log = engine.run_posthoc(model, margins, stream, kind, update_margins=False)
+    abstain = DECISIONS.index(FilterDecision.ABSTAIN)
+    assert log.decision[on_out] == log.decision[on_in] == abstain
+    assert log.counts.pseudo_ood == 10 and log.counts.pseudo_id == 9
+    assert np.all(log.m_out == margins.m_out)
+    assert_columns_equal(log, run_posthoc_reference(model, margins, stream, kind,
+                                                    update_margins=False))
+
+
 def step_by_step(state, config, stream):
     """Events and traces from calling ``engine.step`` on every arrival."""
     events, traces = [], []

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import fresh_auto_config, fresh_state
-from helpers import (assert_columns_equal, checkpoint_text_reference, init_margins_reference,
+from helpers import (assert_columns_equal, checkpoint_hex_text_reference, init_margins_reference,
                      loss_and_grad_reference, log_softmax_reference, predict_reference,
                      probe_dlogits_reference, run_posthoc_reference, score_reference,
                      train_offline_reference)
@@ -286,7 +286,7 @@ def test_train_offline_equals_oracle_trainer(momentum, weight_decay):
         assert np.array_equal(a, b)
 
 
-def test_save_checkpoint_bytes_equal_per_scalar_formatter(tmp_path):
+def test_save_checkpoint_bytes_equal_per_value_hex_oracle(tmp_path):
     rng = np.random.default_rng(15)
     model = init_mlp([3, 40, 5], seed=6)
     specials = [-0.0, 0.0, 5e-324, -5e-324, 2.225e-308, 1e308, -1e308,
@@ -297,4 +297,4 @@ def test_save_checkpoint_bytes_equal_per_scalar_formatter(tmp_path):
         flat[:len(specials)] = specials[:flat.size]
     path = tmp_path / "model.ckpt"
     nn.save_checkpoint(model, path)
-    assert path.read_bytes() == checkpoint_text_reference(model).encode("ascii")
+    assert path.read_bytes() == checkpoint_hex_text_reference(model).encode("ascii")

@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import max_grad_rel_err
+from helpers import (CORRUPT_PAYLOADS, checkpoint_text_reference, corrupt_checkpoint,
+                     max_grad_rel_err, sgd_step_reference)
 from oodstream import nn
 from oodstream.nn import (CheckpointDimensionError, CheckpointFormatError,
                           CheckpointVersionError, InputDimensionError, LossSpec,
@@ -259,6 +262,49 @@ def test_sgd_step_momentum_two_steps():
     assert model.weights[0][0, 0] == pytest.approx(0.75, abs=1e-15)
 
 
+def random_grads(model: MlpModel, rng: np.random.Generator) -> nn.Gradients:
+    return nn.Gradients([rng.normal(size=w.shape) for w in model.weights],
+                        [rng.normal(size=b.shape) for b in model.biases])
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+def test_sgd_step_consumes_grads_with_the_bits_of_lr_times_g(weight_decay):
+    rng = np.random.default_rng(21)
+    model = init_mlp([3, 16, 16, 4], seed=5)
+    ref = clone_frozen(model)
+    grads = random_grads(model, rng)
+    originals = [g.copy() for g in grads.d_weights + grads.d_biases]
+    cfg = SgdConfig(learning_rate=0.0375, weight_decay=weight_decay,
+                    trainable_groups={"block2", "fc"})
+    sgd_step_reference(ref, nn.Gradients([g.copy() for g in grads.d_weights],
+                                         [g.copy() for g in grads.d_biases]), cfg)
+    sgd_step(model, grads, cfg)
+    for a, b in zip(model.weights + model.biases, ref.weights + ref.biases):
+        assert a.tobytes() == b.tobytes()
+    # trainable layers' gradients are consumed: without weight decay they now
+    # hold lr * g; the frozen layer's (block1, index 0 of each list) is untouched
+    for i, (g, g0) in enumerate(zip(grads.d_weights + grads.d_biases, originals)):
+        if i % 3 == 0:
+            assert g.tobytes() == g0.tobytes()
+        elif weight_decay == 0.0:
+            assert g.tobytes() == (cfg.learning_rate * g0).tobytes()
+
+
+def test_sgd_step_momentum_never_scales_velocity_or_grads():
+    rng = np.random.default_rng(22)
+    model = init_mlp([3, 8, 4], seed=6)
+    grads = random_grads(model, rng)
+    velocity = random_grads(model, rng)
+    grads0 = [g.copy() for g in grads.d_weights + grads.d_biases]
+    vel0 = [v.copy() for v in velocity.d_weights + velocity.d_biases]
+    cfg = SgdConfig(learning_rate=0.1, momentum=0.9, trainable_groups={"block1", "fc"})
+    sgd_step(model, grads, cfg, velocity)
+    for g, g0, v, v0 in zip(grads.d_weights + grads.d_biases, grads0,
+                            velocity.d_weights + velocity.d_biases, vel0):
+        assert g.tobytes() == g0.tobytes()
+        assert v.tobytes() == (0.9 * v0 + g0).tobytes()
+
+
 def test_sgd_step_momentum_requires_velocity():
     model = init_mlp([2, 2], seed=0)
     cfg = SgdConfig(learning_rate=0.1, momentum=0.9, trainable_groups={"fc"})
@@ -401,4 +447,52 @@ def test_checkpoint_dimension_mismatch_errors(tmp_path):
     lines[1] = "2 4 2"  # inconsistent with stored tensor shapes
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointDimensionError):
+        load_checkpoint(path)
+
+
+SPECIAL_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+                  1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def model_from_bits(dims: list[int], seed: int) -> MlpModel:
+    """Random finite float64 bit patterns; each tensor starts with as many of
+    the special values (rotated by ``seed``) as it holds."""
+    model = init_mlp(dims, seed=0)
+    rng = np.random.default_rng(seed)
+    for t in model.weights + model.biases:
+        flat = t.reshape(-1)
+        flat[:] = rng.integers(0, 2**64, size=flat.size, dtype=np.uint64).view(np.float64)
+        flat[~np.isfinite(flat)] = 1.5
+        k = min(flat.size, len(SPECIAL_VALUES))
+        flat[:k] = np.roll(SPECIAL_VALUES, seed)[:k]
+    return model
+
+
+def write_v1(model: MlpModel, path) -> None:
+    path.write_text(checkpoint_text_reference(model), encoding="ascii")
+
+
+@pytest.mark.parametrize("write", [save_checkpoint, write_v1], ids=["current", "v1"])
+@settings(max_examples=30, deadline=None)
+@given(dims=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_checkpoint_round_trips_random_bit_patterns(tmp_path_factory, write, dims, seed):
+    model = model_from_bits(dims, seed)
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    write(model, path)
+    loaded = load_checkpoint(path)
+    assert loaded.layer_dims == model.layer_dims
+    assert loaded.group_labels == model.group_labels
+    for a, b in zip(model.weights + model.biases, loaded.weights + loaded.biases):
+        assert b.dtype == np.float64 and b.shape == a.shape and b.flags.writeable
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", CORRUPT_PAYLOADS)
+def test_corrupt_hex_payload_raises_format_error(tmp_path, kind):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_mlp([2, 3, 2], seed=0), path)
+    assert path.read_text().split("\n")[3].startswith("W0 2 3 ")
+    corrupt_checkpoint(path, kind)
+    with pytest.raises(CheckpointFormatError, match="tensor W0"):
         load_checkpoint(path)

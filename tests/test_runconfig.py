@@ -5,8 +5,11 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oodstream import data, nn
+from oodstream.data import GaussianSource, RingSource, UniformBoxSource
 from oodstream.runconfig import (ConfigError, RunConfig, circle_means, config_hash,
                                  from_text, require_section, to_text)
 
@@ -73,6 +76,61 @@ def test_nonzero_sgd_momentum_rejected():
         RunConfig(momentum=0.5)
     assert from_text("sgd.momentum = 0\n").momentum == 0.0
     assert from_text("pretrain.momentum = 0.9\n").pretrain_momentum == 0.9
+
+
+# key -> (values rejected at load, boundary values accepted)
+RANGE_CHECKS = {
+    "scenario.kappa": (["1", "1.5", "-0.1", "nan"], ["0", "0.999"]),
+    "auto.iters_T": (["-1"], ["0"]),
+    "auto.energy_temperature": (["0", "-2", "nan"], ["1e-300"]),
+    "auto.k1": (["-0.5", "nan"], ["0"]),
+    "auto.k2": (["-1e-9", "-inf"], ["0"]),
+}
+
+
+@pytest.mark.parametrize("key", RANGE_CHECKS)
+def test_out_of_range_value_rejected_at_load(key):
+    bad, good = RANGE_CHECKS[key]
+    for raw in bad:
+        with pytest.raises(ConfigError, match=f"{key} = .* out of range"):
+            from_text(f"scenario.kappa = 0.5\n{key} = {raw}\n")
+    for raw in good:
+        from_text(f"scenario.kappa = 0.5\n{key} = {raw}\n")
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+coords = st.lists(finite, min_size=1, max_size=3).map(tuple)
+OOD_SOURCES = st.one_of(
+    st.builds(GaussianSource, mean=coords, spread=finite),
+    st.builds(UniformBoxSource, low=coords, high=coords),
+    st.builds(RingSource, radius=finite, width=finite),
+)
+CONFIG_VALUES = dict(
+    dim=st.integers(1, 64), classes=st.integers(2, 64), mean_radius=finite,
+    id_spread=finite, train_n=st.integers(1, 10**9), seed=st.integers(-2**70, 2**70),
+    stream=st.sampled_from(["single", "mixed", "timeseries"]),
+    kappa=st.floats(0.0, 1.0, exclude_max=True),
+    stream_seed=st.integers(-2**70, 2**70),
+    ood_sources=st.lists(OOD_SOURCES, min_size=1, max_size=3).map(tuple),
+    hidden=st.lists(st.integers(1, 4096), min_size=1, max_size=4).map(tuple),
+    pretrain_lr=finite, pretrain_momentum=finite, lambda1=finite, lambda2=finite,
+    phi=finite, iters_t=st.integers(0, 10**6),
+    score=st.sampled_from(["msp", "energy", "maxlogit"]),
+    energy_temperature=st.floats(0.0, exclude_min=True, allow_infinity=False),
+    k1=st.floats(0.0, allow_infinity=False), k2=st.floats(0.0, allow_infinity=False),
+    margin_literal_m0=st.booleans(), lr=finite, weight_decay=finite,
+    trainable_groups=st.sampled_from(["last_block", "all", "none", "block1+fc"]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.fixed_dictionaries(CONFIG_VALUES))
+def test_round_trip_random_values(values):
+    cfg = RunConfig(**values)
+    text = to_text(cfg)
+    back = from_text(text)
+    assert back == cfg
+    assert to_text(back) == text  # keeps the sign of -0.0, which == ignores
 
 
 def test_resolve_groups():
