@@ -10,17 +10,16 @@ prediction-consistency hinge against the frozen initial model.
 
 from .data import (GaussianSource, LabeledSet, RingSource, ScenarioSpec, Stream,
                    UniformBoxSource, canonical_spec, compose_mixed, compose_stream,
-                   compose_timeseries, load_dataset, make_scenario, save_dataset)
+                   compose_timeseries, make_scenario)
 from .engine import (AutoConfig, AutoState, EventLog, StreamEvent, init_state,
                      lambda2_at, run_posthoc, run_stream, step)
 from .filtering import (FilterDecision, IdStats, Margins, classify,
                         estimate_id_stats, init_margins, update_outlier_margin)
-from .memory import MemoryBank, id_loss, init_prototype, init_random, replace
+from .memory import MemoryBank, init_prototype, init_random, replace
 from .metrics import (MetricsReport, auroc, fpr_at_tpr, id_accuracy, report,
                       report_to_json)
-from .nn import (Gradients, LossSpec, MlpModel, SgdConfig, backward, clone_frozen,
-                 forward_logits, init_mlp, load_checkpoint, log_softmax,
-                 loss_ce_label, loss_ce_uniform, loss_sc, save_checkpoint, sgd_step,
+from .nn import (Gradients, LossSpec, MlpModel, SgdConfig, clone_frozen, forward_logits,
+                 init_mlp, load_checkpoint, log_softmax, loss_sc, save_checkpoint, sgd_step,
                  total_loss, train_offline)
 from .runconfig import ConfigError, RunConfig, config_hash, from_text, to_text
 from .scoring import ScoreKind, predict, score

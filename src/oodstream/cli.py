@@ -91,8 +91,7 @@ def _run_once(cfg: RunConfig, mode: str) -> tuple[engine.EventLog, engine.AutoSt
     with np.errstate(over="ignore", invalid="ignore"):
         state = engine.init_state(model, train, auto_cfg)
         if mode == "frozen":
-            log = engine.run_posthoc(model, state.margins, stream, auto_cfg.score_kind,
-                                     update_margins=False)
+            log = engine.run_posthoc(model, state.margins, stream, auto_cfg.score_kind)
         else:
             log = engine.run_stream(state, auto_cfg, stream)
     if mode == "auto" and log.updates == 0:
@@ -119,7 +118,6 @@ def _write_metrics_json(path: Path, rep: metrics.MetricsReport, chash: str,
 
 
 def cmd_pretrain(cfg: RunConfig) -> None:
-    runconfig.require_section(cfg, "scenario")
     train, test_id, _ = data.make_scenario(cfg.scenario_spec())
     model = nn.init_mlp(cfg.layer_dims(), seed=cfg.init_seed)
     sgd = nn.SgdConfig(learning_rate=cfg.pretrain_lr,
@@ -143,7 +141,6 @@ def cmd_pretrain(cfg: RunConfig) -> None:
 
 
 def cmd_run(cfg: RunConfig, mode: str, plot: bool) -> None:
-    runconfig.require_section(cfg, "scenario")
     if mode not in ("auto", "frozen"):
         raise CliError(f"unknown mode {mode!r}; expected auto or frozen")
     log, state = _run_once(cfg, mode)
@@ -162,15 +159,11 @@ def cmd_run(cfg: RunConfig, mode: str, plot: bool) -> None:
 def _ablation_overrides(cfg: RunConfig, combo: str) -> RunConfig:
     """Objective combinations: update episodes always fire on pseudo-OOD
     arrivals; the combo decides which terms carry weight."""
-    ov = replace(cfg)
-    for weight in OBJECTIVE_WEIGHTS:
-        if weight not in ABLATION_COMBOS[combo]:
-            setattr(ov, weight, 0.0)
-    return ov
+    kept = ABLATION_COMBOS[combo]
+    return replace(cfg, **{w: 0.0 for w in OBJECTIVE_WEIGHTS if w not in kept})
 
 
 def cmd_ablate(cfg: RunConfig) -> None:
-    runconfig.require_section(cfg, "scenario")
     out = _out_dir(cfg)
     lines = [f"# config_hash={runconfig.config_hash(cfg)}", "combo,fpr95,auroc,id_acc"]
     for combo in ABLATION_COMBOS:
@@ -183,25 +176,25 @@ def cmd_ablate(cfg: RunConfig) -> None:
 
 
 def _apply_sweep_value(cfg: RunConfig, param: str, raw: str) -> RunConfig:
+    """``cfg`` with one swept value; rebuilding it re-runs the load-time checks."""
     attr, parse = SWEEP_PARAMS[param]
     try:
         value = parse(raw)
     except ValueError as exc:
         raise CliError(f"bad value {raw!r} for sweep parameter {param}") from exc
-    ov = replace(cfg)
-    setattr(ov, attr, value)
-    return ov
+    return replace(cfg, **{attr: value})
 
 
 def cmd_sweep(cfg: RunConfig, param: str, values: list[str]) -> None:
     if param not in SWEEP_PARAMS:
         raise CliError(f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}")
-    runconfig.require_section(cfg, "scenario")
+    # Every value is checked before the first replay starts.
+    overrides = [_apply_sweep_value(cfg, param, raw) for raw in values]
     out = _out_dir(cfg)
     lines = [f"# config_hash={runconfig.config_hash(cfg)} param={param}",
              "param,value,fpr95,auroc,id_acc"]
-    for raw in values:
-        log, _ = _run_once(_apply_sweep_value(cfg, param, raw), "auto")
+    for raw, ov in zip(values, overrides):
+        log, _ = _run_once(ov, "auto")
         rep = metrics.report(log)
         lines.append(f"{param},{raw},{rep.fpr95:.17g},{rep.auroc:.17g},{rep.id_acc:.17g}")
         print(f"sweep {param}={raw}: fpr95={rep.fpr95:.4f} auroc={rep.auroc:.4f} "
@@ -244,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "sweep":
             cmd_sweep(cfg, args.param, args.values.split(","))
     except (CliError, ConfigError, engine.NonFiniteLossError, FloatingPointError,
-            nn.CheckpointError, data.DatasetFormatError, ValueError, OSError) as exc:
+            nn.CheckpointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

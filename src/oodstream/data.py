@@ -5,11 +5,6 @@ come from shifted Gaussians, uniform boxes, or rings. Streams interleave an
 ID pool with one or more OOD pools by a per-position Bernoulli draw with ID
 probability kappa, sampling without replacement and truncating at the first
 pool exhaustion. Everything is a pure function of (spec, seed).
-
-Dataset file format (text, comma-separated):
-    line 1:  auto-ood-dataset v1,dim=<d>
-    rows:    label,<f1>,...,<fd>      label -1 marks OOD, else 0..C-1
-Floats carry 17 significant digits so round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -18,12 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-DATASET_MAGIC = "auto-ood-dataset v1"
-
-
-class DatasetFormatError(Exception):
-    """Malformed dataset file; message carries the offending line number."""
 
 
 @dataclass
@@ -42,10 +31,6 @@ class LabeledSet:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
 
 
 @dataclass(frozen=True)
@@ -272,54 +257,6 @@ def compose_timeseries(test_id_set: LabeledSet, ood_sets: list[LabeledSet],
         segment_bounds=tuple(bounds),
         exhausted_pool=";".join(p.exhausted_pool for p in parts),
     )
-
-
-# ---------------------------------------------------------------------------
-# dataset files
-
-
-def save_dataset(path, dataset: LabeledSet) -> None:
-    lines = [f"{DATASET_MAGIC},dim={dataset.dim}"]
-    for label, row in zip(dataset.labels, dataset.features):
-        lines.append(",".join([str(int(label))] + [f"{v:.17g}" for v in row]))
-    with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_dataset(path) -> LabeledSet:
-    with open(path, "r", encoding="ascii") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise DatasetFormatError("line 1: empty dataset file")
-    header = lines[0].split(",")
-    if len(header) != 2 or header[0] != DATASET_MAGIC or not header[1].startswith("dim="):
-        raise DatasetFormatError(f"line 1: bad header {lines[0]!r}")
-    try:
-        dim = int(header[1][4:])
-    except ValueError as exc:
-        raise DatasetFormatError(f"line 1: bad dim in header {lines[0]!r}") from exc
-    feats, labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != dim + 1:
-            raise DatasetFormatError(
-                f"line {lineno}: expected {dim + 1} fields, got {len(fields)}"
-            )
-        try:
-            labels.append(int(fields[0]))
-            row = [float(t) for t in fields[1:]]
-        except ValueError as exc:
-            raise DatasetFormatError(f"line {lineno}: unparsable value") from exc
-        if not all(map(math.isfinite, row)):
-            raise DatasetFormatError(f"line {lineno}: non-finite value")
-        feats.append(row)
-    features = np.asarray(feats, dtype=np.float64).reshape(len(labels), dim)
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    ood_mask = labels_arr < 0
-    num_classes = int(labels_arr.max()) + 1 if not ood_mask.all() and len(labels_arr) else 0
-    return LabeledSet(features, labels_arr, num_classes)
 
 
 # ---------------------------------------------------------------------------

@@ -288,15 +288,11 @@ def run_stream(state: AutoState, config: AutoConfig, stream: Stream) -> EventLog
 
 
 def run_posthoc(model: MlpModel, margins: Margins, stream: Stream,
-                score_kind: ScoreKind, *, update_margins: bool = True) -> EventLog:
-    """Straight-line post-hoc scorer: the model is never touched.
+                score_kind: ScoreKind) -> EventLog:
+    """Straight-line post-hoc scorer: the model and the margins are never touched.
 
-    With the model fixed, every arrival's score and prediction depend on
-    that arrival alone, so they are computed for the whole stream at once.
-    With ``update_margins`` false the margins are fixed too, and the whole
-    column is classified at once; otherwise classification and the greedy
-    outlier-margin update on pseudo-OOD arrivals run per arrival. Scores and
-    metrics are unaffected by that toggle.
+    With both fixed, every arrival's score, prediction and decision depend
+    on that arrival alone, so they are computed for the whole stream at once.
     """
     # One forward_logits call per row, never one matrix product over the
     # stream: BLAS does not promise a row the same bits in every batch shape.
@@ -309,18 +305,10 @@ def run_posthoc(model: MlpModel, margins: Margins, stream: Stream,
     log = _new_log(stream)
     log.score = scoring.score_rows(score_kind, logits)
     log.prediction = logits.argmax(axis=1)
-    if not update_margins:
-        # filtering.classify's strict comparisons, pseudo-ID first: a score
-        # exactly on a margin abstains.
-        log.decision[:] = DECISIONS.index(FilterDecision.ABSTAIN)
-        log.decision[log.score < margins.m_out] = DECISIONS.index(FilterDecision.PSEUDO_OOD)
-        log.decision[log.score > margins.m_in] = DECISIONS.index(FilterDecision.PSEUDO_ID)
-        log.m_out[:] = margins.m_out
-        return log
-    for i, s in enumerate(log.score.tolist()):
-        decision = filtering.classify(margins, s)
-        log.decision[i] = DECISIONS.index(decision)
-        if decision == FilterDecision.PSEUDO_OOD:
-            margins = filtering.update_outlier_margin(margins, s)
-        log.m_out[i] = margins.m_out
+    # filtering.classify's strict comparisons, pseudo-ID written last: a
+    # score exactly on a margin abstains.
+    log.decision[:] = DECISIONS.index(FilterDecision.ABSTAIN)
+    log.decision[log.score < margins.m_out] = DECISIONS.index(FilterDecision.PSEUDO_OOD)
+    log.decision[log.score > margins.m_in] = DECISIONS.index(FilterDecision.PSEUDO_ID)
+    log.m_out[:] = margins.m_out
     return log

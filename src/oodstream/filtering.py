@@ -28,7 +28,6 @@ class IdStats:
 
     mu_in: float
     sigma_in: float
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,6 @@ class Margins:
     m_in: float
     m_out: float
     m_count: int
-    k1: float
-    k2: float
 
 
 def estimate_id_stats(scores) -> IdStats:
@@ -53,7 +50,7 @@ def estimate_id_stats(scores) -> IdStats:
         raise ValueError("cannot estimate score statistics from an empty list")
     mu = float(np.mean(arr))
     sigma = float(math.sqrt(np.mean((arr - mu) ** 2)))
-    return IdStats(mu_in=mu, sigma_in=sigma, n_samples=int(arr.size))
+    return IdStats(mu_in=mu, sigma_in=sigma)
 
 
 def init_margins(stats: IdStats, k1: float, k2: float, *,
@@ -70,8 +67,6 @@ def init_margins(stats: IdStats, k1: float, k2: float, *,
         m_in=stats.mu_in + k1 * stats.sigma_in,
         m_out=stats.mu_in - k2 * stats.sigma_in,
         m_count=0 if literal_m0 else 1,
-        k1=k1,
-        k2=k2,
     )
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
 from .data import LabeledSet
 
 
@@ -79,17 +78,3 @@ def replace(bank: MemoryBank, x_hat: np.ndarray, y_hat: int) -> MemoryBank:
     bank.features[y_hat] = x
     return bank
 
-
-def id_loss(model: nn.MlpModel, bank: MemoryBank, reduction: str = "sum") -> float:
-    """Label cross-entropy accumulated over every bank entry.
-
-    The default follows the per-entry accumulation of the online update
-    loop (a sum); ``reduction="mean"`` rescales by 1/C.
-    """
-    if reduction not in ("sum", "mean"):
-        raise ValueError(f"unknown reduction {reduction!r}")
-    total = sum(
-        nn.loss_ce_label(nn.forward_logits(model, bank.features[c]), c)
-        for c in range(bank.num_classes)
-    )
-    return total / bank.num_classes if reduction == "mean" else total

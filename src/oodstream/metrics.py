@@ -94,11 +94,3 @@ def report_to_json(rep: MetricsReport, extra: dict | None = None) -> str:
     })
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
-
-def slice_log(log: EventLog, start: int, stop: int) -> EventLog:
-    """Rows [start, stop) of the log. Its decision counts follow from its
-    rows; the run-level counters and traces stay with the whole run."""
-    rows = slice(start, stop)
-    return EventLog(score=log.score[rows], prediction=log.prediction[rows],
-                    decision=log.decision[rows], is_ood=log.is_ood[rows],
-                    label=log.label[rows], m_out=log.m_out[rows])

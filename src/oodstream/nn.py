@@ -199,24 +199,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # loss terms
 
 
-def loss_ce_label(logits: np.ndarray, label: int) -> float:
-    """Cross-entropy against a hard label: -log softmax(logits)[label]."""
-    n = len(logits)
-    if not 0 <= label < n:
-        raise ValueError(f"label {label} out of range for {n} classes")
-    return float(-log_softmax(logits)[label])
-
-def loss_ce_uniform(logits: np.ndarray) -> float:
-    """Cross-entropy to the uniform target: -(1/C) * sum_c log softmax(logits)[c].
-
-    Minimum is ln C, attained exactly when the softmax is uniform; the
-    gradient equals that of KL(uniform || softmax), the two differing only
-    by the constant ln C.
-    """
-    ls = log_softmax(logits)
-    return float(-np.mean(ls))
-
-
 def loss_sc(softmax_t: np.ndarray, pred_t: int, pred_0: int, phi: float) -> float:
     """Prediction-consistency hinge between the live and reference argmax.
 
@@ -236,7 +218,6 @@ class LossSpec:
     """Weighted combination of loss terms to evaluate/differentiate.
 
     Terms at the probe input x:
-      * ``label`` (weight ``label_weight``): cross-entropy to that label;
       * ``uniform_weight``: cross-entropy to the uniform target;
       * ``sc_weight``: consistency hinge against ``sc_ref_pred`` with margin
         ``sc_phi`` (live-model argmax recomputed at evaluation time, ties to
@@ -247,8 +228,6 @@ class LossSpec:
     ``bank_weight``.
     """
 
-    label: int | None = None
-    label_weight: float = 1.0
     uniform_weight: float = 0.0
     sc_weight: float = 0.0
     sc_ref_pred: int | None = None
@@ -301,13 +280,6 @@ def _probe_dlogits(logits: np.ndarray, spec: LossSpec) -> tuple[float, np.ndarra
     p = np.exp(ls)
     loss = 0.0
     dl = np.zeros(c)
-    if spec.label is not None and spec.label_weight != 0.0:
-        if not 0 <= spec.label < c:
-            raise ValueError(f"label {spec.label} out of range for {c} classes")
-        loss += spec.label_weight * float(-ls[spec.label])
-        g = p.copy()
-        g[spec.label] -= 1.0
-        dl += spec.label_weight * g
     if spec.uniform_weight != 0.0:
         loss += spec.uniform_weight * float(-ls.mean())
         dl += spec.uniform_weight * (p - 1.0 / c)
@@ -324,7 +296,7 @@ def _probe_dlogits(logits: np.ndarray, spec: LossSpec) -> tuple[float, np.ndarra
     return loss, dl
 
 
-def _loss_and_grad(model: MlpModel, x: np.ndarray | None, spec: LossSpec,
+def _loss_and_grad(model: MlpModel, x: np.ndarray, spec: LossSpec,
                    want_grad: bool = True,
                    trainable: frozenset[str] | None = None) -> tuple[float, Gradients | None]:
     """Loss value and, if ``want_grad``, its gradients.
@@ -335,18 +307,15 @@ def _loss_and_grad(model: MlpModel, x: np.ndarray | None, spec: LossSpec,
     """
     keep = [trainable is None or g in trainable for g in model.group_labels]
     grads = _empty_gradients(model) if want_grad else None
-    total = 0.0
-    if x is not None:
-        xv = np.asarray(x, dtype=np.float64)
-        if xv.shape != (model.input_dim,):
-            raise InputDimensionError(
-                f"expected input of shape ({model.input_dim},), got {xv.shape}"
-            )
-        logits, pre, acts = _forward_batch(model, xv[None, :])
-        loss_x, dl = _probe_dlogits(logits[0], spec)
-        total += loss_x
-        if want_grad and (dl != 0.0).any():
-            _backprop(model, pre, acts, dl[None, :], keep, grads)  # type: ignore[arg-type]
+    xv = np.asarray(x, dtype=np.float64)
+    if xv.shape != (model.input_dim,):
+        raise InputDimensionError(
+            f"expected input of shape ({model.input_dim},), got {xv.shape}"
+        )
+    logits, pre, acts = _forward_batch(model, xv[None, :])
+    total, dl = _probe_dlogits(logits[0], spec)
+    if want_grad and (dl != 0.0).any():
+        _backprop(model, pre, acts, dl[None, :], keep, grads)  # type: ignore[arg-type]
     if spec.bank_inputs is not None and spec.bank_weight != 0.0:
         xb = np.asarray(spec.bank_inputs, dtype=np.float64)
         yb = np.asarray(spec.bank_labels, dtype=np.int64)
@@ -369,17 +338,10 @@ def _loss_and_grad(model: MlpModel, x: np.ndarray | None, spec: LossSpec,
     return total, grads
 
 
-def total_loss(model: MlpModel, x: np.ndarray | None, spec: LossSpec) -> float:
+def total_loss(model: MlpModel, x: np.ndarray, spec: LossSpec) -> float:
     """Scalar value of the loss combination described by ``spec``."""
     value, _ = _loss_and_grad(model, x, spec, want_grad=False)
     return value
-
-
-def backward(model: MlpModel, x: np.ndarray | None, spec: LossSpec) -> Gradients:
-    """Exact analytic gradients of the ``spec`` loss w.r.t. every parameter."""
-    _, grads = _loss_and_grad(model, x, spec, want_grad=True)
-    assert grads is not None
-    return grads
 
 
 # ---------------------------------------------------------------------------

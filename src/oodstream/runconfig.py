@@ -17,7 +17,7 @@ from .data import (GaussianSource, OodSource, RingSource, ScenarioSpec,
                    UniformBoxSource, canonical_spec)
 from .engine import AutoConfig
 from .nn import MlpModel, SgdConfig, last_block_group
-from .scoring import ScoreKind
+from .scoring import VALID_KINDS, ScoreKind, kind_name
 
 
 class ConfigError(Exception):
@@ -97,11 +97,26 @@ class RunConfig:
         # Written so that NaN fails every check.
         for key, value, ok, rule in (
             ("scenario.kappa", self.kappa, 0.0 <= self.kappa < 1.0, "in [0, 1)"),
+            ("pretrain.epochs", self.epochs, self.epochs >= 0, ">= 0"),
+            ("pretrain.batch_size", self.batch_size, self.batch_size >= 1, ">= 1"),
+            ("pretrain.lr", self.pretrain_lr, self.pretrain_lr > 0.0, "> 0"),
+            ("auto.lambda1", self.lambda1, self.lambda1 >= 0.0, ">= 0"),
+            ("auto.lambda2", self.lambda2, self.lambda2 >= 0.0, ">= 0"),
             ("auto.iters_T", self.iters_t, self.iters_t >= 0, ">= 0"),
+            ("auto.score", self.score, kind_name(self.score) in VALID_KINDS,
+             "one of " + ", ".join(VALID_KINDS)),
             ("auto.energy_temperature", self.energy_temperature,
              self.energy_temperature > 0.0, "> 0"),
+            ("auto.lambda2_decay", self.lambda2_decay, self.lambda2_decay >= 0.0, ">= 0"),
+            ("auto.id_loss_reduction", self.id_loss_reduction,
+             self.id_loss_reduction in ("sum", "mean"), "sum or mean"),
             ("auto.k1", self.k1, self.k1 >= 0.0, ">= 0"),
             ("auto.k2", self.k2, self.k2 >= 0.0, ">= 0"),
+            ("auto.stats_subsample_n", self.stats_subsample_n, self.stats_subsample_n >= 0,
+             ">= 0"),
+            ("auto.memory_mode", self.memory_mode,
+             self.memory_mode in ("random", "prototype"), "random or prototype"),
+            ("sgd.lr", self.lr, self.lr > 0.0, "> 0"),
         ):
             if not ok:
                 raise ConfigError(f"{key} = {value!r} is out of range: it must be {rule}")
@@ -310,7 +325,11 @@ def to_text(cfg: RunConfig) -> str:
 
 
 def from_text(text: str) -> RunConfig:
-    """Parse a config file; unknown keys raise ConfigError naming the key."""
+    """Parse a config file; unknown keys raise ConfigError naming the key.
+
+    Every command draws its scenario from the file, so a file must spell out
+    at least one ``scenario.*`` key.
+    """
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -321,7 +340,6 @@ def from_text(text: str) -> RunConfig:
         key, _, raw = stripped.partition("=")
         values[key.strip()] = raw.strip()
 
-    sections = {k.split(".", 1)[0] for k in values}
     kwargs: dict = {}
     ood_fields: dict[int, dict[str, str]] = {}
     ood_count = 0
@@ -357,16 +375,9 @@ def from_text(text: str) -> RunConfig:
         kwargs["ood_sources"] = tuple(
             _build_ood_source(i, ood_fields[i]) for i in range(1, ood_count + 1)
         )
-    cfg = RunConfig(**kwargs)
-    cfg.sections_present = frozenset(sections)  # type: ignore[attr-defined]
-    return cfg
-
-
-def require_section(cfg: RunConfig, section: str) -> None:
-    """Commands that consume a section demand it be spelled out in the file."""
-    present = getattr(cfg, "sections_present", None)
-    if present is not None and section not in present:
-        raise ConfigError(f"missing required section {section!r} in config file")
+    if not any(key.startswith("scenario.") for key in values):
+        raise ConfigError("missing required section 'scenario' in config file")
+    return RunConfig(**kwargs)
 
 
 def config_hash(cfg: RunConfig) -> str:

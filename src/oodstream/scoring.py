@@ -31,7 +31,12 @@ class ScoreKind:
 
     @classmethod
     def parse(cls, name: str, temperature: float = 1.0) -> "ScoreKind":
-        return cls(kind=name.strip().lower(), temperature=temperature)
+        return cls(kind=kind_name(name), temperature=temperature)
+
+
+def kind_name(name: str) -> str:
+    """The score kind a config value names: case and outer blanks do not count."""
+    return name.strip().lower()
 
 
 def score(kind: ScoreKind, logits: np.ndarray) -> float:

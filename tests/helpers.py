@@ -42,9 +42,7 @@ def finite_diff_grads(model: MlpModel, x, spec: LossSpec, step: float = 1e-5):
 def max_grad_rel_err(model: MlpModel, x, spec: LossSpec, step: float = 1e-5) -> float:
     """Max entrywise relative error between analytic and numeric gradients,
     with a 1e-4 magnitude floor so exact zeros compare at absolute scale."""
-    from oodstream.nn import backward
-
-    analytic = backward(model, x, spec)
+    _, analytic = nn._loss_and_grad(model, x, spec)
     fd_w, fd_b = finite_diff_grads(model, x, spec, step)
     worst = 0.0
     for a, f in zip(analytic.d_weights + analytic.d_biases, fd_w + fd_b):
@@ -101,6 +99,15 @@ def event_rows(log: EventLog, first_index: int = 0) -> list[StreamEvent]:
     ]
 
 
+def slice_log(log: EventLog, start: int, stop: int) -> EventLog:
+    """Rows [start, stop) of the log. Its decision counts follow from its
+    rows; the run-level counters and traces stay with the whole run."""
+    rows = slice(start, stop)
+    return EventLog(score=log.score[rows], prediction=log.prediction[rows],
+                    decision=log.decision[rows], is_ood=log.is_ood[rows],
+                    label=log.label[rows], m_out=log.m_out[rows])
+
+
 def random_log(rng: np.random.Generator, n_id: int, n_ood: int,
                with_ties: bool) -> EventLog:
     """Random score log; optionally quantized so ties occur across classes."""
@@ -144,11 +151,6 @@ def probe_dlogits_reference(logits: np.ndarray, spec: LossSpec) -> tuple[float, 
     p = np.exp(log_softmax_reference(logits))
     loss = 0.0
     dl = np.zeros(c)
-    if spec.label is not None and spec.label_weight != 0.0:
-        loss += spec.label_weight * float(-log_softmax_reference(logits)[spec.label])
-        g = p.copy()
-        g[spec.label] -= 1.0
-        dl += spec.label_weight * g
     if spec.uniform_weight != 0.0:
         loss += spec.uniform_weight * float(-np.mean(log_softmax_reference(logits)))
         dl += spec.uniform_weight * (p - 1.0 / c)
@@ -228,7 +230,9 @@ def init_margins_reference(model: MlpModel, features, config) -> filtering.Margi
 
 def run_posthoc_reference(model, margins, stream, score_kind, *,
                           update_margins: bool = True) -> EventLog:
-    """The per-arrival post-hoc loop: forward, score and predict each arrival."""
+    """The per-arrival post-hoc loop: forward, score and predict each arrival.
+    With ``update_margins`` the greedy m_out update runs on every pseudo-OOD
+    arrival, as in an adaptive run whose model never changes."""
     scores, preds, decisions, m_outs = [], [], [], []
     for i in range(len(stream)):
         logits = nn.forward_logits(model, stream.features[i])
@@ -271,13 +275,10 @@ def loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
         [np.zeros_like(w) if k else None for w, k in zip(model.weights, keep)],
         [np.zeros_like(b) if k else None for b, k in zip(model.biases, keep)],
     )
-    total = 0.0
-    if x is not None:
-        logits, pre, acts = _forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
-        loss_x, dl = _probe_dlogits(logits[0], spec)
-        total += loss_x
-        if (dl != 0.0).any():
-            backprop_reference(model, pre, acts, dl[None, :], grads)
+    logits, pre, acts = _forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
+    total, dl = _probe_dlogits(logits[0], spec)
+    if (dl != 0.0).any():
+        backprop_reference(model, pre, acts, dl[None, :], grads)
     if spec.bank_inputs is not None and spec.bank_weight != 0.0:
         yb = np.asarray(spec.bank_labels, dtype=np.int64)
         logits, pre, acts = _forward_batch(model, np.asarray(spec.bank_inputs, dtype=np.float64))

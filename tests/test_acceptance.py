@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import (assert_columns_equal, auroc_bruteforce, fpr_at_tpr_bruteforce,
-                     max_grad_rel_err, random_log)
+                     max_grad_rel_err, random_log, run_posthoc_reference)
 from oodstream import engine, filtering, metrics, nn
 from oodstream.cli import main as cli_main
 from oodstream.engine import run_posthoc, run_stream
@@ -60,8 +60,7 @@ def canonical_runs(canonical):
 
     ac0 = cfg.auto_config(nn.clone_frozen(model))
     st0 = engine.init_state(nn.clone_frozen(model), train, ac0)
-    frozen_log = run_posthoc(model, st0.margins, stream, ac0.score_kind,
-                             update_margins=False)
+    frozen_log = run_posthoc(model, st0.margins, stream, ac0.score_kind)
     runs = {"frozen": (metrics.report(frozen_log), frozen_log, st0, model)}
     runs["full"] = auto_run()
     runs["id_ood"] = auto_run(lambda2=0.0)
@@ -161,7 +160,7 @@ def test_criterion_2_metric_oracles():
 def test_criterion_3_margin_replay():
     rng = np.random.default_rng(20240603)
     for _ in range(50):
-        stats = IdStats(float(rng.uniform(0.6, 1.0)), float(rng.uniform(0.0, 0.1)), 32)
+        stats = IdStats(float(rng.uniform(0.6, 1.0)), float(rng.uniform(0.0, 0.1)))
         margins = filtering.init_margins(stats, k1=0.0, k2=float(rng.uniform(0.0, 3.0)))
         accepted = [margins.m_out]
         prev_out = margins.m_out
@@ -189,8 +188,8 @@ def test_criterion_4_frozen_degeneracy(canonical):
     state = engine.init_state(model, canonical["train"], ac)
     margins0 = state.margins
     log = run_stream(state, ac, canonical["stream"])
-    baseline = run_posthoc(canonical["model"], margins0, canonical["stream"],
-                           ac.score_kind, update_margins=True)
+    baseline = run_posthoc_reference(canonical["model"], margins0, canonical["stream"],
+                                     ac.score_kind, update_margins=True)
     assert_columns_equal(log, baseline)
     ok("criterion 4", f"degenerate run log identical over {len(log)} events")
 

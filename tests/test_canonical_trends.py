@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import slice_log
 from oodstream import data, engine, metrics, nn, scoring
 
 
@@ -30,7 +31,7 @@ def test_frozen_scores_clear_auroc_floor(canonical):
     cfg = canonical["run_config"].auto_config(nn.clone_frozen(canonical["model"]))
     state = engine.init_state(nn.clone_frozen(canonical["model"]), canonical["train"], cfg)
     log = engine.run_posthoc(canonical["model"], state.margins, canonical["stream"],
-                             cfg.score_kind, update_margins=False)
+                             cfg.score_kind)
     assert metrics.auroc(log) > 0.7
 
 
@@ -47,10 +48,9 @@ def test_timeseries_second_segment_trend(canonical):
     adaptive = engine.run_stream(state, ac, stream)
 
     st0 = engine.init_state(nn.clone_frozen(canonical["model"]), canonical["train"], ac)
-    frozen = engine.run_posthoc(canonical["model"], st0.margins, stream,
-                                ac.score_kind, update_margins=False)
+    frozen = engine.run_posthoc(canonical["model"], st0.margins, stream, ac.score_kind)
 
-    seg2_adaptive = metrics.slice_log(adaptive, boundary, len(adaptive))
-    seg2_frozen = metrics.slice_log(frozen, boundary, len(frozen))
+    seg2_adaptive = slice_log(adaptive, boundary, len(adaptive))
+    seg2_frozen = slice_log(frozen, boundary, len(frozen))
     assert metrics.fpr_at_tpr(seg2_adaptive) < metrics.fpr_at_tpr(seg2_frozen)
     assert metrics.auroc(seg2_adaptive) > metrics.auroc(seg2_frozen)

@@ -94,7 +94,16 @@ def test_nonzero_sgd_momentum_fails_at_load(tmp_path, capsys, mode):
 
 @pytest.mark.parametrize("key,value", [("scenario.kappa", "1"), ("auto.iters_T", "-1"),
                                        ("auto.energy_temperature", "0"),
-                                       ("auto.k1", "-1"), ("auto.k2", "-0.5")])
+                                       ("auto.k1", "-1"), ("auto.k2", "-0.5"),
+                                       ("pretrain.batch_size", "0"),
+                                       ("pretrain.batch_size", "-1"),
+                                       ("pretrain.epochs", "-1"), ("pretrain.lr", "0"),
+                                       ("auto.score", "bogus"),
+                                       ("auto.memory_mode", "bogus"),
+                                       ("auto.id_loss_reduction", "bogus"),
+                                       ("auto.lambda1", "-1"), ("auto.lambda2", "nan"),
+                                       ("auto.lambda2_decay", "-1"), ("sgd.lr", "-0.001"),
+                                       ("auto.stats_subsample_n", "-1")])
 def test_out_of_range_value_fails_before_any_work(tmp_path, capsys, key, value):
     lines = to_text(RunConfig(**SMALL_OVERRIDES, out_dir=str(tmp_path / "out"))).splitlines()
     [i] = [i for i, ln in enumerate(lines) if ln.startswith(f"{key} = ")]
@@ -234,6 +243,21 @@ def test_sweep_bad_value_fails_with_one_line(tmp_path, capsys):
     assert main(["--config", str(cfg_path), "sweep", "--param", "iters_T",
                  "--values", "x"]) == 1
     assert capsys.readouterr().err == "error: bad value 'x' for sweep parameter iters_T\n"
+
+
+@pytest.mark.parametrize("param,values,key", [("k2", "1,-1", "auto.k2"),
+                                              ("kappa", "0.5,1.5", "scenario.kappa")])
+def test_out_of_range_sweep_value_fails_before_any_replay(pretrained, capsys, param,
+                                                           values, key):
+    cfg_path, out = pretrained
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "sweep", "--param", param,
+                 "--values", values]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {key} = ") and captured.err.count("\n") == 1
+    assert "out of range" in captured.err
+    assert "sweep" not in captured.out
+    assert list(out.glob("sweep_*.csv")) == []
 
 
 def test_ablation_combos_keep_their_weights_and_zero_the_rest():

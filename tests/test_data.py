@@ -1,4 +1,4 @@
-"""Scenario generation, stream composition, dataset files."""
+"""Scenario generation and stream composition."""
 
 from __future__ import annotations
 
@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 
 from helpers import compose_reference
 from oodstream import data
-from oodstream.data import (DatasetFormatError, GaussianSource, LabeledSet,
-                            RingSource, ScenarioSpec, UniformBoxSource,
-                            canonical_spec, compose_mixed, compose_stream,
-                            compose_timeseries, load_dataset, make_scenario,
-                            save_dataset)
+from oodstream.data import (GaussianSource, LabeledSet, RingSource, ScenarioSpec,
+                            UniformBoxSource, canonical_spec, compose_mixed, compose_stream,
+                            compose_timeseries, make_scenario)
 
 
 def small_spec(**overrides) -> ScenarioSpec:
@@ -207,68 +205,6 @@ def test_composers_equal_per_slot_reference(composer, n_id, n_oods, dim, seed, k
     with mock.patch.object(data, "_compose", compose_reference):
         ref = _compose_outcome(composer, id_set, ood_sets, kappa, seed)
     assert fast == ref
-
-
-# ---------------------------------------------------------------------------
-# dataset files
-
-
-def test_dataset_round_trip_bitwise(tmp_path):
-    train, _, oods = make_scenario(small_spec())
-    merged = LabeledSet(
-        np.concatenate([train.features, oods[0].features]),
-        np.concatenate([train.labels, oods[0].labels]),
-        train.num_classes,
-    )
-    path = tmp_path / "d.csv"
-    save_dataset(path, merged)
-    loaded = load_dataset(path)
-    assert np.array_equal(loaded.features, merged.features)
-    assert np.array_equal(loaded.labels, merged.labels)
-
-
-def test_dataset_negative_labels_flag_ood(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("auto-ood-dataset v1,dim=2\n-1,0.5,0.5\n1,1,2\n")
-    loaded = load_dataset(path)
-    assert loaded.labels[0] == -1 and loaded.labels[1] == 1
-    assert loaded.num_classes == 2
-
-
-def test_dataset_wrong_field_count_names_line(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("auto-ood-dataset v1,dim=2\n0,1.0,2.0\n1,3.0\n")
-    with pytest.raises(DatasetFormatError, match="line 3"):
-        load_dataset(path)
-
-
-def test_dataset_bad_header(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("something else\n")
-    with pytest.raises(DatasetFormatError, match="line 1"):
-        load_dataset(path)
-
-
-def test_dataset_unparsable_dim(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("auto-ood-dataset v1,dim=two\n0,1.0,2.0\n")
-    with pytest.raises(DatasetFormatError, match="line 1"):
-        load_dataset(path)
-
-
-def test_dataset_unparsable_value_names_line(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("auto-ood-dataset v1,dim=2\n0,1.0,2.0\n1,abc,0.5\n")
-    with pytest.raises(DatasetFormatError, match="line 3"):
-        load_dataset(path)
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
-def test_dataset_non_finite_value_names_line(tmp_path, value):
-    path = tmp_path / "d.csv"
-    path.write_text(f"auto-ood-dataset v1,dim=2\n0,1.0,2.0\n1,0.5,{value}\n")
-    with pytest.raises(DatasetFormatError, match="^line 3: non-finite value$"):
-        load_dataset(path)
 
 
 def test_canonical_spec_is_pinned():

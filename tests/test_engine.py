@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import fresh_auto_config, fresh_state
-from helpers import COLUMNS, assert_columns_equal
+from helpers import COLUMNS, assert_columns_equal, run_posthoc_reference
 from oodstream import filtering, memory, nn, scoring
 from oodstream.data import Stream
 from oodstream.engine import (AutoConfig, AutoState, NonFiniteLossError,
@@ -22,7 +22,7 @@ def tiny_setup(m_in=0.9, m_out=0.5, iters_t=2, **cfg_overrides):
     for b in model.biases:
         b[:] = rng.normal(0, 0.3, size=b.shape)
     bank = memory.MemoryBank(rng.normal(0, 1, size=(3, 2)))
-    margins = filtering.Margins(m_in=m_in, m_out=m_out, m_count=1, k1=0.0, k2=3.0)
+    margins = filtering.Margins(m_in=m_in, m_out=m_out, m_count=1)
     sgd = cfg_overrides.pop(
         "sgd", SgdConfig(learning_rate=0.001, trainable_groups={"block2"}))
     config = AutoConfig(iters_t=iters_t, sgd=sgd, **cfg_overrides)
@@ -234,7 +234,7 @@ def test_events_store_arrival_time_scores():
 
     replay_state = AutoState(model_t=nn.clone_frozen(initial),
                              model_0=nn.clone_frozen(initial),
-                             margins=filtering.Margins(0.9, 0.5, 1, 0.0, 3.0),
+                             margins=filtering.Margins(0.9, 0.5, 1),
                              bank=memory.MemoryBank(initial_bank))
     replay = run_stream(replay_state, config, stream)
     assert replay.score.tolist() == log.score.tolist()
@@ -365,8 +365,8 @@ def test_degenerate_engine_matches_posthoc_scorer():
     stream = make_stream(rng.normal(0, 2, size=(200, 2)),
                          is_ood=rng.random(200) < 0.5)
     log = run_stream(state, config, stream)
-    baseline = run_posthoc(model0, margins0, stream, config.score_kind,
-                           update_margins=True)
+    baseline = run_posthoc_reference(model0, margins0, stream, config.score_kind,
+                                     update_margins=True)
     assert_columns_equal(log, baseline)
     assert unchanged(state.model_t, snapshot(model0))
 
@@ -376,8 +376,7 @@ def test_posthoc_frozen_margins_mode():
     model0 = nn.clone_frozen(state.model_t)
     rng = np.random.default_rng(15)
     stream = make_stream(rng.normal(0, 2, size=(100, 2)))
-    log = run_posthoc(model0, state.margins, stream, config.score_kind,
-                      update_margins=False)
+    log = run_posthoc(model0, state.margins, stream, config.score_kind)
     outs = set(log.m_out.tolist())
     assert outs == {state.margins.m_out}
 

@@ -12,7 +12,7 @@ from oodstream.filtering import (FilterDecision, IdStats, classify,
 
 def test_stats_constant_list():
     s = estimate_id_stats([1.0, 1.0, 1.0])
-    assert s.mu_in == 1.0 and s.sigma_in == 0.0 and s.n_samples == 3
+    assert s.mu_in == 1.0 and s.sigma_in == 0.0
 
 
 def test_stats_two_point_symmetric():
@@ -33,33 +33,33 @@ def test_stats_empty_errors():
 
 
 def test_init_margins_reference_values():
-    m = init_margins(IdStats(0.99, 0.01, 100), k1=0.0, k2=3.0)
+    m = init_margins(IdStats(0.99, 0.01), k1=0.0, k2=3.0)
     assert m.m_in == pytest.approx(0.99, abs=1e-15)
     assert m.m_out == pytest.approx(0.96, abs=1e-15)
     assert m.m_count == 1
 
 
 def test_init_margins_degenerate_sigma():
-    m = init_margins(IdStats(0.5, 0.0, 10), k1=1.0, k2=2.0)
+    m = init_margins(IdStats(0.5, 0.0), k1=1.0, k2=2.0)
     assert m.m_in == m.m_out == 0.5
 
 
 def test_init_margins_zero_ks():
-    m = init_margins(IdStats(0.8, 0.05, 10), k1=0.0, k2=0.0)
+    m = init_margins(IdStats(0.8, 0.05), k1=0.0, k2=0.0)
     assert m.m_in == m.m_out == 0.8
 
 
 def test_init_margins_band_ordering():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        stats = IdStats(float(rng.normal()), float(abs(rng.normal())), 10)
+        stats = IdStats(float(rng.normal()), float(abs(rng.normal())))
         k1, k2 = float(rng.uniform(0, 3)), float(rng.uniform(0, 3))
         m = init_margins(stats, k1, k2)
         assert m.m_in >= m.m_out
 
 
 def test_classify_bands():
-    m = init_margins(IdStats(0.975, 0.005, 10), k1=3.0, k2=3.0)
+    m = init_margins(IdStats(0.975, 0.005), k1=3.0, k2=3.0)
     assert m.m_in == pytest.approx(0.99) and m.m_out == pytest.approx(0.96)
     assert classify(m, 0.995) == FilterDecision.PSEUDO_ID
     assert classify(m, 0.95) == FilterDecision.PSEUDO_OOD
@@ -67,19 +67,19 @@ def test_classify_bands():
 
 
 def test_classify_boundary_abstains():
-    m = init_margins(IdStats(0.975, 0.005, 10), k1=3.0, k2=3.0)
+    m = init_margins(IdStats(0.975, 0.005), k1=3.0, k2=3.0)
     assert classify(m, m.m_in) == FilterDecision.ABSTAIN
     assert classify(m, m.m_out) == FilterDecision.ABSTAIN
 
 
 def test_classify_pure_function():
-    m = init_margins(IdStats(0.9, 0.02, 5), k1=0.0, k2=3.0)
+    m = init_margins(IdStats(0.9, 0.02), k1=0.0, k2=3.0)
     for _ in range(3):
         assert classify(m, 0.7) == FilterDecision.PSEUDO_OOD
 
 
 def test_update_margin_formula():
-    m = init_margins(IdStats(0.5, 0.0, 1), k1=0.0, k2=0.0)
+    m = init_margins(IdStats(0.5, 0.0), k1=0.0, k2=0.0)
     m = update_outlier_margin(m, 0.4)  # anchor counts: (1*0.5 + 0.4)/2
     assert m.m_out == pytest.approx(0.45, abs=1e-15)
     # hand-check the printed example: M=3, m_out=0.5, score=0.2 -> 0.425
@@ -91,18 +91,18 @@ def test_update_margin_formula():
 
 
 def test_update_margin_no_change_above():
-    m = init_margins(IdStats(0.5, 0.0, 1), k1=0.0, k2=0.0)
+    m = init_margins(IdStats(0.5, 0.0), k1=0.0, k2=0.0)
     m2 = update_outlier_margin(m, 0.6)
     assert m2 == m
 
 
 def test_update_margin_boundary_score_ignored():
-    m = init_margins(IdStats(0.5, 0.0, 1), k1=0.0, k2=0.0)
+    m = init_margins(IdStats(0.5, 0.0), k1=0.0, k2=0.0)
     assert update_outlier_margin(m, 0.5) == m
 
 
 def test_literal_m0_first_score_replaces_init():
-    m = init_margins(IdStats(0.9, 0.0, 1), k1=0.0, k2=0.0, literal_m0=True)
+    m = init_margins(IdStats(0.9, 0.0), k1=0.0, k2=0.0, literal_m0=True)
     assert m.m_count == 0
     m = update_outlier_margin(m, 0.3)
     assert m.m_out == 0.3 and m.m_count == 1
@@ -111,7 +111,7 @@ def test_literal_m0_first_score_replaces_init():
 def test_m_in_never_touched_and_m_out_monotone():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        m = init_margins(IdStats(0.9, 0.05, 50), k1=0.0, k2=1.0)
+        m = init_margins(IdStats(0.9, 0.05), k1=0.0, k2=1.0)
         m_in0 = m.m_in
         prev = m.m_out
         for s in rng.uniform(0.0, 1.2, size=200):
@@ -127,7 +127,7 @@ def test_replay_equivalence_running_mean_oracle():
     rng = np.random.default_rng(9)
     for trial in range(50):
         m = init_margins(IdStats(float(rng.uniform(0.5, 1.0)),
-                                 float(rng.uniform(0.0, 0.1)), 20),
+                                 float(rng.uniform(0.0, 0.1))),
                          k1=0.0, k2=float(rng.uniform(0.0, 3.0)))
         accepted = [m.m_out]
         for s in rng.uniform(0.0, 1.2, size=300):

@@ -1,4 +1,5 @@
-"""Memory bank: one slot per class, replacement semantics, ID loss."""
+"""Memory bank: one slot per class, replacement semantics, and the ID loss
+(the bank term of the update episode's objective)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import pytest
 
 from oodstream import memory, nn
 from oodstream.data import LabeledSet
-from oodstream.memory import MissingClassError, id_loss, init_prototype, init_random, replace
+from oodstream.memory import MissingClassError, init_prototype, init_random, replace
 
 
 def toy_set() -> LabeledSet:
@@ -83,6 +84,13 @@ def test_bank_cardinality_under_replacement_storm():
         assert np.array_equal(bank.labels, [0, 1, 2])
 
 
+def id_loss(model: nn.MlpModel, bank: memory.MemoryBank, reduction: str = "sum") -> float:
+    """The bank term alone, at weight 1: no probe-input term carries weight."""
+    spec = nn.LossSpec(bank_inputs=bank.features, bank_labels=bank.labels, bank_weight=1.0,
+                       bank_reduction=reduction)
+    return nn.total_loss(model, np.zeros(model.input_dim), spec)
+
+
 def test_id_loss_saturated_model_near_zero():
     # model whose logits strongly pick the right class for every entry
     bank = memory.MemoryBank(np.eye(3))
@@ -103,5 +111,5 @@ def test_id_loss_matches_per_entry_oracle():
     bank = memory.MemoryBank(rng.normal(size=(3, 2)))
     expected = 0.0
     for c in range(3):
-        expected += nn.loss_ce_label(nn.forward_logits(model, bank.features[c]), c)
+        expected -= nn.log_softmax(nn.forward_logits(model, bank.features[c]))[c]
     assert id_loss(model, bank) == pytest.approx(expected, rel=1e-15)

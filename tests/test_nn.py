@@ -14,10 +14,9 @@ from helpers import (CORRUPT_PAYLOADS, checkpoint_text_reference, corrupt_checkp
 from oodstream import nn
 from oodstream.nn import (CheckpointDimensionError, CheckpointFormatError,
                           CheckpointVersionError, InputDimensionError, LossSpec,
-                          MlpModel, SgdConfig, backward, clone_frozen,
-                          forward_logits, init_mlp, load_checkpoint, log_softmax,
-                          loss_ce_label, loss_ce_uniform, loss_sc, save_checkpoint,
-                          sgd_step, train_offline)
+                          MlpModel, SgdConfig, clone_frozen, forward_logits, init_mlp,
+                          load_checkpoint, log_softmax, loss_sc, save_checkpoint,
+                          sgd_step, total_loss, train_offline)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -26,13 +25,27 @@ LN3 = math.log(3.0)
 LOG_SOFTMAX_123 = (-2.40760596444438030, -1.40760596444438030, -0.40760596444438030)
 
 
-def two_class_identity_model() -> MlpModel:
-    return MlpModel(
-        layer_dims=[2, 2],
-        weights=[np.eye(2)],
-        biases=[np.zeros(2)],
-        group_labels=["fc"],
-    )
+def identity_model(c: int) -> MlpModel:
+    """One identity layer: the logits are the input, exactly."""
+    return MlpModel(layer_dims=[c, c], weights=[np.eye(c)], biases=[np.zeros(c)],
+                    group_labels=["fc"])
+
+
+def grads_of(model: MlpModel, x, spec: LossSpec) -> nn.Gradients:
+    return nn._loss_and_grad(model, x, spec)[1]
+
+
+def uniform_ce(logits) -> float:
+    """The episode's cross-entropy to the uniform target at these logits."""
+    z = np.asarray(logits, dtype=np.float64)
+    return total_loss(identity_model(len(z)), z, LossSpec(uniform_weight=1.0))
+
+
+def label_ce(logits, label: int) -> float:
+    """The bank term's label cross-entropy of one entry with these logits."""
+    z = np.asarray(logits, dtype=np.float64)
+    spec = LossSpec(bank_inputs=z[None], bank_labels=np.array([label]), bank_weight=1.0)
+    return total_loss(identity_model(len(z)), np.zeros(len(z)), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +61,12 @@ def test_forward_zero_model_gives_zero_logits():
 
 
 def test_forward_identity_weights():
-    logits = forward_logits(two_class_identity_model(), np.array([2.0, 3.0]))
-    assert np.allclose(logits, [2.0, 3.0])
+    # exact: the loss tests below read their logits through this model
+    assert np.array_equal(forward_logits(identity_model(2), np.array([2.0, 3.0])), [2.0, 3.0])
+    rng = np.random.default_rng(5)
+    for c in (3, 7):
+        z = rng.normal(0, 10, size=c)
+        assert np.array_equal(forward_logits(identity_model(c), z), z)
 
 
 def test_forward_matches_straight_line_reimplementation():
@@ -104,34 +121,32 @@ def test_softmax_sums_to_one_even_for_large_logits():
 
 
 def test_loss_ce_label_uniform_logits():
-    assert loss_ce_label(np.array([0.0, 0.0]), 0) == pytest.approx(LN2, abs=1e-15)
+    assert label_ce([0.0, 0.0], 0) == pytest.approx(LN2, abs=1e-15)
 
 
 def test_loss_ce_label_saturated():
-    assert loss_ce_label(np.array([50.0, 0.0]), 0) < 1e-10
+    assert label_ce([50.0, 0.0], 0) < 1e-10
 
 
 def test_loss_ce_label_oracle_value():
-    assert loss_ce_label(np.array([1.0, 2.0, 3.0]), 2) == pytest.approx(
-        0.40760596444438030, abs=1e-15)
+    assert label_ce([1.0, 2.0, 3.0], 2) == pytest.approx(0.40760596444438030, abs=1e-15)
 
 
 def test_loss_ce_label_out_of_range():
-    with pytest.raises(ValueError):
-        loss_ce_label(np.array([0.0, 0.0]), 2)
+    with pytest.raises(IndexError):
+        label_ce([0.0, 0.0], 2)
 
 
 def test_loss_ce_uniform_minimum_at_uniform():
-    assert loss_ce_uniform(np.array([0.0, 0.0])) == pytest.approx(LN2, abs=1e-15)
+    assert uniform_ce([0.0, 0.0]) == pytest.approx(LN2, abs=1e-15)
 
 
 def test_loss_ce_uniform_one_sided_growth():
-    assert loss_ce_uniform(np.array([10.0, 0.0])) > 4.0
+    assert uniform_ce([10.0, 0.0]) > 4.0
 
 
 def test_loss_ce_uniform_oracle_value():
-    assert loss_ce_uniform(np.array([1.0, 2.0, 3.0])) == pytest.approx(
-        1.40760596444438030, abs=1e-15)
+    assert uniform_ce([1.0, 2.0, 3.0]) == pytest.approx(1.40760596444438030, abs=1e-15)
 
 
 def test_loss_ce_uniform_lower_bound_property():
@@ -139,7 +154,7 @@ def test_loss_ce_uniform_lower_bound_property():
     for _ in range(100):
         c = rng.integers(2, 8)
         z = rng.normal(0, 10, size=c)
-        assert loss_ce_uniform(z) - math.log(c) >= -1e-12
+        assert uniform_ce(z) - math.log(c) >= -1e-12
 
 
 def test_loss_sc_agreement_is_zero():
@@ -165,7 +180,7 @@ def test_gradient_zero_at_uniform_stationary_point():
     model = init_mlp([2, 3], seed=0)
     model.weights[0][:] = 0.0
     model.biases[0][:] = 0.0
-    grads = backward(model, np.array([0.3, -0.4]), LossSpec(uniform_weight=1.0))
+    grads = grads_of(model, np.array([0.3, -0.4]), LossSpec(uniform_weight=1.0))
     assert np.all(grads.d_biases[-1] == 0.0)
 
 
@@ -173,7 +188,7 @@ def test_gradient_sc_agreement_branch_is_zero():
     model = init_mlp([2, 4, 3], seed=1)
     x = np.array([0.5, 0.5])
     ref = int(np.argmax(forward_logits(model, x)))
-    grads = backward(model, x, LossSpec(sc_weight=1.0, sc_ref_pred=ref, sc_phi=0.2))
+    grads = grads_of(model, x, LossSpec(sc_weight=1.0, sc_ref_pred=ref, sc_phi=0.2))
     assert all(np.all(g == 0.0) for g in grads.d_weights + grads.d_biases)
 
 
@@ -198,13 +213,6 @@ def test_gradient_matches_finite_differences_mixed_loss(seed):
         bank_weight=1.0,
     )
     assert max_grad_rel_err(model, x, spec) < 1e-5
-
-
-def test_gradient_label_loss_finite_differences():
-    rng = np.random.default_rng(99)
-    model = init_mlp([2, 5, 3], seed=5)
-    x = rng.normal(0, 1, size=2)
-    assert max_grad_rel_err(model, x, LossSpec(label=1)) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +337,7 @@ def test_clone_unchanged_by_updates_to_original():
     ref = forward_logits(clone, x).copy()
     cfg = SgdConfig(learning_rate=0.1, trainable_groups=frozenset(model.group_labels))
     for _ in range(100):
-        grads = backward(model, x, LossSpec(uniform_weight=1.0))
+        grads = grads_of(model, x, LossSpec(uniform_weight=1.0))
         sgd_step(model, grads, cfg)
     assert np.array_equal(forward_logits(clone, x), ref)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oodstream import data, nn
 from oodstream.data import GaussianSource, RingSource, UniformBoxSource
 from oodstream.runconfig import (ConfigError, RunConfig, circle_means, config_hash,
-                                 from_text, require_section, to_text)
+                                 from_text, to_text)
 
 
 def test_defaults_match_canonical_scenario():
@@ -50,11 +50,10 @@ def test_bad_value_rejected():
 
 
 def test_missing_section_detection():
-    cfg = from_text("auto.lambda1 = 1\n")
-    with pytest.raises(ConfigError, match="scenario"):
-        require_section(cfg, "scenario")
-    cfg2 = from_text("scenario.kappa = 0.5\n")
-    require_section(cfg2, "scenario")  # no raise
+    for text in ("auto.lambda1 = 1\n", "", "# only a comment\n"):
+        with pytest.raises(ConfigError, match="missing required section 'scenario'"):
+            from_text(text)
+    assert from_text("scenario.kappa = 0.5\n").kappa == 0.5
 
 
 def test_comments_and_blank_lines_ignored():
@@ -74,17 +73,28 @@ def test_nonzero_sgd_momentum_rejected():
         from_text("scenario.kappa = 0.5\nsgd.momentum = 0.9\n")
     with pytest.raises(ConfigError, match="sgd.momentum"):
         RunConfig(momentum=0.5)
-    assert from_text("sgd.momentum = 0\n").momentum == 0.0
-    assert from_text("pretrain.momentum = 0.9\n").pretrain_momentum == 0.9
+    assert from_text("scenario.kappa = 0.5\nsgd.momentum = 0\n").momentum == 0.0
+    assert from_text("scenario.kappa = 0.5\npretrain.momentum = 0.9\n").pretrain_momentum == 0.9
 
 
 # key -> (values rejected at load, boundary values accepted)
 RANGE_CHECKS = {
     "scenario.kappa": (["1", "1.5", "-0.1", "nan"], ["0", "0.999"]),
+    "pretrain.epochs": (["-1"], ["0"]),
+    "pretrain.batch_size": (["0", "-1"], ["1"]),
+    "pretrain.lr": (["0", "-0.1", "nan"], ["1e-300"]),
+    "auto.lambda1": (["-1e-9", "nan"], ["0"]),
+    "auto.lambda2": (["-0.1", "nan"], ["0"]),
     "auto.iters_T": (["-1"], ["0"]),
+    "auto.score": (["bogus", "ms p", ""], [" Energy ", "MSP", "maxlogit"]),
     "auto.energy_temperature": (["0", "-2", "nan"], ["1e-300"]),
+    "auto.lambda2_decay": (["-1", "nan"], ["0"]),
+    "auto.id_loss_reduction": (["avg", "Sum"], ["sum", "mean"]),
     "auto.k1": (["-0.5", "nan"], ["0"]),
     "auto.k2": (["-1e-9", "-inf"], ["0"]),
+    "auto.stats_subsample_n": (["-1"], ["0", "1"]),
+    "auto.memory_mode": (["prototypes", ""], ["random", "prototype"]),
+    "sgd.lr": (["0", "-0.001", "nan"], ["1e-300"]),
 }
 
 
@@ -99,6 +109,8 @@ def test_out_of_range_value_rejected_at_load(key):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+nonnegative = st.floats(0.0, allow_infinity=False)
+positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
 coords = st.lists(finite, min_size=1, max_size=3).map(tuple)
 OOD_SOURCES = st.one_of(
     st.builds(GaussianSource, mean=coords, spread=finite),
@@ -113,12 +125,12 @@ CONFIG_VALUES = dict(
     stream_seed=st.integers(-2**70, 2**70),
     ood_sources=st.lists(OOD_SOURCES, min_size=1, max_size=3).map(tuple),
     hidden=st.lists(st.integers(1, 4096), min_size=1, max_size=4).map(tuple),
-    pretrain_lr=finite, pretrain_momentum=finite, lambda1=finite, lambda2=finite,
+    pretrain_lr=positive, pretrain_momentum=finite, lambda1=nonnegative,
+    lambda2=nonnegative,
     phi=finite, iters_t=st.integers(0, 10**6),
     score=st.sampled_from(["msp", "energy", "maxlogit"]),
-    energy_temperature=st.floats(0.0, exclude_min=True, allow_infinity=False),
-    k1=st.floats(0.0, allow_infinity=False), k2=st.floats(0.0, allow_infinity=False),
-    margin_literal_m0=st.booleans(), lr=finite, weight_decay=finite,
+    energy_temperature=positive, k1=nonnegative, k2=nonnegative,
+    margin_literal_m0=st.booleans(), lr=positive, weight_decay=finite,
     trainable_groups=st.sampled_from(["last_block", "all", "none", "block1+fc"]),
 )
 
