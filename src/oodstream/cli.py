@@ -77,12 +77,16 @@ def _make_stream(cfg: RunConfig, test_id: data.LabeledSet,
     return data.compose_timeseries(test_id, ood_sets, cfg.kappa, cfg.stream_seed)
 
 
-def _run_once(cfg: RunConfig, mode: str) -> tuple[engine.EventLog, engine.AutoState]:
-    """Load checkpoint, compose the stream, and replay it in the given mode."""
+def _load_model(cfg: RunConfig) -> nn.MlpModel:
     ckpt = _checkpoint_path(cfg)
     if not ckpt.exists():
         raise CliError(f"checkpoint not found: {ckpt} (run `pretrain` first)")
-    model = nn.load_checkpoint(ckpt)
+    return nn.load_checkpoint(ckpt)
+
+
+def _run_once(cfg: RunConfig, mode: str) -> tuple[engine.EventLog, engine.AutoState]:
+    """Load checkpoint, compose the stream, and replay it in the given mode."""
+    model = _load_model(cfg)
     train, test_id, ood_sets = data.make_scenario(cfg.scenario_spec())
     stream = _make_stream(cfg, test_id, ood_sets)
     auto_cfg = cfg.auto_config(model)
@@ -188,8 +192,12 @@ def _apply_sweep_value(cfg: RunConfig, param: str, raw: str) -> RunConfig:
 def cmd_sweep(cfg: RunConfig, param: str, values: list[str]) -> None:
     if param not in SWEEP_PARAMS:
         raise CliError(f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}")
-    # Every value is checked before the first replay starts.
+    # Every value is checked before the first replay starts, group names
+    # against the checkpoint's layers.
     overrides = [_apply_sweep_value(cfg, param, raw) for raw in values]
+    model = _load_model(cfg)
+    for ov in overrides:
+        ov.resolve_groups(model)
     out = _out_dir(cfg)
     lines = [f"# config_hash={runconfig.config_hash(cfg)} param={param}",
              "param,value,fpr95,auroc,id_acc"]

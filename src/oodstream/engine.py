@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +81,7 @@ class AutoState:
     update_counter: int = 0
 
 
-@dataclass(frozen=True)
-class StreamEvent:
+class StreamEvent(NamedTuple):
     """Per-arrival record; score and prediction are pre-update values."""
 
     index: int
@@ -114,6 +114,7 @@ class UpdateTrace:
 
 # Decision codes of the event log: row t decided DECISIONS[log.decision[t]].
 DECISIONS = tuple(FilterDecision)
+DECISION_CODES = {d: code for code, d in enumerate(DECISIONS)}
 
 
 @dataclass
@@ -216,7 +217,7 @@ def step(state: AutoState, config: AutoConfig, x: np.ndarray,
     except FloatingPointError as exc:
         raise FloatingPointError(f"{exc} at stream index {state.step_counter}") from exc
     arrival_score = scoring.score(config.score_kind, logits)
-    prediction = scoring.predict(logits)
+    prediction = int(logits.argmax())
     decision = filtering.classify(state.margins, arrival_score)
     trace: UpdateTrace | None = None
 
@@ -269,21 +270,25 @@ def run_stream(state: AutoState, config: AutoConfig, stream: Stream) -> EventLog
     when the arrival's hidden truth is OOD.
     """
     log = _new_log(stream)
-    for i, (x, is_ood, label) in enumerate(
-            zip(stream.features, log.is_ood.tolist(), log.label.tolist())):
+    scores, predictions, decisions, m_outs = [], [], [], []
+    for x, is_ood, label in zip(stream.features, log.is_ood.tolist(), log.label.tolist()):
         event, trace = step(state, config, x, (is_ood, label))
-        log.score[i] = event.score_at_arrival
-        log.prediction[i] = event.prediction
-        log.decision[i] = DECISIONS.index(event.decision)
-        log.m_out[i] = event.m_out_after
+        scores.append(event.score_at_arrival)
+        predictions.append(event.prediction)
+        decisions.append(DECISION_CODES[event.decision])
+        m_outs.append(event.m_out_after)
         if trace is not None:
             log.update_traces.append(trace)
+    log.score[:] = scores
+    log.prediction[:] = predictions
+    log.decision[:] = decisions
+    log.m_out[:] = m_outs
     counts = log.counts
     log.updates = counts.pseudo_ood
     if not state.bank.prototype:
         log.bank_replacements = counts.pseudo_id
         log.contaminated_replacements = int(np.count_nonzero(
-            log.is_ood[log.decision == DECISIONS.index(FilterDecision.PSEUDO_ID)]))
+            log.is_ood[log.decision == DECISION_CODES[FilterDecision.PSEUDO_ID]]))
     return log
 
 
@@ -307,8 +312,8 @@ def run_posthoc(model: MlpModel, margins: Margins, stream: Stream,
     log.prediction = logits.argmax(axis=1)
     # filtering.classify's strict comparisons, pseudo-ID written last: a
     # score exactly on a margin abstains.
-    log.decision[:] = DECISIONS.index(FilterDecision.ABSTAIN)
-    log.decision[log.score < margins.m_out] = DECISIONS.index(FilterDecision.PSEUDO_OOD)
-    log.decision[log.score > margins.m_in] = DECISIONS.index(FilterDecision.PSEUDO_ID)
+    log.decision[:] = DECISION_CODES[FilterDecision.ABSTAIN]
+    log.decision[log.score < margins.m_out] = DECISION_CODES[FilterDecision.PSEUDO_OOD]
+    log.decision[log.score > margins.m_in] = DECISION_CODES[FilterDecision.PSEUDO_ID]
     log.m_out[:] = margins.m_out
     return log

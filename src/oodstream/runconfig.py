@@ -328,9 +328,10 @@ def from_text(text: str) -> RunConfig:
     """Parse a config file; unknown keys raise ConfigError naming the key.
 
     Every command draws its scenario from the file, so a file must spell out
-    at least one ``scenario.*`` key.
+    at least one ``scenario.*`` key, and no key may be set twice.
     """
     values: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -338,7 +339,11 @@ def from_text(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
-        values[key.strip()] = raw.strip()
+        key = key.strip()
+        if key in key_lines:
+            raise ConfigError(f"key {key!r} set twice, on lines {key_lines[key]} and {lineno}")
+        key_lines[key] = lineno
+        values[key] = raw.strip()
 
     kwargs: dict = {}
     ood_fields: dict[int, dict[str, str]] = {}

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import softmax
-
 VALID_KINDS = ("msp", "energy", "maxlogit")
 
 
@@ -43,7 +41,9 @@ def score(kind: ScoreKind, logits: np.ndarray) -> float:
     """Scalar confidence for one logit vector."""
     z = np.asarray(logits, dtype=np.float64)
     if kind.kind == "msp":
-        return float(softmax(z).max())
+        # the max of the softmax, from the max-shifted log-softmax
+        shifted = z - z.max()
+        return float(np.exp(shifted - math.log(np.exp(shifted).sum())).max())
     if kind.kind == "maxlogit":
         return float(z.max())
     t = kind.temperature

@@ -14,7 +14,7 @@ from oodstream.engine import DECISIONS, EventLog, StreamEvent
 from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
 from oodstream.nn import (CHECKPOINT_MAGIC, CHECKPOINT_MAGIC_V1, Gradients, LossSpec, MlpModel,
-                          SgdConfig, _forward_batch, _probe_dlogits, loss_sc, total_loss,
+                          SgdConfig, _forward_batch, _probe_dlogits, total_loss,
                           zero_gradients)
 from oodstream.scoring import ScoreKind
 
@@ -127,6 +127,20 @@ def log_softmax_reference(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     shifted = z - np.max(z)
     return shifted - math.log(np.sum(np.exp(shifted)))
+
+
+def loss_sc(softmax_t: np.ndarray, pred_t: int, pred_0: int, phi: float) -> float:
+    """Prediction-consistency hinge between the live and reference argmax.
+
+    Zero when the predictions agree; otherwise
+    ``softmax_t[pred_t] - softmax_t[pred_0] + phi`` with no clamping.
+    """
+    n = len(softmax_t)
+    if not (0 <= pred_t < n and 0 <= pred_0 < n):
+        raise ValueError(f"class index out of range for {n} classes")
+    if pred_t == pred_0:
+        return 0.0
+    return float(softmax_t[pred_t] - softmax_t[pred_0] + phi)
 
 
 def score_reference(kind: ScoreKind, logits) -> float:

