@@ -25,6 +25,7 @@ from . import data, engine, metrics, nn, runconfig, svgplot
 from .runconfig import ConfigError, RunConfig
 
 EVENT_COLUMNS = "t,score,prediction,decision,is_ood_truth,label_truth,m_out"
+CHECKPOINT_NAME = "model.ckpt"
 
 # sweep parameter -> (RunConfig attribute, value parser)
 SWEEP_PARAMS = {"lambda2": ("lambda2", float), "phi": ("phi", float),
@@ -59,13 +60,10 @@ def _load_config(args) -> RunConfig:
 
 
 def _out_dir(cfg: RunConfig) -> Path:
+    """The output directory, created on first use; only writers call this."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _checkpoint_path(cfg: RunConfig) -> Path:
-    return _out_dir(cfg) / "model.ckpt"
 
 
 def _make_stream(cfg: RunConfig, test_id: data.LabeledSet,
@@ -78,7 +76,7 @@ def _make_stream(cfg: RunConfig, test_id: data.LabeledSet,
 
 
 def _load_model(cfg: RunConfig) -> nn.MlpModel:
-    ckpt = _checkpoint_path(cfg)
+    ckpt = Path(cfg.out_dir) / CHECKPOINT_NAME
     if not ckpt.exists():
         raise CliError(f"checkpoint not found: {ckpt} (run `pretrain` first)")
     return nn.load_checkpoint(ckpt)
@@ -89,15 +87,14 @@ def _run_once(cfg: RunConfig, mode: str) -> tuple[engine.EventLog, engine.AutoSt
     model = _load_model(cfg)
     train, test_id, ood_sets = data.make_scenario(cfg.scenario_spec())
     stream = _make_stream(cfg, test_id, ood_sets)
-    auto_cfg = cfg.auto_config(model)
     # Non-finite logits and losses raise with the stream index, so numpy's
     # overflow warnings on the way there would only repeat the error.
     with np.errstate(over="ignore", invalid="ignore"):
-        state = engine.init_state(model, train, auto_cfg)
+        state = engine.init_state(model, train, cfg)
         if mode == "frozen":
-            log = engine.run_posthoc(model, state.margins, stream, auto_cfg.score_kind)
+            log = engine.run_posthoc(model, state.margins, stream, state.score_kind)
         else:
-            log = engine.run_stream(state, auto_cfg, stream)
+            log = engine.run_stream(state, cfg, stream)
     if mode == "auto" and log.updates == 0:
         print(f"warning: no arrival scored below the outlier margin, so the model never "
               f"adapted (auto.score = {cfg.score}, auto.k2 = {cfg.k2!r}, final m_out = "
@@ -130,18 +127,18 @@ def cmd_pretrain(cfg: RunConfig) -> None:
     nn.train_offline(model, train, cfg.epochs, cfg.batch_size, sgd,
                      seed=cfg.shuffle_seed)
     out = _out_dir(cfg)
-    nn.save_checkpoint(model, _checkpoint_path(cfg))
+    nn.save_checkpoint(model, out / CHECKPOINT_NAME)
     summary = {
         "config_hash": runconfig.config_hash(cfg),
         "epochs": cfg.epochs,
         "train_accuracy": nn.accuracy(model, train.features, train.labels),
         "test_id_accuracy": nn.accuracy(model, test_id.features, test_id.labels),
-        "checkpoint": str(_checkpoint_path(cfg)),
+        "checkpoint": CHECKPOINT_NAME,
     }
     (out / "pretrain_summary.json").write_text(
         json.dumps(summary, indent=2) + "\n", encoding="ascii")
     print(f"pretrain: train_acc={summary['train_accuracy']:.4f} "
-          f"test_acc={summary['test_id_accuracy']:.4f} -> {summary['checkpoint']}")
+          f"test_acc={summary['test_id_accuracy']:.4f} -> {out / CHECKPOINT_NAME}")
 
 
 def cmd_run(cfg: RunConfig, mode: str, plot: bool) -> None:
@@ -168,7 +165,6 @@ def _ablation_overrides(cfg: RunConfig, combo: str) -> RunConfig:
 
 
 def cmd_ablate(cfg: RunConfig) -> None:
-    out = _out_dir(cfg)
     lines = [f"# config_hash={runconfig.config_hash(cfg)}", "combo,fpr95,auroc,id_acc"]
     for combo in ABLATION_COMBOS:
         log, _ = _run_once(_ablation_overrides(cfg, combo), "auto")
@@ -176,7 +172,7 @@ def cmd_ablate(cfg: RunConfig) -> None:
         lines.append(f"{combo},{rep.fpr95:.17g},{rep.auroc:.17g},{rep.id_acc:.17g}")
         print(f"ablate {combo}: fpr95={rep.fpr95:.4f} auroc={rep.auroc:.4f} "
               f"id_acc={rep.id_acc:.4f}")
-    (out / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    (_out_dir(cfg) / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def _apply_sweep_value(cfg: RunConfig, param: str, raw: str) -> RunConfig:
@@ -198,7 +194,6 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[str]) -> None:
     model = _load_model(cfg)
     for ov in overrides:
         ov.resolve_groups(model)
-    out = _out_dir(cfg)
     lines = [f"# config_hash={runconfig.config_hash(cfg)} param={param}",
              "param,value,fpr95,auroc,id_acc"]
     for raw, ov in zip(values, overrides):
@@ -207,7 +202,7 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[str]) -> None:
         lines.append(f"{param},{raw},{rep.fpr95:.17g},{rep.auroc:.17g},{rep.id_acc:.17g}")
         print(f"sweep {param}={raw}: fpr95={rep.fpr95:.4f} auroc={rep.auroc:.4f} "
               f"id_acc={rep.id_acc:.4f}")
-    (out / f"sweep_{param}.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    (_out_dir(cfg) / f"sweep_{param}.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -92,15 +92,20 @@ class ScenarioSpec:
             raise ValueError("id_spread must be positive")
         if min(self.train_n, self.test_id_n, self.ood_n) < 1:
             raise ValueError("sample counts must be >= 1")
-        for src in self.ood_sources:
-            if isinstance(src, GaussianSource) and src.spread <= 0:
-                raise ValueError("gaussian source spread must be positive")
+        for i, src in enumerate(self.ood_sources, start=1):
+            if isinstance(src, GaussianSource):
+                if len(src.mean) != self.dim:
+                    raise ValueError(f"OOD source {i} (scenario.ood{i}.center) has "
+                                     f"length {len(src.mean)}; dim is {self.dim}")
+                if src.spread <= 0:
+                    raise ValueError("gaussian source spread must be positive")
             if isinstance(src, RingSource) and (src.radius <= 0 or src.width <= 0):
                 raise ValueError("ring radius and width must be positive")
             if isinstance(src, UniformBoxSource):
                 lo, hi = np.asarray(src.low), np.asarray(src.high)
                 if lo.shape != (self.dim,) or hi.shape != (self.dim,):
-                    raise ValueError("box bounds must have length dim")
+                    raise ValueError(f"OOD source {i} (scenario.ood{i}.low/high): box "
+                                     f"bounds must have length dim = {self.dim}")
                 if np.any(hi <= lo):
                     raise ValueError("box high bounds must exceed low bounds")
 

@@ -29,44 +29,12 @@ from .data import LabeledSet, Stream
 from .filtering import FilterDecision, Margins
 from .memory import MemoryBank
 from .nn import LossSpec, MlpModel, SgdConfig
+from .runconfig import RunConfig
 from .scoring import ScoreKind
 
 
 class NonFiniteLossError(ArithmeticError):
     """An update produced a non-finite loss; the run aborts rather than skip."""
-
-
-@dataclass
-class AutoConfig:
-    """Knobs of the online loop. Defaults match the recommended operating point."""
-
-    lambda1: float = 1.0
-    lambda2: float = 0.1
-    phi: float = 0.2
-    iters_t: int = 2
-    score_kind: ScoreKind = field(default_factory=ScoreKind)
-    sgd: SgdConfig = field(default_factory=SgdConfig)
-    lambda2_decay: float = 0.0
-    id_weight: float = 1.0
-    id_loss_reduction: str = "sum"
-    k1: float = 0.0
-    k2: float = 3.0
-    stats_subsample_n: int | None = None
-    margin_literal_m0: bool = False
-    memory_mode: str = "random"
-    memory_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.iters_t < 0:
-            raise ValueError(f"iters_t must be >= 0, got {self.iters_t}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("lambda1 and lambda2 must be nonnegative")
-        if self.lambda2_decay < 0:
-            raise ValueError("lambda2_decay must be nonnegative")
-        if self.memory_mode not in ("random", "prototype"):
-            raise ValueError(f"unknown memory_mode {self.memory_mode!r}")
-        if self.id_loss_reduction not in ("sum", "mean"):
-            raise ValueError(f"unknown id_loss_reduction {self.id_loss_reduction!r}")
 
 
 @dataclass
@@ -77,6 +45,8 @@ class AutoState:
     model_0: MlpModel
     margins: Margins
     bank: MemoryBank
+    score_kind: ScoreKind
+    sgd: SgdConfig
     step_counter: int = 0
     update_counter: int = 0
 
@@ -155,59 +125,56 @@ def _new_log(stream: Stream) -> EventLog:
                     m_out=np.empty(n))
 
 
-def lambda2_at(config: AutoConfig, update_counter: int) -> float:
+def lambda2_at(cfg: RunConfig, update_counter: int) -> float:
     """Consistency-loss weight for the given episode counter.
 
     With decay enabled the weight is lambda2 / (1 + decay * k): monotone
     non-increasing in k with unit factor at k = 0.
     """
-    if config.lambda2_decay == 0.0:
-        return config.lambda2
-    return config.lambda2 / (1.0 + config.lambda2_decay * update_counter)
+    if cfg.lambda2_decay == 0.0:
+        return cfg.lambda2
+    return cfg.lambda2 / (1.0 + cfg.lambda2_decay * update_counter)
 
 
-def init_state(model: MlpModel, train_set: LabeledSet, config: AutoConfig) -> AutoState:
+def init_state(model: MlpModel, train_set: LabeledSet, cfg: RunConfig) -> AutoState:
     """Freeze a reference clone, estimate filter margins, and seed the bank.
 
-    Score statistics use the configured score kind so the margins live on
-    that score's scale. ``stats_subsample_n`` keeps only the first n rows of
-    the (already shuffled) training set for the estimate.
+    The score kind and the SGD settings are resolved here, once per run.
+    Score statistics use that score kind so the margins live on its scale.
+    ``stats_subsample_n`` = n > 0 keeps only the first n rows of the
+    (already shuffled) training set for the estimate; 0 keeps every row.
     """
+    score_kind = ScoreKind.parse(cfg.score, cfg.energy_temperature)
+    sgd = SgdConfig(cfg.lr, cfg.weight_decay, cfg.momentum, cfg.resolve_groups(model))
     model_0 = nn.clone_frozen(model)
-    feats = train_set.features
-    if config.stats_subsample_n is not None:
-        n = min(config.stats_subsample_n, len(feats))
-        if n < 1:
-            raise ValueError("stats_subsample_n must keep at least one sample")
-        feats = feats[:n]
+    feats = train_set.features[:cfg.stats_subsample_n or None]
     logits = np.empty((len(feats), model.num_classes))
     for i, x in enumerate(feats):
         logits[i] = nn.forward_logits(model, x)
-    stats = filtering.estimate_id_stats(scoring.score_rows(config.score_kind, logits))
-    margins = filtering.init_margins(stats, config.k1, config.k2,
-                                     literal_m0=config.margin_literal_m0)
-    if config.memory_mode == "prototype":
+    stats = filtering.estimate_id_stats(scoring.score_rows(score_kind, logits))
+    margins = filtering.init_margins(stats, cfg.k1, cfg.k2, literal_m0=cfg.margin_literal_m0)
+    if cfg.memory_mode == "prototype":
         bank = memory.init_prototype(train_set)
     else:
-        bank = memory.init_random(train_set, config.memory_seed)
-    return AutoState(model_t=model, model_0=model_0, margins=margins, bank=bank)
+        bank = memory.init_random(train_set, cfg.memory_seed)
+    return AutoState(model_t=model, model_0=model_0, margins=margins, bank=bank,
+                     score_kind=score_kind, sgd=sgd)
 
 
-def _episode_spec(state: AutoState, config: AutoConfig, pred_0: int,
-                  lam2: float) -> LossSpec:
+def _episode_spec(state: AutoState, cfg: RunConfig, pred_0: int, lam2: float) -> LossSpec:
     return LossSpec(
-        uniform_weight=config.lambda1,
+        uniform_weight=cfg.lambda1,
         sc_weight=lam2,
         sc_ref_pred=pred_0,
-        sc_phi=config.phi,
+        sc_phi=cfg.phi,
         bank_inputs=state.bank.features,
         bank_labels=state.bank.labels,
-        bank_weight=config.id_weight,
-        bank_reduction=config.id_loss_reduction,
+        bank_weight=cfg.id_weight,
+        bank_reduction=cfg.id_loss_reduction,
     )
 
 
-def step(state: AutoState, config: AutoConfig, x: np.ndarray,
+def step(state: AutoState, cfg: RunConfig, x: np.ndarray,
          hidden_truth: tuple[bool, int | None]) -> tuple[StreamEvent, UpdateTrace | None]:
     """Process one arrival; returns its event and, for update episodes, the
     loss trajectory. ``hidden_truth`` is recorded verbatim and never read by
@@ -216,7 +183,7 @@ def step(state: AutoState, config: AutoConfig, x: np.ndarray,
         logits = nn.forward_logits(state.model_t, x)
     except FloatingPointError as exc:
         raise FloatingPointError(f"{exc} at stream index {state.step_counter}") from exc
-    arrival_score = scoring.score(config.score_kind, logits)
+    arrival_score = scoring.score(state.score_kind, logits)
     prediction = int(logits.argmax())
     decision = filtering.classify(state.margins, arrival_score)
     trace: UpdateTrace | None = None
@@ -224,20 +191,20 @@ def step(state: AutoState, config: AutoConfig, x: np.ndarray,
     if decision == FilterDecision.PSEUDO_ID:
         memory.replace(state.bank, x, prediction)
     elif decision == FilterDecision.PSEUDO_OOD:
-        lam2 = lambda2_at(config, state.update_counter)
+        lam2 = lambda2_at(cfg, state.update_counter)
         pred_0 = scoring.predict(nn.forward_logits(state.model_0, x))
-        spec = _episode_spec(state, config, pred_0, lam2)
+        spec = _episode_spec(state, cfg, pred_0, lam2)
         losses: list[float] = []
-        for _ in range(config.iters_t):
+        for _ in range(cfg.iters_t):
             loss, grads = nn._loss_and_grad(state.model_t, x, spec,
-                                            trainable=config.sgd.trainable_groups)
+                                            trainable=state.sgd.trainable_groups)
             if not math.isfinite(loss):
                 raise NonFiniteLossError(
                     f"non-finite loss {loss} at stream index {state.step_counter}"
                 )
             losses.append(loss)
-            nn.sgd_step(state.model_t, grads, config.sgd)
-        if config.iters_t > 0:
+            nn.sgd_step(state.model_t, grads, state.sgd)
+        if cfg.iters_t > 0:
             final = nn.total_loss(state.model_t, x, spec)
             if not math.isfinite(final):
                 raise NonFiniteLossError(
@@ -262,7 +229,7 @@ def step(state: AutoState, config: AutoConfig, x: np.ndarray,
     return event, trace
 
 
-def run_stream(state: AutoState, config: AutoConfig, stream: Stream) -> EventLog:
+def run_stream(state: AutoState, cfg: RunConfig, stream: Stream) -> EventLog:
     """Apply ``step`` to every arrival in order.
 
     Every pseudo-OOD arrival runs one update episode. Every pseudo-ID arrival
@@ -272,7 +239,7 @@ def run_stream(state: AutoState, config: AutoConfig, stream: Stream) -> EventLog
     log = _new_log(stream)
     scores, predictions, decisions, m_outs = [], [], [], []
     for x, is_ood, label in zip(stream.features, log.is_ood.tolist(), log.label.tolist()):
-        event, trace = step(state, config, x, (is_ood, label))
+        event, trace = step(state, cfg, x, (is_ood, label))
         scores.append(event.score_at_arrival)
         predictions.append(event.prediction)
         decisions.append(DECISION_CODES[event.decision])

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 from .data import (GaussianSource, OodSource, RingSource, ScenarioSpec,
                    UniformBoxSource, canonical_spec)
-from .engine import AutoConfig
-from .nn import MlpModel, SgdConfig, last_block_group
-from .scoring import VALID_KINDS, ScoreKind, kind_name
+from .nn import MlpModel, last_block_group
+from .scoring import VALID_KINDS, kind_name
 
 
 class ConfigError(Exception):
@@ -153,30 +152,6 @@ class RunConfig:
             raise ConfigError(f"unknown parameter groups {sorted(unknown)}; "
                               f"model has {model.groups()}")
         return groups
-
-    def auto_config(self, model: MlpModel) -> AutoConfig:
-        return AutoConfig(
-            lambda1=self.lambda1,
-            lambda2=self.lambda2,
-            phi=self.phi,
-            iters_t=self.iters_t,
-            score_kind=ScoreKind.parse(self.score, self.energy_temperature),
-            sgd=SgdConfig(
-                learning_rate=self.lr,
-                weight_decay=self.weight_decay,
-                momentum=self.momentum,
-                trainable_groups=self.resolve_groups(model),
-            ),
-            lambda2_decay=self.lambda2_decay,
-            id_weight=self.id_weight,
-            id_loss_reduction=self.id_loss_reduction,
-            k1=self.k1,
-            k2=self.k2,
-            stats_subsample_n=self.stats_subsample_n or None,
-            margin_literal_m0=self.margin_literal_m0,
-            memory_mode=self.memory_mode,
-            memory_seed=self.memory_seed,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -386,5 +361,8 @@ def from_text(text: str) -> RunConfig:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """Short provenance hash of the canonical config text."""
-    return hashlib.sha256(to_text(cfg).encode("ascii")).hexdigest()[:12]
+    """Short provenance hash of the canonical config text. ``output.dir`` is
+    left out: where a run writes its files does not change what they hold."""
+    text = "".join(line for line in to_text(cfg).splitlines(keepends=True)
+                   if not line.startswith("output.dir ="))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]

@@ -30,12 +30,6 @@ def canonical():
     }
 
 
-def fresh_auto_config(model, **overrides) -> engine.AutoConfig:
-    sgd = overrides.pop("sgd", None) or nn.SgdConfig(
-        learning_rate=0.001, trainable_groups={nn.last_block_group(model)})
-    return engine.AutoConfig(sgd=sgd, **overrides)
-
-
-def fresh_state(canonical_fixture, config) -> engine.AutoState:
+def fresh_state(canonical_fixture, cfg: RunConfig) -> engine.AutoState:
     model = nn.clone_frozen(canonical_fixture["model"])
-    return engine.init_state(model, canonical_fixture["train"], config)
+    return engine.init_state(model, canonical_fixture["train"], cfg)

@@ -234,9 +234,9 @@ def auroc_midrank_loop(log: EventLog) -> float:
 # fixed-model scoring oracles (one forward, score and predict call per row)
 
 
-def init_margins_reference(model: MlpModel, features, config) -> filtering.Margins:
+def init_margins_reference(model: MlpModel, features, score_kind, config) -> filtering.Margins:
     """``init_state``'s margins from a list of per-row ``scoring.score`` values."""
-    scores = [scoring.score(config.score_kind, nn.forward_logits(model, x)) for x in features]
+    scores = [scoring.score(score_kind, nn.forward_logits(model, x)) for x in features]
     stats = filtering.estimate_id_stats(scores)
     return filtering.init_margins(stats, config.k1, config.k2,
                                   literal_m0=config.margin_literal_m0)

@@ -8,6 +8,7 @@ canonical configuration (scenario seed 20240611, stream seed 77, model seeds
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from oodstream import engine, filtering, metrics, nn
 from oodstream.cli import main as cli_main
 from oodstream.engine import run_posthoc, run_stream
 from oodstream.filtering import IdStats
-from oodstream.nn import LossSpec, SgdConfig
+from oodstream.nn import LossSpec
 from oodstream.runconfig import RunConfig, to_text
 
 TOL = 0.005  # +/- 0.5 percentage points on pinned golden values
@@ -52,15 +53,13 @@ def canonical_runs(canonical):
     def auto_run(**overrides):
         m = nn.clone_frozen(model)
         rc = RunConfig(**overrides) if overrides else cfg
-        ac = rc.auto_config(m)
-        st = engine.init_state(m, train, ac)
-        log = engine.run_stream(st, ac, stream)
+        st = engine.init_state(m, train, rc)
+        log = engine.run_stream(st, rc, stream)
         # the pristine pretrained model is the reference for frozen-state checks
         return metrics.report(log), log, st, model
 
-    ac0 = cfg.auto_config(nn.clone_frozen(model))
-    st0 = engine.init_state(nn.clone_frozen(model), train, ac0)
-    frozen_log = run_posthoc(model, st0.margins, stream, ac0.score_kind)
+    st0 = engine.init_state(nn.clone_frozen(model), train, cfg)
+    frozen_log = run_posthoc(model, st0.margins, stream, st0.score_kind)
     runs = {"frozen": (metrics.report(frozen_log), frozen_log, st0, model)}
     runs["full"] = auto_run()
     runs["id_ood"] = auto_run(lambda2=0.0)
@@ -84,8 +83,7 @@ def assert_structural_invariants(canonical, log, state, initial_model):
             assert np.array_equal(state.model_t.weights[i], initial_model.weights[i])
             assert np.array_equal(state.model_t.biases[i], initial_model.biases[i])
     # m_in bitwise constant (re-derive the initialization)
-    ac = cfg.auto_config(nn.clone_frozen(initial_model))
-    st_ref = engine.init_state(nn.clone_frozen(initial_model), canonical["train"], ac)
+    st_ref = engine.init_state(nn.clone_frozen(initial_model), canonical["train"], cfg)
     assert state.margins.m_in == st_ref.margins.m_in
     # frozen reference model: probe outputs equal the pretrained model's
     probe = canonical["stream"].features[0]
@@ -179,17 +177,13 @@ def test_criterion_3_margin_replay():
 
 
 def test_criterion_4_frozen_degeneracy(canonical):
-    cfg = canonical["run_config"]
+    cfg = replace(canonical["run_config"], lambda1=0.0, lambda2=0.0, trainable_groups="none")
     model = nn.clone_frozen(canonical["model"])
-    ac = engine.AutoConfig(
-        lambda1=0.0, lambda2=0.0,
-        sgd=SgdConfig(learning_rate=cfg.lr, trainable_groups=frozenset()),
-    )
-    state = engine.init_state(model, canonical["train"], ac)
+    state = engine.init_state(model, canonical["train"], cfg)
     margins0 = state.margins
-    log = run_stream(state, ac, canonical["stream"])
+    log = run_stream(state, cfg, canonical["stream"])
     baseline = run_posthoc_reference(canonical["model"], margins0, canonical["stream"],
-                                     ac.score_kind, update_margins=True)
+                                     state.score_kind, update_margins=True)
     assert_columns_equal(log, baseline)
     ok("criterion 4", f"degenerate run log identical over {len(log)} events")
 
@@ -253,8 +247,7 @@ def test_criterion_8_structural_invariants(canonical, canonical_runs):
     # per-step checks on a short instrumented replay
     cfg = canonical["run_config"]
     model = nn.clone_frozen(canonical["model"])
-    ac = cfg.auto_config(model)
-    state = engine.init_state(model, canonical["train"], ac)
+    state = engine.init_state(model, canonical["train"], cfg)
     m_in0 = state.margins.m_in
     probe = canonical["stream"].features[0]
     probe_ref = nn.forward_logits(state.model_0, probe).copy()
@@ -262,7 +255,7 @@ def test_criterion_8_structural_invariants(canonical, canonical_runs):
     stream = canonical["stream"]
     prev_m_out = state.margins.m_out
     for i in range(400):
-        event, _ = engine.step(state, ac, stream.features[i],
+        event, _ = engine.step(state, cfg, stream.features[i],
                                (bool(stream.is_ood[i]), int(stream.labels[i])))
         assert state.bank.num_classes == spec.num_classes
         assert state.margins.m_in == m_in0

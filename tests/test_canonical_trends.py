@@ -28,10 +28,10 @@ def test_predictions_match_accuracy_report(canonical):
 def test_frozen_scores_clear_auroc_floor(canonical):
     # the scenario must be nontrivial but imperfect: the adaptive engine
     # needs headroom, so the frozen baseline sits between 0.7 and ~0.95
-    cfg = canonical["run_config"].auto_config(nn.clone_frozen(canonical["model"]))
-    state = engine.init_state(nn.clone_frozen(canonical["model"]), canonical["train"], cfg)
+    state = engine.init_state(nn.clone_frozen(canonical["model"]), canonical["train"],
+                              canonical["run_config"])
     log = engine.run_posthoc(canonical["model"], state.margins, canonical["stream"],
-                             cfg.score_kind)
+                             state.score_kind)
     assert metrics.auroc(log) > 0.7
 
 
@@ -43,12 +43,11 @@ def test_timeseries_second_segment_trend(canonical):
     boundary = stream.segment_bounds[1]
 
     model = nn.clone_frozen(canonical["model"])
-    ac = cfg.auto_config(model)
-    state = engine.init_state(model, canonical["train"], ac)
-    adaptive = engine.run_stream(state, ac, stream)
+    state = engine.init_state(model, canonical["train"], cfg)
+    adaptive = engine.run_stream(state, cfg, stream)
 
-    st0 = engine.init_state(nn.clone_frozen(canonical["model"]), canonical["train"], ac)
-    frozen = engine.run_posthoc(canonical["model"], st0.margins, stream, ac.score_kind)
+    st0 = engine.init_state(nn.clone_frozen(canonical["model"]), canonical["train"], cfg)
+    frozen = engine.run_posthoc(canonical["model"], st0.margins, stream, st0.score_kind)
 
     seg2_adaptive = slice_log(adaptive, boundary, len(adaptive))
     seg2_frozen = slice_log(frozen, boundary, len(frozen))

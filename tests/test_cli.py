@@ -76,6 +76,43 @@ def test_missing_config_file_fails(tmp_path):
 def test_run_without_checkpoint_fails(tmp_path):
     cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "out"))
     assert main(["--config", str(cfg_path), "run", "--mode", "auto"]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["run", "--mode", "frozen"], ["ablate"],
+                                     ["sweep", "--param", "k2", "--values", "1,2"]])
+def test_missing_checkpoint_leaves_no_output_dir(tmp_path, capsys, command):
+    cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "out"))
+    assert main(["--config", str(cfg_path), *command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint not found: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_outputs_do_not_depend_on_out_dir(tmp_path):
+    cfg_path = write_config(tmp_path)
+    outs = [tmp_path / "first", tmp_path / "second" / "nested"]
+    for out in outs:
+        for command in (["pretrain"], ["run", "--mode", "auto"], ["run", "--mode", "frozen"]):
+            assert main(["--config", str(cfg_path), "--out", str(out), "--plot",
+                         *command]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert len(names) == 8
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("center,n", [("3", 1), ("1,2,3", 3)])
+def test_gaussian_center_of_wrong_length_fails_with_one_line(tmp_path, capsys, center, n):
+    text = to_text(RunConfig(**SMALL_OVERRIDES, out_dir=str(tmp_path / "out")))
+    [line] = [ln for ln in text.splitlines() if ln.startswith("scenario.ood1.center = ")]
+    path = tmp_path / "center.cfg"
+    path.write_text(text.replace(line, f"scenario.ood1.center = {center}"), encoding="ascii")
+    assert main(["--config", str(path), "pretrain"]) == 1
+    assert capsys.readouterr().err == (f"error: OOD source 1 (scenario.ood1.center) has "
+                                       f"length {n}; dim is 2\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mode", ["auto", "frozen"])

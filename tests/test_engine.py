@@ -5,17 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import fresh_auto_config, fresh_state
+from conftest import fresh_state
 from helpers import COLUMNS, assert_columns_equal, run_posthoc_reference
 from oodstream import filtering, memory, nn, scoring
 from oodstream.data import Stream
-from oodstream.engine import (AutoConfig, AutoState, NonFiniteLossError,
-                              lambda2_at, run_posthoc, run_stream, step)
+from oodstream.engine import (AutoState, NonFiniteLossError, lambda2_at, run_posthoc,
+                              run_stream, step)
 from oodstream.filtering import FilterDecision
 from oodstream.nn import SgdConfig
+from oodstream.runconfig import ConfigError, RunConfig
 
 
-def tiny_setup(m_in=0.9, m_out=0.5, iters_t=2, **cfg_overrides):
+def tiny_setup(m_in=0.9, m_out=0.5, iters_t=2, trainable_groups="block2", **cfg_overrides):
     """Small deterministic state with hand-placed margins."""
     model = nn.init_mlp([2, 6, 6, 3], seed=3)
     rng = np.random.default_rng(0)
@@ -23,11 +24,11 @@ def tiny_setup(m_in=0.9, m_out=0.5, iters_t=2, **cfg_overrides):
         b[:] = rng.normal(0, 0.3, size=b.shape)
     bank = memory.MemoryBank(rng.normal(0, 1, size=(3, 2)))
     margins = filtering.Margins(m_in=m_in, m_out=m_out, m_count=1)
-    sgd = cfg_overrides.pop(
-        "sgd", SgdConfig(learning_rate=0.001, trainable_groups={"block2"}))
-    config = AutoConfig(iters_t=iters_t, sgd=sgd, **cfg_overrides)
-    state = AutoState(model_t=model, model_0=nn.clone_frozen(model),
-                      margins=margins, bank=bank)
+    config = RunConfig(iters_t=iters_t, trainable_groups=trainable_groups, **cfg_overrides)
+    state = AutoState(model_t=model, model_0=nn.clone_frozen(model), margins=margins,
+                      bank=bank,
+                      score_kind=scoring.ScoreKind(config.score, config.energy_temperature),
+                      sgd=SgdConfig(config.lr, trainable_groups=config.resolve_groups(model)))
     return state, config
 
 
@@ -42,7 +43,7 @@ def unchanged(model, snap):
 def find_input_with_decision(state, config, want, rng, scale=3.0):
     for _ in range(2000):
         x = rng.normal(0, scale, size=2)
-        s = scoring.score(config.score_kind, nn.forward_logits(state.model_t, x))
+        s = scoring.score(state.score_kind, nn.forward_logits(state.model_t, x))
         if filtering.classify(state.margins, s) == want:
             return x
     raise AssertionError(f"could not find an input classified as {want}")
@@ -235,11 +236,12 @@ def test_events_store_arrival_time_scores():
     replay_state = AutoState(model_t=nn.clone_frozen(initial),
                              model_0=nn.clone_frozen(initial),
                              margins=filtering.Margins(0.9, 0.5, 1),
-                             bank=memory.MemoryBank(initial_bank))
+                             bank=memory.MemoryBank(initial_bank),
+                             score_kind=state.score_kind, sgd=state.sgd)
     replay = run_stream(replay_state, config, stream)
     assert replay.score.tolist() == log.score.tolist()
 
-    final_scores = [scoring.score(config.score_kind, nn.forward_logits(state.model_t, x))
+    final_scores = [scoring.score(state.score_kind, nn.forward_logits(state.model_t, x))
                     for x in stream.features]
     mismatch = sum(a != s for a, s in zip(log.score.tolist(), final_scores))
     assert mismatch > 0, "post-hoc re-scoring should differ from arrival-time scores"
@@ -271,32 +273,27 @@ def test_run_stream_in_two_calls_equals_one_call():
 
 
 def test_config_defaults_are_pinned():
-    cfg = AutoConfig(sgd=SgdConfig(trainable_groups={"fc"}))
+    cfg = RunConfig()
     assert cfg.lambda1 == 1.0
     assert cfg.lambda2 == 0.1
     assert cfg.phi == 0.2
     assert cfg.iters_t == 2
-    assert cfg.score_kind == scoring.ScoreKind("msp")
+    assert cfg.score == "msp" and cfg.energy_temperature == 1.0
     assert cfg.k1 == 0.0 and cfg.k2 == 3.0
     assert cfg.id_loss_reduction == "sum"
     assert cfg.memory_mode == "random"
+    assert cfg.stats_subsample_n == 0
+    assert cfg.lr == 0.001
+    assert cfg.weight_decay == 0.0 and cfg.momentum == 0.0
+    assert cfg.trainable_groups == "last_block"
     sgd = SgdConfig()
     assert sgd.learning_rate == 0.001
     assert sgd.weight_decay == 0.0 and sgd.momentum == 0.0
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        AutoConfig(iters_t=-1)
-    with pytest.raises(ValueError):
-        AutoConfig(lambda1=-0.5)
-    with pytest.raises(ValueError):
-        AutoConfig(memory_mode="ring_buffer")
-
-
 @pytest.mark.parametrize("kind", ["energy", "maxlogit"])
 def test_alternate_score_functions_run_end_to_end(kind):
-    state, config = tiny_setup(score_kind=scoring.ScoreKind(kind))
+    state, config = tiny_setup(score=kind)
     rng = np.random.default_rng(16)
     stream = make_stream(rng.normal(0, 2, size=(80, 2)))
     log = run_stream(state, config, stream)
@@ -314,7 +311,7 @@ def test_lambda2_decay_runs_end_to_end():
 
 
 def test_literal_m0_flows_through_init(canonical):
-    cfg = fresh_auto_config(canonical["model"], margin_literal_m0=True)
+    cfg = RunConfig(margin_literal_m0=True)
     state = fresh_state(canonical, cfg)
     assert state.margins.m_count == 0
 
@@ -336,13 +333,13 @@ def test_bank_only_objective_still_fires_episodes():
 
 
 def test_lambda2_constant_by_default():
-    config = AutoConfig(sgd=SgdConfig(trainable_groups={"fc"}))
+    config = RunConfig()
     for k in (0, 1, 10, 10_000):
         assert lambda2_at(config, k) == pytest.approx(0.1)
 
 
 def test_lambda2_decay_normalized_and_monotone():
-    config = AutoConfig(lambda2_decay=0.05, sgd=SgdConfig(trainable_groups={"fc"}))
+    config = RunConfig(lambda2_decay=0.05)
     assert lambda2_at(config, 0) == pytest.approx(config.lambda2)
     prev = lambda2_at(config, 0)
     for k in range(1, 10_001):
@@ -356,16 +353,14 @@ def test_lambda2_decay_normalized_and_monotone():
 
 
 def test_degenerate_engine_matches_posthoc_scorer():
-    state, config = tiny_setup(lambda1=0.0, lambda2=0.0,
-                               sgd=SgdConfig(learning_rate=0.001,
-                                             trainable_groups=frozenset()))
+    state, config = tiny_setup(lambda1=0.0, lambda2=0.0, trainable_groups="none")
     margins0 = state.margins
     model0 = nn.clone_frozen(state.model_t)
     rng = np.random.default_rng(14)
     stream = make_stream(rng.normal(0, 2, size=(200, 2)),
                          is_ood=rng.random(200) < 0.5)
     log = run_stream(state, config, stream)
-    baseline = run_posthoc_reference(model0, margins0, stream, config.score_kind,
+    baseline = run_posthoc_reference(model0, margins0, stream, state.score_kind,
                                      update_margins=True)
     assert_columns_equal(log, baseline)
     assert unchanged(state.model_t, snapshot(model0))
@@ -376,7 +371,7 @@ def test_posthoc_frozen_margins_mode():
     model0 = nn.clone_frozen(state.model_t)
     rng = np.random.default_rng(15)
     stream = make_stream(rng.normal(0, 2, size=(100, 2)))
-    log = run_posthoc(model0, state.margins, stream, config.score_kind)
+    log = run_posthoc(model0, state.margins, stream, state.score_kind)
     outs = set(log.m_out.tolist())
     assert outs == {state.margins.m_out}
 
@@ -385,29 +380,46 @@ def test_posthoc_frozen_margins_mode():
 # init_state
 
 
+def test_init_state_resolves_run_config(canonical):
+    # the score kind and the SGD settings are resolved once, into the state
+    cfg = RunConfig(score=" Energy ", energy_temperature=2.0, lr=0.01, weight_decay=0.5,
+                    trainable_groups="block1+fc")
+    state = fresh_state(canonical, cfg)
+    assert state.score_kind == scoring.ScoreKind("energy", 2.0)
+    assert state.sgd == SgdConfig(0.01, 0.5, 0.0, frozenset({"block1", "fc"}))
+    assert fresh_state(canonical, RunConfig()).sgd.trainable_groups == {"block2"}
+    with pytest.raises(ConfigError, match="unknown parameter groups"):
+        fresh_state(canonical, RunConfig(trainable_groups="block9"))
+
+
+def test_init_state_subsample_zero_keeps_every_row(canonical):
+    n = len(canonical["train"].features)
+    st_all = fresh_state(canonical, RunConfig(stats_subsample_n=0))
+    for keep in (n, n + 1, 10**9):
+        assert fresh_state(canonical, RunConfig(stats_subsample_n=keep)).margins == \
+            st_all.margins
+    assert fresh_state(canonical, RunConfig(stats_subsample_n=n - 1)).margins != \
+        st_all.margins
+
+
 def test_init_state_uses_configured_score_kind(canonical):
-    cfg_msp = fresh_auto_config(canonical["model"])
-    cfg_energy = fresh_auto_config(canonical["model"],
-                                   score_kind=scoring.ScoreKind("energy"))
-    st_msp = fresh_state(canonical, cfg_msp)
-    st_energy = fresh_state(canonical, cfg_energy)
+    st_msp = fresh_state(canonical, RunConfig())
+    st_energy = fresh_state(canonical, RunConfig(score="energy"))
     # energy scores live on a different scale, so margins must differ
     assert st_msp.margins.m_in != st_energy.margins.m_in
     assert st_msp.margins.m_in <= 1.0 + 1e-12
 
 
 def test_init_state_subsample(canonical):
-    cfg_all = fresh_auto_config(canonical["model"])
-    cfg_sub = fresh_auto_config(canonical["model"], stats_subsample_n=100)
-    st_all = fresh_state(canonical, cfg_all)
-    st_sub = fresh_state(canonical, cfg_sub)
+    st_all = fresh_state(canonical, RunConfig())
+    st_sub = fresh_state(canonical, RunConfig(stats_subsample_n=100))
     assert st_all.margins != st_sub.margins
     # subsampled margins approximate the full ones
     assert st_sub.margins.m_in == pytest.approx(st_all.margins.m_in, abs=0.05)
 
 
 def test_init_state_prototype_bank_constant(canonical):
-    cfg = fresh_auto_config(canonical["model"], memory_mode="prototype")
+    cfg = RunConfig(memory_mode="prototype")
     state = fresh_state(canonical, cfg)
     assert state.bank.prototype
     before = state.bank.features.copy()

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_auto_config, fresh_state
+from conftest import fresh_state
 from helpers import assert_columns_equal, event_rows, log_from_columns, run_posthoc_reference
 from oodstream import engine, filtering, nn
 from oodstream.data import Stream
 from oodstream.engine import DECISIONS
 from oodstream.filtering import FilterDecision
+from oodstream.runconfig import RunConfig
 from oodstream.scoring import ScoreKind, score_rows
 
 KINDS = (ScoreKind("msp"), ScoreKind("maxlogit"), ScoreKind("energy"),
@@ -93,7 +94,7 @@ def test_run_stream_rows_equal_step_events(canonical, memory_mode):
     if memory_mode == "prototype":
         stream = Stream(features=stream.features[:2000], is_ood=stream.is_ood[:2000],
                         labels=stream.labels[:2000])
-    config = fresh_auto_config(canonical["model"], memory_mode=memory_mode)
+    config = RunConfig(memory_mode=memory_mode)
     state = fresh_state(canonical, config)
     log = engine.run_stream(state, config, stream)
     ref_state = fresh_state(canonical, config)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_auto_config, fresh_state
+from conftest import fresh_state
 from helpers import (assert_columns_equal, checkpoint_hex_text_reference, init_margins_reference,
                      loss_and_grad_reference, log_softmax_reference, predict_reference,
                      probe_dlogits_reference, run_posthoc_reference, score_reference,
@@ -153,7 +153,7 @@ def test_score_rows_equals_score_per_row(c):
 def test_run_posthoc_equals_per_arrival_loop(canonical, kind):
     model = canonical["model"]
     # k2 = 1 puts m_out where every kind sees pseudo-OOD arrivals
-    config = fresh_auto_config(model, score_kind=kind, k2=1.0)
+    config = RunConfig(score=kind.kind, energy_temperature=kind.temperature, k2=1.0)
     margins = fresh_state(canonical, config).margins
     stream = canonical["stream"]
     fast = engine.run_posthoc(model, margins, stream, kind)
@@ -168,9 +168,10 @@ def test_run_posthoc_equals_per_arrival_loop(canonical, kind):
 @pytest.mark.parametrize("subsample", [None, 7])
 def test_init_state_margins_equal_per_row_oracle(canonical, kind, subsample):
     model = canonical["model"]
-    config = fresh_auto_config(model, score_kind=kind, stats_subsample_n=subsample)
+    config = RunConfig(score=kind.kind, energy_temperature=kind.temperature,
+                       stats_subsample_n=subsample or 0)
     rows = canonical["train"].features[:subsample]
-    expected = init_margins_reference(model, rows, config)
+    expected = init_margins_reference(model, rows, kind, config)
     assert fresh_state(canonical, config).margins == expected
 
 
@@ -243,9 +244,8 @@ def test_no_trainable_groups_gives_no_gradients():
 @pytest.mark.parametrize("groups", ["last_block", "block1+fc"])
 def test_canonical_replay_equals_full_gradient_replay(canonical, monkeypatch, groups):
     model = canonical["model"]
-    trainable = RunConfig(trainable_groups=groups).resolve_groups(model)
-    config = fresh_auto_config(model, sgd=SgdConfig(learning_rate=0.001,
-                                                    trainable_groups=trainable))
+    config = RunConfig(trainable_groups=groups)
+    trainable = config.resolve_groups(model)
     fast_state = fresh_state(canonical, config)
     fast = engine.run_stream(fast_state, config, canonical["stream"])
 

@@ -65,13 +65,11 @@ def test_canonical_replay_bytes_are_pinned(canonical, mode):
                     f"this is {here}")
     cfg = canonical["run_config"]
     model = nn.clone_frozen(canonical["model"])
-    auto_cfg = cfg.auto_config(model)
-    state = engine.init_state(model, canonical["train"], auto_cfg)
+    state = engine.init_state(model, canonical["train"], cfg)
     if mode == "frozen":
-        log = engine.run_posthoc(model, state.margins, canonical["stream"],
-                                 auto_cfg.score_kind)
+        log = engine.run_posthoc(model, state.margins, canonical["stream"], state.score_kind)
     else:
-        log = engine.run_stream(state, auto_cfg, canonical["stream"])
+        log = engine.run_stream(state, cfg, canonical["stream"])
     assert digests(log) == PINNED[mode], (
         f"{mode} replay bytes moved (pinned with numpy {PINNED_NUMPY}, "
         f"running numpy {np.__version__})")

@@ -178,14 +178,3 @@ def test_circle_means_geometry():
     for m in means:
         assert len(m) == 3 and m[2] == 0.0
         assert math.hypot(m[0], m[1]) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_auto_config_construction():
-    cfg = RunConfig(score="energy", energy_temperature=2.0, iters_t=3)
-    model = nn.init_mlp(cfg.layer_dims(), seed=0)
-    auto = cfg.auto_config(model)
-    assert auto.score_kind.kind == "energy"
-    assert auto.score_kind.temperature == 2.0
-    assert auto.iters_t == 3
-    assert auto.sgd.trainable_groups == {"block2"}
-    assert auto.stats_subsample_n is None  # 0 sentinel maps to "use all"
