@@ -103,12 +103,30 @@ def _run_once(cfg: RunConfig, mode: str) -> tuple[engine.EventLog, engine.AutoSt
 
 
 def _write_events_csv(path: Path, log: engine.EventLog, chash: str) -> None:
-    names = np.array([d.value for d in engine.DECISIONS])
-    rows = zip(range(len(log)), log.score.tolist(), log.prediction.tolist(),
-               names[log.decision].tolist(), log.is_ood.tolist(), log.label.tolist(),
-               log.m_out.tolist())
+    """One ``%d,%.17g,%d,%s,%d,%d,%.17g`` row per arrival. A stream holds few
+    distinct prediction/decision/is_ood/label combinations, and m_out moves
+    only at episodes, so each distinct value of those is formatted once."""
+    n = len(log)
+    # One integer per distinct (prediction, label, decision, is_ood); labels
+    # start at -1, so label + 1 < span.
+    span = max(int(log.prediction.max(initial=0)), int(log.label.max(initial=0))) + 2
+    key = ((log.prediction * span + log.label + 1) * len(engine.DECISIONS)
+           + log.decision) * 2 + log.is_ood
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    combos = [f"{p},{engine.DECISIONS[d].value},{o:d},{y}" for p, d, o, y in zip(
+        *(column[first].tolist() for column in (log.prediction, log.decision, log.is_ood,
+                                                log.label)))]
+    # Runs of equal m_out bits (so 0.0 and -0.0 stay apart).
+    bits = log.m_out.view(np.int64)
+    changed = np.ones(n, dtype=bool)
+    changed[1:] = bits[1:] != bits[:-1]
+    starts = np.flatnonzero(changed)
+    m_outs = np.repeat(np.array(["%.17g" % v for v in log.m_out[starts].tolist()], dtype=object),
+                       np.diff(starts, append=n))
     lines = [f"# config_hash={chash}", EVENT_COLUMNS]
-    lines += ["%d,%.17g,%d,%s,%d,%d,%.17g" % row for row in rows]
+    lines += map("%d,%.17g,%s,%s".__mod__, zip(range(n), log.score.tolist(),
+                                                np.array(combos, dtype=object)[inverse].tolist(),
+                                                m_outs.tolist()))
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

@@ -80,34 +80,42 @@ class ScenarioSpec:
     seed: int
 
     def validate(self) -> None:
-        if self.num_classes < 2:
-            raise ValueError(f"need at least 2 classes, got {self.num_classes}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        """Raise ValueError naming the config key of the first bad value;
+        NaN fails every check."""
+        for key, value, ok, rule in (
+            ("scenario.classes", self.num_classes, self.num_classes >= 2, ">= 2"),
+            ("scenario.dim", self.dim, self.dim >= 1, ">= 1"),
+            ("scenario.id_spread", self.id_spread, self.id_spread > 0, "> 0"),
+            ("scenario.train_n", self.train_n, self.train_n >= 1, ">= 1"),
+            ("scenario.test_id_n", self.test_id_n, self.test_id_n >= 1, ">= 1"),
+            ("scenario.ood_n", self.ood_n, self.ood_n >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} = {value!r} is out of range: it must be {rule}")
         if len(self.class_means) != self.num_classes:
             raise ValueError("one mean per class required")
         if any(len(m) != self.dim for m in self.class_means):
             raise ValueError("class means must have length dim")
-        if self.id_spread <= 0:
-            raise ValueError("id_spread must be positive")
-        if min(self.train_n, self.test_id_n, self.ood_n) < 1:
-            raise ValueError("sample counts must be >= 1")
         for i, src in enumerate(self.ood_sources, start=1):
+            key = f"scenario.ood{i}"
+            positive: tuple[tuple[str, float], ...] = ()
             if isinstance(src, GaussianSource):
                 if len(src.mean) != self.dim:
-                    raise ValueError(f"OOD source {i} (scenario.ood{i}.center) has "
+                    raise ValueError(f"OOD source {i} ({key}.center) has "
                                      f"length {len(src.mean)}; dim is {self.dim}")
-                if src.spread <= 0:
-                    raise ValueError("gaussian source spread must be positive")
-            if isinstance(src, RingSource) and (src.radius <= 0 or src.width <= 0):
-                raise ValueError("ring radius and width must be positive")
-            if isinstance(src, UniformBoxSource):
+                positive = (("spread", src.spread),)
+            elif isinstance(src, RingSource):
+                positive = (("radius", src.radius), ("width", src.width))
+            else:
                 lo, hi = np.asarray(src.low), np.asarray(src.high)
                 if lo.shape != (self.dim,) or hi.shape != (self.dim,):
-                    raise ValueError(f"OOD source {i} (scenario.ood{i}.low/high): box "
+                    raise ValueError(f"OOD source {i} ({key}.low/high): box "
                                      f"bounds must have length dim = {self.dim}")
-                if np.any(hi <= lo):
-                    raise ValueError("box high bounds must exceed low bounds")
+                if not np.all(hi > lo):
+                    raise ValueError(f"{key}.high must exceed {key}.low in every coordinate")
+            for name, value in positive:
+                if not value > 0:
+                    raise ValueError(f"{key}.{name} = {value!r} is out of range: it must be > 0")
 
 
 def _even_split(total: int, parts: int) -> list[int]:

@@ -242,12 +242,12 @@ class LossSpec:
 
 def _backprop(model: MlpModel, pre_acts: list[np.ndarray], acts: list[np.ndarray],
               dlogits: np.ndarray, keep: list[bool], grads: Gradients) -> None:
-    """Add parameter gradients from batched dL/dlogits (N, C) into ``grads``.
+    """Store parameter gradients from batched dL/dlogits (N, C) in ``grads``.
 
     Only layers with ``keep[i]`` get a gradient, and the error signal is not
-    propagated below the lowest of them. A slot that is still None takes its
-    first contribution as is; later ones are added in place. The result equals
-    summing into zero-filled buffers except for the sign of an exact zero.
+    propagated below the lowest of them. The slots are written, not added
+    to: the result equals adding into zero-filled buffers except for the
+    sign of an exact zero.
     """
     lowest = keep.index(True) if True in keep else model.num_layers
     delta = dlogits
@@ -257,16 +257,11 @@ def _backprop(model: MlpModel, pre_acts: list[np.ndarray], acts: list[np.ndarray
                 # One row: each entry is a single product, which the outer
                 # product gives exactly and numpy's K=1 matmul loop does
                 # slowly; the bias gradient is the row itself.
-                d_w = np.einsum("i,j->ij", acts[i][0], delta[0])
-                d_b = delta[0].copy()
+                grads.d_weights[i] = np.einsum("i,j->ij", acts[i][0], delta[0])
+                grads.d_biases[i] = delta[0].copy()
             else:
-                d_w = acts[i].T @ delta
-                d_b = delta.sum(axis=0)
-            if grads.d_weights[i] is None:
-                grads.d_weights[i], grads.d_biases[i] = d_w, d_b
-            else:
-                grads.d_weights[i] += d_w
-                grads.d_biases[i] += d_b
+                grads.d_weights[i] = acts[i].T @ delta
+                grads.d_biases[i] = delta.sum(axis=0)
         if i > lowest:
             delta = (delta @ model.weights[i].T) * (pre_acts[i - 1] > 0.0)
 
@@ -308,26 +303,32 @@ def _loss_and_grad(model: MlpModel, x: np.ndarray, spec: LossSpec,
                    trainable: frozenset[str] | None = None) -> tuple[float, Gradients | None]:
     """Loss value and, if ``want_grad``, its gradients.
 
+    The probe row and, when the bank term carries weight, the C bank rows go
+    through one forward and one backprop as a single (1 + C, d) batch, probe
+    first: each kept layer's weight gradient is one matmul over all terms.
+    The batch shape is fixed by the spec, so the bits are too.
+
     With ``trainable`` set, only layers in those groups get a gradient (the
     others are None); their values equal the matching entries of the full
     gradient bit for bit.
     """
-    keep = [trainable is None or g in trainable for g in model.group_labels]
-    grads = _empty_gradients(model) if want_grad else None
     xv = np.asarray(x, dtype=np.float64)
     if xv.shape != (model.input_dim,):
         raise InputDimensionError(
             f"expected input of shape ({model.input_dim},), got {xv.shape}"
         )
-    logits, pre, acts = _forward_batch(model, xv[None, :])
-    total, dl = _probe_dlogits(logits[0], spec)
-    if want_grad and (dl != 0.0).any():
-        _backprop(model, pre, acts, dl[None, :], keep, grads)  # type: ignore[arg-type]
-    if spec.bank_inputs is not None and spec.bank_weight != 0.0:
-        xb = np.asarray(spec.bank_inputs, dtype=np.float64)
+    with_bank = spec.bank_inputs is not None and spec.bank_weight != 0.0
+    if with_bank:
         yb = np.asarray(spec.bank_labels, dtype=np.int64)
-        logits, pre, acts = _forward_batch(model, xb)
-        ls = logits - logits.max(axis=1, keepdims=True)
+        rows = np.concatenate([xv[None, :], np.asarray(spec.bank_inputs, dtype=np.float64)])
+    else:
+        rows = xv[None, :]
+    logits, pre, acts = _forward_batch(model, rows)
+    total, dl = _probe_dlogits(logits[0], spec)
+    dlogits = np.empty_like(logits)
+    dlogits[0] = dl
+    if with_bank:
+        ls = logits[1:] - logits[1:].max(axis=1, keepdims=True)
         ls = ls - np.log(np.exp(ls).sum(axis=1, keepdims=True))
         per_row = -ls[np.arange(len(yb)), yb]
         scale = spec.bank_weight / (len(yb) if spec.bank_reduction == "mean" else 1)
@@ -335,13 +336,12 @@ def _loss_and_grad(model: MlpModel, x: np.ndarray, spec: LossSpec,
         if want_grad:
             probs = np.exp(ls)
             probs[np.arange(len(yb)), yb] -= 1.0
-            _backprop(model, pre, acts, scale * probs, keep, grads)  # type: ignore[arg-type]
-    if grads is not None:
-        # A requested layer that no term reached has a zero gradient.
-        for i, k in enumerate(keep):
-            if k and grads.d_weights[i] is None:
-                grads.d_weights[i] = np.zeros_like(model.weights[i])
-                grads.d_biases[i] = np.zeros_like(model.biases[i])
+            np.multiply(probs, scale, out=dlogits[1:])
+    if not want_grad:
+        return total, None
+    grads = _empty_gradients(model)
+    keep = [trainable is None or g in trainable for g in model.group_labels]
+    _backprop(model, pre, acts, dlogits, keep, grads)
     return total, grads
 
 

@@ -119,6 +119,10 @@ class RunConfig:
         ):
             if not ok:
                 raise ConfigError(f"{key} = {value!r} is out of range: it must be {rule}")
+        try:
+            self.scenario_spec().validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     # -- derived objects ----------------------------------------------------
 

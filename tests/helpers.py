@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference gradients, log builders, and
-straight-line reference formulas that the fast paths must equal bit for bit."""
+straight-line reference formulas that the fast paths must equal bit for bit
+(the two-pass gradient oracle only within a stated tolerance)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import struct
 import numpy as np
 
 from oodstream import filtering, nn, scoring
+from oodstream.cli import EVENT_COLUMNS
 from oodstream.data import LabeledSet, Stream
 from oodstream.engine import DECISIONS, EventLog, StreamEvent
 from oodstream.filtering import FilterDecision
@@ -281,14 +283,51 @@ def backprop_reference(model: MlpModel, pre_acts, acts, dlogits: np.ndarray,
             delta = (delta @ model.weights[i].T) * (pre_acts[i - 1] > 0.0)
 
 
-def loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
-                            trainable=None) -> tuple[float, Gradients]:
-    """Loss and gradients of ``spec``, every requested slot starting at zero."""
+def _zero_filled_slots(model: MlpModel, trainable) -> Gradients:
     keep = [trainable is None or g in trainable for g in model.group_labels]
-    grads = Gradients(
+    return Gradients(
         [np.zeros_like(w) if k else None for w, k in zip(model.weights, keep)],
         [np.zeros_like(b) if k else None for b, k in zip(model.biases, keep)],
     )
+
+
+def fused_loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
+                                  trainable=None) -> tuple[float, Gradients]:
+    """The single-batch evaluation written out: the probe row stacked on the
+    bank rows (when the bank term carries weight), one layer-by-layer
+    forward, each row's dL/dlogits from the reference formulas, and one
+    matmul per layer into zero-filled slots."""
+    rows = np.asarray(x, dtype=np.float64)[None, :]
+    with_bank = spec.bank_inputs is not None and spec.bank_weight != 0.0
+    if with_bank:
+        rows = np.vstack([rows, np.asarray(spec.bank_inputs, dtype=np.float64)])
+    pre, acts = [], [rows]
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ w + b
+        pre.append(z)
+        acts.append(z if i == model.num_layers - 1 else np.maximum(z, 0.0))
+    logits = acts[-1]
+    total, dl_probe = probe_dlogits_reference(logits[0], spec)
+    dlogits = [dl_probe]
+    if with_bank:
+        yb = np.asarray(spec.bank_labels, dtype=np.int64)
+        ls = logits[1:] - logits[1:].max(axis=1, keepdims=True)
+        ls = ls - np.log(np.exp(ls).sum(axis=1, keepdims=True))
+        scale = spec.bank_weight / (len(yb) if spec.bank_reduction == "mean" else 1)
+        total += scale * float(-ls[np.arange(len(yb)), yb].sum())
+        probs = np.exp(ls)
+        probs[np.arange(len(yb)), yb] -= 1.0
+        dlogits.extend(scale * probs)
+    grads = _zero_filled_slots(model, trainable)
+    backprop_reference(model, pre, acts, np.array(dlogits), grads)
+    return total, grads
+
+
+def loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
+                            trainable=None) -> tuple[float, Gradients]:
+    """The two-pass evaluation: the probe row and the bank rows each get their
+    own forward and backprop, summed into zero-filled slots."""
+    grads = _zero_filled_slots(model, trainable)
     logits, pre, acts = _forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
     total, dl = _probe_dlogits(logits[0], spec)
     if (dl != 0.0).any():
@@ -389,6 +428,21 @@ def corrupt_checkpoint(path, kind: str) -> None:
     head, payload = lines[3].rsplit(" ", 1)
     lines[3] = f"{head} {CORRUPT_PAYLOADS[kind](payload)}"
     path.write_text("\n".join(lines), encoding="ascii")
+
+
+# ---------------------------------------------------------------------------
+# events CSV oracle
+
+
+def events_csv_reference(log: EventLog, chash: str) -> str:
+    """The events CSV text with every field of every row formatted on its own."""
+    names = np.array([d.value for d in DECISIONS])
+    rows = zip(range(len(log)), log.score.tolist(), log.prediction.tolist(),
+               names[log.decision].tolist(), log.is_ood.tolist(), log.label.tolist(),
+               log.m_out.tolist())
+    lines = [f"# config_hash={chash}", EVENT_COLUMNS]
+    lines += ["%d,%.17g,%d,%s,%d,%d,%.17g" % row for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 from helpers import CORRUPT_PAYLOADS, corrupt_checkpoint
 from oodstream import cli, data, nn
 from oodstream.cli import main
+from oodstream.data import GaussianSource, RingSource, UniformBoxSource
 from oodstream.runconfig import RunConfig, from_text, to_text
 
 SMALL_OVERRIDES = dict(
@@ -110,8 +111,33 @@ def test_gaussian_center_of_wrong_length_fails_with_one_line(tmp_path, capsys, c
     path = tmp_path / "center.cfg"
     path.write_text(text.replace(line, f"scenario.ood1.center = {center}"), encoding="ascii")
     assert main(["--config", str(path), "pretrain"]) == 1
-    assert capsys.readouterr().err == (f"error: OOD source 1 (scenario.ood1.center) has "
-                                       f"length {n}; dim is 2\n")
+    assert capsys.readouterr().err == (f"error: config error: OOD source 1 "
+                                       f"(scenario.ood1.center) has length {n}; dim is 2\n")
+    assert not (tmp_path / "out").exists()
+
+
+THREE_SOURCES = (GaussianSource(mean=(3.0, 0.0), spread=0.5),
+                 UniformBoxSource(low=(-4.0, -4.0), high=(4.0, 4.0)),
+                 RingSource(radius=3.0, width=1.0))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("scenario.ood1.spread", "-1"), ("scenario.ood1.spread", "nan"),
+    ("scenario.ood2.low", "-4"), ("scenario.ood2.high", "4,-5"),
+    ("scenario.ood3.radius", "0"), ("scenario.ood3.width", "-1"),
+    ("scenario.id_spread", "0"), ("scenario.train_n", "0"), ("scenario.classes", "1"),
+])
+def test_bad_scenario_value_fails_at_load(tmp_path, capsys, key, value):
+    """No checkpoint exists, so only a check at load can produce this error."""
+    text = to_text(RunConfig(**SMALL_OVERRIDES, ood_sources=THREE_SOURCES,
+                             out_dir=str(tmp_path / "out")))
+    [line] = [ln for ln in text.splitlines() if ln.startswith(f"{key} = ")]
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace(line, f"{key} = {value}"), encoding="ascii")
+    assert main(["--config", str(path), "run", "--mode", "auto"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config error: ") and err.count("\n") == 1
+    assert key in err
     assert not (tmp_path / "out").exists()
 
 

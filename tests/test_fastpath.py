@@ -2,10 +2,11 @@
 
 The per-arrival path (forward, scoring, prediction), fixed-model scoring
 (all rows of the frozen replay and of the margin statistics at once), the
-update episode (trainable-only gradients), the gradient buffers (no zero
-fill, one-row weight gradients as outer products) and checkpoint writing
-skip work the references do, but must compute the same results: every
-comparison here is exact.
+update episode (trainable-only gradients), the gradient buffers (one batch
+for all loss terms, no zero fill, one-row weight gradients as outer
+products) and checkpoint writing skip work the references do, but must
+compute the same results: every comparison here is exact, except against
+the two-pass gradient oracle, whose sums run in another order.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fresh_state
-from helpers import (assert_columns_equal, checkpoint_hex_text_reference, init_margins_reference,
+from helpers import (assert_columns_equal, checkpoint_hex_text_reference, events_csv_reference,
+                     fused_loss_and_grad_reference, init_margins_reference, log_from_columns,
                      loss_and_grad_reference, log_softmax_reference, predict_reference,
                      probe_dlogits_reference, run_posthoc_reference, score_reference,
                      train_offline_reference)
-from oodstream import engine, nn
+from oodstream import cli, engine, metrics, nn
 from oodstream.data import LabeledSet
 from oodstream.nn import LossSpec, SgdConfig, _forward_batch, _probe_dlogits, init_mlp
 from oodstream.runconfig import RunConfig
@@ -291,26 +293,93 @@ def term_spec(rng, model, terms):
     return spec
 
 
-@pytest.mark.parametrize("dims", [[2, 128, 128, 3], [8, 512, 512, 4]])
-@pytest.mark.parametrize("terms", ["probe", "bank", "both", "none"])
-def test_gradients_equal_zero_filled_matmul_oracle(dims, terms):
+GRAD_DIMS = [[2, 128, 128, 3], [8, 512, 512, 4]]
+TERMS = ["probe", "bank", "both", "none"]
+
+# The two-pass oracle sums the probe and bank contributions separately and
+# forwards the probe row on its own, so its bits differ from the single
+# batch's. Tolerance: 256 ulps of a tensor's largest entry, and 256 ulps of
+# the loss; measured differences stay below 8 ulps on both widths.
+TWO_PASS_RTOL = 256 * np.finfo(np.float64).eps
+
+
+def assert_gradients_close(got, expected, rtol):
+    for a, b in zip(got.d_weights + got.d_biases, expected.d_weights + expected.d_biases):
+        if b is None:
+            assert a is None
+        else:
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+def gradient_cases(dims, terms, n=3):
+    """Model with random biases, and n (probe row, spec) pairs."""
     rng = np.random.default_rng(len(terms) + dims[1])
     model = init_mlp(dims, seed=2)
     for b in model.biases:
         b[:] = rng.normal(0.0, 0.1, size=b.shape)
-    for _ in range(3):
-        x = rng.normal(size=dims[0])
-        spec = term_spec(rng, model, terms)
-        ref_loss, ref = loss_and_grad_reference(model, x, spec)
-        assert_gradients_equal(nn._loss_and_grad(model, x, spec)[1], ref)
+    return model, [(rng.normal(size=dims[0]), term_spec(rng, model, terms)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("dims", GRAD_DIMS)
+@pytest.mark.parametrize("terms", TERMS)
+def test_gradients_equal_zero_filled_matmul_oracle(dims, terms):
+    """Exactly the fused oracle's values; the two-pass oracle's within
+    ``TWO_PASS_RTOL``."""
+    model, cases = gradient_cases(dims, terms)
+    for x, spec in cases:
+        ref_loss, ref = fused_loss_and_grad_reference(model, x, spec)
+        two_pass_loss, two_pass = loss_and_grad_reference(model, x, spec)
+        loss, full = nn._loss_and_grad(model, x, spec)
+        assert loss == ref_loss == nn.total_loss(model, x, spec)
+        assert_gradients_equal(full, ref)
+        assert abs(loss - two_pass_loss) <= TWO_PASS_RTOL * abs(two_pass_loss)
+        assert_gradients_close(full, two_pass, TWO_PASS_RTOL)
         for groups in ({"block2"}, {"block1", "fc"}, {"fc"}):
             trainable = frozenset(groups)
             loss, part = nn._loss_and_grad(model, x, spec, trainable=trainable)
-            _, ref_part = loss_and_grad_reference(model, x, spec, trainable)
+            _, ref_part = fused_loss_and_grad_reference(model, x, spec, trainable)
+            _, two_pass_part = loss_and_grad_reference(model, x, spec, trainable)
             assert loss == ref_loss
             assert_gradients_equal(part, ref_part)
+            assert_gradients_close(part, two_pass_part, TWO_PASS_RTOL)
     if terms == "none":
         assert all(not g.any() for g in ref.d_weights + ref.d_biases)
+        assert all(not g.any() for g in full.d_weights + full.d_biases)
+
+
+@pytest.mark.parametrize("dims", GRAD_DIMS)
+@pytest.mark.parametrize("terms", TERMS)
+def test_trainable_gradient_bits_equal_full_gradient(dims, terms):
+    model, cases = gradient_cases(dims, terms)
+    for x, spec in cases:
+        full = nn._loss_and_grad(model, x, spec)[1]
+        for groups in ({"block1"}, {"block2"}, {"fc"}, {"block1", "fc"}):
+            part = nn._loss_and_grad(model, x, spec, trainable=frozenset(groups))[1]
+            for i, group in enumerate(model.group_labels):
+                for got, want in ((part.d_weights[i], full.d_weights[i]),
+                                  (part.d_biases[i], full.d_biases[i])):
+                    if group in groups:
+                        assert got.tobytes() == want.tobytes()
+                    else:
+                        assert got is None
+
+
+def two_pass_loss_and_grad(model, x, spec, want_grad=True, trainable=None):
+    """``nn._loss_and_grad``'s signature over the two-pass oracle."""
+    loss, grads = loss_and_grad_reference(model, x, spec, trainable)
+    return loss, grads if want_grad else None
+
+
+def test_canonical_replay_matches_two_pass_gradient_replay(canonical, monkeypatch):
+    config = canonical["run_config"]
+    fused = engine.run_stream(fresh_state(canonical, config), config, canonical["stream"])
+    monkeypatch.setattr(nn, "_loss_and_grad", two_pass_loss_and_grad)
+    two_pass = engine.run_stream(fresh_state(canonical, config), config, canonical["stream"])
+    assert fused.counts.updates > 0
+    assert fused.decision.tobytes() == two_pass.decision.tobytes()
+    assert fused.counts == two_pass.counts
+    assert metrics.report(fused) == metrics.report(two_pass)
 
 
 def test_one_row_outer_product_equals_matmul():
@@ -350,3 +419,27 @@ def test_save_checkpoint_bytes_equal_per_value_hex_oracle(tmp_path):
     path = tmp_path / "model.ckpt"
     nn.save_checkpoint(model, path)
     assert path.read_bytes() == checkpoint_hex_text_reference(model).encode("ascii")
+
+
+def test_events_csv_bytes_equal_per_row_oracle(canonical, tmp_path):
+    """The canonical frozen and auto logs, an empty log, and a log whose m_out
+    changes on every row (signed zeros, a NaN, repeats two rows apart)."""
+    config = canonical["run_config"]
+    state = fresh_state(canonical, config)
+    frozen = engine.run_posthoc(state.model_t, state.margins, canonical["stream"],
+                                state.score_kind)
+    auto = engine.run_stream(state, config, canonical["stream"])
+    assert auto.counts.updates > 0
+    rng = np.random.default_rng(16)
+    n = 400
+    m_out = rng.normal(0.9, 0.05, size=n)
+    m_out[:8] = [0.0, -0.0, 0.0, math.nan, 1.0, 0.5, 1.0, -0.0]
+    busy = log_from_columns(rng.normal(size=n), rng.random(n) < 0.5,
+                            prediction=rng.integers(0, 5, n), label=rng.integers(-1, 5, n),
+                            decision=rng.integers(0, len(engine.DECISIONS), n), m_out=m_out)
+    logs = {"frozen": frozen, "auto": auto, "empty": log_from_columns([], []),
+            "m_out_every_row": busy}
+    for name, log in logs.items():
+        path = tmp_path / f"{name}.csv"
+        cli._write_events_csv(path, log, "abc123")
+        assert path.read_bytes() == events_csv_reference(log, "abc123").encode("ascii"), name

@@ -35,13 +35,13 @@ PINNED = {
         "traces": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
     "auto": {
-        "score": "457de576b60d14c01ad80bae6a4faf9a004863b8967c6bd8e71d2df32d4c829e",
+        "score": "46ad0c1f446e81b43c112be36e678c1a5e9cd1acff32d81e899bfa2f9bb9ac9c",
         "prediction": "f855cd9e955b90c21cd06e46b91a6ab42097e3173ae3f1baec19b53a7f336f11",
         "decision": "505213c69960d95ce8f14f0abc9d73a18a8640708b89d069f5c0a476483567b9",
         "is_ood": "f7332a4ecce710ed9045f0dc90b284c86750689c58fa80c0f625b85fcaca4f28",
         "label": "d239210f1f7958adc7723aea2fa9f58c494d973c1a57e64c527d426171b15863",
-        "m_out": "68e2c59ca738397fa6e026557f2fbab1c5bb6101fd9f4fd91342f2d61dd15026",
-        "traces": "0755345c3ebb2b2fa317804c6ab2d0001a69ed691284b4186765e216394079da",
+        "m_out": "6b7d6639a583a09e70a55881cba3850d59dba491d58bb4629f4f9f0a53eb9d79",
+        "traces": "b6ca617453dadab7f3d57bb209b503c5a0810d077d5105b23ae20d69f8b27429",
     },
 }
 
@@ -70,6 +70,14 @@ def test_canonical_replay_bytes_are_pinned(canonical, mode):
         log = engine.run_posthoc(model, state.margins, canonical["stream"], state.score_kind)
     else:
         log = engine.run_stream(state, cfg, canonical["stream"])
-    assert digests(log) == PINNED[mode], (
+    got = digests(log)
+    assert got == PINNED[mode], (
         f"{mode} replay bytes moved (pinned with numpy {PINNED_NUMPY}, "
-        f"running numpy {np.__version__})")
+        f"running numpy {np.__version__}):\n" + digest_table(PINNED[mode], got))
+
+
+def digest_table(pinned: dict[str, str], got: dict[str, str]) -> str:
+    """One line per column: the pinned sha256, the new one, and whether it moved,
+    so a re-pin can be reviewed from the test log."""
+    return "\n".join(f"  {name:<10} pinned {pinned[name]}  now {got[name]}"
+                     f"{'' if got[name] == pinned[name] else '  MOVED'}" for name in pinned)

@@ -123,19 +123,12 @@ def test_out_of_range_value_rejected_at_load(key):
 finite = st.floats(allow_nan=False, allow_infinity=False)
 nonnegative = st.floats(0.0, allow_infinity=False)
 positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
-coords = st.lists(finite, min_size=1, max_size=3).map(tuple)
-OOD_SOURCES = st.one_of(
-    st.builds(GaussianSource, mean=coords, spread=finite),
-    st.builds(UniformBoxSource, low=coords, high=coords),
-    st.builds(RingSource, radius=finite, width=finite),
-)
 CONFIG_VALUES = dict(
     dim=st.integers(1, 64), classes=st.integers(2, 64), mean_radius=finite,
-    id_spread=finite, train_n=st.integers(1, 10**9), seed=st.integers(-2**70, 2**70),
+    id_spread=positive, train_n=st.integers(1, 10**9), seed=st.integers(-2**70, 2**70),
     stream=st.sampled_from(["single", "mixed", "timeseries"]),
     kappa=st.floats(0.0, 1.0, exclude_max=True),
     stream_seed=st.integers(-2**70, 2**70),
-    ood_sources=st.lists(OOD_SOURCES, min_size=1, max_size=3).map(tuple),
     hidden=st.lists(st.integers(1, 4096), min_size=1, max_size=4).map(tuple),
     pretrain_lr=positive, pretrain_momentum=finite, lambda1=nonnegative,
     lambda2=nonnegative,
@@ -147,8 +140,28 @@ CONFIG_VALUES = dict(
 )
 
 
+def ood_sources(dim: int):
+    """Valid OOD sources in ``dim`` dimensions: the loader rejects any other."""
+    bounds = st.tuples(finite, finite).filter(lambda b: b[0] != b[1]).map(sorted)
+    return st.one_of(
+        st.builds(GaussianSource, mean=st.lists(finite, min_size=dim, max_size=dim).map(tuple),
+                  spread=positive),
+        st.lists(bounds, min_size=dim, max_size=dim).map(lambda bs: UniformBoxSource(
+            low=tuple(lo for lo, _ in bs), high=tuple(hi for _, hi in bs))),
+        st.builds(RingSource, radius=positive, width=positive),
+    )
+
+
+@st.composite
+def config_values(draw) -> dict:
+    values = draw(st.fixed_dictionaries(CONFIG_VALUES))
+    values["ood_sources"] = tuple(draw(st.lists(ood_sources(values["dim"]),
+                                                min_size=1, max_size=3)))
+    return values
+
+
 @settings(max_examples=100, deadline=None)
-@given(values=st.fixed_dictionaries(CONFIG_VALUES))
+@given(values=config_values())
 def test_round_trip_random_values(values):
     cfg = RunConfig(**values)
     text = to_text(cfg)
