@@ -18,9 +18,9 @@ from .filtering import (FilterDecision, IdStats, Margins, classify,
 from .memory import MemoryBank, init_prototype, init_random, replace
 from .metrics import (MetricsReport, auroc, fpr_at_tpr, id_accuracy, report,
                       report_to_json)
-from .nn import (Gradients, LossSpec, MlpModel, SgdConfig, clone_frozen, forward_logits,
-                 init_mlp, load_checkpoint, save_checkpoint, sgd_step, total_loss,
-                 train_offline)
+from .nn import (EpisodeBatch, Gradients, LossSpec, MlpModel, SgdConfig, clone_frozen,
+                 forward_logits, init_mlp, load_checkpoint, prepare_episode, save_checkpoint,
+                 sgd_step, total_loss, train_offline)
 from .runconfig import ConfigError, RunConfig, config_hash, from_text, to_text
 from .scoring import ScoreKind, predict, score
 

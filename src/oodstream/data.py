@@ -98,6 +98,10 @@ class ScenarioSpec:
             raise ValueError("class means must have length dim")
         for i, src in enumerate(self.ood_sources, start=1):
             key = f"scenario.ood{i}"
+            for name, values in _source_values(src):
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"{key}.{name} = {','.join(map(repr, values))} is out "
+                                     "of range: it must be finite")
             positive: tuple[tuple[str, float], ...] = ()
             if isinstance(src, GaussianSource):
                 if len(src.mean) != self.dim:
@@ -116,6 +120,15 @@ class ScenarioSpec:
             for name, value in positive:
                 if not value > 0:
                     raise ValueError(f"{key}.{name} = {value!r} is out of range: it must be > 0")
+
+
+def _source_values(src: OodSource) -> tuple[tuple[str, tuple[float, ...]], ...]:
+    """(config key suffix, values) of each float field of an OOD source."""
+    if isinstance(src, GaussianSource):
+        return ("center", tuple(src.mean)), ("spread", (src.spread,))
+    if isinstance(src, RingSource):
+        return ("radius", (src.radius,)), ("width", (src.width,))
+    return ("low", tuple(src.low)), ("high", tuple(src.high))
 
 
 def _even_split(total: int, parts: int) -> list[int]:

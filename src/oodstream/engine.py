@@ -26,7 +26,7 @@ import numpy as np
 
 from . import filtering, memory, nn, scoring
 from .data import LabeledSet, Stream
-from .filtering import FilterDecision, Margins
+from .filtering import PSEUDO_ID, PSEUDO_OOD, FilterDecision, Margins
 from .memory import MemoryBank
 from .nn import LossSpec, MlpModel, SgdConfig
 from .runconfig import RunConfig
@@ -174,6 +174,11 @@ def _episode_spec(state: AutoState, cfg: RunConfig, pred_0: int, lam2: float) ->
     )
 
 
+def _check_finite(loss: float, state: AutoState) -> None:
+    if not math.isfinite(loss):
+        raise NonFiniteLossError(f"non-finite loss {loss} at stream index {state.step_counter}")
+
+
 def step(state: AutoState, cfg: RunConfig, x: np.ndarray,
          hidden_truth: tuple[bool, int | None]) -> tuple[StreamEvent, UpdateTrace | None]:
     """Process one arrival; returns its event and, for update episodes, the
@@ -188,43 +193,31 @@ def step(state: AutoState, cfg: RunConfig, x: np.ndarray,
     decision = filtering.classify(state.margins, arrival_score)
     trace: UpdateTrace | None = None
 
-    if decision == FilterDecision.PSEUDO_ID:
+    if decision is PSEUDO_ID:
         memory.replace(state.bank, x, prediction)
-    elif decision == FilterDecision.PSEUDO_OOD:
-        lam2 = lambda2_at(cfg, state.update_counter)
+    elif decision is PSEUDO_OOD:
         pred_0 = scoring.predict(nn.forward_logits(state.model_0, x))
-        spec = _episode_spec(state, cfg, pred_0, lam2)
-        losses: list[float] = []
-        for _ in range(cfg.iters_t):
-            loss, grads = nn._loss_and_grad(state.model_t, x, spec,
-                                            trainable=state.sgd.trainable_groups)
-            if not math.isfinite(loss):
-                raise NonFiniteLossError(
-                    f"non-finite loss {loss} at stream index {state.step_counter}"
-                )
-            losses.append(loss)
-            nn.sgd_step(state.model_t, grads, state.sgd)
         if cfg.iters_t > 0:
-            final = nn.total_loss(state.model_t, x, spec)
-            if not math.isfinite(final):
-                raise NonFiniteLossError(
-                    f"non-finite loss {final} at stream index {state.step_counter}"
-                )
+            spec = _episode_spec(state, cfg, pred_0, lambda2_at(cfg, state.update_counter))
+            batch = nn.prepare_episode(state.model_t, x, spec, state.sgd.trainable_groups)
+            losses: list[float] = []
+            for _ in range(cfg.iters_t):
+                loss, grads = nn._loss_and_grad(state.model_t, batch)
+                _check_finite(loss, state)
+                losses.append(loss)
+                nn.sgd_step(state.model_t, grads, state.sgd)
+            final = nn.total_loss(state.model_t, batch)
+            _check_finite(final, state)
             losses.append(final)
             trace = UpdateTrace(state.step_counter, tuple(losses))
         state.update_counter += 1
         state.margins = filtering.update_outlier_margin(state.margins, arrival_score)
 
-    event = StreamEvent(
-        index=state.step_counter,
-        score_at_arrival=arrival_score,
-        prediction=prediction,
-        decision=decision,
-        ground_truth_is_ood=bool(hidden_truth[0]),
-        ground_truth_label=None if hidden_truth[1] is None or hidden_truth[1] < 0
-        else int(hidden_truth[1]),
-        m_out_after=state.margins.m_out,
-    )
+    # Positional fields: the keyword form costs about 1 µs more per arrival.
+    is_ood, label = hidden_truth
+    event = StreamEvent(state.step_counter, arrival_score, prediction, decision, bool(is_ood),
+                        None if label is None or label < 0 else int(label),
+                        state.margins.m_out)
     state.step_counter += 1
     return event, trace
 

@@ -21,6 +21,15 @@ class FilterDecision(Enum):
     PSEUDO_OOD = "pseudo_ood"
     ABSTAIN = "abstain"
 
+    # Members are singletons that compare by identity, so identity hashing
+    # agrees with equality; it skips Enum's Python-level __hash__, which the
+    # replay pays once per arrival.
+    __hash__ = object.__hash__
+
+
+# The members as module constants: reading one skips the Enum class lookup.
+PSEUDO_ID, PSEUDO_OOD, ABSTAIN = FilterDecision
+
 
 @dataclass(frozen=True)
 class IdStats:
@@ -73,16 +82,22 @@ def init_margins(stats: IdStats, k1: float, k2: float, *,
 def classify(margins: Margins, score: float) -> FilterDecision:
     """Strict comparisons; scores exactly on a margin abstain."""
     if score > margins.m_in:
-        return FilterDecision.PSEUDO_ID
+        return PSEUDO_ID
     if score < margins.m_out:
-        return FilterDecision.PSEUDO_OOD
-    return FilterDecision.ABSTAIN
+        return PSEUDO_OOD
+    return ABSTAIN
 
 
 def update_outlier_margin(margins: Margins, score: float) -> Margins:
-    """Greedy running-mean update: only scores below the current margin count."""
+    """Greedy running-mean update: only scores below the current margin count.
+
+    A score a few ulps below m_out can round the new mean one ulp above the
+    old margin (m_count = 877, m_out = 0.20857302188851445 and a score one
+    ulp lower give 0.20857302188851448), so the mean is capped there: m_out
+    never rises.
+    """
     if score >= margins.m_out:
         return margins
     m = margins.m_count
-    new_out = (m * margins.m_out + score) / (m + 1)
+    new_out = min((m * margins.m_out + score) / (m + 1), margins.m_out)
     return _replace(margins, m_out=new_out, m_count=m + 1)

@@ -165,21 +165,25 @@ def zero_gradients(model: MlpModel) -> Gradients:
 # forward pass
 
 
-def _forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Batched forward returning (logits, pre-activations, activations).
+def _forward_from(model: MlpModel, a: np.ndarray, first: int = 0,
+                  stop: int | None = None) -> list:
+    """Batched forward through layers ``first`` to ``stop`` - 1 (default: to
+    the logits), where ``a`` (N, d) is the input of layer ``first``.
 
-    ``x`` is (N, d). activations[0] is the input; activations[k] feeds layer k.
+    Returns the activations: entry k feeds layer k (None for k < ``first``),
+    and the last entry is the output of layer ``stop`` - 1. Each layer is
+    ``a @ w``, plus the bias in place, then, for hidden layers, the ReLU in
+    place: the bits of ``np.maximum(a @ w + b, 0.0)`` without temporaries.
     """
-    pre_acts: list[np.ndarray] = []
-    acts: list[np.ndarray] = [x]
-    a = x
+    acts: list = [None] * first + [a]
     last = model.num_layers - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        pre_acts.append(z)
-        a = z if i == last else np.maximum(z, 0.0)
+    for i in range(first, model.num_layers if stop is None else stop):
+        a = a @ model.weights[i]
+        a += model.biases[i]
+        if i != last:
+            np.maximum(a, 0.0, out=a)
         acts.append(a)
-    return a, pre_acts, acts
+    return acts
 
 
 def forward_logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -189,17 +193,17 @@ def forward_logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
         raise InputDimensionError(
             f"expected input of shape ({model.input_dim},), got {x.shape}"
         )
-    # _forward_batch's layer arithmetic on one row, without the intermediates
-    # that only backprop needs. numpy hands a 1-D row to the same gemv as a
-    # (1, d) row, and the bias add and ReLU are the same elementwise
-    # operations done in place on the fresh product, so the bits are equal.
+    # _forward_from's layer arithmetic on one row, keeping only the last
+    # activation. numpy hands a 1-D row to the same gemv as a (1, d) row, so
+    # the bits are equal.
+    weights, biases = model.weights, model.biases
     a = x
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = a.dot(w)
-        a += b
+    for i in range(len(weights) - 1):
+        a = a.dot(weights[i])
+        a += biases[i]
         np.maximum(a, 0.0, out=a)
-    out = a.dot(model.weights[-1])
-    out += model.biases[-1]
+    out = a.dot(weights[-1])
+    out += biases[-1]
     if not all(map(math.isfinite, out.tolist())):
         raise FloatingPointError("non-finite logits in forward pass")
     return out
@@ -240,14 +244,68 @@ class LossSpec:
             raise ValueError("sc_weight set but sc_ref_pred missing")
 
 
-def _backprop(model: MlpModel, pre_acts: list[np.ndarray], acts: list[np.ndarray],
-              dlogits: np.ndarray, keep: list[bool], grads: Gradients) -> None:
+@dataclass
+class EpisodeBatch:
+    """The fixed inputs of one update episode, prepared once by
+    ``prepare_episode`` and read by each of its loss evaluations.
+
+    ``rows`` stacks the probe row on the C bank rows, probe first; the bank
+    rows ride along only when the bank term carries weight, and
+    ``bank_label_index`` then holds the flat index of each bank row's label
+    in the (1 + C, classes) logits (it is empty otherwise). Gradients are
+    kept for the layers marked in ``keep``, and the error signal stops at
+    ``lowest``, the lowest kept layer. ``prefix`` holds the activations that
+    feed layer ``lowest``: the batch stays valid while no layer below
+    ``lowest`` changes, which holds for SGD steps restricted to the kept
+    layers.
+    """
+
+    spec: LossSpec
+    rows: np.ndarray
+    keep: list[bool]
+    lowest: int
+    prefix: np.ndarray
+    bank_label_index: np.ndarray
+    bank_scale: float
+
+
+def prepare_episode(model: MlpModel, x: np.ndarray, spec: LossSpec,
+                    trainable: frozenset[str] | None = None) -> EpisodeBatch:
+    """Stack the probe row ``x`` on the bank rows of ``spec`` and forward
+    them through the layers below the lowest trainable one.
+
+    ``trainable`` = None keeps every layer.
+    """
+    xv = np.asarray(x, dtype=np.float64)
+    if xv.shape != (model.input_dim,):
+        raise InputDimensionError(
+            f"expected input of shape ({model.input_dim},), got {xv.shape}"
+        )
+    if spec.bank_inputs is not None and spec.bank_weight != 0.0:
+        labels = np.asarray(spec.bank_labels, dtype=np.int64)
+        rows = np.concatenate([xv[None, :], np.asarray(spec.bank_inputs, dtype=np.float64)])
+        scale = spec.bank_weight / (len(labels) if spec.bank_reduction == "mean" else 1)
+        c = model.num_classes
+        if len(labels) and not 0 <= np.minimum.reduce(labels) <= np.maximum.reduce(labels) < c:
+            raise IndexError(f"bank label out of range for {c} classes")
+        at_labels = np.arange(1, len(labels) + 1) * c + labels
+    else:
+        rows, scale, at_labels = xv[None, :], 0.0, np.empty(0, dtype=np.int64)
+    keep = [trainable is None or g in trainable for g in model.group_labels]
+    lowest = keep.index(True) if True in keep else model.num_layers
+    prefix = _forward_from(model, rows, 0, lowest)[-1]
+    return EpisodeBatch(spec, rows, keep, lowest, prefix, at_labels, scale)
+
+
+def _backprop(model: MlpModel, acts: list, dlogits: np.ndarray, keep: list[bool],
+              grads: Gradients) -> None:
     """Store parameter gradients from batched dL/dlogits (N, C) in ``grads``.
 
     Only layers with ``keep[i]`` get a gradient, and the error signal is not
     propagated below the lowest of them. The slots are written, not added
     to: the result equals adding into zero-filled buffers except for the
-    sign of an exact zero.
+    sign of an exact zero. The ReLU mask is read from the activations:
+    ``relu(z) > 0`` exactly where ``z > 0``.
     """
     lowest = keep.index(True) if True in keep else model.num_layers
     delta = dlogits
@@ -261,93 +319,89 @@ def _backprop(model: MlpModel, pre_acts: list[np.ndarray], acts: list[np.ndarray
                 grads.d_biases[i] = delta[0].copy()
             else:
                 grads.d_weights[i] = acts[i].T @ delta
-                grads.d_biases[i] = delta.sum(axis=0)
+                grads.d_biases[i] = np.add.reduce(delta, axis=0)
         if i > lowest:
-            delta = (delta @ model.weights[i].T) * (pre_acts[i - 1] > 0.0)
+            delta = delta @ model.weights[i].T
+            delta *= acts[i] > 0.0
 
 
-def _probe_dlogits(logits: np.ndarray, spec: LossSpec) -> tuple[float, np.ndarray]:
-    """Loss value and dL/dlogits for the terms evaluated at the probe input.
+def _probe_dlogits(logits: np.ndarray, ls: np.ndarray, p: np.ndarray,
+                   spec: LossSpec) -> tuple[float, list[float]]:
+    """Loss value and dL/dlogits for the terms evaluated at the probe input,
+    given its log-softmax ``ls`` and softmax ``p``.
 
-    The log-softmax is max-shifted, with ``math.log`` of the exp-sum. The
-    consistency hinge is zero when the live and reference argmax agree and
-    ``p[pred_t] - p[ref] + phi``, unclamped, when they differ.
+    The consistency hinge is zero when the live and reference argmax agree
+    and ``p[pred_t] - p[ref] + phi``, unclamped, when they differ. The
+    gradient entries are Python floats: each one gets the operations a
+    zero-filled numpy vector would, in the same order, so the bits are
+    those of the vector arithmetic without its per-call cost.
     """
     c = len(logits)
-    shifted = logits - logits.max()
-    ls = shifted - math.log(np.exp(shifted).sum())
-    p = np.exp(ls)
+    pv = p.tolist()
     loss = 0.0
-    dl = np.zeros(c)
+    dl = [0.0] * c
     if spec.uniform_weight != 0.0:
-        loss += spec.uniform_weight * -(float(np.add.reduce(ls)) / c)
-        dl += spec.uniform_weight * (p - 1.0 / c)
+        w, inv_c = spec.uniform_weight, 1.0 / c
+        loss += w * -(float(np.add.reduce(ls)) / c)
+        dl = [d + w * (q - inv_c) for d, q in zip(dl, pv)]
     if spec.sc_weight != 0.0:
         pred_t = int(logits.argmax())
         ref = int(spec.sc_ref_pred)  # type: ignore[arg-type]
         if not 0 <= ref < c:
             raise ValueError(f"class index out of range for {c} classes")
         if pred_t != ref:
-            p_t, p_ref = float(p[pred_t]), float(p[ref])
-            loss += spec.sc_weight * (p_t - p_ref + spec.sc_phi)
+            w, p_t, p_ref = spec.sc_weight, pv[pred_t], pv[ref]
+            loss += w * (p_t - p_ref + spec.sc_phi)
             # d(p_a - p_b)/dz_j = p_a (1{a=j} - p_j) - p_b (1{b=j} - p_j)
-            g = -(p_t - p_ref) * p
+            g = [-(p_t - p_ref) * q for q in pv]
             g[pred_t] += p_t
             g[ref] -= p_ref
-            dl += spec.sc_weight * g
+            dl = [d + w * gj for d, gj in zip(dl, g)]
     return loss, dl
 
 
-def _loss_and_grad(model: MlpModel, x: np.ndarray, spec: LossSpec,
-                   want_grad: bool = True,
-                   trainable: frozenset[str] | None = None) -> tuple[float, Gradients | None]:
-    """Loss value and, if ``want_grad``, its gradients.
+def _loss_and_grad(model: MlpModel, batch: EpisodeBatch,
+                   want_grad: bool = True) -> tuple[float, Gradients | None]:
+    """Loss value and, if ``want_grad``, the gradients of the kept layers
+    (the others are None).
 
-    The probe row and, when the bank term carries weight, the C bank rows go
-    through one forward and one backprop as a single (1 + C, d) batch, probe
-    first: each kept layer's weight gradient is one matmul over all terms.
-    The batch shape is fixed by the spec, so the bits are too.
+    All rows of the batch go through one forward from ``batch.lowest`` and
+    one backprop: each kept layer's weight gradient is one matmul over all
+    terms. The batch shape is fixed by the spec, so the bits are too, and
+    a kept layer's gradient has the bits of the full gradient's.
 
-    With ``trainable`` set, only layers in those groups get a gradient (the
-    others are None); their values equal the matching entries of the full
-    gradient bit for bit.
+    Every row gets the same max-shifted log-softmax in one pass. The probe
+    row's log of its exp-sum is ``math.log`` and the bank rows' is
+    ``np.log``, as the two terms always had: they can differ in the last
+    bit.
     """
-    xv = np.asarray(x, dtype=np.float64)
-    if xv.shape != (model.input_dim,):
-        raise InputDimensionError(
-            f"expected input of shape ({model.input_dim},), got {xv.shape}"
-        )
-    with_bank = spec.bank_inputs is not None and spec.bank_weight != 0.0
-    if with_bank:
-        yb = np.asarray(spec.bank_labels, dtype=np.int64)
-        rows = np.concatenate([xv[None, :], np.asarray(spec.bank_inputs, dtype=np.float64)])
-    else:
-        rows = xv[None, :]
-    logits, pre, acts = _forward_batch(model, rows)
-    total, dl = _probe_dlogits(logits[0], spec)
-    dlogits = np.empty_like(logits)
-    dlogits[0] = dl
-    if with_bank:
-        ls = logits[1:] - logits[1:].max(axis=1, keepdims=True)
-        ls = ls - np.log(np.exp(ls).sum(axis=1, keepdims=True))
-        per_row = -ls[np.arange(len(yb)), yb]
-        scale = spec.bank_weight / (len(yb) if spec.bank_reduction == "mean" else 1)
-        total += scale * float(per_row.sum())
-        if want_grad:
-            probs = np.exp(ls)
-            probs[np.arange(len(yb)), yb] -= 1.0
-            np.multiply(probs, scale, out=dlogits[1:])
+    acts = _forward_from(model, batch.prefix, batch.lowest)
+    logits = acts[-1]
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    sums = np.add.reduce(np.exp(shifted), axis=1)
+    logs = np.log(sums)
+    logs[0] = math.log(sums[0])
+    ls = shifted - logs[:, None]
+    p = np.exp(ls)
+    total, dl = _probe_dlogits(logits[0], ls[0], p[0], batch.spec)
+    at_labels = batch.bank_label_index
+    if len(at_labels):
+        total += batch.bank_scale * float(np.add.reduce(-ls.take(at_labels)))
     if not want_grad:
         return total, None
+    # p becomes dL/dlogits in place: row 0 the probe's, rows 1..C the bank's
+    p[0] = dl
+    if len(at_labels):
+        p.reshape(-1)[at_labels] -= 1.0
+        np.multiply(p[1:], batch.bank_scale, out=p[1:])
     grads = _empty_gradients(model)
-    keep = [trainable is None or g in trainable for g in model.group_labels]
-    _backprop(model, pre, acts, dlogits, keep, grads)
+    _backprop(model, acts, p, batch.keep, grads)
     return total, grads
 
 
-def total_loss(model: MlpModel, x: np.ndarray, spec: LossSpec) -> float:
-    """Scalar value of the loss combination described by ``spec``."""
-    value, _ = _loss_and_grad(model, x, spec, want_grad=False)
+def total_loss(model: MlpModel, batch: EpisodeBatch) -> float:
+    """Scalar value of the episode loss described by ``batch.spec``."""
+    value, _ = _loss_and_grad(model, batch, want_grad=False)
     return value
 
 
@@ -399,7 +453,7 @@ def clone_frozen(model: MlpModel) -> MlpModel:
 
 def accuracy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of rows whose argmax logit matches the label."""
-    logits, _, _ = _forward_batch(model, np.asarray(features, dtype=np.float64))
+    logits = _forward_from(model, np.asarray(features, dtype=np.float64))[-1]
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
 
 
@@ -431,7 +485,8 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             xb, yb = feats[idx], labels[idx]
-            logits, pre, acts = _forward_batch(model, xb)
+            acts = _forward_from(model, xb)
+            logits = acts[-1]
             shifted = logits - logits.max(axis=1, keepdims=True)
             probs = np.exp(shifted)
             probs /= probs.sum(axis=1, keepdims=True)
@@ -439,7 +494,7 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
             dlogits[np.arange(len(yb)), yb] -= 1.0
             dlogits /= len(yb)
             grads = _empty_gradients(model)
-            _backprop(model, pre, acts, dlogits, keep, grads)
+            _backprop(model, acts, dlogits, keep, grads)
             sgd_step(model, grads, train_cfg, velocity)
     if epochs > 0:
         logger.info("train_offline: %d epochs, final train accuracy %.4f",

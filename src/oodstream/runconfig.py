@@ -90,6 +90,13 @@ class RunConfig:
             self.ood_sources = canonical_spec().ood_sources
         if self.stream not in ("single", "mixed", "timeseries"):
             raise ConfigError(f"unknown stream kind {self.stream!r}")
+        for key, attr, typ in _SCALAR_KEYS:
+            if typ == _FLOAT and not math.isfinite(getattr(self, attr)):
+                raise ConfigError(f"{key} = {getattr(self, attr)!r} is out of range: "
+                                  "it must be finite")
+        if any(h < 1 for h in self.hidden):
+            raise ConfigError(f"pretrain.hidden = {','.join(map(str, self.hidden))} is out of "
+                              "range: every width must be >= 1")
         if self.momentum != 0.0:
             raise ConfigError(f"sgd.momentum = {self.momentum!r} is not supported: online "
                               "updates keep no velocity buffer; set it to 0")
@@ -346,7 +353,7 @@ def from_text(text: str) -> RunConfig:
             try:
                 kwargs[attr] = tuple(int(t) for t in raw.split(","))
             except ValueError as exc:
-                raise ConfigError(f"bad hidden dims {raw!r}") from exc
+                raise ConfigError(f"bad hidden dims {raw!r} for key {key}") from exc
         else:
             kwargs[attr] = _parse_value(raw, typ, key)
 

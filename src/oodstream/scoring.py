@@ -41,15 +41,17 @@ def score(kind: ScoreKind, logits: np.ndarray) -> float:
     """Scalar confidence for one logit vector."""
     z = np.asarray(logits, dtype=np.float64)
     if kind.kind == "msp":
-        # the max of the softmax, from the max-shifted log-softmax
-        shifted = z - z.max()
-        return float(np.exp(shifted - math.log(np.exp(shifted).sum())).max())
+        # The max of the softmax, exp(shifted - L) with L the log of the
+        # exp-sum of the max-shifted row. That row holds an exact +0.0 at
+        # its max, where the exponent is exactly -L.
+        shifted = z - np.maximum.reduce(z)
+        return float(np.exp(-math.log(np.add.reduce(np.exp(shifted)))))
     if kind.kind == "maxlogit":
-        return float(z.max())
+        return float(np.maximum.reduce(z))
     t = kind.temperature
     zt = z / t
-    m = float(zt.max())
-    return t * (m + math.log(float(np.exp(zt - m).sum())))
+    m = float(np.maximum.reduce(zt))
+    return t * (m + math.log(np.add.reduce(np.exp(zt - m))))
 
 
 def score_rows(kind: ScoreKind, logits: np.ndarray) -> np.ndarray:

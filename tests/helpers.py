@@ -9,16 +9,27 @@ import struct
 
 import numpy as np
 
-from oodstream import filtering, nn, scoring
+from oodstream import engine, filtering, memory, nn, scoring
 from oodstream.cli import EVENT_COLUMNS
-from oodstream.data import LabeledSet, Stream
-from oodstream.engine import DECISIONS, EventLog, StreamEvent
+from oodstream.data import GaussianSource, LabeledSet, RingSource, Stream, UniformBoxSource
+from oodstream.engine import DECISIONS, EventLog, StreamEvent, UpdateTrace
 from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
 from oodstream.nn import (CHECKPOINT_MAGIC, CHECKPOINT_MAGIC_V1, Gradients, LossSpec, MlpModel,
-                          SgdConfig, _forward_batch, _probe_dlogits, total_loss,
-                          zero_gradients)
+                          SgdConfig, zero_gradients)
+from oodstream.runconfig import _SCALAR_KEYS, RunConfig, to_text
 from oodstream.scoring import ScoreKind
+
+
+def loss_and_grad(model: MlpModel, x, spec: LossSpec, trainable=None):
+    """Loss and gradients of one evaluation at probe row ``x``, through a
+    prepared episode batch (every layer kept when ``trainable`` is None)."""
+    return nn._loss_and_grad(model, nn.prepare_episode(model, x, spec, trainable))
+
+
+def total_loss(model: MlpModel, x, spec: LossSpec) -> float:
+    """``nn.total_loss`` at probe row ``x``."""
+    return nn.total_loss(model, nn.prepare_episode(model, x, spec))
 
 
 def finite_diff_grads(model: MlpModel, x, spec: LossSpec, step: float = 1e-5):
@@ -44,7 +55,7 @@ def finite_diff_grads(model: MlpModel, x, spec: LossSpec, step: float = 1e-5):
 def max_grad_rel_err(model: MlpModel, x, spec: LossSpec, step: float = 1e-5) -> float:
     """Max entrywise relative error between analytic and numeric gradients,
     with a 1e-4 magnitude floor so exact zeros compare at absolute scale."""
-    _, analytic = nn._loss_and_grad(model, x, spec)
+    _, analytic = loss_and_grad(model, x, spec)
     fd_w, fd_b = finite_diff_grads(model, x, spec, step)
     worst = 0.0
     for a, f in zip(analytic.d_weights + analytic.d_biases, fd_w + fd_b):
@@ -146,6 +157,8 @@ def loss_sc(softmax_t: np.ndarray, pred_t: int, pred_0: int, phi: float) -> floa
 
 
 def score_reference(kind: ScoreKind, logits) -> float:
+    """The max of the whole softmax vector; max and sum through the
+    ``np.max``/``np.sum`` wrappers."""
     z = np.asarray(logits, dtype=np.float64)
     if kind.kind == "msp":
         return float(np.max(np.exp(log_softmax_reference(z))))
@@ -291,22 +304,27 @@ def _zero_filled_slots(model: MlpModel, trainable) -> Gradients:
     )
 
 
-def fused_loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
-                                  trainable=None) -> tuple[float, Gradients]:
-    """The single-batch evaluation written out: the probe row stacked on the
-    bank rows (when the bank term carries weight), one layer-by-layer
-    forward, each row's dL/dlogits from the reference formulas, and one
-    matmul per layer into zero-filled slots."""
-    rows = np.asarray(x, dtype=np.float64)[None, :]
-    with_bank = spec.bank_inputs is not None and spec.bank_weight != 0.0
-    if with_bank:
-        rows = np.vstack([rows, np.asarray(spec.bank_inputs, dtype=np.float64)])
-    pre, acts = [], [rows]
+def forward_batch_reference(model: MlpModel, x: np.ndarray):
+    """Layer by layer, ``z = a @ w + b`` and then ``np.maximum(z, 0.0)`` for a
+    hidden layer. Returns (logits, pre-activations, activations), where
+    activations[k] feeds layer k."""
+    pre, acts = [], [x]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = acts[-1] @ w + b
         pre.append(z)
         acts.append(z if i == model.num_layers - 1 else np.maximum(z, 0.0))
-    logits = acts[-1]
+    return acts[-1], pre, acts
+
+
+def _stacked_terms(model: MlpModel, x, spec: LossSpec):
+    """The probe row stacked on the bank rows (when the bank term carries
+    weight), forwarded through every layer, with each row's dL/dlogits
+    from the reference formulas. Returns (loss, pre, acts, dlogits)."""
+    rows = np.asarray(x, dtype=np.float64)[None, :]
+    with_bank = spec.bank_inputs is not None and spec.bank_weight != 0.0
+    if with_bank:
+        rows = np.vstack([rows, np.asarray(spec.bank_inputs, dtype=np.float64)])
+    logits, pre, acts = forward_batch_reference(model, rows)
     total, dl_probe = probe_dlogits_reference(logits[0], spec)
     dlogits = [dl_probe]
     if with_bank:
@@ -318,9 +336,108 @@ def fused_loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
         probs = np.exp(ls)
         probs[np.arange(len(yb)), yb] -= 1.0
         dlogits.extend(scale * probs)
+    return total, pre, acts, np.array(dlogits)
+
+
+def fused_loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
+                                  trainable=None) -> tuple[float, Gradients]:
+    """The single-batch evaluation written out: the stacked rows through
+    every layer, and one matmul per layer into zero-filled slots."""
+    total, pre, acts, dlogits = _stacked_terms(model, x, spec)
     grads = _zero_filled_slots(model, trainable)
-    backprop_reference(model, pre, acts, np.array(dlogits), grads)
+    backprop_reference(model, pre, acts, dlogits, grads)
     return total, grads
+
+
+def per_call_loss_and_grad_reference(model: MlpModel, x, spec: LossSpec, trainable=None,
+                                     want_grad: bool = True) -> tuple[float, Gradients | None]:
+    """One evaluation as every call made it before episodes had a prepared
+    batch: the rows stacked again and forwarded through every layer, and each
+    kept layer's gradient slot written (not added into zeros), a one-row
+    batch's weight gradient as an outer product."""
+    total, pre, acts, delta = _stacked_terms(model, x, spec)
+    if not want_grad:
+        return total, None
+    keep = [trainable is None or g in trainable for g in model.group_labels]
+    grads = Gradients([None] * model.num_layers, [None] * model.num_layers)
+    lowest = keep.index(True) if True in keep else model.num_layers
+    for i in range(model.num_layers - 1, lowest - 1, -1):
+        if keep[i]:
+            if len(delta) == 1:
+                grads.d_weights[i] = np.einsum("i,j->ij", acts[i][0], delta[0])
+                grads.d_biases[i] = delta[0].copy()
+            else:
+                grads.d_weights[i] = acts[i].T @ delta
+                grads.d_biases[i] = delta.sum(axis=0)
+        if i > lowest:
+            delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0.0)
+    return total, grads
+
+
+def episode_reference(model: MlpModel, x, spec: LossSpec, sgd: SgdConfig,
+                      iters_t: int) -> tuple[float, ...]:
+    """An update episode the per-call way: T evaluations, each followed by
+    ``nn.sgd_step``, then the final loss. Returns the T + 1 losses."""
+    losses = []
+    for _ in range(iters_t):
+        loss, grads = per_call_loss_and_grad_reference(model, x, spec, sgd.trainable_groups)
+        assert math.isfinite(loss)
+        losses.append(loss)
+        nn.sgd_step(model, grads, sgd)
+    losses.append(per_call_loss_and_grad_reference(model, x, spec, want_grad=False)[0])
+    return tuple(losses)
+
+
+def run_stream_reference(state: engine.AutoState, cfg, stream: Stream) -> EventLog:
+    """The adaptive replay one arrival at a time, with reference scores and
+    predictions and ``episode_reference`` episodes. The log's columns and
+    traces are filled; its run-level counters are left at zero."""
+    scores, preds, decisions, m_outs, traces = [], [], [], [], []
+    for x in stream.features:
+        logits = nn.forward_logits(state.model_t, x)
+        s = score_reference(state.score_kind, logits)
+        prediction = predict_reference(logits)
+        decision = filtering.classify(state.margins, s)
+        if decision == FilterDecision.PSEUDO_ID:
+            memory.replace(state.bank, x, prediction)
+        elif decision == FilterDecision.PSEUDO_OOD:
+            pred_0 = predict_reference(nn.forward_logits(state.model_0, x))
+            if cfg.iters_t > 0:
+                spec = engine._episode_spec(state, cfg, pred_0,
+                                            engine.lambda2_at(cfg, state.update_counter))
+                losses = episode_reference(state.model_t, x, spec, state.sgd, cfg.iters_t)
+                traces.append(UpdateTrace(state.step_counter, losses))
+            state.update_counter += 1
+            state.margins = filtering.update_outlier_margin(state.margins, s)
+        scores.append(s)
+        preds.append(prediction)
+        decisions.append(DECISIONS.index(decision))
+        m_outs.append(state.margins.m_out)
+        state.step_counter += 1
+    log = log_from_columns(scores, stream.is_ood, prediction=preds, label=stream.labels,
+                           decision=decisions, m_out=m_outs)
+    log.update_traces = traces
+    return log
+
+
+def assert_replays_equal(got: EventLog, got_state: engine.AutoState,
+                         want: EventLog, want_state: engine.AutoState) -> None:
+    """Every event column, every trace, the weights, the margins and the bank
+    hold the same bytes."""
+    assert_columns_equal(got, want)
+    assert [t.event_index for t in got.update_traces] == \
+        [t.event_index for t in want.update_traces]
+    assert [np.array(t.losses).tobytes() for t in got.update_traces] == \
+        [np.array(t.losses).tobytes() for t in want.update_traces]
+    for a, b in zip(got_state.model_t.weights + got_state.model_t.biases,
+                    want_state.model_t.weights + want_state.model_t.biases):
+        assert a.tobytes() == b.tobytes()
+    got_m, want_m = got_state.margins, want_state.margins
+    assert np.array([got_m.m_in, got_m.m_out]).tobytes() == \
+        np.array([want_m.m_in, want_m.m_out]).tobytes()
+    assert got_m.m_count == want_m.m_count
+    assert got_state.bank.features.tobytes() == want_state.bank.features.tobytes()
+    assert got_state.update_counter == want_state.update_counter
 
 
 def loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
@@ -328,13 +445,14 @@ def loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
     """The two-pass evaluation: the probe row and the bank rows each get their
     own forward and backprop, summed into zero-filled slots."""
     grads = _zero_filled_slots(model, trainable)
-    logits, pre, acts = _forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
-    total, dl = _probe_dlogits(logits[0], spec)
+    logits, pre, acts = forward_batch_reference(model, np.asarray(x, dtype=np.float64)[None, :])
+    total, dl = probe_dlogits_reference(logits[0], spec)
     if (dl != 0.0).any():
         backprop_reference(model, pre, acts, dl[None, :], grads)
     if spec.bank_inputs is not None and spec.bank_weight != 0.0:
         yb = np.asarray(spec.bank_labels, dtype=np.int64)
-        logits, pre, acts = _forward_batch(model, np.asarray(spec.bank_inputs, dtype=np.float64))
+        logits, pre, acts = forward_batch_reference(
+            model, np.asarray(spec.bank_inputs, dtype=np.float64))
         ls = logits - logits.max(axis=1, keepdims=True)
         ls = ls - np.log(np.exp(ls).sum(axis=1, keepdims=True))
         scale = spec.bank_weight / (len(yb) if spec.bank_reduction == "mean" else 1)
@@ -357,7 +475,7 @@ def train_offline_reference(model: MlpModel, features, labels, epochs: int,
         order = rng.permutation(len(features))
         for start in range(0, len(features), batch_size):
             idx = order[start:start + batch_size]
-            logits, pre, acts = _forward_batch(model, features[idx])
+            logits, pre, acts = forward_batch_reference(model, features[idx])
             probs = np.exp(logits - logits.max(axis=1, keepdims=True))
             probs /= probs.sum(axis=1, keepdims=True)
             probs[np.arange(len(idx)), labels[idx]] -= 1.0
@@ -492,3 +610,28 @@ def compose_reference(id_set: LabeledSet, ood_features: np.ndarray, ood_labels: 
         segment_bounds=(0,),
         exhausted_pool=exhausted,
     )
+
+
+# ---------------------------------------------------------------------------
+# config texts
+
+# one OOD source of each kind, so that every source key is spelled out
+THREE_SOURCES = (GaussianSource(mean=(3.0, 0.0), spread=0.5),
+                 UniformBoxSource(low=(-4.0, -4.0), high=(4.0, 4.0)),
+                 RingSource(radius=3.0, width=1.0))
+
+# every float-valued config key of a config with THREE_SOURCES
+FLOAT_KEYS = [key for key, _, typ in _SCALAR_KEYS if typ == "float"] + [
+    "scenario.ood1.center", "scenario.ood1.spread", "scenario.ood2.low",
+    "scenario.ood2.high", "scenario.ood3.radius", "scenario.ood3.width"]
+
+
+def config_text_with(key: str, raw: str, **overrides) -> str:
+    """Config text of ``RunConfig(ood_sources=THREE_SOURCES, **overrides)``
+    with ``key`` set to ``raw``; a coordinate key gets ``raw`` as its first
+    coordinate."""
+    text = to_text(RunConfig(ood_sources=THREE_SOURCES, **overrides))
+    [line] = [ln for ln in text.splitlines() if ln.startswith(f"{key} = ")]
+    if key.endswith((".center", ".low", ".high")):
+        raw = ",".join([raw, *line.partition(" = ")[2].split(",")[1:]])
+    return text.replace(line + "\n", f"{key} = {raw}\n")

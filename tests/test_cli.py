@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import CORRUPT_PAYLOADS, corrupt_checkpoint
+from helpers import (CORRUPT_PAYLOADS, FLOAT_KEYS, THREE_SOURCES, config_text_with,
+                     corrupt_checkpoint)
 from oodstream import cli, data, nn
 from oodstream.cli import main
-from oodstream.data import GaussianSource, RingSource, UniformBoxSource
 from oodstream.runconfig import RunConfig, from_text, to_text
 
 SMALL_OVERRIDES = dict(
@@ -116,11 +116,6 @@ def test_gaussian_center_of_wrong_length_fails_with_one_line(tmp_path, capsys, c
     assert not (tmp_path / "out").exists()
 
 
-THREE_SOURCES = (GaussianSource(mean=(3.0, 0.0), spread=0.5),
-                 UniformBoxSource(low=(-4.0, -4.0), high=(4.0, 4.0)),
-                 RingSource(radius=3.0, width=1.0))
-
-
 @pytest.mark.parametrize("key,value", [
     ("scenario.ood1.spread", "-1"), ("scenario.ood1.spread", "nan"),
     ("scenario.ood2.low", "-4"), ("scenario.ood2.high", "4,-5"),
@@ -139,6 +134,21 @@ def test_bad_scenario_value_fails_at_load(tmp_path, capsys, key, value):
     assert err.startswith("error: config error: ") and err.count("\n") == 1
     assert key in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_fails_at_load(tmp_path, capsys, key, raw):
+    """Before these checks, pretrain trained on a NaN scenario and exited 0."""
+    out = tmp_path / "out"
+    path = tmp_path / "bad.cfg"
+    path.write_text(config_text_with(key, raw, **SMALL_OVERRIDES, out_dir=str(out)),
+                    encoding="ascii")
+    assert main(["--config", str(path), "pretrain"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config error: {key} = ") and err.count("\n") == 1
+    assert err.endswith("is out of range: it must be finite\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["auto", "frozen"])

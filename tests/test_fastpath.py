@@ -2,8 +2,9 @@
 
 The per-arrival path (forward, scoring, prediction), fixed-model scoring
 (all rows of the frozen replay and of the margin statistics at once), the
-update episode (trainable-only gradients), the gradient buffers (one batch
-for all loss terms, no zero fill, one-row weight gradients as outer
+update episode (one prepared batch per episode, a frozen prefix below the
+lowest trainable layer, trainable-only gradients), the gradient buffers (one
+batch for all loss terms, no zero fill, one-row weight gradients as outer
 products) and checkpoint writing skip work the references do, but must
 compute the same results: every comparison here is exact, except against
 the two-pass gradient oracle, whose sums run in another order.
@@ -19,14 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fresh_state
-from helpers import (assert_columns_equal, checkpoint_hex_text_reference, events_csv_reference,
-                     fused_loss_and_grad_reference, init_margins_reference, log_from_columns,
-                     loss_and_grad_reference, log_softmax_reference, predict_reference,
-                     probe_dlogits_reference, run_posthoc_reference, score_reference,
-                     train_offline_reference)
+from helpers import (assert_columns_equal, assert_replays_equal, checkpoint_hex_text_reference,
+                     events_csv_reference, fused_loss_and_grad_reference,
+                     init_margins_reference, log_from_columns, log_softmax_reference,
+                     loss_and_grad, loss_and_grad_reference, predict_reference,
+                     probe_dlogits_reference, run_posthoc_reference, run_stream_reference,
+                     score_reference, total_loss, train_offline_reference)
 from oodstream import cli, engine, metrics, nn
-from oodstream.data import LabeledSet
-from oodstream.nn import LossSpec, SgdConfig, _forward_batch, _probe_dlogits, init_mlp
+from oodstream.data import LabeledSet, Stream
+from oodstream.nn import LossSpec, SgdConfig, _probe_dlogits, init_mlp
 from oodstream.runconfig import RunConfig
 from oodstream.scoring import ScoreKind, predict, score, score_rows
 
@@ -43,7 +45,7 @@ def test_forward_logits_equals_batch_forward(dims):
         b[:] = rng.normal(0.0, 0.1, size=b.shape)
     for _ in range(25):
         x = rng.normal(0.0, 2.0, size=dims[0])
-        expected = _forward_batch(model, x[None])[0][0]
+        expected = nn._forward_from(model, x[None])[-1][0]
         assert np.array_equal(nn.forward_logits(model, x), expected)
 
 
@@ -73,7 +75,7 @@ def models_and_rows(draw):
 @given(models_and_rows())
 def test_forward_logits_equals_batch_forward_bytes(model_and_row):
     model, x = model_and_row
-    expected = _forward_batch(model, x[None])[0][0]
+    expected = nn._forward_from(model, x[None])[-1][0]
     assert nn.forward_logits(model, x).tobytes() == expected.tobytes()
 
 
@@ -124,6 +126,22 @@ def test_score_and_predict_equal_reference_formulas():
         assert predict(z) == predict_reference(z)
     assert score(KINDS[0], [1.0, 2.0, 3.0]) == score_reference(KINDS[0], [1.0, 2.0, 3.0])
     assert predict([0.0, 2.0, 2.0]) == predict_reference([0.0, 2.0, 2.0]) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(row_values, min_size=1, max_size=12), st.sampled_from(["none", "max", "all"]))
+def test_score_bytes_equal_reference(values, ties):
+    """The one-exp msp score, and every kind's direct ufunc reductions, give
+    the reference's bits: on signed zeros, subnormals, values near 1e150,
+    and rows whose max appears twice or everywhere."""
+    z = np.array(values)
+    if ties == "max":
+        z[-1] = z.max()
+    elif ties == "all":
+        z[:] = z[0]
+    for kind in KINDS:
+        assert np.float64(score(kind, z)).tobytes() == \
+            np.float64(score_reference(kind, z)).tobytes(), kind
 
 
 ROW_KINDS = (ScoreKind("msp"), ScoreKind("energy"), ScoreKind("energy", temperature=0.5),
@@ -183,10 +201,11 @@ def test_probe_dlogits_equals_reference():
         c = len(z)
         spec = LossSpec(uniform_weight=1.3, sc_weight=0.4,
                         sc_ref_pred=int(rng.integers(0, c)), sc_phi=0.2)
-        loss, dl = _probe_dlogits(z, spec)
+        ls = log_softmax_reference(z)
+        loss, dl = _probe_dlogits(z, ls, np.exp(ls), spec)
         ref_loss, ref_dl = probe_dlogits_reference(z, spec)
-        assert loss == ref_loss
-        assert np.array_equal(dl, ref_dl)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert np.array(dl).tobytes() == ref_dl.tobytes()
 
 
 def full_spec(rng, model, with_probe_terms=True):
@@ -212,9 +231,9 @@ def test_trainable_gradients_equal_full_backward(groups):
         for _ in range(10):
             x = rng.normal(size=2)
             spec = full_spec(rng, model, with_probe)
-            full = nn._loss_and_grad(model, x, spec)[1]
-            full_loss = nn.total_loss(model, x, spec)
-            loss, part = nn._loss_and_grad(model, x, spec, trainable=trainable)
+            full = loss_and_grad(model, x, spec)[1]
+            full_loss = total_loss(model, x, spec)
+            loss, part = loss_and_grad(model, x, spec, trainable)
             assert loss == full_loss
             for i, group in enumerate(model.group_labels):
                 if group in trainable:
@@ -229,8 +248,8 @@ def test_trainable_gradients_on_wide_model():
     model = init_mlp([8, 512, 512, 4], seed=9)
     x = rng.normal(size=8)
     spec = full_spec(rng, model)
-    full = nn._loss_and_grad(model, x, spec)[1]
-    _, part = nn._loss_and_grad(model, x, spec, trainable=frozenset({"block2"}))
+    full = loss_and_grad(model, x, spec)[1]
+    _, part = loss_and_grad(model, x, spec, frozenset({"block2"}))
     assert np.array_equal(part.d_weights[1], full.d_weights[1])
     assert np.array_equal(part.d_biases[1], full.d_biases[1])
 
@@ -238,8 +257,7 @@ def test_trainable_gradients_on_wide_model():
 def test_no_trainable_groups_gives_no_gradients():
     rng = np.random.default_rng(6)
     model = init_mlp([2, 8, 3], seed=1)
-    _, part = nn._loss_and_grad(model, rng.normal(size=2), full_spec(rng, model),
-                                trainable=frozenset())
+    _, part = loss_and_grad(model, rng.normal(size=2), full_spec(rng, model), frozenset())
     assert part.d_weights == [None, None] and part.d_biases == [None, None]
 
 
@@ -251,20 +269,21 @@ def test_canonical_replay_equals_full_gradient_replay(canonical, monkeypatch, gr
     fast_state = fresh_state(canonical, config)
     fast = engine.run_stream(fast_state, config, canonical["stream"])
 
+    # Every episode prepared with every layer kept: full gradients from a
+    # forward through every layer, of which sgd_step applies the trainable ones.
     full_calls = []
-    restricted = nn._loss_and_grad
+    prepare = nn.prepare_episode
 
-    def full_gradient(model, x, spec, want_grad=True, trainable=None):
-        if want_grad:
-            full_calls.append(trainable)
-        return restricted(model, x, spec, want_grad)
+    def full_gradient(model, x, spec, trainable=None):
+        full_calls.append(trainable)
+        return prepare(model, x, spec)
 
-    monkeypatch.setattr(nn, "_loss_and_grad", full_gradient)
+    monkeypatch.setattr(nn, "prepare_episode", full_gradient)
     ref_state = fresh_state(canonical, config)
     ref = engine.run_stream(ref_state, config, canonical["stream"])
 
     assert ref.counts.updates > 0
-    assert full_calls == [trainable] * (config.iters_t * ref.counts.updates)
+    assert full_calls == [trainable] * ref.counts.updates
     assert_columns_equal(fast, ref)
     assert fast.update_traces == ref.update_traces
     assert fast.counts == ref.counts
@@ -273,6 +292,82 @@ def test_canonical_replay_equals_full_gradient_replay(canonical, monkeypatch, gr
         assert np.array_equal(a, b)
     assert fast_state.margins == ref_state.margins
     assert np.array_equal(fast_state.bank.features, ref_state.bank.features)
+
+
+# The prepared episode batch (rows stacked once, the layers below the lowest
+# trainable one forwarded once) against the per-call episode it replaced.
+
+
+def replay_both_ways(model, train, stream, config):
+    """(log, state) of ``engine.run_stream`` and of ``run_stream_reference``,
+    each from its own clone of ``model``."""
+    fast_state = engine.init_state(nn.clone_frozen(model), train, config)
+    fast = engine.run_stream(fast_state, config, stream)
+    ref_state = engine.init_state(nn.clone_frozen(model), train, config)
+    ref = run_stream_reference(ref_state, config, stream)
+    return fast, fast_state, ref, ref_state
+
+
+@pytest.mark.parametrize("groups", ["last_block", "block1+fc"])
+def test_canonical_replay_bytes_equal_per_call_episodes(canonical, groups):
+    config = RunConfig(trainable_groups=groups)
+    fast, fast_state, ref, ref_state = replay_both_ways(
+        canonical["model"], canonical["train"], canonical["stream"], config)
+    assert len(ref.update_traces) > 300
+    assert_replays_equal(fast, fast_state, ref, ref_state)
+
+
+def random_net_and_stream(dims, seed, n_train, n_stream):
+    """He-initialized net with random biases, a training set holding every
+    class, and an unlabeled stream of wider spread."""
+    rng = np.random.default_rng(seed)
+    model = init_mlp(dims, seed=seed)
+    for b in model.biases:
+        b[:] = rng.normal(0.0, 0.1, size=b.shape)
+    c = dims[-1]
+    train = LabeledSet(rng.normal(size=(n_train, dims[0])), np.arange(n_train) % c, c)
+    is_ood = rng.random(n_stream) < 0.5
+    stream = Stream(features=rng.normal(0.0, 2.0, size=(n_stream, dims[0])), is_ood=is_ood,
+                    labels=np.where(is_ood, -1, rng.integers(0, c, n_stream)))
+    return model, train, stream
+
+
+@pytest.mark.parametrize("groups", ["last_block", "block1+fc"])
+def test_wide_replay_bytes_equal_per_call_episodes(groups):
+    model, train, stream = random_net_and_stream([8, 512, 512, 4], 21, 40, 200)
+    config = RunConfig(trainable_groups=groups, score="maxlogit", k2=0.0)
+    fast, fast_state, ref, ref_state = replay_both_ways(model, train, stream, config)
+    assert len(ref.update_traces) >= 10
+    assert_replays_equal(fast, fast_state, ref, ref_state)
+
+
+@st.composite
+def replay_cases(draw):
+    """A small net, its training set and stream, and run settings."""
+    hidden = draw(st.lists(st.sampled_from([1, 3, 8, 16]), min_size=1, max_size=3))
+    dims = [draw(st.integers(1, 4)), *hidden, draw(st.integers(2, 5))]
+    model, train, stream = random_net_and_stream(
+        dims, draw(st.integers(0, 2**32 - 1)), draw(st.integers(5, 30)),
+        draw(st.integers(1, 40)))
+    config = RunConfig(
+        score=draw(st.sampled_from(["msp", "energy", "maxlogit"])),
+        k1=draw(st.sampled_from([0.0, 0.5])), k2=draw(st.sampled_from([0.0, 0.5, 3.0])),
+        iters_t=draw(st.integers(0, 3)), lambda2_decay=draw(st.sampled_from([0.0, 0.5])),
+        id_weight=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        id_loss_reduction=draw(st.sampled_from(["sum", "mean"])),
+        memory_mode=draw(st.sampled_from(["random", "prototype"])),
+        lr=draw(st.sampled_from([0.001, 0.1])),
+        weight_decay=draw(st.sampled_from([0.0, 0.01])),
+        trainable_groups=draw(st.sampled_from(["last_block", "block1+fc", "all", "none"])))
+    return model, train, stream, config
+
+
+@settings(max_examples=40, deadline=None)
+@given(replay_cases())
+def test_random_replay_bytes_equal_per_call_episodes(case):
+    model, train, stream, config = case
+    fast, fast_state, ref, ref_state = replay_both_ways(model, train, stream, config)
+    assert_replays_equal(fast, fast_state, ref, ref_state)
 
 
 def assert_gradients_equal(got, expected):
@@ -330,14 +425,14 @@ def test_gradients_equal_zero_filled_matmul_oracle(dims, terms):
     for x, spec in cases:
         ref_loss, ref = fused_loss_and_grad_reference(model, x, spec)
         two_pass_loss, two_pass = loss_and_grad_reference(model, x, spec)
-        loss, full = nn._loss_and_grad(model, x, spec)
-        assert loss == ref_loss == nn.total_loss(model, x, spec)
+        loss, full = loss_and_grad(model, x, spec)
+        assert loss == ref_loss == total_loss(model, x, spec)
         assert_gradients_equal(full, ref)
         assert abs(loss - two_pass_loss) <= TWO_PASS_RTOL * abs(two_pass_loss)
         assert_gradients_close(full, two_pass, TWO_PASS_RTOL)
         for groups in ({"block2"}, {"block1", "fc"}, {"fc"}):
             trainable = frozenset(groups)
-            loss, part = nn._loss_and_grad(model, x, spec, trainable=trainable)
+            loss, part = loss_and_grad(model, x, spec, trainable)
             _, ref_part = fused_loss_and_grad_reference(model, x, spec, trainable)
             _, two_pass_part = loss_and_grad_reference(model, x, spec, trainable)
             assert loss == ref_loss
@@ -353,9 +448,9 @@ def test_gradients_equal_zero_filled_matmul_oracle(dims, terms):
 def test_trainable_gradient_bits_equal_full_gradient(dims, terms):
     model, cases = gradient_cases(dims, terms)
     for x, spec in cases:
-        full = nn._loss_and_grad(model, x, spec)[1]
+        full = loss_and_grad(model, x, spec)[1]
         for groups in ({"block1"}, {"block2"}, {"fc"}, {"block1", "fc"}):
-            part = nn._loss_and_grad(model, x, spec, trainable=frozenset(groups))[1]
+            part = loss_and_grad(model, x, spec, frozenset(groups))[1]
             for i, group in enumerate(model.group_labels):
                 for got, want in ((part.d_weights[i], full.d_weights[i]),
                                   (part.d_biases[i], full.d_biases[i])):
@@ -365,9 +460,11 @@ def test_trainable_gradient_bits_equal_full_gradient(dims, terms):
                         assert got is None
 
 
-def two_pass_loss_and_grad(model, x, spec, want_grad=True, trainable=None):
-    """``nn._loss_and_grad``'s signature over the two-pass oracle."""
-    loss, grads = loss_and_grad_reference(model, x, spec, trainable)
+def two_pass_loss_and_grad(model, batch, want_grad=True):
+    """``nn._loss_and_grad``'s signature over the two-pass oracle, which
+    forwards the probe row, ``batch.rows[0]``, through every layer."""
+    trainable = {g for g, kept in zip(model.group_labels, batch.keep) if kept}
+    loss, grads = loss_and_grad_reference(model, batch.rows[0], batch.spec, trainable)
     return loss, grads if want_grad else None
 
 

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import fresh_state
+from oodstream import engine
 from oodstream.filtering import (FilterDecision, IdStats, classify,
                                  estimate_id_stats, init_margins,
                                  update_outlier_margin)
@@ -136,3 +142,42 @@ def test_replay_equivalence_running_mean_oracle():
             m = update_outlier_margin(m, float(s))
             assert m.m_out == pytest.approx(sum(accepted) / len(accepted), abs=1e-12)
         assert m.m_count == len(accepted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mu=st.floats(-2.0, 2.0), sigma=st.floats(0.0, 1.0), k1=st.floats(0.0, 3.0),
+       k2=st.floats(0.0, 3.0), literal_m0=st.booleans(), m_count=st.integers(0, 10**6),
+       data=st.data())
+def test_margins_move_only_on_accepted_scores(mu, sigma, k1, k2, literal_m0, m_count, data):
+    """Arrival by arrival, as the engine runs the filter: m_in never moves,
+    m_out never rises, and m_count grows by one exactly when a score lands
+    below m_out; any other score leaves the margins as they were. Half the
+    scores sit a few ulps from m_out, where the running mean's rounding
+    could carry it up."""
+    margins = init_margins(IdStats(mu, sigma), k1, k2, literal_m0=literal_m0)
+    margins = replace(margins, m_count=margins.m_count + m_count)
+    for _ in range(data.draw(st.integers(0, 60))):
+        near = float(np.nextafter(margins.m_out, -np.inf))
+        s = data.draw(st.one_of(
+            st.floats(-3.0, 3.0),
+            st.integers(-4, 4).map(lambda k: float(margins.m_out + k * (margins.m_out - near)))))
+        before = margins
+        if classify(margins, s) == FilterDecision.PSEUDO_OOD:
+            margins = update_outlier_margin(margins, s)
+        accepted = s < before.m_out
+        assert margins.m_in == before.m_in
+        assert margins.m_out <= before.m_out
+        assert margins.m_count == before.m_count + accepted
+        if not accepted:
+            assert margins is before
+
+
+def test_canonical_auto_m_out_never_rises(canonical):
+    config = canonical["run_config"]
+    state = fresh_state(canonical, config)
+    m_out0 = state.margins.m_out
+    log = engine.run_stream(state, config, canonical["stream"])
+    assert log.updates > 0
+    assert log.m_out[0] <= m_out0
+    assert np.all(np.diff(log.m_out) <= 0.0)
+    assert np.count_nonzero(np.diff(log.m_out)) > 0

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import log_softmax_reference
+from helpers import log_softmax_reference, total_loss
 from oodstream import memory, nn
 from oodstream.data import LabeledSet
 from oodstream.memory import MissingClassError, init_prototype, init_random, replace
@@ -89,7 +89,7 @@ def id_loss(model: nn.MlpModel, bank: memory.MemoryBank, reduction: str = "sum")
     """The bank term alone, at weight 1: no probe-input term carries weight."""
     spec = nn.LossSpec(bank_inputs=bank.features, bank_labels=bank.labels, bank_weight=1.0,
                        bank_reduction=reduction)
-    return nn.total_loss(model, np.zeros(model.input_dim), spec)
+    return total_loss(model, np.zeros(model.input_dim), spec)
 
 
 def test_id_loss_saturated_model_near_zero():

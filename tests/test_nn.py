@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (CORRUPT_PAYLOADS, checkpoint_text_reference, corrupt_checkpoint,
-                     log_softmax_reference, loss_sc, max_grad_rel_err, sgd_step_reference)
+                     log_softmax_reference, loss_and_grad, loss_sc, max_grad_rel_err,
+                     sgd_step_reference, total_loss)
 from oodstream import nn
 from oodstream.nn import (CheckpointDimensionError, CheckpointFormatError,
                           CheckpointVersionError, InputDimensionError, LossSpec,
                           MlpModel, SgdConfig, clone_frozen, forward_logits, init_mlp,
                           load_checkpoint, save_checkpoint,
-                          sgd_step, total_loss, train_offline)
+                          sgd_step, train_offline)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -32,7 +33,7 @@ def identity_model(c: int) -> MlpModel:
 
 
 def grads_of(model: MlpModel, x, spec: LossSpec) -> nn.Gradients:
-    return nn._loss_and_grad(model, x, spec)[1]
+    return loss_and_grad(model, x, spec)[1]
 
 
 def uniform_ce(logits) -> float:
@@ -134,6 +135,12 @@ def test_loss_ce_label_oracle_value():
 def test_loss_ce_label_out_of_range():
     with pytest.raises(IndexError):
         label_ce([0.0, 0.0], 2)
+    # a label past the class count must not read the next bank row's logits
+    for labels in ([0, 2], [-1, 0]):
+        spec = LossSpec(bank_inputs=np.zeros((2, 2)), bank_labels=np.array(labels),
+                        bank_weight=1.0)
+        with pytest.raises(IndexError, match="bank label out of range for 2 classes"):
+            total_loss(identity_model(2), np.zeros(2), spec)
 
 
 def test_loss_ce_uniform_minimum_at_uniform():

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import FLOAT_KEYS, config_text_with
 from oodstream import data, nn
 from oodstream.data import GaussianSource, RingSource, UniformBoxSource
 from oodstream.runconfig import (ConfigError, RunConfig, circle_means, config_hash,
@@ -118,6 +120,22 @@ def test_out_of_range_value_rejected_at_load(key):
             from_text(f"{head}{key} = {raw}\n")
     for raw in good:
         from_text(f"{head}{key} = {raw}\n")
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_rejected_at_load(key, raw):
+    with pytest.raises(ConfigError,
+                       match=f"^{re.escape(key)} = .* is out of range: it must be finite$"):
+        from_text(config_text_with(key, raw))
+
+
+@pytest.mark.parametrize("raw", ["0", "-3,4", "16,0", "-1"])
+def test_hidden_width_below_one_rejected_at_load(raw):
+    with pytest.raises(ConfigError, match=f"pretrain.hidden = {raw} is out of range"):
+        from_text(f"scenario.kappa = 0.5\npretrain.hidden = {raw}\n")
+    with pytest.raises(ConfigError, match="bad hidden dims '' for key pretrain.hidden"):
+        from_text("scenario.kappa = 0.5\npretrain.hidden =\n")
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
