@@ -75,17 +75,23 @@ def _make_stream(cfg: RunConfig, test_id: data.LabeledSet,
     return data.compose_timeseries(test_id, ood_sets, cfg.kappa, cfg.stream_seed)
 
 
-def _load_model(cfg: RunConfig) -> nn.MlpModel:
+def _prepare(cfg: RunConfig) -> tuple[nn.MlpModel, data.LabeledSet, data.LabeledSet,
+                                       list[data.LabeledSet]]:
+    """Load the checkpoint and draw the scenario; no swept or ablated key changes either."""
     ckpt = Path(cfg.out_dir) / CHECKPOINT_NAME
     if not ckpt.exists():
         raise CliError(f"checkpoint not found: {ckpt} (run `pretrain` first)")
-    return nn.load_checkpoint(ckpt)
+    model = nn.load_checkpoint(ckpt)
+    if model.layer_dims != cfg.layer_dims():
+        raise CliError(f"checkpoint {ckpt} has layer dims {model.layer_dims}, but the config "
+                       f"asks for {cfg.layer_dims()} (run `pretrain` again)")
+    return (model, *data.make_scenario(cfg.scenario_spec()))
 
 
-def _run_once(cfg: RunConfig, mode: str) -> tuple[engine.EventLog, engine.AutoState]:
-    """Load checkpoint, compose the stream, and replay it in the given mode."""
-    model = _load_model(cfg)
-    train, test_id, ood_sets = data.make_scenario(cfg.scenario_spec())
+def _replay(cfg: RunConfig, mode: str, model: nn.MlpModel, train: data.LabeledSet,
+            test_id: data.LabeledSet, ood_sets: list[data.LabeledSet],
+            ) -> tuple[engine.EventLog, engine.AutoState]:
+    """Compose the stream and replay it; `auto` mode adapts ``model`` in place."""
     stream = _make_stream(cfg, test_id, ood_sets)
     # Non-finite logits and losses raise with the stream index, so numpy's
     # overflow warnings on the way there would only repeat the error.
@@ -162,7 +168,7 @@ def cmd_pretrain(cfg: RunConfig) -> None:
 def cmd_run(cfg: RunConfig, mode: str, plot: bool) -> None:
     if mode not in ("auto", "frozen"):
         raise CliError(f"unknown mode {mode!r}; expected auto or frozen")
-    log, state = _run_once(cfg, mode)
+    log, state = _replay(cfg, mode, *_prepare(cfg))
     out = _out_dir(cfg)
     chash = runconfig.config_hash(cfg)
     rep = metrics.report(log)
@@ -184,8 +190,10 @@ def _ablation_overrides(cfg: RunConfig, combo: str) -> RunConfig:
 
 def cmd_ablate(cfg: RunConfig) -> None:
     lines = [f"# config_hash={runconfig.config_hash(cfg)}", "combo,fpr95,auroc,id_acc"]
+    model, *scenario = _prepare(cfg)
     for combo in ABLATION_COMBOS:
-        log, _ = _run_once(_ablation_overrides(cfg, combo), "auto")
+        log, _ = _replay(_ablation_overrides(cfg, combo), "auto", nn.clone_frozen(model),
+                         *scenario)
         rep = metrics.report(log)
         lines.append(f"{combo},{rep.fpr95:.17g},{rep.auroc:.17g},{rep.id_acc:.17g}")
         print(f"ablate {combo}: fpr95={rep.fpr95:.4f} auroc={rep.auroc:.4f} "
@@ -206,16 +214,13 @@ def _apply_sweep_value(cfg: RunConfig, param: str, raw: str) -> RunConfig:
 def cmd_sweep(cfg: RunConfig, param: str, values: list[str]) -> None:
     if param not in SWEEP_PARAMS:
         raise CliError(f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}")
-    # Every value is checked before the first replay starts, group names
-    # against the checkpoint's layers.
+    # Every value is checked before the first replay starts.
     overrides = [_apply_sweep_value(cfg, param, raw) for raw in values]
-    model = _load_model(cfg)
-    for ov in overrides:
-        ov.resolve_groups(model)
+    model, *scenario = _prepare(cfg)
     lines = [f"# config_hash={runconfig.config_hash(cfg)} param={param}",
              "param,value,fpr95,auroc,id_acc"]
     for raw, ov in zip(values, overrides):
-        log, _ = _run_once(ov, "auto")
+        log, _ = _replay(ov, "auto", nn.clone_frozen(model), *scenario)
         rep = metrics.report(log)
         lines.append(f"{param},{raw},{rep.fpr95:.17g},{rep.auroc:.17g},{rep.id_acc:.17g}")
         print(f"sweep {param}={raw}: fpr95={rep.fpr95:.4f} auroc={rep.auroc:.4f} "

@@ -19,7 +19,6 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = "auto-mlp v2"
-CHECKPOINT_MAGIC_V1 = "auto-mlp v1"
 
 
 class InputDimensionError(ValueError):
@@ -84,14 +83,6 @@ class MlpModel:
     @property
     def num_layers(self) -> int:
         return len(self.weights)
-
-    def groups(self) -> list[str]:
-        """Distinct group names in layer order."""
-        seen: list[str] = []
-        for g in self.group_labels:
-            if g not in seen:
-                seen.append(g)
-        return seen
 
 
 @dataclass
@@ -526,18 +517,18 @@ def save_checkpoint(model: MlpModel, path) -> None:
 def load_checkpoint(path) -> MlpModel:
     """Reload a checkpoint, validating version, structure, and dimensions.
 
-    Reads the current hex format and the older ``auto-mlp v1`` format, whose
-    tensor lines list each value in decimal.
+    Only the current hex format is read; any other header, the decimal
+    ``auto-mlp v1`` one included, is a :class:`CheckpointVersionError`.
     """
     with open(path, "r", encoding="ascii") as f:
         lines = f.read().splitlines()
     if not lines:
         raise CheckpointFormatError("empty checkpoint file")
-    if lines[0] not in (CHECKPOINT_MAGIC, CHECKPOINT_MAGIC_V1):
+    if lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointVersionError(
-            f"unsupported checkpoint header {lines[0]!r}, expected {CHECKPOINT_MAGIC!r}"
+            f"unsupported checkpoint header {lines[0]!r}, expected {CHECKPOINT_MAGIC!r} "
+            "(run `pretrain` again to rewrite it)"
         )
-    hex_payload = lines[0] == CHECKPOINT_MAGIC
     if len(lines) < 3:
         raise CheckpointFormatError("truncated checkpoint: missing header lines")
     try:
@@ -561,14 +552,12 @@ def load_checkpoint(path) -> MlpModel:
     biases: list[np.ndarray] = []
     for i in range(n_layers):
         w_shape = (layer_dims[i], layer_dims[i + 1])
-        weights.append(_parse_tensor(tensor_lines[2 * i], f"W{i}", w_shape, hex_payload))
-        biases.append(_parse_tensor(tensor_lines[2 * i + 1], f"b{i}", (layer_dims[i + 1],),
-                                    hex_payload))
+        weights.append(_parse_tensor(tensor_lines[2 * i], f"W{i}", w_shape))
+        biases.append(_parse_tensor(tensor_lines[2 * i + 1], f"b{i}", (layer_dims[i + 1],)))
     return MlpModel(layer_dims, weights, biases, group_labels)
 
 
-def _parse_tensor(line: str, name: str, shape: tuple[int, ...],
-                  hex_payload: bool) -> np.ndarray:
+def _parse_tensor(line: str, name: str, shape: tuple[int, ...]) -> np.ndarray:
     tokens = line.split()
     if not tokens or tokens[0] != name:
         raise CheckpointFormatError(f"expected tensor {name!r}, got line {line[:40]!r}")
@@ -584,11 +573,8 @@ def _parse_tensor(line: str, name: str, shape: tuple[int, ...],
     count = int(np.prod(shape))
     raw = tokens[1 + ndim:]
     try:
-        if hex_payload:
-            # A bytearray buffer keeps the array writable without another copy.
-            values = np.frombuffer(bytearray.fromhex(" ".join(raw)), dtype="<f8")
-        else:
-            values = np.array([float(t) for t in raw], dtype=np.float64)
+        # A bytearray buffer keeps the array writable without another copy.
+        values = np.frombuffer(bytearray.fromhex(" ".join(raw)), dtype="<f8")
     except ValueError as exc:
         raise CheckpointFormatError(f"tensor {name}: unparsable value") from exc
     if values.size != count:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .data import (GaussianSource, OodSource, RingSource, ScenarioSpec,
                    UniformBoxSource, canonical_spec)
-from .nn import MlpModel, last_block_group
+from .nn import MlpModel, default_group_labels, last_block_group
 from .scoring import VALID_KINDS, kind_name
 
 
@@ -94,9 +94,13 @@ class RunConfig:
             if typ == _FLOAT and not math.isfinite(getattr(self, attr)):
                 raise ConfigError(f"{key} = {getattr(self, attr)!r} is out of range: "
                                   "it must be finite")
-        if any(h < 1 for h in self.hidden):
+        if not self.hidden or any(h < 1 for h in self.hidden):
             raise ConfigError(f"pretrain.hidden = {','.join(map(str, self.hidden))} is out of "
-                              "range: every width must be >= 1")
+                              "range: it must list one or more widths, every width >= 1")
+        # Named groups must be groups of the model `pretrain` builds from these dims.
+        name = self.trainable_groups.strip()
+        if name not in ("none", "all", "last_block"):
+            _named_groups(name, default_group_labels(self.layer_dims()))
         if self.momentum != 0.0:
             raise ConfigError(f"sgd.momentum = {self.momentum!r} is not supported: online "
                               "updates keep no velocity buffer; set it to 0")
@@ -157,12 +161,16 @@ class RunConfig:
             return frozenset(model.group_labels)
         if name == "last_block":
             return frozenset({last_block_group(model)})
-        groups = frozenset(name.split("+"))
-        unknown = groups - set(model.group_labels)
-        if unknown:
-            raise ConfigError(f"unknown parameter groups {sorted(unknown)}; "
-                              f"model has {model.groups()}")
-        return groups
+        return _named_groups(name, model.group_labels)
+
+
+def _named_groups(name: str, groups: list[str]) -> frozenset[str]:
+    named = frozenset(name.split("+"))
+    unknown = named - set(groups)
+    if unknown:
+        raise ConfigError(f"unknown parameter groups {sorted(unknown)} in "
+                          f"sgd.trainable_groups; the model has {groups}")
+    return named
 
 
 # ---------------------------------------------------------------------------

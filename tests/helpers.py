@@ -15,8 +15,8 @@ from oodstream.data import GaussianSource, LabeledSet, RingSource, Stream, Unifo
 from oodstream.engine import DECISIONS, EventLog, StreamEvent, UpdateTrace
 from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
-from oodstream.nn import (CHECKPOINT_MAGIC, CHECKPOINT_MAGIC_V1, Gradients, LossSpec, MlpModel,
-                          SgdConfig, zero_gradients)
+from oodstream.nn import (CHECKPOINT_MAGIC, Gradients, LossSpec, MlpModel, SgdConfig,
+                          zero_gradients)
 from oodstream.runconfig import _SCALAR_KEYS, RunConfig, to_text
 from oodstream.scoring import ScoreKind
 
@@ -504,21 +504,6 @@ def sgd_step_reference(model: MlpModel, grads: Gradients, cfg: SgdConfig,
             param -= cfg.learning_rate * g
 
 
-def _checkpoint_text(model: MlpModel, magic: str, fmt_values) -> str:
-    lines = [magic, " ".join(str(d) for d in model.layer_dims), " ".join(model.group_labels)]
-    for i in range(model.num_layers):
-        for name, tensor in ((f"W{i}", model.weights[i]), (f"b{i}", model.biases[i])):
-            shape = " ".join(str(s) for s in tensor.shape)
-            lines.append(f"{name} {shape} {fmt_values(tensor.ravel(order='C').tolist())}")
-    return "\n".join(lines) + "\n"
-
-
-def checkpoint_text_reference(model: MlpModel) -> str:
-    """``auto-mlp v1`` file text: each value formatted by its own f-string."""
-    return _checkpoint_text(model, CHECKPOINT_MAGIC_V1,
-                            lambda values: " ".join(f"{v:.17g}" for v in values))
-
-
 def _hex(value: float) -> str:
     return struct.pack("<d", value).hex()
 
@@ -526,8 +511,14 @@ def _hex(value: float) -> str:
 def checkpoint_hex_text_reference(model: MlpModel) -> str:
     """Current checkpoint file text: each value packed on its own as a
     little-endian double and written as 16 hex digits."""
-    return _checkpoint_text(model, CHECKPOINT_MAGIC,
-                            lambda values: "".join(_hex(v) for v in values))
+    lines = [CHECKPOINT_MAGIC, " ".join(str(d) for d in model.layer_dims),
+             " ".join(model.group_labels)]
+    for i in range(model.num_layers):
+        for name, tensor in ((f"W{i}", model.weights[i]), (f"b{i}", model.biases[i])):
+            shape = " ".join(str(s) for s in tensor.shape)
+            payload = "".join(_hex(v) for v in tensor.ravel().tolist())
+            lines.append(f"{name} {shape} {payload}")
+    return "\n".join(lines) + "\n"
 
 
 # corruption -> edit of a hex payload

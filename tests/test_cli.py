@@ -191,6 +191,36 @@ def test_out_of_range_value_fails_before_any_work(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["run", "--mode", "auto"], ["run", "--mode", "frozen"],
+                                     ["ablate"], ["sweep", "--param", "k2", "--values", "1,2"]])
+def test_checkpoint_of_another_shape_fails_with_one_line(pretrained, capsys, command):
+    """Before this check, a 16,16 checkpoint ran under a config of hidden = 8
+    and wrote outputs that carry the hash of the 8-wide config."""
+    cfg_path, out = pretrained
+    path = cfg_path.with_name("narrow.cfg")
+    path.write_text(to_text(RunConfig(**{**SMALL_OVERRIDES, "hidden": (8,)}, out_dir=str(out))),
+                    encoding="ascii")
+    capsys.readouterr()
+    assert main(["--config", str(path), *command]) == 1
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {out / 'model.ckpt'} has layer dims [2, 16, 16, 3], but the "
+        f"config asks for [2, 8, 3] (run `pretrain` again)\n")
+    assert sorted(p.name for p in out.iterdir()) == ["model.ckpt", "pretrain_summary.json"]
+
+
+def test_v1_checkpoint_fails_with_one_line(pretrained, capsys):
+    cfg_path, out = pretrained
+    ckpt = out / "model.ckpt"
+    ckpt.write_text(ckpt.read_text().replace("auto-mlp v2\n", "auto-mlp v1\n", 1),
+                    encoding="ascii")
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "run", "--mode", "auto"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unsupported checkpoint header 'auto-mlp v1'")
+    assert err.endswith("(run `pretrain` again to rewrite it)\n") and err.count("\n") == 1
+    assert not (out / "auto_events.csv").exists()
+
+
 def test_corrupt_checkpoint_fails_with_one_line(pretrained, capsys):
     cfg_path, out = pretrained
     ckpt = out / "model.ckpt"
@@ -265,6 +295,39 @@ def test_ablate_four_rows(pretrained):
     assert lines[1] == "combo,fpr95,auroc,id_acc"
     combos = [ln.split(",")[0] for ln in lines[2:]]
     assert combos == ["id_only", "ood_only", "id_ood", "full"]
+    # each row is what `run --mode auto` reports with that combo's weights
+    cfg = from_text(cfg_path.read_text())
+    for combo, row in zip(combos, lines[2:]):
+        path = cfg_path.with_name(f"{combo}.cfg")
+        path.write_text(to_text(cli._ablation_overrides(cfg, combo)), encoding="ascii")
+        assert main(["--config", str(path), "run", "--mode", "auto"]) == 0
+        rep = json.loads((out / "auto_metrics.json").read_text())
+        assert row == f"{combo},{rep['fpr95']:.17g},{rep['auroc']:.17g},{rep['id_acc']:.17g}"
+
+
+@pytest.mark.parametrize("command", [["ablate"], ["sweep", "--param", "k2", "--values", "1,2,3"]])
+def test_ablate_and_sweep_load_and_draw_once(pretrained, monkeypatch, command):
+    cfg_path, _ = pretrained
+    calls = {"load_checkpoint": 0, "make_scenario": 0}
+    for module, name in ((nn, "load_checkpoint"), (data, "make_scenario")):
+        def counted(*args, _original=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    assert main(["--config", str(cfg_path), *command]) == 0
+    assert calls == {"load_checkpoint": 1, "make_scenario": 1}
+
+
+def test_sweep_rows_do_not_depend_on_value_order(pretrained):
+    """Each replay starts from the checkpoint's weights and the same scenario,
+    whatever ran before it."""
+    cfg_path, out = pretrained
+    rows = {}
+    for values in ("1,3", "3,1"):
+        assert main(["--config", str(cfg_path), "sweep", "--param", "k2",
+                     "--values", values]) == 0
+        rows[values] = (out / "sweep_k2.csv").read_text().splitlines()[2:]
+    assert rows["3,1"] == rows["1,3"][::-1]
 
 
 def test_sweep_rows_and_unknown_param(pretrained):

@@ -75,7 +75,8 @@ def run_commands(tmp_path: Path) -> list[int]:
         cli("timeseries", config_text(stream="timeseries"), "ablate"),
         cli("timeseries", config_text(stream="timeseries"),
             "sweep", "--param", "k2", "--values", "1,2"),
-        cli("bogus", config_text(trainable_groups="bogus"), "run", "--mode", "auto"),
+        cli("bogus", single.replace("sgd.trainable_groups = last_block",
+                                    "sgd.trainable_groups = bogus"), "run", "--mode", "auto"),
     ]
 
 
@@ -92,7 +93,8 @@ def test_every_package_function_is_reached_by_a_command(tmp_path, capsys):
     finally:
         sys.setprofile(None)
     assert codes == [0, 0, 0, 0, 0, 0, 1]
-    assert capsys.readouterr().err.startswith("error: unknown parameter groups ['bogus']")
+    assert capsys.readouterr().err.startswith(
+        "error: config error: unknown parameter groups ['bogus']")
 
     reached = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in entered}
     defs = package_defs()

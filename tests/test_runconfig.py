@@ -130,10 +130,15 @@ def test_non_finite_float_rejected_at_load(key, raw):
         from_text(config_text_with(key, raw))
 
 
-@pytest.mark.parametrize("raw", ["0", "-3,4", "16,0", "-1"])
-def test_hidden_width_below_one_rejected_at_load(raw):
+@pytest.mark.parametrize("hidden", [(0,), (-3, 4), (16, 0), (-1,), ()],
+                         ids=lambda hidden: ",".join(map(str, hidden)) or "()")
+def test_hidden_width_below_one_rejected_at_load(hidden):
+    raw = ",".join(map(str, hidden))
     with pytest.raises(ConfigError, match=f"pretrain.hidden = {raw} is out of range"):
-        from_text(f"scenario.kappa = 0.5\npretrain.hidden = {raw}\n")
+        RunConfig(hidden=hidden)
+    if hidden:  # no text spells an empty tuple; the empty value is checked below
+        with pytest.raises(ConfigError, match=f"pretrain.hidden = {raw} is out of range"):
+            from_text(f"scenario.kappa = 0.5\npretrain.hidden = {raw}\n")
     with pytest.raises(ConfigError, match="bad hidden dims '' for key pretrain.hidden"):
         from_text("scenario.kappa = 0.5\npretrain.hidden =\n")
 
