@@ -10,6 +10,8 @@ there is no general autodiff facility.
 
 from __future__ import annotations
 
+import binascii
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -87,14 +89,41 @@ class MlpModel:
 
 @dataclass
 class Gradients:
-    """Per-parameter gradient tensors, shape-matched to an MlpModel.
+    """Per-layer gradients of an MlpModel, each weight gradient kept as its
+    factors.
 
-    A gradient restricted to some parameter groups holds None for the layers
-    outside them.
+    Layer i's weight gradient is ``inputs[i].T @ deltas[i]``, where
+    ``inputs[i]`` (N, fan_in) holds the activations that fed the layer and
+    ``deltas[i]`` (N, fan_out) its error signal; at N batch rows it has rank
+    at most N, so the factors are far smaller than the matrix. ``weight``
+    materializes it. A gradient restricted to some parameter groups holds
+    None for the layers outside them.
     """
 
-    d_weights: list[np.ndarray | None]
+    inputs: list[np.ndarray | None]
+    deltas: list[np.ndarray | None]
     d_biases: list[np.ndarray | None]
+
+    def weight(self, i: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows ``start:stop`` of layer i's weight gradient, in a new array.
+
+        A one-row batch's gradient is the outer product: numpy runs a
+        ``(h,1) @ (1,h)`` matmul through a slow generic loop, while each
+        entry is a single product either way.
+        """
+        a, delta = self.inputs[i][:, start:stop], self.deltas[i]
+        if len(delta) == 1:
+            return np.einsum("i,j->ij", a[0], delta[0])
+        return a.T @ delta
+
+
+@dataclass
+class Velocity:
+    """Momentum buffers, one full-size array per parameter tensor: a
+    velocity is optimizer state, not a gradient, so it is not factored."""
+
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
 
 
 def default_group_labels(layer_dims: list[int]) -> list[str]:
@@ -110,18 +139,25 @@ def last_block_group(model: MlpModel) -> str:
     return model.group_labels[model.num_layers - 2]
 
 
-def _aligned(a: np.ndarray) -> np.ndarray:
-    """A float64 copy of ``a`` whose data starts on a 64-byte boundary.
+def _aligned_empty(shape: tuple[int, ...], dtype="f8") -> np.ndarray:
+    """An uninitialized 8-byte-float array whose data starts on a 64-byte
+    boundary.
 
     malloc aligns to 16 bytes only, and the offset of the weight arrays
     within a 64-byte line moved the canonical pretrain from 0.63 s (on a
     line boundary) to 0.77 s (48 bytes past one), medians of three runs.
     Every parameter array is placed on a boundary, so speed no longer
-    depends on heap layout. The values are the same bits.
+    depends on heap layout.
     """
-    buf = np.empty(a.size + 8)
+    size = math.prod(shape)
+    buf = np.empty(size + 8, dtype=dtype)
     start = (-buf.ctypes.data % 64) // 8
-    out = buf[start:start + a.size].reshape(a.shape)
+    return buf[start:start + size].reshape(shape)
+
+
+def _aligned(a: np.ndarray) -> np.ndarray:
+    """A float64 copy of ``a`` on a 64-byte boundary; the same bits."""
+    out = _aligned_empty(a.shape)
     out[...] = a
     return out
 
@@ -141,15 +177,9 @@ def init_mlp(layer_dims: list[int], seed: int, scale: float | None = None) -> Ml
     return MlpModel(list(layer_dims), weights, biases, default_group_labels(layer_dims))
 
 
-def _empty_gradients(model: MlpModel) -> Gradients:
-    return Gradients([None] * model.num_layers, [None] * model.num_layers)
-
-
-def zero_gradients(model: MlpModel) -> Gradients:
-    return Gradients(
-        [np.zeros_like(w) for w in model.weights],
-        [np.zeros_like(b) for b in model.biases],
-    )
+def zero_velocity(model: MlpModel) -> Velocity:
+    return Velocity([np.zeros_like(w) for w in model.weights],
+                    [np.zeros_like(b) for b in model.biases])
 
 
 # ---------------------------------------------------------------------------
@@ -288,32 +318,31 @@ def prepare_episode(model: MlpModel, x: np.ndarray, spec: LossSpec,
     return EpisodeBatch(spec, rows, keep, lowest, prefix, at_labels, scale)
 
 
-def _backprop(model: MlpModel, acts: list, dlogits: np.ndarray, keep: list[bool],
-              grads: Gradients) -> None:
-    """Store parameter gradients from batched dL/dlogits (N, C) in ``grads``.
+def _backprop(model: MlpModel, acts: list, dlogits: np.ndarray,
+              keep: list[bool]) -> Gradients:
+    """Parameter gradients from batched dL/dlogits (N, C).
 
     Only layers with ``keep[i]`` get a gradient, and the error signal is not
-    propagated below the lowest of them. The slots are written, not added
-    to: the result equals adding into zero-filled buffers except for the
-    sign of an exact zero. The ReLU mask is read from the activations:
-    ``relu(z) > 0`` exactly where ``z > 0``.
+    propagated below the lowest of them. A weight gradient is kept as its
+    factors, the layer's input activations and its error signal (neither is
+    written afterwards); a bias gradient is the signal's column sum (for one
+    row, a copy of the row, which ``sgd_step`` may scale in place). The
+    ReLU mask is read from the activations: ``relu(z) > 0`` exactly where
+    ``z > 0``.
     """
-    lowest = keep.index(True) if True in keep else model.num_layers
+    n = model.num_layers
+    grads = Gradients([None] * n, [None] * n, [None] * n)
+    lowest = keep.index(True) if True in keep else n
     delta = dlogits
-    for i in range(model.num_layers - 1, lowest - 1, -1):
+    for i in range(n - 1, lowest - 1, -1):
         if keep[i]:
-            if len(delta) == 1:
-                # One row: each entry is a single product, which the outer
-                # product gives exactly and numpy's K=1 matmul loop does
-                # slowly; the bias gradient is the row itself.
-                grads.d_weights[i] = np.einsum("i,j->ij", acts[i][0], delta[0])
-                grads.d_biases[i] = delta[0].copy()
-            else:
-                grads.d_weights[i] = acts[i].T @ delta
-                grads.d_biases[i] = np.add.reduce(delta, axis=0)
+            grads.inputs[i], grads.deltas[i] = acts[i], delta
+            grads.d_biases[i] = delta[0].copy() if len(delta) == 1 \
+                else np.add.reduce(delta, axis=0)
         if i > lowest:
             delta = delta @ model.weights[i].T
             delta *= acts[i] > 0.0
+    return grads
 
 
 def _probe_dlogits(logits: np.ndarray, ls: np.ndarray, p: np.ndarray,
@@ -385,9 +414,7 @@ def _loss_and_grad(model: MlpModel, batch: EpisodeBatch,
     if len(at_labels):
         p.reshape(-1)[at_labels] -= 1.0
         np.multiply(p[1:], batch.bank_scale, out=p[1:])
-    grads = _empty_gradients(model)
-    _backprop(model, acts, p, batch.keep, grads)
-    return total, grads
+    return total, _backprop(model, acts, p, batch.keep)
 
 
 def total_loss(model: MlpModel, batch: EpisodeBatch) -> float:
@@ -400,35 +427,64 @@ def total_loss(model: MlpModel, batch: EpisodeBatch) -> float:
 # optimization
 
 
+# Weight-gradient entries that sgd_step materializes at a time (128 KiB).
+# Every layer of the canonical net (128 x 128 at most) is one block.
+SGD_BLOCK = 1 << 14
+
+
+@functools.lru_cache(maxsize=None)  # keyed by layer shape, so it stays small
+def _row_blocks(rows: int, cols: int) -> tuple[tuple[int, int], ...]:
+    """The (start, stop) row blocks that ``sgd_step`` applies a
+    ``(rows, cols)`` weight in.
+
+    A block holds at most ``SGD_BLOCK`` entries, but never one row unless
+    the layer has only one. numpy computes a ``(1, N) @ (N, cols)`` product
+    with gemv, and its bits differ from those of the gemm rows of the full
+    matrix. A one-column layer is one block for the same reason: each of
+    its products is a gemv, and a gemv's bits depend on where its rows
+    start.
+    """
+    step = max(2, SGD_BLOCK // cols) if cols > 1 else rows
+    starts = list(range(0, max(rows - 1, 1), step))
+    return tuple(zip(starts, starts[1:] + [rows]))
+
+
+def _apply(param: np.ndarray, g: np.ndarray, cfg: SgdConfig, vel: np.ndarray | None) -> None:
+    """``param -= lr * g`` with weight decay and momentum, in place; ``g`` is
+    consumed (scaled by lr in place) when there is no momentum."""
+    if cfg.weight_decay:
+        g = g + cfg.weight_decay * param
+    if vel is not None:
+        vel *= cfg.momentum
+        vel += g
+        param -= cfg.learning_rate * vel
+    else:
+        param -= np.multiply(g, cfg.learning_rate, out=g)
+
+
 def sgd_step(model: MlpModel, grads: Gradients, cfg: SgdConfig,
-             velocity: Gradients | None = None) -> MlpModel:
+             velocity: Velocity | None = None) -> MlpModel:
     """In-place SGD update restricted to layers in ``cfg.trainable_groups``.
 
     Layers outside the trainable groups are never written, so they stay
     bit-identical. With nonzero momentum a ``velocity`` buffer must be
-    supplied and is updated in place. Without momentum the step consumes
-    ``grads``: the trainable layers' gradients are scaled by the learning
-    rate in place, which gives ``param`` the bits of ``param -= lr * g``
-    without a full-size temporary per layer.
+    supplied and is updated in place. A weight is updated in row blocks
+    (``_row_blocks``): each block's gradient rows are materialized from the
+    factors and then get the elementwise operations of the whole-matrix
+    update, so no full-size gradient or temporary exists. Without momentum
+    the bias gradients are consumed (scaled by the learning rate in place).
     """
     if cfg.momentum != 0.0 and velocity is None:
         raise ValueError("nonzero momentum requires a velocity buffer")
+    vel = velocity if cfg.momentum != 0.0 else None
     for i, group in enumerate(model.group_labels):
         if group not in cfg.trainable_groups:
             continue
-        for param, grad, vel in (
-            (model.weights[i], grads.d_weights[i],
-             velocity.d_weights[i] if velocity else None),
-            (model.biases[i], grads.d_biases[i],
-             velocity.d_biases[i] if velocity else None),
-        ):
-            g = grad + cfg.weight_decay * param if cfg.weight_decay else grad
-            if cfg.momentum != 0.0:
-                vel *= cfg.momentum
-                vel += g
-                param -= cfg.learning_rate * vel
-            else:
-                param -= np.multiply(g, cfg.learning_rate, out=g)
+        w = model.weights[i]
+        for start, stop in _row_blocks(*w.shape):
+            _apply(w[start:stop], grads.weight(i, start, stop), cfg,
+                   vel.weights[i][start:stop] if vel else None)
+        _apply(model.biases[i], grads.d_biases[i], cfg, vel.biases[i] if vel else None)
     return model
 
 
@@ -468,7 +524,7 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
         momentum=cfg.momentum,
         trainable_groups=frozenset(model.group_labels),
     )
-    velocity = zero_gradients(model) if cfg.momentum != 0.0 else None
+    velocity = zero_velocity(model) if cfg.momentum != 0.0 else None
     keep = [True] * model.num_layers
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
@@ -484,9 +540,7 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
             dlogits = probs
             dlogits[np.arange(len(yb)), yb] -= 1.0
             dlogits /= len(yb)
-            grads = _empty_gradients(model)
-            _backprop(model, acts, dlogits, keep, grads)
-            sgd_step(model, grads, train_cfg, velocity)
+            sgd_step(model, _backprop(model, acts, dlogits, keep), train_cfg, velocity)
     if epochs > 0:
         logger.info("train_offline: %d epochs, final train accuracy %.4f",
                     epochs, accuracy(model, feats, labels))
@@ -514,54 +568,82 @@ def save_checkpoint(model: MlpModel, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+# Bytes of a tensor line read to find its name and shape, and hex digits
+# decoded per read of a payload (an even count).
+_HEAD_BYTES = 256
+_HEX_CHUNK = 1 << 16
+
+
 def load_checkpoint(path) -> MlpModel:
     """Reload a checkpoint, validating version, structure, and dimensions.
 
     Only the current hex format is read; any other header, the decimal
     ``auto-mlp v1`` one included, is a :class:`CheckpointVersionError`.
+    The file is read as bytes and each payload is decoded in chunks
+    straight into its tensor, so neither the file text nor any tensor is
+    held twice. Lines may end in CRLF, and blank lines are skipped.
     """
-    with open(path, "r", encoding="ascii") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise CheckpointFormatError("empty checkpoint file")
-    if lines[0] != CHECKPOINT_MAGIC:
-        raise CheckpointVersionError(
-            f"unsupported checkpoint header {lines[0]!r}, expected {CHECKPOINT_MAGIC!r} "
-            "(run `pretrain` again to rewrite it)"
-        )
-    if len(lines) < 3:
-        raise CheckpointFormatError("truncated checkpoint: missing header lines")
-    try:
-        layer_dims = [int(t) for t in lines[1].split()]
-    except ValueError as exc:
-        raise CheckpointFormatError(f"bad layer dims line: {lines[1]!r}") from exc
-    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-        raise CheckpointDimensionError(f"invalid layer dims {layer_dims}")
-    group_labels = lines[2].split()
-    n_layers = len(layer_dims) - 1
-    if len(group_labels) != n_layers:
-        raise CheckpointDimensionError(
-            f"expected {n_layers} group labels, got {len(group_labels)}"
-        )
-    tensor_lines = [ln for ln in lines[3:] if ln.strip()]
-    if len(tensor_lines) != 2 * n_layers:
-        raise CheckpointFormatError(
-            f"expected {2 * n_layers} tensor lines, found {len(tensor_lines)}"
-        )
-    weights: list[np.ndarray] = []
-    biases: list[np.ndarray] = []
-    for i in range(n_layers):
-        w_shape = (layer_dims[i], layer_dims[i + 1])
-        weights.append(_parse_tensor(tensor_lines[2 * i], f"W{i}", w_shape))
-        biases.append(_parse_tensor(tensor_lines[2 * i + 1], f"b{i}", (layer_dims[i + 1],)))
-    return MlpModel(layer_dims, weights, biases, group_labels)
+    with open(path, "rb", buffering=_HEX_CHUNK) as f:
+        raw = [f.readline() for _ in range(3)]
+        if not raw[0]:
+            raise CheckpointFormatError("empty checkpoint file")
+        lines = [ln.rstrip(b"\r\n").decode("ascii", "replace") for ln in raw]
+        if lines[0] != CHECKPOINT_MAGIC:
+            raise CheckpointVersionError(
+                f"unsupported checkpoint header {lines[0]!r}, expected {CHECKPOINT_MAGIC!r} "
+                "(run `pretrain` again to rewrite it)"
+            )
+        if not raw[2]:
+            raise CheckpointFormatError("truncated checkpoint: missing header lines")
+        try:
+            layer_dims = [int(t) for t in lines[1].split()]
+        except ValueError as exc:
+            raise CheckpointFormatError(f"bad layer dims line: {lines[1]!r}") from exc
+        if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
+            raise CheckpointDimensionError(f"invalid layer dims {layer_dims}")
+        if not raw[2].isascii():
+            raise CheckpointFormatError(f"bad group labels line: {lines[2]!r}")
+        group_labels = lines[2].split()
+        n_layers = len(layer_dims) - 1
+        if len(group_labels) != n_layers:
+            raise CheckpointDimensionError(
+                f"expected {n_layers} group labels, got {len(group_labels)}"
+            )
+        n_lines = 2 * n_layers
+        tensors: list[np.ndarray] = []
+        for k in range(n_lines):
+            i, fan_out = k // 2, layer_dims[k // 2 + 1]
+            name, shape = ((f"W{i}", (layer_dims[i], fan_out)) if k % 2 == 0
+                           else (f"b{i}", (fan_out,)))
+            tensor = _read_tensor(f, name, shape)
+            if tensor is None:
+                raise CheckpointFormatError(f"expected {n_lines} tensor lines, found {k}")
+            tensors.append(tensor)
+        extra = sum(1 for ln in f if ln.strip())
+        if extra:
+            raise CheckpointFormatError(
+                f"expected {n_lines} tensor lines, found {n_lines + extra}")
+    return MlpModel(layer_dims, tensors[0::2], tensors[1::2], group_labels)
 
 
-def _parse_tensor(line: str, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    tokens = line.split()
-    if not tokens or tokens[0] != name:
-        raise CheckpointFormatError(f"expected tensor {name!r}, got line {line[:40]!r}")
+def _read_tensor(f, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
+    """Read the next non-blank line of ``f`` as tensor ``name`` of ``shape``;
+    None at the end of the file.
+
+    The payload must be exactly the tensor's hex digits: a space inside it
+    or any byte that is not a hex digit makes it unparsable.
+    """
+    head = b""
+    while not head.strip():
+        start = f.tell()
+        head = f.readline(_HEAD_BYTES)
+        if not head:
+            return None
     ndim = len(shape)
+    tokens = head.split(None, 1 + ndim)
+    if tokens[0] != name.encode("ascii"):
+        line = head.rstrip(b"\r\n").decode("ascii", "replace")
+        raise CheckpointFormatError(f"expected tensor {name!r}, got line {line[:40]!r}")
     try:
         declared = tuple(int(t) for t in tokens[1:1 + ndim])
     except ValueError as exc:
@@ -570,17 +652,31 @@ def _parse_tensor(line: str, name: str, shape: tuple[int, ...]) -> np.ndarray:
         raise CheckpointDimensionError(
             f"tensor {name} declares shape {declared}, expected {shape}"
         )
-    count = int(np.prod(shape))
-    raw = tokens[1 + ndim:]
+    # Go back to where the payload starts, and decode it in chunks.
+    f.seek(start + (len(head) - len(tokens[-1]) if len(tokens) > 1 + ndim
+                    else len(head.rstrip())))
+    out = _aligned_empty(shape, "<f8")
+    dest = memoryview(out.reshape(-1).view(np.uint8))
+    digits, got = 16 * out.size, 0
     try:
-        # A bytearray buffer keeps the array writable without another copy.
-        values = np.frombuffer(bytearray.fromhex(" ".join(raw)), dtype="<f8")
-    except ValueError as exc:
+        while got < digits:
+            want = min(_HEX_CHUNK, digits - got)
+            chunk = f.readline(want)
+            if len(chunk) < want or chunk.endswith(b"\n"):  # the line ended early
+                break
+            dest[got // 2:(got + want) // 2] = binascii.a2b_hex(chunk)
+            got += want
+        else:
+            chunk = f.readline()  # the rest of the line
+        rest = chunk.rstrip()
+        if rest or got < digits:  # the wrong length: count the values if all is hex
+            total = got + 2 * len(binascii.a2b_hex(rest))
+            if total % 16 == 0:
+                raise CheckpointFormatError(
+                    f"tensor {name}: expected {out.size} values, found {total // 16}")
+            raise binascii.Error("not a whole number of values")
+    except binascii.Error as exc:
         raise CheckpointFormatError(f"tensor {name}: unparsable value") from exc
-    if values.size != count:
-        raise CheckpointFormatError(
-            f"tensor {name}: expected {count} values, found {values.size}"
-        )
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(out).all():
         raise CheckpointFormatError(f"tensor {name}: non-finite value")
-    return _aligned(values.reshape(shape))
+    return out

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,10 +16,29 @@ from oodstream.data import GaussianSource, LabeledSet, RingSource, Stream, Unifo
 from oodstream.engine import DECISIONS, EventLog, StreamEvent, UpdateTrace
 from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
-from oodstream.nn import (CHECKPOINT_MAGIC, Gradients, LossSpec, MlpModel, SgdConfig,
-                          zero_gradients)
+from oodstream.nn import CHECKPOINT_MAGIC, LossSpec, MlpModel, SgdConfig
 from oodstream.runconfig import _SCALAR_KEYS, RunConfig, to_text
 from oodstream.scoring import ScoreKind
+
+
+@dataclass
+class FullGradients:
+    """Gradients as full matrices, the form every oracle keeps. ``weight``
+    reads rows of them as ``nn.Gradients.weight`` materializes rows from its
+    factors, so ``nn.sgd_step`` takes either."""
+
+    d_weights: list
+    d_biases: list
+
+    def weight(self, i: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+        return self.d_weights[i][start:stop]
+
+
+def materialized(grads: nn.Gradients) -> FullGradients:
+    """Each kept layer's weight gradient through ``grads.weight(i)`` (None
+    for the other layers), and the bias gradients."""
+    return FullGradients([None if d is None else grads.weight(i)
+                          for i, d in enumerate(grads.deltas)], list(grads.d_biases))
 
 
 def loss_and_grad(model: MlpModel, x, spec: LossSpec, trainable=None):
@@ -55,7 +75,7 @@ def finite_diff_grads(model: MlpModel, x, spec: LossSpec, step: float = 1e-5):
 def max_grad_rel_err(model: MlpModel, x, spec: LossSpec, step: float = 1e-5) -> float:
     """Max entrywise relative error between analytic and numeric gradients,
     with a 1e-4 magnitude floor so exact zeros compare at absolute scale."""
-    _, analytic = loss_and_grad(model, x, spec)
+    analytic = materialized(loss_and_grad(model, x, spec)[1])
     fd_w, fd_b = finite_diff_grads(model, x, spec, step)
     worst = 0.0
     for a, f in zip(analytic.d_weights + analytic.d_biases, fd_w + fd_b):
@@ -283,7 +303,7 @@ def run_posthoc_reference(model, margins, stream, score_kind, *,
 
 
 def backprop_reference(model: MlpModel, pre_acts, acts, dlogits: np.ndarray,
-                       grads: Gradients) -> None:
+                       grads: FullGradients) -> None:
     """Add ``acts.T @ delta`` into every allocated (non-None) zero-filled slot."""
     lowest = next((i for i, g in enumerate(grads.d_weights) if g is not None),
                   model.num_layers)
@@ -296,9 +316,9 @@ def backprop_reference(model: MlpModel, pre_acts, acts, dlogits: np.ndarray,
             delta = (delta @ model.weights[i].T) * (pre_acts[i - 1] > 0.0)
 
 
-def _zero_filled_slots(model: MlpModel, trainable) -> Gradients:
+def _zero_filled_slots(model: MlpModel, trainable=None) -> FullGradients:
     keep = [trainable is None or g in trainable for g in model.group_labels]
-    return Gradients(
+    return FullGradients(
         [np.zeros_like(w) if k else None for w, k in zip(model.weights, keep)],
         [np.zeros_like(b) if k else None for b, k in zip(model.biases, keep)],
     )
@@ -340,7 +360,7 @@ def _stacked_terms(model: MlpModel, x, spec: LossSpec):
 
 
 def fused_loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
-                                  trainable=None) -> tuple[float, Gradients]:
+                                  trainable=None) -> tuple[float, FullGradients]:
     """The single-batch evaluation written out: the stacked rows through
     every layer, and one matmul per layer into zero-filled slots."""
     total, pre, acts, dlogits = _stacked_terms(model, x, spec)
@@ -350,7 +370,8 @@ def fused_loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
 
 
 def per_call_loss_and_grad_reference(model: MlpModel, x, spec: LossSpec, trainable=None,
-                                     want_grad: bool = True) -> tuple[float, Gradients | None]:
+                                     want_grad: bool = True
+                                     ) -> tuple[float, FullGradients | None]:
     """One evaluation as every call made it before episodes had a prepared
     batch: the rows stacked again and forwarded through every layer, and each
     kept layer's gradient slot written (not added into zeros), a one-row
@@ -359,7 +380,7 @@ def per_call_loss_and_grad_reference(model: MlpModel, x, spec: LossSpec, trainab
     if not want_grad:
         return total, None
     keep = [trainable is None or g in trainable for g in model.group_labels]
-    grads = Gradients([None] * model.num_layers, [None] * model.num_layers)
+    grads = FullGradients([None] * model.num_layers, [None] * model.num_layers)
     lowest = keep.index(True) if True in keep else model.num_layers
     for i in range(model.num_layers - 1, lowest - 1, -1):
         if keep[i]:
@@ -441,7 +462,7 @@ def assert_replays_equal(got: EventLog, got_state: engine.AutoState,
 
 
 def loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
-                            trainable=None) -> tuple[float, Gradients]:
+                            trainable=None) -> tuple[float, FullGradients]:
     """The two-pass evaluation: the probe row and the bank rows each get their
     own forward and backprop, summed into zero-filled slots."""
     grads = _zero_filled_slots(model, trainable)
@@ -469,7 +490,7 @@ def train_offline_reference(model: MlpModel, features, labels, epochs: int,
     train_cfg = SgdConfig(learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay,
                           momentum=cfg.momentum,
                           trainable_groups=frozenset(model.group_labels))
-    velocity = zero_gradients(model) if cfg.momentum != 0.0 else None
+    velocity = nn.zero_velocity(model) if cfg.momentum != 0.0 else None
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         order = rng.permutation(len(features))
@@ -480,21 +501,22 @@ def train_offline_reference(model: MlpModel, features, labels, epochs: int,
             probs /= probs.sum(axis=1, keepdims=True)
             probs[np.arange(len(idx)), labels[idx]] -= 1.0
             probs /= len(idx)
-            grads = zero_gradients(model)
+            grads = _zero_filled_slots(model)
             backprop_reference(model, pre, acts, probs, grads)
             sgd_step_reference(model, grads, train_cfg, velocity)
     return model
 
 
-def sgd_step_reference(model: MlpModel, grads: Gradients, cfg: SgdConfig,
-                       velocity: Gradients | None = None) -> None:
-    """``param -= lr * g`` with a fresh ``lr * g`` per tensor; ``grads`` untouched."""
+def sgd_step_reference(model: MlpModel, grads: FullGradients, cfg: SgdConfig,
+                       velocity: nn.Velocity | None = None) -> None:
+    """``param -= lr * g`` on whole tensors, with a fresh ``lr * g`` per
+    tensor; ``grads`` untouched."""
     for i, group in enumerate(model.group_labels):
         if group not in cfg.trainable_groups:
             continue
         for param, grad, vel in (
-            (model.weights[i], grads.d_weights[i], velocity.d_weights[i] if velocity else None),
-            (model.biases[i], grads.d_biases[i], velocity.d_biases[i] if velocity else None),
+            (model.weights[i], grads.d_weights[i], velocity.weights[i] if velocity else None),
+            (model.biases[i], grads.d_biases[i], velocity.biases[i] if velocity else None),
         ):
             g = grad + cfg.weight_decay * param if cfg.weight_decay else grad
             if cfg.momentum != 0.0:
@@ -521,23 +543,23 @@ def checkpoint_hex_text_reference(model: MlpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-# corruption -> edit of a hex payload
+# corruption -> edit of a hex payload's bytes
 CORRUPT_PAYLOADS = {
     "odd_length": lambda p: p[:-1],
-    "non_hex": lambda p: "z" + p[1:],
+    "non_hex": lambda p: b"z" + p[1:],
     "short": lambda p: p[:-16],
-    "nan": lambda p: _hex(math.nan) + p[16:],
-    "inf": lambda p: p[:-16] + _hex(-math.inf),
+    "nan": lambda p: _hex(math.nan).encode() + p[16:],
+    "inf": lambda p: p[:-16] + _hex(-math.inf).encode(),
+    "non_ascii": lambda p: "\u00e9".encode("utf-8") + p[2:],  # the bytes c3 a9
 }
 
 
 def corrupt_checkpoint(path, kind: str) -> None:
     """Apply one corruption to the payload of the first tensor line (W0)."""
-    lines = path.read_text(encoding="ascii").split("\n")
-    head, payload = lines[3].rsplit(" ", 1)
-    lines[3] = f"{head} {CORRUPT_PAYLOADS[kind](payload)}"
-    path.write_text("\n".join(lines), encoding="ascii")
-
+    lines = path.read_bytes().split(b"\n")
+    head, payload = lines[3].rsplit(b" ", 1)
+    lines[3] = head + b" " + CORRUPT_PAYLOADS[kind](payload)
+    path.write_bytes(b"\n".join(lines))
 
 # ---------------------------------------------------------------------------
 # events CSV oracle

@@ -23,7 +23,7 @@ from conftest import fresh_state
 from helpers import (assert_columns_equal, assert_replays_equal, checkpoint_hex_text_reference,
                      events_csv_reference, fused_loss_and_grad_reference,
                      init_margins_reference, log_from_columns, log_softmax_reference,
-                     loss_and_grad, loss_and_grad_reference, predict_reference,
+                     loss_and_grad, loss_and_grad_reference, materialized, predict_reference,
                      probe_dlogits_reference, run_posthoc_reference, run_stream_reference,
                      score_reference, total_loss, train_offline_reference)
 from oodstream import cli, engine, metrics, nn
@@ -231,9 +231,10 @@ def test_trainable_gradients_equal_full_backward(groups):
         for _ in range(10):
             x = rng.normal(size=2)
             spec = full_spec(rng, model, with_probe)
-            full = loss_and_grad(model, x, spec)[1]
+            full = materialized(loss_and_grad(model, x, spec)[1])
             full_loss = total_loss(model, x, spec)
             loss, part = loss_and_grad(model, x, spec, trainable)
+            part = materialized(part)
             assert loss == full_loss
             for i, group in enumerate(model.group_labels):
                 if group in trainable:
@@ -250,7 +251,7 @@ def test_trainable_gradients_on_wide_model():
     spec = full_spec(rng, model)
     full = loss_and_grad(model, x, spec)[1]
     _, part = loss_and_grad(model, x, spec, frozenset({"block2"}))
-    assert np.array_equal(part.d_weights[1], full.d_weights[1])
+    assert np.array_equal(part.weight(1), full.weight(1))
     assert np.array_equal(part.d_biases[1], full.d_biases[1])
 
 
@@ -258,7 +259,7 @@ def test_no_trainable_groups_gives_no_gradients():
     rng = np.random.default_rng(6)
     model = init_mlp([2, 8, 3], seed=1)
     _, part = loss_and_grad(model, rng.normal(size=2), full_spec(rng, model), frozenset())
-    assert part.d_weights == [None, None] and part.d_biases == [None, None]
+    assert part.inputs == part.deltas == part.d_biases == [None, None]
 
 
 @pytest.mark.parametrize("groups", ["last_block", "block1+fc"])
@@ -371,6 +372,7 @@ def test_random_replay_bytes_equal_per_call_episodes(case):
 
 
 def assert_gradients_equal(got, expected):
+    got = materialized(got)
     for a, b in zip(got.d_weights + got.d_biases, expected.d_weights + expected.d_biases):
         if b is None:
             assert a is None
@@ -399,6 +401,7 @@ TWO_PASS_RTOL = 256 * np.finfo(np.float64).eps
 
 
 def assert_gradients_close(got, expected, rtol):
+    got = materialized(got)
     for a, b in zip(got.d_weights + got.d_biases, expected.d_weights + expected.d_biases):
         if b is None:
             assert a is None
@@ -440,6 +443,7 @@ def test_gradients_equal_zero_filled_matmul_oracle(dims, terms):
             assert_gradients_close(part, two_pass_part, TWO_PASS_RTOL)
     if terms == "none":
         assert all(not g.any() for g in ref.d_weights + ref.d_biases)
+        full = materialized(full)
         assert all(not g.any() for g in full.d_weights + full.d_biases)
 
 
@@ -448,9 +452,9 @@ def test_gradients_equal_zero_filled_matmul_oracle(dims, terms):
 def test_trainable_gradient_bits_equal_full_gradient(dims, terms):
     model, cases = gradient_cases(dims, terms)
     for x, spec in cases:
-        full = loss_and_grad(model, x, spec)[1]
+        full = materialized(loss_and_grad(model, x, spec)[1])
         for groups in ({"block1"}, {"block2"}, {"fc"}, {"block1", "fc"}):
-            part = loss_and_grad(model, x, spec, frozenset(groups))[1]
+            part = materialized(loss_and_grad(model, x, spec, frozenset(groups))[1])
             for i, group in enumerate(model.group_labels):
                 for got, want in ((part.d_weights[i], full.d_weights[i]),
                                   (part.d_biases[i], full.d_biases[i])):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (CORRUPT_PAYLOADS, corrupt_checkpoint, log_softmax_reference,
-                     loss_and_grad, loss_sc, max_grad_rel_err, sgd_step_reference, total_loss)
+from helpers import (CORRUPT_PAYLOADS, FullGradients, corrupt_checkpoint,
+                     log_softmax_reference, loss_and_grad, loss_sc, materialized,
+                     max_grad_rel_err, sgd_step_reference, total_loss)
 from oodstream import nn
 from oodstream.nn import (CheckpointDimensionError, CheckpointFormatError,
                           CheckpointVersionError, InputDimensionError, LossSpec,
@@ -204,7 +205,7 @@ def test_gradient_sc_agreement_branch_is_zero():
     model = init_mlp([2, 4, 3], seed=1)
     x = np.array([0.5, 0.5])
     ref = int(np.argmax(forward_logits(model, x)))
-    grads = grads_of(model, x, LossSpec(sc_weight=1.0, sc_ref_pred=ref, sc_phi=0.2))
+    grads = materialized(grads_of(model, x, LossSpec(sc_weight=1.0, sc_ref_pred=ref, sc_phi=0.2)))
     assert all(np.all(g == 0.0) for g in grads.d_weights + grads.d_biases)
 
 
@@ -235,13 +236,27 @@ def test_gradient_matches_finite_differences_mixed_loss(seed):
 # SGD
 
 
+def factored(inputs, deltas, biases) -> nn.Gradients:
+    """Gradients from per-layer factors: weight gradient i is
+    ``inputs[i].T @ deltas[i]``."""
+    return nn.Gradients([np.array(a, dtype=float) for a in inputs],
+                        [np.array(d, dtype=float) for d in deltas],
+                        [np.array(b, dtype=float) for b in biases])
+
+
+def constant_grads(model: MlpModel, value: float) -> nn.Gradients:
+    """Every weight and bias gradient entry equal to ``value`` (a one-row
+    outer product of ones and ``value``)."""
+    return factored([np.ones((1, w.shape[0])) for w in model.weights],
+                    [np.full((1, w.shape[1]), value) for w in model.weights],
+                    [np.full(b.shape, value) for b in model.biases])
+
+
 def test_sgd_step_only_touches_trainable_groups():
     model = init_mlp([2, 4, 4, 3], seed=2)
     before = [w.copy() for w in model.weights] + [b.copy() for b in model.biases]
-    grads = nn.zero_gradients(model)
-    for g in grads.d_weights + grads.d_biases:
-        g[:] = 1.0
-    sgd_step(model, grads, SgdConfig(learning_rate=0.1, trainable_groups={"fc"}))
+    sgd_step(model, constant_grads(model, 1.0),
+             SgdConfig(learning_rate=0.1, trainable_groups={"fc"}))
     after = model.weights + model.biases
     # layers 0 and 1 are block1/block2: bitwise untouched
     assert np.array_equal(before[0], after[0]) and np.array_equal(before[1], after[1])
@@ -251,7 +266,7 @@ def test_sgd_step_only_touches_trainable_groups():
 
 def test_sgd_step_single_parameter_arithmetic():
     model = MlpModel([1, 1], [np.array([[1.0]])], [np.zeros(1)], ["fc"])
-    grads = nn.Gradients([np.array([[2.0]])], [np.zeros(1)])
+    grads = factored([[[1.0]]], [[[2.0]]], [[0.0]])
     sgd_step(model, grads, SgdConfig(learning_rate=0.5, trainable_groups={"fc"}))
     assert model.weights[0][0, 0] == 0.0
 
@@ -259,17 +274,15 @@ def test_sgd_step_single_parameter_arithmetic():
 def test_sgd_step_empty_trainable_set_is_identity():
     model = init_mlp([3, 4, 2], seed=3)
     before = [w.copy() for w in model.weights] + [b.copy() for b in model.biases]
-    grads = nn.zero_gradients(model)
-    for g in grads.d_weights + grads.d_biases:
-        g[:] = 5.0
-    sgd_step(model, grads, SgdConfig(learning_rate=0.1, trainable_groups=frozenset()))
+    sgd_step(model, constant_grads(model, 5.0),
+             SgdConfig(learning_rate=0.1, trainable_groups=frozenset()))
     for b, a in zip(before, model.weights + model.biases):
         assert np.array_equal(b, a)
 
 
 def test_sgd_step_weight_decay():
     model = MlpModel([1, 1], [np.array([[2.0]])], [np.zeros(1)], ["fc"])
-    grads = nn.Gradients([np.array([[1.0]])], [np.zeros(1)])
+    grads = factored([[[1.0]]], [[[1.0]]], [[0.0]])
     cfg = SgdConfig(learning_rate=0.1, weight_decay=0.5, trainable_groups={"fc"})
     sgd_step(model, grads, cfg)
     # theta - lr * (g + wd * theta) = 2 - 0.1 * (1 + 0.5 * 2)
@@ -278,17 +291,22 @@ def test_sgd_step_weight_decay():
 
 def test_sgd_step_momentum_two_steps():
     model = MlpModel([1, 1], [np.array([[1.0]])], [np.zeros(1)], ["fc"])
-    grads = nn.Gradients([np.array([[1.0]])], [np.zeros(1)])
+    grads = factored([[[1.0]]], [[[1.0]]], [[0.0]])
     cfg = SgdConfig(learning_rate=0.1, momentum=0.5, trainable_groups={"fc"})
-    velocity = nn.zero_gradients(model)
+    velocity = nn.zero_velocity(model)
     sgd_step(model, grads, cfg, velocity)   # v=1,   theta = 1 - 0.1
     sgd_step(model, grads, cfg, velocity)   # v=1.5, theta = 0.9 - 0.15
     assert model.weights[0][0, 0] == pytest.approx(0.75, abs=1e-15)
 
 
-def random_grads(model: MlpModel, rng: np.random.Generator) -> nn.Gradients:
-    return nn.Gradients([rng.normal(size=w.shape) for w in model.weights],
-                        [rng.normal(size=b.shape) for b in model.biases])
+def random_grads(model: MlpModel, rng: np.random.Generator, rows: int = 3) -> nn.Gradients:
+    return factored([rng.normal(size=(rows, w.shape[0])) for w in model.weights],
+                    [rng.normal(size=(rows, w.shape[1])) for w in model.weights],
+                    [rng.normal(size=b.shape) for b in model.biases])
+
+
+def factors_of(grads: nn.Gradients) -> list[np.ndarray]:
+    return grads.inputs + grads.deltas
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
@@ -297,18 +315,20 @@ def test_sgd_step_consumes_grads_with_the_bits_of_lr_times_g(weight_decay):
     model = init_mlp([3, 16, 16, 4], seed=5)
     ref = clone_frozen(model)
     grads = random_grads(model, rng)
-    originals = [g.copy() for g in grads.d_weights + grads.d_biases]
+    factors0 = [a.copy() for a in factors_of(grads)]
+    biases0 = [g.copy() for g in grads.d_biases]
     cfg = SgdConfig(learning_rate=0.0375, weight_decay=weight_decay,
                     trainable_groups={"block2", "fc"})
-    sgd_step_reference(ref, nn.Gradients([g.copy() for g in grads.d_weights],
-                                         [g.copy() for g in grads.d_biases]), cfg)
+    sgd_step_reference(ref, materialized(grads), cfg)
     sgd_step(model, grads, cfg)
     for a, b in zip(model.weights + model.biases, ref.weights + ref.biases):
         assert a.tobytes() == b.tobytes()
-    # trainable layers' gradients are consumed: without weight decay they now
-    # hold lr * g; the frozen layer's (block1, index 0 of each list) is untouched
-    for i, (g, g0) in enumerate(zip(grads.d_weights + grads.d_biases, originals)):
-        if i % 3 == 0:
+    # the factors are never written; the trainable layers' bias gradients
+    # are consumed: without weight decay they now hold lr * g, and the
+    # frozen layer's (block1, index 0) is untouched
+    assert [a.tobytes() for a in factors_of(grads)] == [a.tobytes() for a in factors0]
+    for i, (g, g0) in enumerate(zip(grads.d_biases, biases0)):
+        if i == 0:
             assert g.tobytes() == g0.tobytes()
         elif weight_decay == 0.0:
             assert g.tobytes() == (cfg.learning_rate * g0).tobytes()
@@ -318,14 +338,18 @@ def test_sgd_step_momentum_never_scales_velocity_or_grads():
     rng = np.random.default_rng(22)
     model = init_mlp([3, 8, 4], seed=6)
     grads = random_grads(model, rng)
-    velocity = random_grads(model, rng)
-    grads0 = [g.copy() for g in grads.d_weights + grads.d_biases]
-    vel0 = [v.copy() for v in velocity.d_weights + velocity.d_biases]
+    velocity = nn.Velocity([rng.normal(size=w.shape) for w in model.weights],
+                           [rng.normal(size=b.shape) for b in model.biases])
+    full0 = materialized(grads)
+    factors0 = [a.copy() for a in factors_of(grads)]
+    vel0 = [v.copy() for v in velocity.weights + velocity.biases]
     cfg = SgdConfig(learning_rate=0.1, momentum=0.9, trainable_groups={"block1", "fc"})
     sgd_step(model, grads, cfg, velocity)
-    for g, g0, v, v0 in zip(grads.d_weights + grads.d_biases, grads0,
-                            velocity.d_weights + velocity.d_biases, vel0):
+    assert [a.tobytes() for a in factors_of(grads)] == [a.tobytes() for a in factors0]
+    for g, g0, v, v0 in zip(grads.d_biases, full0.d_biases, velocity.biases, vel0[2:]):
         assert g.tobytes() == g0.tobytes()
+        assert v.tobytes() == (0.9 * v0 + g0).tobytes()
+    for v, v0, g0 in zip(velocity.weights, vel0, full0.d_weights):
         assert v.tobytes() == (0.9 * v0 + g0).tobytes()
 
 
@@ -333,7 +357,96 @@ def test_sgd_step_momentum_requires_velocity():
     model = init_mlp([2, 2], seed=0)
     cfg = SgdConfig(learning_rate=0.1, momentum=0.9, trainable_groups={"fc"})
     with pytest.raises(ValueError):
-        sgd_step(model, nn.zero_gradients(model), cfg)
+        sgd_step(model, constant_grads(model, 0.0), cfg)
+
+
+# The blocked update: each weight is updated in row blocks whose gradient
+# rows are materialized from the factors, with the whole-matrix update's
+# elementwise operations.
+
+# widths whose blocks hold 2, 3, 16 and 32 rows, and layers of one block
+BLOCK_COLS = [nn.SGD_BLOCK, 5461, 1024, 512, 7, 2, 1]
+
+
+def rows_per_block(cols: int) -> int:
+    return max(2, nn.SGD_BLOCK // cols)
+
+
+def full_matrix_gradient(a: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """The weight gradient as the backprop wrote it before it was factored."""
+    return np.einsum("i,j->ij", a[0], delta[0]) if len(a) == 1 else a.T @ delta
+
+
+def assert_blocked_update_equals_full(rng, n_rows, fan_in, cols, weight_decay, momentum):
+    # Small weights and a unit learning rate: the updated weights carry the
+    # gradient's bits, which a small step would round away.
+    model = MlpModel([fan_in, cols], [nn._aligned(rng.normal(0.0, 1e-6, size=(fan_in, cols)))],
+                     [nn._aligned(rng.normal(0.0, 1e-6, size=cols))], ["fc"])
+    ref = clone_frozen(model)
+    cfg = SgdConfig(learning_rate=1.0, weight_decay=weight_decay, momentum=momentum,
+                    trainable_groups={"fc"})
+    velocity = ref_velocity = None
+    if momentum:
+        velocity = nn.Velocity([rng.normal(size=(fan_in, cols))], [rng.normal(size=cols)])
+        ref_velocity = nn.Velocity([velocity.weights[0].copy()], [velocity.biases[0].copy()])
+    for _ in range(2):
+        a, delta = rng.normal(size=(n_rows, fan_in)), rng.normal(size=(n_rows, cols))
+        bias = rng.normal(size=cols)
+        sgd_step(model, factored([a], [delta], [bias]), cfg, velocity)
+        sgd_step_reference(ref, FullGradients([full_matrix_gradient(a, delta)], [bias.copy()]),
+                           cfg, ref_velocity)
+    assert model.weights[0].tobytes() == ref.weights[0].tobytes()
+    assert model.biases[0].tobytes() == ref.biases[0].tobytes()
+    if momentum:
+        assert velocity.weights[0].tobytes() == ref_velocity.weights[0].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_rows=st.sampled_from([1, 2, 5, 32]), cols=st.sampled_from(BLOCK_COLS),
+       blocks=st.integers(0, 3), remainder=st.data(),
+       weight_decay=st.sampled_from([0.0, 1e-3]), momentum=st.sampled_from([0.0, 0.9]),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_update_equals_full_matrix_update(n_rows, cols, blocks, remainder,
+                                                  weight_decay, momentum, seed):
+    step = rows_per_block(cols)
+    fan_in = max(1, blocks * step + remainder.draw(st.integers(0, step - 1)))
+    assert_blocked_update_equals_full(np.random.default_rng(seed), n_rows, fan_in, cols,
+                                      weight_decay, momentum)
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 5, 32])
+def test_blocked_update_equals_full_at_every_remainder(n_rows):
+    rng = np.random.default_rng(n_rows)
+    step = rows_per_block(512)
+    for fan_in in range(2 * step, 3 * step):
+        assert_blocked_update_equals_full(rng, n_rows, fan_in, 512, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("n_rows", [2, 5, 32])
+def test_one_column_layer_is_updated_in_one_block(n_rows):
+    # split into blocks, a (rows, 1) gradient is one gemv per block, and at
+    # 16,386 rows and 32 batch rows the second block's bits differ
+    rng = np.random.default_rng(n_rows)
+    for fan_in in [nn.SGD_BLOCK + 2, nn.SGD_BLOCK + 3, nn.SGD_BLOCK + 9]:
+        assert_blocked_update_equals_full(rng, n_rows, fan_in, 1, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("cols", BLOCK_COLS + [3, 128, 3 * nn.SGD_BLOCK])
+def test_row_blocks_cover_the_weight_without_one_row_blocks(cols):
+    for rows in [1, 2, 3, 4, 5, 31, 32, 33, 64, 65, 66, 512, 513, 3 * nn.SGD_BLOCK + 1]:
+        blocks = nn._row_blocks(rows, cols)
+        assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+        assert blocks[-1][1] == rows
+        sizes = [stop - start for start, stop in blocks]
+        assert min(sizes) >= 2 or sizes == [1]
+        if cols == 1 or rows * cols <= nn.SGD_BLOCK:
+            assert sizes == [rows]
+        else:
+            assert max(sizes) <= rows_per_block(cols) + 1
+    # every layer of the canonical and wide nets but the 512 x 512 one is one block
+    for shape in [(2, 128), (128, 128), (128, 3), (8, 512), (512, 4)]:
+        assert nn._row_blocks(*shape) == ((0, shape[0]),)
+    assert len(nn._row_blocks(512, 512)) == 16
 
 
 def test_last_block_group_name():
@@ -530,4 +643,69 @@ def test_corrupt_hex_payload_raises_format_error(tmp_path, kind):
     assert path.read_text().split("\n")[3].startswith("W0 2 3 ")
     corrupt_checkpoint(path, kind)
     with pytest.raises(CheckpointFormatError, match="tensor W0"):
+        load_checkpoint(path)
+
+
+# hex digits per read: one digit pair, values split across reads, the default
+CHUNK_SIZES = [2, 18, nn._HEX_CHUNK]
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_checkpoint_with_crlf_and_blank_lines_loads(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(nn, "_HEX_CHUNK", chunk)
+    model = model_from_bits([3, 7, 5, 2], seed=4)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    lines = path.read_bytes().split(b"\n")
+    # a blank and a whitespace-only line between tensors and at the end
+    lines[4:4] = [b"", b"  \t"]
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n\r\n")
+    loaded = load_checkpoint(path)
+    assert loaded.group_labels == model.group_labels
+    for a, b in zip(model.weights + model.biases, loaded.weights + loaded.biases):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+@pytest.mark.parametrize("kind", CORRUPT_PAYLOADS)
+def test_corrupt_payload_error_does_not_depend_on_chunk_size(tmp_path, monkeypatch,
+                                                              kind, chunk):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_mlp([2, 3, 2], seed=0), path)
+    corrupt_checkpoint(path, kind)
+    with pytest.raises(CheckpointFormatError) as want:
+        load_checkpoint(path)
+    monkeypatch.setattr(nn, "_HEX_CHUNK", chunk)
+    with pytest.raises(CheckpointFormatError) as got:
+        load_checkpoint(path)
+    assert str(got.value) == str(want.value)
+
+
+def test_payload_split_by_spaces_is_unparsable(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_mlp([2, 3, 2], seed=0), path)
+    lines = path.read_bytes().split(b"\n")
+    head, payload = lines[3].rsplit(b" ", 1)
+    lines[3] = head + b" " + payload[:16] + b" " + payload[16:]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(CheckpointFormatError, match="tensor W0: unparsable value"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_payload_length_errors_count_values(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_mlp([2, 3, 2], seed=0), path)
+    good = path.read_bytes().split(b"\n")
+    for edit, message in ((b"0000000000000000", "expected 6 values, found 7"),
+                          (b"00", "unparsable value")):
+        lines = list(good)
+        lines[3] += edit
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(CheckpointFormatError, match=f"tensor W0: {message}"):
+            load_checkpoint(path)
+    path.write_bytes(b"\n".join(good[:3] + [b"W0 2 3"] + good[4:]))
+    with pytest.raises(CheckpointFormatError, match="tensor W0: expected 6 values, found 0"):
+        load_checkpoint(path)
+    path.write_bytes(b"\n".join(good[:-1] + [good[5], b""]))
+    with pytest.raises(CheckpointFormatError, match="expected 4 tensor lines, found 5"):
         load_checkpoint(path)

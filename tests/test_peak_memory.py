@@ -1,0 +1,61 @@
+"""Peak allocations of the checkpoint loader and the adaptive replay on the
+512-wide net, measured with tracemalloc (numpy reports its array data to
+it). Neither holds a tensor twice or a full-size weight gradient."""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from oodstream import engine, nn
+from oodstream.data import LabeledSet, Stream
+from oodstream.runconfig import RunConfig
+
+WIDE = [8, 512, 512, 4]
+MB = 2**20
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes allocated while ``fn(*args)`` ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def wide_model():
+    rng = np.random.default_rng(31)
+    model = nn.init_mlp(WIDE, seed=31)
+    for b in model.biases:
+        b[:] = rng.normal(0.0, 0.1, size=b.shape)
+    return model
+
+
+def test_checkpoint_load_holds_each_tensor_once(tmp_path, wide_model):
+    path = tmp_path / "model.ckpt"
+    nn.save_checkpoint(wide_model, path)
+    loaded, peak = traced_peak(nn.load_checkpoint, path)
+    tensor_bytes = sum(t.nbytes for t in loaded.weights + loaded.biases)
+    assert tensor_bytes > 2 * MB
+    assert peak <= tensor_bytes + MB // 2
+    for a, b in zip(wide_model.weights + wide_model.biases, loaded.weights + loaded.biases):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_wide_replay_allocates_less_than_one_weight(wide_model):
+    rng = np.random.default_rng(32)
+    train = LabeledSet(rng.normal(size=(40, 8)), np.arange(40) % 4, 4)
+    n = 300
+    is_ood = rng.random(n) < 0.5
+    stream = Stream(features=rng.normal(0.0, 2.0, size=(n, 8)), is_ood=is_ood,
+                    labels=np.where(is_ood, -1, rng.integers(0, 4, n)))
+    config = RunConfig(score="maxlogit", k2=0.0)
+    state = engine.init_state(nn.clone_frozen(wide_model), train, config)
+    log, peak = traced_peak(engine.run_stream, state, config, stream)
+    assert log.counts.updates >= 10
+    assert peak < wide_model.weights[1].nbytes  # 512 x 512 float64: 2 MiB

@@ -9,6 +9,7 @@ oracle, or nowhere.
 from __future__ import annotations
 
 import ast
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -80,7 +81,20 @@ def run_commands(tmp_path: Path) -> list[int]:
     ]
 
 
+def clear_caches() -> None:
+    """Empty every ``functools`` cache in the package: a cached function's
+    body runs only on a miss, so earlier calls in this process would hide
+    whether a command reaches it."""
+    for name in sorted(oodstream.__dict__):
+        module = getattr(oodstream, name)
+        if inspect.ismodule(module):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
 def test_every_package_function_is_reached_by_a_command(tmp_path, capsys):
+    clear_caches()
     entered = set()
 
     def profile(frame, event, arg):
