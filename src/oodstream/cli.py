@@ -52,6 +52,8 @@ def _load_config(args) -> RunConfig:
     except ConfigError as exc:
         raise CliError(f"config error: {exc}") from exc
     if args.seed is not None:
+        if args.seed < 0:
+            raise CliError(f"--seed = {args.seed} is out of range: it must be >= 0")
         cfg.seed = args.seed
         cfg.stream_seed = args.seed + 1
     if args.out is not None:
@@ -145,9 +147,7 @@ def _write_metrics_json(path: Path, rep: metrics.MetricsReport, chash: str,
 def cmd_pretrain(cfg: RunConfig) -> None:
     train, test_id, _ = data.make_scenario(cfg.scenario_spec())
     model = nn.init_mlp(cfg.layer_dims(), seed=cfg.init_seed)
-    sgd = nn.SgdConfig(learning_rate=cfg.pretrain_lr,
-                       weight_decay=cfg.pretrain_weight_decay,
-                       momentum=cfg.pretrain_momentum)
+    sgd = nn.SgdConfig(learning_rate=cfg.pretrain_lr, weight_decay=cfg.pretrain_weight_decay)
     nn.train_offline(model, train, cfg.epochs, cfg.batch_size, sgd,
                      seed=cfg.shuffle_seed)
     out = _out_dir(cfg)

@@ -89,6 +89,7 @@ class ScenarioSpec:
             ("scenario.train_n", self.train_n, self.train_n >= 1, ">= 1"),
             ("scenario.test_id_n", self.test_id_n, self.test_id_n >= 1, ">= 1"),
             ("scenario.ood_n", self.ood_n, self.ood_n >= 1, ">= 1"),
+            ("scenario.seed", self.seed, self.seed >= 0, ">= 0"),
         ):
             if not ok:
                 raise ValueError(f"{key} = {value!r} is out of range: it must be {rule}")

@@ -145,7 +145,7 @@ def init_state(model: MlpModel, train_set: LabeledSet, cfg: RunConfig) -> AutoSt
     (already shuffled) training set for the estimate; 0 keeps every row.
     """
     score_kind = ScoreKind.parse(cfg.score, cfg.energy_temperature)
-    sgd = SgdConfig(cfg.lr, cfg.weight_decay, cfg.momentum, cfg.resolve_groups(model))
+    sgd = SgdConfig(cfg.lr, cfg.weight_decay, cfg.resolve_groups(model))
     model_0 = nn.clone_frozen(model)
     feats = train_set.features[:cfg.stats_subsample_n or None]
     logits = np.empty((len(feats), model.num_classes))

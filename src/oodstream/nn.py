@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import binascii
 import functools
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = "auto-mlp v2"
 
@@ -49,7 +46,6 @@ class SgdConfig:
 
     learning_rate: float = 0.001
     weight_decay: float = 0.0
-    momentum: float = 0.0
     trainable_groups: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
@@ -117,15 +113,6 @@ class Gradients:
         return a.T @ delta
 
 
-@dataclass
-class Velocity:
-    """Momentum buffers, one full-size array per parameter tensor: a
-    velocity is optimizer state, not a gradient, so it is not factored."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
 def default_group_labels(layer_dims: list[int]) -> list[str]:
     """Hidden layer k -> "blockK"; output layer -> "fc"."""
     n_layers = len(layer_dims) - 1
@@ -175,11 +162,6 @@ def init_mlp(layer_dims: list[int], seed: int, scale: float | None = None) -> Ml
         weights.append(_aligned(rng.normal(0.0, s, size=(fan_in, fan_out))))
         biases.append(_aligned(np.zeros(fan_out)))
     return MlpModel(list(layer_dims), weights, biases, default_group_labels(layer_dims))
-
-
-def zero_velocity(model: MlpModel) -> Velocity:
-    return Velocity([np.zeros_like(w) for w in model.weights],
-                    [np.zeros_like(b) for b in model.biases])
 
 
 # ---------------------------------------------------------------------------
@@ -449,42 +431,31 @@ def _row_blocks(rows: int, cols: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(starts, starts[1:] + [rows]))
 
 
-def _apply(param: np.ndarray, g: np.ndarray, cfg: SgdConfig, vel: np.ndarray | None) -> None:
-    """``param -= lr * g`` with weight decay and momentum, in place; ``g`` is
-    consumed (scaled by lr in place) when there is no momentum."""
+def _apply(param: np.ndarray, g: np.ndarray, cfg: SgdConfig) -> None:
+    """``param -= lr * (g + weight_decay * param)`` in place; without weight
+    decay ``g`` is consumed (scaled by lr in place)."""
     if cfg.weight_decay:
         g = g + cfg.weight_decay * param
-    if vel is not None:
-        vel *= cfg.momentum
-        vel += g
-        param -= cfg.learning_rate * vel
-    else:
-        param -= np.multiply(g, cfg.learning_rate, out=g)
+    param -= np.multiply(g, cfg.learning_rate, out=g)
 
 
-def sgd_step(model: MlpModel, grads: Gradients, cfg: SgdConfig,
-             velocity: Velocity | None = None) -> MlpModel:
+def sgd_step(model: MlpModel, grads: Gradients, cfg: SgdConfig) -> MlpModel:
     """In-place SGD update restricted to layers in ``cfg.trainable_groups``.
 
     Layers outside the trainable groups are never written, so they stay
-    bit-identical. With nonzero momentum a ``velocity`` buffer must be
-    supplied and is updated in place. A weight is updated in row blocks
-    (``_row_blocks``): each block's gradient rows are materialized from the
-    factors and then get the elementwise operations of the whole-matrix
-    update, so no full-size gradient or temporary exists. Without momentum
-    the bias gradients are consumed (scaled by the learning rate in place).
+    bit-identical. A weight is updated in row blocks (``_row_blocks``):
+    each block's gradient rows are materialized from the factors and then
+    get the elementwise operations of the whole-matrix update, so no
+    full-size gradient or temporary exists. Without weight decay the bias
+    gradients are consumed (scaled by the learning rate in place).
     """
-    if cfg.momentum != 0.0 and velocity is None:
-        raise ValueError("nonzero momentum requires a velocity buffer")
-    vel = velocity if cfg.momentum != 0.0 else None
     for i, group in enumerate(model.group_labels):
         if group not in cfg.trainable_groups:
             continue
         w = model.weights[i]
         for start, stop in _row_blocks(*w.shape):
-            _apply(w[start:stop], grads.weight(i, start, stop), cfg,
-                   vel.weights[i][start:stop] if vel else None)
-        _apply(model.biases[i], grads.d_biases[i], cfg, vel.biases[i] if vel else None)
+            _apply(w[start:stop], grads.weight(i, start, stop), cfg)
+        _apply(model.biases[i], grads.d_biases[i], cfg)
     return model
 
 
@@ -509,7 +480,7 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
     """Minibatch SGD on mean label cross-entropy over all parameter groups.
 
     ``dataset`` needs ``.features`` (N, d) and ``.labels`` (N,). Shuffling is
-    seeded; the final training accuracy is logged. ``epochs=0`` is a no-op.
+    seeded. ``epochs=0`` is a no-op.
     """
     feats = np.asarray(dataset.features, dtype=np.float64)
     labels = np.asarray(dataset.labels, dtype=np.int64)
@@ -518,13 +489,7 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
         raise ValueError("empty training dataset")
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError("labels out of range for the model's class count")
-    train_cfg = SgdConfig(
-        learning_rate=cfg.learning_rate,
-        weight_decay=cfg.weight_decay,
-        momentum=cfg.momentum,
-        trainable_groups=frozenset(model.group_labels),
-    )
-    velocity = zero_velocity(model) if cfg.momentum != 0.0 else None
+    train_cfg = SgdConfig(cfg.learning_rate, cfg.weight_decay, frozenset(model.group_labels))
     keep = [True] * model.num_layers
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
@@ -540,10 +505,7 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
             dlogits = probs
             dlogits[np.arange(len(yb)), yb] -= 1.0
             dlogits /= len(yb)
-            sgd_step(model, _backprop(model, acts, dlogits, keep), train_cfg, velocity)
-    if epochs > 0:
-        logger.info("train_offline: %d epochs, final train accuracy %.4f",
-                    epochs, accuracy(model, feats, labels))
+            sgd_step(model, _backprop(model, acts, dlogits, keep), train_cfg)
     return model
 
 
@@ -551,27 +513,31 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
 # checkpointing
 
 
+# Bytes of a tensor line read to find its name and shape, and hex digits
+# encoded or decoded per chunk of a payload (an even count).
+_HEAD_BYTES = 256
+_HEX_CHUNK = 1 << 16
+
+
 def save_checkpoint(model: MlpModel, path) -> None:
     """Write the model as versioned line-oriented text, bit-exact on reload.
 
     Each tensor line is ``name shape... payload``, where the payload is the
-    hex of the tensor's little-endian float64 bytes in C order.
+    hex of the tensor's little-endian float64 bytes in C order. Each payload
+    is encoded in chunks straight to the file, so the file text is never
+    held in memory.
     """
-    lines = [CHECKPOINT_MAGIC]
-    lines.append(" ".join(str(d) for d in model.layer_dims))
-    lines.append(" ".join(model.group_labels))
-    for i in range(model.num_layers):
-        for name, tensor in ((f"W{i}", model.weights[i]), (f"b{i}", model.biases[i])):
-            shape = " ".join(str(s) for s in tensor.shape)
-            lines.append(f"{name} {shape} {tensor.astype('<f8').tobytes().hex()}")
-    with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-# Bytes of a tensor line read to find its name and shape, and hex digits
-# decoded per read of a payload (an even count).
-_HEAD_BYTES = 256
-_HEX_CHUNK = 1 << 16
+    with open(path, "wb") as f:
+        f.write(f"{CHECKPOINT_MAGIC}\n{' '.join(map(str, model.layer_dims))}\n"
+                f"{' '.join(model.group_labels)}\n".encode("ascii"))
+        for i in range(model.num_layers):
+            for name, tensor in ((f"W{i}", model.weights[i]), (f"b{i}", model.biases[i])):
+                f.write(f"{name} {' '.join(map(str, tensor.shape))} ".encode("ascii"))
+                data = memoryview(np.ascontiguousarray(tensor, "<f8").reshape(-1).view(np.uint8))
+                step = _HEX_CHUNK // 2  # bytes per chunk of hex digits
+                for start in range(0, len(data), step):
+                    f.write(binascii.b2a_hex(data[start:start + step]))
+                f.write(b"\n")
 
 
 def load_checkpoint(path) -> MlpModel:

@@ -58,7 +58,6 @@ class RunConfig:
     batch_size: int = 32
     pretrain_lr: float = 0.05
     pretrain_weight_decay: float = 0.0
-    pretrain_momentum: float = 0.0
     init_seed: int = 1
     shuffle_seed: int = 2
     # auto
@@ -80,7 +79,6 @@ class RunConfig:
     # sgd (online updates)
     lr: float = 0.001
     weight_decay: float = 0.0
-    momentum: float = 0.0
     trainable_groups: str = "last_block"
     # output
     out_dir: str = "out"
@@ -101,15 +99,15 @@ class RunConfig:
         name = self.trainable_groups.strip()
         if name not in ("none", "all", "last_block"):
             _named_groups(name, default_group_labels(self.layer_dims()))
-        if self.momentum != 0.0:
-            raise ConfigError(f"sgd.momentum = {self.momentum!r} is not supported: online "
-                              "updates keep no velocity buffer; set it to 0")
         # Written so that NaN fails every check.
         for key, value, ok, rule in (
             ("scenario.kappa", self.kappa, 0.0 <= self.kappa < 1.0, "in [0, 1)"),
+            ("scenario.stream_seed", self.stream_seed, self.stream_seed >= 0, ">= 0"),
             ("pretrain.epochs", self.epochs, self.epochs >= 0, ">= 0"),
             ("pretrain.batch_size", self.batch_size, self.batch_size >= 1, ">= 1"),
             ("pretrain.lr", self.pretrain_lr, self.pretrain_lr > 0.0, "> 0"),
+            ("pretrain.init_seed", self.init_seed, self.init_seed >= 0, ">= 0"),
+            ("pretrain.shuffle_seed", self.shuffle_seed, self.shuffle_seed >= 0, ">= 0"),
             ("auto.lambda1", self.lambda1, self.lambda1 >= 0.0, ">= 0"),
             ("auto.lambda2", self.lambda2, self.lambda2 >= 0.0, ">= 0"),
             ("auto.iters_T", self.iters_t, self.iters_t >= 0, ">= 0"),
@@ -126,6 +124,7 @@ class RunConfig:
              ">= 0"),
             ("auto.memory_mode", self.memory_mode,
              self.memory_mode in ("random", "prototype"), "random or prototype"),
+            ("auto.memory_seed", self.memory_seed, self.memory_seed >= 0, ">= 0"),
             ("sgd.lr", self.lr, self.lr > 0.0, "> 0"),
         ):
             if not ok:
@@ -196,7 +195,6 @@ _SCALAR_KEYS: list[tuple[str, str, str]] = [
     ("pretrain.batch_size", "batch_size", _INT),
     ("pretrain.lr", "pretrain_lr", _FLOAT),
     ("pretrain.weight_decay", "pretrain_weight_decay", _FLOAT),
-    ("pretrain.momentum", "pretrain_momentum", _FLOAT),
     ("pretrain.init_seed", "init_seed", _INT),
     ("pretrain.shuffle_seed", "shuffle_seed", _INT),
     ("auto.lambda1", "lambda1", _FLOAT),
@@ -216,12 +214,15 @@ _SCALAR_KEYS: list[tuple[str, str, str]] = [
     ("auto.memory_seed", "memory_seed", _INT),
     ("sgd.lr", "lr", _FLOAT),
     ("sgd.weight_decay", "weight_decay", _FLOAT),
-    ("sgd.momentum", "momentum", _FLOAT),
     ("sgd.trainable_groups", "trainable_groups", _STR),
     ("output.dir", "out_dir", _STR),
 ]
 
 _KEY_TO_ATTR = {k: (a, t) for k, a, t in _SCALAR_KEYS}
+
+# Keys of the removed momentum optimizer: older config files set them to 0,
+# which still loads and is not written back.
+REMOVED_MOMENTUM_KEYS = ("pretrain.momentum", "sgd.momentum")
 
 
 def _fmt_float(v: float) -> str:
@@ -319,7 +320,8 @@ def to_text(cfg: RunConfig) -> str:
 
 
 def from_text(text: str) -> RunConfig:
-    """Parse a config file; unknown keys raise ConfigError naming the key.
+    """Parse a config file; unknown keys raise ConfigError naming the key,
+    and so does a removed momentum key set to anything but 0.
 
     Every command draws its scenario from the file, so a file must spell out
     at least one ``scenario.*`` key, and no key may be set twice.
@@ -353,6 +355,12 @@ def from_text(text: str) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"unknown config key {key!r}") from exc
             ood_fields.setdefault(idx, {})[prop] = raw
+            continue
+        if key in REMOVED_MOMENTUM_KEYS:
+            value = _parse_value(raw, _FLOAT, key)
+            if value != 0.0:  # NaN included
+                raise ConfigError(f"{key} = {value!r} is out of range: momentum was removed, "
+                                  "so it must be 0")
             continue
         if key not in _KEY_TO_ATTR:
             raise ConfigError(f"unknown config key {key!r}")

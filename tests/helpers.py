@@ -17,7 +17,7 @@ from oodstream.engine import DECISIONS, EventLog, StreamEvent, UpdateTrace
 from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
 from oodstream.nn import CHECKPOINT_MAGIC, LossSpec, MlpModel, SgdConfig
-from oodstream.runconfig import _SCALAR_KEYS, RunConfig, to_text
+from oodstream.runconfig import _SCALAR_KEYS, REMOVED_MOMENTUM_KEYS, RunConfig, to_text
 from oodstream.scoring import ScoreKind
 
 
@@ -488,9 +488,7 @@ def train_offline_reference(model: MlpModel, features, labels, epochs: int,
                             batch_size: int, cfg: SgdConfig, seed: int = 0) -> MlpModel:
     """Minibatch SGD on mean label cross-entropy, gradients from the oracle."""
     train_cfg = SgdConfig(learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay,
-                          momentum=cfg.momentum,
                           trainable_groups=frozenset(model.group_labels))
-    velocity = nn.zero_velocity(model) if cfg.momentum != 0.0 else None
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         order = rng.permutation(len(features))
@@ -503,26 +501,19 @@ def train_offline_reference(model: MlpModel, features, labels, epochs: int,
             probs /= len(idx)
             grads = _zero_filled_slots(model)
             backprop_reference(model, pre, acts, probs, grads)
-            sgd_step_reference(model, grads, train_cfg, velocity)
+            sgd_step_reference(model, grads, train_cfg)
     return model
 
 
-def sgd_step_reference(model: MlpModel, grads: FullGradients, cfg: SgdConfig,
-                       velocity: nn.Velocity | None = None) -> None:
+def sgd_step_reference(model: MlpModel, grads: FullGradients, cfg: SgdConfig) -> None:
     """``param -= lr * g`` on whole tensors, with a fresh ``lr * g`` per
     tensor; ``grads`` untouched."""
     for i, group in enumerate(model.group_labels):
         if group not in cfg.trainable_groups:
             continue
-        for param, grad, vel in (
-            (model.weights[i], grads.d_weights[i], velocity.weights[i] if velocity else None),
-            (model.biases[i], grads.d_biases[i], velocity.biases[i] if velocity else None),
-        ):
+        for param, grad in ((model.weights[i], grads.d_weights[i]),
+                            (model.biases[i], grads.d_biases[i])):
             g = grad + cfg.weight_decay * param if cfg.weight_decay else grad
-            if cfg.momentum != 0.0:
-                vel *= cfg.momentum
-                vel += g
-                g = vel
             param -= cfg.learning_rate * g
 
 
@@ -633,17 +624,28 @@ THREE_SOURCES = (GaussianSource(mean=(3.0, 0.0), spread=0.5),
                  UniformBoxSource(low=(-4.0, -4.0), high=(4.0, 4.0)),
                  RingSource(radius=3.0, width=1.0))
 
-# every float-valued config key of a config with THREE_SOURCES
+# every float-valued config key of a config with THREE_SOURCES, and the
+# removed momentum keys, which still load as the float 0
 FLOAT_KEYS = [key for key, _, typ in _SCALAR_KEYS if typ == "float"] + [
     "scenario.ood1.center", "scenario.ood1.spread", "scenario.ood2.low",
-    "scenario.ood2.high", "scenario.ood3.radius", "scenario.ood3.width"]
+    "scenario.ood2.high", "scenario.ood3.radius", "scenario.ood3.width",
+    *REMOVED_MOMENTUM_KEYS]
+
+
+def non_finite_rule(key: str) -> str:
+    """How the loader's error for a non-finite ``key`` ends."""
+    if key in REMOVED_MOMENTUM_KEYS:
+        return "is out of range: momentum was removed, so it must be 0"
+    return "is out of range: it must be finite"
 
 
 def config_text_with(key: str, raw: str, **overrides) -> str:
     """Config text of ``RunConfig(ood_sources=THREE_SOURCES, **overrides)``
     with ``key`` set to ``raw``; a coordinate key gets ``raw`` as its first
-    coordinate."""
+    coordinate, and a removed momentum key is appended."""
     text = to_text(RunConfig(ood_sources=THREE_SOURCES, **overrides))
+    if key in REMOVED_MOMENTUM_KEYS:
+        return text + f"{key} = {raw}\n"
     [line] = [ln for ln in text.splitlines() if ln.startswith(f"{key} = ")]
     if key.endswith((".center", ".low", ".high")):
         raw = ",".join([raw, *line.partition(" = ")[2].split(",")[1:]])

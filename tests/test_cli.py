@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from helpers import (CORRUPT_PAYLOADS, FLOAT_KEYS, THREE_SOURCES, config_text_with,
-                     corrupt_checkpoint)
+                     corrupt_checkpoint, non_finite_rule)
 from oodstream import cli, data, nn
 from oodstream.cli import main
-from oodstream.runconfig import RunConfig, from_text, to_text
+from oodstream.runconfig import REMOVED_MOMENTUM_KEYS, RunConfig, from_text, to_text
 
 SMALL_OVERRIDES = dict(
     test_id_n=250,
@@ -147,21 +147,42 @@ def test_non_finite_float_fails_at_load(tmp_path, capsys, key, raw):
     assert main(["--config", str(path), "pretrain"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: config error: {key} = ") and err.count("\n") == 1
-    assert err.endswith("is out of range: it must be finite\n")
+    assert err.endswith(f"{non_finite_rule(key)}\n")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["auto", "frozen"])
-def test_nonzero_sgd_momentum_fails_at_load(tmp_path, capsys, mode):
-    text = to_text(RunConfig(**SMALL_OVERRIDES, out_dir=str(tmp_path / "out")))
-    assert "sgd.momentum = 0\n" in text
-    path = tmp_path / "momentum.cfg"
-    path.write_text(text.replace("sgd.momentum = 0\n", "sgd.momentum = 0.9\n"),
-                    encoding="ascii")
-    assert main(["--config", str(path), "run", "--mode", mode]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "sgd.momentum" in err
-    assert err.startswith("error: ") and "Traceback" not in err
+def test_nonzero_sgd_momentum_fails_at_load(pretrained, capsys, mode):
+    """Momentum was removed. Both of its keys still load at 0, as older
+    files set them, and change no output byte, the config hash included;
+    any other value fails at load."""
+    cfg_path, out = pretrained
+    text = cfg_path.read_text(encoding="ascii")
+    assert all(key not in text for key in REMOVED_MOMENTUM_KEYS)
+    assert main(["--config", str(cfg_path), "run", "--mode", mode]) == 0
+    written = {p.name: p.read_bytes() for p in out.glob(f"{mode}_*")}
+    legacy = cfg_path.with_name("legacy.cfg")
+    legacy.write_text(text + "".join(f"{key} = 0\n" for key in REMOVED_MOMENTUM_KEYS),
+                      encoding="ascii")
+    assert main(["--config", str(legacy), "run", "--mode", mode]) == 0
+    assert {p.name: p.read_bytes() for p in out.glob(f"{mode}_*")} == written
+    capsys.readouterr()
+    (out / f"{mode}_events.csv").unlink()
+    for key in REMOVED_MOMENTUM_KEYS:
+        legacy.write_text(f"{text}{key} = 0.9\n", encoding="ascii")
+        assert main(["--config", str(legacy), "run", "--mode", mode]) == 1
+        assert capsys.readouterr().err == (f"error: config error: {key} = 0.9 is out of "
+                                           "range: momentum was removed, so it must be 0\n")
+        assert not (out / f"{mode}_events.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["pretrain"], ["run", "--mode", "auto"]])
+def test_negative_seed_fails_before_any_work(tmp_path, capsys, command):
+    """numpy refused it only when the scenario was drawn, in a message that
+    named no option."""
+    cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "out"))
+    assert main(["--config", str(cfg_path), "--seed", "-1", *command]) == 1
+    assert capsys.readouterr().err == "error: --seed = -1 is out of range: it must be >= 0\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -176,7 +197,11 @@ def test_nonzero_sgd_momentum_fails_at_load(tmp_path, capsys, mode):
                                        ("auto.id_loss_reduction", "bogus"),
                                        ("auto.lambda1", "-1"), ("auto.lambda2", "nan"),
                                        ("auto.lambda2_decay", "-1"), ("sgd.lr", "-0.001"),
-                                       ("auto.stats_subsample_n", "-1")])
+                                       ("auto.stats_subsample_n", "-1"),
+                                       ("scenario.seed", "-5"), ("scenario.stream_seed", "-5"),
+                                       ("pretrain.init_seed", "-1"),
+                                       ("pretrain.shuffle_seed", "-1"),
+                                       ("auto.memory_seed", "-1")])
 def test_out_of_range_value_fails_before_any_work(tmp_path, capsys, key, value):
     lines = to_text(RunConfig(**SMALL_OVERRIDES, out_dir=str(tmp_path / "out"))).splitlines()
     [i] = [i for i, ln in enumerate(lines) if ln.startswith(f"{key} = ")]

@@ -284,11 +284,11 @@ def test_config_defaults_are_pinned():
     assert cfg.memory_mode == "random"
     assert cfg.stats_subsample_n == 0
     assert cfg.lr == 0.001
-    assert cfg.weight_decay == 0.0 and cfg.momentum == 0.0
+    assert cfg.weight_decay == 0.0
     assert cfg.trainable_groups == "last_block"
     sgd = SgdConfig()
     assert sgd.learning_rate == 0.001
-    assert sgd.weight_decay == 0.0 and sgd.momentum == 0.0
+    assert sgd.weight_decay == 0.0
 
 
 @pytest.mark.parametrize("kind", ["energy", "maxlogit"])
@@ -386,7 +386,7 @@ def test_init_state_resolves_run_config(canonical):
                     trainable_groups="block1+fc")
     state = fresh_state(canonical, cfg)
     assert state.score_kind == scoring.ScoreKind("energy", 2.0)
-    assert state.sgd == SgdConfig(0.01, 0.5, 0.0, frozenset({"block1", "fc"}))
+    assert state.sgd == SgdConfig(0.01, 0.5, frozenset({"block1", "fc"}))
     assert fresh_state(canonical, RunConfig()).sgd.trainable_groups == {"block2"}
     with pytest.raises(ConfigError, match="unknown parameter groups"):
         fresh_state(canonical, RunConfig(trainable_groups="block9"))

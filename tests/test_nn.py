@@ -289,16 +289,6 @@ def test_sgd_step_weight_decay():
     assert model.weights[0][0, 0] == pytest.approx(1.8, abs=1e-15)
 
 
-def test_sgd_step_momentum_two_steps():
-    model = MlpModel([1, 1], [np.array([[1.0]])], [np.zeros(1)], ["fc"])
-    grads = factored([[[1.0]]], [[[1.0]]], [[0.0]])
-    cfg = SgdConfig(learning_rate=0.1, momentum=0.5, trainable_groups={"fc"})
-    velocity = nn.zero_velocity(model)
-    sgd_step(model, grads, cfg, velocity)   # v=1,   theta = 1 - 0.1
-    sgd_step(model, grads, cfg, velocity)   # v=1.5, theta = 0.9 - 0.15
-    assert model.weights[0][0, 0] == pytest.approx(0.75, abs=1e-15)
-
-
 def random_grads(model: MlpModel, rng: np.random.Generator, rows: int = 3) -> nn.Gradients:
     return factored([rng.normal(size=(rows, w.shape[0])) for w in model.weights],
                     [rng.normal(size=(rows, w.shape[1])) for w in model.weights],
@@ -334,32 +324,6 @@ def test_sgd_step_consumes_grads_with_the_bits_of_lr_times_g(weight_decay):
             assert g.tobytes() == (cfg.learning_rate * g0).tobytes()
 
 
-def test_sgd_step_momentum_never_scales_velocity_or_grads():
-    rng = np.random.default_rng(22)
-    model = init_mlp([3, 8, 4], seed=6)
-    grads = random_grads(model, rng)
-    velocity = nn.Velocity([rng.normal(size=w.shape) for w in model.weights],
-                           [rng.normal(size=b.shape) for b in model.biases])
-    full0 = materialized(grads)
-    factors0 = [a.copy() for a in factors_of(grads)]
-    vel0 = [v.copy() for v in velocity.weights + velocity.biases]
-    cfg = SgdConfig(learning_rate=0.1, momentum=0.9, trainable_groups={"block1", "fc"})
-    sgd_step(model, grads, cfg, velocity)
-    assert [a.tobytes() for a in factors_of(grads)] == [a.tobytes() for a in factors0]
-    for g, g0, v, v0 in zip(grads.d_biases, full0.d_biases, velocity.biases, vel0[2:]):
-        assert g.tobytes() == g0.tobytes()
-        assert v.tobytes() == (0.9 * v0 + g0).tobytes()
-    for v, v0, g0 in zip(velocity.weights, vel0, full0.d_weights):
-        assert v.tobytes() == (0.9 * v0 + g0).tobytes()
-
-
-def test_sgd_step_momentum_requires_velocity():
-    model = init_mlp([2, 2], seed=0)
-    cfg = SgdConfig(learning_rate=0.1, momentum=0.9, trainable_groups={"fc"})
-    with pytest.raises(ValueError):
-        sgd_step(model, constant_grads(model, 0.0), cfg)
-
-
 # The blocked update: each weight is updated in row blocks whose gradient
 # rows are materialized from the factors, with the whole-matrix update's
 # elementwise operations.
@@ -377,41 +341,33 @@ def full_matrix_gradient(a: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.einsum("i,j->ij", a[0], delta[0]) if len(a) == 1 else a.T @ delta
 
 
-def assert_blocked_update_equals_full(rng, n_rows, fan_in, cols, weight_decay, momentum):
+def assert_blocked_update_equals_full(rng, n_rows, fan_in, cols, weight_decay):
     # Small weights and a unit learning rate: the updated weights carry the
     # gradient's bits, which a small step would round away.
     model = MlpModel([fan_in, cols], [nn._aligned(rng.normal(0.0, 1e-6, size=(fan_in, cols)))],
                      [nn._aligned(rng.normal(0.0, 1e-6, size=cols))], ["fc"])
     ref = clone_frozen(model)
-    cfg = SgdConfig(learning_rate=1.0, weight_decay=weight_decay, momentum=momentum,
-                    trainable_groups={"fc"})
-    velocity = ref_velocity = None
-    if momentum:
-        velocity = nn.Velocity([rng.normal(size=(fan_in, cols))], [rng.normal(size=cols)])
-        ref_velocity = nn.Velocity([velocity.weights[0].copy()], [velocity.biases[0].copy()])
+    cfg = SgdConfig(learning_rate=1.0, weight_decay=weight_decay, trainable_groups={"fc"})
     for _ in range(2):
         a, delta = rng.normal(size=(n_rows, fan_in)), rng.normal(size=(n_rows, cols))
         bias = rng.normal(size=cols)
-        sgd_step(model, factored([a], [delta], [bias]), cfg, velocity)
+        sgd_step(model, factored([a], [delta], [bias]), cfg)
         sgd_step_reference(ref, FullGradients([full_matrix_gradient(a, delta)], [bias.copy()]),
-                           cfg, ref_velocity)
+                           cfg)
     assert model.weights[0].tobytes() == ref.weights[0].tobytes()
     assert model.biases[0].tobytes() == ref.biases[0].tobytes()
-    if momentum:
-        assert velocity.weights[0].tobytes() == ref_velocity.weights[0].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(n_rows=st.sampled_from([1, 2, 5, 32]), cols=st.sampled_from(BLOCK_COLS),
        blocks=st.integers(0, 3), remainder=st.data(),
-       weight_decay=st.sampled_from([0.0, 1e-3]), momentum=st.sampled_from([0.0, 0.9]),
-       seed=st.integers(0, 2**32 - 1))
+       weight_decay=st.sampled_from([0.0, 1e-3]), seed=st.integers(0, 2**32 - 1))
 def test_blocked_update_equals_full_matrix_update(n_rows, cols, blocks, remainder,
-                                                  weight_decay, momentum, seed):
+                                                  weight_decay, seed):
     step = rows_per_block(cols)
     fan_in = max(1, blocks * step + remainder.draw(st.integers(0, step - 1)))
     assert_blocked_update_equals_full(np.random.default_rng(seed), n_rows, fan_in, cols,
-                                      weight_decay, momentum)
+                                      weight_decay)
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 5, 32])
@@ -419,7 +375,7 @@ def test_blocked_update_equals_full_at_every_remainder(n_rows):
     rng = np.random.default_rng(n_rows)
     step = rows_per_block(512)
     for fan_in in range(2 * step, 3 * step):
-        assert_blocked_update_equals_full(rng, n_rows, fan_in, 512, 0.0, 0.0)
+        assert_blocked_update_equals_full(rng, n_rows, fan_in, 512, 0.0)
 
 
 @pytest.mark.parametrize("n_rows", [2, 5, 32])
@@ -428,7 +384,7 @@ def test_one_column_layer_is_updated_in_one_block(n_rows):
     # 16,386 rows and 32 batch rows the second block's bits differ
     rng = np.random.default_rng(n_rows)
     for fan_in in [nn.SGD_BLOCK + 2, nn.SGD_BLOCK + 3, nn.SGD_BLOCK + 9]:
-        assert_blocked_update_equals_full(rng, n_rows, fan_in, 1, 0.0, 0.0)
+        assert_blocked_update_equals_full(rng, n_rows, fan_in, 1, 0.0)
 
 
 @pytest.mark.parametrize("cols", BLOCK_COLS + [3, 128, 3 * nn.SGD_BLOCK])
