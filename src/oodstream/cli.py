@@ -79,14 +79,19 @@ def _make_stream(cfg: RunConfig, test_id: data.LabeledSet,
 
 def _prepare(cfg: RunConfig) -> tuple[nn.MlpModel, data.LabeledSet, data.LabeledSet,
                                        list[data.LabeledSet]]:
-    """Load the checkpoint and draw the scenario; no swept or ablated key changes either."""
+    """Load the checkpoint and draw the scenario; no swept or ablated key changes either.
+
+    The checkpoint must carry the config's pretrain hash: the scenario and
+    pretraining keys it was trained under, the stream keys aside.
+    """
     ckpt = Path(cfg.out_dir) / CHECKPOINT_NAME
     if not ckpt.exists():
         raise CliError(f"checkpoint not found: {ckpt} (run `pretrain` first)")
-    model = nn.load_checkpoint(ckpt)
-    if model.layer_dims != cfg.layer_dims():
-        raise CliError(f"checkpoint {ckpt} has layer dims {model.layer_dims}, but the config "
-                       f"asks for {cfg.layer_dims()} (run `pretrain` again)")
+    model, saved = nn.load_checkpoint(ckpt)
+    expected = runconfig.pretrain_hash(cfg)
+    if saved != expected:
+        raise CliError(f"checkpoint {ckpt} was pretrained under pretrain hash {saved}, but the "
+                       f"config has pretrain hash {expected} (run `pretrain` again)")
     return (model, *data.make_scenario(cfg.scenario_spec()))
 
 
@@ -151,7 +156,7 @@ def cmd_pretrain(cfg: RunConfig) -> None:
     nn.train_offline(model, train, cfg.epochs, cfg.batch_size, sgd,
                      seed=cfg.shuffle_seed)
     out = _out_dir(cfg)
-    nn.save_checkpoint(model, out / CHECKPOINT_NAME)
+    nn.save_checkpoint(model, out / CHECKPOINT_NAME, runconfig.pretrain_hash(cfg))
     summary = {
         "config_hash": runconfig.config_hash(cfg),
         "epochs": cfg.epochs,

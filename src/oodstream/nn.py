@@ -10,14 +10,14 @@ there is no general autodiff facility.
 
 from __future__ import annotations
 
-import binascii
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-CHECKPOINT_MAGIC = "auto-mlp v2"
+CHECKPOINT_MAGIC = "auto-mlp v3"
 
 
 class InputDimensionError(ValueError):
@@ -126,9 +126,9 @@ def last_block_group(model: MlpModel) -> str:
     return model.group_labels[model.num_layers - 2]
 
 
-def _aligned_empty(shape: tuple[int, ...], dtype="f8") -> np.ndarray:
-    """An uninitialized 8-byte-float array whose data starts on a 64-byte
-    boundary.
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized little-endian float64 array whose data starts on a
+    64-byte boundary.
 
     malloc aligns to 16 bytes only, and the offset of the weight arrays
     within a 64-byte line moved the canonical pretrain from 0.63 s (on a
@@ -137,7 +137,7 @@ def _aligned_empty(shape: tuple[int, ...], dtype="f8") -> np.ndarray:
     depends on heap layout.
     """
     size = math.prod(shape)
-    buf = np.empty(size + 8, dtype=dtype)
+    buf = np.empty(size + 8, dtype="<f8")
     start = (-buf.ctypes.data % 64) // 8
     return buf[start:start + size].reshape(shape)
 
@@ -513,136 +513,75 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
 # checkpointing
 
 
-# Bytes of a tensor line read to find its name and shape, and hex digits
-# encoded or decoded per chunk of a payload (an even count).
-_HEAD_BYTES = 256
-_HEX_CHUNK = 1 << 16
+# Longest header line read; a longer one is a malformed header.
+_HEADER_LINE_BYTES = 1 << 16
 
 
-def save_checkpoint(model: MlpModel, path) -> None:
-    """Write the model as versioned line-oriented text, bit-exact on reload.
+def save_checkpoint(model: MlpModel, path, pretrain_hash: str) -> None:
+    """Write the model as four ASCII header lines and raw float64 payloads,
+    bit-exact on reload.
 
-    Each tensor line is ``name shape... payload``, where the payload is the
-    hex of the tensor's little-endian float64 bytes in C order. Each payload
-    is encoded in chunks straight to the file, so the file text is never
-    held in memory.
+    The header holds the magic, the layer dims, the group labels and
+    ``pretrain_hash``. Then come the little-endian float64 bytes of W0, b0,
+    W1, b1, ... in C order, with no separators: the dims fix every size.
     """
     with open(path, "wb") as f:
         f.write(f"{CHECKPOINT_MAGIC}\n{' '.join(map(str, model.layer_dims))}\n"
-                f"{' '.join(model.group_labels)}\n".encode("ascii"))
-        for i in range(model.num_layers):
-            for name, tensor in ((f"W{i}", model.weights[i]), (f"b{i}", model.biases[i])):
-                f.write(f"{name} {' '.join(map(str, tensor.shape))} ".encode("ascii"))
-                data = memoryview(np.ascontiguousarray(tensor, "<f8").reshape(-1).view(np.uint8))
-                step = _HEX_CHUNK // 2  # bytes per chunk of hex digits
-                for start in range(0, len(data), step):
-                    f.write(binascii.b2a_hex(data[start:start + step]))
-                f.write(b"\n")
+                f"{' '.join(model.group_labels)}\n{pretrain_hash}\n".encode("ascii"))
+        for w, b in zip(model.weights, model.biases):
+            f.write(np.ascontiguousarray(w, "<f8").data)
+            f.write(np.ascontiguousarray(b, "<f8").data)
 
 
-def load_checkpoint(path) -> MlpModel:
-    """Reload a checkpoint, validating version, structure, and dimensions.
+def load_checkpoint(path) -> tuple[MlpModel, str]:
+    """Reload a checkpoint and its pretraining hash, validating version,
+    structure, dimensions and values.
 
-    Only the current hex format is read; any other header, the decimal
-    ``auto-mlp v1`` one included, is a :class:`CheckpointVersionError`.
-    The file is read as bytes and each payload is decoded in chunks
-    straight into its tensor, so neither the file text nor any tensor is
-    held twice. Lines may end in CRLF, and blank lines are skipped.
+    Any header but the current one is a :class:`CheckpointVersionError`.
+    Each tensor is read straight into its 64-byte-aligned array, so no
+    tensor is held twice.
     """
-    with open(path, "rb", buffering=_HEX_CHUNK) as f:
-        raw = [f.readline() for _ in range(3)]
+    with open(path, "rb") as f:
+        raw = [f.readline(_HEADER_LINE_BYTES) for _ in range(4)]
         if not raw[0]:
             raise CheckpointFormatError("empty checkpoint file")
-        lines = [ln.rstrip(b"\r\n").decode("ascii", "replace") for ln in raw]
-        if lines[0] != CHECKPOINT_MAGIC:
+        magic = raw[0].rstrip(b"\n").decode("ascii", "replace")
+        if magic != CHECKPOINT_MAGIC:
             raise CheckpointVersionError(
-                f"unsupported checkpoint header {lines[0]!r}, expected {CHECKPOINT_MAGIC!r} "
+                f"unsupported checkpoint header {magic!r}, expected {CHECKPOINT_MAGIC!r} "
                 "(run `pretrain` again to rewrite it)"
             )
-        if not raw[2]:
+        if not all(line.endswith(b"\n") for line in raw):
             raise CheckpointFormatError("truncated checkpoint: missing header lines")
+        dims_line, labels_line, pretrain_hash = (
+            line[:-1].decode("ascii", "replace") for line in raw[1:])
         try:
-            layer_dims = [int(t) for t in lines[1].split()]
+            layer_dims = [int(t) for t in dims_line.split()]
         except ValueError as exc:
-            raise CheckpointFormatError(f"bad layer dims line: {lines[1]!r}") from exc
+            raise CheckpointFormatError(f"bad layer dims line: {dims_line!r}") from exc
         if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
             raise CheckpointDimensionError(f"invalid layer dims {layer_dims}")
-        if not raw[2].isascii():
-            raise CheckpointFormatError(f"bad group labels line: {lines[2]!r}")
-        group_labels = lines[2].split()
+        group_labels = labels_line.split()
         n_layers = len(layer_dims) - 1
         if len(group_labels) != n_layers:
             raise CheckpointDimensionError(
                 f"expected {n_layers} group labels, got {len(group_labels)}"
             )
-        n_lines = 2 * n_layers
+        end = os.fstat(f.fileno()).st_size
         tensors: list[np.ndarray] = []
-        for k in range(n_lines):
-            i, fan_out = k // 2, layer_dims[k // 2 + 1]
-            name, shape = ((f"W{i}", (layer_dims[i], fan_out)) if k % 2 == 0
-                           else (f"b{i}", (fan_out,)))
-            tensor = _read_tensor(f, name, shape)
-            if tensor is None:
-                raise CheckpointFormatError(f"expected {n_lines} tensor lines, found {k}")
-            tensors.append(tensor)
-        extra = sum(1 for ln in f if ln.strip())
-        if extra:
-            raise CheckpointFormatError(
-                f"expected {n_lines} tensor lines, found {n_lines + extra}")
-    return MlpModel(layer_dims, tensors[0::2], tensors[1::2], group_labels)
-
-
-def _read_tensor(f, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
-    """Read the next non-blank line of ``f`` as tensor ``name`` of ``shape``;
-    None at the end of the file.
-
-    The payload must be exactly the tensor's hex digits: a space inside it
-    or any byte that is not a hex digit makes it unparsable.
-    """
-    head = b""
-    while not head.strip():
-        start = f.tell()
-        head = f.readline(_HEAD_BYTES)
-        if not head:
-            return None
-    ndim = len(shape)
-    tokens = head.split(None, 1 + ndim)
-    if tokens[0] != name.encode("ascii"):
-        line = head.rstrip(b"\r\n").decode("ascii", "replace")
-        raise CheckpointFormatError(f"expected tensor {name!r}, got line {line[:40]!r}")
-    try:
-        declared = tuple(int(t) for t in tokens[1:1 + ndim])
-    except ValueError as exc:
-        raise CheckpointFormatError(f"bad shape for tensor {name}") from exc
-    if declared != shape:
-        raise CheckpointDimensionError(
-            f"tensor {name} declares shape {declared}, expected {shape}"
-        )
-    # Go back to where the payload starts, and decode it in chunks.
-    f.seek(start + (len(head) - len(tokens[-1]) if len(tokens) > 1 + ndim
-                    else len(head.rstrip())))
-    out = _aligned_empty(shape, "<f8")
-    dest = memoryview(out.reshape(-1).view(np.uint8))
-    digits, got = 16 * out.size, 0
-    try:
-        while got < digits:
-            want = min(_HEX_CHUNK, digits - got)
-            chunk = f.readline(want)
-            if len(chunk) < want or chunk.endswith(b"\n"):  # the line ended early
-                break
-            dest[got // 2:(got + want) // 2] = binascii.a2b_hex(chunk)
-            got += want
-        else:
-            chunk = f.readline()  # the rest of the line
-        rest = chunk.rstrip()
-        if rest or got < digits:  # the wrong length: count the values if all is hex
-            total = got + 2 * len(binascii.a2b_hex(rest))
-            if total % 16 == 0:
-                raise CheckpointFormatError(
-                    f"tensor {name}: expected {out.size} values, found {total // 16}")
-            raise binascii.Error("not a whole number of values")
-    except binascii.Error as exc:
-        raise CheckpointFormatError(f"tensor {name}: unparsable value") from exc
-    if not np.isfinite(out).all():
-        raise CheckpointFormatError(f"tensor {name}: non-finite value")
-    return out
+        for i in range(n_layers):
+            fan_out = layer_dims[i + 1]
+            for name, shape in ((f"W{i}", (layer_dims[i], fan_out)), (f"b{i}", (fan_out,))):
+                # Bytes the file still holds, checked first: a dims line that
+                # promises more than the file holds must not size an allocation.
+                nbytes, got = 8 * math.prod(shape), end - f.tell()
+                tensor = _aligned_empty(shape) if got >= nbytes else None
+                if tensor is None or f.readinto(tensor) != nbytes:
+                    raise CheckpointFormatError(
+                        f"tensor {name}: expected {nbytes} bytes, got {min(got, nbytes)}")
+                if not np.isfinite(tensor).all():
+                    raise CheckpointFormatError(f"tensor {name}: non-finite value")
+                tensors.append(tensor)
+        if f.read(1):
+            raise CheckpointFormatError(f"unexpected bytes after tensor b{n_layers - 1}")
+    return MlpModel(layer_dims, tensors[0::2], tensors[1::2], group_labels), pretrain_hash

@@ -106,10 +106,13 @@ class RunConfig:
             ("pretrain.epochs", self.epochs, self.epochs >= 0, ">= 0"),
             ("pretrain.batch_size", self.batch_size, self.batch_size >= 1, ">= 1"),
             ("pretrain.lr", self.pretrain_lr, self.pretrain_lr > 0.0, "> 0"),
+            ("pretrain.weight_decay", self.pretrain_weight_decay,
+             self.pretrain_weight_decay >= 0.0, ">= 0"),
             ("pretrain.init_seed", self.init_seed, self.init_seed >= 0, ">= 0"),
             ("pretrain.shuffle_seed", self.shuffle_seed, self.shuffle_seed >= 0, ">= 0"),
             ("auto.lambda1", self.lambda1, self.lambda1 >= 0.0, ">= 0"),
             ("auto.lambda2", self.lambda2, self.lambda2 >= 0.0, ">= 0"),
+            ("auto.id_weight", self.id_weight, self.id_weight >= 0.0, ">= 0"),
             ("auto.iters_T", self.iters_t, self.iters_t >= 0, ">= 0"),
             ("auto.score", self.score, kind_name(self.score) in VALID_KINDS,
              "one of " + ", ".join(VALID_KINDS)),
@@ -126,6 +129,7 @@ class RunConfig:
              self.memory_mode in ("random", "prototype"), "random or prototype"),
             ("auto.memory_seed", self.memory_seed, self.memory_seed >= 0, ">= 0"),
             ("sgd.lr", self.lr, self.lr > 0.0, "> 0"),
+            ("sgd.weight_decay", self.weight_decay, self.weight_decay >= 0.0, ">= 0"),
         ):
             if not ok:
                 raise ConfigError(f"{key} = {value!r} is out of range: it must be {rule}")
@@ -392,4 +396,19 @@ def config_hash(cfg: RunConfig) -> str:
     left out: where a run writes its files does not change what they hold."""
     text = "".join(line for line in to_text(cfg).splitlines(keepends=True)
                    if not line.startswith("output.dir ="))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
+
+
+# Scenario keys that only compose the stream; pretraining never reads them.
+_STREAM_KEYS = ("scenario.stream =", "scenario.kappa =", "scenario.stream_seed =")
+
+
+def pretrain_hash(cfg: RunConfig) -> str:
+    """Short hash of the keys that shape pretraining: the ``scenario.*``
+    and ``pretrain.*`` lines of the canonical config text, without the
+    stream keys. A checkpoint records it, and a replay under a config with
+    another hash refuses that checkpoint."""
+    text = "".join(line for line in to_text(cfg).splitlines(keepends=True)
+                   if line.startswith(("scenario.", "pretrain."))
+                   and not line.startswith(_STREAM_KEYS))
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]

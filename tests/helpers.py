@@ -517,40 +517,38 @@ def sgd_step_reference(model: MlpModel, grads: FullGradients, cfg: SgdConfig) ->
             param -= cfg.learning_rate * g
 
 
-def _hex(value: float) -> str:
-    return struct.pack("<d", value).hex()
+def checkpoint_bytes_reference(model: MlpModel, pretrain_hash: str) -> bytes:
+    """Current checkpoint file bytes: the four header lines, then every value
+    packed on its own as a little-endian double, tensor by tensor."""
+    header = "\n".join([CHECKPOINT_MAGIC, " ".join(str(d) for d in model.layer_dims),
+                        " ".join(model.group_labels), pretrain_hash]) + "\n"
+    tensors = [t for pair in zip(model.weights, model.biases) for t in pair]
+    return header.encode("ascii") + b"".join(
+        struct.pack("<d", v) for t in tensors for v in t.ravel().tolist())
 
 
-def checkpoint_hex_text_reference(model: MlpModel) -> str:
-    """Current checkpoint file text: each value packed on its own as a
-    little-endian double and written as 16 hex digits."""
-    lines = [CHECKPOINT_MAGIC, " ".join(str(d) for d in model.layer_dims),
-             " ".join(model.group_labels)]
-    for i in range(model.num_layers):
-        for name, tensor in ((f"W{i}", model.weights[i]), (f"b{i}", model.biases[i])):
-            shape = " ".join(str(s) for s in tensor.shape)
-            payload = "".join(_hex(v) for v in tensor.ravel().tolist())
-            lines.append(f"{name} {shape} {payload}")
-    return "\n".join(lines) + "\n"
-
-
-# corruption -> edit of a hex payload's bytes
+# corruption -> edit of the payload bytes that follow the header
 CORRUPT_PAYLOADS = {
-    "odd_length": lambda p: p[:-1],
-    "non_hex": lambda p: b"z" + p[1:],
-    "short": lambda p: p[:-16],
-    "nan": lambda p: _hex(math.nan).encode() + p[16:],
-    "inf": lambda p: p[:-16] + _hex(-math.inf).encode(),
-    "non_ascii": lambda p: "\u00e9".encode("utf-8") + p[2:],  # the bytes c3 a9
+    "short_byte": lambda p: p[:-1],
+    "short": lambda p: p[:-8],
+    "trailing": lambda p: p + b"\x00",
+    "nan": lambda p: struct.pack("<d", math.nan) + p[8:],
+    "inf": lambda p: p[:-8] + struct.pack("<d", -math.inf),
 }
 
 
-def corrupt_checkpoint(path, kind: str) -> None:
-    """Apply one corruption to the payload of the first tensor line (W0)."""
-    lines = path.read_bytes().split(b"\n")
-    head, payload = lines[3].rsplit(b" ", 1)
-    lines[3] = head + b" " + CORRUPT_PAYLOADS[kind](payload)
-    path.write_bytes(b"\n".join(lines))
+def corrupt_checkpoint(path, kind: str) -> str:
+    """Apply one corruption to the payload of the checkpoint at ``path``;
+    returns the message the loader's error must carry."""
+    *header, payload = path.read_bytes().split(b"\n", 4)
+    path.write_bytes(b"\n".join(header) + b"\n" + CORRUPT_PAYLOADS[kind](payload))
+    dims = [int(t) for t in header[1].split()]
+    last, size = f"b{len(dims) - 2}", 8 * dims[-1]
+    return {"short_byte": f"tensor {last}: expected {size} bytes, got {size - 1}",
+            "short": f"tensor {last}: expected {size} bytes, got {size - 8}",
+            "trailing": f"unexpected bytes after tensor {last}",
+            "nan": "tensor W0: non-finite value",
+            "inf": f"tensor {last}: non-finite value"}[kind]
 
 # ---------------------------------------------------------------------------
 # events CSV oracle

@@ -17,7 +17,8 @@ from helpers import (CORRUPT_PAYLOADS, FLOAT_KEYS, THREE_SOURCES, config_text_wi
                      corrupt_checkpoint, non_finite_rule)
 from oodstream import cli, data, nn
 from oodstream.cli import main
-from oodstream.runconfig import REMOVED_MOMENTUM_KEYS, RunConfig, from_text, to_text
+from oodstream.runconfig import (REMOVED_MOMENTUM_KEYS, RunConfig, from_text, pretrain_hash,
+                                 to_text)
 
 SMALL_OVERRIDES = dict(
     test_id_n=250,
@@ -47,9 +48,10 @@ def test_pretrain_writes_checkpoint_and_summary(pretrained):
     assert (out / "model.ckpt").exists()
     summary = json.loads((out / "pretrain_summary.json").read_text())
     assert summary["epochs"] == 60
-    model = nn.load_checkpoint(out / "model.ckpt")
+    model, saved = nn.load_checkpoint(out / "model.ckpt")
     # reload reproduces the reported training accuracy
     cfg = from_text(cfg_path.read_text())
+    assert saved == pretrain_hash(cfg)
     from oodstream import data
     train, _, _ = data.make_scenario(cfg.scenario_spec())
     assert nn.accuracy(model, train.features, train.labels) == pytest.approx(
@@ -201,7 +203,10 @@ def test_negative_seed_fails_before_any_work(tmp_path, capsys, command):
                                        ("scenario.seed", "-5"), ("scenario.stream_seed", "-5"),
                                        ("pretrain.init_seed", "-1"),
                                        ("pretrain.shuffle_seed", "-1"),
-                                       ("auto.memory_seed", "-1")])
+                                       ("auto.memory_seed", "-1"),
+                                       ("pretrain.weight_decay", "-1"),
+                                       ("sgd.weight_decay", "-1"),
+                                       ("auto.id_weight", "-1")])
 def test_out_of_range_value_fails_before_any_work(tmp_path, capsys, key, value):
     lines = to_text(RunConfig(**SMALL_OVERRIDES, out_dir=str(tmp_path / "out"))).splitlines()
     [i] = [i for i, ln in enumerate(lines) if ln.startswith(f"{key} = ")]
@@ -216,34 +221,76 @@ def test_out_of_range_value_fails_before_any_work(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", [["run", "--mode", "auto"], ["run", "--mode", "frozen"],
-                                     ["ablate"], ["sweep", "--param", "k2", "--values", "1,2"]])
-def test_checkpoint_of_another_shape_fails_with_one_line(pretrained, capsys, command):
-    """Before this check, a 16,16 checkpoint ran under a config of hidden = 8
-    and wrote outputs that carry the hash of the 8-wide config."""
-    cfg_path, out = pretrained
-    path = cfg_path.with_name("narrow.cfg")
-    path.write_text(to_text(RunConfig(**{**SMALL_OVERRIDES, "hidden": (8,)}, out_dir=str(out))),
-                    encoding="ascii")
+REPLAY_COMMANDS = [["run", "--mode", "auto"], ["run", "--mode", "frozen"], ["ablate"],
+                   ["sweep", "--param", "k2", "--values", "1,2"]]
+
+
+def assert_checkpoint_refused(capsys, out: Path, argv: list[str]) -> None:
+    """``argv`` fails with the one-line provenance error and writes nothing."""
+    saved = nn.load_checkpoint(out / "model.ckpt")[1]
+    expected = pretrain_hash(cli._load_config(cli.build_parser().parse_args(argv)))
+    assert expected != saved
     capsys.readouterr()
-    assert main(["--config", str(path), *command]) == 1
+    assert main(argv) == 1
     assert capsys.readouterr().err == (
-        f"error: checkpoint {out / 'model.ckpt'} has layer dims [2, 16, 16, 3], but the "
-        f"config asks for [2, 8, 3] (run `pretrain` again)\n")
+        f"error: checkpoint {out / 'model.ckpt'} was pretrained under pretrain hash {saved}, "
+        f"but the config has pretrain hash {expected} (run `pretrain` again)\n")
     assert sorted(p.name for p in out.iterdir()) == ["model.ckpt", "pretrain_summary.json"]
 
 
+@pytest.mark.parametrize("command", REPLAY_COMMANDS)
+def test_checkpoint_of_another_shape_fails_with_one_line(pretrained, capsys, command):
+    """Before the layer-dims check, a 16,16 checkpoint ran under a config of
+    hidden = 8 and wrote outputs that carry the hash of the 8-wide config."""
+    cfg_path, out = pretrained
+    path = write_config(cfg_path.parent, hidden=(8,), out_dir=str(out))
+    assert_checkpoint_refused(capsys, out, ["--config", str(path), *command])
+
+
+# what pretraining reads, changed: (RunConfig overrides, CLI arguments)
+OTHER_PRETRAINING = [
+    ({"seed": 7}, []),
+    ({"train_n": 120}, []),
+    ({"epochs": 59}, []),
+    ({"ood_sources": THREE_SOURCES}, []),
+    ({}, ["--seed", "999"]),
+]
+
+
+@pytest.mark.parametrize("command", REPLAY_COMMANDS)
+def test_checkpoint_of_another_pretraining_config_fails_with_one_line(pretrained, capsys,
+                                                                       command):
+    """Before the pretrain hash, a checkpoint of the same layer dims ran under
+    a config of another scenario or pretraining seed."""
+    cfg_path, out = pretrained
+    for overrides, flags in OTHER_PRETRAINING:
+        path = write_config(cfg_path.parent, **overrides, out_dir=str(out))
+        assert_checkpoint_refused(capsys, out, ["--config", str(path), *flags, *command])
+
+
+@pytest.mark.parametrize("command", REPLAY_COMMANDS)
+def test_stream_keys_alone_keep_the_checkpoint(pretrained, command):
+    """Pretraining never reads how the stream is composed, so a config that
+    differs only there replays the same checkpoint."""
+    cfg_path, out = pretrained
+    for overrides in ({"stream_seed": 5}, {"kappa": 0.3}, {"stream": "mixed"}):
+        path = write_config(cfg_path.parent, **overrides, out_dir=str(out))
+        assert main(["--config", str(path), *command]) == 0, overrides
+
+
 def test_v1_checkpoint_fails_with_one_line(pretrained, capsys):
+    """The v1 and v2 text headers are both refused."""
     cfg_path, out = pretrained
     ckpt = out / "model.ckpt"
-    ckpt.write_text(ckpt.read_text().replace("auto-mlp v2\n", "auto-mlp v1\n", 1),
-                    encoding="ascii")
-    capsys.readouterr()
-    assert main(["--config", str(cfg_path), "run", "--mode", "auto"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: unsupported checkpoint header 'auto-mlp v1'")
-    assert err.endswith("(run `pretrain` again to rewrite it)\n") and err.count("\n") == 1
-    assert not (out / "auto_events.csv").exists()
+    good = ckpt.read_bytes()
+    for old in ("auto-mlp v1", "auto-mlp v2"):
+        ckpt.write_bytes(good.replace(b"auto-mlp v3\n", f"{old}\n".encode(), 1))
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "run", "--mode", "auto"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unsupported checkpoint header '{old}'")
+        assert err.endswith("(run `pretrain` again to rewrite it)\n") and err.count("\n") == 1
+        assert not (out / "auto_events.csv").exists()
 
 
 def test_corrupt_checkpoint_fails_with_one_line(pretrained, capsys):
@@ -252,11 +299,10 @@ def test_corrupt_checkpoint_fails_with_one_line(pretrained, capsys):
     good = ckpt.read_bytes()
     for kind in CORRUPT_PAYLOADS:
         ckpt.write_bytes(good)
-        corrupt_checkpoint(ckpt, kind)
+        message = corrupt_checkpoint(ckpt, kind)
         capsys.readouterr()
         assert main(["--config", str(cfg_path), "run", "--mode", "frozen"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: tensor W0: ") and err.count("\n") == 1, kind
+        assert capsys.readouterr().err == f"error: {message}\n", kind
         assert not (out / "frozen_events.csv").exists()
 
 
@@ -268,6 +314,8 @@ def test_non_finite_arrival_fails_with_one_line(pretrained, capsys, mode):
     assert len(center) == 1
     cfg_path.write_text(text.replace(center[0], "scenario.ood1.center = 1.7e308,1.7e308"),
                         encoding="ascii")
+    # the OOD sources are part of the pretrain hash
+    assert main(["--config", str(cfg_path), "pretrain"]) == 0
     cfg = from_text(cfg_path.read_text())
     _, test_id, ood_sets = data.make_scenario(cfg.scenario_spec())
     stream = cli._make_stream(cfg, test_id, ood_sets)
@@ -417,9 +465,11 @@ def test_out_override_redirects_outputs(tmp_path):
 
 
 def test_seed_override_changes_stream(pretrained):
+    """``--seed`` changes the training data too, so it needs its own pretrain."""
     cfg_path, out = pretrained
     assert main(["--config", str(cfg_path), "run", "--mode", "frozen"]) == 0
     first = (out / "frozen_events.csv").read_bytes()
+    assert main(["--config", str(cfg_path), "--seed", "999", "pretrain"]) == 0
     assert main(["--config", str(cfg_path), "--seed", "999", "run",
                  "--mode", "frozen"]) == 0
     assert (out / "frozen_events.csv").read_bytes() != first

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fresh_state
-from helpers import (assert_columns_equal, assert_replays_equal, checkpoint_hex_text_reference,
+from helpers import (assert_columns_equal, assert_replays_equal, checkpoint_bytes_reference,
                      events_csv_reference, fused_loss_and_grad_reference,
                      init_margins_reference, log_from_columns, log_softmax_reference,
                      loss_and_grad, loss_and_grad_reference, materialized, predict_reference,
@@ -518,8 +518,8 @@ def test_save_checkpoint_bytes_equal_per_value_hex_oracle(tmp_path):
         flat[:] = rng.normal(0.0, 10.0 ** rng.uniform(-300, 300, size=flat.size))
         flat[:len(specials)] = specials[:flat.size]
     path = tmp_path / "model.ckpt"
-    nn.save_checkpoint(model, path)
-    assert path.read_bytes() == checkpoint_hex_text_reference(model).encode("ascii")
+    nn.save_checkpoint(model, path, "0123456789ab")
+    assert path.read_bytes() == checkpoint_bytes_reference(model, "0123456789ab")
 
 
 def test_events_csv_bytes_equal_per_row_oracle(canonical, tmp_path):

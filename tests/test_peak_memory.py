@@ -16,6 +16,7 @@ from oodstream.runconfig import RunConfig
 
 WIDE = [8, 512, 512, 4]
 MB = 2**20
+HASH = "0123456789ab"
 
 
 def traced_peak(fn, *args):
@@ -40,17 +41,18 @@ def wide_model():
 def test_checkpoint_save_holds_no_file_text(tmp_path, wide_model):
     """Building the file text first peaked at 12.35 MiB for 2.05 MiB of tensors."""
     path = tmp_path / "model.ckpt"
-    _, peak = traced_peak(nn.save_checkpoint, wide_model, path)
+    _, peak = traced_peak(nn.save_checkpoint, wide_model, path, HASH)
     tensor_bytes = sum(t.nbytes for t in wide_model.weights + wide_model.biases)
     assert tensor_bytes > 2 * MB
     assert peak <= tensor_bytes + MB // 2
-    assert path.stat().st_size > 2 * tensor_bytes
+    header = f"{nn.CHECKPOINT_MAGIC}\n8 512 512 4\nblock1 block2 fc\n{HASH}\n"
+    assert path.stat().st_size == len(header) + tensor_bytes
 
 
 def test_checkpoint_load_holds_each_tensor_once(tmp_path, wide_model):
     path = tmp_path / "model.ckpt"
-    nn.save_checkpoint(wide_model, path)
-    loaded, peak = traced_peak(nn.load_checkpoint, path)
+    nn.save_checkpoint(wide_model, path, HASH)
+    (loaded, _), peak = traced_peak(nn.load_checkpoint, path)
     tensor_bytes = sum(t.nbytes for t in loaded.weights + loaded.biases)
     assert tensor_bytes > 2 * MB
     assert peak <= tensor_bytes + MB // 2

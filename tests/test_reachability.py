@@ -54,7 +54,8 @@ def config_text(drop_ood_keys: bool = False, **overrides) -> str:
     lines = to_text(cfg).splitlines()
     if drop_ood_keys:
         # with no source spelled out, the canonical sources are used
-        lines = [ln for ln in lines if not ln.startswith("scenario.ood")]
+        lines = [ln for ln in lines if not ln.startswith("scenario.ood")
+                 or ln.startswith("scenario.ood_n =")]
     return "\n".join(lines) + "\n"
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from helpers import FLOAT_KEYS, config_text_with, non_finite_rule
 from oodstream import data, nn
 from oodstream.data import GaussianSource, RingSource, UniformBoxSource
 from oodstream.runconfig import (REMOVED_MOMENTUM_KEYS, ConfigError, RunConfig,
-                                 circle_means, config_hash, from_text, to_text)
+                                 circle_means, config_hash, from_text, pretrain_hash, to_text)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,6 +31,36 @@ def test_round_trip_lossless():
     assert to_text(cfg2) == text
     assert cfg2.scenario_spec() == cfg.scenario_spec()
     assert config_hash(cfg2) == config_hash(cfg)
+
+
+# every scenario and pretrain key but the stream keys, changed
+PRETRAINING_CHANGES = [
+    {"dim": 3, "ood_sources": (RingSource(radius=2.0, width=0.5),)}, {"classes": 4},
+    {"mean_radius": 2.0}, {"id_spread": 0.3}, {"train_n": 100}, {"test_id_n": 10},
+    {"ood_n": 10}, {"seed": 1}, {"ood_sources": (RingSource(radius=2.0, width=0.5),)},
+    {"hidden": (8,)}, {"epochs": 1}, {"batch_size": 8}, {"pretrain_lr": 0.1},
+    {"pretrain_weight_decay": 0.01}, {"init_seed": 3}, {"shuffle_seed": 4},
+]
+# keys that pretraining never reads
+REPLAY_CHANGES = [
+    {"stream": "mixed"}, {"kappa": 0.2}, {"stream_seed": 5}, {"lambda1": 0.5},
+    {"lambda2": 0.5}, {"phi": 0.5}, {"iters_t": 1}, {"score": "energy"},
+    {"energy_temperature": 2.0}, {"lambda2_decay": 1.0}, {"id_weight": 0.5},
+    {"id_loss_reduction": "mean"}, {"k1": 1.0}, {"k2": 1.0}, {"stats_subsample_n": 5},
+    {"margin_literal_m0": True}, {"memory_mode": "prototype"}, {"memory_seed": 1},
+    {"lr": 0.01}, {"weight_decay": 0.01}, {"trainable_groups": "all"}, {"out_dir": "x"},
+]
+
+
+def test_pretrain_hash_covers_exactly_what_pretraining_reads():
+    changed = {key for changes in PRETRAINING_CHANGES + REPLAY_CHANGES for key in changes}
+    assert changed == {f.name for f in fields(RunConfig)}
+    base = pretrain_hash(RunConfig())
+    assert re.fullmatch("[0-9a-f]{12}", base)
+    for changes in PRETRAINING_CHANGES:
+        assert pretrain_hash(RunConfig(**changes)) != base, changes
+    for changes in REPLAY_CHANGES:
+        assert pretrain_hash(RunConfig(**changes)) == base, changes
 
 
 def test_round_trip_non_default_values():
@@ -122,10 +153,12 @@ RANGE_CHECKS = {
     "pretrain.epochs": (["-1"], ["0"]),
     "pretrain.batch_size": (["0", "-1"], ["1"]),
     "pretrain.lr": (["0", "-0.1", "nan"], ["1e-300"]),
+    "pretrain.weight_decay": (["-1", "-5e-324"], ["0", "-0", "1e-3"]),
     "pretrain.init_seed": (["-1"], ["0"]),
     "pretrain.shuffle_seed": (["-1"], ["0"]),
     "auto.lambda1": (["-1e-9", "nan"], ["0"]),
     "auto.lambda2": (["-0.1", "nan"], ["0"]),
+    "auto.id_weight": (["-1", "-1e-9"], ["0", "0.5"]),
     "auto.iters_T": (["-1"], ["0"]),
     "auto.score": (["bogus", "ms p", ""], [" Energy ", "MSP", "maxlogit"]),
     "auto.energy_temperature": (["0", "-2", "nan"], ["1e-300"]),
@@ -137,6 +170,7 @@ RANGE_CHECKS = {
     "auto.memory_mode": (["prototypes", ""], ["random", "prototype"]),
     "auto.memory_seed": (["-1"], ["0"]),
     "sgd.lr": (["0", "-0.001", "nan"], ["1e-300"]),
+    "sgd.weight_decay": (["-1", "-5e-324"], ["0", "-0", "0.5"]),
 }
 
 
@@ -187,7 +221,7 @@ CONFIG_VALUES = dict(
     phi=finite, iters_t=st.integers(0, 10**6),
     score=st.sampled_from(["msp", "energy", "maxlogit"]),
     energy_temperature=positive, k1=nonnegative, k2=nonnegative,
-    margin_literal_m0=st.booleans(), lr=positive, weight_decay=finite,
+    margin_literal_m0=st.booleans(), lr=positive, weight_decay=nonnegative,
     trainable_groups=st.sampled_from(["last_block", "all", "none", "block1+fc"]),
 )
 
