@@ -27,11 +27,9 @@ from .runconfig import ConfigError, RunConfig
 EVENT_COLUMNS = "t,score,prediction,decision,is_ood_truth,label_truth,m_out"
 CHECKPOINT_NAME = "model.ckpt"
 
-# sweep parameter -> (RunConfig attribute, value parser)
-SWEEP_PARAMS = {"lambda2": ("lambda2", float), "phi": ("phi", float),
-                "kappa": ("kappa", float), "iters_T": ("iters_t", int),
-                "trainable_groups": ("trainable_groups", str), "k1": ("k1", float),
-                "k2": ("k2", float), "stats_subsample_n": ("stats_subsample_n", int)}
+# the swept config keys; a sweep parameter is named by the last part of its key
+SWEEP_PARAMS = ("auto.lambda2", "auto.phi", "scenario.kappa", "auto.iters_T",
+                "sgd.trainable_groups", "auto.k1", "auto.k2", "auto.stats_subsample_n")
 
 # ablation combo -> the objective weights it keeps; the others are set to 0.0
 OBJECTIVE_WEIGHTS = ("id_weight", "lambda1", "lambda2")
@@ -206,21 +204,21 @@ def cmd_ablate(cfg: RunConfig) -> None:
     (_out_dir(cfg) / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _apply_sweep_value(cfg: RunConfig, param: str, raw: str) -> RunConfig:
+def _apply_sweep_value(cfg: RunConfig, param: str, key: str, raw: str) -> RunConfig:
     """``cfg`` with one swept value; rebuilding it re-runs the load-time checks."""
-    attr, parse = SWEEP_PARAMS[param]
     try:
-        value = parse(raw)
-    except ValueError as exc:
+        setting = runconfig.parse_setting(key, raw)
+    except ConfigError as exc:
         raise CliError(f"bad value {raw!r} for sweep parameter {param}") from exc
-    return replace(cfg, **{attr: value})
+    return replace(cfg, **setting)
 
 
 def cmd_sweep(cfg: RunConfig, param: str, values: list[str]) -> None:
-    if param not in SWEEP_PARAMS:
-        raise CliError(f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}")
+    keys = {key.rpartition(".")[2]: key for key in SWEEP_PARAMS}
+    if param not in keys:
+        raise CliError(f"unknown sweep parameter {param!r}; valid: {', '.join(keys)}")
     # Every value is checked before the first replay starts.
-    overrides = [_apply_sweep_value(cfg, param, raw) for raw in values]
+    overrides = [_apply_sweep_value(cfg, param, keys[param], raw) for raw in values]
     model, *scenario = _prepare(cfg)
     lines = [f"# config_hash={runconfig.config_hash(cfg)} param={param}",
              "param,value,fpr95,auroc,id_acc"]

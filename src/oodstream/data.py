@@ -87,6 +87,9 @@ class ScenarioSpec:
             ("scenario.dim", self.dim, self.dim >= 1, ">= 1"),
             ("scenario.id_spread", self.id_spread, self.id_spread > 0, "> 0"),
             ("scenario.train_n", self.train_n, self.train_n >= 1, ">= 1"),
+            # train_n is split evenly across classes, so each class gets a row
+            ("scenario.train_n", self.train_n, self.train_n >= self.num_classes,
+             f">= scenario.classes ({self.num_classes})"),
             ("scenario.test_id_n", self.test_id_n, self.test_id_n >= 1, ">= 1"),
             ("scenario.ood_n", self.ood_n, self.ood_n >= 1, ">= 1"),
             ("scenario.seed", self.seed, self.seed >= 0, ">= 0"),

@@ -196,8 +196,8 @@ def step(state: AutoState, cfg: RunConfig, x: np.ndarray,
     if decision is PSEUDO_ID:
         memory.replace(state.bank, x, prediction)
     elif decision is PSEUDO_OOD:
-        pred_0 = scoring.predict(nn.forward_logits(state.model_0, x))
         if cfg.iters_t > 0:
+            pred_0 = scoring.predict(nn.forward_logits(state.model_0, x))
             spec = _episode_spec(state, cfg, pred_0, lambda2_at(cfg, state.update_counter))
             batch = nn.prepare_episode(state.model_t, x, spec, state.sgd.trainable_groups)
             losses: list[float] = []

@@ -542,7 +542,9 @@ def load_checkpoint(path) -> tuple[MlpModel, str]:
     tensor is held twice.
     """
     with open(path, "rb") as f:
-        raw = [f.readline(_HEADER_LINE_BYTES) for _ in range(4)]
+        # The magic line is read to its own length, so a file of another kind
+        # quotes at most that many bytes in the error below.
+        raw = [f.readline(len(CHECKPOINT_MAGIC) + 1)]
         if not raw[0]:
             raise CheckpointFormatError("empty checkpoint file")
         magic = raw[0].rstrip(b"\n").decode("ascii", "replace")
@@ -551,6 +553,7 @@ def load_checkpoint(path) -> tuple[MlpModel, str]:
                 f"unsupported checkpoint header {magic!r}, expected {CHECKPOINT_MAGIC!r} "
                 "(run `pretrain` again to rewrite it)"
             )
+        raw += [f.readline(_HEADER_LINE_BYTES) for _ in range(3)]
         if not all(line.endswith(b"\n") for line in raw):
             raise CheckpointFormatError("truncated checkpoint: missing header lines")
         dims_line, labels_line, pretrain_hash = (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
 
 from .data import (GaussianSource, OodSource, RingSource, ScenarioSpec,
                    UniformBoxSource, canonical_spec)
@@ -35,104 +35,97 @@ def circle_means(num_classes: int, radius: float, dim: int) -> tuple[tuple[float
     return tuple(means)
 
 
+# Range rules, ``(test, text)``; each test is written so that NaN fails it.
+_GE0 = (lambda v: v >= 0, ">= 0")
+_GT0 = (lambda v: v > 0, "> 0")
+
+
 @dataclass
 class RunConfig:
-    """Complete description of one experiment."""
+    """Complete description of one experiment.
+
+    Each field but ``ood_sources`` is one config key, declared once: its
+    ``metadata["key"]`` names it in the file, its default is the key's
+    default, its annotation the value's type, and ``metadata["rule"]``, if
+    any, is the range rule the loader holds it to. Field order is file
+    order; ``ood_sources`` is written as the ``scenario.ood*`` block.
+    ``metadata["stream"]`` marks the keys that only compose the stream, and
+    ``metadata["hashed"] = False`` the key the config hash leaves out.
+    """
 
     # scenario
-    dim: int = 2
-    classes: int = 3
-    mean_radius: float = 1.0
-    id_spread: float = 0.25
-    train_n: int = 450
-    test_id_n: int = 4000
-    ood_n: int = 4000
-    seed: int = 20240611
-    stream: str = "single"
-    kappa: float = 0.5
-    stream_seed: int = 77
+    dim: int = field(default=2, metadata={"key": "scenario.dim"})
+    classes: int = field(default=3, metadata={"key": "scenario.classes"})
+    mean_radius: float = field(default=1.0, metadata={"key": "scenario.mean_radius"})
+    id_spread: float = field(default=0.25, metadata={"key": "scenario.id_spread"})
+    train_n: int = field(default=450, metadata={"key": "scenario.train_n"})
+    test_id_n: int = field(default=4000, metadata={"key": "scenario.test_id_n"})
+    ood_n: int = field(default=4000, metadata={"key": "scenario.ood_n"})
+    seed: int = field(default=20240611, metadata={"key": "scenario.seed"})
+    stream: str = field(default="single", metadata={"key": "scenario.stream", "stream": True})
+    kappa: float = field(default=0.5, metadata={
+        "key": "scenario.kappa", "stream": True, "rule": (lambda v: 0.0 <= v < 1.0, "in [0, 1)")})
+    stream_seed: int = field(default=77, metadata={
+        "key": "scenario.stream_seed", "stream": True, "rule": _GE0})
     ood_sources: tuple[OodSource, ...] = ()
     # pretrain
-    hidden: tuple[int, ...] = (128, 128)
-    epochs: int = 200
-    batch_size: int = 32
-    pretrain_lr: float = 0.05
-    pretrain_weight_decay: float = 0.0
-    init_seed: int = 1
-    shuffle_seed: int = 2
+    hidden: tuple[int, ...] = field(default=(128, 128), metadata={
+        "key": "pretrain.hidden", "rule": (lambda v: bool(v) and min(v) >= 1,
+                                           "list one or more widths, every width >= 1")})
+    epochs: int = field(default=200, metadata={"key": "pretrain.epochs", "rule": _GE0})
+    batch_size: int = field(default=32, metadata={
+        "key": "pretrain.batch_size", "rule": (lambda v: v >= 1, ">= 1")})
+    pretrain_lr: float = field(default=0.05, metadata={"key": "pretrain.lr", "rule": _GT0})
+    pretrain_weight_decay: float = field(default=0.0, metadata={
+        "key": "pretrain.weight_decay", "rule": _GE0})
+    init_seed: int = field(default=1, metadata={"key": "pretrain.init_seed", "rule": _GE0})
+    shuffle_seed: int = field(default=2, metadata={"key": "pretrain.shuffle_seed", "rule": _GE0})
     # auto
-    lambda1: float = 1.0
-    lambda2: float = 0.1
-    phi: float = 0.2
-    iters_t: int = 2
-    score: str = "msp"
-    energy_temperature: float = 1.0
-    lambda2_decay: float = 0.0
-    id_weight: float = 1.0
-    id_loss_reduction: str = "sum"
-    k1: float = 0.0
-    k2: float = 3.0
-    stats_subsample_n: int = 0
-    margin_literal_m0: bool = False
-    memory_mode: str = "random"
-    memory_seed: int = 0
+    lambda1: float = field(default=1.0, metadata={"key": "auto.lambda1", "rule": _GE0})
+    lambda2: float = field(default=0.1, metadata={"key": "auto.lambda2", "rule": _GE0})
+    phi: float = field(default=0.2, metadata={"key": "auto.phi"})
+    iters_t: int = field(default=2, metadata={"key": "auto.iters_T", "rule": _GE0})
+    score: str = field(default="msp", metadata={"key": "auto.score", "rule": (
+        lambda v: kind_name(v) in VALID_KINDS, "one of " + ", ".join(VALID_KINDS))})
+    energy_temperature: float = field(default=1.0, metadata={
+        "key": "auto.energy_temperature", "rule": _GT0})
+    lambda2_decay: float = field(default=0.0, metadata={"key": "auto.lambda2_decay", "rule": _GE0})
+    id_weight: float = field(default=1.0, metadata={"key": "auto.id_weight", "rule": _GE0})
+    id_loss_reduction: str = field(default="sum", metadata={
+        "key": "auto.id_loss_reduction", "rule": (lambda v: v in ("sum", "mean"), "sum or mean")})
+    k1: float = field(default=0.0, metadata={"key": "auto.k1", "rule": _GE0})
+    k2: float = field(default=3.0, metadata={"key": "auto.k2", "rule": _GE0})
+    stats_subsample_n: int = field(default=0, metadata={
+        "key": "auto.stats_subsample_n", "rule": _GE0})
+    margin_literal_m0: bool = field(default=False, metadata={"key": "auto.margin_literal_m0"})
+    memory_mode: str = field(default="random", metadata={"key": "auto.memory_mode", "rule": (
+        lambda v: v in ("random", "prototype"), "random or prototype")})
+    memory_seed: int = field(default=0, metadata={"key": "auto.memory_seed", "rule": _GE0})
     # sgd (online updates)
-    lr: float = 0.001
-    weight_decay: float = 0.0
-    trainable_groups: str = "last_block"
+    lr: float = field(default=0.001, metadata={"key": "sgd.lr", "rule": _GT0})
+    weight_decay: float = field(default=0.0, metadata={"key": "sgd.weight_decay", "rule": _GE0})
+    trainable_groups: str = field(default="last_block", metadata={"key": "sgd.trainable_groups"})
     # output
-    out_dir: str = "out"
+    out_dir: str = field(default="out", metadata={"key": "output.dir", "hashed": False})
 
     def __post_init__(self) -> None:
         if not self.ood_sources:
             self.ood_sources = canonical_spec().ood_sources
         if self.stream not in ("single", "mixed", "timeseries"):
             raise ConfigError(f"unknown stream kind {self.stream!r}")
-        for key, attr, typ in _SCALAR_KEYS:
-            if typ == _FLOAT and not math.isfinite(getattr(self, attr)):
-                raise ConfigError(f"{key} = {getattr(self, attr)!r} is out of range: "
-                                  "it must be finite")
-        if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ConfigError(f"pretrain.hidden = {','.join(map(str, self.hidden))} is out of "
-                              "range: it must list one or more widths, every width >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            test, rule = f.metadata.get("rule", (None, None))
+            if f.type == "float" and not math.isfinite(value):
+                rule = "finite"
+            elif test is None or test(value):
+                continue
+            shown = _fmt_value(value, f.type) if f.type == _INT_LIST else repr(value)
+            raise ConfigError(f"{f.metadata['key']} = {shown} is out of range: it must be {rule}")
         # Named groups must be groups of the model `pretrain` builds from these dims.
         name = self.trainable_groups.strip()
         if name not in ("none", "all", "last_block"):
             _named_groups(name, default_group_labels(self.layer_dims()))
-        # Written so that NaN fails every check.
-        for key, value, ok, rule in (
-            ("scenario.kappa", self.kappa, 0.0 <= self.kappa < 1.0, "in [0, 1)"),
-            ("scenario.stream_seed", self.stream_seed, self.stream_seed >= 0, ">= 0"),
-            ("pretrain.epochs", self.epochs, self.epochs >= 0, ">= 0"),
-            ("pretrain.batch_size", self.batch_size, self.batch_size >= 1, ">= 1"),
-            ("pretrain.lr", self.pretrain_lr, self.pretrain_lr > 0.0, "> 0"),
-            ("pretrain.weight_decay", self.pretrain_weight_decay,
-             self.pretrain_weight_decay >= 0.0, ">= 0"),
-            ("pretrain.init_seed", self.init_seed, self.init_seed >= 0, ">= 0"),
-            ("pretrain.shuffle_seed", self.shuffle_seed, self.shuffle_seed >= 0, ">= 0"),
-            ("auto.lambda1", self.lambda1, self.lambda1 >= 0.0, ">= 0"),
-            ("auto.lambda2", self.lambda2, self.lambda2 >= 0.0, ">= 0"),
-            ("auto.id_weight", self.id_weight, self.id_weight >= 0.0, ">= 0"),
-            ("auto.iters_T", self.iters_t, self.iters_t >= 0, ">= 0"),
-            ("auto.score", self.score, kind_name(self.score) in VALID_KINDS,
-             "one of " + ", ".join(VALID_KINDS)),
-            ("auto.energy_temperature", self.energy_temperature,
-             self.energy_temperature > 0.0, "> 0"),
-            ("auto.lambda2_decay", self.lambda2_decay, self.lambda2_decay >= 0.0, ">= 0"),
-            ("auto.id_loss_reduction", self.id_loss_reduction,
-             self.id_loss_reduction in ("sum", "mean"), "sum or mean"),
-            ("auto.k1", self.k1, self.k1 >= 0.0, ">= 0"),
-            ("auto.k2", self.k2, self.k2 >= 0.0, ">= 0"),
-            ("auto.stats_subsample_n", self.stats_subsample_n, self.stats_subsample_n >= 0,
-             ">= 0"),
-            ("auto.memory_mode", self.memory_mode,
-             self.memory_mode in ("random", "prototype"), "random or prototype"),
-            ("auto.memory_seed", self.memory_seed, self.memory_seed >= 0, ">= 0"),
-            ("sgd.lr", self.lr, self.lr > 0.0, "> 0"),
-            ("sgd.weight_decay", self.weight_decay, self.weight_decay >= 0.0, ">= 0"),
-        ):
-            if not ok:
-                raise ConfigError(f"{key} = {value!r} is out of range: it must be {rule}")
         try:
             self.scenario_spec().validate()
         except ValueError as exc:
@@ -179,50 +172,11 @@ def _named_groups(name: str, groups: list[str]) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # serialization
 
-_INT, _FLOAT, _STR, _BOOL = "int", "float", "str", "bool"
+# The annotation of ``pretrain.hidden``, the one comma-list key.
+_INT_LIST = "tuple[int, ...]"
 
-# (config key, RunConfig attribute, type)
-_SCALAR_KEYS: list[tuple[str, str, str]] = [
-    ("scenario.dim", "dim", _INT),
-    ("scenario.classes", "classes", _INT),
-    ("scenario.mean_radius", "mean_radius", _FLOAT),
-    ("scenario.id_spread", "id_spread", _FLOAT),
-    ("scenario.train_n", "train_n", _INT),
-    ("scenario.test_id_n", "test_id_n", _INT),
-    ("scenario.ood_n", "ood_n", _INT),
-    ("scenario.seed", "seed", _INT),
-    ("scenario.stream", "stream", _STR),
-    ("scenario.kappa", "kappa", _FLOAT),
-    ("scenario.stream_seed", "stream_seed", _INT),
-    ("pretrain.hidden", "hidden", _STR),
-    ("pretrain.epochs", "epochs", _INT),
-    ("pretrain.batch_size", "batch_size", _INT),
-    ("pretrain.lr", "pretrain_lr", _FLOAT),
-    ("pretrain.weight_decay", "pretrain_weight_decay", _FLOAT),
-    ("pretrain.init_seed", "init_seed", _INT),
-    ("pretrain.shuffle_seed", "shuffle_seed", _INT),
-    ("auto.lambda1", "lambda1", _FLOAT),
-    ("auto.lambda2", "lambda2", _FLOAT),
-    ("auto.phi", "phi", _FLOAT),
-    ("auto.iters_T", "iters_t", _INT),
-    ("auto.score", "score", _STR),
-    ("auto.energy_temperature", "energy_temperature", _FLOAT),
-    ("auto.lambda2_decay", "lambda2_decay", _FLOAT),
-    ("auto.id_weight", "id_weight", _FLOAT),
-    ("auto.id_loss_reduction", "id_loss_reduction", _STR),
-    ("auto.k1", "k1", _FLOAT),
-    ("auto.k2", "k2", _FLOAT),
-    ("auto.stats_subsample_n", "stats_subsample_n", _INT),
-    ("auto.margin_literal_m0", "margin_literal_m0", _BOOL),
-    ("auto.memory_mode", "memory_mode", _STR),
-    ("auto.memory_seed", "memory_seed", _INT),
-    ("sgd.lr", "lr", _FLOAT),
-    ("sgd.weight_decay", "weight_decay", _FLOAT),
-    ("sgd.trainable_groups", "trainable_groups", _STR),
-    ("output.dir", "out_dir", _STR),
-]
-
-_KEY_TO_ATTR = {k: (a, t) for k, a, t in _SCALAR_KEYS}
+# config key -> its RunConfig field
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig) if "key" in f.metadata}
 
 # Keys of the removed momentum optimizer: older config files set them to 0,
 # which still loads and is not written back.
@@ -234,21 +188,25 @@ def _fmt_float(v: float) -> str:
 
 
 def _fmt_value(value, typ: str) -> str:
-    if typ == _BOOL:
+    if typ == "bool":
         return "true" if value else "false"
-    if typ == _FLOAT:
+    if typ == "float":
         return _fmt_float(value)
+    if typ == _INT_LIST:
+        return ",".join(map(str, value))
     return str(value)
 
 
 def _parse_value(raw: str, typ: str, key: str):
     raw = raw.strip()
     try:
-        if typ == _INT:
+        if typ == "int":
             return int(raw)
-        if typ == _FLOAT:
+        if typ == "float":
             return float(raw)
-        if typ == _BOOL:
+        if typ == _INT_LIST:
+            return tuple(int(t) for t in raw.split(","))
+        if typ == "bool":
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
@@ -256,7 +214,18 @@ def _parse_value(raw: str, typ: str, key: str):
             raise ValueError(raw)
         return raw
     except ValueError as exc:
-        raise ConfigError(f"bad value {raw!r} for key {key}") from exc
+        what = "hidden dims" if typ == _INT_LIST else "value"
+        raise ConfigError(f"bad {what} {raw!r} for key {key}") from exc
+
+
+def parse_setting(key: str, raw: str) -> dict:
+    """``{attribute: value}`` for the line ``key = raw``, parsed by the type
+    of the key's field; ConfigError for an unknown key or a value that does
+    not parse. Range rules are checked when the config is built."""
+    if key not in _FIELDS:
+        raise ConfigError(f"unknown config key {key!r}")
+    f = _FIELDS[key]
+    return {f.name: _parse_value(raw, f.type, key)}
 
 
 def _floats_csv(values) -> str:
@@ -289,38 +258,42 @@ def _ood_source_lines(sources: tuple[OodSource, ...]) -> list[str]:
     return lines
 
 
-def _build_ood_source(i: int, fields: dict[str, str]) -> OodSource:
+def _build_ood_source(i: int, props: dict[str, str]) -> OodSource:
     key = f"scenario.ood{i}"
-    kind = fields.get("kind")
+    kind = props.get("kind")
     if kind == "gaussian":
         return GaussianSource(
-            mean=_parse_floats_csv(fields["center"], f"{key}.center"),
-            spread=_parse_value(fields["spread"], _FLOAT, f"{key}.spread"),
+            mean=_parse_floats_csv(props["center"], f"{key}.center"),
+            spread=_parse_value(props["spread"], "float", f"{key}.spread"),
         )
     if kind == "box":
         return UniformBoxSource(
-            low=_parse_floats_csv(fields["low"], f"{key}.low"),
-            high=_parse_floats_csv(fields["high"], f"{key}.high"),
+            low=_parse_floats_csv(props["low"], f"{key}.low"),
+            high=_parse_floats_csv(props["high"], f"{key}.high"),
         )
     if kind == "ring":
         return RingSource(
-            radius=_parse_value(fields["radius"], _FLOAT, f"{key}.radius"),
-            width=_parse_value(fields["width"], _FLOAT, f"{key}.width"),
+            radius=_parse_value(props["radius"], "float", f"{key}.radius"),
+            width=_parse_value(props["width"], "float", f"{key}.width"),
         )
     raise ConfigError(f"unknown or missing OOD source kind for {key}")
 
 
+def _lines(cfg: RunConfig) -> list[tuple[Field, str]]:
+    """Each line of the canonical text, with the field it spells out."""
+    lines = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if "key" in f.metadata:
+            lines.append((f, f"{f.metadata['key']} = {_fmt_value(value, f.type)}"))
+        else:
+            lines += [(f, line) for line in _ood_source_lines(value)]
+    return lines
+
+
 def to_text(cfg: RunConfig) -> str:
     """Canonical text form; parsing it back reproduces ``cfg`` exactly."""
-    lines = []
-    for key, attr, typ in _SCALAR_KEYS:
-        value = getattr(cfg, attr)
-        if attr == "hidden":
-            value = ",".join(str(h) for h in cfg.hidden)
-        lines.append(f"{key} = {_fmt_value(value, typ)}")
-        if key == "scenario.stream_seed":
-            lines.extend(_ood_source_lines(cfg.ood_sources))
-    return "\n".join(lines) + "\n"
+    return "".join(f"{line}\n" for _, line in _lines(cfg))
 
 
 def from_text(text: str) -> RunConfig:
@@ -350,7 +323,7 @@ def from_text(text: str) -> RunConfig:
     ood_count = 0
     for key, raw in values.items():
         if key == "scenario.ood_count":
-            ood_count = _parse_value(raw, _INT, key)
+            ood_count = _parse_value(raw, "int", key)
             continue
         if key.startswith("scenario.ood") and key.count(".") == 2:
             head, prop = key.rsplit(".", 1)
@@ -361,54 +334,38 @@ def from_text(text: str) -> RunConfig:
             ood_fields.setdefault(idx, {})[prop] = raw
             continue
         if key in REMOVED_MOMENTUM_KEYS:
-            value = _parse_value(raw, _FLOAT, key)
+            value = _parse_value(raw, "float", key)
             if value != 0.0:  # NaN included
                 raise ConfigError(f"{key} = {value!r} is out of range: momentum was removed, "
                                   "so it must be 0")
             continue
-        if key not in _KEY_TO_ATTR:
-            raise ConfigError(f"unknown config key {key!r}")
-        attr, typ = _KEY_TO_ATTR[key]
-        if attr == "hidden":
-            try:
-                kwargs[attr] = tuple(int(t) for t in raw.split(","))
-            except ValueError as exc:
-                raise ConfigError(f"bad hidden dims {raw!r} for key {key}") from exc
-        else:
-            kwargs[attr] = _parse_value(raw, typ, key)
+        kwargs.update(parse_setting(key, raw))
 
     if ood_count or ood_fields:
         if sorted(ood_fields) != list(range(1, ood_count + 1)):
-            raise ConfigError(
-                f"scenario.ood_count = {ood_count} but sources defined for "
-                f"{sorted(ood_fields)}"
-            )
-        kwargs["ood_sources"] = tuple(
-            _build_ood_source(i, ood_fields[i]) for i in range(1, ood_count + 1)
-        )
+            raise ConfigError(f"scenario.ood_count = {ood_count} but sources defined for "
+                              f"{sorted(ood_fields)}")
+        kwargs["ood_sources"] = tuple(_build_ood_source(i, ood_fields[i])
+                                      for i in range(1, ood_count + 1))
     if not any(key.startswith("scenario.") for key in values):
         raise ConfigError("missing required section 'scenario' in config file")
     return RunConfig(**kwargs)
 
 
+def _digest(lines) -> str:
+    return hashlib.sha256("".join(f"{line}\n" for line in lines).encode("ascii")).hexdigest()[:12]
+
+
 def config_hash(cfg: RunConfig) -> str:
     """Short provenance hash of the canonical config text. ``output.dir`` is
     left out: where a run writes its files does not change what they hold."""
-    text = "".join(line for line in to_text(cfg).splitlines(keepends=True)
-                   if not line.startswith("output.dir ="))
-    return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
-
-
-# Scenario keys that only compose the stream; pretraining never reads them.
-_STREAM_KEYS = ("scenario.stream =", "scenario.kappa =", "scenario.stream_seed =")
+    return _digest(line for f, line in _lines(cfg) if f.metadata.get("hashed", True))
 
 
 def pretrain_hash(cfg: RunConfig) -> str:
     """Short hash of the keys that shape pretraining: the ``scenario.*``
-    and ``pretrain.*`` lines of the canonical config text, without the
-    stream keys. A checkpoint records it, and a replay under a config with
-    another hash refuses that checkpoint."""
-    text = "".join(line for line in to_text(cfg).splitlines(keepends=True)
-                   if line.startswith(("scenario.", "pretrain."))
-                   and not line.startswith(_STREAM_KEYS))
-    return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
+    and ``pretrain.*`` lines of the canonical config text, without the keys
+    that only compose the stream. A checkpoint records it, and a replay
+    under a config with another hash refuses that checkpoint."""
+    return _digest(line for f, line in _lines(cfg)
+                   if line.startswith(("scenario.", "pretrain.")) and not f.metadata.get("stream"))

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from oodstream.engine import DECISIONS, EventLog, StreamEvent, UpdateTrace
 from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
 from oodstream.nn import CHECKPOINT_MAGIC, LossSpec, MlpModel, SgdConfig
-from oodstream.runconfig import _SCALAR_KEYS, REMOVED_MOMENTUM_KEYS, RunConfig, to_text
+from oodstream.runconfig import REMOVED_MOMENTUM_KEYS, RunConfig, to_text
 from oodstream.scoring import ScoreKind
 
 
@@ -422,8 +422,8 @@ def run_stream_reference(state: engine.AutoState, cfg, stream: Stream) -> EventL
         if decision == FilterDecision.PSEUDO_ID:
             memory.replace(state.bank, x, prediction)
         elif decision == FilterDecision.PSEUDO_OOD:
-            pred_0 = predict_reference(nn.forward_logits(state.model_0, x))
             if cfg.iters_t > 0:
+                pred_0 = predict_reference(nn.forward_logits(state.model_0, x))
                 spec = engine._episode_spec(state, cfg, pred_0,
                                             engine.lambda2_at(cfg, state.update_counter))
                 losses = episode_reference(state.model_t, x, spec, state.sgd, cfg.iters_t)
@@ -624,7 +624,7 @@ THREE_SOURCES = (GaussianSource(mean=(3.0, 0.0), spread=0.5),
 
 # every float-valued config key of a config with THREE_SOURCES, and the
 # removed momentum keys, which still load as the float 0
-FLOAT_KEYS = [key for key, _, typ in _SCALAR_KEYS if typ == "float"] + [
+FLOAT_KEYS = [f.metadata["key"] for f in fields(RunConfig) if f.type == "float"] + [
     "scenario.ood1.center", "scenario.ood1.spread", "scenario.ood2.low",
     "scenario.ood2.high", "scenario.ood3.radius", "scenario.ood3.width",
     *REMOVED_MOMENTUM_KEYS]

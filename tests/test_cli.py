@@ -122,7 +122,8 @@ def test_gaussian_center_of_wrong_length_fails_with_one_line(tmp_path, capsys, c
     ("scenario.ood1.spread", "-1"), ("scenario.ood1.spread", "nan"),
     ("scenario.ood2.low", "-4"), ("scenario.ood2.high", "4,-5"),
     ("scenario.ood3.radius", "0"), ("scenario.ood3.width", "-1"),
-    ("scenario.id_spread", "0"), ("scenario.train_n", "0"), ("scenario.classes", "1"),
+    ("scenario.id_spread", "0"), ("scenario.train_n", "0"), ("scenario.train_n", "2"),
+    ("scenario.classes", "1"),
 ])
 def test_bad_scenario_value_fails_at_load(tmp_path, capsys, key, value):
     """No checkpoint exists, so only a check at load can produce this error."""
@@ -304,6 +305,32 @@ def test_corrupt_checkpoint_fails_with_one_line(pretrained, capsys):
         assert main(["--config", str(cfg_path), "run", "--mode", "frozen"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n", kind
         assert not (out / "frozen_events.csv").exists()
+
+
+def test_checkpoint_of_zero_bytes_fails_with_one_short_line(tmp_path, capsys):
+    """The error quotes at most the magic line's length of the file; it used
+    to quote up to 64 KiB of it, one line of 262,245 characters here."""
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, out_dir=str(out))
+    out.mkdir()
+    (out / "model.ckpt").write_bytes(bytes(100_000))
+    assert main(["--config", str(cfg_path), "run", "--mode", "frozen"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unsupported checkpoint header ") and err.count("\n") == 1
+    assert len(err) < 200
+
+
+def test_train_n_below_classes_fails_at_load(tmp_path, capsys):
+    """``classes = 5, train_n = 3`` used to pretrain and exit 0, and then
+    ``run`` failed: the training data has no row of some class."""
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, classes=5, train_n=5, out_dir=str(out))
+    cfg_path.write_text(cfg_path.read_text().replace("scenario.train_n = 5",
+                                                     "scenario.train_n = 3"), encoding="ascii")
+    assert main(["--config", str(cfg_path), "pretrain"]) == 1
+    assert capsys.readouterr().err == ("error: config error: scenario.train_n = 3 is out of "
+                                       "range: it must be >= scenario.classes (5)\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["auto", "frozen"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,25 @@ def test_pseudo_ood_t0_updates_margin_but_not_model():
     assert trace is None
     assert unchanged(state.model_t, model_snap)
     assert state.margins == filtering.update_outlier_margin(m_before, event.score_at_arrival)
+
+
+def test_t0_replay_never_runs_model_0(canonical, monkeypatch):
+    """At T = 0 no episode reads the frozen model's prediction, so a replay
+    runs no forward pass of ``model_0``; ``test_pinned_bytes`` pins its log
+    bytes as they were while it still did."""
+    cfg = replace(canonical["run_config"], iters_t=0)
+    state = fresh_state(canonical, cfg)
+    forward, models = nn.forward_logits, []
+
+    def counted(model, x):
+        models.append(model)
+        return forward(model, x)
+
+    monkeypatch.setattr(nn, "forward_logits", counted)
+    log = run_stream(state, cfg, canonical["stream"])
+    assert log.updates > 0
+    assert sum(m is state.model_0 for m in models) == 0
+    assert len(models) == len(canonical["stream"])
 
 
 def test_frozen_groups_stay_bitwise_constant():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from dataclasses import fields
@@ -11,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FLOAT_KEYS, config_text_with, non_finite_rule
-from oodstream import data, nn
+from helpers import FLOAT_KEYS, THREE_SOURCES, config_text_with, non_finite_rule
+from oodstream import cli, data, nn
 from oodstream.data import GaussianSource, RingSource, UniformBoxSource
 from oodstream.runconfig import (REMOVED_MOMENTUM_KEYS, ConfigError, RunConfig,
-                                 circle_means, config_hash, from_text, pretrain_hash, to_text)
+                                 circle_means, config_hash, from_text, parse_setting,
+                                 pretrain_hash, to_text)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,6 +52,58 @@ REPLAY_CHANGES = [
     {"margin_literal_m0": True}, {"memory_mode": "prototype"}, {"memory_seed": 1},
     {"lr": 0.01}, {"weight_decay": 0.01}, {"trainable_groups": "all"}, {"out_dir": "x"},
 ]
+
+
+def test_config_text_and_hashes_are_pinned():
+    """Declaring the keys on the fields left every byte of the text, and so
+    both hashes, as the hand-kept key table wrote them."""
+    def sha(cfg):
+        return hashlib.sha256(to_text(cfg).encode("ascii")).hexdigest()
+
+    assert sha(RunConfig()) == \
+        "3e9ab3595c6ec55116fde534daf35fc63865d32c098224426835f894bb2748b2"
+    assert sha(RunConfig(ood_sources=THREE_SOURCES, margin_literal_m0=True,
+                         hidden=(8, 4, 2))) == \
+        "3a5bafa831305b7913a1ff034e5bca8af7235e879089f74b1a676bb0e094c570"
+    for path, hashes in (("configs/canonical.cfg", ("82e4065ceb29", "f28d20d16134")),
+                         ("perfbench/wide_drift.cfg", ("ddb8d8377eaf", "67ef954d0777"))):
+        cfg = from_text((ROOT / path).read_text(encoding="ascii"))
+        assert (config_hash(cfg), pretrain_hash(cfg)) == hashes, path
+
+
+def test_each_key_is_declared_once_on_its_field():
+    assert [f.name for f in fields(RunConfig) if "key" not in f.metadata] == ["ood_sources"]
+    keys = [f.metadata["key"] for f in fields(RunConfig) if "key" in f.metadata]
+    assert len(set(keys)) == len(keys)
+    assert {key.partition(".")[0] for key in keys} == {"scenario", "pretrain", "auto", "sgd",
+                                                       "output"}
+    # every swept key is a config key, named by its last part
+    assert set(cli.SWEEP_PARAMS) <= set(keys)
+    assert [key.rpartition(".")[2] for key in cli.SWEEP_PARAMS] == [
+        "lambda2", "phi", "kappa", "iters_T", "trainable_groups", "k1", "k2",
+        "stats_subsample_n"]
+
+
+def test_parse_setting_parses_by_the_field_type():
+    assert parse_setting("auto.iters_T", " 3 ") == {"iters_t": 3}
+    assert parse_setting("scenario.kappa", "0.25") == {"kappa": 0.25}
+    assert parse_setting("auto.margin_literal_m0", "Yes") == {"margin_literal_m0": True}
+    assert parse_setting("pretrain.hidden", "8,4") == {"hidden": (8, 4)}
+    assert parse_setting("sgd.trainable_groups", "block1+fc") == {
+        "trainable_groups": "block1+fc"}
+    with pytest.raises(ConfigError, match="^bad value 'x' for key auto.iters_T$"):
+        parse_setting("auto.iters_T", "x")
+    with pytest.raises(ConfigError, match="^unknown config key 'auto.bogus'$"):
+        parse_setting("auto.bogus", "1")
+
+
+def test_train_n_below_classes_rejected_at_load():
+    """Before this check, ``classes = 5, train_n = 3`` pretrained and exited
+    0, and ``run`` then failed on a class with no training row."""
+    with pytest.raises(ConfigError, match=r"^scenario.train_n = 3 is out of range: it must be "
+                       r">= scenario.classes \(5\)$"):
+        from_text("scenario.classes = 5\nscenario.train_n = 3\n")
+    assert from_text("scenario.classes = 5\nscenario.train_n = 5\n").train_n == 5
 
 
 def test_pretrain_hash_covers_exactly_what_pretraining_reads():
@@ -150,6 +204,7 @@ RANGE_CHECKS = {
     "scenario.kappa": (["1", "1.5", "-0.1", "nan"], ["0", "0.999"]),
     "scenario.seed": (["-1"], ["0"]),
     "scenario.stream_seed": (["-5"], ["0"]),
+    "scenario.train_n": (["0", "2"], ["3"]),
     "pretrain.epochs": (["-1"], ["0"]),
     "pretrain.batch_size": (["0", "-1"], ["1"]),
     "pretrain.lr": (["0", "-0.1", "nan"], ["1e-300"]),
@@ -211,7 +266,7 @@ nonnegative = st.floats(0.0, allow_infinity=False)
 positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
 CONFIG_VALUES = dict(
     dim=st.integers(1, 64), classes=st.integers(2, 64), mean_radius=finite,
-    id_spread=positive, train_n=st.integers(1, 10**9), seed=st.integers(0, 2**70),
+    id_spread=positive, seed=st.integers(0, 2**70),
     stream=st.sampled_from(["single", "mixed", "timeseries"]),
     kappa=st.floats(0.0, 1.0, exclude_max=True),
     stream_seed=st.integers(0, 2**70),
@@ -241,6 +296,7 @@ def ood_sources(dim: int):
 @st.composite
 def config_values(draw) -> dict:
     values = draw(st.fixed_dictionaries(CONFIG_VALUES))
+    values["train_n"] = draw(st.integers(values["classes"], 10**9))
     values["ood_sources"] = tuple(draw(st.lists(ood_sources(values["dim"]),
                                                 min_size=1, max_size=3)))
     return values
