@@ -10,7 +10,8 @@ pool exhaustion. Everything is a pure function of (spec, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,11 +34,16 @@ class LabeledSet:
         return len(self.labels)
 
 
+# Each OOD source class declares its config keys: ``kind`` is the value of
+# ``scenario.oodK.kind``, and each field, in file order, is one more
+# ``scenario.oodK.*`` key. A tuple field has one value per dimension; a
+# scalar field must be > 0.
 @dataclass(frozen=True)
 class GaussianSource:
     """Isotropic Gaussian outlier cluster."""
 
-    mean: tuple[float, ...]
+    kind: ClassVar[str] = "gaussian"
+    center: tuple[float, ...]
     spread: float
 
 
@@ -45,6 +51,7 @@ class GaussianSource:
 class UniformBoxSource:
     """Axis-aligned uniform box."""
 
+    kind: ClassVar[str] = "box"
     low: tuple[float, ...]
     high: tuple[float, ...]
 
@@ -53,11 +60,13 @@ class UniformBoxSource:
 class RingSource:
     """Spherical shell: uniform direction, radius + width*(U-1/2) magnitude."""
 
+    kind: ClassVar[str] = "ring"
     radius: float
     width: float
 
 
 OodSource = GaussianSource | UniformBoxSource | RingSource
+OOD_KINDS = {cls.kind: cls for cls in (GaussianSource, UniformBoxSource, RingSource)}
 
 
 @dataclass(frozen=True)
@@ -102,37 +111,20 @@ class ScenarioSpec:
             raise ValueError("class means must have length dim")
         for i, src in enumerate(self.ood_sources, start=1):
             key = f"scenario.ood{i}"
-            for name, values in _source_values(src):
+            for f in fields(src):
+                value = getattr(src, f.name)
+                values = value if isinstance(value, tuple) else (value,)
                 if not all(map(math.isfinite, values)):
-                    raise ValueError(f"{key}.{name} = {','.join(map(repr, values))} is out "
+                    raise ValueError(f"{key}.{f.name} = {','.join(map(repr, values))} is out "
                                      "of range: it must be finite")
-            positive: tuple[tuple[str, float], ...] = ()
-            if isinstance(src, GaussianSource):
-                if len(src.mean) != self.dim:
-                    raise ValueError(f"OOD source {i} ({key}.center) has "
-                                     f"length {len(src.mean)}; dim is {self.dim}")
-                positive = (("spread", src.spread),)
-            elif isinstance(src, RingSource):
-                positive = (("radius", src.radius), ("width", src.width))
-            else:
-                lo, hi = np.asarray(src.low), np.asarray(src.high)
-                if lo.shape != (self.dim,) or hi.shape != (self.dim,):
-                    raise ValueError(f"OOD source {i} ({key}.low/high): box "
-                                     f"bounds must have length dim = {self.dim}")
-                if not np.all(hi > lo):
-                    raise ValueError(f"{key}.high must exceed {key}.low in every coordinate")
-            for name, value in positive:
-                if not value > 0:
-                    raise ValueError(f"{key}.{name} = {value!r} is out of range: it must be > 0")
-
-
-def _source_values(src: OodSource) -> tuple[tuple[str, tuple[float, ...]], ...]:
-    """(config key suffix, values) of each float field of an OOD source."""
-    if isinstance(src, GaussianSource):
-        return ("center", tuple(src.mean)), ("spread", (src.spread,))
-    if isinstance(src, RingSource):
-        return ("radius", (src.radius,)), ("width", (src.width,))
-    return ("low", tuple(src.low)), ("high", tuple(src.high))
+                if isinstance(value, tuple):
+                    if len(value) != self.dim:
+                        raise ValueError(f"OOD source {i} ({key}.{f.name}) has "
+                                         f"length {len(value)}; dim is {self.dim}")
+                elif not value > 0:
+                    raise ValueError(f"{key}.{f.name} = {value!r} is out of range: it must be > 0")
+            if isinstance(src, UniformBoxSource) and not np.all(np.greater(src.high, src.low)):
+                raise ValueError(f"{key}.high must exceed {key}.low in every coordinate")
 
 
 def _even_split(total: int, parts: int) -> list[int]:
@@ -155,8 +147,7 @@ def _draw_id_set(spec: ScenarioSpec, total: int, rng: np.random.Generator) -> La
 
 def _draw_ood_set(src: OodSource, dim: int, n: int, rng: np.random.Generator) -> LabeledSet:
     if isinstance(src, GaussianSource):
-        mean = np.asarray(src.mean, dtype=np.float64)
-        feats = rng.normal(0.0, src.spread, size=(n, dim)) + mean
+        feats = rng.normal(0.0, src.spread, size=(n, dim)) + np.asarray(src.center)
     elif isinstance(src, UniformBoxSource):
         lo = np.asarray(src.low, dtype=np.float64)
         hi = np.asarray(src.high, dtype=np.float64)
@@ -318,8 +309,8 @@ def canonical_spec() -> ScenarioSpec:
         class_means=means,
         id_spread=0.25,
         ood_sources=(
-            GaussianSource(mean=(2.5 * corridor[0], 2.5 * corridor[1]), spread=0.4),
-            GaussianSource(mean=(5.0 * corridor[0], 5.0 * corridor[1]), spread=0.5),
+            GaussianSource(center=(2.5 * corridor[0], 2.5 * corridor[1]), spread=0.4),
+            GaussianSource(center=(5.0 * corridor[0], 5.0 * corridor[1]), spread=0.5),
         ),
         train_n=450,
         test_id_n=4000,

@@ -13,8 +13,7 @@ import hashlib
 import math
 from dataclasses import Field, dataclass, field, fields
 
-from .data import (GaussianSource, OodSource, RingSource, ScenarioSpec,
-                   UniformBoxSource, canonical_spec)
+from .data import OOD_KINDS, OodSource, ScenarioSpec, canonical_spec
 from .nn import MlpModel, default_group_labels, last_block_group
 from .scoring import VALID_KINDS, kind_name
 
@@ -23,15 +22,16 @@ class ConfigError(Exception):
     """Bad key, bad value, or missing required section."""
 
 
-def circle_means(num_classes: int, radius: float, dim: int) -> tuple[tuple[float, ...], ...]:
+def circle_means(num_classes: int, mean_radius: float,
+                 dim: int) -> tuple[tuple[float, ...], ...]:
     """Class means evenly spaced on a circle in the first two dims (origin-
     centered line for dim = 1), matching the pinned canonical layout."""
     if dim == 1:
-        return tuple((radius * (c - (num_classes - 1) / 2.0),) for c in range(num_classes))
+        return tuple((mean_radius * (c - (num_classes - 1) / 2.0),) for c in range(num_classes))
     means = []
     for c in range(num_classes):
         a = math.pi / 2 + 2 * math.pi * c / num_classes
-        means.append((radius * math.cos(a), radius * math.sin(a)) + (0.0,) * (dim - 2))
+        means.append((mean_radius * math.cos(a), mean_radius * math.sin(a)) + (0.0,) * (dim - 2))
     return tuple(means)
 
 
@@ -48,7 +48,8 @@ class RunConfig:
     ``metadata["key"]`` names it in the file, its default is the key's
     default, its annotation the value's type, and ``metadata["rule"]``, if
     any, is the range rule the loader holds it to. Field order is file
-    order; ``ood_sources`` is written as the ``scenario.ood*`` block.
+    order; ``ood_sources`` is written as the ``scenario.ood*`` block, whose
+    keys are the fields of each source's class (``data.OOD_KINDS``).
     ``metadata["stream"]`` marks the keys that only compose the stream, and
     ``metadata["hashed"] = False`` the key the config hash leaves out.
     """
@@ -62,7 +63,9 @@ class RunConfig:
     test_id_n: int = field(default=4000, metadata={"key": "scenario.test_id_n"})
     ood_n: int = field(default=4000, metadata={"key": "scenario.ood_n"})
     seed: int = field(default=20240611, metadata={"key": "scenario.seed"})
-    stream: str = field(default="single", metadata={"key": "scenario.stream", "stream": True})
+    stream: str = field(default="single", metadata={
+        "key": "scenario.stream", "stream": True, "rule": (
+            lambda v: v in ("single", "mixed", "timeseries"), "one of single, mixed, timeseries")})
     kappa: float = field(default=0.5, metadata={
         "key": "scenario.kappa", "stream": True, "rule": (lambda v: 0.0 <= v < 1.0, "in [0, 1)")})
     stream_seed: int = field(default=77, metadata={
@@ -71,7 +74,7 @@ class RunConfig:
     # pretrain
     hidden: tuple[int, ...] = field(default=(128, 128), metadata={
         "key": "pretrain.hidden", "rule": (lambda v: bool(v) and min(v) >= 1,
-                                           "list one or more widths, every width >= 1")})
+                                           "list one or more widths, each >= 1")})
     epochs: int = field(default=200, metadata={"key": "pretrain.epochs", "rule": _GE0})
     batch_size: int = field(default=32, metadata={
         "key": "pretrain.batch_size", "rule": (lambda v: v >= 1, ">= 1")})
@@ -111,8 +114,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.ood_sources:
             self.ood_sources = canonical_spec().ood_sources
-        if self.stream not in ("single", "mixed", "timeseries"):
-            raise ConfigError(f"unknown stream kind {self.stream!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             test, rule = f.metadata.get("rule", (None, None))
@@ -172,8 +173,9 @@ def _named_groups(name: str, groups: list[str]) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # serialization
 
-# The annotation of ``pretrain.hidden``, the one comma-list key.
+# The comma-list annotations: ``pretrain.hidden``, and a source's coordinates.
 _INT_LIST = "tuple[int, ...]"
+_FLOAT_LIST = "tuple[float, ...]"
 
 # config key -> its RunConfig field
 _FIELDS = {f.metadata["key"]: f for f in fields(RunConfig) if "key" in f.metadata}
@@ -194,6 +196,8 @@ def _fmt_value(value, typ: str) -> str:
         return _fmt_float(value)
     if typ == _INT_LIST:
         return ",".join(map(str, value))
+    if typ == _FLOAT_LIST:
+        return ",".join(map(_fmt_float, value))
     return str(value)
 
 
@@ -206,6 +210,8 @@ def _parse_value(raw: str, typ: str, key: str):
             return float(raw)
         if typ == _INT_LIST:
             return tuple(int(t) for t in raw.split(","))
+        if typ == _FLOAT_LIST:
+            return tuple(float(t) for t in raw.split(","))
         if typ == "bool":
             if raw.lower() in ("true", "1", "yes"):
                 return True
@@ -214,7 +220,7 @@ def _parse_value(raw: str, typ: str, key: str):
             raise ValueError(raw)
         return raw
     except ValueError as exc:
-        what = "hidden dims" if typ == _INT_LIST else "value"
+        what = {_INT_LIST: "hidden dims", _FLOAT_LIST: "float list"}.get(typ, "value")
         raise ConfigError(f"bad {what} {raw!r} for key {key}") from exc
 
 
@@ -228,57 +234,6 @@ def parse_setting(key: str, raw: str) -> dict:
     return {f.name: _parse_value(raw, f.type, key)}
 
 
-def _floats_csv(values) -> str:
-    return ",".join(_fmt_float(v) for v in values)
-
-
-def _parse_floats_csv(raw: str, key: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(t) for t in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad float list {raw!r} for key {key}") from exc
-
-
-def _ood_source_lines(sources: tuple[OodSource, ...]) -> list[str]:
-    lines = [f"scenario.ood_count = {len(sources)}"]
-    for i, src in enumerate(sources, start=1):
-        p = f"scenario.ood{i}"
-        if isinstance(src, GaussianSource):
-            lines.append(f"{p}.kind = gaussian")
-            lines.append(f"{p}.center = {_floats_csv(src.mean)}")
-            lines.append(f"{p}.spread = {_fmt_float(src.spread)}")
-        elif isinstance(src, UniformBoxSource):
-            lines.append(f"{p}.kind = box")
-            lines.append(f"{p}.low = {_floats_csv(src.low)}")
-            lines.append(f"{p}.high = {_floats_csv(src.high)}")
-        else:
-            lines.append(f"{p}.kind = ring")
-            lines.append(f"{p}.radius = {_fmt_float(src.radius)}")
-            lines.append(f"{p}.width = {_fmt_float(src.width)}")
-    return lines
-
-
-def _build_ood_source(i: int, props: dict[str, str]) -> OodSource:
-    key = f"scenario.ood{i}"
-    kind = props.get("kind")
-    if kind == "gaussian":
-        return GaussianSource(
-            mean=_parse_floats_csv(props["center"], f"{key}.center"),
-            spread=_parse_value(props["spread"], "float", f"{key}.spread"),
-        )
-    if kind == "box":
-        return UniformBoxSource(
-            low=_parse_floats_csv(props["low"], f"{key}.low"),
-            high=_parse_floats_csv(props["high"], f"{key}.high"),
-        )
-    if kind == "ring":
-        return RingSource(
-            radius=_parse_value(props["radius"], "float", f"{key}.radius"),
-            width=_parse_value(props["width"], "float", f"{key}.width"),
-        )
-    raise ConfigError(f"unknown or missing OOD source kind for {key}")
-
-
 def _lines(cfg: RunConfig) -> list[tuple[Field, str]]:
     """Each line of the canonical text, with the field it spells out."""
     lines = []
@@ -286,8 +241,12 @@ def _lines(cfg: RunConfig) -> list[tuple[Field, str]]:
         value = getattr(cfg, f.name)
         if "key" in f.metadata:
             lines.append((f, f"{f.metadata['key']} = {_fmt_value(value, f.type)}"))
-        else:
-            lines += [(f, line) for line in _ood_source_lines(value)]
+            continue
+        lines.append((f, f"scenario.ood_count = {len(value)}"))
+        for i, src in enumerate(value, start=1):
+            lines.append((f, f"scenario.ood{i}.kind = {src.kind}"))
+            lines += [(f, f"scenario.ood{i}.{g.name} = {_fmt_value(getattr(src, g.name), g.type)}")
+                      for g in fields(src)]
     return lines
 
 
@@ -319,20 +278,9 @@ def from_text(text: str) -> RunConfig:
         values[key] = raw.strip()
 
     kwargs: dict = {}
-    ood_fields: dict[int, dict[str, str]] = {}
-    ood_count = 0
+    if "scenario.ood_count" in values:
+        kwargs["ood_sources"] = _pop_sources(values)
     for key, raw in values.items():
-        if key == "scenario.ood_count":
-            ood_count = _parse_value(raw, "int", key)
-            continue
-        if key.startswith("scenario.ood") and key.count(".") == 2:
-            head, prop = key.rsplit(".", 1)
-            try:
-                idx = int(head[len("scenario.ood"):])
-            except ValueError as exc:
-                raise ConfigError(f"unknown config key {key!r}") from exc
-            ood_fields.setdefault(idx, {})[prop] = raw
-            continue
         if key in REMOVED_MOMENTUM_KEYS:
             value = _parse_value(raw, "float", key)
             if value != 0.0:  # NaN included
@@ -340,16 +288,39 @@ def from_text(text: str) -> RunConfig:
                                   "so it must be 0")
             continue
         kwargs.update(parse_setting(key, raw))
-
-    if ood_count or ood_fields:
-        if sorted(ood_fields) != list(range(1, ood_count + 1)):
-            raise ConfigError(f"scenario.ood_count = {ood_count} but sources defined for "
-                              f"{sorted(ood_fields)}")
-        kwargs["ood_sources"] = tuple(_build_ood_source(i, ood_fields[i])
-                                      for i in range(1, ood_count + 1))
-    if not any(key.startswith("scenario.") for key in values):
+    if not any(key.startswith("scenario.") for key in key_lines):
         raise ConfigError("missing required section 'scenario' in config file")
     return RunConfig(**kwargs)
+
+
+def _pop_sources(values: dict[str, str]) -> tuple[OodSource, ...]:
+    """The sources ``scenario.ood1`` ... ``scenario.ood{ood_count}``, their
+    keys taken out of ``values``; a source key left behind is unknown."""
+    count = _parse_value(values.pop("scenario.ood_count"), "int", "scenario.ood_count")
+    if count < 1:
+        raise ConfigError(f"scenario.ood_count = {count} is out of range: it must be >= 1")
+    sources = []
+    for i in range(1, count + 1):
+        key = f"scenario.ood{i}.kind"
+        if key not in values:
+            raise ConfigError(f"missing config key {key!r}: scenario.ood_count = {count}")
+        kind = values.pop(key)
+        if kind not in OOD_KINDS:
+            raise ConfigError(f"{key} = {kind!r} is out of range: it must be one of "
+                              + ", ".join(OOD_KINDS))
+        cls = OOD_KINDS[kind]
+        args = {}
+        for f in fields(cls):
+            key = f"scenario.ood{i}.{f.name}"
+            if key not in values:
+                raise ConfigError(f"missing config key {key!r}: a {kind} source sets "
+                                  + ", ".join(g.name for g in fields(cls)))
+            args[f.name] = _parse_value(values.pop(key), f.type, key)
+        sources.append(cls(**args))
+    key = f"scenario.ood{count + 1}.kind"
+    if key in values:
+        raise ConfigError(f"unknown config key {key!r}: scenario.ood_count = {count}")
+    return tuple(sources)
 
 
 def _digest(lines) -> str:

@@ -618,16 +618,15 @@ def compose_reference(id_set: LabeledSet, ood_features: np.ndarray, ood_labels: 
 # config texts
 
 # one OOD source of each kind, so that every source key is spelled out
-THREE_SOURCES = (GaussianSource(mean=(3.0, 0.0), spread=0.5),
+THREE_SOURCES = (GaussianSource(center=(3.0, 0.0), spread=0.5),
                  UniformBoxSource(low=(-4.0, -4.0), high=(4.0, 4.0)),
                  RingSource(radius=3.0, width=1.0))
 
 # every float-valued config key of a config with THREE_SOURCES, and the
 # removed momentum keys, which still load as the float 0
 FLOAT_KEYS = [f.metadata["key"] for f in fields(RunConfig) if f.type == "float"] + [
-    "scenario.ood1.center", "scenario.ood1.spread", "scenario.ood2.low",
-    "scenario.ood2.high", "scenario.ood3.radius", "scenario.ood3.width",
-    *REMOVED_MOMENTUM_KEYS]
+    f"scenario.ood{i}.{f.name}" for i, src in enumerate(THREE_SOURCES, start=1)
+    for f in fields(src)] + [*REMOVED_MOMENTUM_KEYS]
 
 
 def non_finite_rule(key: str) -> str:

@@ -123,20 +123,36 @@ def test_gaussian_center_of_wrong_length_fails_with_one_line(tmp_path, capsys, c
     ("scenario.ood2.low", "-4"), ("scenario.ood2.high", "4,-5"),
     ("scenario.ood3.radius", "0"), ("scenario.ood3.width", "-1"),
     ("scenario.id_spread", "0"), ("scenario.train_n", "0"), ("scenario.train_n", "2"),
-    ("scenario.classes", "1"),
+    ("scenario.classes", "1"), ("scenario.stream", "bogus"), ("scenario.ood_count", "-1"),
+    # a missing source key, and keys no source has
+    ("scenario.ood1.spread", None), ("scenario.ood1.radius", "1"), ("scenario.ood01.kind", "box"),
 ])
 def test_bad_scenario_value_fails_at_load(tmp_path, capsys, key, value):
-    """No checkpoint exists, so only a check at load can produce this error."""
+    """No checkpoint exists, so only a check at load can produce this error.
+    A value of None drops the key's line; any other value replaces it, or
+    adds it if the text has no such key."""
     text = to_text(RunConfig(**SMALL_OVERRIDES, ood_sources=THREE_SOURCES,
                              out_dir=str(tmp_path / "out")))
-    [line] = [ln for ln in text.splitlines() if ln.startswith(f"{key} = ")]
+    lines = [ln for ln in text.splitlines() if not ln.startswith(f"{key} = ")]
+    if value is not None:
+        lines.append(f"{key} = {value}")
     path = tmp_path / "bad.cfg"
-    path.write_text(text.replace(line, f"{key} = {value}"), encoding="ascii")
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
     assert main(["--config", str(path), "run", "--mode", "auto"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config error: ") and err.count("\n") == 1
     assert key in err
     assert not (tmp_path / "out").exists()
+
+
+def test_scenario_too_large_to_allocate_fails_with_one_line(tmp_path, capsys):
+    """numpy refuses this PiB-scale draw without allocating it; the refusal
+    used to end in a MemoryError traceback."""
+    path = write_config(tmp_path, train_n=10**15, out_dir=str(tmp_path / "out"))
+    assert main(["--config", str(path), "pretrain"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / cli.CHECKPOINT_NAME).exists()
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])

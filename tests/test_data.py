@@ -24,7 +24,7 @@ def small_spec(**overrides) -> ScenarioSpec:
         num_classes=2,
         class_means=((-1.0, 0.0), (1.0, 0.0)),
         id_spread=0.2,
-        ood_sources=(GaussianSource(mean=(0.0, 4.0), spread=0.5),),
+        ood_sources=(GaussianSource(center=(0.0, 4.0), spread=0.5),),
         train_n=40,
         test_id_n=30,
         ood_n=25,
@@ -140,8 +140,8 @@ def test_compose_mixed_single_source_reduces_to_stream():
 
 def test_compose_mixed_two_sources_balanced():
     spec = small_spec(
-        ood_sources=(GaussianSource(mean=(0.0, 4.0), spread=0.5),
-                     GaussianSource(mean=(0.0, -4.0), spread=0.5)),
+        ood_sources=(GaussianSource(center=(0.0, 4.0), spread=0.5),
+                     GaussianSource(center=(0.0, -4.0), spread=0.5)),
         test_id_n=4000, ood_n=2000)
     _, test_id, oods = make_scenario(spec)
     stream = compose_mixed(test_id, oods, kappa=0.3, seed=6)
@@ -154,8 +154,8 @@ def test_compose_mixed_two_sources_balanced():
 
 def test_compose_mixed_length_matches_stream_on_pooled_input():
     spec = small_spec(
-        ood_sources=(GaussianSource(mean=(0.0, 4.0), spread=0.5),
-                     GaussianSource(mean=(0.0, -4.0), spread=0.5)))
+        ood_sources=(GaussianSource(center=(0.0, 4.0), spread=0.5),
+                     GaussianSource(center=(0.0, -4.0), spread=0.5)))
     _, test_id, oods = make_scenario(spec)
     pooled = LabeledSet(np.concatenate([oods[0].features, oods[1].features]),
                         np.concatenate([oods[0].labels, oods[1].labels]), 0)
@@ -166,8 +166,8 @@ def test_compose_mixed_length_matches_stream_on_pooled_input():
 
 def test_compose_timeseries_segments():
     spec = small_spec(
-        ood_sources=(GaussianSource(mean=(0.0, 4.0), spread=0.5),
-                     GaussianSource(mean=(0.0, -4.0), spread=0.5)))
+        ood_sources=(GaussianSource(center=(0.0, 4.0), spread=0.5),
+                     GaussianSource(center=(0.0, -4.0), spread=0.5)))
     _, test_id, oods = make_scenario(spec)
     stream = compose_timeseries(test_id, oods, kappa=0.5, seed=10)
     assert len(stream.segment_bounds) == 2
@@ -214,8 +214,8 @@ def test_canonical_spec_is_pinned():
         assert math.hypot(*mean) == pytest.approx(1.0, abs=1e-12)
     near, far = spec.ood_sources
     assert isinstance(near, GaussianSource) and isinstance(far, GaussianSource)
-    assert math.hypot(*near.mean) == pytest.approx(2.5, abs=1e-12)
-    assert math.hypot(*far.mean) == pytest.approx(5.0, abs=1e-12)
+    assert math.hypot(*near.center) == pytest.approx(2.5, abs=1e-12)
+    assert math.hypot(*far.center) == pytest.approx(5.0, abs=1e-12)
     # both clusters share the corridor between classes 0 and 1
-    assert math.atan2(near.mean[1], near.mean[0]) == pytest.approx(
-        math.atan2(far.mean[1], far.mean[0]), abs=1e-12)
+    assert math.atan2(near.center[1], near.center[0]) == pytest.approx(
+        math.atan2(far.center[1], far.center[0]), abs=1e-12)

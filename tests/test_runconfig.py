@@ -166,6 +166,73 @@ def test_ood_source_count_mismatch():
            "scenario.ood1.radius = 2\nscenario.ood1.width = 1\n"
     with pytest.raises(ConfigError, match="ood_count"):
         from_text(text)
+    # a count too low leaves the next source unread
+    with pytest.raises(ConfigError, match="^unknown config key 'scenario.ood2.kind': "
+                       "scenario.ood_count = 1$"):
+        from_text(text.replace("= 2\n", "= 1\n", 1) + "scenario.ood2.kind = ring\n")
+
+
+THREE_SOURCES_TEXT = to_text(RunConfig(ood_sources=THREE_SOURCES))
+SOURCE_KEYS = [line.partition(" = ")[0] for line in THREE_SOURCES_TEXT.splitlines()
+               if re.match(r"scenario\.ood\d\.", line)]
+
+
+def test_source_keys_are_the_fields_of_their_class():
+    assert SOURCE_KEYS == [
+        "scenario.ood1.kind", "scenario.ood1.center", "scenario.ood1.spread",
+        "scenario.ood2.kind", "scenario.ood2.low", "scenario.ood2.high",
+        "scenario.ood3.kind", "scenario.ood3.radius", "scenario.ood3.width"]
+    assert data.OOD_KINDS == {"gaussian": GaussianSource, "box": UniformBoxSource,
+                              "ring": RingSource}
+    # runconfig reads every kind and key from the classes and spells out none
+    source = (ROOT / "src" / "oodstream" / "runconfig.py").read_text(encoding="ascii")
+    for kind, cls in data.OOD_KINDS.items():
+        for name in [kind] + [f.name for f in fields(cls)]:
+            assert not re.search(rf"\b{name}\b", source), name
+
+
+@pytest.mark.parametrize("key", SOURCE_KEYS)
+def test_missing_source_key_rejected(key):
+    """A missing field key used to end in a KeyError naming only the field."""
+    text = THREE_SOURCES_TEXT.replace(next(line for line in THREE_SOURCES_TEXT.splitlines()
+                                           if line.startswith(f"{key} = ")) + "\n", "")
+    with pytest.raises(ConfigError, match=rf"^missing config key '{re.escape(key)}': "):
+        from_text(text)
+
+
+# a key of another source kind, then keys that name no source
+STRAY_SOURCE_KEYS = [f"scenario.ood{i}.{f.name}" for i, src in enumerate(THREE_SOURCES, 1)
+                     for cls in data.OOD_KINDS.values() if cls is not type(src)
+                     for f in fields(cls)] + [
+    "scenario.ood01.kind", "scenario.ood5.kind", "scenario.ood1.bogus", "scenario.oodx.kind"]
+
+
+@pytest.mark.parametrize("key", STRAY_SOURCE_KEYS)
+def test_stray_source_key_is_unknown(key):
+    """``scenario.ood1.radius`` on a gaussian source used to be ignored."""
+    with pytest.raises(ConfigError, match=rf"^unknown config key '{re.escape(key)}'$"):
+        from_text(f"{THREE_SOURCES_TEXT}{key} = 1\n")
+    # with no scenario.ood_count the canonical sources load, so a source key is unknown
+    with pytest.raises(ConfigError, match=rf"^unknown config key '{re.escape(key)}'$"):
+        from_text(f"scenario.kappa = 0.5\n{key} = 1\n")
+
+
+def test_ood_count_below_one_rejected():
+    """A count below 1 used to load the canonical sources."""
+    for count in ("0", "-1"):
+        for text in (f"scenario.ood_count = {count}\n",
+                     THREE_SOURCES_TEXT.replace("scenario.ood_count = 3",
+                                                f"scenario.ood_count = {count}")):
+            with pytest.raises(ConfigError, match=f"^scenario.ood_count = {count} is out of "
+                               "range: it must be >= 1$"):
+                from_text(text)
+    assert from_text("scenario.kappa = 0.5\n").ood_sources == data.canonical_spec().ood_sources
+
+
+def test_bad_source_kind_rejected():
+    with pytest.raises(ConfigError, match="^scenario.ood1.kind = 'disc' is out of range: "
+                       "it must be one of gaussian, box, ring$"):
+        from_text(THREE_SOURCES_TEXT.replace("kind = gaussian", "kind = disc"))
 
 
 def test_nonzero_sgd_momentum_rejected():
@@ -205,6 +272,7 @@ RANGE_CHECKS = {
     "scenario.seed": (["-1"], ["0"]),
     "scenario.stream_seed": (["-5"], ["0"]),
     "scenario.train_n": (["0", "2"], ["3"]),
+    "scenario.stream": (["bogus", "Single", ""], ["single", "mixed", "timeseries"]),
     "pretrain.epochs": (["-1"], ["0"]),
     "pretrain.batch_size": (["0", "-1"], ["1"]),
     "pretrain.lr": (["0", "-0.1", "nan"], ["1e-300"]),
@@ -285,7 +353,7 @@ def ood_sources(dim: int):
     """Valid OOD sources in ``dim`` dimensions: the loader rejects any other."""
     bounds = st.tuples(finite, finite).filter(lambda b: b[0] != b[1]).map(sorted)
     return st.one_of(
-        st.builds(GaussianSource, mean=st.lists(finite, min_size=dim, max_size=dim).map(tuple),
+        st.builds(GaussianSource, center=st.lists(finite, min_size=dim, max_size=dim).map(tuple),
                   spread=positive),
         st.lists(bounds, min_size=dim, max_size=dim).map(lambda bs: UniformBoxSource(
             low=tuple(lo for lo, _ in bs), high=tuple(hi for _, hi in bs))),
