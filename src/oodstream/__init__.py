@@ -11,11 +11,10 @@ prediction-consistency hinge against the frozen initial model.
 from .data import (GaussianSource, LabeledSet, RingSource, ScenarioSpec, Stream,
                    UniformBoxSource, canonical_spec, compose_mixed, compose_stream,
                    compose_timeseries, make_scenario)
-from .engine import (AutoState, EventLog, StreamEvent, init_state, lambda2_at,
-                     run_posthoc, run_stream, step)
+from .engine import AutoState, EventLog, StreamEvent, init_state, run_posthoc, run_stream, step
 from .filtering import (FilterDecision, IdStats, Margins, classify,
                         estimate_id_stats, init_margins, update_outlier_margin)
-from .memory import MemoryBank, init_prototype, init_random, replace
+from .memory import MemoryBank, init_random, replace
 from .metrics import (MetricsReport, auroc, fpr_at_tpr, id_accuracy, report,
                       report_to_json)
 from .nn import (EpisodeBatch, Gradients, LossSpec, MlpModel, SgdConfig, clone_frozen,

@@ -98,6 +98,11 @@ def _replay(cfg: RunConfig, mode: str, model: nn.MlpModel, train: data.LabeledSe
             ) -> tuple[engine.EventLog, engine.AutoState]:
     """Compose the stream and replay it; `auto` mode adapts ``model`` in place."""
     stream = _make_stream(cfg, test_id, ood_sets)
+    if stream.is_ood.all() or not stream.is_ood.any():
+        ood = int(np.count_nonzero(stream.is_ood))
+        raise CliError(f"the composed stream holds {len(stream) - ood} ID and {ood} OOD "
+                       "arrivals, but a run needs at least one of each; scenario.kappa, "
+                       "scenario.test_id_n and scenario.ood_n set the mix")
     # Non-finite logits and losses raise with the stream index, so numpy's
     # overflow warnings on the way there would only repeat the error.
     with np.errstate(over="ignore", invalid="ignore"):

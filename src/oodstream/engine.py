@@ -48,7 +48,6 @@ class AutoState:
     score_kind: ScoreKind
     sgd: SgdConfig
     step_counter: int = 0
-    update_counter: int = 0
 
 
 class StreamEvent(NamedTuple):
@@ -125,17 +124,6 @@ def _new_log(stream: Stream) -> EventLog:
                     m_out=np.empty(n))
 
 
-def lambda2_at(cfg: RunConfig, update_counter: int) -> float:
-    """Consistency-loss weight for the given episode counter.
-
-    With decay enabled the weight is lambda2 / (1 + decay * k): monotone
-    non-increasing in k with unit factor at k = 0.
-    """
-    if cfg.lambda2_decay == 0.0:
-        return cfg.lambda2
-    return cfg.lambda2 / (1.0 + cfg.lambda2_decay * update_counter)
-
-
 def init_state(model: MlpModel, train_set: LabeledSet, cfg: RunConfig) -> AutoState:
     """Freeze a reference clone, estimate filter margins, and seed the bank.
 
@@ -152,25 +140,21 @@ def init_state(model: MlpModel, train_set: LabeledSet, cfg: RunConfig) -> AutoSt
     for i, x in enumerate(feats):
         logits[i] = nn.forward_logits(model, x)
     stats = filtering.estimate_id_stats(scoring.score_rows(score_kind, logits))
-    margins = filtering.init_margins(stats, cfg.k1, cfg.k2, literal_m0=cfg.margin_literal_m0)
-    if cfg.memory_mode == "prototype":
-        bank = memory.init_prototype(train_set)
-    else:
-        bank = memory.init_random(train_set, cfg.memory_seed)
+    margins = filtering.init_margins(stats, cfg.k1, cfg.k2)
+    bank = memory.init_random(train_set, cfg.memory_seed)
     return AutoState(model_t=model, model_0=model_0, margins=margins, bank=bank,
                      score_kind=score_kind, sgd=sgd)
 
 
-def _episode_spec(state: AutoState, cfg: RunConfig, pred_0: int, lam2: float) -> LossSpec:
+def _episode_spec(state: AutoState, cfg: RunConfig, pred_0: int) -> LossSpec:
     return LossSpec(
         uniform_weight=cfg.lambda1,
-        sc_weight=lam2,
+        sc_weight=cfg.lambda2,
         sc_ref_pred=pred_0,
         sc_phi=cfg.phi,
         bank_inputs=state.bank.features,
         bank_labels=state.bank.labels,
         bank_weight=cfg.id_weight,
-        bank_reduction=cfg.id_loss_reduction,
     )
 
 
@@ -198,7 +182,7 @@ def step(state: AutoState, cfg: RunConfig, x: np.ndarray,
     elif decision is PSEUDO_OOD:
         if cfg.iters_t > 0:
             pred_0 = scoring.predict(nn.forward_logits(state.model_0, x))
-            spec = _episode_spec(state, cfg, pred_0, lambda2_at(cfg, state.update_counter))
+            spec = _episode_spec(state, cfg, pred_0)
             batch = nn.prepare_episode(state.model_t, x, spec, state.sgd.trainable_groups)
             losses: list[float] = []
             for _ in range(cfg.iters_t):
@@ -210,7 +194,6 @@ def step(state: AutoState, cfg: RunConfig, x: np.ndarray,
             _check_finite(final, state)
             losses.append(final)
             trace = UpdateTrace(state.step_counter, tuple(losses))
-        state.update_counter += 1
         state.margins = filtering.update_outlier_margin(state.margins, arrival_score)
 
     # Positional fields: the keyword form costs about 1 µs more per arrival.
@@ -226,8 +209,8 @@ def run_stream(state: AutoState, cfg: RunConfig, stream: Stream) -> EventLog:
     """Apply ``step`` to every arrival in order.
 
     Every pseudo-OOD arrival runs one update episode. Every pseudo-ID arrival
-    writes the bank unless it is a prototype bank; a write is contaminated
-    when the arrival's hidden truth is OOD.
+    writes the bank; a write is contaminated when the arrival's hidden truth
+    is OOD.
     """
     log = _new_log(stream)
     scores, predictions, decisions, m_outs = [], [], [], []
@@ -245,10 +228,9 @@ def run_stream(state: AutoState, cfg: RunConfig, stream: Stream) -> EventLog:
     log.m_out[:] = m_outs
     counts = log.counts
     log.updates = counts.pseudo_ood
-    if not state.bank.prototype:
-        log.bank_replacements = counts.pseudo_id
-        log.contaminated_replacements = int(np.count_nonzero(
-            log.is_ood[log.decision == DECISION_CODES[FilterDecision.PSEUDO_ID]]))
+    log.bank_replacements = counts.pseudo_id
+    log.contaminated_replacements = int(np.count_nonzero(
+        log.is_ood[log.decision == DECISION_CODES[FilterDecision.PSEUDO_ID]]))
     return log
 
 

@@ -44,7 +44,7 @@ class Margins:
     """Filter state. ``m_in`` is fixed after init; ``m_out`` is a running mean.
 
     ``m_count`` counts recorded pseudo-OOD scores, including the virtual
-    anchor the initialization contributes in the default mode.
+    anchor the initialization contributes.
     """
 
     m_in: float
@@ -62,20 +62,18 @@ def estimate_id_stats(scores) -> IdStats:
     return IdStats(mu_in=mu, sigma_in=sigma)
 
 
-def init_margins(stats: IdStats, k1: float, k2: float, *,
-                 literal_m0: bool = False) -> Margins:
+def init_margins(stats: IdStats, k1: float, k2: float) -> Margins:
     """m_in = mu + k1*sigma, m_out = mu - k2*sigma.
 
-    The initial m_out normally counts as one virtual observation so it
-    anchors the running mean; ``literal_m0`` starts the counter at zero
-    instead, letting the first accepted score replace it entirely.
+    The initial m_out counts as one virtual observation, so it anchors the
+    running mean.
     """
     if k1 < 0 or k2 < 0:
         raise ValueError("k1 and k2 must be nonnegative")
     return Margins(
         m_in=stats.mu_in + k1 * stats.sigma_in,
         m_out=stats.mu_in - k2 * stats.sigma_in,
-        m_count=0 if literal_m0 else 1,
+        m_count=1,
     )
 
 

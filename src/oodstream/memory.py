@@ -1,8 +1,6 @@
 """Dynamic ID memory bank: exactly one labeled feature vector per class.
 
 Incoming pseudo-ID samples overwrite the slot of their predicted class.
-A prototype bank (per-class training means) is immutable: replace becomes
-a no-op, keeping the bank constant for the whole run.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ class MemoryBank:
     """Row c of ``features`` is the stored sample for class c."""
 
     features: np.ndarray
-    prototype: bool = False
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -57,21 +54,13 @@ def init_random(training_set: LabeledSet, seed: int) -> MemoryBank:
     """One uniformly random training sample per class; seeded."""
     rng = np.random.default_rng(seed)
     rows = [training_set.features[rng.choice(idx)] for idx in _class_indices(training_set)]
-    return MemoryBank(np.stack(rows), prototype=False)
-
-
-def init_prototype(training_set: LabeledSet) -> MemoryBank:
-    """Per-class mean features; bank is flagged immutable."""
-    rows = [training_set.features[idx].mean(axis=0) for idx in _class_indices(training_set)]
-    return MemoryBank(np.stack(rows), prototype=True)
+    return MemoryBank(np.stack(rows))
 
 
 def replace(bank: MemoryBank, x_hat: np.ndarray, y_hat: int) -> MemoryBank:
-    """Overwrite the slot for class ``y_hat`` in place (no-op for prototypes)."""
+    """Overwrite the slot for class ``y_hat`` in place."""
     if not 0 <= y_hat < bank.num_classes:
         raise ValueError(f"class {y_hat} out of range for {bank.num_classes} slots")
-    if bank.prototype:
-        return bank
     x = np.asarray(x_hat, dtype=np.float64)
     if x.shape != (bank.dim,):
         raise ValueError(f"expected feature of shape ({bank.dim},), got {x.shape}")

@@ -226,9 +226,8 @@ class LossSpec:
         ``sc_phi`` (live-model argmax recomputed at evaluation time, ties to
         the lowest index).
 
-    Memory terms: per-row cross-entropy of ``bank_inputs`` against
-    ``bank_labels``, reduced by ``bank_reduction`` and scaled by
-    ``bank_weight``.
+    Memory term: the cross-entropy of ``bank_inputs`` against
+    ``bank_labels``, summed over rows and scaled by ``bank_weight``.
     """
 
     uniform_weight: float = 0.0
@@ -238,11 +237,8 @@ class LossSpec:
     bank_inputs: np.ndarray | None = None
     bank_labels: np.ndarray | None = None
     bank_weight: float = 0.0
-    bank_reduction: str = "sum"
 
     def __post_init__(self) -> None:
-        if self.bank_reduction not in ("sum", "mean"):
-            raise ValueError(f"unknown bank_reduction {self.bank_reduction!r}")
         if self.sc_weight != 0.0 and self.sc_ref_pred is None:
             raise ValueError("sc_weight set but sc_ref_pred missing")
 
@@ -269,7 +265,6 @@ class EpisodeBatch:
     lowest: int
     prefix: np.ndarray
     bank_label_index: np.ndarray
-    bank_scale: float
 
 
 def prepare_episode(model: MlpModel, x: np.ndarray, spec: LossSpec,
@@ -287,17 +282,16 @@ def prepare_episode(model: MlpModel, x: np.ndarray, spec: LossSpec,
     if spec.bank_inputs is not None and spec.bank_weight != 0.0:
         labels = np.asarray(spec.bank_labels, dtype=np.int64)
         rows = np.concatenate([xv[None, :], np.asarray(spec.bank_inputs, dtype=np.float64)])
-        scale = spec.bank_weight / (len(labels) if spec.bank_reduction == "mean" else 1)
         c = model.num_classes
         if len(labels) and not 0 <= np.minimum.reduce(labels) <= np.maximum.reduce(labels) < c:
             raise IndexError(f"bank label out of range for {c} classes")
         at_labels = np.arange(1, len(labels) + 1) * c + labels
     else:
-        rows, scale, at_labels = xv[None, :], 0.0, np.empty(0, dtype=np.int64)
+        rows, at_labels = xv[None, :], np.empty(0, dtype=np.int64)
     keep = [trainable is None or g in trainable for g in model.group_labels]
     lowest = keep.index(True) if True in keep else model.num_layers
     prefix = _forward_from(model, rows, 0, lowest)[-1]
-    return EpisodeBatch(spec, rows, keep, lowest, prefix, at_labels, scale)
+    return EpisodeBatch(spec, rows, keep, lowest, prefix, at_labels)
 
 
 def _backprop(model: MlpModel, acts: list, dlogits: np.ndarray,
@@ -388,14 +382,14 @@ def _loss_and_grad(model: MlpModel, batch: EpisodeBatch,
     total, dl = _probe_dlogits(logits[0], ls[0], p[0], batch.spec)
     at_labels = batch.bank_label_index
     if len(at_labels):
-        total += batch.bank_scale * float(np.add.reduce(-ls.take(at_labels)))
+        total += batch.spec.bank_weight * float(np.add.reduce(-ls.take(at_labels)))
     if not want_grad:
         return total, None
     # p becomes dL/dlogits in place: row 0 the probe's, rows 1..C the bank's
     p[0] = dl
     if len(at_labels):
         p.reshape(-1)[at_labels] -= 1.0
-        np.multiply(p[1:], batch.bank_scale, out=p[1:])
+        np.multiply(p[1:], batch.spec.bank_weight, out=p[1:])
     return total, _backprop(model, acts, p, batch.keep)
 
 

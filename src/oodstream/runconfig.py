@@ -92,17 +92,11 @@ class RunConfig:
         lambda v: kind_name(v) in VALID_KINDS, "one of " + ", ".join(VALID_KINDS))})
     energy_temperature: float = field(default=1.0, metadata={
         "key": "auto.energy_temperature", "rule": _GT0})
-    lambda2_decay: float = field(default=0.0, metadata={"key": "auto.lambda2_decay", "rule": _GE0})
     id_weight: float = field(default=1.0, metadata={"key": "auto.id_weight", "rule": _GE0})
-    id_loss_reduction: str = field(default="sum", metadata={
-        "key": "auto.id_loss_reduction", "rule": (lambda v: v in ("sum", "mean"), "sum or mean")})
     k1: float = field(default=0.0, metadata={"key": "auto.k1", "rule": _GE0})
     k2: float = field(default=3.0, metadata={"key": "auto.k2", "rule": _GE0})
     stats_subsample_n: int = field(default=0, metadata={
         "key": "auto.stats_subsample_n", "rule": _GE0})
-    margin_literal_m0: bool = field(default=False, metadata={"key": "auto.margin_literal_m0"})
-    memory_mode: str = field(default="random", metadata={"key": "auto.memory_mode", "rule": (
-        lambda v: v in ("random", "prototype"), "random or prototype")})
     memory_seed: int = field(default=0, metadata={"key": "auto.memory_seed", "rule": _GE0})
     # sgd (online updates)
     lr: float = field(default=0.001, metadata={"key": "sgd.lr", "rule": _GT0})
@@ -113,7 +107,13 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if not self.ood_sources:
-            self.ood_sources = canonical_spec().ood_sources
+            canonical = canonical_spec()
+            if self.dim >= 1 and self.dim != canonical.dim:
+                raise ConfigError(
+                    f"scenario.dim = {self.dim}, but the canonical OOD sources are "
+                    f"{canonical.dim}-D: a config of another scenario.dim must set "
+                    "scenario.ood_count and its own scenario.oodK.* keys")
+            self.ood_sources = canonical.ood_sources
         for f in fields(self):
             value = getattr(self, f.name)
             test, rule = f.metadata.get("rule", (None, None))
@@ -180,9 +180,13 @@ _FLOAT_LIST = "tuple[float, ...]"
 # config key -> its RunConfig field
 _FIELDS = {f.metadata["key"]: f for f in fields(RunConfig) if "key" in f.metadata}
 
-# Keys of the removed momentum optimizer: older config files set them to 0,
-# which still loads and is not written back.
-REMOVED_MOMENTUM_KEYS = ("pretrain.momentum", "sgd.momentum")
+# Keys of removed options, each mapped to the one value that still loads:
+# older config files set them so. They are never written back.
+REMOVED_KEYS = {
+    "pretrain.momentum": 0.0, "sgd.momentum": 0.0, "auto.lambda2_decay": 0.0,
+    "auto.id_loss_reduction": "sum", "auto.margin_literal_m0": False,
+    "auto.memory_mode": "random",
+}
 
 
 def _fmt_float(v: float) -> str:
@@ -257,7 +261,7 @@ def to_text(cfg: RunConfig) -> str:
 
 def from_text(text: str) -> RunConfig:
     """Parse a config file; unknown keys raise ConfigError naming the key,
-    and so does a removed momentum key set to anything but 0.
+    and so does a removed key set to anything but its ``REMOVED_KEYS`` value.
 
     Every command draws its scenario from the file, so a file must spell out
     at least one ``scenario.*`` key, and no key may be set twice.
@@ -281,11 +285,13 @@ def from_text(text: str) -> RunConfig:
     if "scenario.ood_count" in values:
         kwargs["ood_sources"] = _pop_sources(values)
     for key, raw in values.items():
-        if key in REMOVED_MOMENTUM_KEYS:
-            value = _parse_value(raw, "float", key)
-            if value != 0.0:  # NaN included
-                raise ConfigError(f"{key} = {value!r} is out of range: momentum was removed, "
-                                  "so it must be 0")
+        if key in REMOVED_KEYS:
+            kept = REMOVED_KEYS[key]
+            typ = type(kept).__name__
+            value = _parse_value(raw, typ, key)
+            if value != kept:  # NaN included
+                raise ConfigError(f"{key} = {value!r} is out of range: {key.partition('.')[2]} "
+                                  f"was removed, so it must be {_fmt_value(kept, typ)}")
             continue
         kwargs.update(parse_setting(key, raw))
     if not any(key.startswith("scenario.") for key in key_lines):

@@ -17,7 +17,7 @@ from oodstream.engine import DECISIONS, EventLog, StreamEvent, UpdateTrace
 from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
 from oodstream.nn import CHECKPOINT_MAGIC, LossSpec, MlpModel, SgdConfig
-from oodstream.runconfig import REMOVED_MOMENTUM_KEYS, RunConfig, to_text
+from oodstream.runconfig import RunConfig, to_text
 from oodstream.scoring import ScoreKind
 
 
@@ -273,8 +273,7 @@ def init_margins_reference(model: MlpModel, features, score_kind, config) -> fil
     """``init_state``'s margins from a list of per-row ``scoring.score`` values."""
     scores = [scoring.score(score_kind, nn.forward_logits(model, x)) for x in features]
     stats = filtering.estimate_id_stats(scores)
-    return filtering.init_margins(stats, config.k1, config.k2,
-                                  literal_m0=config.margin_literal_m0)
+    return filtering.init_margins(stats, config.k1, config.k2)
 
 
 def run_posthoc_reference(model, margins, stream, score_kind, *,
@@ -351,11 +350,10 @@ def _stacked_terms(model: MlpModel, x, spec: LossSpec):
         yb = np.asarray(spec.bank_labels, dtype=np.int64)
         ls = logits[1:] - logits[1:].max(axis=1, keepdims=True)
         ls = ls - np.log(np.exp(ls).sum(axis=1, keepdims=True))
-        scale = spec.bank_weight / (len(yb) if spec.bank_reduction == "mean" else 1)
-        total += scale * float(-ls[np.arange(len(yb)), yb].sum())
+        total += spec.bank_weight * float(-ls[np.arange(len(yb)), yb].sum())
         probs = np.exp(ls)
         probs[np.arange(len(yb)), yb] -= 1.0
-        dlogits.extend(scale * probs)
+        dlogits.extend(spec.bank_weight * probs)
     return total, pre, acts, np.array(dlogits)
 
 
@@ -424,11 +422,9 @@ def run_stream_reference(state: engine.AutoState, cfg, stream: Stream) -> EventL
         elif decision == FilterDecision.PSEUDO_OOD:
             if cfg.iters_t > 0:
                 pred_0 = predict_reference(nn.forward_logits(state.model_0, x))
-                spec = engine._episode_spec(state, cfg, pred_0,
-                                            engine.lambda2_at(cfg, state.update_counter))
+                spec = engine._episode_spec(state, cfg, pred_0)
                 losses = episode_reference(state.model_t, x, spec, state.sgd, cfg.iters_t)
                 traces.append(UpdateTrace(state.step_counter, losses))
-            state.update_counter += 1
             state.margins = filtering.update_outlier_margin(state.margins, s)
         scores.append(s)
         preds.append(prediction)
@@ -458,7 +454,6 @@ def assert_replays_equal(got: EventLog, got_state: engine.AutoState,
         np.array([want_m.m_in, want_m.m_out]).tobytes()
     assert got_m.m_count == want_m.m_count
     assert got_state.bank.features.tobytes() == want_state.bank.features.tobytes()
-    assert got_state.update_counter == want_state.update_counter
 
 
 def loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
@@ -476,11 +471,10 @@ def loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
             model, np.asarray(spec.bank_inputs, dtype=np.float64))
         ls = logits - logits.max(axis=1, keepdims=True)
         ls = ls - np.log(np.exp(ls).sum(axis=1, keepdims=True))
-        scale = spec.bank_weight / (len(yb) if spec.bank_reduction == "mean" else 1)
-        total += scale * float(-ls[np.arange(len(yb)), yb].sum())
+        total += spec.bank_weight * float(-ls[np.arange(len(yb)), yb].sum())
         probs = np.exp(ls)
         probs[np.arange(len(yb)), yb] -= 1.0
-        backprop_reference(model, pre, acts, scale * probs, grads)
+        backprop_reference(model, pre, acts, spec.bank_weight * probs, grads)
     return total, grads
 
 
@@ -622,26 +616,39 @@ THREE_SOURCES = (GaussianSource(center=(3.0, 0.0), spread=0.5),
                  UniformBoxSource(low=(-4.0, -4.0), high=(4.0, 4.0)),
                  RingSource(radius=3.0, width=1.0))
 
+# each removed config key and the one value that still loads, as a file spells it
+REMOVED_KEY_VALUES = {
+    "pretrain.momentum": "0", "sgd.momentum": "0", "auto.lambda2_decay": "0",
+    "auto.id_loss_reduction": "sum", "auto.margin_literal_m0": "false",
+    "auto.memory_mode": "random",
+}
+
 # every float-valued config key of a config with THREE_SOURCES, and the
-# removed momentum keys, which still load as the float 0
+# removed keys that still load as the float 0
 FLOAT_KEYS = [f.metadata["key"] for f in fields(RunConfig) if f.type == "float"] + [
     f"scenario.ood{i}.{f.name}" for i, src in enumerate(THREE_SOURCES, start=1)
-    for f in fields(src)] + [*REMOVED_MOMENTUM_KEYS]
+    for f in fields(src)] + [key for key, raw in REMOVED_KEY_VALUES.items() if raw == "0"]
+
+
+def removed_key_rule(key: str) -> str:
+    """How the loader's error for a removed ``key`` at another value ends."""
+    return (f"is out of range: {key.partition('.')[2]} was removed, so it must be "
+            f"{REMOVED_KEY_VALUES[key]}")
 
 
 def non_finite_rule(key: str) -> str:
     """How the loader's error for a non-finite ``key`` ends."""
-    if key in REMOVED_MOMENTUM_KEYS:
-        return "is out of range: momentum was removed, so it must be 0"
+    if key in REMOVED_KEY_VALUES:
+        return removed_key_rule(key)
     return "is out of range: it must be finite"
 
 
 def config_text_with(key: str, raw: str, **overrides) -> str:
     """Config text of ``RunConfig(ood_sources=THREE_SOURCES, **overrides)``
     with ``key`` set to ``raw``; a coordinate key gets ``raw`` as its first
-    coordinate, and a removed momentum key is appended."""
+    coordinate, and a removed key is appended."""
     text = to_text(RunConfig(ood_sources=THREE_SOURCES, **overrides))
-    if key in REMOVED_MOMENTUM_KEYS:
+    if key in REMOVED_KEY_VALUES:
         return text + f"{key} = {raw}\n"
     [line] = [ln for ln in text.splitlines() if ln.startswith(f"{key} = ")]
     if key.endswith((".center", ".low", ".high")):

@@ -13,12 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (CORRUPT_PAYLOADS, FLOAT_KEYS, THREE_SOURCES, config_text_with,
-                     corrupt_checkpoint, non_finite_rule)
-from oodstream import cli, data, nn
+from helpers import (CORRUPT_PAYLOADS, FLOAT_KEYS, REMOVED_KEY_VALUES, THREE_SOURCES,
+                     config_text_with, corrupt_checkpoint, non_finite_rule, removed_key_rule)
+from oodstream import cli, data, engine, nn
 from oodstream.cli import main
-from oodstream.runconfig import (REMOVED_MOMENTUM_KEYS, RunConfig, from_text, pretrain_hash,
-                                 to_text)
+from oodstream.runconfig import RunConfig, from_text, pretrain_hash, to_text
 
 SMALL_OVERRIDES = dict(
     test_id_n=250,
@@ -172,26 +171,32 @@ def test_non_finite_float_fails_at_load(tmp_path, capsys, key, raw):
 
 @pytest.mark.parametrize("mode", ["auto", "frozen"])
 def test_nonzero_sgd_momentum_fails_at_load(pretrained, capsys, mode):
-    """Momentum was removed. Both of its keys still load at 0, as older
-    files set them, and change no output byte, the config hash included;
-    any other value fails at load."""
+    """Momentum and four replay variants were removed. Each removed key
+    still loads at its one kept value, as older files set it, and changes
+    no output byte, the config hash included; any other value fails at
+    load with one line."""
     cfg_path, out = pretrained
     text = cfg_path.read_text(encoding="ascii")
-    assert all(key not in text for key in REMOVED_MOMENTUM_KEYS)
+    assert all(key not in text for key in REMOVED_KEY_VALUES)
     assert main(["--config", str(cfg_path), "run", "--mode", mode]) == 0
     written = {p.name: p.read_bytes() for p in out.glob(f"{mode}_*")}
     legacy = cfg_path.with_name("legacy.cfg")
-    legacy.write_text(text + "".join(f"{key} = 0\n" for key in REMOVED_MOMENTUM_KEYS),
+    legacy.write_text(text + "".join(f"{key} = {raw}\n"
+                                     for key, raw in REMOVED_KEY_VALUES.items()),
                       encoding="ascii")
     assert main(["--config", str(legacy), "run", "--mode", mode]) == 0
     assert {p.name: p.read_bytes() for p in out.glob(f"{mode}_*")} == written
     capsys.readouterr()
     (out / f"{mode}_events.csv").unlink()
-    for key in REMOVED_MOMENTUM_KEYS:
-        legacy.write_text(f"{text}{key} = 0.9\n", encoding="ascii")
+    for key, raw, shown in [("pretrain.momentum", "0.9", "0.9"), ("sgd.momentum", "0.9", "0.9"),
+                            ("auto.lambda2_decay", "0.5", "0.5"),
+                            ("auto.id_loss_reduction", "mean", "'mean'"),
+                            ("auto.margin_literal_m0", "true", "True"),
+                            ("auto.memory_mode", "prototype", "'prototype'")]:
+        legacy.write_text(f"{text}{key} = {raw}\n", encoding="ascii")
         assert main(["--config", str(legacy), "run", "--mode", mode]) == 1
-        assert capsys.readouterr().err == (f"error: config error: {key} = 0.9 is out of "
-                                           "range: momentum was removed, so it must be 0\n")
+        assert capsys.readouterr().err == (f"error: config error: {key} = {shown} "
+                                           f"{removed_key_rule(key)}\n")
         assert not (out / f"{mode}_events.csv").exists()
 
 
@@ -225,9 +230,9 @@ def test_negative_seed_fails_before_any_work(tmp_path, capsys, command):
                                        ("sgd.weight_decay", "-1"),
                                        ("auto.id_weight", "-1")])
 def test_out_of_range_value_fails_before_any_work(tmp_path, capsys, key, value):
-    lines = to_text(RunConfig(**SMALL_OVERRIDES, out_dir=str(tmp_path / "out"))).splitlines()
-    [i] = [i for i, ln in enumerate(lines) if ln.startswith(f"{key} = ")]
-    lines[i] = f"{key} = {value}"
+    # a removed key has no line of its own, so the key's line goes last
+    lines = [ln for ln in to_text(RunConfig(**SMALL_OVERRIDES, out_dir=str(tmp_path / "out")))
+             .splitlines() if not ln.startswith(f"{key} = ")] + [f"{key} = {value}"]
     path = tmp_path / "bad.cfg"
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     for command in (["pretrain"], ["run", "--mode", "auto"], ["run", "--mode", "frozen"]):
@@ -369,6 +374,27 @@ def test_non_finite_arrival_fails_with_one_line(pretrained, capsys, mode):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
     assert err == f"error: non-finite logits in forward pass at stream index {first}\n"
+
+
+@pytest.mark.parametrize("mode", ["auto", "frozen"])
+@pytest.mark.parametrize("overrides,counts", [({"ood_n": 1}, "0 ID and 1 OOD"),
+                                              ({"kappa": 0.0}, "0 ID and 250 OOD")],
+                         ids=["ood_n=1", "kappa=0"])
+def test_stream_without_id_or_ood_arrival_fails_before_the_replay(
+        tmp_path, capsys, monkeypatch, overrides, counts, mode):
+    """Such a stream used to fail only after the whole replay, when the
+    metrics found no ID or no OOD event. ``ood_n = 1`` ends the stream at
+    its first, OOD, arrival, and ``kappa = 0`` composes an all-OOD stream."""
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, epochs=5, out_dir=str(out), **overrides)
+    assert main(["--config", str(cfg_path), "pretrain"]) == 0
+    monkeypatch.setattr(engine, "init_state", lambda *args: pytest.fail("replay started"))
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "run", "--mode", mode]) == 1
+    assert capsys.readouterr().err == (
+        f"error: the composed stream holds {counts} arrivals, but a run needs at least one "
+        "of each; scenario.kappa, scenario.test_id_n and scenario.ood_n set the mix\n")
+    assert sorted(p.name for p in out.iterdir()) == ["model.ckpt", "pretrain_summary.json"]
 
 
 def test_run_frozen_constant_m_out(pretrained):

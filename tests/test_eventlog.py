@@ -88,13 +88,9 @@ def step_by_step(state, config, stream):
     return events, traces
 
 
-@pytest.mark.parametrize("memory_mode", ["random", "prototype"])
-def test_run_stream_rows_equal_step_events(canonical, memory_mode):
+def test_run_stream_rows_equal_step_events(canonical):
     stream = canonical["stream"]
-    if memory_mode == "prototype":
-        stream = Stream(features=stream.features[:2000], is_ood=stream.is_ood[:2000],
-                        labels=stream.labels[:2000])
-    config = RunConfig(memory_mode=memory_mode)
+    config = RunConfig()
     state = fresh_state(canonical, config)
     log = engine.run_stream(state, config, stream)
     ref_state = fresh_state(canonical, config)
@@ -104,10 +100,7 @@ def test_run_stream_rows_equal_step_events(canonical, memory_mode):
     assert log.update_traces == traces
     writes = [e for e in events if e.decision == FilterDecision.PSEUDO_ID]
     assert log.updates == sum(e.decision == FilterDecision.PSEUDO_OOD for e in events) > 0
-    if memory_mode == "prototype":
-        assert writes and log.bank_replacements == log.contaminated_replacements == 0
-    else:
-        assert log.bank_replacements == len(writes)
-        assert log.contaminated_replacements == sum(e.ground_truth_is_ood for e in writes) > 0
+    assert log.bank_replacements == len(writes)
+    assert log.contaminated_replacements == sum(e.ground_truth_is_ood for e in writes) > 0
     assert state.margins == ref_state.margins
     assert np.array_equal(state.bank.features, ref_state.bank.features)

@@ -353,10 +353,7 @@ def replay_cases(draw):
     config = RunConfig(
         score=draw(st.sampled_from(["msp", "energy", "maxlogit"])),
         k1=draw(st.sampled_from([0.0, 0.5])), k2=draw(st.sampled_from([0.0, 0.5, 3.0])),
-        iters_t=draw(st.integers(0, 3)), lambda2_decay=draw(st.sampled_from([0.0, 0.5])),
-        id_weight=draw(st.sampled_from([0.0, 0.5, 1.0])),
-        id_loss_reduction=draw(st.sampled_from(["sum", "mean"])),
-        memory_mode=draw(st.sampled_from(["random", "prototype"])),
+        iters_t=draw(st.integers(0, 3)), id_weight=draw(st.sampled_from([0.0, 0.5, 1.0])),
         lr=draw(st.sampled_from([0.001, 0.1])),
         weight_decay=draw(st.sampled_from([0.0, 0.01])),
         trainable_groups=draw(st.sampled_from(["last_block", "block1+fc", "all", "none"])))

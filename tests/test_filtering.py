@@ -107,13 +107,6 @@ def test_update_margin_boundary_score_ignored():
     assert update_outlier_margin(m, 0.5) == m
 
 
-def test_literal_m0_first_score_replaces_init():
-    m = init_margins(IdStats(0.9, 0.0), k1=0.0, k2=0.0, literal_m0=True)
-    assert m.m_count == 0
-    m = update_outlier_margin(m, 0.3)
-    assert m.m_out == 0.3 and m.m_count == 1
-
-
 def test_m_in_never_touched_and_m_out_monotone():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -146,15 +139,14 @@ def test_replay_equivalence_running_mean_oracle():
 
 @settings(max_examples=300, deadline=None)
 @given(mu=st.floats(-2.0, 2.0), sigma=st.floats(0.0, 1.0), k1=st.floats(0.0, 3.0),
-       k2=st.floats(0.0, 3.0), literal_m0=st.booleans(), m_count=st.integers(0, 10**6),
-       data=st.data())
-def test_margins_move_only_on_accepted_scores(mu, sigma, k1, k2, literal_m0, m_count, data):
+       k2=st.floats(0.0, 3.0), m_count=st.integers(0, 10**6), data=st.data())
+def test_margins_move_only_on_accepted_scores(mu, sigma, k1, k2, m_count, data):
     """Arrival by arrival, as the engine runs the filter: m_in never moves,
     m_out never rises, and m_count grows by one exactly when a score lands
     below m_out; any other score leaves the margins as they were. Half the
     scores sit a few ulps from m_out, where the running mean's rounding
     could carry it up."""
-    margins = init_margins(IdStats(mu, sigma), k1, k2, literal_m0=literal_m0)
+    margins = init_margins(IdStats(mu, sigma), k1, k2)
     margins = replace(margins, m_count=margins.m_count + m_count)
     for _ in range(data.draw(st.integers(0, 60))):
         near = float(np.nextafter(margins.m_out, -np.inf))

@@ -11,7 +11,7 @@ import pytest
 from helpers import log_softmax_reference, total_loss
 from oodstream import memory, nn
 from oodstream.data import LabeledSet
-from oodstream.memory import MissingClassError, init_prototype, init_random, replace
+from oodstream.memory import MissingClassError, init_random, replace
 
 
 def toy_set() -> LabeledSet:
@@ -44,21 +44,6 @@ def test_init_random_missing_class_names_it():
         init_random(ds, seed=0)
 
 
-def test_init_prototype_means():
-    bank = init_prototype(toy_set())
-    assert np.allclose(bank.features[0], [1.0, 1.0])
-    assert np.allclose(bank.features[1], [1.0, 0.0])
-    assert np.allclose(bank.features[2], [0.0, 2.0])
-    assert bank.prototype
-
-
-def test_prototype_replace_is_noop():
-    bank = init_prototype(toy_set())
-    before = bank.features.copy()
-    replace(bank, np.array([9.0, 9.0]), 1)
-    assert np.array_equal(bank.features, before)
-
-
 def test_replace_locality_and_last_write_wins():
     bank = init_random(toy_set(), seed=1)
     before = bank.features.copy()
@@ -85,10 +70,9 @@ def test_bank_cardinality_under_replacement_storm():
         assert np.array_equal(bank.labels, [0, 1, 2])
 
 
-def id_loss(model: nn.MlpModel, bank: memory.MemoryBank, reduction: str = "sum") -> float:
+def id_loss(model: nn.MlpModel, bank: memory.MemoryBank) -> float:
     """The bank term alone, at weight 1: no probe-input term carries weight."""
-    spec = nn.LossSpec(bank_inputs=bank.features, bank_labels=bank.labels, bank_weight=1.0,
-                       bank_reduction=reduction)
+    spec = nn.LossSpec(bank_inputs=bank.features, bank_labels=bank.labels, bank_weight=1.0)
     return total_loss(model, np.zeros(model.input_dim), spec)
 
 
@@ -103,7 +87,6 @@ def test_id_loss_zero_logit_model():
     bank = memory.MemoryBank(np.zeros((4, 2)))
     model = nn.MlpModel([2, 4], [np.zeros((2, 4))], [np.zeros(4)], ["fc"])
     assert id_loss(model, bank) == pytest.approx(4 * math.log(4), abs=1e-12)
-    assert id_loss(model, bank, reduction="mean") == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_id_loss_matches_per_entry_oracle():

@@ -72,8 +72,7 @@ def run_commands(tmp_path: Path) -> list[int]:
         cli("single", single, "pretrain"),
         cli("single", single, "--plot", "run", "--mode", "auto"),
         cli("single", single, "--plot", "run", "--mode", "frozen"),
-        cli("mixed", config_text(stream="mixed", memory_mode="prototype"),
-            "run", "--mode", "auto"),
+        cli("mixed", config_text(stream="mixed"), "run", "--mode", "auto"),
         cli("timeseries", config_text(stream="timeseries"), "ablate"),
         cli("timeseries", config_text(stream="timeseries"),
             "sweep", "--param", "k2", "--values", "1,2"),

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FLOAT_KEYS, THREE_SOURCES, config_text_with, non_finite_rule
+from helpers import (FLOAT_KEYS, REMOVED_KEY_VALUES, THREE_SOURCES, config_text_with,
+                     non_finite_rule, removed_key_rule)
 from oodstream import cli, data, nn
 from oodstream.data import GaussianSource, RingSource, UniformBoxSource
-from oodstream.runconfig import (REMOVED_MOMENTUM_KEYS, ConfigError, RunConfig,
-                                 circle_means, config_hash, from_text, parse_setting,
-                                 pretrain_hash, to_text)
+from oodstream.runconfig import (REMOVED_KEYS, ConfigError, RunConfig, circle_means,
+                                 config_hash, from_text, parse_setting, pretrain_hash, to_text)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,26 +47,25 @@ PRETRAINING_CHANGES = [
 REPLAY_CHANGES = [
     {"stream": "mixed"}, {"kappa": 0.2}, {"stream_seed": 5}, {"lambda1": 0.5},
     {"lambda2": 0.5}, {"phi": 0.5}, {"iters_t": 1}, {"score": "energy"},
-    {"energy_temperature": 2.0}, {"lambda2_decay": 1.0}, {"id_weight": 0.5},
-    {"id_loss_reduction": "mean"}, {"k1": 1.0}, {"k2": 1.0}, {"stats_subsample_n": 5},
-    {"margin_literal_m0": True}, {"memory_mode": "prototype"}, {"memory_seed": 1},
+    {"energy_temperature": 2.0}, {"id_weight": 0.5}, {"k1": 1.0}, {"k2": 1.0},
+    {"stats_subsample_n": 5}, {"memory_seed": 1},
     {"lr": 0.01}, {"weight_decay": 0.01}, {"trainable_groups": "all"}, {"out_dir": "x"},
 ]
 
 
 def test_config_text_and_hashes_are_pinned():
-    """Declaring the keys on the fields left every byte of the text, and so
-    both hashes, as the hand-kept key table wrote them."""
+    """The canonical text, and so both hashes, are pinned. Removing four
+    replay keys moved the config hash; the pretrain hash, which a checkpoint
+    records, did not move."""
     def sha(cfg):
         return hashlib.sha256(to_text(cfg).encode("ascii")).hexdigest()
 
     assert sha(RunConfig()) == \
-        "3e9ab3595c6ec55116fde534daf35fc63865d32c098224426835f894bb2748b2"
-    assert sha(RunConfig(ood_sources=THREE_SOURCES, margin_literal_m0=True,
-                         hidden=(8, 4, 2))) == \
-        "3a5bafa831305b7913a1ff034e5bca8af7235e879089f74b1a676bb0e094c570"
-    for path, hashes in (("configs/canonical.cfg", ("82e4065ceb29", "f28d20d16134")),
-                         ("perfbench/wide_drift.cfg", ("ddb8d8377eaf", "67ef954d0777"))):
+        "07751cc84007f714ffa90077debcf9258c5485d0b9494184aa98ce8a1287ac4e"
+    assert sha(RunConfig(ood_sources=THREE_SOURCES, hidden=(8, 4, 2))) == \
+        "fd0a1a06d59c02b0c67330c5ca06cdf04dba315c69512238b79df3340671c824"
+    for path, hashes in (("configs/canonical.cfg", ("93ec13671e0e", "f28d20d16134")),
+                         ("perfbench/wide_drift.cfg", ("480724c81888", "67ef954d0777"))):
         cfg = from_text((ROOT / path).read_text(encoding="ascii"))
         assert (config_hash(cfg), pretrain_hash(cfg)) == hashes, path
 
@@ -87,7 +86,6 @@ def test_each_key_is_declared_once_on_its_field():
 def test_parse_setting_parses_by_the_field_type():
     assert parse_setting("auto.iters_T", " 3 ") == {"iters_t": 3}
     assert parse_setting("scenario.kappa", "0.25") == {"kappa": 0.25}
-    assert parse_setting("auto.margin_literal_m0", "Yes") == {"margin_literal_m0": True}
     assert parse_setting("pretrain.hidden", "8,4") == {"hidden": (8, 4)}
     assert parse_setting("sgd.trainable_groups", "block1+fc") == {
         "trainable_groups": "block1+fc"}
@@ -95,6 +93,9 @@ def test_parse_setting_parses_by_the_field_type():
         parse_setting("auto.iters_T", "x")
     with pytest.raises(ConfigError, match="^unknown config key 'auto.bogus'$"):
         parse_setting("auto.bogus", "1")
+    # a removed key sets nothing, so a sweep cannot set it
+    with pytest.raises(ConfigError, match="^unknown config key 'auto.memory_mode'$"):
+        parse_setting("auto.memory_mode", "random")
 
 
 def test_train_n_below_classes_rejected_at_load():
@@ -119,14 +120,12 @@ def test_pretrain_hash_covers_exactly_what_pretraining_reads():
 
 def test_round_trip_non_default_values():
     cfg = RunConfig(kappa=0.3, lambda2=0.25, iters_t=5, stream="timeseries",
-                    trainable_groups="block1+fc", stats_subsample_n=100,
-                    margin_literal_m0=True, hidden=(8, 4, 2))
+                    trainable_groups="block1+fc", stats_subsample_n=100, hidden=(8, 4, 2))
     cfg2 = from_text(to_text(cfg))
     assert cfg2.kappa == 0.3 and cfg2.lambda2 == 0.25 and cfg2.iters_t == 5
     assert cfg2.stream == "timeseries"
     assert cfg2.trainable_groups == "block1+fc"
     assert cfg2.hidden == (8, 4, 2)
-    assert cfg2.margin_literal_m0 is True
 
 
 def test_unknown_key_rejected():
@@ -235,35 +234,71 @@ def test_bad_source_kind_rejected():
         from_text(THREE_SOURCES_TEXT.replace("kind = gaussian", "kind = disc"))
 
 
-def test_nonzero_sgd_momentum_rejected():
-    """Momentum was removed: its two keys load at 0 and are not written
-    back, and any other value is an error naming the key."""
-    with pytest.raises(TypeError):
-        RunConfig(momentum=0.0)
-    for key in REMOVED_MOMENTUM_KEYS:
-        for raw in ("0", "0.0", "-0"):
-            cfg = from_text(f"scenario.kappa = 0.5\n{key} = {raw}\n")
-            assert cfg == RunConfig() and to_text(cfg) == to_text(RunConfig())
-        for raw in ("0.9", "-1e-300", "nan", "inf"):
-            with pytest.raises(ConfigError, match=f"^{re.escape(key)} = .* is out of range: "
-                               "momentum was removed, so it must be 0$"):
-                from_text(f"scenario.kappa = 0.5\n{key} = {raw}\n")
-        with pytest.raises(ConfigError, match=f"bad value 'x' for key {key}"):
+# spellings of each kept value that load, and values that do not
+REMOVED_KEY_SPELLINGS = {
+    "0": (["0", "0.0", "-0"], ["0.9", "-1e-300", "nan", "inf"]),
+    "sum": (["sum", " sum "], ["mean", "Sum", ""]),
+    "false": (["false", "False", "0", "no"], ["true", "yes", "1"]),
+    "random": (["random"], ["prototype", "Random", ""]),
+}
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_loads_only_at_its_kept_value(key):
+    """Momentum and four replay variants were removed. Each key still loads
+    at its one kept value, as older files set it, and is not written back;
+    any other value is one error naming the key."""
+    assert set(REMOVED_KEYS) == set(REMOVED_KEY_VALUES)
+    assert key not in {f.metadata.get("key") for f in fields(RunConfig)}
+    good, bad = REMOVED_KEY_SPELLINGS[REMOVED_KEY_VALUES[key]]
+    for raw in good:
+        cfg = from_text(f"scenario.kappa = 0.5\n{key} = {raw}\n")
+        assert cfg == RunConfig() and to_text(cfg) == to_text(RunConfig())
+    for raw in bad:
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} = .* "
+                           f"{re.escape(removed_key_rule(key))}$"):
+            from_text(f"scenario.kappa = 0.5\n{key} = {raw}\n")
+    if REMOVED_KEY_VALUES[key] in ("0", "false"):
+        with pytest.raises(ConfigError, match=f"^bad value 'x' for key {re.escape(key)}$"):
             from_text(f"scenario.kappa = 0.5\n{key} = x\n")
-        with pytest.raises(ConfigError, match="set twice"):
-            from_text(f"scenario.kappa = 0.5\n{key} = 0\n{key} = 0\n")
+    with pytest.raises(ConfigError, match="set twice"):
+        from_text(f"scenario.kappa = 0.5\n{key} = {good[0]}\n{key} = {good[0]}\n")
+
+
+def test_other_dim_without_sources_names_the_source_keys():
+    """The canonical sources are 2-D. This used to fail on
+    ``scenario.ood1.center``, a key the file does not hold."""
+    for dim in (1, 3):
+        with pytest.raises(ConfigError, match=rf"^scenario.dim = {dim}, but the canonical OOD "
+                           r"sources are 2-D: a config of another scenario.dim must set "
+                           r"scenario.ood_count and its own scenario.oodK.\* keys$"):
+            from_text(f"scenario.dim = {dim}\n")
+    with pytest.raises(ConfigError, match="^scenario.dim = 0 is out of range: it must be >= 1$"):
+        from_text("scenario.dim = 0\n")
+    ring = "scenario.ood_count = 1\nscenario.ood1.kind = ring\n" \
+           "scenario.ood1.radius = 2\nscenario.ood1.width = 1\n"
+    assert from_text(f"scenario.dim = 3\n{ring}").dim == 3
 
 
 def test_shipped_configs_load():
-    """The benchmark replays both files, and no other test reads them."""
+    """The benchmark replays both files, and no other test reads them. The
+    wide file still sets removed keys, each at its kept value, and a file
+    with or without such lines gets the same config."""
     canonical = (ROOT / "configs" / "canonical.cfg").read_text(encoding="ascii")
     assert from_text(canonical) == RunConfig()
     assert canonical == to_text(RunConfig())
     wide_text = (ROOT / "perfbench" / "wide_drift.cfg").read_text(encoding="ascii")
-    assert all(f"\n{key} = 0\n" in wide_text for key in REMOVED_MOMENTUM_KEYS)
+    lines = [line.split(" = ", 1) for line in wide_text.splitlines()
+                 if not line.startswith("#")]
+    removed = {key: raw for key, raw in lines if key in REMOVED_KEYS}
+    assert removed == {key: REMOVED_KEY_VALUES[key] for key in removed} and removed
     wide = from_text(wide_text)
     assert wide.layer_dims() == [8, 512, 512, 4]
     assert from_text(to_text(wide)) == wide
+    assert from_text("".join(f"{key} = {raw}\n" for key, raw in lines
+                             if key not in REMOVED_KEYS)) == wide
+    legacy = canonical + "".join(f"{key} = {raw}\n" for key, raw in REMOVED_KEY_VALUES.items())
+    assert config_hash(from_text(legacy)) == config_hash(RunConfig())
 
 
 # key -> (values rejected at load, boundary values accepted)
@@ -286,11 +321,11 @@ RANGE_CHECKS = {
     "auto.score": (["bogus", "ms p", ""], [" Energy ", "MSP", "maxlogit"]),
     "auto.energy_temperature": (["0", "-2", "nan"], ["1e-300"]),
     "auto.lambda2_decay": (["-1", "nan"], ["0"]),
-    "auto.id_loss_reduction": (["avg", "Sum"], ["sum", "mean"]),
+    "auto.id_loss_reduction": (["avg", "Sum", "mean"], ["sum"]),
     "auto.k1": (["-0.5", "nan"], ["0"]),
     "auto.k2": (["-1e-9", "-inf"], ["0"]),
     "auto.stats_subsample_n": (["-1"], ["0", "1"]),
-    "auto.memory_mode": (["prototypes", ""], ["random", "prototype"]),
+    "auto.memory_mode": (["prototypes", "", "prototype"], ["random"]),
     "auto.memory_seed": (["-1"], ["0"]),
     "sgd.lr": (["0", "-0.001", "nan"], ["1e-300"]),
     "sgd.weight_decay": (["-1", "-5e-324"], ["0", "-0", "0.5"]),
@@ -344,7 +379,7 @@ CONFIG_VALUES = dict(
     phi=finite, iters_t=st.integers(0, 10**6),
     score=st.sampled_from(["msp", "energy", "maxlogit"]),
     energy_temperature=positive, k1=nonnegative, k2=nonnegative,
-    margin_literal_m0=st.booleans(), lr=positive, weight_decay=nonnegative,
+    lr=positive, weight_decay=nonnegative,
     trainable_groups=st.sampled_from(["last_block", "all", "none", "block1+fc"]),
 )
 
