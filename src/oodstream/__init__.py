@@ -21,6 +21,6 @@ from .nn import (EpisodeBatch, Gradients, LossSpec, MlpModel, SgdConfig, clone_f
                  forward_logits, init_mlp, load_checkpoint, prepare_episode, save_checkpoint,
                  sgd_step, total_loss, train_offline)
 from .runconfig import ConfigError, RunConfig, config_hash, from_text, to_text
-from .scoring import ScoreKind, predict, score
+from .scoring import predict, score
 
 __version__ = "0.1.0"

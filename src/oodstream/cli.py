@@ -68,16 +68,26 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def _make_stream(cfg: RunConfig, test_id: data.LabeledSet,
                  ood_sets: list[data.LabeledSet]) -> data.Stream:
+    """Compose the stream ``cfg`` names; one with no ID or no OOD arrival is refused."""
     if cfg.stream == "single":
-        return data.compose_stream(test_id, ood_sets[0], cfg.kappa, cfg.stream_seed)
-    if cfg.stream == "mixed":
-        return data.compose_mixed(test_id, ood_sets, cfg.kappa, cfg.stream_seed)
-    return data.compose_timeseries(test_id, ood_sets, cfg.kappa, cfg.stream_seed)
+        stream = data.compose_stream(test_id, ood_sets[0], cfg.kappa, cfg.stream_seed)
+    elif cfg.stream == "mixed":
+        stream = data.compose_mixed(test_id, ood_sets, cfg.kappa, cfg.stream_seed)
+    else:
+        stream = data.compose_timeseries(test_id, ood_sets, cfg.kappa, cfg.stream_seed)
+    if stream.is_ood.all() or not stream.is_ood.any():
+        ood = int(np.count_nonzero(stream.is_ood))
+        raise CliError(f"the composed stream holds {len(stream) - ood} ID and {ood} OOD "
+                       "arrivals, but a run needs at least one of each; scenario.kappa, "
+                       "scenario.test_id_n and scenario.ood_n set the mix")
+    return stream
 
 
-def _prepare(cfg: RunConfig) -> tuple[nn.MlpModel, data.LabeledSet, data.LabeledSet,
-                                       list[data.LabeledSet]]:
-    """Load the checkpoint and draw the scenario; no swept or ablated key changes either.
+def _prepare(cfg: RunConfig, *replays: RunConfig) -> tuple:
+    """``(model, train, stream, ...)``: load the checkpoint, draw the scenario,
+    and compose the stream of each of ``replays`` (of ``cfg`` when none is
+    given), so that every stream is checked before the first replay. No
+    swept or ablated key changes the checkpoint or the scenario.
 
     The checkpoint must carry the config's pretrain hash: the scenario and
     pretraining keys it was trained under, the stream keys aside.
@@ -90,30 +100,24 @@ def _prepare(cfg: RunConfig) -> tuple[nn.MlpModel, data.LabeledSet, data.Labeled
     if saved != expected:
         raise CliError(f"checkpoint {ckpt} was pretrained under pretrain hash {saved}, but the "
                        f"config has pretrain hash {expected} (run `pretrain` again)")
-    return (model, *data.make_scenario(cfg.scenario_spec()))
+    train, test_id, ood_sets = data.make_scenario(cfg.scenario_spec())
+    return (model, train, *(_make_stream(c, test_id, ood_sets) for c in replays or (cfg,)))
 
 
 def _replay(cfg: RunConfig, mode: str, model: nn.MlpModel, train: data.LabeledSet,
-            test_id: data.LabeledSet, ood_sets: list[data.LabeledSet],
-            ) -> tuple[engine.EventLog, engine.AutoState]:
-    """Compose the stream and replay it; `auto` mode adapts ``model`` in place."""
-    stream = _make_stream(cfg, test_id, ood_sets)
-    if stream.is_ood.all() or not stream.is_ood.any():
-        ood = int(np.count_nonzero(stream.is_ood))
-        raise CliError(f"the composed stream holds {len(stream) - ood} ID and {ood} OOD "
-                       "arrivals, but a run needs at least one of each; scenario.kappa, "
-                       "scenario.test_id_n and scenario.ood_n set the mix")
+            stream: data.Stream) -> tuple[engine.EventLog, engine.AutoState]:
+    """Replay a stream from ``_prepare``; `auto` mode adapts ``model`` in place."""
     # Non-finite logits and losses raise with the stream index, so numpy's
     # overflow warnings on the way there would only repeat the error.
     with np.errstate(over="ignore", invalid="ignore"):
         state = engine.init_state(model, train, cfg)
         if mode == "frozen":
-            log = engine.run_posthoc(model, state.margins, stream, state.score_kind)
+            log = engine.run_posthoc(model, state.margins, stream)
         else:
             log = engine.run_stream(state, cfg, stream)
     if mode == "auto" and log.updates == 0:
         print(f"warning: no arrival scored below the outlier margin, so the model never "
-              f"adapted (auto.score = {cfg.score}, auto.k2 = {cfg.k2!r}, final m_out = "
+              f"adapted (auto.k2 = {cfg.k2!r}, final m_out = "
               f"{state.margins.m_out!r}); a smaller auto.k2 raises m_out", file=sys.stderr)
     return log, state
 
@@ -198,10 +202,10 @@ def _ablation_overrides(cfg: RunConfig, combo: str) -> RunConfig:
 
 def cmd_ablate(cfg: RunConfig) -> None:
     lines = [f"# config_hash={runconfig.config_hash(cfg)}", "combo,fpr95,auroc,id_acc"]
-    model, *scenario = _prepare(cfg)
+    model, train, stream = _prepare(cfg)
     for combo in ABLATION_COMBOS:
         log, _ = _replay(_ablation_overrides(cfg, combo), "auto", nn.clone_frozen(model),
-                         *scenario)
+                         train, stream)
         rep = metrics.report(log)
         lines.append(f"{combo},{rep.fpr95:.17g},{rep.auroc:.17g},{rep.id_acc:.17g}")
         print(f"ablate {combo}: fpr95={rep.fpr95:.4f} auroc={rep.auroc:.4f} "
@@ -222,13 +226,13 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[str]) -> None:
     keys = {key.rpartition(".")[2]: key for key in SWEEP_PARAMS}
     if param not in keys:
         raise CliError(f"unknown sweep parameter {param!r}; valid: {', '.join(keys)}")
-    # Every value is checked before the first replay starts.
+    # Every value, and the stream it composes, is checked before the first replay starts.
     overrides = [_apply_sweep_value(cfg, param, keys[param], raw) for raw in values]
-    model, *scenario = _prepare(cfg)
+    model, train, *streams = _prepare(cfg, *overrides)
     lines = [f"# config_hash={runconfig.config_hash(cfg)} param={param}",
              "param,value,fpr95,auroc,id_acc"]
-    for raw, ov in zip(values, overrides):
-        log, _ = _replay(ov, "auto", nn.clone_frozen(model), *scenario)
+    for raw, ov, stream in zip(values, overrides, streams):
+        log, _ = _replay(ov, "auto", nn.clone_frozen(model), train, stream)
         rep = metrics.report(log)
         lines.append(f"{param},{raw},{rep.fpr95:.17g},{rep.auroc:.17g},{rep.id_acc:.17g}")
         print(f"sweep {param}={raw}: fpr95={rep.fpr95:.4f} auroc={rep.auroc:.4f} "

@@ -30,7 +30,6 @@ from .filtering import PSEUDO_ID, PSEUDO_OOD, FilterDecision, Margins
 from .memory import MemoryBank
 from .nn import LossSpec, MlpModel, SgdConfig
 from .runconfig import RunConfig
-from .scoring import ScoreKind
 
 
 class NonFiniteLossError(ArithmeticError):
@@ -45,7 +44,6 @@ class AutoState:
     model_0: MlpModel
     margins: Margins
     bank: MemoryBank
-    score_kind: ScoreKind
     sgd: SgdConfig
     step_counter: int = 0
 
@@ -127,23 +125,20 @@ def _new_log(stream: Stream) -> EventLog:
 def init_state(model: MlpModel, train_set: LabeledSet, cfg: RunConfig) -> AutoState:
     """Freeze a reference clone, estimate filter margins, and seed the bank.
 
-    The score kind and the SGD settings are resolved here, once per run.
-    Score statistics use that score kind so the margins live on its scale.
+    The SGD settings are resolved here, once per run.
     ``stats_subsample_n`` = n > 0 keeps only the first n rows of the
     (already shuffled) training set for the estimate; 0 keeps every row.
     """
-    score_kind = ScoreKind.parse(cfg.score, cfg.energy_temperature)
     sgd = SgdConfig(cfg.lr, cfg.weight_decay, cfg.resolve_groups(model))
     model_0 = nn.clone_frozen(model)
     feats = train_set.features[:cfg.stats_subsample_n or None]
     logits = np.empty((len(feats), model.num_classes))
     for i, x in enumerate(feats):
         logits[i] = nn.forward_logits(model, x)
-    stats = filtering.estimate_id_stats(scoring.score_rows(score_kind, logits))
+    stats = filtering.estimate_id_stats(scoring.score_rows(logits))
     margins = filtering.init_margins(stats, cfg.k1, cfg.k2)
     bank = memory.init_random(train_set, cfg.memory_seed)
-    return AutoState(model_t=model, model_0=model_0, margins=margins, bank=bank,
-                     score_kind=score_kind, sgd=sgd)
+    return AutoState(model_t=model, model_0=model_0, margins=margins, bank=bank, sgd=sgd)
 
 
 def _episode_spec(state: AutoState, cfg: RunConfig, pred_0: int) -> LossSpec:
@@ -172,7 +167,7 @@ def step(state: AutoState, cfg: RunConfig, x: np.ndarray,
         logits = nn.forward_logits(state.model_t, x)
     except FloatingPointError as exc:
         raise FloatingPointError(f"{exc} at stream index {state.step_counter}") from exc
-    arrival_score = scoring.score(state.score_kind, logits)
+    arrival_score = scoring.score(logits)
     prediction = int(logits.argmax())
     decision = filtering.classify(state.margins, arrival_score)
     trace: UpdateTrace | None = None
@@ -234,8 +229,7 @@ def run_stream(state: AutoState, cfg: RunConfig, stream: Stream) -> EventLog:
     return log
 
 
-def run_posthoc(model: MlpModel, margins: Margins, stream: Stream,
-                score_kind: ScoreKind) -> EventLog:
+def run_posthoc(model: MlpModel, margins: Margins, stream: Stream) -> EventLog:
     """Straight-line post-hoc scorer: the model and the margins are never touched.
 
     With both fixed, every arrival's score, prediction and decision depend
@@ -250,7 +244,7 @@ def run_posthoc(model: MlpModel, margins: Margins, stream: Stream,
         except FloatingPointError as exc:
             raise FloatingPointError(f"{exc} at stream index {i}") from exc
     log = _new_log(stream)
-    log.score = scoring.score_rows(score_kind, logits)
+    log.score = scoring.score_rows(logits)
     log.prediction = logits.argmax(axis=1)
     # filtering.classify's strict comparisons, pseudo-ID written last: a
     # score exactly on a margin abstains.

@@ -15,7 +15,6 @@ from dataclasses import Field, dataclass, field, fields
 
 from .data import OOD_KINDS, OodSource, ScenarioSpec, canonical_spec
 from .nn import MlpModel, default_group_labels, last_block_group
-from .scoring import VALID_KINDS, kind_name
 
 
 class ConfigError(Exception):
@@ -88,10 +87,6 @@ class RunConfig:
     lambda2: float = field(default=0.1, metadata={"key": "auto.lambda2", "rule": _GE0})
     phi: float = field(default=0.2, metadata={"key": "auto.phi"})
     iters_t: int = field(default=2, metadata={"key": "auto.iters_T", "rule": _GE0})
-    score: str = field(default="msp", metadata={"key": "auto.score", "rule": (
-        lambda v: kind_name(v) in VALID_KINDS, "one of " + ", ".join(VALID_KINDS))})
-    energy_temperature: float = field(default=1.0, metadata={
-        "key": "auto.energy_temperature", "rule": _GT0})
     id_weight: float = field(default=1.0, metadata={"key": "auto.id_weight", "rule": _GE0})
     k1: float = field(default=0.0, metadata={"key": "auto.k1", "rule": _GE0})
     k2: float = field(default=3.0, metadata={"key": "auto.k2", "rule": _GE0})
@@ -185,7 +180,7 @@ _FIELDS = {f.metadata["key"]: f for f in fields(RunConfig) if "key" in f.metadat
 REMOVED_KEYS = {
     "pretrain.momentum": 0.0, "sgd.momentum": 0.0, "auto.lambda2_decay": 0.0,
     "auto.id_loss_reduction": "sum", "auto.margin_literal_m0": False,
-    "auto.memory_mode": "random",
+    "auto.memory_mode": "random", "auto.score": "msp", "auto.energy_temperature": 1.0,
 }
 
 

@@ -5,19 +5,31 @@ from __future__ import annotations
 import pytest
 
 from oodstream import data, engine, nn
-from oodstream.runconfig import RunConfig
+from oodstream.cli import CHECKPOINT_NAME, main
+from oodstream.runconfig import RunConfig, to_text
 
 
 @pytest.fixture(scope="session")
-def canonical():
-    """Scenario data, pretrained model, and composed streams for the pinned
-    reference configuration. Heavy enough to share across the session."""
+def canonical_out(tmp_path_factory):
+    """Output directory of one command-line ``pretrain`` on the pinned
+    canonical config: the session's only canonical pretrain. Tests that run
+    the CLI on the canonical config write their outputs here too."""
+    root = tmp_path_factory.mktemp("canonical")
+    cfg_path = root / "canonical.cfg"
+    cfg_path.write_text(to_text(RunConfig(out_dir=str(root / "out"))), encoding="ascii")
+    assert main(["--config", str(cfg_path), "pretrain"]) == 0
+    return root / "out"
+
+
+@pytest.fixture(scope="session")
+def canonical(canonical_out):
+    """Scenario data, the pretrained model from ``canonical_out``'s
+    checkpoint, and the composed stream for the pinned reference
+    configuration. Heavy enough to share across the session."""
     cfg = RunConfig()
     spec = cfg.scenario_spec()
     train, test_id, oods = data.make_scenario(spec)
-    model = nn.init_mlp(cfg.layer_dims(), seed=cfg.init_seed)
-    nn.train_offline(model, train, epochs=cfg.epochs, batch_size=cfg.batch_size,
-                     cfg=nn.SgdConfig(learning_rate=cfg.pretrain_lr), seed=cfg.shuffle_seed)
+    model, _ = nn.load_checkpoint(canonical_out / CHECKPOINT_NAME)
     stream = data.compose_stream(test_id, oods[0], kappa=cfg.kappa, seed=cfg.stream_seed)
     return {
         "run_config": cfg,

@@ -17,8 +17,7 @@ from oodstream.engine import DECISIONS, EventLog, StreamEvent, UpdateTrace
 from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
 from oodstream.nn import CHECKPOINT_MAGIC, LossSpec, MlpModel, SgdConfig
-from oodstream.runconfig import RunConfig, to_text
-from oodstream.scoring import ScoreKind
+from oodstream.runconfig import REMOVED_KEYS, RunConfig, to_text
 
 
 @dataclass
@@ -176,18 +175,10 @@ def loss_sc(softmax_t: np.ndarray, pred_t: int, pred_0: int, phi: float) -> floa
     return float(softmax_t[pred_t] - softmax_t[pred_0] + phi)
 
 
-def score_reference(kind: ScoreKind, logits) -> float:
+def score_reference(logits) -> float:
     """The max of the whole softmax vector; max and sum through the
     ``np.max``/``np.sum`` wrappers."""
-    z = np.asarray(logits, dtype=np.float64)
-    if kind.kind == "msp":
-        return float(np.max(np.exp(log_softmax_reference(z))))
-    if kind.kind == "maxlogit":
-        return float(np.max(z))
-    t = kind.temperature
-    zt = z / t
-    m = float(np.max(zt))
-    return t * (m + math.log(float(np.sum(np.exp(zt - m)))))
+    return float(np.max(np.exp(log_softmax_reference(np.asarray(logits, dtype=np.float64)))))
 
 
 def predict_reference(logits) -> int:
@@ -269,22 +260,21 @@ def auroc_midrank_loop(log: EventLog) -> float:
 # fixed-model scoring oracles (one forward, score and predict call per row)
 
 
-def init_margins_reference(model: MlpModel, features, score_kind, config) -> filtering.Margins:
+def init_margins_reference(model: MlpModel, features, config) -> filtering.Margins:
     """``init_state``'s margins from a list of per-row ``scoring.score`` values."""
-    scores = [scoring.score(score_kind, nn.forward_logits(model, x)) for x in features]
+    scores = [scoring.score(nn.forward_logits(model, x)) for x in features]
     stats = filtering.estimate_id_stats(scores)
     return filtering.init_margins(stats, config.k1, config.k2)
 
 
-def run_posthoc_reference(model, margins, stream, score_kind, *,
-                          update_margins: bool = True) -> EventLog:
+def run_posthoc_reference(model, margins, stream, *, update_margins: bool = True) -> EventLog:
     """The per-arrival post-hoc loop: forward, score and predict each arrival.
     With ``update_margins`` the greedy m_out update runs on every pseudo-OOD
     arrival, as in an adaptive run whose model never changes."""
     scores, preds, decisions, m_outs = [], [], [], []
     for i in range(len(stream)):
         logits = nn.forward_logits(model, stream.features[i])
-        s = scoring.score(score_kind, logits)
+        s = scoring.score(logits)
         decision = filtering.classify(margins, s)
         if update_margins and decision == FilterDecision.PSEUDO_OOD:
             margins = filtering.update_outlier_margin(margins, s)
@@ -414,7 +404,7 @@ def run_stream_reference(state: engine.AutoState, cfg, stream: Stream) -> EventL
     scores, preds, decisions, m_outs, traces = [], [], [], [], []
     for x in stream.features:
         logits = nn.forward_logits(state.model_t, x)
-        s = score_reference(state.score_kind, logits)
+        s = score_reference(logits)
         prediction = predict_reference(logits)
         decision = filtering.classify(state.margins, s)
         if decision == FilterDecision.PSEUDO_ID:
@@ -620,14 +610,15 @@ THREE_SOURCES = (GaussianSource(center=(3.0, 0.0), spread=0.5),
 REMOVED_KEY_VALUES = {
     "pretrain.momentum": "0", "sgd.momentum": "0", "auto.lambda2_decay": "0",
     "auto.id_loss_reduction": "sum", "auto.margin_literal_m0": "false",
-    "auto.memory_mode": "random",
+    "auto.memory_mode": "random", "auto.score": "msp", "auto.energy_temperature": "1",
 }
 
 # every float-valued config key of a config with THREE_SOURCES, and the
-# removed keys that still load as the float 0
+# removed keys that still load as a float
 FLOAT_KEYS = [f.metadata["key"] for f in fields(RunConfig) if f.type == "float"] + [
     f"scenario.ood{i}.{f.name}" for i, src in enumerate(THREE_SOURCES, start=1)
-    for f in fields(src)] + [key for key, raw in REMOVED_KEY_VALUES.items() if raw == "0"]
+    for f in fields(src)] + [key for key, kept in REMOVED_KEYS.items()
+                             if isinstance(kept, float)]
 
 
 def removed_key_rule(key: str) -> str:

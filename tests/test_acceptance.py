@@ -7,6 +7,7 @@ canonical configuration (scenario seed 20240611, stream seed 77, model seeds
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import replace
 
@@ -59,7 +60,7 @@ def canonical_runs(canonical):
         return metrics.report(log), log, st, model
 
     st0 = engine.init_state(nn.clone_frozen(model), train, cfg)
-    frozen_log = run_posthoc(model, st0.margins, stream, st0.score_kind)
+    frozen_log = run_posthoc(model, st0.margins, stream)
     runs = {"frozen": (metrics.report(frozen_log), frozen_log, st0, model)}
     runs["full"] = auto_run()
     runs["id_ood"] = auto_run(lambda2=0.0)
@@ -183,7 +184,7 @@ def test_criterion_4_frozen_degeneracy(canonical):
     margins0 = state.margins
     log = run_stream(state, cfg, canonical["stream"])
     baseline = run_posthoc_reference(canonical["model"], margins0, canonical["stream"],
-                                     state.score_kind, update_margins=True)
+                                     update_margins=True)
     assert_columns_equal(log, baseline)
     ok("criterion 4", f"degenerate run log identical over {len(log)} events")
 
@@ -282,16 +283,14 @@ def test_criterion_10_t_sweep(canonical_runs):
 # criterion 9: byte-identical reruns
 
 
-def test_cli_canonical_metrics_match_golden(tmp_path):
+def test_cli_canonical_metrics_match_golden(canonical_out, tmp_path):
     # the command-line pipeline on the pinned default config reproduces the
-    # golden reference metrics end to end
-    cfg = RunConfig(out_dir=str(tmp_path / "out"))
+    # golden reference metrics end to end: the session's `pretrain` wrote
+    # canonical_out, and `run` reads its checkpoint
     cfg_path = tmp_path / "canonical.cfg"
-    cfg_path.write_text(to_text(cfg), encoding="ascii")
-    assert cli_main(["--config", str(cfg_path), "pretrain"]) == 0
+    cfg_path.write_text(to_text(RunConfig(out_dir=str(canonical_out))), encoding="ascii")
     assert cli_main(["--config", str(cfg_path), "run", "--mode", "auto"]) == 0
-    import json
-    rep = json.loads((tmp_path / "out" / "auto_metrics.json").read_text())
+    rep = json.loads((canonical_out / "auto_metrics.json").read_text())
     for key in ("fpr95", "auroc", "id_acc"):
         assert rep[key] == pytest.approx(GOLDEN["full"][key], abs=TOL)
     ok("cli golden", "auto metrics JSON within +/-0.5pp of golden values")

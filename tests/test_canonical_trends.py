@@ -30,8 +30,7 @@ def test_frozen_scores_clear_auroc_floor(canonical):
     # needs headroom, so the frozen baseline sits between 0.7 and ~0.95
     state = engine.init_state(nn.clone_frozen(canonical["model"]), canonical["train"],
                               canonical["run_config"])
-    log = engine.run_posthoc(canonical["model"], state.margins, canonical["stream"],
-                             state.score_kind)
+    log = engine.run_posthoc(canonical["model"], state.margins, canonical["stream"])
     assert metrics.auroc(log) > 0.7
 
 
@@ -47,7 +46,7 @@ def test_timeseries_second_segment_trend(canonical):
     adaptive = engine.run_stream(state, cfg, stream)
 
     st0 = engine.init_state(nn.clone_frozen(canonical["model"]), canonical["train"], cfg)
-    frozen = engine.run_posthoc(canonical["model"], st0.margins, stream, st0.score_kind)
+    frozen = engine.run_posthoc(canonical["model"], st0.margins, stream)
 
     seg2_adaptive = slice_log(adaptive, boundary, len(adaptive))
     seg2_frozen = slice_log(frozen, boundary, len(frozen))

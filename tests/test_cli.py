@@ -171,10 +171,10 @@ def test_non_finite_float_fails_at_load(tmp_path, capsys, key, raw):
 
 @pytest.mark.parametrize("mode", ["auto", "frozen"])
 def test_nonzero_sgd_momentum_fails_at_load(pretrained, capsys, mode):
-    """Momentum and four replay variants were removed. Each removed key
-    still loads at its one kept value, as older files set it, and changes
-    no output byte, the config hash included; any other value fails at
-    load with one line."""
+    """Momentum, four replay variants and the score choice were removed.
+    Each removed key still loads at its one kept value, as older files set
+    it, and changes no output byte, the config hash included; any other
+    value fails at load with one line."""
     cfg_path, out = pretrained
     text = cfg_path.read_text(encoding="ascii")
     assert all(key not in text for key in REMOVED_KEY_VALUES)
@@ -192,7 +192,9 @@ def test_nonzero_sgd_momentum_fails_at_load(pretrained, capsys, mode):
                             ("auto.lambda2_decay", "0.5", "0.5"),
                             ("auto.id_loss_reduction", "mean", "'mean'"),
                             ("auto.margin_literal_m0", "true", "True"),
-                            ("auto.memory_mode", "prototype", "'prototype'")]:
+                            ("auto.memory_mode", "prototype", "'prototype'"),
+                            ("auto.score", "energy", "'energy'"),
+                            ("auto.energy_temperature", "0.7", "0.7")]:
         legacy.write_text(f"{text}{key} = {raw}\n", encoding="ascii")
         assert main(["--config", str(legacy), "run", "--mode", mode]) == 1
         assert capsys.readouterr().err == (f"error: config error: {key} = {shown} "
@@ -566,6 +568,21 @@ def test_out_of_range_sweep_value_fails_before_any_replay(pretrained, capsys, pa
     assert list(out.glob("sweep_*.csv")) == []
 
 
+def test_sweep_value_without_id_arrivals_fails_before_any_replay(pretrained, capsys):
+    """``kappa = 0`` loads but composes an all-OOD stream. The sweep used to
+    replay 0.5, print its line, then fail on 0 and write no CSV."""
+    cfg_path, out = pretrained
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "sweep", "--param", "kappa",
+                 "--values", "0.5,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: the composed stream holds 0 ID and 250 OOD arrivals, but a run needs at least "
+        "one of each; scenario.kappa, scenario.test_id_n and scenario.ood_n set the mix\n")
+    assert "sweep kappa=0.5" not in captured.out
+    assert not (out / "sweep_kappa.csv").exists()
+
+
 def test_ablation_combos_keep_their_weights_and_zero_the_rest():
     cfg = RunConfig(id_weight=0.5, lambda1=2.0, lambda2=0.3)
     kept = {"id_only": {"id_weight"}, "ood_only": {"lambda1"},
@@ -577,16 +594,6 @@ def test_ablation_combos_keep_their_weights_and_zero_the_rest():
             assert getattr(ov, w) == (getattr(cfg, w) if w in weights else 0.0)
 
 
-@pytest.fixture(scope="module")
-def canonical_out(tmp_path_factory):
-    """Output directory holding the pinned canonical checkpoint."""
-    root = tmp_path_factory.mktemp("canonical")
-    cfg_path = root / "canonical.cfg"
-    cfg_path.write_text(to_text(RunConfig(out_dir=str(root / "out"))), encoding="ascii")
-    assert main(["--config", str(cfg_path), "pretrain"]) == 0
-    return root / "out"
-
-
 def test_canonical_msp_run_writes_nothing_to_stderr(canonical_out, tmp_path, capsys):
     path = tmp_path / "msp.cfg"
     path.write_text(to_text(RunConfig(out_dir=str(canonical_out))), encoding="ascii")
@@ -596,17 +603,17 @@ def test_canonical_msp_run_writes_nothing_to_stderr(canonical_out, tmp_path, cap
 
 
 def test_auto_run_without_updates_warns_once(canonical_out, tmp_path, capsys):
-    # with the energy score and the default k2 = 3, m_out sits below every
-    # canonical arrival's score, so no update episode ever runs
-    path = tmp_path / "energy.cfg"
-    path.write_text(to_text(RunConfig(score="energy", out_dir=str(canonical_out))),
+    # msp is never below 1 / classes; k2 = 1000 puts m_out under that floor,
+    # so no arrival is pseudo-OOD and no update episode ever runs
+    path = tmp_path / "k2.cfg"
+    path.write_text(to_text(RunConfig(k2=1000.0, out_dir=str(canonical_out))),
                     encoding="ascii")
     capsys.readouterr()
     assert main(["--config", str(path), "run", "--mode", "auto"]) == 0
     err = capsys.readouterr().err
     assert err.startswith("warning: ") and err.count("\n") == 1
-    assert "auto.score = energy" in err and "auto.k2 = 3.0" in err
-    assert "final m_out = " in err
+    assert "auto.k2 = 1000.0" in err
+    assert float(err.partition("final m_out = ")[2].partition(")")[0]) < 1 / 3
     rep = json.loads((canonical_out / "auto_metrics.json").read_text())
     assert rep["counts"]["updates"] == 0
     # frozen mode never adapts by design and says nothing

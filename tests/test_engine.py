@@ -28,7 +28,6 @@ def tiny_setup(m_in=0.9, m_out=0.5, iters_t=2, trainable_groups="block2", **cfg_
     config = RunConfig(iters_t=iters_t, trainable_groups=trainable_groups, **cfg_overrides)
     state = AutoState(model_t=model, model_0=nn.clone_frozen(model), margins=margins,
                       bank=bank,
-                      score_kind=scoring.ScoreKind(config.score, config.energy_temperature),
                       sgd=SgdConfig(config.lr, trainable_groups=config.resolve_groups(model)))
     return state, config
 
@@ -44,7 +43,7 @@ def unchanged(model, snap):
 def find_input_with_decision(state, config, want, rng, scale=3.0):
     for _ in range(2000):
         x = rng.normal(0, scale, size=2)
-        s = scoring.score(state.score_kind, nn.forward_logits(state.model_t, x))
+        s = scoring.score(nn.forward_logits(state.model_t, x))
         if filtering.classify(state.margins, s) == want:
             return x
     raise AssertionError(f"could not find an input classified as {want}")
@@ -255,13 +254,11 @@ def test_events_store_arrival_time_scores():
     replay_state = AutoState(model_t=nn.clone_frozen(initial),
                              model_0=nn.clone_frozen(initial),
                              margins=filtering.Margins(0.9, 0.5, 1),
-                             bank=memory.MemoryBank(initial_bank),
-                             score_kind=state.score_kind, sgd=state.sgd)
+                             bank=memory.MemoryBank(initial_bank), sgd=state.sgd)
     replay = run_stream(replay_state, config, stream)
     assert replay.score.tolist() == log.score.tolist()
 
-    final_scores = [scoring.score(state.score_kind, nn.forward_logits(state.model_t, x))
-                    for x in stream.features]
+    final_scores = [scoring.score(nn.forward_logits(state.model_t, x)) for x in stream.features]
     mismatch = sum(a != s for a, s in zip(log.score.tolist(), final_scores))
     assert mismatch > 0, "post-hoc re-scoring should differ from arrival-time scores"
 
@@ -297,7 +294,6 @@ def test_config_defaults_are_pinned():
     assert cfg.lambda2 == 0.1
     assert cfg.phi == 0.2
     assert cfg.iters_t == 2
-    assert cfg.score == "msp" and cfg.energy_temperature == 1.0
     assert cfg.k1 == 0.0 and cfg.k2 == 3.0
     assert cfg.stats_subsample_n == 0
     assert cfg.lr == 0.001
@@ -306,17 +302,6 @@ def test_config_defaults_are_pinned():
     sgd = SgdConfig()
     assert sgd.learning_rate == 0.001
     assert sgd.weight_decay == 0.0
-
-
-@pytest.mark.parametrize("kind", ["energy", "maxlogit"])
-def test_alternate_score_functions_run_end_to_end(kind):
-    state, config = tiny_setup(score=kind)
-    rng = np.random.default_rng(16)
-    stream = make_stream(rng.normal(0, 2, size=(80, 2)))
-    log = run_stream(state, config, stream)
-    assert len(log) == 80
-    # maxlogit and energy scores are unbounded above, unlike max-softmax
-    assert (log.score > 1.0).any()
 
 
 def test_bank_only_objective_still_fires_episodes():
@@ -343,8 +328,7 @@ def test_degenerate_engine_matches_posthoc_scorer():
     stream = make_stream(rng.normal(0, 2, size=(200, 2)),
                          is_ood=rng.random(200) < 0.5)
     log = run_stream(state, config, stream)
-    baseline = run_posthoc_reference(model0, margins0, stream, state.score_kind,
-                                     update_margins=True)
+    baseline = run_posthoc_reference(model0, margins0, stream, update_margins=True)
     assert_columns_equal(log, baseline)
     assert unchanged(state.model_t, snapshot(model0))
 
@@ -354,7 +338,7 @@ def test_posthoc_frozen_margins_mode():
     model0 = nn.clone_frozen(state.model_t)
     rng = np.random.default_rng(15)
     stream = make_stream(rng.normal(0, 2, size=(100, 2)))
-    log = run_posthoc(model0, state.margins, stream, state.score_kind)
+    log = run_posthoc(model0, state.margins, stream)
     outs = set(log.m_out.tolist())
     assert outs == {state.margins.m_out}
 
@@ -364,11 +348,9 @@ def test_posthoc_frozen_margins_mode():
 
 
 def test_init_state_resolves_run_config(canonical):
-    # the score kind and the SGD settings are resolved once, into the state
-    cfg = RunConfig(score=" Energy ", energy_temperature=2.0, lr=0.01, weight_decay=0.5,
-                    trainable_groups="block1+fc")
+    # the SGD settings are resolved once, into the state
+    cfg = RunConfig(lr=0.01, weight_decay=0.5, trainable_groups="block1+fc")
     state = fresh_state(canonical, cfg)
-    assert state.score_kind == scoring.ScoreKind("energy", 2.0)
     assert state.sgd == SgdConfig(0.01, 0.5, frozenset({"block1", "fc"}))
     assert fresh_state(canonical, RunConfig()).sgd.trainable_groups == {"block2"}
     with pytest.raises(ConfigError, match="unknown parameter groups"):
@@ -383,14 +365,6 @@ def test_init_state_subsample_zero_keeps_every_row(canonical):
             st_all.margins
     assert fresh_state(canonical, RunConfig(stats_subsample_n=n - 1)).margins != \
         st_all.margins
-
-
-def test_init_state_uses_configured_score_kind(canonical):
-    st_msp = fresh_state(canonical, RunConfig())
-    st_energy = fresh_state(canonical, RunConfig(score="energy"))
-    # energy scores live on a different scale, so margins must differ
-    assert st_msp.margins.m_in != st_energy.margins.m_in
-    assert st_msp.margins.m_in <= 1.0 + 1e-12
 
 
 def test_init_state_subsample(canonical):

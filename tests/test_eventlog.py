@@ -4,7 +4,6 @@ per-arrival references column for column."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,10 +14,7 @@ from oodstream.data import Stream
 from oodstream.engine import DECISIONS
 from oodstream.filtering import FilterDecision
 from oodstream.runconfig import RunConfig
-from oodstream.scoring import ScoreKind, score_rows
-
-KINDS = (ScoreKind("msp"), ScoreKind("maxlogit"), ScoreKind("energy"),
-         ScoreKind("energy", temperature=0.5))
+from oodstream.scoring import score_rows
 
 
 def test_decision_codes_follow_filter_decision_order():
@@ -34,11 +30,10 @@ def test_counts_partition_the_log(codes):
     assert [c.pseudo_id, c.pseudo_ood, c.abstain] == [codes.count(i) for i in range(3)]
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k.kind}-T{k.temperature}")
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60),
        quantiles=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
-def test_run_posthoc_equals_reference_on_random_streams(seed, n, kind, quantiles):
+def test_run_posthoc_equals_reference_on_random_streams(seed, n, quantiles):
     rng = np.random.default_rng(seed)
     model = nn.init_mlp([3, 8, 8, 4], seed=seed % 1000)
     for b in model.biases:
@@ -48,11 +43,11 @@ def test_run_posthoc_equals_reference_on_random_streams(seed, n, kind, quantiles
                     labels=np.where(is_ood, -1, rng.integers(0, 4, size=n)))
     # margins at score quantiles of random inputs, so all three decisions occur
     probe = rng.normal(0.0, 3.0, size=(20, 3))
-    scores = score_rows(kind, np.array([nn.forward_logits(model, x) for x in probe]))
+    scores = score_rows(np.array([nn.forward_logits(model, x) for x in probe]))
     m_out, m_in = sorted(np.quantile(scores, quantiles).tolist())
     margins = filtering.Margins(m_in=m_in, m_out=m_out, m_count=1)
-    fast = engine.run_posthoc(model, margins, stream, kind)
-    ref = run_posthoc_reference(model, margins, stream, kind, update_margins=False)
+    fast = engine.run_posthoc(model, margins, stream)
+    ref = run_posthoc_reference(model, margins, stream, update_margins=False)
     assert_columns_equal(fast, ref)
     assert fast.counts == ref.counts
     assert fast.update_traces == ref.update_traces == []
@@ -63,17 +58,16 @@ def test_fixed_margin_posthoc_score_on_a_margin_abstains():
     model = nn.init_mlp([3, 8, 4], seed=5)
     stream = Stream(features=rng.normal(0.0, 3.0, size=(40, 3)), is_ood=np.zeros(40, bool),
                     labels=np.zeros(40, dtype=np.int64))
-    kind = ScoreKind("maxlogit")
-    scores = score_rows(kind, np.array([nn.forward_logits(model, x) for x in stream.features]))
+    scores = score_rows(np.array([nn.forward_logits(model, x) for x in stream.features]))
     on_out, on_in = np.argsort(scores)[[10, 30]]
     margins = filtering.Margins(m_in=float(scores[on_in]), m_out=float(scores[on_out]),
                                 m_count=1)
-    log = engine.run_posthoc(model, margins, stream, kind)
+    log = engine.run_posthoc(model, margins, stream)
     abstain = DECISIONS.index(FilterDecision.ABSTAIN)
     assert log.decision[on_out] == log.decision[on_in] == abstain
     assert log.counts.pseudo_ood == 10 and log.counts.pseudo_id == 9
     assert np.all(log.m_out == margins.m_out)
-    assert_columns_equal(log, run_posthoc_reference(model, margins, stream, kind,
+    assert_columns_equal(log, run_posthoc_reference(model, margins, stream,
                                                     update_margins=False))
 
 

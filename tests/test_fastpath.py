@@ -30,10 +30,7 @@ from oodstream import cli, engine, metrics, nn
 from oodstream.data import LabeledSet, Stream
 from oodstream.nn import LossSpec, SgdConfig, _probe_dlogits, init_mlp
 from oodstream.runconfig import RunConfig
-from oodstream.scoring import ScoreKind, predict, score, score_rows
-
-KINDS = (ScoreKind("msp"), ScoreKind("maxlogit"), ScoreKind("energy"),
-         ScoreKind("energy", temperature=0.3), ScoreKind("energy", temperature=4.0))
+from oodstream.scoring import predict, score, score_rows
 
 
 @pytest.mark.parametrize("dims", [[2, 3], [2, 128, 128, 3], [5, 7, 2, 4],
@@ -121,31 +118,24 @@ def random_logit_vectors(rng, n=300):
 def test_score_and_predict_equal_reference_formulas():
     rng = np.random.default_rng(11)
     for z in random_logit_vectors(rng):
-        for kind in KINDS:
-            assert score(kind, z) == score_reference(kind, z)
+        assert score(z) == score_reference(z)
         assert predict(z) == predict_reference(z)
-    assert score(KINDS[0], [1.0, 2.0, 3.0]) == score_reference(KINDS[0], [1.0, 2.0, 3.0])
+    assert score([1.0, 2.0, 3.0]) == score_reference([1.0, 2.0, 3.0])
     assert predict([0.0, 2.0, 2.0]) == predict_reference([0.0, 2.0, 2.0]) == 1
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(row_values, min_size=1, max_size=12), st.sampled_from(["none", "max", "all"]))
 def test_score_bytes_equal_reference(values, ties):
-    """The one-exp msp score, and every kind's direct ufunc reductions, give
-    the reference's bits: on signed zeros, subnormals, values near 1e150,
+    """The one-exp msp score, with its direct ufunc reductions, gives the
+    reference's bits: on signed zeros, subnormals, values near 1e150,
     and rows whose max appears twice or everywhere."""
     z = np.array(values)
     if ties == "max":
         z[-1] = z.max()
     elif ties == "all":
         z[:] = z[0]
-    for kind in KINDS:
-        assert np.float64(score(kind, z)).tobytes() == \
-            np.float64(score_reference(kind, z)).tobytes(), kind
-
-
-ROW_KINDS = (ScoreKind("msp"), ScoreKind("energy"), ScoreKind("energy", temperature=0.5),
-             ScoreKind("maxlogit"))
+    assert np.float64(score(z)).tobytes() == np.float64(score_reference(z)).tobytes()
 
 
 def random_logit_rows(rng, n, c):
@@ -162,36 +152,31 @@ def random_logit_rows(rng, n, c):
 def test_score_rows_equals_score_per_row(c):
     rng = np.random.default_rng(c)
     z = random_logit_rows(rng, 25_000, c)
-    for kind in ROW_KINDS:
-        expected = np.array([score(kind, row) for row in z])
-        assert np.array_equal(score_rows(kind, z), expected)
-        assert score_rows(kind, z[:1]).tolist() == [score(kind, z[0])]
+    expected = np.array([score(row) for row in z])
+    assert np.array_equal(score_rows(z), expected)
+    assert score_rows(z[:1]).tolist() == [score(z[0])]
     assert z.argmax(axis=1).tolist() == [predict(row) for row in z]
 
 
-@pytest.mark.parametrize("kind", ROW_KINDS, ids=lambda k: f"{k.kind}-T{k.temperature}")
-def test_run_posthoc_equals_per_arrival_loop(canonical, kind):
+def test_run_posthoc_equals_per_arrival_loop(canonical):
     model = canonical["model"]
-    # k2 = 1 puts m_out where every kind sees pseudo-OOD arrivals
-    config = RunConfig(score=kind.kind, energy_temperature=kind.temperature, k2=1.0)
+    config = RunConfig(k2=1.0)
     margins = fresh_state(canonical, config).margins
     stream = canonical["stream"]
-    fast = engine.run_posthoc(model, margins, stream, kind)
-    ref = run_posthoc_reference(model, margins, stream, kind, update_margins=False)
+    fast = engine.run_posthoc(model, margins, stream)
+    ref = run_posthoc_reference(model, margins, stream, update_margins=False)
     assert ref.counts.pseudo_ood > 0 and ref.counts.pseudo_id > 0
     assert_columns_equal(fast, ref)
     assert fast.counts == ref.counts
     assert fast.update_traces == ref.update_traces == []
 
 
-@pytest.mark.parametrize("kind", ROW_KINDS, ids=lambda k: f"{k.kind}-T{k.temperature}")
 @pytest.mark.parametrize("subsample", [None, 7])
-def test_init_state_margins_equal_per_row_oracle(canonical, kind, subsample):
+def test_init_state_margins_equal_per_row_oracle(canonical, subsample):
     model = canonical["model"]
-    config = RunConfig(score=kind.kind, energy_temperature=kind.temperature,
-                       stats_subsample_n=subsample or 0)
+    config = RunConfig(stats_subsample_n=subsample or 0)
     rows = canonical["train"].features[:subsample]
-    expected = init_margins_reference(model, rows, kind, config)
+    expected = init_margins_reference(model, rows, config)
     assert fresh_state(canonical, config).margins == expected
 
 
@@ -336,7 +321,7 @@ def random_net_and_stream(dims, seed, n_train, n_stream):
 @pytest.mark.parametrize("groups", ["last_block", "block1+fc"])
 def test_wide_replay_bytes_equal_per_call_episodes(groups):
     model, train, stream = random_net_and_stream([8, 512, 512, 4], 21, 40, 200)
-    config = RunConfig(trainable_groups=groups, score="maxlogit", k2=0.0)
+    config = RunConfig(trainable_groups=groups, k2=0.0)
     fast, fast_state, ref, ref_state = replay_both_ways(model, train, stream, config)
     assert len(ref.update_traces) >= 10
     assert_replays_equal(fast, fast_state, ref, ref_state)
@@ -351,7 +336,6 @@ def replay_cases(draw):
         dims, draw(st.integers(0, 2**32 - 1)), draw(st.integers(5, 30)),
         draw(st.integers(1, 40)))
     config = RunConfig(
-        score=draw(st.sampled_from(["msp", "energy", "maxlogit"])),
         k1=draw(st.sampled_from([0.0, 0.5])), k2=draw(st.sampled_from([0.0, 0.5, 3.0])),
         iters_t=draw(st.integers(0, 3)), id_weight=draw(st.sampled_from([0.0, 0.5, 1.0])),
         lr=draw(st.sampled_from([0.001, 0.1])),
@@ -524,8 +508,7 @@ def test_events_csv_bytes_equal_per_row_oracle(canonical, tmp_path):
     changes on every row (signed zeros, a NaN, repeats two rows apart)."""
     config = canonical["run_config"]
     state = fresh_state(canonical, config)
-    frozen = engine.run_posthoc(state.model_t, state.margins, canonical["stream"],
-                                state.score_kind)
+    frozen = engine.run_posthoc(state.model_t, state.margins, canonical["stream"])
     auto = engine.run_stream(state, config, canonical["stream"])
     assert auto.counts.updates > 0
     rng = np.random.default_rng(16)

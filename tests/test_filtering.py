@@ -139,20 +139,22 @@ def test_replay_equivalence_running_mean_oracle():
 
 @settings(max_examples=300, deadline=None)
 @given(mu=st.floats(-2.0, 2.0), sigma=st.floats(0.0, 1.0), k1=st.floats(0.0, 3.0),
-       k2=st.floats(0.0, 3.0), m_count=st.integers(0, 10**6), data=st.data())
-def test_margins_move_only_on_accepted_scores(mu, sigma, k1, k2, m_count, data):
+       k2=st.floats(0.0, 3.0), m_count=st.integers(0, 10**6),
+       arrivals=st.lists(st.one_of(st.floats(-3.0, 3.0), st.integers(-4, 4)), max_size=60))
+def test_margins_move_only_on_accepted_scores(mu, sigma, k1, k2, m_count, arrivals):
     """Arrival by arrival, as the engine runs the filter: m_in never moves,
     m_out never rises, and m_count grows by one exactly when a score lands
     below m_out; any other score leaves the margins as they were. Half the
     scores sit a few ulps from m_out, where the running mean's rounding
-    could carry it up."""
+    could carry it up: an integer arrival is that many ulps from the m_out
+    it meets."""
     margins = init_margins(IdStats(mu, sigma), k1, k2)
     margins = replace(margins, m_count=margins.m_count + m_count)
-    for _ in range(data.draw(st.integers(0, 60))):
-        near = float(np.nextafter(margins.m_out, -np.inf))
-        s = data.draw(st.one_of(
-            st.floats(-3.0, 3.0),
-            st.integers(-4, 4).map(lambda k: float(margins.m_out + k * (margins.m_out - near)))))
+    for arrival in arrivals:
+        s = arrival
+        if isinstance(arrival, int):
+            ulp = margins.m_out - float(np.nextafter(margins.m_out, -np.inf))
+            s = float(margins.m_out + arrival * ulp)
         before = margins
         if classify(margins, s) == FilterDecision.PSEUDO_OOD:
             margins = update_outlier_margin(margins, s)

@@ -67,7 +67,7 @@ def test_wide_replay_allocates_less_than_one_weight(wide_model):
     is_ood = rng.random(n) < 0.5
     stream = Stream(features=rng.normal(0.0, 2.0, size=(n, 8)), is_ood=is_ood,
                     labels=np.where(is_ood, -1, rng.integers(0, 4, n)))
-    config = RunConfig(score="maxlogit", k2=0.0)
+    config = RunConfig(k2=0.0)
     state = engine.init_state(nn.clone_frozen(wide_model), train, config)
     log, peak = traced_peak(engine.run_stream, state, config, stream)
     assert log.counts.updates >= 10

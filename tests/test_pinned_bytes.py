@@ -4,9 +4,9 @@ checked rather than claimed.
 The digests are sha256 of each ``EventLog`` column's ``tobytes()`` (and of
 the episode loss traces) for the canonical stream, replayed in frozen mode,
 in auto mode and in auto mode with ``auto.iters_T = 0`` from the session
-``canonical`` fixture. Row bits depend on the BLAS build and on the CPU
-kernel it picks, so the digests hold only on the platform recorded next to
-them; on any other BLAS the test skips.
+``canonical`` fixture, and of the canonical ``model.ckpt``. Row bits depend
+on the BLAS build and on the CPU kernel it picks, so the digests hold only on
+the platform recorded next to them; on any other BLAS they are not checked.
 """
 
 from __future__ import annotations
@@ -19,12 +19,16 @@ import numpy as np
 import pytest
 
 from helpers import COLUMNS
-from oodstream import engine, nn
+from oodstream import data, engine, nn
+from oodstream.cli import CHECKPOINT_NAME
+from oodstream.runconfig import RunConfig, pretrain_hash
 
 # Where the digests were recorded.
 PINNED_NUMPY = "2.4.6"
 PINNED_BLAS = ("scipy-openblas", "0.3.31.188.0")
 PINNED_MACHINE = "x86_64"
+
+PINNED_CHECKPOINT = "18fa71eab8b1b1f0704e2fdb68899f3f3101d86cae942e4e71f25f51eb9fc641"
 
 PINNED = {
     "frozen": {
@@ -63,6 +67,27 @@ def platform_blas() -> tuple[str, str]:
     return str(blas.get("name")), str(blas.get("version"))
 
 
+def on_pinned_platform() -> bool:
+    return (*platform_blas(), platform.machine()) == (*PINNED_BLAS, PINNED_MACHINE)
+
+
+def test_in_process_pretrain_writes_the_cli_checkpoint(canonical_out, tmp_path):
+    """The session's canonical model is loaded from the command-line
+    ``pretrain``'s checkpoint. ``train_offline`` run here, in process, writes
+    the same bytes, which are pinned on the pinned platform."""
+    cfg = RunConfig()
+    train, _, _ = data.make_scenario(cfg.scenario_spec())
+    model = nn.init_mlp(cfg.layer_dims(), seed=cfg.init_seed)
+    nn.train_offline(model, train, epochs=cfg.epochs, batch_size=cfg.batch_size,
+                     cfg=nn.SgdConfig(learning_rate=cfg.pretrain_lr), seed=cfg.shuffle_seed)
+    path = tmp_path / CHECKPOINT_NAME
+    nn.save_checkpoint(model, path, pretrain_hash(cfg))
+    written = path.read_bytes()
+    assert written == (canonical_out / CHECKPOINT_NAME).read_bytes()
+    if on_pinned_platform():
+        assert hashlib.sha256(written).hexdigest() == PINNED_CHECKPOINT
+
+
 def digests(log: engine.EventLog) -> dict[str, str]:
     arrays = {name: getattr(log, name) for name in COLUMNS}
     arrays["traces"] = np.array([t.losses for t in log.update_traces])
@@ -71,17 +96,16 @@ def digests(log: engine.EventLog) -> dict[str, str]:
 
 @pytest.mark.parametrize("mode", ["frozen", "auto", "auto_t0"])
 def test_canonical_replay_bytes_are_pinned(canonical, mode):
-    here = (*platform_blas(), platform.machine())
-    if here != (*PINNED_BLAS, PINNED_MACHINE):
+    if not on_pinned_platform():
         pytest.skip(f"digests pinned on BLAS {PINNED_BLAS} ({PINNED_MACHINE}), "
-                    f"this is {here}")
+                    f"this is {(*platform_blas(), platform.machine())}")
     cfg = canonical["run_config"]
     if mode == "auto_t0":
         cfg = replace(cfg, iters_t=0)
     model = nn.clone_frozen(canonical["model"])
     state = engine.init_state(model, canonical["train"], cfg)
     if mode == "frozen":
-        log = engine.run_posthoc(model, state.margins, canonical["stream"], state.score_kind)
+        log = engine.run_posthoc(model, state.margins, canonical["stream"])
     else:
         log = engine.run_stream(state, cfg, canonical["stream"])
     got = digests(log)

@@ -46,26 +46,26 @@ PRETRAINING_CHANGES = [
 # keys that pretraining never reads
 REPLAY_CHANGES = [
     {"stream": "mixed"}, {"kappa": 0.2}, {"stream_seed": 5}, {"lambda1": 0.5},
-    {"lambda2": 0.5}, {"phi": 0.5}, {"iters_t": 1}, {"score": "energy"},
-    {"energy_temperature": 2.0}, {"id_weight": 0.5}, {"k1": 1.0}, {"k2": 1.0},
+    {"lambda2": 0.5}, {"phi": 0.5}, {"iters_t": 1}, {"id_weight": 0.5}, {"k1": 1.0},
+    {"k2": 1.0},
     {"stats_subsample_n": 5}, {"memory_seed": 1},
     {"lr": 0.01}, {"weight_decay": 0.01}, {"trainable_groups": "all"}, {"out_dir": "x"},
 ]
 
 
 def test_config_text_and_hashes_are_pinned():
-    """The canonical text, and so both hashes, are pinned. Removing four
-    replay keys moved the config hash; the pretrain hash, which a checkpoint
-    records, did not move."""
+    """The canonical text, and so both hashes, are pinned. Removing replay
+    keys (four variants, then the two score keys) moved the config hash; the
+    pretrain hash, which a checkpoint records, did not move."""
     def sha(cfg):
         return hashlib.sha256(to_text(cfg).encode("ascii")).hexdigest()
 
     assert sha(RunConfig()) == \
-        "07751cc84007f714ffa90077debcf9258c5485d0b9494184aa98ce8a1287ac4e"
+        "0ead26332612f2e6ea0335d8a3f18909b22c33bb9e2ded075e2bc0a4836e7d29"
     assert sha(RunConfig(ood_sources=THREE_SOURCES, hidden=(8, 4, 2))) == \
-        "fd0a1a06d59c02b0c67330c5ca06cdf04dba315c69512238b79df3340671c824"
-    for path, hashes in (("configs/canonical.cfg", ("93ec13671e0e", "f28d20d16134")),
-                         ("perfbench/wide_drift.cfg", ("480724c81888", "67ef954d0777"))):
+        "ba3d4215132315ee6e4d870fa969c7b94d3fec133b229b1d4fd2619ea9a530d3"
+    for path, hashes in (("configs/canonical.cfg", ("9012bb85bd6a", "f28d20d16134")),
+                         ("perfbench/wide_drift.cfg", ("a7afdf5b082b", "67ef954d0777"))):
         cfg = from_text((ROOT / path).read_text(encoding="ascii"))
         assert (config_hash(cfg), pretrain_hash(cfg)) == hashes, path
 
@@ -240,14 +240,16 @@ REMOVED_KEY_SPELLINGS = {
     "sum": (["sum", " sum "], ["mean", "Sum", ""]),
     "false": (["false", "False", "0", "no"], ["true", "yes", "1"]),
     "random": (["random"], ["prototype", "Random", ""]),
+    "msp": (["msp", " msp "], ["energy", "maxlogit", "MSP", ""]),
+    "1": (["1", "1.0", "1e0"], ["0.7", "2", "-1", "nan", "inf"]),
 }
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
 def test_removed_key_loads_only_at_its_kept_value(key):
-    """Momentum and four replay variants were removed. Each key still loads
-    at its one kept value, as older files set it, and is not written back;
-    any other value is one error naming the key."""
+    """Momentum, four replay variants and the score choice were removed.
+    Each key still loads at its one kept value, as older files set it, and is
+    not written back; any other value is one error naming the key."""
     assert set(REMOVED_KEYS) == set(REMOVED_KEY_VALUES)
     assert key not in {f.metadata.get("key") for f in fields(RunConfig)}
     good, bad = REMOVED_KEY_SPELLINGS[REMOVED_KEY_VALUES[key]]
@@ -258,7 +260,7 @@ def test_removed_key_loads_only_at_its_kept_value(key):
         with pytest.raises(ConfigError, match=f"^{re.escape(key)} = .* "
                            f"{re.escape(removed_key_rule(key))}$"):
             from_text(f"scenario.kappa = 0.5\n{key} = {raw}\n")
-    if REMOVED_KEY_VALUES[key] in ("0", "false"):
+    if REMOVED_KEY_VALUES[key] in ("0", "false", "1"):
         with pytest.raises(ConfigError, match=f"^bad value 'x' for key {re.escape(key)}$"):
             from_text(f"scenario.kappa = 0.5\n{key} = x\n")
     with pytest.raises(ConfigError, match="set twice"):
@@ -318,8 +320,8 @@ RANGE_CHECKS = {
     "auto.lambda2": (["-0.1", "nan"], ["0"]),
     "auto.id_weight": (["-1", "-1e-9"], ["0", "0.5"]),
     "auto.iters_T": (["-1"], ["0"]),
-    "auto.score": (["bogus", "ms p", ""], [" Energy ", "MSP", "maxlogit"]),
-    "auto.energy_temperature": (["0", "-2", "nan"], ["1e-300"]),
+    "auto.score": (["bogus", "ms p", "", "energy", "maxlogit"], ["msp"]),
+    "auto.energy_temperature": (["0", "-2", "nan", "2"], ["1"]),
     "auto.lambda2_decay": (["-1", "nan"], ["0"]),
     "auto.id_loss_reduction": (["avg", "Sum", "mean"], ["sum"]),
     "auto.k1": (["-0.5", "nan"], ["0"]),
@@ -376,9 +378,7 @@ CONFIG_VALUES = dict(
     hidden=st.lists(st.integers(1, 4096), min_size=1, max_size=4).map(tuple),
     pretrain_lr=positive, lambda1=nonnegative,
     lambda2=nonnegative,
-    phi=finite, iters_t=st.integers(0, 10**6),
-    score=st.sampled_from(["msp", "energy", "maxlogit"]),
-    energy_temperature=positive, k1=nonnegative, k2=nonnegative,
+    phi=finite, iters_t=st.integers(0, 10**6), k1=nonnegative, k2=nonnegative,
     lr=positive, weight_decay=nonnegative,
     trainable_groups=st.sampled_from(["last_block", "all", "none", "block1+fc"]),
 )

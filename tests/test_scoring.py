@@ -1,53 +1,20 @@
-"""Confidence score functions and prediction."""
+"""The confidence score (msp) and prediction."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
 
-from oodstream.scoring import ScoreKind, predict, score
-
-MSP = ScoreKind("msp")
-ENERGY = ScoreKind("energy")
-MAXLOGIT = ScoreKind("maxlogit")
+from oodstream.scoring import predict, score
 
 
 def test_msp_uniform_two_class():
-    assert score(MSP, np.array([0.0, 0.0])) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_maxlogit_definition():
-    assert score(MAXLOGIT, np.array([3.0, 1.0, -2.0])) == 3.0
-
-
-def test_energy_logsumexp_symmetry():
-    assert score(ENERGY, np.array([0.0, 0.0])) == pytest.approx(math.log(2), abs=1e-15)
-
-
-def test_energy_temperature():
-    z = np.array([2.0, 0.0])
-    t = 2.5
-    expected = t * math.log(math.exp(2.0 / t) + 1.0)
-    assert score(ScoreKind("energy", temperature=t), z) == pytest.approx(expected, rel=1e-12)
+    assert score(np.array([0.0, 0.0])) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_predict_simple_and_ties():
     assert predict(np.array([0.0, 1.0, 0.0])) == 1
     assert predict(np.array([2.0, 2.0])) == 0
-
-
-def test_invalid_kind_and_temperature():
-    with pytest.raises(ValueError):
-        ScoreKind("odin")
-    with pytest.raises(ValueError):
-        ScoreKind("energy", temperature=0.0)
-
-
-def test_parse_kind():
-    assert ScoreKind.parse(" MSP ") == MSP
-    assert ScoreKind.parse("energy", 2.0).temperature == 2.0
 
 
 def test_shift_behavior():
@@ -56,9 +23,7 @@ def test_shift_behavior():
         z = rng.normal(0, 3, size=4)
         c = float(rng.normal(0, 10))
         assert predict(z + c) == predict(z)
-        assert score(MSP, z + c) == pytest.approx(score(MSP, z), abs=1e-12)
-        assert score(MAXLOGIT, z + c) == pytest.approx(score(MAXLOGIT, z) + c, abs=1e-12)
-        assert score(ENERGY, z + c) == pytest.approx(score(ENERGY, z) + c, abs=1e-9)
+        assert score(z + c) == pytest.approx(score(z), abs=1e-12)
 
 
 def test_msp_bounds():
@@ -66,7 +31,7 @@ def test_msp_bounds():
     for _ in range(100):
         c = int(rng.integers(2, 9))
         z = rng.normal(0, 20, size=c)
-        s = score(MSP, z)
+        s = score(z)
         assert 1.0 / c <= s <= 1.0
 
 
