@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,12 @@ from . import data, engine, metrics, nn, runconfig, svgplot
 from .runconfig import ConfigError, RunConfig
 
 EVENT_COLUMNS = "t,score,prediction,decision,is_ood_truth,label_truth,m_out"
+# Events CSV rows formatted and written at a time: the writer never holds the
+# whole file text, only one chunk's lines.
+EVENTS_CHUNK_ROWS = 1024
 CHECKPOINT_NAME = "model.ckpt"
+# the config keys that compose the stream; replays equal on them share one
+STREAM_FIELDS = tuple(f.name for f in fields(RunConfig) if f.metadata.get("stream"))
 
 # the swept config keys; a sweep parameter is named by the last part of its key
 SWEEP_PARAMS = ("auto.lambda2", "auto.phi", "scenario.kappa", "auto.iters_T",
@@ -86,8 +91,9 @@ def _make_stream(cfg: RunConfig, test_id: data.LabeledSet,
 def _prepare(cfg: RunConfig, *replays: RunConfig) -> tuple:
     """``(model, train, stream, ...)``: load the checkpoint, draw the scenario,
     and compose the stream of each of ``replays`` (of ``cfg`` when none is
-    given), so that every stream is checked before the first replay. No
-    swept or ablated key changes the checkpoint or the scenario.
+    given), so that every stream is checked before the first replay. Replays
+    that agree on every stream key share one stream. No swept or ablated key
+    changes the checkpoint or the scenario.
 
     The checkpoint must carry the config's pretrain hash: the scenario and
     pretraining keys it was trained under, the stream keys aside.
@@ -101,7 +107,12 @@ def _prepare(cfg: RunConfig, *replays: RunConfig) -> tuple:
         raise CliError(f"checkpoint {ckpt} was pretrained under pretrain hash {saved}, but the "
                        f"config has pretrain hash {expected} (run `pretrain` again)")
     train, test_id, ood_sets = data.make_scenario(cfg.scenario_spec())
-    return (model, train, *(_make_stream(c, test_id, ood_sets) for c in replays or (cfg,)))
+    streams, keys = {}, []
+    for c in replays or (cfg,):
+        keys.append(tuple(getattr(c, name) for name in STREAM_FIELDS))
+        if keys[-1] not in streams:
+            streams[keys[-1]] = _make_stream(c, test_id, ood_sets)
+    return (model, train, *(streams[key] for key in keys))
 
 
 def _replay(cfg: RunConfig, mode: str, model: nn.MlpModel, train: data.LabeledSet,
@@ -123,9 +134,10 @@ def _replay(cfg: RunConfig, mode: str, model: nn.MlpModel, train: data.LabeledSe
 
 
 def _write_events_csv(path: Path, log: engine.EventLog, chash: str) -> None:
-    """One ``%d,%.17g,%d,%s,%d,%d,%.17g`` row per arrival. A stream holds few
-    distinct prediction/decision/is_ood/label combinations, and m_out moves
-    only at episodes, so each distinct value of those is formatted once."""
+    """One ``%d,%.17g,%d,%s,%d,%d,%.17g`` row per arrival, written
+    ``EVENTS_CHUNK_ROWS`` rows at a time. A stream holds few distinct
+    prediction/decision/is_ood/label combinations, and m_out moves only at
+    episodes, so each distinct value of those is formatted once."""
     n = len(log)
     # One integer per distinct (prediction, label, decision, is_ood); labels
     # start at -1, so label + 1 < span.
@@ -133,21 +145,22 @@ def _write_events_csv(path: Path, log: engine.EventLog, chash: str) -> None:
     key = ((log.prediction * span + log.label + 1) * len(engine.DECISIONS)
            + log.decision) * 2 + log.is_ood
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    combos = [f"{p},{engine.DECISIONS[d].value},{o:d},{y}" for p, d, o, y in zip(
+    combos = np.array([f"{p},{engine.DECISIONS[d].value},{o:d},{y}" for p, d, o, y in zip(
         *(column[first].tolist() for column in (log.prediction, log.decision, log.is_ood,
-                                                log.label)))]
+                                                log.label)))], dtype=object)
     # Runs of equal m_out bits (so 0.0 and -0.0 stay apart).
     bits = log.m_out.view(np.int64)
     changed = np.ones(n, dtype=bool)
     changed[1:] = bits[1:] != bits[:-1]
-    starts = np.flatnonzero(changed)
-    m_outs = np.repeat(np.array(["%.17g" % v for v in log.m_out[starts].tolist()], dtype=object),
-                       np.diff(starts, append=n))
-    lines = [f"# config_hash={chash}", EVENT_COLUMNS]
-    lines += map("%d,%.17g,%s,%s".__mod__, zip(range(n), log.score.tolist(),
-                                                np.array(combos, dtype=object)[inverse].tolist(),
-                                                m_outs.tolist()))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    m_outs = np.array(["%.17g" % v for v in log.m_out[changed].tolist()], dtype=object)
+    run_of_row = np.cumsum(changed) - 1
+    with path.open("w", encoding="ascii") as file:
+        file.write(f"# config_hash={chash}\n{EVENT_COLUMNS}\n")
+        for lo in range(0, n, EVENTS_CHUNK_ROWS):
+            rows = slice(lo, lo + EVENTS_CHUNK_ROWS)
+            file.write("".join(map("%d,%.17g,%s,%s\n".__mod__, zip(
+                range(lo, n), log.score[rows].tolist(), combos[inverse[rows]].tolist(),
+                m_outs[run_of_row[rows]].tolist()))))
 
 
 def _write_metrics_json(path: Path, rep: metrics.MetricsReport, chash: str,

@@ -10,7 +10,7 @@ mean of the pseudo-OOD scores it accepts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as _replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -98,4 +98,4 @@ def update_outlier_margin(margins: Margins, score: float) -> Margins:
         return margins
     m = margins.m_count
     new_out = min((m * margins.m_out + score) / (m + 1), margins.m_out)
-    return _replace(margins, m_out=new_out, m_count=m + 1)
+    return Margins(margins.m_in, new_out, m + 1)

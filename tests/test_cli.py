@@ -449,17 +449,24 @@ def test_ablate_four_rows(pretrained):
         assert row == f"{combo},{rep['fpr95']:.17g},{rep['auroc']:.17g},{rep['id_acc']:.17g}"
 
 
-@pytest.mark.parametrize("command", [["ablate"], ["sweep", "--param", "k2", "--values", "1,2,3"]])
+@pytest.mark.parametrize("command", [["ablate"], ["sweep", "--param", "k2", "--values", "1,2,3"],
+                                     ["sweep", "--param", "kappa", "--values", "0.5,0.3,0.5"]])
 def test_ablate_and_sweep_load_and_draw_once(pretrained, monkeypatch, command):
-    cfg_path, _ = pretrained
-    calls = {"load_checkpoint": 0, "make_scenario": 0}
-    for module, name in ((nn, "load_checkpoint"), (data, "make_scenario")):
+    """One checkpoint load, one scenario draw, and one stream per distinct
+    setting of the stream keys."""
+    cfg_path, out = pretrained
+    calls = {"load_checkpoint": 0, "make_scenario": 0, "_make_stream": 0}
+    for module, name in ((nn, "load_checkpoint"), (data, "make_scenario"), (cli, "_make_stream")):
         def counted(*args, _original=getattr(module, name), _name=name):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(module, name, counted)
     assert main(["--config", str(cfg_path), *command]) == 0
-    assert calls == {"load_checkpoint": 1, "make_scenario": 1}
+    composed = 2 if "kappa" in command else 1
+    assert calls == {"load_checkpoint": 1, "make_scenario": 1, "_make_stream": composed}
+    if "kappa" in command:
+        rows = (out / "sweep_kappa.csv").read_text().splitlines()[2:]
+        assert rows[0] == rows[2] != rows[1]
 
 
 def test_sweep_rows_do_not_depend_on_value_order(pretrained):

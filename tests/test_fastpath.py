@@ -504,22 +504,33 @@ def test_save_checkpoint_bytes_equal_per_value_hex_oracle(tmp_path):
 
 
 def test_events_csv_bytes_equal_per_row_oracle(canonical, tmp_path):
-    """The canonical frozen and auto logs, an empty log, and a log whose m_out
-    changes on every row (signed zeros, a NaN, repeats two rows apart)."""
+    """The canonical frozen and auto logs, an empty log, a log whose m_out
+    changes on every row (signed zeros, a NaN, repeats two rows apart), and
+    logs of exactly one write chunk, one chunk plus one row, and several
+    chunks with m_out runs that cross chunk boundaries."""
     config = canonical["run_config"]
     state = fresh_state(canonical, config)
     frozen = engine.run_posthoc(state.model_t, state.margins, canonical["stream"])
     auto = engine.run_stream(state, config, canonical["stream"])
     assert auto.counts.updates > 0
     rng = np.random.default_rng(16)
-    n = 400
-    m_out = rng.normal(0.9, 0.05, size=n)
+
+    def random_log(m_out):
+        n = len(m_out)
+        return log_from_columns(rng.normal(size=n), rng.random(n) < 0.5,
+                                prediction=rng.integers(0, 5, n), label=rng.integers(-1, 5, n),
+                                decision=rng.integers(0, len(engine.DECISIONS), n), m_out=m_out)
+
+    m_out = rng.normal(0.9, 0.05, size=400)
     m_out[:8] = [0.0, -0.0, 0.0, math.nan, 1.0, 0.5, 1.0, -0.0]
-    busy = log_from_columns(rng.normal(size=n), rng.random(n) < 0.5,
-                            prediction=rng.integers(0, 5, n), label=rng.integers(-1, 5, n),
-                            decision=rng.integers(0, len(engine.DECISIONS), n), m_out=m_out)
+    chunk = cli.EVENTS_CHUNK_ROWS
+    # 0.5 spans the first two chunk boundaries, -0.0 the third.
+    runs = np.repeat([0.25, 0.5, -0.0, 0.75], [chunk - 5, chunk + 10, chunk - 3, 15])
     logs = {"frozen": frozen, "auto": auto, "empty": log_from_columns([], []),
-            "m_out_every_row": busy}
+            "m_out_every_row": random_log(m_out),
+            "one_chunk": random_log(rng.normal(0.9, 0.05, size=chunk)),
+            "one_chunk_plus_one": random_log(np.repeat([0.5, 0.25], [chunk - 1, 2])),
+            "several_chunks": random_log(runs)}
     for name, log in logs.items():
         path = tmp_path / f"{name}.csv"
         cli._write_events_csv(path, log, "abc123")
