@@ -172,7 +172,7 @@ def _write_metrics_json(path: Path, rep: metrics.MetricsReport, chash: str,
 def cmd_pretrain(cfg: RunConfig) -> None:
     train, test_id, _ = data.make_scenario(cfg.scenario_spec())
     model = nn.init_mlp(cfg.layer_dims(), seed=cfg.init_seed)
-    sgd = nn.SgdConfig(learning_rate=cfg.pretrain_lr, weight_decay=cfg.pretrain_weight_decay)
+    sgd = nn.SgdConfig(learning_rate=cfg.pretrain_lr)
     nn.train_offline(model, train, cfg.epochs, cfg.batch_size, sgd,
                      seed=cfg.shuffle_seed)
     out = _out_dir(cfg)

@@ -281,39 +281,16 @@ def compose_timeseries(test_id_set: LabeledSet, ood_sets: list[LabeledSet],
 
 
 # ---------------------------------------------------------------------------
-# the pinned canonical scenario (golden values depend on these constants)
-
-
-CANONICAL_SEED = 20240611
-CANONICAL_STREAM_SEED = 77
-
-
-def canonical_spec() -> ScenarioSpec:
-    """The repository's pinned reference scenario.
-
-    Three unit-circle Gaussian classes in the plane. Both outlier clusters
-    sit on the corridor between classes 0 and 1 (the low-confidence wedge of
-    a classifier trained on the mixture): the primary cluster at radius 2.5,
-    where scores overlap the ID tail, and a drifted cluster at distance 5,
-    deep in the region where a frozen classifier is overconfident. The
-    drifted source is the second segment of the canonical time-series
-    stream.
-    """
-    angles = [math.pi / 2 + 2 * math.pi * c / 3 for c in range(3)]
-    means = tuple((math.cos(a), math.sin(a)) for a in angles)
-    bisector = math.pi / 2 + math.pi / 3
-    corridor = (math.cos(bisector), math.sin(bisector))
-    return ScenarioSpec(
-        dim=2,
-        num_classes=3,
-        class_means=means,
-        id_spread=0.25,
-        ood_sources=(
-            GaussianSource(center=(2.5 * corridor[0], 2.5 * corridor[1]), spread=0.4),
-            GaussianSource(center=(5.0 * corridor[0], 5.0 * corridor[1]), spread=0.5),
-        ),
-        train_n=450,
-        test_id_n=4000,
-        ood_n=4000,
-        seed=CANONICAL_SEED,
-    )
+# the pinned canonical scenario: the ``RunConfig`` defaults, with these
+# outlier sources for a config that sets no ``scenario.ood*`` key (golden
+# values depend on their bits). Both clusters sit on the corridor between
+# canonical classes 0 and 1 (the low-confidence wedge of a classifier
+# trained on the mixture): the primary cluster at radius 2.5, where scores
+# overlap the ID tail, and a drifted cluster at distance 5, deep in the
+# region where a frozen classifier is overconfident. The drifted source is
+# the second segment of the canonical time-series stream.
+_CORRIDOR = (math.cos(math.pi / 2 + math.pi / 3), math.sin(math.pi / 2 + math.pi / 3))
+CANONICAL_OOD_SOURCES = (
+    GaussianSource(center=(2.5 * _CORRIDOR[0], 2.5 * _CORRIDOR[1]), spread=0.4),
+    GaussianSource(center=(5.0 * _CORRIDOR[0], 5.0 * _CORRIDOR[1]), spread=0.5),
+)

@@ -129,7 +129,7 @@ def init_state(model: MlpModel, train_set: LabeledSet, cfg: RunConfig) -> AutoSt
     ``stats_subsample_n`` = n > 0 keeps only the first n rows of the
     (already shuffled) training set for the estimate; 0 keeps every row.
     """
-    sgd = SgdConfig(cfg.lr, cfg.weight_decay, cfg.resolve_groups(model))
+    sgd = SgdConfig(cfg.lr, cfg.resolve_groups(model))
     model_0 = nn.clone_frozen(model)
     feats = train_set.features[:cfg.stats_subsample_n or None]
     logits = np.empty((len(feats), model.num_classes))

@@ -45,7 +45,6 @@ class SgdConfig:
     """Plain SGD settings; online updates touch only ``trainable_groups``."""
 
     learning_rate: float = 0.001
-    weight_decay: float = 0.0
     trainable_groups: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
@@ -425,31 +424,26 @@ def _row_blocks(rows: int, cols: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(starts, starts[1:] + [rows]))
 
 
-def _apply(param: np.ndarray, g: np.ndarray, cfg: SgdConfig) -> None:
-    """``param -= lr * (g + weight_decay * param)`` in place; without weight
-    decay ``g`` is consumed (scaled by lr in place)."""
-    if cfg.weight_decay:
-        g = g + cfg.weight_decay * param
-    param -= np.multiply(g, cfg.learning_rate, out=g)
-
-
 def sgd_step(model: MlpModel, grads: Gradients, cfg: SgdConfig) -> MlpModel:
-    """In-place SGD update restricted to layers in ``cfg.trainable_groups``.
+    """In-place ``param -= lr * g`` restricted to layers in
+    ``cfg.trainable_groups``.
 
     Layers outside the trainable groups are never written, so they stay
     bit-identical. A weight is updated in row blocks (``_row_blocks``):
     each block's gradient rows are materialized from the factors and then
     get the elementwise operations of the whole-matrix update, so no
-    full-size gradient or temporary exists. Without weight decay the bias
-    gradients are consumed (scaled by the learning rate in place).
+    full-size gradient or temporary exists. Each gradient is scaled by the
+    learning rate in place, so the bias gradients are consumed.
     """
     for i, group in enumerate(model.group_labels):
         if group not in cfg.trainable_groups:
             continue
         w = model.weights[i]
         for start, stop in _row_blocks(*w.shape):
-            _apply(w[start:stop], grads.weight(i, start, stop), cfg)
-        _apply(model.biases[i], grads.d_biases[i], cfg)
+            block, g = w[start:stop], grads.weight(i, start, stop)
+            block -= np.multiply(g, cfg.learning_rate, out=g)
+        g = grads.d_biases[i]
+        model.biases[i] -= np.multiply(g, cfg.learning_rate, out=g)
     return model
 
 
@@ -483,7 +477,7 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
         raise ValueError("empty training dataset")
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError("labels out of range for the model's class count")
-    train_cfg = SgdConfig(cfg.learning_rate, cfg.weight_decay, frozenset(model.group_labels))
+    train_cfg = SgdConfig(cfg.learning_rate, frozenset(model.group_labels))
     keep = [True] * model.num_layers
     rng = np.random.default_rng(seed)
     for _ in range(epochs):

@@ -13,7 +13,7 @@ import hashlib
 import math
 from dataclasses import Field, dataclass, field, fields
 
-from .data import OOD_KINDS, OodSource, ScenarioSpec, canonical_spec
+from .data import CANONICAL_OOD_SOURCES, OOD_KINDS, OodSource, ScenarioSpec
 from .nn import MlpModel, default_group_labels, last_block_group
 
 
@@ -78,8 +78,6 @@ class RunConfig:
     batch_size: int = field(default=32, metadata={
         "key": "pretrain.batch_size", "rule": (lambda v: v >= 1, ">= 1")})
     pretrain_lr: float = field(default=0.05, metadata={"key": "pretrain.lr", "rule": _GT0})
-    pretrain_weight_decay: float = field(default=0.0, metadata={
-        "key": "pretrain.weight_decay", "rule": _GE0})
     init_seed: int = field(default=1, metadata={"key": "pretrain.init_seed", "rule": _GE0})
     shuffle_seed: int = field(default=2, metadata={"key": "pretrain.shuffle_seed", "rule": _GE0})
     # auto
@@ -95,20 +93,19 @@ class RunConfig:
     memory_seed: int = field(default=0, metadata={"key": "auto.memory_seed", "rule": _GE0})
     # sgd (online updates)
     lr: float = field(default=0.001, metadata={"key": "sgd.lr", "rule": _GT0})
-    weight_decay: float = field(default=0.0, metadata={"key": "sgd.weight_decay", "rule": _GE0})
     trainable_groups: str = field(default="last_block", metadata={"key": "sgd.trainable_groups"})
     # output
     out_dir: str = field(default="out", metadata={"key": "output.dir", "hashed": False})
 
     def __post_init__(self) -> None:
         if not self.ood_sources:
-            canonical = canonical_spec()
-            if self.dim >= 1 and self.dim != canonical.dim:
+            # the canonical sources lie in the default scenario.dim
+            if self.dim >= 1 and self.dim != RunConfig.dim:
                 raise ConfigError(
                     f"scenario.dim = {self.dim}, but the canonical OOD sources are "
-                    f"{canonical.dim}-D: a config of another scenario.dim must set "
+                    f"{RunConfig.dim}-D: a config of another scenario.dim must set "
                     "scenario.ood_count and its own scenario.oodK.* keys")
-            self.ood_sources = canonical.ood_sources
+            self.ood_sources = CANONICAL_OOD_SOURCES
         for f in fields(self):
             value = getattr(self, f.name)
             test, rule = f.metadata.get("rule", (None, None))
@@ -181,6 +178,7 @@ REMOVED_KEYS = {
     "pretrain.momentum": 0.0, "sgd.momentum": 0.0, "auto.lambda2_decay": 0.0,
     "auto.id_loss_reduction": "sum", "auto.margin_literal_m0": False,
     "auto.memory_mode": "random", "auto.score": "msp", "auto.energy_temperature": 1.0,
+    "pretrain.weight_decay": 0.0, "sgd.weight_decay": 0.0,
 }
 
 

@@ -347,16 +347,6 @@ def _stacked_terms(model: MlpModel, x, spec: LossSpec):
     return total, pre, acts, np.array(dlogits)
 
 
-def fused_loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
-                                  trainable=None) -> tuple[float, FullGradients]:
-    """The single-batch evaluation written out: the stacked rows through
-    every layer, and one matmul per layer into zero-filled slots."""
-    total, pre, acts, dlogits = _stacked_terms(model, x, spec)
-    grads = _zero_filled_slots(model, trainable)
-    backprop_reference(model, pre, acts, dlogits, grads)
-    return total, grads
-
-
 def per_call_loss_and_grad_reference(model: MlpModel, x, spec: LossSpec, trainable=None,
                                      want_grad: bool = True
                                      ) -> tuple[float, FullGradients | None]:
@@ -471,7 +461,7 @@ def loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
 def train_offline_reference(model: MlpModel, features, labels, epochs: int,
                             batch_size: int, cfg: SgdConfig, seed: int = 0) -> MlpModel:
     """Minibatch SGD on mean label cross-entropy, gradients from the oracle."""
-    train_cfg = SgdConfig(learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay,
+    train_cfg = SgdConfig(learning_rate=cfg.learning_rate,
                           trainable_groups=frozenset(model.group_labels))
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
@@ -497,8 +487,7 @@ def sgd_step_reference(model: MlpModel, grads: FullGradients, cfg: SgdConfig) ->
             continue
         for param, grad in ((model.weights[i], grads.d_weights[i]),
                             (model.biases[i], grads.d_biases[i])):
-            g = grad + cfg.weight_decay * param if cfg.weight_decay else grad
-            param -= cfg.learning_rate * g
+            param -= cfg.learning_rate * grad
 
 
 def checkpoint_bytes_reference(model: MlpModel, pretrain_hash: str) -> bytes:
@@ -611,6 +600,7 @@ REMOVED_KEY_VALUES = {
     "pretrain.momentum": "0", "sgd.momentum": "0", "auto.lambda2_decay": "0",
     "auto.id_loss_reduction": "sum", "auto.margin_literal_m0": "false",
     "auto.memory_mode": "random", "auto.score": "msp", "auto.energy_temperature": "1",
+    "pretrain.weight_decay": "0", "sgd.weight_decay": "0",
 }
 
 # every float-valued config key of a config with THREE_SOURCES, and the

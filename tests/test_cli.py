@@ -171,10 +171,10 @@ def test_non_finite_float_fails_at_load(tmp_path, capsys, key, raw):
 
 @pytest.mark.parametrize("mode", ["auto", "frozen"])
 def test_nonzero_sgd_momentum_fails_at_load(pretrained, capsys, mode):
-    """Momentum, four replay variants and the score choice were removed.
-    Each removed key still loads at its one kept value, as older files set
-    it, and changes no output byte, the config hash included; any other
-    value fails at load with one line."""
+    """Momentum, four replay variants, the score choice and weight decay
+    were removed. Each removed key still loads at its one kept value, as
+    older files set it, and changes no output byte, the config hash
+    included; any other value fails at load with one line."""
     cfg_path, out = pretrained
     text = cfg_path.read_text(encoding="ascii")
     assert all(key not in text for key in REMOVED_KEY_VALUES)
@@ -194,7 +194,9 @@ def test_nonzero_sgd_momentum_fails_at_load(pretrained, capsys, mode):
                             ("auto.margin_literal_m0", "true", "True"),
                             ("auto.memory_mode", "prototype", "'prototype'"),
                             ("auto.score", "energy", "'energy'"),
-                            ("auto.energy_temperature", "0.7", "0.7")]:
+                            ("auto.energy_temperature", "0.7", "0.7"),
+                            ("pretrain.weight_decay", "1e-3", "0.001"),
+                            ("sgd.weight_decay", "0.5", "0.5")]:
         legacy.write_text(f"{text}{key} = {raw}\n", encoding="ascii")
         assert main(["--config", str(legacy), "run", "--mode", mode]) == 1
         assert capsys.readouterr().err == (f"error: config error: {key} = {shown} "
@@ -242,6 +244,8 @@ def test_out_of_range_value_fails_before_any_work(tmp_path, capsys, key, value):
         err = capsys.readouterr().err
         assert err.startswith(f"error: config error: {key} = ") and err.count("\n") == 1
         assert "out of range" in err
+        if key in REMOVED_KEY_VALUES:
+            assert err.endswith(f" {removed_key_rule(key)}\n")
     assert not (tmp_path / "out").exists()
 
 

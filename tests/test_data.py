@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from helpers import compose_reference
 from oodstream import data
 from oodstream.data import (GaussianSource, LabeledSet, RingSource, ScenarioSpec,
-                            UniformBoxSource, canonical_spec, compose_mixed, compose_stream,
+                            UniformBoxSource, compose_mixed, compose_stream,
                             compose_timeseries, make_scenario)
+from oodstream.runconfig import RunConfig
 
 
 def small_spec(**overrides) -> ScenarioSpec:
@@ -208,7 +209,7 @@ def test_composers_equal_per_slot_reference(composer, n_id, n_oods, dim, seed, k
 
 
 def test_canonical_spec_is_pinned():
-    spec = canonical_spec()
+    spec = RunConfig().scenario_spec()
     assert spec.dim == 2 and spec.num_classes == 3
     for mean in spec.class_means:
         assert math.hypot(*mean) == pytest.approx(1.0, abs=1e-12)

@@ -297,11 +297,9 @@ def test_config_defaults_are_pinned():
     assert cfg.k1 == 0.0 and cfg.k2 == 3.0
     assert cfg.stats_subsample_n == 0
     assert cfg.lr == 0.001
-    assert cfg.weight_decay == 0.0
     assert cfg.trainable_groups == "last_block"
     sgd = SgdConfig()
     assert sgd.learning_rate == 0.001
-    assert sgd.weight_decay == 0.0
 
 
 def test_bank_only_objective_still_fires_episodes():
@@ -349,9 +347,9 @@ def test_posthoc_frozen_margins_mode():
 
 def test_init_state_resolves_run_config(canonical):
     # the SGD settings are resolved once, into the state
-    cfg = RunConfig(lr=0.01, weight_decay=0.5, trainable_groups="block1+fc")
+    cfg = RunConfig(lr=0.01, trainable_groups="block1+fc")
     state = fresh_state(canonical, cfg)
-    assert state.sgd == SgdConfig(0.01, 0.5, frozenset({"block1", "fc"}))
+    assert state.sgd == SgdConfig(0.01, frozenset({"block1", "fc"}))
     assert fresh_state(canonical, RunConfig()).sgd.trainable_groups == {"block2"}
     with pytest.raises(ConfigError, match="unknown parameter groups"):
         fresh_state(canonical, RunConfig(trainable_groups="block9"))

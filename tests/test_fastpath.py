@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 from conftest import fresh_state
 from helpers import (assert_columns_equal, assert_replays_equal, checkpoint_bytes_reference,
-                     events_csv_reference, fused_loss_and_grad_reference,
-                     init_margins_reference, log_from_columns, log_softmax_reference,
-                     loss_and_grad, loss_and_grad_reference, materialized, predict_reference,
+                     events_csv_reference, init_margins_reference, log_from_columns,
+                     log_softmax_reference, loss_and_grad, loss_and_grad_reference,
+                     materialized, per_call_loss_and_grad_reference, predict_reference,
                      probe_dlogits_reference, run_posthoc_reference, run_stream_reference,
                      score_reference, total_loss, train_offline_reference)
 from oodstream import cli, engine, metrics, nn
@@ -339,7 +339,6 @@ def replay_cases(draw):
         k1=draw(st.sampled_from([0.0, 0.5])), k2=draw(st.sampled_from([0.0, 0.5, 3.0])),
         iters_t=draw(st.integers(0, 3)), id_weight=draw(st.sampled_from([0.0, 0.5, 1.0])),
         lr=draw(st.sampled_from([0.001, 0.1])),
-        weight_decay=draw(st.sampled_from([0.0, 0.01])),
         trainable_groups=draw(st.sampled_from(["last_block", "block1+fc", "all", "none"])))
     return model, train, stream, config
 
@@ -402,12 +401,12 @@ def gradient_cases(dims, terms, n=3):
 
 @pytest.mark.parametrize("dims", GRAD_DIMS)
 @pytest.mark.parametrize("terms", TERMS)
-def test_gradients_equal_zero_filled_matmul_oracle(dims, terms):
-    """Exactly the fused oracle's values; the two-pass oracle's within
+def test_gradients_equal_per_call_oracle(dims, terms):
+    """Exactly the per-call oracle's values; the two-pass oracle's within
     ``TWO_PASS_RTOL``."""
     model, cases = gradient_cases(dims, terms)
     for x, spec in cases:
-        ref_loss, ref = fused_loss_and_grad_reference(model, x, spec)
+        ref_loss, ref = per_call_loss_and_grad_reference(model, x, spec)
         two_pass_loss, two_pass = loss_and_grad_reference(model, x, spec)
         loss, full = loss_and_grad(model, x, spec)
         assert loss == ref_loss == total_loss(model, x, spec)
@@ -417,7 +416,7 @@ def test_gradients_equal_zero_filled_matmul_oracle(dims, terms):
         for groups in ({"block2"}, {"block1", "fc"}, {"fc"}):
             trainable = frozenset(groups)
             loss, part = loss_and_grad(model, x, spec, trainable)
-            _, ref_part = fused_loss_and_grad_reference(model, x, spec, trainable)
+            _, ref_part = per_call_loss_and_grad_reference(model, x, spec, trainable)
             _, two_pass_part = loss_and_grad_reference(model, x, spec, trainable)
             assert loss == ref_loss
             assert_gradients_equal(part, ref_part)
@@ -475,12 +474,11 @@ def test_one_row_outer_product_equals_matmul():
         assert np.array_equal(np.einsum("i,j->ij", a, d), a[None].T @ d[None])
 
 
-@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
-def test_train_offline_equals_oracle_trainer(weight_decay):
+def test_train_offline_equals_oracle_trainer():
     rng = np.random.default_rng(14)
     feats = rng.normal(size=(61, 3))  # 61 = 4 * 15 + 1: the last batch has one row
     labels = rng.integers(0, 4, size=61)
-    cfg = SgdConfig(learning_rate=0.05, weight_decay=weight_decay)
+    cfg = SgdConfig(learning_rate=0.05)
     fast = nn.train_offline(init_mlp([3, 16, 16, 4], seed=4), LabeledSet(feats, labels, 4),
                             epochs=5, batch_size=15, cfg=cfg, seed=3)
     ref = train_offline_reference(init_mlp([3, 16, 16, 4], seed=4), feats, labels,
@@ -489,7 +487,7 @@ def test_train_offline_equals_oracle_trainer(weight_decay):
         assert np.array_equal(a, b)
 
 
-def test_save_checkpoint_bytes_equal_per_value_hex_oracle(tmp_path):
+def test_save_checkpoint_bytes_equal_per_value_oracle(tmp_path):
     rng = np.random.default_rng(15)
     model = init_mlp([3, 40, 5], seed=6)
     specials = [-0.0, 0.0, 5e-324, -5e-324, 2.225e-308, 1e308, -1e308,

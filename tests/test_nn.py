@@ -280,15 +280,6 @@ def test_sgd_step_empty_trainable_set_is_identity():
         assert np.array_equal(b, a)
 
 
-def test_sgd_step_weight_decay():
-    model = MlpModel([1, 1], [np.array([[2.0]])], [np.zeros(1)], ["fc"])
-    grads = factored([[[1.0]]], [[[1.0]]], [[0.0]])
-    cfg = SgdConfig(learning_rate=0.1, weight_decay=0.5, trainable_groups={"fc"})
-    sgd_step(model, grads, cfg)
-    # theta - lr * (g + wd * theta) = 2 - 0.1 * (1 + 0.5 * 2)
-    assert model.weights[0][0, 0] == pytest.approx(1.8, abs=1e-15)
-
-
 def random_grads(model: MlpModel, rng: np.random.Generator, rows: int = 3) -> nn.Gradients:
     return factored([rng.normal(size=(rows, w.shape[0])) for w in model.weights],
                     [rng.normal(size=(rows, w.shape[1])) for w in model.weights],
@@ -299,29 +290,25 @@ def factors_of(grads: nn.Gradients) -> list[np.ndarray]:
     return grads.inputs + grads.deltas
 
 
-@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
-def test_sgd_step_consumes_grads_with_the_bits_of_lr_times_g(weight_decay):
+def test_sgd_step_consumes_grads_with_the_bits_of_lr_times_g():
     rng = np.random.default_rng(21)
     model = init_mlp([3, 16, 16, 4], seed=5)
     ref = clone_frozen(model)
     grads = random_grads(model, rng)
     factors0 = [a.copy() for a in factors_of(grads)]
     biases0 = [g.copy() for g in grads.d_biases]
-    cfg = SgdConfig(learning_rate=0.0375, weight_decay=weight_decay,
-                    trainable_groups={"block2", "fc"})
+    cfg = SgdConfig(learning_rate=0.0375, trainable_groups={"block2", "fc"})
     sgd_step_reference(ref, materialized(grads), cfg)
     sgd_step(model, grads, cfg)
     for a, b in zip(model.weights + model.biases, ref.weights + ref.biases):
         assert a.tobytes() == b.tobytes()
     # the factors are never written; the trainable layers' bias gradients
-    # are consumed: without weight decay they now hold lr * g, and the
-    # frozen layer's (block1, index 0) is untouched
+    # are consumed: they now hold lr * g, and the frozen layer's (block1,
+    # index 0) is untouched
     assert [a.tobytes() for a in factors_of(grads)] == [a.tobytes() for a in factors0]
     for i, (g, g0) in enumerate(zip(grads.d_biases, biases0)):
-        if i == 0:
-            assert g.tobytes() == g0.tobytes()
-        elif weight_decay == 0.0:
-            assert g.tobytes() == (cfg.learning_rate * g0).tobytes()
+        want = g0 if i == 0 else cfg.learning_rate * g0
+        assert g.tobytes() == want.tobytes()
 
 
 # The blocked update: each weight is updated in row blocks whose gradient
@@ -341,13 +328,13 @@ def full_matrix_gradient(a: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.einsum("i,j->ij", a[0], delta[0]) if len(a) == 1 else a.T @ delta
 
 
-def assert_blocked_update_equals_full(rng, n_rows, fan_in, cols, weight_decay):
+def assert_blocked_update_equals_full(rng, n_rows, fan_in, cols):
     # Small weights and a unit learning rate: the updated weights carry the
     # gradient's bits, which a small step would round away.
     model = MlpModel([fan_in, cols], [nn._aligned(rng.normal(0.0, 1e-6, size=(fan_in, cols)))],
                      [nn._aligned(rng.normal(0.0, 1e-6, size=cols))], ["fc"])
     ref = clone_frozen(model)
-    cfg = SgdConfig(learning_rate=1.0, weight_decay=weight_decay, trainable_groups={"fc"})
+    cfg = SgdConfig(learning_rate=1.0, trainable_groups={"fc"})
     for _ in range(2):
         a, delta = rng.normal(size=(n_rows, fan_in)), rng.normal(size=(n_rows, cols))
         bias = rng.normal(size=cols)
@@ -360,14 +347,11 @@ def assert_blocked_update_equals_full(rng, n_rows, fan_in, cols, weight_decay):
 
 @settings(max_examples=60, deadline=None)
 @given(n_rows=st.sampled_from([1, 2, 5, 32]), cols=st.sampled_from(BLOCK_COLS),
-       blocks=st.integers(0, 3), remainder=st.data(),
-       weight_decay=st.sampled_from([0.0, 1e-3]), seed=st.integers(0, 2**32 - 1))
-def test_blocked_update_equals_full_matrix_update(n_rows, cols, blocks, remainder,
-                                                  weight_decay, seed):
+       blocks=st.integers(0, 3), remainder=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_blocked_update_equals_full_matrix_update(n_rows, cols, blocks, remainder, seed):
     step = rows_per_block(cols)
     fan_in = max(1, blocks * step + remainder.draw(st.integers(0, step - 1)))
-    assert_blocked_update_equals_full(np.random.default_rng(seed), n_rows, fan_in, cols,
-                                      weight_decay)
+    assert_blocked_update_equals_full(np.random.default_rng(seed), n_rows, fan_in, cols)
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 5, 32])
@@ -375,7 +359,7 @@ def test_blocked_update_equals_full_at_every_remainder(n_rows):
     rng = np.random.default_rng(n_rows)
     step = rows_per_block(512)
     for fan_in in range(2 * step, 3 * step):
-        assert_blocked_update_equals_full(rng, n_rows, fan_in, 512, 0.0)
+        assert_blocked_update_equals_full(rng, n_rows, fan_in, 512)
 
 
 @pytest.mark.parametrize("n_rows", [2, 5, 32])
@@ -384,7 +368,7 @@ def test_one_column_layer_is_updated_in_one_block(n_rows):
     # 16,386 rows and 32 batch rows the second block's bits differ
     rng = np.random.default_rng(n_rows)
     for fan_in in [nn.SGD_BLOCK + 2, nn.SGD_BLOCK + 3, nn.SGD_BLOCK + 9]:
-        assert_blocked_update_equals_full(rng, n_rows, fan_in, 1, 0.0)
+        assert_blocked_update_equals_full(rng, n_rows, fan_in, 1)
 
 
 @pytest.mark.parametrize("cols", BLOCK_COLS + [3, 128, 3 * nn.SGD_BLOCK])

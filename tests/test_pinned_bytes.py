@@ -28,7 +28,7 @@ PINNED_NUMPY = "2.4.6"
 PINNED_BLAS = ("scipy-openblas", "0.3.31.188.0")
 PINNED_MACHINE = "x86_64"
 
-PINNED_CHECKPOINT = "18fa71eab8b1b1f0704e2fdb68899f3f3101d86cae942e4e71f25f51eb9fc641"
+PINNED_CHECKPOINT = "e4114385ffcc8bbc5975318e488e3a32e46e6f7eee932d8ffb118eddae4afa4b"
 
 PINNED = {
     "frozen": {

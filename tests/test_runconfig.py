@@ -22,10 +22,6 @@ from oodstream.runconfig import (REMOVED_KEYS, ConfigError, RunConfig, circle_me
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_defaults_match_canonical_scenario():
-    assert RunConfig().scenario_spec() == data.canonical_spec()
-
-
 def test_round_trip_lossless():
     cfg = RunConfig()
     text = to_text(cfg)
@@ -41,7 +37,7 @@ PRETRAINING_CHANGES = [
     {"mean_radius": 2.0}, {"id_spread": 0.3}, {"train_n": 100}, {"test_id_n": 10},
     {"ood_n": 10}, {"seed": 1}, {"ood_sources": (RingSource(radius=2.0, width=0.5),)},
     {"hidden": (8,)}, {"epochs": 1}, {"batch_size": 8}, {"pretrain_lr": 0.1},
-    {"pretrain_weight_decay": 0.01}, {"init_seed": 3}, {"shuffle_seed": 4},
+    {"init_seed": 3}, {"shuffle_seed": 4},
 ]
 # keys that pretraining never reads
 REPLAY_CHANGES = [
@@ -49,23 +45,24 @@ REPLAY_CHANGES = [
     {"lambda2": 0.5}, {"phi": 0.5}, {"iters_t": 1}, {"id_weight": 0.5}, {"k1": 1.0},
     {"k2": 1.0},
     {"stats_subsample_n": 5}, {"memory_seed": 1},
-    {"lr": 0.01}, {"weight_decay": 0.01}, {"trainable_groups": "all"}, {"out_dir": "x"},
+    {"lr": 0.01}, {"trainable_groups": "all"}, {"out_dir": "x"},
 ]
 
 
 def test_config_text_and_hashes_are_pinned():
     """The canonical text, and so both hashes, are pinned. Removing replay
     keys (four variants, then the two score keys) moved the config hash; the
-    pretrain hash, which a checkpoint records, did not move."""
+    pretrain hash, which a checkpoint records, did not move. Removing weight
+    decay moved both: ``pretrain.weight_decay`` was a pretrain line."""
     def sha(cfg):
         return hashlib.sha256(to_text(cfg).encode("ascii")).hexdigest()
 
     assert sha(RunConfig()) == \
-        "0ead26332612f2e6ea0335d8a3f18909b22c33bb9e2ded075e2bc0a4836e7d29"
+        "e0a69aa90ad12ebab1aa6e7a71e4baffcef38b2a8aa513204e463580e1fa1df4"
     assert sha(RunConfig(ood_sources=THREE_SOURCES, hidden=(8, 4, 2))) == \
-        "ba3d4215132315ee6e4d870fa969c7b94d3fec133b229b1d4fd2619ea9a530d3"
-    for path, hashes in (("configs/canonical.cfg", ("9012bb85bd6a", "f28d20d16134")),
-                         ("perfbench/wide_drift.cfg", ("a7afdf5b082b", "67ef954d0777"))):
+        "75e6a0786c112385fc66333f07cab9a2be5f476b8fce5fc1bd6687e1ddb8b6eb"
+    for path, hashes in (("configs/canonical.cfg", ("bf2840e5022c", "d18d52645bbf")),
+                         ("perfbench/wide_drift.cfg", ("2c3f6312cbad", "d565196e55de"))):
         cfg = from_text((ROOT / path).read_text(encoding="ascii"))
         assert (config_hash(cfg), pretrain_hash(cfg)) == hashes, path
 
@@ -225,7 +222,7 @@ def test_ood_count_below_one_rejected():
             with pytest.raises(ConfigError, match=f"^scenario.ood_count = {count} is out of "
                                "range: it must be >= 1$"):
                 from_text(text)
-    assert from_text("scenario.kappa = 0.5\n").ood_sources == data.canonical_spec().ood_sources
+    assert from_text("scenario.kappa = 0.5\n").ood_sources == data.CANONICAL_OOD_SOURCES
 
 
 def test_bad_source_kind_rejected():
@@ -247,7 +244,8 @@ REMOVED_KEY_SPELLINGS = {
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
 def test_removed_key_loads_only_at_its_kept_value(key):
-    """Momentum, four replay variants and the score choice were removed.
+    """Momentum, four replay variants, the score choice and weight decay
+    were removed.
     Each key still loads at its one kept value, as older files set it, and is
     not written back; any other value is one error naming the key."""
     assert set(REMOVED_KEYS) == set(REMOVED_KEY_VALUES)
@@ -313,7 +311,7 @@ RANGE_CHECKS = {
     "pretrain.epochs": (["-1"], ["0"]),
     "pretrain.batch_size": (["0", "-1"], ["1"]),
     "pretrain.lr": (["0", "-0.1", "nan"], ["1e-300"]),
-    "pretrain.weight_decay": (["-1", "-5e-324"], ["0", "-0", "1e-3"]),
+    "pretrain.weight_decay": (["-1", "-5e-324", "1e-3"], ["0", "-0"]),
     "pretrain.init_seed": (["-1"], ["0"]),
     "pretrain.shuffle_seed": (["-1"], ["0"]),
     "auto.lambda1": (["-1e-9", "nan"], ["0"]),
@@ -330,7 +328,7 @@ RANGE_CHECKS = {
     "auto.memory_mode": (["prototypes", "", "prototype"], ["random"]),
     "auto.memory_seed": (["-1"], ["0"]),
     "sgd.lr": (["0", "-0.001", "nan"], ["1e-300"]),
-    "sgd.weight_decay": (["-1", "-5e-324"], ["0", "-0", "0.5"]),
+    "sgd.weight_decay": (["-1", "-5e-324", "0.5"], ["0", "-0"]),
 }
 
 
@@ -379,7 +377,7 @@ CONFIG_VALUES = dict(
     pretrain_lr=positive, lambda1=nonnegative,
     lambda2=nonnegative,
     phi=finite, iters_t=st.integers(0, 10**6), k1=nonnegative, k2=nonnegative,
-    lr=positive, weight_decay=nonnegative,
+    lr=positive,
     trainable_groups=st.sampled_from(["last_block", "all", "none", "block1+fc"]),
 )
 
