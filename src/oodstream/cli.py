@@ -287,8 +287,8 @@ def main(argv: list[str] | None = None) -> int:
             cmd_ablate(cfg)
         elif args.command == "sweep":
             cmd_sweep(cfg, args.param, args.values.split(","))
-    except (CliError, ConfigError, engine.NonFiniteLossError, FloatingPointError,
-            nn.CheckpointError, ValueError, OSError, MemoryError) as exc:
+    except (CliError, ConfigError, FloatingPointError, nn.CheckpointError, ValueError,
+            OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -182,7 +182,6 @@ class Stream:
     is_ood: np.ndarray
     labels: np.ndarray
     segment_bounds: tuple[int, ...] = ()
-    exhausted_pool: str = ""
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -210,7 +209,6 @@ def _compose(id_set: LabeledSet, ood_features: np.ndarray, ood_labels: np.ndarra
     taken_id = np.cumsum(take_id)
     taken_ood = np.arange(1, len(take_id) + 1) - taken_id
     end = int(np.argmax(np.where(take_id, taken_id > n_id, taken_ood > n_ood)))
-    exhausted = "id" if take_id[end] else "ood"
     take_id = take_id[:end]
     take_ood = ~take_id
     id_rows = id_order[:np.count_nonzero(take_id)]
@@ -226,7 +224,6 @@ def _compose(id_set: LabeledSet, ood_features: np.ndarray, ood_labels: np.ndarra
         is_ood=take_ood,
         labels=labels,
         segment_bounds=(0,),
-        exhausted_pool=exhausted,
     )
 
 
@@ -276,7 +273,6 @@ def compose_timeseries(test_id_set: LabeledSet, ood_sets: list[LabeledSet],
         is_ood=np.concatenate([p.is_ood for p in parts]),
         labels=np.concatenate([p.labels for p in parts]),
         segment_bounds=tuple(bounds),
-        exhausted_pool=";".join(p.exhausted_pool for p in parts),
     )
 
 

@@ -32,10 +32,6 @@ from .nn import LossSpec, MlpModel, SgdConfig
 from .runconfig import RunConfig
 
 
-class NonFiniteLossError(ArithmeticError):
-    """An update produced a non-finite loss; the run aborts rather than skip."""
-
-
 @dataclass
 class AutoState:
     """Mutable per-run state owned by a single engine instance."""
@@ -148,14 +144,14 @@ def _episode_spec(state: AutoState, cfg: RunConfig, pred_0: int) -> LossSpec:
         sc_ref_pred=pred_0,
         sc_phi=cfg.phi,
         bank_inputs=state.bank.features,
-        bank_labels=state.bank.labels,
         bank_weight=cfg.id_weight,
     )
 
 
 def _check_finite(loss: float, state: AutoState) -> None:
+    """An update with a non-finite loss aborts the run rather than skip."""
     if not math.isfinite(loss):
-        raise NonFiniteLossError(f"non-finite loss {loss} at stream index {state.step_counter}")
+        raise FloatingPointError(f"non-finite loss {loss} at stream index {state.step_counter}")
 
 
 def step(state: AutoState, cfg: RunConfig, x: np.ndarray,

@@ -12,10 +12,6 @@ import numpy as np
 from .data import LabeledSet
 
 
-class MissingClassError(ValueError):
-    """Training data lacks at least one sample of some class."""
-
-
 @dataclass
 class MemoryBank:
     """Row c of ``features`` is the stored sample for class c."""
@@ -35,17 +31,13 @@ class MemoryBank:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def labels(self) -> np.ndarray:
-        return np.arange(self.num_classes, dtype=np.int64)
-
 
 def _class_indices(training_set: LabeledSet) -> list[np.ndarray]:
     out = []
     for c in range(training_set.num_classes):
         idx = np.flatnonzero(training_set.labels == c)
         if idx.size == 0:
-            raise MissingClassError(f"training data has no sample of class {c}")
+            raise ValueError(f"training data has no sample of class {c}")
         out.append(idx)
     return out
 

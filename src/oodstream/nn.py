@@ -20,24 +20,9 @@ import numpy as np
 CHECKPOINT_MAGIC = "auto-mlp v3"
 
 
-class InputDimensionError(ValueError):
-    """Input vector does not match the model's expected dimension."""
-
-
 class CheckpointError(Exception):
-    """Base class for checkpoint load failures."""
-
-
-class CheckpointVersionError(CheckpointError):
-    """Checkpoint header carries an unknown version tag."""
-
-
-class CheckpointFormatError(CheckpointError):
-    """Checkpoint file is malformed or truncated."""
-
-
-class CheckpointDimensionError(CheckpointError):
-    """Checkpoint tensors are inconsistent with the declared layer dims."""
+    """A checkpoint file that cannot be loaded: an unknown header, a
+    malformed or truncated file, or tensors that do not fit the layer dims."""
 
 
 @dataclass
@@ -148,7 +133,7 @@ def _aligned(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def init_mlp(layer_dims: list[int], seed: int, scale: float | None = None) -> MlpModel:
+def init_mlp(layer_dims: list[int], seed: int) -> MlpModel:
     """He-initialized MLP with zero biases; deterministic for a given seed."""
     if len(layer_dims) < 2:
         raise ValueError("layer_dims needs at least input and output dims")
@@ -157,8 +142,7 @@ def init_mlp(layer_dims: list[int], seed: int, scale: float | None = None) -> Ml
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        s = scale if scale is not None else math.sqrt(2.0 / fan_in)
-        weights.append(_aligned(rng.normal(0.0, s, size=(fan_in, fan_out))))
+        weights.append(_aligned(rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out))))
         biases.append(_aligned(np.zeros(fan_out)))
     return MlpModel(list(layer_dims), weights, biases, default_group_labels(layer_dims))
 
@@ -192,9 +176,7 @@ def forward_logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Logits for a single input vector of length ``model.input_dim``."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.input_dim,):
-        raise InputDimensionError(
-            f"expected input of shape ({model.input_dim},), got {x.shape}"
-        )
+        raise ValueError(f"expected input of shape ({model.input_dim},), got {x.shape}")
     # _forward_from's layer arithmetic on one row, keeping only the last
     # activation. numpy hands a 1-D row to the same gemv as a (1, d) row, so
     # the bits are equal.
@@ -225,8 +207,8 @@ class LossSpec:
         ``sc_phi`` (live-model argmax recomputed at evaluation time, ties to
         the lowest index).
 
-    Memory term: the cross-entropy of ``bank_inputs`` against
-    ``bank_labels``, summed over rows and scaled by ``bank_weight``.
+    Memory term: the cross-entropy of each row c of ``bank_inputs`` against
+    class c, summed over rows and scaled by ``bank_weight``.
     """
 
     uniform_weight: float = 0.0
@@ -234,7 +216,6 @@ class LossSpec:
     sc_ref_pred: int | None = None
     sc_phi: float = 0.0
     bank_inputs: np.ndarray | None = None
-    bank_labels: np.ndarray | None = None
     bank_weight: float = 0.0
 
     def __post_init__(self) -> None:
@@ -249,8 +230,8 @@ class EpisodeBatch:
 
     ``rows`` stacks the probe row on the C bank rows, probe first; the bank
     rows ride along only when the bank term carries weight, and
-    ``bank_label_index`` then holds the flat index of each bank row's label
-    in the (1 + C, classes) logits (it is empty otherwise). Gradients are
+    ``bank_label_index`` then holds the flat index of bank row c's class c
+    in the (1 + C, C) logits (it is empty otherwise). Gradients are
     kept for the layers marked in ``keep``, and the error signal stops at
     ``lowest``, the lowest kept layer. ``prefix`` holds the activations that
     feed layer ``lowest``: the batch stays valid while no layer below
@@ -271,20 +252,18 @@ def prepare_episode(model: MlpModel, x: np.ndarray, spec: LossSpec,
     """Stack the probe row ``x`` on the bank rows of ``spec`` and forward
     them through the layers below the lowest trainable one.
 
-    ``trainable`` = None keeps every layer.
+    ``trainable`` = None keeps every layer. The bank must hold one row per
+    class.
     """
     xv = np.asarray(x, dtype=np.float64)
     if xv.shape != (model.input_dim,):
-        raise InputDimensionError(
-            f"expected input of shape ({model.input_dim},), got {xv.shape}"
-        )
+        raise ValueError(f"expected input of shape ({model.input_dim},), got {xv.shape}")
     if spec.bank_inputs is not None and spec.bank_weight != 0.0:
-        labels = np.asarray(spec.bank_labels, dtype=np.int64)
         rows = np.concatenate([xv[None, :], np.asarray(spec.bank_inputs, dtype=np.float64)])
         c = model.num_classes
-        if len(labels) and not 0 <= np.minimum.reduce(labels) <= np.maximum.reduce(labels) < c:
-            raise IndexError(f"bank label out of range for {c} classes")
-        at_labels = np.arange(1, len(labels) + 1) * c + labels
+        if len(rows) != c + 1:
+            raise ValueError(f"bank holds {len(rows) - 1} rows, expected one per class ({c})")
+        at_labels = np.arange(1, c + 1) * c + np.arange(c)
     else:
         rows, at_labels = xv[None, :], np.empty(0, dtype=np.int64)
     keep = [trainable is None or g in trainable for g in model.group_labels]
@@ -525,7 +504,8 @@ def load_checkpoint(path) -> tuple[MlpModel, str]:
     """Reload a checkpoint and its pretraining hash, validating version,
     structure, dimensions and values.
 
-    Any header but the current one is a :class:`CheckpointVersionError`.
+    Any failure is a :class:`CheckpointError`; for a header but the current
+    one, its message says to run ``pretrain`` again.
     Each tensor is read straight into its 64-byte-aligned array, so no
     tensor is held twice.
     """
@@ -534,30 +514,28 @@ def load_checkpoint(path) -> tuple[MlpModel, str]:
         # quotes at most that many bytes in the error below.
         raw = [f.readline(len(CHECKPOINT_MAGIC) + 1)]
         if not raw[0]:
-            raise CheckpointFormatError("empty checkpoint file")
+            raise CheckpointError("empty checkpoint file")
         magic = raw[0].rstrip(b"\n").decode("ascii", "replace")
         if magic != CHECKPOINT_MAGIC:
-            raise CheckpointVersionError(
+            raise CheckpointError(
                 f"unsupported checkpoint header {magic!r}, expected {CHECKPOINT_MAGIC!r} "
                 "(run `pretrain` again to rewrite it)"
             )
         raw += [f.readline(_HEADER_LINE_BYTES) for _ in range(3)]
         if not all(line.endswith(b"\n") for line in raw):
-            raise CheckpointFormatError("truncated checkpoint: missing header lines")
+            raise CheckpointError("truncated checkpoint: missing header lines")
         dims_line, labels_line, pretrain_hash = (
             line[:-1].decode("ascii", "replace") for line in raw[1:])
         try:
             layer_dims = [int(t) for t in dims_line.split()]
         except ValueError as exc:
-            raise CheckpointFormatError(f"bad layer dims line: {dims_line!r}") from exc
+            raise CheckpointError(f"bad layer dims line: {dims_line!r}") from exc
         if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-            raise CheckpointDimensionError(f"invalid layer dims {layer_dims}")
+            raise CheckpointError(f"invalid layer dims {layer_dims}")
         group_labels = labels_line.split()
         n_layers = len(layer_dims) - 1
         if len(group_labels) != n_layers:
-            raise CheckpointDimensionError(
-                f"expected {n_layers} group labels, got {len(group_labels)}"
-            )
+            raise CheckpointError(f"expected {n_layers} group labels, got {len(group_labels)}")
         end = os.fstat(f.fileno()).st_size
         tensors: list[np.ndarray] = []
         for i in range(n_layers):
@@ -568,11 +546,11 @@ def load_checkpoint(path) -> tuple[MlpModel, str]:
                 nbytes, got = 8 * math.prod(shape), end - f.tell()
                 tensor = _aligned_empty(shape) if got >= nbytes else None
                 if tensor is None or f.readinto(tensor) != nbytes:
-                    raise CheckpointFormatError(
+                    raise CheckpointError(
                         f"tensor {name}: expected {nbytes} bytes, got {min(got, nbytes)}")
                 if not np.isfinite(tensor).all():
-                    raise CheckpointFormatError(f"tensor {name}: non-finite value")
+                    raise CheckpointError(f"tensor {name}: non-finite value")
                 tensors.append(tensor)
         if f.read(1):
-            raise CheckpointFormatError(f"unexpected bytes after tensor b{n_layers - 1}")
+            raise CheckpointError(f"unexpected bytes after tensor b{n_layers - 1}")
     return MlpModel(layer_dims, tensors[0::2], tensors[1::2], group_labels), pretrain_hash

@@ -337,12 +337,12 @@ def _stacked_terms(model: MlpModel, x, spec: LossSpec):
     total, dl_probe = probe_dlogits_reference(logits[0], spec)
     dlogits = [dl_probe]
     if with_bank:
-        yb = np.asarray(spec.bank_labels, dtype=np.int64)
         ls = logits[1:] - logits[1:].max(axis=1, keepdims=True)
         ls = ls - np.log(np.exp(ls).sum(axis=1, keepdims=True))
-        total += spec.bank_weight * float(-ls[np.arange(len(yb)), yb].sum())
+        yb = np.arange(len(ls))
+        total += spec.bank_weight * float(-ls[yb, yb].sum())
         probs = np.exp(ls)
-        probs[np.arange(len(yb)), yb] -= 1.0
+        probs[yb, yb] -= 1.0
         dlogits.extend(spec.bank_weight * probs)
     return total, pre, acts, np.array(dlogits)
 
@@ -446,14 +446,14 @@ def loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
     if (dl != 0.0).any():
         backprop_reference(model, pre, acts, dl[None, :], grads)
     if spec.bank_inputs is not None and spec.bank_weight != 0.0:
-        yb = np.asarray(spec.bank_labels, dtype=np.int64)
         logits, pre, acts = forward_batch_reference(
             model, np.asarray(spec.bank_inputs, dtype=np.float64))
         ls = logits - logits.max(axis=1, keepdims=True)
         ls = ls - np.log(np.exp(ls).sum(axis=1, keepdims=True))
-        total += spec.bank_weight * float(-ls[np.arange(len(yb)), yb].sum())
+        yb = np.arange(len(ls))
+        total += spec.bank_weight * float(-ls[yb, yb].sum())
         probs = np.exp(ls)
-        probs[np.arange(len(yb)), yb] -= 1.0
+        probs[yb, yb] -= 1.0
         backprop_reference(model, pre, acts, spec.bank_weight * probs, grads)
     return total, grads
 
@@ -557,12 +557,10 @@ def compose_reference(id_set: LabeledSet, ood_features: np.ndarray, ood_labels: 
     ood_order = rng.permutation(n_ood)
     feats, flags, labels = [], [], []
     i = j = 0
-    exhausted = ""
     while True:
         take_id = rng.random() < kappa
         if take_id:
             if i >= n_id:
-                exhausted = "id"
                 break
             k = id_order[i]
             feats.append(id_set.features[k])
@@ -571,7 +569,6 @@ def compose_reference(id_set: LabeledSet, ood_features: np.ndarray, ood_labels: 
             i += 1
         else:
             if j >= n_ood:
-                exhausted = "ood"
                 break
             k = ood_order[j]
             feats.append(ood_features[k])
@@ -583,7 +580,6 @@ def compose_reference(id_set: LabeledSet, ood_features: np.ndarray, ood_labels: 
         is_ood=np.asarray(flags, dtype=bool),
         labels=np.asarray(labels, dtype=np.int64),
         segment_bounds=(0,),
-        exhausted_pool=exhausted,
     )
 
 

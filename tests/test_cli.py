@@ -170,7 +170,7 @@ def test_non_finite_float_fails_at_load(tmp_path, capsys, key, raw):
 
 
 @pytest.mark.parametrize("mode", ["auto", "frozen"])
-def test_nonzero_sgd_momentum_fails_at_load(pretrained, capsys, mode):
+def test_removed_keys_load_only_at_their_kept_value(pretrained, capsys, mode):
     """Momentum, four replay variants, the score choice and weight decay
     were removed. Each removed key still loads at its one kept value, as
     older files set it, and changes no output byte, the config hash
@@ -380,6 +380,23 @@ def test_non_finite_arrival_fails_with_one_line(pretrained, capsys, mode):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
     assert err == f"error: non-finite logits in forward pass at stream index {first}\n"
+
+
+def test_non_finite_loss_fails_with_one_line(tmp_path, capsys):
+    """An SGD step of 1e300 on every layer makes the first update episode's
+    loss NaN. Until that episode the auto replay decides as the frozen one,
+    so the failing index is the frozen run's first pseudo-OOD arrival."""
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, out_dir=str(out), lr=1e300, trainable_groups="all")
+    assert main(["--config", str(cfg_path), "pretrain"]) == 0
+    assert main(["--config", str(cfg_path), "run", "--mode", "frozen"]) == 0
+    decisions = [ln.split(",")[3] for ln in
+                 (out / "frozen_events.csv").read_text().splitlines()[2:]]
+    first = decisions.index("pseudo_ood")
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "run", "--mode", "auto"]) == 1
+    assert capsys.readouterr().err == f"error: non-finite loss nan at stream index {first}\n"
+    assert list(out.glob("auto_*")) == []
 
 
 @pytest.mark.parametrize("mode", ["auto", "frozen"])

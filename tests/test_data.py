@@ -95,7 +95,6 @@ def test_compose_stream_kappa_zero_pure_ood():
     stream = compose_stream(test_id, oods[0], kappa=0.0, seed=1)
     assert np.all(stream.is_ood)
     assert len(stream) == len(oods[0])
-    assert stream.exhausted_pool == "ood"
 
 
 def test_compose_stream_invalid_kappa():
@@ -188,7 +187,7 @@ def _compose_outcome(composer: str, id_set, ood_sets, kappa, seed):
         return str(exc)
     arrays = [(a.dtype.str, a.shape, a.tobytes())
               for a in (stream.features, stream.is_ood, stream.labels)]
-    return arrays, stream.segment_bounds, stream.exhausted_pool
+    return arrays, stream.segment_bounds
 
 
 @pytest.mark.parametrize("composer", ["stream", "mixed", "timeseries"])

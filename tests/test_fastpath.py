@@ -201,7 +201,6 @@ def full_spec(rng, model, with_probe_terms=True):
         sc_ref_pred=2,
         sc_phi=0.2,
         bank_inputs=rng.normal(size=(c, model.input_dim)),
-        bank_labels=np.arange(c),
         bank_weight=1.0,
     )
 

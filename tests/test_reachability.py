@@ -3,12 +3,14 @@
 The command-line front end runs in process under ``sys.setprofile`` on a
 tiny scenario, and every ``def`` in ``src/oodstream/*.py`` must be entered
 at least once. Code that no command reaches belongs in the tests, as an
-oracle, or nowhere.
+oracle, or nowhere. Likewise every exception class the package defines is
+one that ``cli.main`` catches by name.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import os
 import sys
@@ -117,3 +119,23 @@ def test_every_package_function_is_reached_by_a_command(tmp_path, capsys):
                      - ALLOWED_UNREACHED)
     assert missing == [], f"no command reaches {', '.join(missing)}"
     assert len(defs) > 80  # the parse found the package's functions
+
+
+def test_every_package_exception_class_is_caught_by_name_in_main():
+    """A subclass that nothing catches by name is API no caller uses: raise
+    its base class instead."""
+    defined = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"oodstream.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and issubclass(getattr(module, node.name),
+                                                              BaseException):
+                defined.add(node.name)
+    cli_tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    [main_def] = [node for node in cli_tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    caught = {node.id if isinstance(node, ast.Name) else node.attr
+              for handler in ast.walk(main_def) if isinstance(handler, ast.ExceptHandler)
+              for node in ast.walk(handler.type) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert defined - caught == set(), f"cli.main does not catch {sorted(defined - caught)}"
+    assert {"CliError", "ConfigError", "CheckpointError"} <= defined
