@@ -106,7 +106,7 @@ def _prepare(cfg: RunConfig, *replays: RunConfig) -> tuple:
     if saved != expected:
         raise CliError(f"checkpoint {ckpt} was pretrained under pretrain hash {saved}, but the "
                        f"config has pretrain hash {expected} (run `pretrain` again)")
-    train, test_id, ood_sets = data.make_scenario(cfg.scenario_spec())
+    train, test_id, ood_sets = data.make_scenario(cfg)
     streams, keys = {}, []
     for c in replays or (cfg,):
         keys.append(tuple(getattr(c, name) for name in STREAM_FIELDS))
@@ -170,10 +170,9 @@ def _write_metrics_json(path: Path, rep: metrics.MetricsReport, chash: str,
 
 
 def cmd_pretrain(cfg: RunConfig) -> None:
-    train, test_id, _ = data.make_scenario(cfg.scenario_spec())
+    train, test_id, _ = data.make_scenario(cfg)
     model = nn.init_mlp(cfg.layer_dims(), seed=cfg.init_seed)
-    sgd = nn.SgdConfig(learning_rate=cfg.pretrain_lr)
-    nn.train_offline(model, train, cfg.epochs, cfg.batch_size, sgd,
+    nn.train_offline(model, train, cfg.epochs, cfg.batch_size, cfg.pretrain_lr,
                      seed=cfg.shuffle_seed)
     out = _out_dir(cfg)
     nn.save_checkpoint(model, out / CHECKPOINT_NAME, runconfig.pretrain_hash(cfg))

@@ -4,16 +4,19 @@ In-distribution data is a C-class isotropic Gaussian mixture; outlier pools
 come from shifted Gaussians, uniform boxes, or rings. Streams interleave an
 ID pool with one or more OOD pools by a per-position Bernoulli draw with ID
 probability kappa, sampling without replacement and truncating at the first
-pool exhaustion. Everything is a pure function of (spec, seed).
+pool exhaustion. Everything is a pure function of the ``RunConfig``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
+
+if TYPE_CHECKING:  # runconfig imports this module
+    from .runconfig import RunConfig
 
 
 @dataclass
@@ -69,62 +72,38 @@ OodSource = GaussianSource | UniformBoxSource | RingSource
 OOD_KINDS = {cls.kind: cls for cls in (GaussianSource, UniformBoxSource, RingSource)}
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Complete, seeded description of one synthetic benchmark.
+def check_sources(sources: tuple[OodSource, ...], dim: int) -> None:
+    """Raise ValueError naming the config key of the first bad source value;
+    NaN fails every check."""
+    for i, src in enumerate(sources, start=1):
+        key = f"scenario.ood{i}"
+        for f in fields(src):
+            value = getattr(src, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{key}.{f.name} = {','.join(map(repr, values))} is out "
+                                 "of range: it must be finite")
+            if isinstance(value, tuple):
+                if len(value) != dim:
+                    raise ValueError(f"OOD source {i} ({key}.{f.name}) has "
+                                     f"length {len(value)}; dim is {dim}")
+            elif not value > 0:
+                raise ValueError(f"{key}.{f.name} = {value!r} is out of range: it must be > 0")
+        if isinstance(src, UniformBoxSource) and not np.all(np.greater(src.high, src.low)):
+            raise ValueError(f"{key}.high must exceed {key}.low in every coordinate")
 
-    ``train_n`` and ``test_id_n`` are totals split as evenly as possible
-    across classes (remainder to the lowest class indices); ``ood_n`` is
-    per source.
-    """
 
-    dim: int
-    num_classes: int
-    class_means: tuple[tuple[float, ...], ...]
-    id_spread: float
-    ood_sources: tuple[OodSource, ...]
-    train_n: int
-    test_id_n: int
-    ood_n: int
-    seed: int
-
-    def validate(self) -> None:
-        """Raise ValueError naming the config key of the first bad value;
-        NaN fails every check."""
-        for key, value, ok, rule in (
-            ("scenario.classes", self.num_classes, self.num_classes >= 2, ">= 2"),
-            ("scenario.dim", self.dim, self.dim >= 1, ">= 1"),
-            ("scenario.id_spread", self.id_spread, self.id_spread > 0, "> 0"),
-            ("scenario.train_n", self.train_n, self.train_n >= 1, ">= 1"),
-            # train_n is split evenly across classes, so each class gets a row
-            ("scenario.train_n", self.train_n, self.train_n >= self.num_classes,
-             f">= scenario.classes ({self.num_classes})"),
-            ("scenario.test_id_n", self.test_id_n, self.test_id_n >= 1, ">= 1"),
-            ("scenario.ood_n", self.ood_n, self.ood_n >= 1, ">= 1"),
-            ("scenario.seed", self.seed, self.seed >= 0, ">= 0"),
-        ):
-            if not ok:
-                raise ValueError(f"{key} = {value!r} is out of range: it must be {rule}")
-        if len(self.class_means) != self.num_classes:
-            raise ValueError("one mean per class required")
-        if any(len(m) != self.dim for m in self.class_means):
-            raise ValueError("class means must have length dim")
-        for i, src in enumerate(self.ood_sources, start=1):
-            key = f"scenario.ood{i}"
-            for f in fields(src):
-                value = getattr(src, f.name)
-                values = value if isinstance(value, tuple) else (value,)
-                if not all(map(math.isfinite, values)):
-                    raise ValueError(f"{key}.{f.name} = {','.join(map(repr, values))} is out "
-                                     "of range: it must be finite")
-                if isinstance(value, tuple):
-                    if len(value) != self.dim:
-                        raise ValueError(f"OOD source {i} ({key}.{f.name}) has "
-                                         f"length {len(value)}; dim is {self.dim}")
-                elif not value > 0:
-                    raise ValueError(f"{key}.{f.name} = {value!r} is out of range: it must be > 0")
-            if isinstance(src, UniformBoxSource) and not np.all(np.greater(src.high, src.low)):
-                raise ValueError(f"{key}.high must exceed {key}.low in every coordinate")
+def circle_means(num_classes: int, mean_radius: float,
+                 dim: int) -> tuple[tuple[float, ...], ...]:
+    """Class means evenly spaced on a circle in the first two dims (origin-
+    centered line for dim = 1), matching the pinned canonical layout."""
+    if dim == 1:
+        return tuple((mean_radius * (c - (num_classes - 1) / 2.0),) for c in range(num_classes))
+    means = []
+    for c in range(num_classes):
+        a = math.pi / 2 + 2 * math.pi * c / num_classes
+        means.append((mean_radius * math.cos(a), mean_radius * math.sin(a)) + (0.0,) * (dim - 2))
+    return tuple(means)
 
 
 def _even_split(total: int, parts: int) -> list[int]:
@@ -132,17 +111,18 @@ def _even_split(total: int, parts: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
-def _draw_id_set(spec: ScenarioSpec, total: int, rng: np.random.Generator) -> LabeledSet:
-    counts = _even_split(total, spec.num_classes)
+def _draw_id_set(cfg: RunConfig, total: int, rng: np.random.Generator) -> LabeledSet:
+    counts = _even_split(total, cfg.classes)
+    means = circle_means(cfg.classes, cfg.mean_radius, cfg.dim)
     feats, labels = [], []
     for c, n_c in enumerate(counts):
-        mean = np.asarray(spec.class_means[c], dtype=np.float64)
-        feats.append(rng.normal(0.0, spec.id_spread, size=(n_c, spec.dim)) + mean)
+        mean = np.asarray(means[c], dtype=np.float64)
+        feats.append(rng.normal(0.0, cfg.id_spread, size=(n_c, cfg.dim)) + mean)
         labels.append(np.full(n_c, c, dtype=np.int64))
     features = np.concatenate(feats)
     labels_arr = np.concatenate(labels)
     order = rng.permutation(total)
-    return LabeledSet(features[order], labels_arr[order], spec.num_classes)
+    return LabeledSet(features[order], labels_arr[order], cfg.classes)
 
 
 def _draw_ood_set(src: OodSource, dim: int, n: int, rng: np.random.Generator) -> LabeledSet:
@@ -160,13 +140,17 @@ def _draw_ood_set(src: OodSource, dim: int, n: int, rng: np.random.Generator) ->
     return LabeledSet(feats, np.full(n, -1, dtype=np.int64), 0)
 
 
-def make_scenario(spec: ScenarioSpec) -> tuple[LabeledSet, LabeledSet, list[LabeledSet]]:
-    """Seeded draw of (train ID, test ID, one pool per OOD source)."""
-    spec.validate()
-    rng = np.random.default_rng(spec.seed)
-    train = _draw_id_set(spec, spec.train_n, rng)
-    test_id = _draw_id_set(spec, spec.test_id_n, rng)
-    ood_sets = [_draw_ood_set(src, spec.dim, spec.ood_n, rng) for src in spec.ood_sources]
+def make_scenario(cfg: RunConfig) -> tuple[LabeledSet, LabeledSet, list[LabeledSet]]:
+    """Seeded draw of (train ID, test ID, one pool per OOD source).
+
+    ``train_n`` and ``test_id_n`` are totals split as evenly as possible
+    across classes (remainder to the lowest class indices); ``ood_n`` is
+    per source.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    train = _draw_id_set(cfg, cfg.train_n, rng)
+    test_id = _draw_id_set(cfg, cfg.test_id_n, rng)
+    ood_sets = [_draw_ood_set(src, cfg.dim, cfg.ood_n, rng) for src in cfg.ood_sources]
     return train, test_id, ood_sets
 
 

@@ -443,8 +443,9 @@ def accuracy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float
 
 
 def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
-                  cfg: SgdConfig, seed: int = 0) -> MlpModel:
-    """Minibatch SGD on mean label cross-entropy over all parameter groups.
+                  lr: float, seed: int = 0) -> MlpModel:
+    """Minibatch SGD at learning rate ``lr`` on mean label cross-entropy over
+    all parameter groups.
 
     ``dataset`` needs ``.features`` (N, d) and ``.labels`` (N,). Shuffling is
     seeded. ``epochs=0`` is a no-op.
@@ -456,7 +457,7 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
         raise ValueError("empty training dataset")
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError("labels out of range for the model's class count")
-    train_cfg = SgdConfig(cfg.learning_rate, frozenset(model.group_labels))
+    train_cfg = SgdConfig(lr, frozenset(model.group_labels))
     keep = [True] * model.num_layers
     rng = np.random.default_rng(seed)
     for _ in range(epochs):

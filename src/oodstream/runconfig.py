@@ -13,7 +13,7 @@ import hashlib
 import math
 from dataclasses import Field, dataclass, field, fields
 
-from .data import CANONICAL_OOD_SOURCES, OOD_KINDS, OodSource, ScenarioSpec
+from .data import CANONICAL_OOD_SOURCES, OOD_KINDS, OodSource, check_sources
 from .nn import MlpModel, default_group_labels, last_block_group
 
 
@@ -21,21 +21,9 @@ class ConfigError(Exception):
     """Bad key, bad value, or missing required section."""
 
 
-def circle_means(num_classes: int, mean_radius: float,
-                 dim: int) -> tuple[tuple[float, ...], ...]:
-    """Class means evenly spaced on a circle in the first two dims (origin-
-    centered line for dim = 1), matching the pinned canonical layout."""
-    if dim == 1:
-        return tuple((mean_radius * (c - (num_classes - 1) / 2.0),) for c in range(num_classes))
-    means = []
-    for c in range(num_classes):
-        a = math.pi / 2 + 2 * math.pi * c / num_classes
-        means.append((mean_radius * math.cos(a), mean_radius * math.sin(a)) + (0.0,) * (dim - 2))
-    return tuple(means)
-
-
 # Range rules, ``(test, text)``; each test is written so that NaN fails it.
 _GE0 = (lambda v: v >= 0, ">= 0")
+_GE1 = (lambda v: v >= 1, ">= 1")
 _GT0 = (lambda v: v > 0, "> 0")
 
 
@@ -54,14 +42,15 @@ class RunConfig:
     """
 
     # scenario
-    dim: int = field(default=2, metadata={"key": "scenario.dim"})
-    classes: int = field(default=3, metadata={"key": "scenario.classes"})
+    dim: int = field(default=2, metadata={"key": "scenario.dim", "rule": _GE1})
+    classes: int = field(default=3, metadata={
+        "key": "scenario.classes", "rule": (lambda v: v >= 2, ">= 2")})
     mean_radius: float = field(default=1.0, metadata={"key": "scenario.mean_radius"})
-    id_spread: float = field(default=0.25, metadata={"key": "scenario.id_spread"})
-    train_n: int = field(default=450, metadata={"key": "scenario.train_n"})
-    test_id_n: int = field(default=4000, metadata={"key": "scenario.test_id_n"})
-    ood_n: int = field(default=4000, metadata={"key": "scenario.ood_n"})
-    seed: int = field(default=20240611, metadata={"key": "scenario.seed"})
+    id_spread: float = field(default=0.25, metadata={"key": "scenario.id_spread", "rule": _GT0})
+    train_n: int = field(default=450, metadata={"key": "scenario.train_n", "rule": _GE1})
+    test_id_n: int = field(default=4000, metadata={"key": "scenario.test_id_n", "rule": _GE1})
+    ood_n: int = field(default=4000, metadata={"key": "scenario.ood_n", "rule": _GE1})
+    seed: int = field(default=20240611, metadata={"key": "scenario.seed", "rule": _GE0})
     stream: str = field(default="single", metadata={
         "key": "scenario.stream", "stream": True, "rule": (
             lambda v: v in ("single", "mixed", "timeseries"), "one of single, mixed, timeseries")})
@@ -75,8 +64,7 @@ class RunConfig:
         "key": "pretrain.hidden", "rule": (lambda v: bool(v) and min(v) >= 1,
                                            "list one or more widths, each >= 1")})
     epochs: int = field(default=200, metadata={"key": "pretrain.epochs", "rule": _GE0})
-    batch_size: int = field(default=32, metadata={
-        "key": "pretrain.batch_size", "rule": (lambda v: v >= 1, ">= 1")})
+    batch_size: int = field(default=32, metadata={"key": "pretrain.batch_size", "rule": _GE1})
     pretrain_lr: float = field(default=0.05, metadata={"key": "pretrain.lr", "rule": _GT0})
     init_seed: int = field(default=1, metadata={"key": "pretrain.init_seed", "rule": _GE0})
     shuffle_seed: int = field(default=2, metadata={"key": "pretrain.shuffle_seed", "rule": _GE0})
@@ -119,25 +107,16 @@ class RunConfig:
         name = self.trainable_groups.strip()
         if name not in ("none", "all", "last_block"):
             _named_groups(name, default_group_labels(self.layer_dims()))
+        # train_n is split evenly across classes, so each class gets a row
+        if self.train_n < self.classes:
+            raise ConfigError(f"scenario.train_n = {self.train_n!r} is out of range: "
+                              f"it must be >= scenario.classes ({self.classes})")
         try:
-            self.scenario_spec().validate()
+            check_sources(self.ood_sources, self.dim)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     # -- derived objects ----------------------------------------------------
-
-    def scenario_spec(self) -> ScenarioSpec:
-        return ScenarioSpec(
-            dim=self.dim,
-            num_classes=self.classes,
-            class_means=circle_means(self.classes, self.mean_radius, self.dim),
-            id_spread=self.id_spread,
-            ood_sources=self.ood_sources,
-            train_n=self.train_n,
-            test_id_n=self.test_id_n,
-            ood_n=self.ood_n,
-            seed=self.seed,
-        )
 
     def layer_dims(self) -> list[int]:
         return [self.dim, *self.hidden, self.classes]

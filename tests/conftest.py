@@ -27,13 +27,11 @@ def canonical(canonical_out):
     checkpoint, and the composed stream for the pinned reference
     configuration. Heavy enough to share across the session."""
     cfg = RunConfig()
-    spec = cfg.scenario_spec()
-    train, test_id, oods = data.make_scenario(spec)
+    train, test_id, oods = data.make_scenario(cfg)
     model, _ = nn.load_checkpoint(canonical_out / CHECKPOINT_NAME)
     stream = data.compose_stream(test_id, oods[0], kappa=cfg.kappa, seed=cfg.stream_seed)
     return {
         "run_config": cfg,
-        "spec": spec,
         "train": train,
         "test_id": test_id,
         "oods": oods,

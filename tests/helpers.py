@@ -459,10 +459,9 @@ def loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
 
 
 def train_offline_reference(model: MlpModel, features, labels, epochs: int,
-                            batch_size: int, cfg: SgdConfig, seed: int = 0) -> MlpModel:
+                            batch_size: int, lr: float, seed: int = 0) -> MlpModel:
     """Minibatch SGD on mean label cross-entropy, gradients from the oracle."""
-    train_cfg = SgdConfig(learning_rate=cfg.learning_rate,
-                          trainable_groups=frozenset(model.group_labels))
+    train_cfg = SgdConfig(learning_rate=lr, trainable_groups=frozenset(model.group_labels))
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         order = rng.permutation(len(features))

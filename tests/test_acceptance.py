@@ -73,9 +73,8 @@ def canonical_runs(canonical):
 def assert_structural_invariants(canonical, log, state, initial_model):
     """Criterion 8 checks, applied to every end-to-end run."""
     cfg = canonical["run_config"]
-    spec = canonical["spec"]
     # bank cardinality
-    assert state.bank.features.shape == (spec.num_classes, spec.dim)
+    assert state.bank.features.shape == (cfg.classes, cfg.dim)
     # frozen parameter groups bitwise constant
     trainable = cfg.resolve_groups(state.model_t)
     for i, group in enumerate(state.model_t.group_labels):
@@ -251,13 +250,12 @@ def test_criterion_8_structural_invariants(canonical, canonical_runs):
     m_in0 = state.margins.m_in
     probe = canonical["stream"].features[0]
     probe_ref = nn.forward_logits(state.model_0, probe).copy()
-    spec = canonical["spec"]
     stream = canonical["stream"]
     prev_m_out = state.margins.m_out
     for i in range(400):
         event, _ = engine.step(state, cfg, stream.features[i],
                                (bool(stream.is_ood[i]), int(stream.labels[i])))
-        assert state.bank.num_classes == spec.num_classes
+        assert state.bank.num_classes == cfg.classes
         assert state.margins.m_in == m_in0
         assert state.margins.m_out <= prev_m_out
         prev_m_out = state.margins.m_out

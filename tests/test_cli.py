@@ -52,7 +52,7 @@ def test_pretrain_writes_checkpoint_and_summary(pretrained):
     cfg = from_text(cfg_path.read_text())
     assert saved == pretrain_hash(cfg)
     from oodstream import data
-    train, _, _ = data.make_scenario(cfg.scenario_spec())
+    train, _, _ = data.make_scenario(cfg)
     assert nn.accuracy(model, train.features, train.labels) == pytest.approx(
         summary["train_accuracy"], abs=0)
 
@@ -371,7 +371,7 @@ def test_non_finite_arrival_fails_with_one_line(pretrained, capsys, mode):
     # the OOD sources are part of the pretrain hash
     assert main(["--config", str(cfg_path), "pretrain"]) == 0
     cfg = from_text(cfg_path.read_text())
-    _, test_id, ood_sets = data.make_scenario(cfg.scenario_spec())
+    _, test_id, ood_sets = data.make_scenario(cfg)
     stream = cli._make_stream(cfg, test_id, ood_sets)
     first = int(np.flatnonzero(np.abs(stream.features).max(axis=1) > 1e300)[0])
     with warnings.catch_warnings(record=True) as caught:

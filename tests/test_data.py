@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,25 +12,18 @@ from hypothesis import strategies as st
 
 from helpers import compose_reference
 from oodstream import data
-from oodstream.data import (GaussianSource, LabeledSet, RingSource, ScenarioSpec,
-                            UniformBoxSource, compose_mixed, compose_stream,
-                            compose_timeseries, make_scenario)
+from oodstream.data import (GaussianSource, LabeledSet, RingSource, UniformBoxSource,
+                            circle_means, compose_mixed, compose_stream, compose_timeseries,
+                            make_scenario)
 from oodstream.runconfig import RunConfig
 
 
-def small_spec(**overrides) -> ScenarioSpec:
-    base = ScenarioSpec(
-        dim=2,
-        num_classes=2,
-        class_means=((-1.0, 0.0), (1.0, 0.0)),
-        id_spread=0.2,
-        ood_sources=(GaussianSource(center=(0.0, 4.0), spread=0.5),),
-        train_n=40,
-        test_id_n=30,
-        ood_n=25,
-        seed=7,
-    )
-    return replace(base, **overrides)
+def small_spec(**overrides) -> RunConfig:
+    """A small two-class scenario; its class means are (0, 1) and (0, -1)."""
+    return RunConfig(**{
+        "dim": 2, "classes": 2, "id_spread": 0.2,
+        "ood_sources": (GaussianSource(center=(0.0, 4.0), spread=0.5),),
+        "train_n": 40, "test_id_n": 30, "ood_n": 25, "seed": 7, **overrides})
 
 
 def test_make_scenario_shapes_and_labels():
@@ -52,22 +44,9 @@ def test_make_scenario_deterministic():
 def test_make_scenario_degenerate_spread():
     spec = small_spec(id_spread=1e-300)
     _, test_id, _ = make_scenario(spec)
+    means = circle_means(spec.classes, spec.mean_radius, spec.dim)
     for x, y in zip(test_id.features, test_id.labels):
-        assert np.allclose(x, spec.class_means[y], atol=1e-290)
-
-
-def test_make_scenario_validation_errors():
-    with pytest.raises(ValueError):
-        make_scenario(small_spec(num_classes=1, class_means=((0.0, 0.0),)))
-    with pytest.raises(ValueError):
-        make_scenario(small_spec(id_spread=0.0))
-    with pytest.raises(ValueError):
-        make_scenario(small_spec(train_n=0))
-    with pytest.raises(ValueError):
-        make_scenario(small_spec(ood_sources=(RingSource(radius=-1.0, width=1.0),)))
-    with pytest.raises(ValueError):
-        make_scenario(small_spec(
-            ood_sources=(UniformBoxSource(low=(0.0, 0.0), high=(0.0, 1.0)),)))
+        assert np.allclose(x, means[y], atol=1e-290)
 
 
 def test_ring_source_radii():
@@ -208,11 +187,11 @@ def test_composers_equal_per_slot_reference(composer, n_id, n_oods, dim, seed, k
 
 
 def test_canonical_spec_is_pinned():
-    spec = RunConfig().scenario_spec()
-    assert spec.dim == 2 and spec.num_classes == 3
-    for mean in spec.class_means:
+    cfg = RunConfig()
+    assert cfg.dim == 2 and cfg.classes == 3
+    for mean in circle_means(cfg.classes, cfg.mean_radius, cfg.dim):
         assert math.hypot(*mean) == pytest.approx(1.0, abs=1e-12)
-    near, far = spec.ood_sources
+    near, far = cfg.ood_sources
     assert isinstance(near, GaussianSource) and isinstance(far, GaussianSource)
     assert math.hypot(*near.center) == pytest.approx(2.5, abs=1e-12)
     assert math.hypot(*far.center) == pytest.approx(5.0, abs=1e-12)

@@ -28,7 +28,7 @@ from helpers import (assert_columns_equal, assert_replays_equal, checkpoint_byte
                      score_reference, total_loss, train_offline_reference)
 from oodstream import cli, engine, metrics, nn
 from oodstream.data import LabeledSet, Stream
-from oodstream.nn import LossSpec, SgdConfig, _probe_dlogits, init_mlp
+from oodstream.nn import LossSpec, _probe_dlogits, init_mlp
 from oodstream.runconfig import RunConfig
 from oodstream.scoring import predict, score, score_rows
 
@@ -477,11 +477,10 @@ def test_train_offline_equals_oracle_trainer():
     rng = np.random.default_rng(14)
     feats = rng.normal(size=(61, 3))  # 61 = 4 * 15 + 1: the last batch has one row
     labels = rng.integers(0, 4, size=61)
-    cfg = SgdConfig(learning_rate=0.05)
     fast = nn.train_offline(init_mlp([3, 16, 16, 4], seed=4), LabeledSet(feats, labels, 4),
-                            epochs=5, batch_size=15, cfg=cfg, seed=3)
+                            epochs=5, batch_size=15, lr=0.05, seed=3)
     ref = train_offline_reference(init_mlp([3, 16, 16, 4], seed=4), feats, labels,
-                                  epochs=5, batch_size=15, cfg=cfg, seed=3)
+                                  epochs=5, batch_size=15, lr=0.05, seed=3)
     for a, b in zip(fast.weights + fast.biases, ref.weights + ref.biases):
         assert np.array_equal(a, b)
 

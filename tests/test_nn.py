@@ -467,8 +467,7 @@ def test_train_offline_separable_gaussians():
     f1 = rng.normal(0, 0.3, size=(n, 2)) + np.array([2.0, 0.0])
     ds = _Toy(np.concatenate([f0, f1]), np.array([0] * n + [1] * n))
     model = init_mlp([2, 8, 2], seed=0)
-    train_offline(model, ds, epochs=200, batch_size=16,
-                  cfg=SgdConfig(learning_rate=0.05), seed=0)
+    train_offline(model, ds, epochs=200, batch_size=16, lr=0.05, seed=0)
     assert nn.accuracy(model, ds.features, ds.labels) >= 0.99
 
 
@@ -476,7 +475,7 @@ def test_train_offline_zero_epochs_noop():
     model = init_mlp([2, 4, 2], seed=1)
     before = [w.copy() for w in model.weights]
     ds = _Toy(np.array([[0.0, 1.0]]), np.array([1]))
-    train_offline(model, ds, epochs=0, batch_size=4, cfg=SgdConfig(learning_rate=0.1))
+    train_offline(model, ds, epochs=0, batch_size=4, lr=0.1)
     for b, a in zip(before, model.weights):
         assert np.array_equal(b, a)
 
@@ -484,8 +483,7 @@ def test_train_offline_zero_epochs_noop():
 def test_train_offline_memorizes_single_sample():
     model = init_mlp([2, 4, 3], seed=2)
     ds = _Toy(np.array([[0.5, -0.5]]), np.array([2]))
-    train_offline(model, ds, epochs=300, batch_size=1,
-                  cfg=SgdConfig(learning_rate=0.1), seed=0)
+    train_offline(model, ds, epochs=300, batch_size=1, lr=0.1, seed=0)
     assert int(np.argmax(forward_logits(model, ds.features[0]))) == 2
 
 
@@ -493,14 +491,22 @@ def test_train_offline_empty_dataset_errors():
     model = init_mlp([2, 2], seed=0)
     with pytest.raises(ValueError):
         train_offline(model, _Toy(np.zeros((0, 2)), np.zeros(0, dtype=int)),
-                      epochs=1, batch_size=1, cfg=SgdConfig())
+                      epochs=1, batch_size=1, lr=0.001)
 
 
 def test_train_offline_rejects_out_of_range_labels():
     model = init_mlp([2, 2], seed=0)
     ds = _Toy(np.zeros((2, 2)), np.array([0, 5]))
     with pytest.raises(ValueError):
-        train_offline(model, ds, epochs=1, batch_size=1, cfg=SgdConfig())
+        train_offline(model, ds, epochs=1, batch_size=1, lr=0.001)
+
+
+@pytest.mark.parametrize("lr", [0.0, -0.05])
+def test_train_offline_rejects_a_learning_rate_not_above_zero(lr):
+    model = init_mlp([2, 2], seed=0)
+    with pytest.raises(ValueError, match="^learning_rate must be positive"):
+        train_offline(model, _Toy(np.zeros((1, 2)), np.array([0])), epochs=1, batch_size=1,
+                      lr=lr)
 
 
 # ---------------------------------------------------------------------------

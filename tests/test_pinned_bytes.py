@@ -76,10 +76,10 @@ def test_in_process_pretrain_writes_the_cli_checkpoint(canonical_out, tmp_path):
     ``pretrain``'s checkpoint. ``train_offline`` run here, in process, writes
     the same bytes, which are pinned on the pinned platform."""
     cfg = RunConfig()
-    train, _, _ = data.make_scenario(cfg.scenario_spec())
+    train, _, _ = data.make_scenario(cfg)
     model = nn.init_mlp(cfg.layer_dims(), seed=cfg.init_seed)
     nn.train_offline(model, train, epochs=cfg.epochs, batch_size=cfg.batch_size,
-                     cfg=nn.SgdConfig(learning_rate=cfg.pretrain_lr), seed=cfg.shuffle_seed)
+                     lr=cfg.pretrain_lr, seed=cfg.shuffle_seed)
     path = tmp_path / CHECKPOINT_NAME
     nn.save_checkpoint(model, path, pretrain_hash(cfg))
     written = path.read_bytes()

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from helpers import (FLOAT_KEYS, REMOVED_KEY_VALUES, THREE_SOURCES, config_text_with,
                      non_finite_rule, removed_key_rule)
 from oodstream import cli, data, nn
-from oodstream.data import GaussianSource, RingSource, UniformBoxSource
-from oodstream.runconfig import (REMOVED_KEYS, ConfigError, RunConfig, circle_means,
-                                 config_hash, from_text, parse_setting, pretrain_hash, to_text)
+from oodstream.data import GaussianSource, RingSource, UniformBoxSource, circle_means
+from oodstream.runconfig import (REMOVED_KEYS, ConfigError, RunConfig, config_hash, from_text,
+                                 parse_setting, pretrain_hash, to_text)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,7 +27,7 @@ def test_round_trip_lossless():
     text = to_text(cfg)
     cfg2 = from_text(text)
     assert to_text(cfg2) == text
-    assert cfg2.scenario_spec() == cfg.scenario_spec()
+    assert cfg2 == cfg
     assert config_hash(cfg2) == config_hash(cfg)
 
 
@@ -102,6 +102,87 @@ def test_train_n_below_classes_rejected_at_load():
                        r">= scenario.classes \(5\)$"):
         from_text("scenario.classes = 5\nscenario.train_n = 3\n")
     assert from_text("scenario.classes = 5\nscenario.train_n = 5\n").train_n == 5
+
+
+def _ring(radius: str, width: str) -> str:
+    return (f"scenario.ood_count = 1\nscenario.ood1.kind = ring\n"
+            f"scenario.ood1.radius = {radius}\nscenario.ood1.width = {width}\n")
+
+
+def _gaussian(center: str, spread: str) -> str:
+    return (f"scenario.ood_count = 1\nscenario.ood1.kind = gaussian\n"
+            f"scenario.ood1.center = {center}\nscenario.ood1.spread = {spread}\n")
+
+
+# (RunConfig arguments, the same values as config text, the one load error)
+SCENARIO_RULE_CASES = {
+    "classes": ({"classes": 1}, "scenario.classes = 1\n",
+                "scenario.classes = 1 is out of range: it must be >= 2"),
+    "dim": ({"dim": 0}, "scenario.dim = 0\n", "scenario.dim = 0 is out of range: it must be >= 1"),
+    "id_spread": ({"id_spread": 0.0}, "scenario.id_spread = 0\n",
+                  "scenario.id_spread = 0.0 is out of range: it must be > 0"),
+    "train_n": ({"train_n": 0}, "scenario.train_n = 0\n",
+                "scenario.train_n = 0 is out of range: it must be >= 1"),
+    "test_id_n": ({"test_id_n": 0}, "scenario.test_id_n = 0\n",
+                  "scenario.test_id_n = 0 is out of range: it must be >= 1"),
+    "ood_n": ({"ood_n": -2}, "scenario.ood_n = -2\n",
+              "scenario.ood_n = -2 is out of range: it must be >= 1"),
+    "seed": ({"seed": -1}, "scenario.seed = -1\n",
+             "scenario.seed = -1 is out of range: it must be >= 0"),
+    "train_n_below_classes": (
+        {"classes": 4, "train_n": 3}, "scenario.classes = 4\nscenario.train_n = 3\n",
+        "scenario.train_n = 3 is out of range: it must be >= scenario.classes (4)"),
+    "source_not_finite": (
+        {"ood_sources": (GaussianSource(center=(math.inf, 0.0), spread=0.5),)},
+        _gaussian("inf,0", "0.5"), "scenario.ood1.center = inf,0.0 is out of range: it must be "
+        "finite"),
+    "source_scalar_not_finite": (
+        {"ood_sources": (RingSource(radius=math.nan, width=1.0),)}, _ring("nan", "1"),
+        "scenario.ood1.radius = nan is out of range: it must be finite"),
+    "source_length": (
+        {"ood_sources": (GaussianSource(center=(1.0, 2.0, 3.0), spread=0.5),)},
+        _gaussian("1,2,3", "0.5"), "OOD source 1 (scenario.ood1.center) has length 3; dim is 2"),
+    "source_scalar": (
+        {"ood_sources": (RingSource(radius=-1.0, width=1.0),)}, _ring("-1", "1"),
+        "scenario.ood1.radius = -1.0 is out of range: it must be > 0"),
+    "box_high_not_above_low": (
+        {"ood_sources": (UniformBoxSource(low=(0.0, 0.0), high=(0.0, 1.0)),)},
+        "scenario.ood_count = 1\nscenario.ood1.kind = box\nscenario.ood1.low = 0,0\n"
+        "scenario.ood1.high = 0,1\n",
+        "scenario.ood1.high must exceed scenario.ood1.low in every coordinate"),
+}
+
+
+@pytest.mark.parametrize("case", SCENARIO_RULE_CASES)
+def test_scenario_rule_message_is_unchanged_at_load(case):
+    """Each scenario rule's message, word for word as before the rules moved
+    onto the fields, both from a file and from ``RunConfig(...)``."""
+    kwargs, text, message = SCENARIO_RULE_CASES[case]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        from_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        RunConfig(**kwargs)
+
+
+def test_first_failing_rule_follows_file_order():
+    """Each field's rule is checked in file order. ``scenario.classes`` used
+    to be checked before ``scenario.dim``, and every scenario rule after
+    the ``auto.*`` keys."""
+    with pytest.raises(ConfigError, match="^scenario.dim = 0 is out of range: it must be >= 1$"):
+        from_text("scenario.dim = 0\nscenario.classes = 1\n")
+    with pytest.raises(ConfigError, match="^scenario.seed = -1 is out of range: it must be >= 0$"):
+        RunConfig(seed=-1, k1=-1.0)
+
+
+# number keys that take any finite value, by design
+UNBOUNDED = {"scenario.mean_radius", "auto.phi"}
+
+
+def test_every_number_key_declares_a_rule_or_is_unbounded():
+    """A new int or float key cannot land without a range decision."""
+    ruleless = {f.metadata["key"] for f in fields(RunConfig)
+                if f.type in ("int", "float") and "rule" not in f.metadata}
+    assert ruleless == UNBOUNDED
 
 
 def test_pretrain_hash_covers_exactly_what_pretraining_reads():
