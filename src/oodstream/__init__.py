@@ -11,14 +11,14 @@ prediction-consistency hinge against the frozen initial model.
 from .data import (GaussianSource, LabeledSet, RingSource, Stream, UniformBoxSource,
                    compose_mixed, compose_stream, compose_timeseries, make_scenario)
 from .engine import AutoState, EventLog, StreamEvent, init_state, run_posthoc, run_stream, step
-from .filtering import (FilterDecision, IdStats, Margins, classify,
-                        estimate_id_stats, init_margins, update_outlier_margin)
-from .memory import MemoryBank, init_random, replace
+from .filtering import (FilterDecision, Margins, classify, estimate_id_stats, init_margins,
+                        update_outlier_margin)
+from .memory import init_random, replace
 from .metrics import (MetricsReport, auroc, fpr_at_tpr, id_accuracy, report,
                       report_to_json)
-from .nn import (EpisodeBatch, Gradients, LossSpec, MlpModel, SgdConfig, clone_frozen,
-                 forward_logits, init_mlp, load_checkpoint, prepare_episode, save_checkpoint,
-                 sgd_step, total_loss, train_offline)
+from .nn import (EpisodeBatch, Gradients, LossSpec, MlpModel, clone_frozen, forward_logits,
+                 init_mlp, load_checkpoint, prepare_episode, save_checkpoint, sgd_step,
+                 total_loss, train_offline)
 from .runconfig import ConfigError, RunConfig, config_hash, from_text, to_text
 from .scoring import predict, score
 

@@ -57,10 +57,9 @@ def _load_config(args) -> RunConfig:
     if args.seed is not None:
         if args.seed < 0:
             raise CliError(f"--seed = {args.seed} is out of range: it must be >= 0")
-        cfg.seed = args.seed
-        cfg.stream_seed = args.seed + 1
+        cfg = replace(cfg, seed=args.seed, stream_seed=args.seed + 1)
     if args.out is not None:
-        cfg.out_dir = args.out
+        cfg = replace(cfg, out_dir=args.out)
     return cfg
 
 

@@ -27,20 +27,24 @@ import numpy as np
 from . import filtering, memory, nn, scoring
 from .data import LabeledSet, Stream
 from .filtering import PSEUDO_ID, PSEUDO_OOD, FilterDecision, Margins
-from .memory import MemoryBank
-from .nn import LossSpec, MlpModel, SgdConfig
+from .nn import LossSpec, MlpModel
 from .runconfig import RunConfig
 
 
 @dataclass
 class AutoState:
-    """Mutable per-run state owned by a single engine instance."""
+    """Mutable per-run state owned by a single engine instance.
+
+    ``bank`` is the (C, d) memory bank from ``memory.init_random``; online
+    SGD steps at rate ``lr`` write only the ``trainable`` parameter groups.
+    """
 
     model_t: MlpModel
     model_0: MlpModel
     margins: Margins
-    bank: MemoryBank
-    sgd: SgdConfig
+    bank: np.ndarray
+    lr: float
+    trainable: frozenset[str]
     step_counter: int = 0
 
 
@@ -125,16 +129,17 @@ def init_state(model: MlpModel, train_set: LabeledSet, cfg: RunConfig) -> AutoSt
     ``stats_subsample_n`` = n > 0 keeps only the first n rows of the
     (already shuffled) training set for the estimate; 0 keeps every row.
     """
-    sgd = SgdConfig(cfg.lr, cfg.resolve_groups(model))
+    trainable = cfg.resolve_groups(model)
     model_0 = nn.clone_frozen(model)
     feats = train_set.features[:cfg.stats_subsample_n or None]
     logits = np.empty((len(feats), model.num_classes))
     for i, x in enumerate(feats):
         logits[i] = nn.forward_logits(model, x)
-    stats = filtering.estimate_id_stats(scoring.score_rows(logits))
-    margins = filtering.init_margins(stats, cfg.k1, cfg.k2)
+    mu, sigma = filtering.estimate_id_stats(scoring.score_rows(logits))
+    margins = filtering.init_margins(mu, sigma, cfg.k1, cfg.k2)
     bank = memory.init_random(train_set, cfg.memory_seed)
-    return AutoState(model_t=model, model_0=model_0, margins=margins, bank=bank, sgd=sgd)
+    return AutoState(model_t=model, model_0=model_0, margins=margins, bank=bank, lr=cfg.lr,
+                     trainable=trainable)
 
 
 def _episode_spec(state: AutoState, cfg: RunConfig, pred_0: int) -> LossSpec:
@@ -143,7 +148,7 @@ def _episode_spec(state: AutoState, cfg: RunConfig, pred_0: int) -> LossSpec:
         sc_weight=cfg.lambda2,
         sc_ref_pred=pred_0,
         sc_phi=cfg.phi,
-        bank_inputs=state.bank.features,
+        bank_inputs=state.bank,
         bank_weight=cfg.id_weight,
     )
 
@@ -174,13 +179,13 @@ def step(state: AutoState, cfg: RunConfig, x: np.ndarray,
         if cfg.iters_t > 0:
             pred_0 = scoring.predict(nn.forward_logits(state.model_0, x))
             spec = _episode_spec(state, cfg, pred_0)
-            batch = nn.prepare_episode(state.model_t, x, spec, state.sgd.trainable_groups)
+            batch = nn.prepare_episode(state.model_t, x, spec, state.trainable)
             losses: list[float] = []
             for _ in range(cfg.iters_t):
                 loss, grads = nn._loss_and_grad(state.model_t, batch)
                 _check_finite(loss, state)
                 losses.append(loss)
-                nn.sgd_step(state.model_t, grads, state.sgd)
+                nn.sgd_step(state.model_t, grads, state.lr, state.trainable)
             final = nn.total_loss(state.model_t, batch)
             _check_finite(final, state)
             losses.append(final)

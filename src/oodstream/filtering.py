@@ -32,14 +32,6 @@ PSEUDO_ID, PSEUDO_OOD, ABSTAIN = FilterDecision
 
 
 @dataclass(frozen=True)
-class IdStats:
-    """Mean / population standard deviation of in-distribution scores."""
-
-    mu_in: float
-    sigma_in: float
-
-
-@dataclass(frozen=True)
 class Margins:
     """Filter state. ``m_in`` is fixed after init; ``m_out`` is a running mean.
 
@@ -52,29 +44,26 @@ class Margins:
     m_count: int
 
 
-def estimate_id_stats(scores) -> IdStats:
-    """Arithmetic mean and population standard deviation (sqrt of sum((s-mu)^2)/N)."""
+def estimate_id_stats(scores) -> tuple[float, float]:
+    """``(mu, sigma)`` of in-distribution scores: the arithmetic mean and the
+    population standard deviation (sqrt of sum((s-mu)^2)/N)."""
     arr = np.asarray(scores, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot estimate score statistics from an empty list")
     mu = float(np.mean(arr))
     sigma = float(math.sqrt(np.mean((arr - mu) ** 2)))
-    return IdStats(mu_in=mu, sigma_in=sigma)
+    return mu, sigma
 
 
-def init_margins(stats: IdStats, k1: float, k2: float) -> Margins:
+def init_margins(mu: float, sigma: float, k1: float, k2: float) -> Margins:
     """m_in = mu + k1*sigma, m_out = mu - k2*sigma.
 
     The initial m_out counts as one virtual observation, so it anchors the
     running mean.
     """
-    if k1 < 0 or k2 < 0:
+    if not (k1 >= 0 and k2 >= 0):  # NaN fails too
         raise ValueError("k1 and k2 must be nonnegative")
-    return Margins(
-        m_in=stats.mu_in + k1 * stats.sigma_in,
-        m_out=stats.mu_in - k2 * stats.sigma_in,
-        m_count=1,
-    )
+    return Margins(m_in=mu + k1 * sigma, m_out=mu - k2 * sigma, m_count=1)
 
 
 def classify(margins: Margins, score: float) -> FilterDecision:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,19 +24,6 @@ CHECKPOINT_MAGIC = "auto-mlp v3"
 class CheckpointError(Exception):
     """A checkpoint file that cannot be loaded: an unknown header, a
     malformed or truncated file, or tensors that do not fit the layer dims."""
-
-
-@dataclass
-class SgdConfig:
-    """Plain SGD settings; online updates touch only ``trainable_groups``."""
-
-    learning_rate: float = 0.001
-    trainable_groups: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        self.trainable_groups = frozenset(self.trainable_groups)
 
 
 @dataclass
@@ -403,9 +391,14 @@ def _row_blocks(rows: int, cols: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(starts, starts[1:] + [rows]))
 
 
-def sgd_step(model: MlpModel, grads: Gradients, cfg: SgdConfig) -> MlpModel:
-    """In-place ``param -= lr * g`` restricted to layers in
-    ``cfg.trainable_groups``.
+def _check_lr(lr: float) -> None:
+    if not 0 < lr < math.inf:  # NaN fails too
+        raise ValueError(f"learning_rate must be positive and finite, got {lr}")
+
+
+def sgd_step(model: MlpModel, grads: Gradients, lr: float,
+             groups: Collection[str]) -> MlpModel:
+    """In-place ``param -= lr * g`` restricted to layers in ``groups``.
 
     Layers outside the trainable groups are never written, so they stay
     bit-identical. A weight is updated in row blocks (``_row_blocks``):
@@ -414,15 +407,16 @@ def sgd_step(model: MlpModel, grads: Gradients, cfg: SgdConfig) -> MlpModel:
     full-size gradient or temporary exists. Each gradient is scaled by the
     learning rate in place, so the bias gradients are consumed.
     """
+    _check_lr(lr)
     for i, group in enumerate(model.group_labels):
-        if group not in cfg.trainable_groups:
+        if group not in groups:
             continue
         w = model.weights[i]
         for start, stop in _row_blocks(*w.shape):
             block, g = w[start:stop], grads.weight(i, start, stop)
-            block -= np.multiply(g, cfg.learning_rate, out=g)
+            block -= np.multiply(g, lr, out=g)
         g = grads.d_biases[i]
-        model.biases[i] -= np.multiply(g, cfg.learning_rate, out=g)
+        model.biases[i] -= np.multiply(g, lr, out=g)
     return model
 
 
@@ -457,7 +451,7 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
         raise ValueError("empty training dataset")
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError("labels out of range for the model's class count")
-    train_cfg = SgdConfig(lr, frozenset(model.group_labels))
+    _check_lr(lr)
     keep = [True] * model.num_layers
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
@@ -473,7 +467,7 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
             dlogits = probs
             dlogits[np.arange(len(yb)), yb] -= 1.0
             dlogits /= len(yb)
-            sgd_step(model, _backprop(model, acts, dlogits, keep), train_cfg)
+            sgd_step(model, _backprop(model, acts, dlogits, keep), lr, model.group_labels)
     return model
 
 

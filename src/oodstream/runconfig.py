@@ -27,7 +27,7 @@ _GE1 = (lambda v: v >= 1, ">= 1")
 _GT0 = (lambda v: v > 0, "> 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Complete description of one experiment.
 
@@ -39,6 +39,7 @@ class RunConfig:
     keys are the fields of each source's class (``data.OOD_KINDS``).
     ``metadata["stream"]`` marks the keys that only compose the stream, and
     ``metadata["hashed"] = False`` the key the config hash leaves out.
+    Frozen: ``dataclasses.replace`` builds a changed copy, checked again.
     """
 
     # scenario
@@ -93,7 +94,7 @@ class RunConfig:
                     f"scenario.dim = {self.dim}, but the canonical OOD sources are "
                     f"{RunConfig.dim}-D: a config of another scenario.dim must set "
                     "scenario.ood_count and its own scenario.oodK.* keys")
-            self.ood_sources = CANONICAL_OOD_SOURCES
+            object.__setattr__(self, "ood_sources", CANONICAL_OOD_SOURCES)
         for f in fields(self):
             value = getattr(self, f.name)
             test, rule = f.metadata.get("rule", (None, None))

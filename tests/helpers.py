@@ -16,7 +16,7 @@ from oodstream.data import GaussianSource, LabeledSet, RingSource, Stream, Unifo
 from oodstream.engine import DECISIONS, EventLog, StreamEvent, UpdateTrace
 from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
-from oodstream.nn import CHECKPOINT_MAGIC, LossSpec, MlpModel, SgdConfig
+from oodstream.nn import CHECKPOINT_MAGIC, LossSpec, MlpModel
 from oodstream.runconfig import REMOVED_KEYS, RunConfig, to_text
 
 
@@ -263,8 +263,8 @@ def auroc_midrank_loop(log: EventLog) -> float:
 def init_margins_reference(model: MlpModel, features, config) -> filtering.Margins:
     """``init_state``'s margins from a list of per-row ``scoring.score`` values."""
     scores = [scoring.score(nn.forward_logits(model, x)) for x in features]
-    stats = filtering.estimate_id_stats(scores)
-    return filtering.init_margins(stats, config.k1, config.k2)
+    mu, sigma = filtering.estimate_id_stats(scores)
+    return filtering.init_margins(mu, sigma, config.k1, config.k2)
 
 
 def run_posthoc_reference(model, margins, stream, *, update_margins: bool = True) -> EventLog:
@@ -373,16 +373,16 @@ def per_call_loss_and_grad_reference(model: MlpModel, x, spec: LossSpec, trainab
     return total, grads
 
 
-def episode_reference(model: MlpModel, x, spec: LossSpec, sgd: SgdConfig,
+def episode_reference(model: MlpModel, x, spec: LossSpec, lr: float, trainable: frozenset[str],
                       iters_t: int) -> tuple[float, ...]:
     """An update episode the per-call way: T evaluations, each followed by
     ``nn.sgd_step``, then the final loss. Returns the T + 1 losses."""
     losses = []
     for _ in range(iters_t):
-        loss, grads = per_call_loss_and_grad_reference(model, x, spec, sgd.trainable_groups)
+        loss, grads = per_call_loss_and_grad_reference(model, x, spec, trainable)
         assert math.isfinite(loss)
         losses.append(loss)
-        nn.sgd_step(model, grads, sgd)
+        nn.sgd_step(model, grads, lr, trainable)
     losses.append(per_call_loss_and_grad_reference(model, x, spec, want_grad=False)[0])
     return tuple(losses)
 
@@ -403,7 +403,8 @@ def run_stream_reference(state: engine.AutoState, cfg, stream: Stream) -> EventL
             if cfg.iters_t > 0:
                 pred_0 = predict_reference(nn.forward_logits(state.model_0, x))
                 spec = engine._episode_spec(state, cfg, pred_0)
-                losses = episode_reference(state.model_t, x, spec, state.sgd, cfg.iters_t)
+                losses = episode_reference(state.model_t, x, spec, state.lr, state.trainable,
+                                           cfg.iters_t)
                 traces.append(UpdateTrace(state.step_counter, losses))
             state.margins = filtering.update_outlier_margin(state.margins, s)
         scores.append(s)
@@ -433,7 +434,7 @@ def assert_replays_equal(got: EventLog, got_state: engine.AutoState,
     assert np.array([got_m.m_in, got_m.m_out]).tobytes() == \
         np.array([want_m.m_in, want_m.m_out]).tobytes()
     assert got_m.m_count == want_m.m_count
-    assert got_state.bank.features.tobytes() == want_state.bank.features.tobytes()
+    assert got_state.bank.tobytes() == want_state.bank.tobytes()
 
 
 def loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
@@ -461,7 +462,6 @@ def loss_and_grad_reference(model: MlpModel, x, spec: LossSpec,
 def train_offline_reference(model: MlpModel, features, labels, epochs: int,
                             batch_size: int, lr: float, seed: int = 0) -> MlpModel:
     """Minibatch SGD on mean label cross-entropy, gradients from the oracle."""
-    train_cfg = SgdConfig(learning_rate=lr, trainable_groups=frozenset(model.group_labels))
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         order = rng.permutation(len(features))
@@ -474,19 +474,19 @@ def train_offline_reference(model: MlpModel, features, labels, epochs: int,
             probs /= len(idx)
             grads = _zero_filled_slots(model)
             backprop_reference(model, pre, acts, probs, grads)
-            sgd_step_reference(model, grads, train_cfg)
+            sgd_step_reference(model, grads, lr, model.group_labels)
     return model
 
 
-def sgd_step_reference(model: MlpModel, grads: FullGradients, cfg: SgdConfig) -> None:
-    """``param -= lr * g`` on whole tensors, with a fresh ``lr * g`` per
-    tensor; ``grads`` untouched."""
+def sgd_step_reference(model: MlpModel, grads: FullGradients, lr: float, groups) -> None:
+    """``param -= lr * g`` on whole tensors of the layers in ``groups``, with
+    a fresh ``lr * g`` per tensor; ``grads`` untouched."""
     for i, group in enumerate(model.group_labels):
-        if group not in cfg.trainable_groups:
+        if group not in groups:
             continue
         for param, grad in ((model.weights[i], grads.d_weights[i]),
                             (model.biases[i], grads.d_biases[i])):
-            param -= cfg.learning_rate * grad
+            param -= lr * grad
 
 
 def checkpoint_bytes_reference(model: MlpModel, pretrain_hash: str) -> bytes:

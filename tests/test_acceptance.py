@@ -19,7 +19,6 @@ from helpers import (assert_columns_equal, auroc_bruteforce, fpr_at_tpr_brutefor
 from oodstream import engine, filtering, metrics, nn
 from oodstream.cli import main as cli_main
 from oodstream.engine import run_posthoc, run_stream
-from oodstream.filtering import IdStats
 from oodstream.nn import LossSpec
 from oodstream.runconfig import RunConfig, to_text
 
@@ -74,7 +73,7 @@ def assert_structural_invariants(canonical, log, state, initial_model):
     """Criterion 8 checks, applied to every end-to-end run."""
     cfg = canonical["run_config"]
     # bank cardinality
-    assert state.bank.features.shape == (cfg.classes, cfg.dim)
+    assert state.bank.shape == (cfg.classes, cfg.dim)
     # frozen parameter groups bitwise constant
     trainable = cfg.resolve_groups(state.model_t)
     for i, group in enumerate(state.model_t.group_labels):
@@ -157,8 +156,8 @@ def test_criterion_2_metric_oracles():
 def test_criterion_3_margin_replay():
     rng = np.random.default_rng(20240603)
     for _ in range(50):
-        stats = IdStats(float(rng.uniform(0.6, 1.0)), float(rng.uniform(0.0, 0.1)))
-        margins = filtering.init_margins(stats, k1=0.0, k2=float(rng.uniform(0.0, 3.0)))
+        mu, sigma = float(rng.uniform(0.6, 1.0)), float(rng.uniform(0.0, 0.1))
+        margins = filtering.init_margins(mu, sigma, k1=0.0, k2=float(rng.uniform(0.0, 3.0)))
         accepted = [margins.m_out]
         prev_out = margins.m_out
         for s in rng.uniform(0.0, 1.2, size=400):
@@ -255,7 +254,7 @@ def test_criterion_8_structural_invariants(canonical, canonical_runs):
     for i in range(400):
         event, _ = engine.step(state, cfg, stream.features[i],
                                (bool(stream.is_ood[i]), int(stream.labels[i])))
-        assert state.bank.num_classes == cfg.classes
+        assert len(state.bank) == cfg.classes
         assert state.margins.m_in == m_in0
         assert state.margins.m_out <= prev_m_out
         prev_m_out = state.margins.m_out

@@ -9,11 +9,10 @@ import pytest
 
 from conftest import fresh_state
 from helpers import COLUMNS, assert_columns_equal, run_posthoc_reference
-from oodstream import filtering, memory, nn, scoring
+from oodstream import filtering, nn, scoring
 from oodstream.data import Stream
 from oodstream.engine import AutoState, run_posthoc, run_stream, step
 from oodstream.filtering import FilterDecision
-from oodstream.nn import SgdConfig
 from oodstream.runconfig import ConfigError, RunConfig
 
 
@@ -23,12 +22,11 @@ def tiny_setup(m_in=0.9, m_out=0.5, iters_t=2, trainable_groups="block2", **cfg_
     rng = np.random.default_rng(0)
     for b in model.biases:
         b[:] = rng.normal(0, 0.3, size=b.shape)
-    bank = memory.MemoryBank(rng.normal(0, 1, size=(3, 2)))
+    bank = rng.normal(0, 1, size=(3, 2))
     margins = filtering.Margins(m_in=m_in, m_out=m_out, m_count=1)
     config = RunConfig(iters_t=iters_t, trainable_groups=trainable_groups, **cfg_overrides)
     state = AutoState(model_t=model, model_0=nn.clone_frozen(model), margins=margins,
-                      bank=bank,
-                      sgd=SgdConfig(config.lr, trainable_groups=config.resolve_groups(model)))
+                      bank=bank, lr=config.lr, trainable=config.resolve_groups(model))
     return state, config
 
 
@@ -58,13 +56,13 @@ def test_abstain_changes_nothing():
     rng = np.random.default_rng(1)
     x = find_input_with_decision(state, config, FilterDecision.ABSTAIN, rng)
     model_snap = snapshot(state.model_t)
-    bank_snap = state.bank.features.copy()
+    bank_snap = state.bank.copy()
     m_before = state.margins
     event, trace = step(state, config, x, (False, 1))
     assert event.decision == FilterDecision.ABSTAIN
     assert trace is None
     assert unchanged(state.model_t, model_snap)
-    assert np.array_equal(state.bank.features, bank_snap)
+    assert np.array_equal(state.bank, bank_snap)
     assert state.margins == m_before
 
 
@@ -77,7 +75,7 @@ def test_pseudo_id_replaces_bank_without_updates():
     assert event.decision == FilterDecision.PSEUDO_ID
     assert trace is None
     assert unchanged(state.model_t, model_snap)
-    assert np.array_equal(state.bank.features[event.prediction], x)
+    assert np.array_equal(state.bank[event.prediction], x)
     # the same arrival through run_stream counts as one bank write
     state, config = tiny_setup()
     log = run_stream(state, config, make_stream([x]))
@@ -169,7 +167,7 @@ def test_input_dimension_error_propagates():
 
 def test_non_finite_loss_aborts():
     state, config = tiny_setup()
-    state.bank.features[0, 0] = np.inf  # poisoned bank entry -> nan loss
+    state.bank[0, 0] = np.inf  # poisoned bank entry -> nan loss
     rng = np.random.default_rng(7)
     x = find_input_with_decision(state, config, FilterDecision.PSEUDO_OOD, rng)
     with np.errstate(all="ignore"), pytest.raises(
@@ -246,7 +244,7 @@ def test_events_store_arrival_time_scores():
     # the logged scores; re-scoring everything with the final model does not
     state, config = tiny_setup()
     initial = nn.clone_frozen(state.model_t)
-    initial_bank = state.bank.features.copy()
+    initial_bank = state.bank.copy()
     rng = np.random.default_rng(12)
     stream = make_stream(rng.normal(0, 2, size=(150, 2)))
     log = run_stream(state, config, stream)
@@ -255,7 +253,7 @@ def test_events_store_arrival_time_scores():
     replay_state = AutoState(model_t=nn.clone_frozen(initial),
                              model_0=nn.clone_frozen(initial),
                              margins=filtering.Margins(0.9, 0.5, 1),
-                             bank=memory.MemoryBank(initial_bank), sgd=state.sgd)
+                             bank=initial_bank, lr=state.lr, trainable=state.trainable)
     replay = run_stream(replay_state, config, stream)
     assert replay.score.tolist() == log.score.tolist()
 
@@ -286,7 +284,7 @@ def test_run_stream_in_two_calls_equals_one_call():
         assert getattr(first, key) + getattr(second, key) == getattr(whole, key)
     assert split_state.step_counter == whole_state.step_counter == 50
     assert split_state.margins == whole_state.margins
-    assert np.array_equal(split_state.bank.features, whole_state.bank.features)
+    assert np.array_equal(split_state.bank, whole_state.bank)
 
 
 def test_config_defaults_are_pinned():
@@ -299,8 +297,8 @@ def test_config_defaults_are_pinned():
     assert cfg.stats_subsample_n == 0
     assert cfg.lr == 0.001
     assert cfg.trainable_groups == "last_block"
-    sgd = SgdConfig()
-    assert sgd.learning_rate == 0.001
+    # the state of a default run steps at the default rate
+    assert tiny_setup()[0].lr == 0.001
 
 
 def test_bank_only_objective_still_fires_episodes():
@@ -350,8 +348,8 @@ def test_init_state_resolves_run_config(canonical):
     # the SGD settings are resolved once, into the state
     cfg = RunConfig(lr=0.01, trainable_groups="block1+fc")
     state = fresh_state(canonical, cfg)
-    assert state.sgd == SgdConfig(0.01, frozenset({"block1", "fc"}))
-    assert fresh_state(canonical, RunConfig()).sgd.trainable_groups == {"block2"}
+    assert state.lr == 0.01 and state.trainable == frozenset({"block1", "fc"})
+    assert fresh_state(canonical, RunConfig()).trainable == {"block2"}
     with pytest.raises(ConfigError, match="unknown parameter groups"):
         fresh_state(canonical, RunConfig(trainable_groups="block9"))
 

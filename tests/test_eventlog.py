@@ -97,4 +97,4 @@ def test_run_stream_rows_equal_step_events(canonical):
     assert log.bank_replacements == len(writes)
     assert log.contaminated_replacements == sum(e.ground_truth_is_ood for e in writes) > 0
     assert state.margins == ref_state.margins
-    assert np.array_equal(state.bank.features, ref_state.bank.features)
+    assert np.array_equal(state.bank, ref_state.bank)

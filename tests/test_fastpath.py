@@ -276,7 +276,7 @@ def test_canonical_replay_equals_full_gradient_replay(canonical, monkeypatch, gr
                     ref_state.model_t.weights + ref_state.model_t.biases):
         assert np.array_equal(a, b)
     assert fast_state.margins == ref_state.margins
-    assert np.array_equal(fast_state.bank.features, ref_state.bank.features)
+    assert np.array_equal(fast_state.bank, ref_state.bank)
 
 
 # The prepared episode batch (rows stacked once, the layers below the lowest

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,26 +12,25 @@ from hypothesis import strategies as st
 
 from conftest import fresh_state
 from oodstream import engine
-from oodstream.filtering import (FilterDecision, IdStats, classify,
-                                 estimate_id_stats, init_margins,
+from oodstream.filtering import (FilterDecision, classify, estimate_id_stats, init_margins,
                                  update_outlier_margin)
 
 
 def test_stats_constant_list():
-    s = estimate_id_stats([1.0, 1.0, 1.0])
-    assert s.mu_in == 1.0 and s.sigma_in == 0.0
+    mu, sigma = estimate_id_stats([1.0, 1.0, 1.0])
+    assert mu == 1.0 and sigma == 0.0
 
 
 def test_stats_two_point_symmetric():
-    s = estimate_id_stats([0.9, 1.1])
-    assert s.mu_in == pytest.approx(1.0, abs=1e-15)
-    assert s.sigma_in == pytest.approx(0.1, abs=1e-15)
+    mu, sigma = estimate_id_stats([0.9, 1.1])
+    assert mu == pytest.approx(1.0, abs=1e-15)
+    assert sigma == pytest.approx(0.1, abs=1e-15)
 
 
 def test_stats_population_not_sample_std():
     # population convention: sqrt(sum((s-mu)^2) / N), not / (N-1)
-    s = estimate_id_stats([0.0, 2.0])
-    assert s.sigma_in == pytest.approx(1.0, abs=1e-15)
+    _, sigma = estimate_id_stats([0.0, 2.0])
+    assert sigma == pytest.approx(1.0, abs=1e-15)
 
 
 def test_stats_empty_errors():
@@ -39,33 +39,40 @@ def test_stats_empty_errors():
 
 
 def test_init_margins_reference_values():
-    m = init_margins(IdStats(0.99, 0.01), k1=0.0, k2=3.0)
+    m = init_margins(0.99, 0.01, k1=0.0, k2=3.0)
     assert m.m_in == pytest.approx(0.99, abs=1e-15)
     assert m.m_out == pytest.approx(0.96, abs=1e-15)
     assert m.m_count == 1
 
 
 def test_init_margins_degenerate_sigma():
-    m = init_margins(IdStats(0.5, 0.0), k1=1.0, k2=2.0)
+    m = init_margins(0.5, 0.0, k1=1.0, k2=2.0)
     assert m.m_in == m.m_out == 0.5
 
 
 def test_init_margins_zero_ks():
-    m = init_margins(IdStats(0.8, 0.05), k1=0.0, k2=0.0)
+    m = init_margins(0.8, 0.05, k1=0.0, k2=0.0)
     assert m.m_in == m.m_out == 0.8
+
+
+@pytest.mark.parametrize("k", [-1.0, math.nan])
+def test_init_margins_rejects_a_negative_or_nan_k(k):
+    for k1, k2 in ((k, 3.0), (0.0, k)):
+        with pytest.raises(ValueError, match="^k1 and k2 must be nonnegative$"):
+            init_margins(0.9, 0.05, k1, k2)
 
 
 def test_init_margins_band_ordering():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        stats = IdStats(float(rng.normal()), float(abs(rng.normal())))
+        mu, sigma = float(rng.normal()), float(abs(rng.normal()))
         k1, k2 = float(rng.uniform(0, 3)), float(rng.uniform(0, 3))
-        m = init_margins(stats, k1, k2)
+        m = init_margins(mu, sigma, k1, k2)
         assert m.m_in >= m.m_out
 
 
 def test_classify_bands():
-    m = init_margins(IdStats(0.975, 0.005), k1=3.0, k2=3.0)
+    m = init_margins(0.975, 0.005, k1=3.0, k2=3.0)
     assert m.m_in == pytest.approx(0.99) and m.m_out == pytest.approx(0.96)
     assert classify(m, 0.995) == FilterDecision.PSEUDO_ID
     assert classify(m, 0.95) == FilterDecision.PSEUDO_OOD
@@ -73,19 +80,19 @@ def test_classify_bands():
 
 
 def test_classify_boundary_abstains():
-    m = init_margins(IdStats(0.975, 0.005), k1=3.0, k2=3.0)
+    m = init_margins(0.975, 0.005, k1=3.0, k2=3.0)
     assert classify(m, m.m_in) == FilterDecision.ABSTAIN
     assert classify(m, m.m_out) == FilterDecision.ABSTAIN
 
 
 def test_classify_pure_function():
-    m = init_margins(IdStats(0.9, 0.02), k1=0.0, k2=3.0)
+    m = init_margins(0.9, 0.02, k1=0.0, k2=3.0)
     for _ in range(3):
         assert classify(m, 0.7) == FilterDecision.PSEUDO_OOD
 
 
 def test_update_margin_formula():
-    m = init_margins(IdStats(0.5, 0.0), k1=0.0, k2=0.0)
+    m = init_margins(0.5, 0.0, k1=0.0, k2=0.0)
     m = update_outlier_margin(m, 0.4)  # anchor counts: (1*0.5 + 0.4)/2
     assert m.m_out == pytest.approx(0.45, abs=1e-15)
     # hand-check the printed example: M=3, m_out=0.5, score=0.2 -> 0.425
@@ -97,20 +104,20 @@ def test_update_margin_formula():
 
 
 def test_update_margin_no_change_above():
-    m = init_margins(IdStats(0.5, 0.0), k1=0.0, k2=0.0)
+    m = init_margins(0.5, 0.0, k1=0.0, k2=0.0)
     m2 = update_outlier_margin(m, 0.6)
     assert m2 == m
 
 
 def test_update_margin_boundary_score_ignored():
-    m = init_margins(IdStats(0.5, 0.0), k1=0.0, k2=0.0)
+    m = init_margins(0.5, 0.0, k1=0.0, k2=0.0)
     assert update_outlier_margin(m, 0.5) == m
 
 
 def test_m_in_never_touched_and_m_out_monotone():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        m = init_margins(IdStats(0.9, 0.05), k1=0.0, k2=1.0)
+        m = init_margins(0.9, 0.05, k1=0.0, k2=1.0)
         m_in0 = m.m_in
         prev = m.m_out
         for s in rng.uniform(0.0, 1.2, size=200):
@@ -125,8 +132,7 @@ def test_replay_equivalence_running_mean_oracle():
     # of all accepted values (anchor included) from scratch each step
     rng = np.random.default_rng(9)
     for trial in range(50):
-        m = init_margins(IdStats(float(rng.uniform(0.5, 1.0)),
-                                 float(rng.uniform(0.0, 0.1))),
+        m = init_margins(float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.0, 0.1)),
                          k1=0.0, k2=float(rng.uniform(0.0, 3.0)))
         accepted = [m.m_out]
         for s in rng.uniform(0.0, 1.2, size=300):
@@ -148,7 +154,7 @@ def test_margins_move_only_on_accepted_scores(mu, sigma, k1, k2, m_count, arriva
     scores sit a few ulps from m_out, where the running mean's rounding
     could carry it up: an integer arrival is that many ulps from the m_out
     it meets."""
-    margins = init_margins(IdStats(mu, sigma), k1, k2)
+    margins = init_margins(mu, sigma, k1, k2)
     margins = replace(margins, m_count=margins.m_count + m_count)
     for arrival in arrivals:
         s = arrival

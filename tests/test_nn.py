@@ -13,7 +13,7 @@ from helpers import (CORRUPT_PAYLOADS, FullGradients, corrupt_checkpoint,
                      log_softmax_reference, loss_and_grad, loss_sc, materialized,
                      max_grad_rel_err, sgd_step_reference, total_loss)
 from oodstream import nn
-from oodstream.nn import (CheckpointError, LossSpec, MlpModel, SgdConfig, clone_frozen,
+from oodstream.nn import (CheckpointError, LossSpec, MlpModel, clone_frozen,
                           forward_logits, init_mlp, load_checkpoint, save_checkpoint,
                           sgd_step, train_offline)
 
@@ -277,8 +277,7 @@ def constant_grads(model: MlpModel, value: float) -> nn.Gradients:
 def test_sgd_step_only_touches_trainable_groups():
     model = init_mlp([2, 4, 4, 3], seed=2)
     before = [w.copy() for w in model.weights] + [b.copy() for b in model.biases]
-    sgd_step(model, constant_grads(model, 1.0),
-             SgdConfig(learning_rate=0.1, trainable_groups={"fc"}))
+    sgd_step(model, constant_grads(model, 1.0), 0.1, {"fc"})
     after = model.weights + model.biases
     # layers 0 and 1 are block1/block2: bitwise untouched
     assert np.array_equal(before[0], after[0]) and np.array_equal(before[1], after[1])
@@ -289,15 +288,14 @@ def test_sgd_step_only_touches_trainable_groups():
 def test_sgd_step_single_parameter_arithmetic():
     model = MlpModel([1, 1], [np.array([[1.0]])], [np.zeros(1)], ["fc"])
     grads = factored([[[1.0]]], [[[2.0]]], [[0.0]])
-    sgd_step(model, grads, SgdConfig(learning_rate=0.5, trainable_groups={"fc"}))
+    sgd_step(model, grads, 0.5, {"fc"})
     assert model.weights[0][0, 0] == 0.0
 
 
 def test_sgd_step_empty_trainable_set_is_identity():
     model = init_mlp([3, 4, 2], seed=3)
     before = [w.copy() for w in model.weights] + [b.copy() for b in model.biases]
-    sgd_step(model, constant_grads(model, 5.0),
-             SgdConfig(learning_rate=0.1, trainable_groups=frozenset()))
+    sgd_step(model, constant_grads(model, 5.0), 0.1, frozenset())
     for b, a in zip(before, model.weights + model.biases):
         assert np.array_equal(b, a)
 
@@ -319,9 +317,9 @@ def test_sgd_step_consumes_grads_with_the_bits_of_lr_times_g():
     grads = random_grads(model, rng)
     factors0 = [a.copy() for a in factors_of(grads)]
     biases0 = [g.copy() for g in grads.d_biases]
-    cfg = SgdConfig(learning_rate=0.0375, trainable_groups={"block2", "fc"})
-    sgd_step_reference(ref, materialized(grads), cfg)
-    sgd_step(model, grads, cfg)
+    lr, groups = 0.0375, {"block2", "fc"}
+    sgd_step_reference(ref, materialized(grads), lr, groups)
+    sgd_step(model, grads, lr, groups)
     for a, b in zip(model.weights + model.biases, ref.weights + ref.biases):
         assert a.tobytes() == b.tobytes()
     # the factors are never written; the trainable layers' bias gradients
@@ -329,7 +327,7 @@ def test_sgd_step_consumes_grads_with_the_bits_of_lr_times_g():
     # index 0) is untouched
     assert [a.tobytes() for a in factors_of(grads)] == [a.tobytes() for a in factors0]
     for i, (g, g0) in enumerate(zip(grads.d_biases, biases0)):
-        want = g0 if i == 0 else cfg.learning_rate * g0
+        want = g0 if i == 0 else lr * g0
         assert g.tobytes() == want.tobytes()
 
 
@@ -356,13 +354,12 @@ def assert_blocked_update_equals_full(rng, n_rows, fan_in, cols):
     model = MlpModel([fan_in, cols], [nn._aligned(rng.normal(0.0, 1e-6, size=(fan_in, cols)))],
                      [nn._aligned(rng.normal(0.0, 1e-6, size=cols))], ["fc"])
     ref = clone_frozen(model)
-    cfg = SgdConfig(learning_rate=1.0, trainable_groups={"fc"})
     for _ in range(2):
         a, delta = rng.normal(size=(n_rows, fan_in)), rng.normal(size=(n_rows, cols))
         bias = rng.normal(size=cols)
-        sgd_step(model, factored([a], [delta], [bias]), cfg)
+        sgd_step(model, factored([a], [delta], [bias]), 1.0, {"fc"})
         sgd_step_reference(ref, FullGradients([full_matrix_gradient(a, delta)], [bias.copy()]),
-                           cfg)
+                           1.0, {"fc"})
     assert model.weights[0].tobytes() == ref.weights[0].tobytes()
     assert model.biases[0].tobytes() == ref.biases[0].tobytes()
 
@@ -426,10 +423,9 @@ def test_clone_unchanged_by_updates_to_original():
     clone = clone_frozen(model)
     x = np.array([0.1, 0.2])
     ref = forward_logits(clone, x).copy()
-    cfg = SgdConfig(learning_rate=0.1, trainable_groups=frozenset(model.group_labels))
     for _ in range(100):
         grads = grads_of(model, x, LossSpec(uniform_weight=1.0))
-        sgd_step(model, grads, cfg)
+        sgd_step(model, grads, 0.1, model.group_labels)
     assert np.array_equal(forward_logits(clone, x), ref)
 
 
@@ -501,12 +497,19 @@ def test_train_offline_rejects_out_of_range_labels():
         train_offline(model, ds, epochs=1, batch_size=1, lr=0.001)
 
 
-@pytest.mark.parametrize("lr", [0.0, -0.05])
+@pytest.mark.parametrize("lr", [0.0, -0.05, math.nan, math.inf, -math.inf])
 def test_train_offline_rejects_a_learning_rate_not_above_zero(lr):
+    # a learning rate that is not positive and finite fails in both callers
+    # of the one check, before any weight moves; epochs = 0 is checked too
     model = init_mlp([2, 2], seed=0)
+    before = [w.copy() for w in model.weights]
+    for epochs in (0, 1):
+        with pytest.raises(ValueError, match="^learning_rate must be positive"):
+            train_offline(model, _Toy(np.zeros((1, 2)), np.array([0])), epochs=epochs,
+                          batch_size=1, lr=lr)
     with pytest.raises(ValueError, match="^learning_rate must be positive"):
-        train_offline(model, _Toy(np.zeros((1, 2)), np.array([0])), epochs=1, batch_size=1,
-                      lr=lr)
+        sgd_step(model, constant_grads(model, 1.0), lr, model.group_labels)
+    assert all(np.array_equal(b, a) for b, a in zip(before, model.weights))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -498,15 +498,24 @@ def test_resolve_groups():
     cfg = RunConfig()
     model = nn.init_mlp([2, 4, 4, 3], seed=0)
     assert cfg.resolve_groups(model) == {"block2"}
-    cfg.trainable_groups = "none"
-    assert cfg.resolve_groups(model) == frozenset()
-    cfg.trainable_groups = "all"
-    assert cfg.resolve_groups(model) == {"block1", "block2", "fc"}
-    cfg.trainable_groups = "block1+fc"
-    assert cfg.resolve_groups(model) == {"block1", "fc"}
-    cfg.trainable_groups = "blockZ"
+    assert replace(cfg, trainable_groups="none").resolve_groups(model) == frozenset()
+    assert replace(cfg, trainable_groups="all").resolve_groups(model) == \
+        {"block1", "block2", "fc"}
+    assert replace(cfg, trainable_groups="block1+fc").resolve_groups(model) == {"block1", "fc"}
     with pytest.raises(ConfigError):
-        cfg.resolve_groups(model)
+        replace(cfg, trainable_groups="blockZ").resolve_groups(model)
+    # a group the config's own dims have but the model lacks
+    with pytest.raises(ConfigError, match="unknown parameter groups"):
+        replace(cfg, trainable_groups="block1+fc").resolve_groups(nn.init_mlp([2, 3], seed=0))
+
+
+def test_every_field_is_frozen_after_its_checks():
+    # no field can take a value its load rule never saw
+    cfg = RunConfig()
+    for f in fields(cfg):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, f.name, getattr(RunConfig(), f.name))
+    assert cfg == RunConfig()
 
 
 def test_circle_means_geometry():
