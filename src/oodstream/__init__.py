@@ -8,8 +8,8 @@ an outlier-uniformity loss regularized by an ID memory bank and a
 prediction-consistency hinge against the frozen initial model.
 """
 
-from .data import (GaussianSource, LabeledSet, RingSource, Stream, UniformBoxSource,
-                   compose_mixed, compose_stream, compose_timeseries, make_scenario)
+from .data import (GaussianSource, LabeledSet, Stream, compose_mixed, compose_stream,
+                   compose_timeseries, make_scenario)
 from .engine import AutoState, EventLog, StreamEvent, init_state, run_posthoc, run_stream, step
 from .filtering import (FilterDecision, Margins, classify, estimate_id_stats, init_margins,
                         update_outlier_margin)

@@ -284,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "ablate":
             cmd_ablate(cfg)
         elif args.command == "sweep":
-            cmd_sweep(cfg, args.param, args.values.split(","))
+            cmd_sweep(cfg, args.param, [raw.strip() for raw in args.values.split(",")])
     except (CliError, ConfigError, FloatingPointError, nn.CheckpointError, ValueError,
             OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

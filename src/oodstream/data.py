@@ -1,8 +1,8 @@
 """Synthetic scenarios and stream composition.
 
-In-distribution data is a C-class isotropic Gaussian mixture; outlier pools
-come from shifted Gaussians, uniform boxes, or rings. Streams interleave an
-ID pool with one or more OOD pools by a per-position Bernoulli draw with ID
+In-distribution data is a C-class isotropic Gaussian mixture; each outlier
+pool comes from one shifted isotropic Gaussian. Streams interleave an ID
+pool with one or more OOD pools by a per-position Bernoulli draw with ID
 probability kappa, sampling without replacement and truncating at the first
 pool exhaustion. Everything is a pure function of the ``RunConfig``.
 """
@@ -37,7 +37,7 @@ class LabeledSet:
         return len(self.labels)
 
 
-# Each OOD source class declares its config keys: ``kind`` is the value of
+# The OOD source class declares its config keys: ``kind`` is the value of
 # ``scenario.oodK.kind``, and each field, in file order, is one more
 # ``scenario.oodK.*`` key. A tuple field has one value per dimension; a
 # scalar field must be > 0.
@@ -50,29 +50,10 @@ class GaussianSource:
     spread: float
 
 
-@dataclass(frozen=True)
-class UniformBoxSource:
-    """Axis-aligned uniform box."""
-
-    kind: ClassVar[str] = "box"
-    low: tuple[float, ...]
-    high: tuple[float, ...]
+OOD_KINDS = {GaussianSource.kind: GaussianSource}
 
 
-@dataclass(frozen=True)
-class RingSource:
-    """Spherical shell: uniform direction, radius + width*(U-1/2) magnitude."""
-
-    kind: ClassVar[str] = "ring"
-    radius: float
-    width: float
-
-
-OodSource = GaussianSource | UniformBoxSource | RingSource
-OOD_KINDS = {cls.kind: cls for cls in (GaussianSource, UniformBoxSource, RingSource)}
-
-
-def check_sources(sources: tuple[OodSource, ...], dim: int) -> None:
+def check_sources(sources: tuple[GaussianSource, ...], dim: int) -> None:
     """Raise ValueError naming the config key of the first bad source value;
     NaN fails every check."""
     for i, src in enumerate(sources, start=1):
@@ -89,8 +70,6 @@ def check_sources(sources: tuple[OodSource, ...], dim: int) -> None:
                                      f"length {len(value)}; dim is {dim}")
             elif not value > 0:
                 raise ValueError(f"{key}.{f.name} = {value!r} is out of range: it must be > 0")
-        if isinstance(src, UniformBoxSource) and not np.all(np.greater(src.high, src.low)):
-            raise ValueError(f"{key}.high must exceed {key}.low in every coordinate")
 
 
 def circle_means(num_classes: int, mean_radius: float,
@@ -125,18 +104,9 @@ def _draw_id_set(cfg: RunConfig, total: int, rng: np.random.Generator) -> Labele
     return LabeledSet(features[order], labels_arr[order], cfg.classes)
 
 
-def _draw_ood_set(src: OodSource, dim: int, n: int, rng: np.random.Generator) -> LabeledSet:
-    if isinstance(src, GaussianSource):
-        feats = rng.normal(0.0, src.spread, size=(n, dim)) + np.asarray(src.center)
-    elif isinstance(src, UniformBoxSource):
-        lo = np.asarray(src.low, dtype=np.float64)
-        hi = np.asarray(src.high, dtype=np.float64)
-        feats = rng.uniform(0.0, 1.0, size=(n, dim)) * (hi - lo) + lo
-    else:
-        direction = rng.normal(0.0, 1.0, size=(n, dim))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        radii = src.radius + src.width * (rng.uniform(0.0, 1.0, size=(n, 1)) - 0.5)
-        feats = direction * radii
+def _draw_ood_set(src: GaussianSource, dim: int, n: int,
+                  rng: np.random.Generator) -> LabeledSet:
+    feats = rng.normal(0.0, src.spread, size=(n, dim)) + np.asarray(src.center)
     return LabeledSet(feats, np.full(n, -1, dtype=np.int64), 0)
 
 

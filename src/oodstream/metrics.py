@@ -5,8 +5,8 @@ All metrics consume arrival-time scores only. Brute-force oracles
 them live in the test suite.
 
 Threshold semantics: a score >= tau counts as an in-distribution call; tau is
-the largest threshold whose ID true-positive rate still meets the target, the
-most conservative feasible choice. AUROC uses the midrank (half-credit) tie
+the largest threshold whose ID true-positive rate still meets 0.95, the most
+conservative feasible choice. AUROC uses the midrank (half-credit) tie
 convention and equals the trapezoidal ROC area.
 """
 
@@ -36,12 +36,10 @@ def _split_scores(log: EventLog) -> tuple[np.ndarray, np.ndarray]:
     return id_scores, ood_scores
 
 
-def fpr_at_tpr(log: EventLog, tpr_target: float = 0.95) -> float:
-    """OOD false-positive rate at the largest threshold meeting the ID TPR target."""
-    if not 0.0 < tpr_target <= 1.0:
-        raise ValueError(f"tpr_target must be in (0, 1], got {tpr_target}")
+def fpr_at_tpr(log: EventLog) -> float:
+    """OOD false-positive rate at the largest threshold meeting an ID TPR of 0.95."""
     id_scores, ood_scores = _split_scores(log)
-    k = math.ceil(tpr_target * id_scores.size)
+    k = math.ceil(0.95 * id_scores.size)
     tau = np.sort(id_scores)[id_scores.size - k]
     return float(np.mean(ood_scores >= tau))
 
@@ -83,9 +81,9 @@ def report(log: EventLog) -> MetricsReport:
     )
 
 
-def report_to_json(rep: MetricsReport, extra: dict | None = None) -> str:
+def report_to_json(rep: MetricsReport, extra: dict) -> str:
     """Serialize with fixed key names; ``extra`` adds provenance keys."""
-    obj: dict = dict(extra or {})
+    obj = dict(extra)
     obj.update({
         "fpr95": rep.fpr95,
         "auroc": rep.auroc,

@@ -13,7 +13,7 @@ import hashlib
 import math
 from dataclasses import Field, dataclass, field, fields
 
-from .data import CANONICAL_OOD_SOURCES, OOD_KINDS, OodSource, check_sources
+from .data import CANONICAL_OOD_SOURCES, OOD_KINDS, GaussianSource, check_sources
 from .nn import MlpModel, default_group_labels, last_block_group
 
 
@@ -59,7 +59,7 @@ class RunConfig:
         "key": "scenario.kappa", "stream": True, "rule": (lambda v: 0.0 <= v < 1.0, "in [0, 1)")})
     stream_seed: int = field(default=77, metadata={
         "key": "scenario.stream_seed", "stream": True, "rule": _GE0})
-    ood_sources: tuple[OodSource, ...] = ()
+    ood_sources: tuple[GaussianSource, ...] = ()
     # pretrain
     hidden: tuple[int, ...] = field(default=(128, 128), metadata={
         "key": "pretrain.hidden", "rule": (lambda v: bool(v) and min(v) >= 1,
@@ -272,7 +272,7 @@ def from_text(text: str) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _pop_sources(values: dict[str, str]) -> tuple[OodSource, ...]:
+def _pop_sources(values: dict[str, str]) -> tuple[GaussianSource, ...]:
     """The sources ``scenario.ood1`` ... ``scenario.ood{ood_count}``, their
     keys taken out of ``values``; a source key left behind is unknown."""
     count = _parse_value(values.pop("scenario.ood_count"), "int", "scenario.ood_count")

@@ -18,7 +18,7 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in values]
 
 
-def emit_score_plot(path, log: EventLog, m_in: float, header_comment: str = "") -> None:
+def emit_score_plot(path, log: EventLog, m_in: float, header_comment: str) -> None:
     n = len(log)
     if not n:
         raise ValueError("cannot plot an empty event log")
@@ -31,9 +31,8 @@ def emit_score_plot(path, log: EventLog, m_in: float, header_comment: str = "") 
     ym = _scale(m_outs, lo, hi, _H - _PAD, _PAD)
     (y_in,) = _scale([m_in], lo, hi, _H - _PAD, _PAD)
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">']
-    if header_comment:
-        parts.insert(0, f"<!-- {header_comment} -->")
+    parts = [f"<!-- {header_comment} -->",
+             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">']
     parts.append(f'<rect width="{_W}" height="{_H}" fill="white"/>')
     # axes
     parts.append(f'<line x1="{_PAD}" y1="{_H - _PAD}" x2="{_W - _PAD}" y2="{_H - _PAD}" stroke="black"/>')

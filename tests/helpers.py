@@ -12,7 +12,7 @@ import numpy as np
 
 from oodstream import engine, filtering, memory, nn, scoring
 from oodstream.cli import EVENT_COLUMNS
-from oodstream.data import GaussianSource, LabeledSet, RingSource, Stream, UniformBoxSource
+from oodstream.data import GaussianSource, LabeledSet, Stream
 from oodstream.engine import DECISIONS, EventLog, StreamEvent, UpdateTrace
 from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
@@ -585,10 +585,11 @@ def compose_reference(id_set: LabeledSet, ood_features: np.ndarray, ood_labels: 
 # ---------------------------------------------------------------------------
 # config texts
 
-# one OOD source of each kind, so that every source key is spelled out
+# three OOD sources of distinct centers and spreads, so that every source key
+# of a multi-source config is spelled out
 THREE_SOURCES = (GaussianSource(center=(3.0, 0.0), spread=0.5),
-                 UniformBoxSource(low=(-4.0, -4.0), high=(4.0, 4.0)),
-                 RingSource(radius=3.0, width=1.0))
+                 GaussianSource(center=(-4.0, 4.0), spread=1.0),
+                 GaussianSource(center=(0.0, -3.0), spread=0.75))
 
 # each removed config key and the one value that still loads, as a file spells it
 REMOVED_KEY_VALUES = {
@@ -627,6 +628,6 @@ def config_text_with(key: str, raw: str, **overrides) -> str:
     if key in REMOVED_KEY_VALUES:
         return text + f"{key} = {raw}\n"
     [line] = [ln for ln in text.splitlines() if ln.startswith(f"{key} = ")]
-    if key.endswith((".center", ".low", ".high")):
+    if key.endswith(".center"):
         raw = ",".join([raw, *line.partition(" = ")[2].split(",")[1:]])
     return text.replace(line + "\n", f"{key} = {raw}\n")

@@ -125,11 +125,16 @@ def test_gaussian_center_of_wrong_length_fails_with_one_line(tmp_path, capsys, c
     ("scenario.classes", "1"), ("scenario.stream", "bogus"), ("scenario.ood_count", "-1"),
     # a missing source key, and keys no source has
     ("scenario.ood1.spread", None), ("scenario.ood1.radius", "1"), ("scenario.ood01.kind", "box"),
+    # the removed box and ring kinds, each with its keys
+    pytest.param("scenario.ood2.kind", "box\nscenario.ood2.low = -4,-4\nscenario.ood2.high = 4,4",
+                 id="scenario.ood2.kind-box"),
+    pytest.param("scenario.ood3.kind", "ring\nscenario.ood3.radius = 3\nscenario.ood3.width = 1",
+                 id="scenario.ood3.kind-ring"),
 ])
 def test_bad_scenario_value_fails_at_load(tmp_path, capsys, key, value):
     """No checkpoint exists, so only a check at load can produce this error.
     A value of None drops the key's line; any other value replaces it, or
-    adds it if the text has no such key."""
+    adds it if the text has no such key, and may add further lines."""
     text = to_text(RunConfig(**SMALL_OVERRIDES, ood_sources=THREE_SOURCES,
                              out_dir=str(tmp_path / "out")))
     lines = [ln for ln in text.splitlines() if not ln.startswith(f"{key} = ")]
@@ -490,16 +495,22 @@ def test_ablate_and_sweep_load_and_draw_once(pretrained, monkeypatch, command):
         assert rows[0] == rows[2] != rows[1]
 
 
-def test_sweep_rows_do_not_depend_on_value_order(pretrained):
+def test_sweep_rows_do_not_depend_on_value_order(pretrained, capsys):
     """Each replay starts from the checkpoint's weights and the same scenario,
     whatever ran before it."""
     cfg_path, out = pretrained
-    rows = {}
-    for values in ("1,3", "3,1"):
+    capsys.readouterr()
+    rows, printed = {}, {}
+    for values in ("1,3", "3,1", " 1, 3"):
         assert main(["--config", str(cfg_path), "sweep", "--param", "k2",
                      "--values", values]) == 0
-        rows[values] = (out / "sweep_k2.csv").read_text().splitlines()[2:]
-    assert rows["3,1"] == rows["1,3"][::-1]
+        rows[values] = (out / "sweep_k2.csv").read_bytes()
+        printed[values] = capsys.readouterr().out
+    assert rows["3,1"].splitlines()[2:] == rows["1,3"].splitlines()[2:][::-1]
+    # blanks around a value are not part of it: they used to reach the value
+    # column and the printed line (`sweep k2= 3`)
+    assert rows[" 1, 3"] == rows["1,3"]
+    assert printed[" 1, 3"] == printed["1,3"]
 
 
 def test_sweep_rows_and_unknown_param(pretrained):

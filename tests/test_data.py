@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import compose_reference
+from helpers import THREE_SOURCES, compose_reference
 from oodstream import data
-from oodstream.data import (GaussianSource, LabeledSet, RingSource, UniformBoxSource,
-                            circle_means, compose_mixed, compose_stream, compose_timeseries,
-                            make_scenario)
+from oodstream.data import (GaussianSource, LabeledSet, circle_means, compose_mixed,
+                            compose_stream, compose_timeseries, make_scenario)
 from oodstream.runconfig import RunConfig
 
 
@@ -49,20 +48,22 @@ def test_make_scenario_degenerate_spread():
         assert np.allclose(x, means[y], atol=1e-290)
 
 
-def test_ring_source_radii():
-    spec = small_spec(ood_sources=(RingSource(radius=4.0, width=1.0),), ood_n=200)
-    _, _, oods = make_scenario(spec)
-    radii = np.linalg.norm(oods[0].features, axis=1)
-    assert np.all(radii >= 3.5 - 1e-12) and np.all(radii <= 4.5 + 1e-12)
+def test_gaussian_source_center_and_spread():
+    """One pool per source, in file order, each around its own center."""
+    _, _, oods = make_scenario(small_spec(ood_sources=THREE_SOURCES, ood_n=2000))
+    assert len(oods) == len(THREE_SOURCES)
+    for pool, src in zip(oods, THREE_SOURCES):
+        assert np.allclose(pool.features.mean(axis=0), src.center, atol=0.1 * src.spread + 0.05)
+        assert np.allclose(pool.features.std(axis=0), src.spread, atol=0.1 * src.spread)
 
 
-def test_box_source_bounds():
-    spec = small_spec(ood_sources=(UniformBoxSource(low=(-3.0, 2.0), high=(-1.0, 5.0)),),
-                      ood_n=200)
-    _, _, oods = make_scenario(spec)
-    f = oods[0].features
-    assert np.all(f[:, 0] >= -3) and np.all(f[:, 0] <= -1)
-    assert np.all(f[:, 1] >= 2) and np.all(f[:, 1] <= 5)
+def test_gaussian_source_in_three_dims():
+    center = (1.0, -2.0, 3.0)
+    spec = small_spec(dim=3, ood_sources=(GaussianSource(center=center, spread=0.5),),
+                      ood_n=2000)
+    _, test_id, oods = make_scenario(spec)
+    assert test_id.features.shape == (30, 3) and oods[0].features.shape == (2000, 3)
+    assert np.allclose(oods[0].features.mean(axis=0), center, atol=0.1)
 
 
 # ---------------------------------------------------------------------------

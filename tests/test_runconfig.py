@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from helpers import (FLOAT_KEYS, REMOVED_KEY_VALUES, THREE_SOURCES, config_text_with,
                      non_finite_rule, removed_key_rule)
 from oodstream import cli, data, nn
-from oodstream.data import GaussianSource, RingSource, UniformBoxSource, circle_means
+from oodstream.data import GaussianSource, circle_means
 from oodstream.runconfig import (REMOVED_KEYS, ConfigError, RunConfig, config_hash, from_text,
                                  parse_setting, pretrain_hash, to_text)
 
@@ -33,9 +33,11 @@ def test_round_trip_lossless():
 
 # every scenario and pretrain key but the stream keys, changed
 PRETRAINING_CHANGES = [
-    {"dim": 3, "ood_sources": (RingSource(radius=2.0, width=0.5),)}, {"classes": 4},
+    {"dim": 3, "ood_sources": (GaussianSource(center=(2.0, 0.0, 1.0), spread=0.5),)},
+    {"classes": 4},
     {"mean_radius": 2.0}, {"id_spread": 0.3}, {"train_n": 100}, {"test_id_n": 10},
-    {"ood_n": 10}, {"seed": 1}, {"ood_sources": (RingSource(radius=2.0, width=0.5),)},
+    {"ood_n": 10}, {"seed": 1},
+    {"ood_sources": (GaussianSource(center=(2.0, 0.0), spread=0.5),)},
     {"hidden": (8,)}, {"epochs": 1}, {"batch_size": 8}, {"pretrain_lr": 0.1},
     {"init_seed": 3}, {"shuffle_seed": 4},
 ]
@@ -53,14 +55,15 @@ def test_config_text_and_hashes_are_pinned():
     """The canonical text, and so both hashes, are pinned. Removing replay
     keys (four variants, then the two score keys) moved the config hash; the
     pretrain hash, which a checkpoint records, did not move. Removing weight
-    decay moved both: ``pretrain.weight_decay`` was a pretrain line."""
+    decay moved both: ``pretrain.weight_decay`` was a pretrain line. The
+    three-source text moved when its box and ring sources became gaussian."""
     def sha(cfg):
         return hashlib.sha256(to_text(cfg).encode("ascii")).hexdigest()
 
     assert sha(RunConfig()) == \
         "e0a69aa90ad12ebab1aa6e7a71e4baffcef38b2a8aa513204e463580e1fa1df4"
     assert sha(RunConfig(ood_sources=THREE_SOURCES, hidden=(8, 4, 2))) == \
-        "75e6a0786c112385fc66333f07cab9a2be5f476b8fce5fc1bd6687e1ddb8b6eb"
+        "45bd77d4842a5a6633a4bb6acdf48e50a8cf1a06a3dd041a8803108a2f9a6c5d"
     for path, hashes in (("configs/canonical.cfg", ("bf2840e5022c", "d18d52645bbf")),
                          ("perfbench/wide_drift.cfg", ("2c3f6312cbad", "d565196e55de"))):
         cfg = from_text((ROOT / path).read_text(encoding="ascii"))
@@ -104,11 +107,6 @@ def test_train_n_below_classes_rejected_at_load():
     assert from_text("scenario.classes = 5\nscenario.train_n = 5\n").train_n == 5
 
 
-def _ring(radius: str, width: str) -> str:
-    return (f"scenario.ood_count = 1\nscenario.ood1.kind = ring\n"
-            f"scenario.ood1.radius = {radius}\nscenario.ood1.width = {width}\n")
-
-
 def _gaussian(center: str, spread: str) -> str:
     return (f"scenario.ood_count = 1\nscenario.ood1.kind = gaussian\n"
             f"scenario.ood1.center = {center}\nscenario.ood1.spread = {spread}\n")
@@ -137,19 +135,14 @@ SCENARIO_RULE_CASES = {
         _gaussian("inf,0", "0.5"), "scenario.ood1.center = inf,0.0 is out of range: it must be "
         "finite"),
     "source_scalar_not_finite": (
-        {"ood_sources": (RingSource(radius=math.nan, width=1.0),)}, _ring("nan", "1"),
-        "scenario.ood1.radius = nan is out of range: it must be finite"),
+        {"ood_sources": (GaussianSource(center=(0.0, 0.0), spread=math.nan),)},
+        _gaussian("0,0", "nan"), "scenario.ood1.spread = nan is out of range: it must be finite"),
     "source_length": (
         {"ood_sources": (GaussianSource(center=(1.0, 2.0, 3.0), spread=0.5),)},
         _gaussian("1,2,3", "0.5"), "OOD source 1 (scenario.ood1.center) has length 3; dim is 2"),
     "source_scalar": (
-        {"ood_sources": (RingSource(radius=-1.0, width=1.0),)}, _ring("-1", "1"),
-        "scenario.ood1.radius = -1.0 is out of range: it must be > 0"),
-    "box_high_not_above_low": (
-        {"ood_sources": (UniformBoxSource(low=(0.0, 0.0), high=(0.0, 1.0)),)},
-        "scenario.ood_count = 1\nscenario.ood1.kind = box\nscenario.ood1.low = 0,0\n"
-        "scenario.ood1.high = 0,1\n",
-        "scenario.ood1.high must exceed scenario.ood1.low in every coordinate"),
+        {"ood_sources": (GaussianSource(center=(0.0, 0.0), spread=-1.0),)},
+        _gaussian("0,0", "-1"), "scenario.ood1.spread = -1.0 is out of range: it must be > 0"),
 }
 
 
@@ -239,14 +232,13 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_ood_source_count_mismatch():
-    text = "scenario.ood_count = 2\nscenario.ood1.kind = ring\n" \
-           "scenario.ood1.radius = 2\nscenario.ood1.width = 1\n"
+    text = _gaussian("2,0", "1").replace("= 1\n", "= 2\n", 1)
     with pytest.raises(ConfigError, match="ood_count"):
         from_text(text)
     # a count too low leaves the next source unread
     with pytest.raises(ConfigError, match="^unknown config key 'scenario.ood2.kind': "
                        "scenario.ood_count = 1$"):
-        from_text(text.replace("= 2\n", "= 1\n", 1) + "scenario.ood2.kind = ring\n")
+        from_text(text.replace("= 2\n", "= 1\n", 1) + "scenario.ood2.kind = gaussian\n")
 
 
 THREE_SOURCES_TEXT = to_text(RunConfig(ood_sources=THREE_SOURCES))
@@ -255,12 +247,9 @@ SOURCE_KEYS = [line.partition(" = ")[0] for line in THREE_SOURCES_TEXT.splitline
 
 
 def test_source_keys_are_the_fields_of_their_class():
-    assert SOURCE_KEYS == [
-        "scenario.ood1.kind", "scenario.ood1.center", "scenario.ood1.spread",
-        "scenario.ood2.kind", "scenario.ood2.low", "scenario.ood2.high",
-        "scenario.ood3.kind", "scenario.ood3.radius", "scenario.ood3.width"]
-    assert data.OOD_KINDS == {"gaussian": GaussianSource, "box": UniformBoxSource,
-                              "ring": RingSource}
+    assert SOURCE_KEYS == [f"scenario.ood{i}.{name}" for i in (1, 2, 3)
+                           for name in ("kind", "center", "spread")]
+    assert data.OOD_KINDS == {"gaussian": GaussianSource}
     # runconfig reads every kind and key from the classes and spells out none
     source = (ROOT / "src" / "oodstream" / "runconfig.py").read_text(encoding="ascii")
     for kind, cls in data.OOD_KINDS.items():
@@ -277,10 +266,10 @@ def test_missing_source_key_rejected(key):
         from_text(text)
 
 
-# a key of another source kind, then keys that name no source
-STRAY_SOURCE_KEYS = [f"scenario.ood{i}.{f.name}" for i, src in enumerate(THREE_SOURCES, 1)
-                     for cls in data.OOD_KINDS.values() if cls is not type(src)
-                     for f in fields(cls)] + [
+# a key of the removed box and ring kinds on each source, then keys that name
+# no source
+STRAY_SOURCE_KEYS = [f"scenario.ood{i}.{name}" for i in range(1, len(THREE_SOURCES) + 1)
+                     for name in ("low", "high", "radius", "width")] + [
     "scenario.ood01.kind", "scenario.ood5.kind", "scenario.ood1.bogus", "scenario.oodx.kind"]
 
 
@@ -307,9 +296,11 @@ def test_ood_count_below_one_rejected():
 
 
 def test_bad_source_kind_rejected():
-    with pytest.raises(ConfigError, match="^scenario.ood1.kind = 'disc' is out of range: "
-                       "it must be one of gaussian, box, ring$"):
-        from_text(THREE_SOURCES_TEXT.replace("kind = gaussian", "kind = disc"))
+    """``box`` and ``ring`` were source kinds; they fail as any unknown kind."""
+    for kind in ("disc", "box", "ring"):
+        with pytest.raises(ConfigError, match=f"^scenario.ood1.kind = '{kind}' is out of "
+                           "range: it must be one of gaussian$"):
+            from_text(THREE_SOURCES_TEXT.replace("kind = gaussian", f"kind = {kind}", 1))
 
 
 # spellings of each kept value that load, and values that do not
@@ -356,9 +347,7 @@ def test_other_dim_without_sources_names_the_source_keys():
             from_text(f"scenario.dim = {dim}\n")
     with pytest.raises(ConfigError, match="^scenario.dim = 0 is out of range: it must be >= 1$"):
         from_text("scenario.dim = 0\n")
-    ring = "scenario.ood_count = 1\nscenario.ood1.kind = ring\n" \
-           "scenario.ood1.radius = 2\nscenario.ood1.width = 1\n"
-    assert from_text(f"scenario.dim = 3\n{ring}").dim == 3
+    assert from_text(f"scenario.dim = 3\n{_gaussian('2,0,1', '1')}").dim == 3
 
 
 def test_shipped_configs_load():
@@ -465,14 +454,9 @@ CONFIG_VALUES = dict(
 
 def ood_sources(dim: int):
     """Valid OOD sources in ``dim`` dimensions: the loader rejects any other."""
-    bounds = st.tuples(finite, finite).filter(lambda b: b[0] != b[1]).map(sorted)
-    return st.one_of(
-        st.builds(GaussianSource, center=st.lists(finite, min_size=dim, max_size=dim).map(tuple),
-                  spread=positive),
-        st.lists(bounds, min_size=dim, max_size=dim).map(lambda bs: UniformBoxSource(
-            low=tuple(lo for lo, _ in bs), high=tuple(hi for _, hi in bs))),
-        st.builds(RingSource, radius=positive, width=positive),
-    )
+    return st.builds(GaussianSource,
+                     center=st.lists(finite, min_size=dim, max_size=dim).map(tuple),
+                     spread=positive)
 
 
 @st.composite
