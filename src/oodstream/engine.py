@@ -185,7 +185,7 @@ def step(state: AutoState, cfg: RunConfig, x: np.ndarray,
                 loss, grads = nn._loss_and_grad(state.model_t, batch)
                 _check_finite(loss, state)
                 losses.append(loss)
-                nn.sgd_step(state.model_t, grads, state.lr, state.trainable)
+                nn.sgd_step(state.model_t, grads, state.lr)
             final = nn.total_loss(state.model_t, batch)
             _check_finite(final, state)
             losses.append(final)

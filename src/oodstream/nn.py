@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +30,18 @@ class MlpModel:
     """Fully-connected network: ReLU hidden layers, identity (logit) output.
 
     ``weights[i]`` has shape ``(layer_dims[i], layer_dims[i+1])`` and
-    ``biases[i]`` shape ``(layer_dims[i+1],)``. Each layer belongs to exactly
-    one named parameter group (``group_labels[i]``); hidden layer k is
-    ``"blockK"`` and the output layer is ``"fc"``, so the groups partition
-    all parameters.
+    ``biases[i]`` shape ``(layer_dims[i+1],)``. Each layer is one named
+    parameter group, ``group_labels[i]``, which the dims alone name: hidden
+    layer k is ``"blockK"`` and the output layer is ``"fc"``.
     """
 
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    group_labels: list[str]
+
+    @property
+    def group_labels(self) -> list[str]:
+        return default_group_labels(self.layer_dims)
 
     @property
     def input_dim(self) -> int:
@@ -91,13 +92,6 @@ def default_group_labels(layer_dims: list[int]) -> list[str]:
     return [f"block{i + 1}" for i in range(n_layers - 1)] + ["fc"]
 
 
-def last_block_group(model: MlpModel) -> str:
-    """Group name of the last hidden layer (the recommended online-update target)."""
-    if model.num_layers < 2:
-        raise ValueError("model has no hidden layer")
-    return model.group_labels[model.num_layers - 2]
-
-
 def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialized little-endian float64 array whose data starts on a
     64-byte boundary.
@@ -132,7 +126,7 @@ def init_mlp(layer_dims: list[int], seed: int) -> MlpModel:
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
         weights.append(_aligned(rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out))))
         biases.append(_aligned(np.zeros(fan_out)))
-    return MlpModel(list(layer_dims), weights, biases, default_group_labels(layer_dims))
+    return MlpModel(list(layer_dims), weights, biases)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +390,11 @@ def _check_lr(lr: float) -> None:
         raise ValueError(f"learning_rate must be positive and finite, got {lr}")
 
 
-def sgd_step(model: MlpModel, grads: Gradients, lr: float,
-             groups: Collection[str]) -> MlpModel:
-    """In-place ``param -= lr * g`` restricted to layers in ``groups``.
+def sgd_step(model: MlpModel, grads: Gradients, lr: float) -> MlpModel:
+    """In-place ``param -= lr * g`` on each layer that ``grads`` holds a
+    gradient for.
 
-    Layers outside the trainable groups are never written, so they stay
+    A layer whose gradient is None is never written, so it stays
     bit-identical. A weight is updated in row blocks (``_row_blocks``):
     each block's gradient rows are materialized from the factors and then
     get the elementwise operations of the whole-matrix update, so no
@@ -408,15 +402,14 @@ def sgd_step(model: MlpModel, grads: Gradients, lr: float,
     learning rate in place, so the bias gradients are consumed.
     """
     _check_lr(lr)
-    for i, group in enumerate(model.group_labels):
-        if group not in groups:
+    for i, d_bias in enumerate(grads.d_biases):
+        if d_bias is None:
             continue
         w = model.weights[i]
         for start, stop in _row_blocks(*w.shape):
             block, g = w[start:stop], grads.weight(i, start, stop)
             block -= np.multiply(g, lr, out=g)
-        g = grads.d_biases[i]
-        model.biases[i] -= np.multiply(g, lr, out=g)
+        model.biases[i] -= np.multiply(d_bias, lr, out=d_bias)
     return model
 
 
@@ -426,7 +419,6 @@ def clone_frozen(model: MlpModel) -> MlpModel:
         list(model.layer_dims),
         [_aligned(w) for w in model.weights],
         [_aligned(b) for b in model.biases],
-        list(model.group_labels),
     )
 
 
@@ -467,7 +459,7 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
             dlogits = probs
             dlogits[np.arange(len(yb)), yb] -= 1.0
             dlogits /= len(yb)
-            sgd_step(model, _backprop(model, acts, dlogits, keep), lr, model.group_labels)
+            sgd_step(model, _backprop(model, acts, dlogits, keep), lr)
     return model
 
 
@@ -527,10 +519,11 @@ def load_checkpoint(path) -> tuple[MlpModel, str]:
             raise CheckpointError(f"bad layer dims line: {dims_line!r}") from exc
         if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
             raise CheckpointError(f"invalid layer dims {layer_dims}")
-        group_labels = labels_line.split()
+        expected = " ".join(default_group_labels(layer_dims))
+        if labels_line != expected:
+            raise CheckpointError(f"group labels {labels_line!r} do not name the layers "
+                                  f"of dims {layer_dims}: expected {expected!r}")
         n_layers = len(layer_dims) - 1
-        if len(group_labels) != n_layers:
-            raise CheckpointError(f"expected {n_layers} group labels, got {len(group_labels)}")
         end = os.fstat(f.fileno()).st_size
         tensors: list[np.ndarray] = []
         for i in range(n_layers):
@@ -548,4 +541,4 @@ def load_checkpoint(path) -> tuple[MlpModel, str]:
                 tensors.append(tensor)
         if f.read(1):
             raise CheckpointError(f"unexpected bytes after tensor b{n_layers - 1}")
-    return MlpModel(layer_dims, tensors[0::2], tensors[1::2], group_labels), pretrain_hash
+    return MlpModel(layer_dims, tensors[0::2], tensors[1::2]), pretrain_hash

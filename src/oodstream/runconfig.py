@@ -14,7 +14,7 @@ import math
 from dataclasses import Field, dataclass, field, fields
 
 from .data import CANONICAL_OOD_SOURCES, OOD_KINDS, GaussianSource, check_sources
-from .nn import MlpModel, default_group_labels, last_block_group
+from .nn import MlpModel, default_group_labels
 
 
 class ConfigError(Exception):
@@ -104,10 +104,8 @@ class RunConfig:
                 continue
             shown = _fmt_value(value, f.type) if f.type == _INT_LIST else repr(value)
             raise ConfigError(f"{f.metadata['key']} = {shown} is out of range: it must be {rule}")
-        # Named groups must be groups of the model `pretrain` builds from these dims.
-        name = self.trainable_groups.strip()
-        if name not in ("none", "all", "last_block"):
-            _named_groups(name, default_group_labels(self.layer_dims()))
+        # The groups must be groups of the model `pretrain` builds from these dims.
+        _resolve_groups(self.trainable_groups, default_group_labels(self.layer_dims()))
         # train_n is split evenly across classes, so each class gets a row
         if self.train_n < self.classes:
             raise ConfigError(f"scenario.train_n = {self.train_n!r} is out of range: "
@@ -116,6 +114,12 @@ class RunConfig:
             check_sources(self.ood_sources, self.dim)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # a time series splits test_id_n evenly across its segments, one per
+        # OOD source, so each segment gets an ID row
+        segments = len(self.ood_sources)
+        if self.stream == "timeseries" and self.test_id_n < segments:
+            raise ConfigError(f"scenario.test_id_n = {self.test_id_n!r} is out of range: it "
+                              f"must be >= the timeseries stream's {segments} segments")
 
     # -- derived objects ----------------------------------------------------
 
@@ -123,22 +127,27 @@ class RunConfig:
         return [self.dim, *self.hidden, self.classes]
 
     def resolve_groups(self, model: MlpModel) -> frozenset[str]:
-        name = self.trainable_groups.strip()
-        if name == "none":
-            return frozenset()
-        if name == "all":
-            return frozenset(model.group_labels)
-        if name == "last_block":
-            return frozenset({last_block_group(model)})
-        return _named_groups(name, model.group_labels)
+        return _resolve_groups(self.trainable_groups, model.group_labels)
 
 
-def _named_groups(name: str, groups: list[str]) -> frozenset[str]:
+def _resolve_groups(name: str, labels: list[str]) -> frozenset[str]:
+    """The groups of a model with group ``labels`` that ``sgd.trainable_groups``
+    = ``name`` selects: ``none``, ``all``, ``last_block`` (the last hidden
+    layer) or group names joined by ``+``."""
+    name = name.strip()
+    if name == "none":
+        return frozenset()
+    if name == "all":
+        return frozenset(labels)
+    if name == "last_block":
+        if len(labels) < 2:
+            raise ValueError("model has no hidden layer")
+        return frozenset({labels[-2]})
     named = frozenset(name.split("+"))
-    unknown = named - set(groups)
+    unknown = named - set(labels)
     if unknown:
         raise ConfigError(f"unknown parameter groups {sorted(unknown)} in "
-                          f"sgd.trainable_groups; the model has {groups}")
+                          f"sgd.trainable_groups; the model has {labels}")
     return named
 
 

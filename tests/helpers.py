@@ -40,6 +40,14 @@ def materialized(grads: nn.Gradients) -> FullGradients:
                           for i, d in enumerate(grads.deltas)], list(grads.d_biases))
 
 
+def only_layers(grads: nn.Gradients, layers) -> nn.Gradients:
+    """``grads`` with None for each layer not in ``layers``, as a gradient
+    restricted to some parameter groups holds."""
+    def kept(column):
+        return [g if i in layers else None for i, g in enumerate(column)]
+    return nn.Gradients(kept(grads.inputs), kept(grads.deltas), kept(grads.d_biases))
+
+
 def loss_and_grad(model: MlpModel, x, spec: LossSpec, trainable=None):
     """Loss and gradients of one evaluation at probe row ``x``, through a
     prepared episode batch (every layer kept when ``trainable`` is None)."""
@@ -382,7 +390,7 @@ def episode_reference(model: MlpModel, x, spec: LossSpec, lr: float, trainable: 
         loss, grads = per_call_loss_and_grad_reference(model, x, spec, trainable)
         assert math.isfinite(loss)
         losses.append(loss)
-        nn.sgd_step(model, grads, lr, trainable)
+        nn.sgd_step(model, grads, lr)
     losses.append(per_call_loss_and_grad_reference(model, x, spec, want_grad=False)[0])
     return tuple(losses)
 
@@ -474,15 +482,15 @@ def train_offline_reference(model: MlpModel, features, labels, epochs: int,
             probs /= len(idx)
             grads = _zero_filled_slots(model)
             backprop_reference(model, pre, acts, probs, grads)
-            sgd_step_reference(model, grads, lr, model.group_labels)
+            sgd_step_reference(model, grads, lr)
     return model
 
 
-def sgd_step_reference(model: MlpModel, grads: FullGradients, lr: float, groups) -> None:
-    """``param -= lr * g`` on whole tensors of the layers in ``groups``, with
-    a fresh ``lr * g`` per tensor; ``grads`` untouched."""
-    for i, group in enumerate(model.group_labels):
-        if group not in groups:
+def sgd_step_reference(model: MlpModel, grads: FullGradients, lr: float) -> None:
+    """``param -= lr * g`` on whole tensors of the layers that ``grads`` holds
+    a gradient for, with a fresh ``lr * g`` per tensor; ``grads`` untouched."""
+    for i in range(model.num_layers):
+        if grads.d_biases[i] is None:
             continue
         for param, grad in ((model.weights[i], grads.d_weights[i]),
                             (model.biases[i], grads.d_biases[i])):

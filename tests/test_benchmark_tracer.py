@@ -52,13 +52,21 @@ def test_every_traced_target_exists(tracer):
     assert [getattr(MODULES[mod], attr) for mod, attr, _ in tracer.TARGETS] == originals
 
 
-@pytest.mark.parametrize("mode", ["auto", "frozen"])
-def test_traced_counts_equal_program_counts(tmp_path, capsys, tracer, mode):
+# Every stream kind, in both modes. The tracer adds to ``data.arrivals`` once
+# per ``data.compose`` span, so a composer that called another traced
+# composer would nest two spans and count its arrivals twice. The default
+# stream keeps the bare mode as its id.
+STREAM_MODES = [pytest.param(stream, mode, id=mode if stream == "single" else f"{stream}-{mode}")
+                for stream in ("single", "mixed", "timeseries") for mode in ("auto", "frozen")]
+
+
+@pytest.mark.parametrize("stream,mode", STREAM_MODES)
+def test_traced_counts_equal_program_counts(tmp_path, capsys, tracer, stream, mode):
     """A tiny run through the benchmark's own tracer and count check."""
     run = load_bench_module("run")
     out = tmp_path / "out"
     text = to_text(RunConfig(test_id_n=300, ood_n=300, hidden=(16, 16), epochs=3, k2=1.0,
-                             stats_subsample_n=40, out_dir=str(out)))
+                             stats_subsample_n=40, stream=stream, out_dir=str(out)))
     path = tmp_path / "tiny.cfg"
     path.write_text(text, encoding="ascii")
     assert main(["--config", str(path), "pretrain"]) == 0

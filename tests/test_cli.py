@@ -365,6 +365,36 @@ def test_train_n_below_classes_fails_at_load(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_timeseries_test_id_n_below_segments_fails_at_load(tmp_path, capsys):
+    """``test_id_n = 1`` over two time-series segments used to pretrain and
+    exit 0, and then every ``run`` failed with an error that named no key:
+    one segment's share of the ID pool is empty."""
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, stream="timeseries", out_dir=str(out))
+    cfg_path.write_text(cfg_path.read_text().replace("scenario.test_id_n = 250",
+                                                     "scenario.test_id_n = 1"), encoding="ascii")
+    assert main(["--config", str(cfg_path), "pretrain"]) == 1
+    assert capsys.readouterr().err == ("error: config error: scenario.test_id_n = 1 is out of "
+                                       "range: it must be >= the timeseries stream's 2 "
+                                       "segments\n")
+    assert not out.exists()
+
+
+def test_checkpoint_labels_other_than_the_dims_names_fail_with_one_line(pretrained, capsys):
+    cfg_path, out = pretrained
+    ckpt = out / "model.ckpt"
+    *header, payload = ckpt.read_bytes().split(b"\n", 4)
+    assert header[2] == b"block1 block2 fc"
+    header[2] = b"block1 block3 fc"
+    ckpt.write_bytes(b"\n".join(header) + b"\n" + payload)
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "run", "--mode", "auto"]) == 1
+    assert capsys.readouterr().err == (
+        "error: group labels 'block1 block3 fc' do not name the layers of dims "
+        "[2, 16, 16, 3]: expected 'block1 block2 fc'\n")
+    assert not (out / "auto_events.csv").exists()
+
+
 @pytest.mark.parametrize("mode", ["auto", "frozen"])
 def test_non_finite_arrival_fails_with_one_line(pretrained, capsys, mode):
     cfg_path, _ = pretrained

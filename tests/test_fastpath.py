@@ -23,9 +23,10 @@ from conftest import fresh_state
 from helpers import (assert_columns_equal, assert_replays_equal, checkpoint_bytes_reference,
                      events_csv_reference, init_margins_reference, log_from_columns,
                      log_softmax_reference, loss_and_grad, loss_and_grad_reference,
-                     materialized, per_call_loss_and_grad_reference, predict_reference,
-                     probe_dlogits_reference, run_posthoc_reference, run_stream_reference,
-                     score_reference, total_loss, train_offline_reference)
+                     materialized, only_layers, per_call_loss_and_grad_reference,
+                     predict_reference, probe_dlogits_reference, run_posthoc_reference,
+                     run_stream_reference, score_reference, total_loss,
+                     train_offline_reference)
 from oodstream import cli, engine, metrics, nn
 from oodstream.data import LabeledSet, Stream
 from oodstream.nn import LossSpec, _probe_dlogits, init_mlp
@@ -255,15 +256,21 @@ def test_canonical_replay_equals_full_gradient_replay(canonical, monkeypatch, gr
     fast = engine.run_stream(fast_state, config, canonical["stream"])
 
     # Every episode prepared with every layer kept: full gradients from a
-    # forward through every layer, of which sgd_step applies the trainable ones.
+    # forward through every layer, of which only the trainable layers' reach
+    # sgd_step.
     full_calls = []
-    prepare = nn.prepare_episode
+    prepare, step = nn.prepare_episode, nn.sgd_step
 
     def full_gradient(model, x, spec, trainable=None):
         full_calls.append(trainable)
         return prepare(model, x, spec)
 
+    def trainable_step(model, grads, lr):
+        kept = {i for i, group in enumerate(model.group_labels) if group in trainable}
+        return step(model, only_layers(grads, kept), lr)
+
     monkeypatch.setattr(nn, "prepare_episode", full_gradient)
+    monkeypatch.setattr(nn, "sgd_step", trainable_step)
     ref_state = fresh_state(canonical, config)
     ref = engine.run_stream(ref_state, config, canonical["stream"])
 

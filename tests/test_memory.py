@@ -92,13 +92,13 @@ def id_loss(model: nn.MlpModel, bank: np.ndarray) -> float:
 def test_id_loss_saturated_model_near_zero():
     # model whose logits strongly pick the right class for every entry
     bank = np.eye(3)
-    model = nn.MlpModel([3, 3], [np.eye(3) * 60.0], [np.zeros(3)], ["fc"])
+    model = nn.MlpModel([3, 3], [np.eye(3) * 60.0], [np.zeros(3)])
     assert id_loss(model, bank) < 1e-10
 
 
 def test_id_loss_zero_logit_model():
     bank = np.zeros((4, 2))
-    model = nn.MlpModel([2, 4], [np.zeros((2, 4))], [np.zeros(4)], ["fc"])
+    model = nn.MlpModel([2, 4], [np.zeros((2, 4))], [np.zeros(4)])
     assert id_loss(model, bank) == pytest.approx(4 * math.log(4), abs=1e-12)
 
 

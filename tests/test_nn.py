@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (CORRUPT_PAYLOADS, FullGradients, corrupt_checkpoint,
                      log_softmax_reference, loss_and_grad, loss_sc, materialized,
-                     max_grad_rel_err, sgd_step_reference, total_loss)
+                     max_grad_rel_err, only_layers, sgd_step_reference, total_loss)
 from oodstream import nn
 from oodstream.nn import (CheckpointError, LossSpec, MlpModel, clone_frozen,
                           forward_logits, init_mlp, load_checkpoint, save_checkpoint,
@@ -26,8 +27,7 @@ LOG_SOFTMAX_123 = (-2.40760596444438030, -1.40760596444438030, -0.40760596444438
 
 def identity_model(c: int) -> MlpModel:
     """One identity layer: the logits are the input, exactly."""
-    return MlpModel(layer_dims=[c, c], weights=[np.eye(c)], biases=[np.zeros(c)],
-                    group_labels=["fc"])
+    return MlpModel(layer_dims=[c, c], weights=[np.eye(c)], biases=[np.zeros(c)])
 
 
 def grads_of(model: MlpModel, x, spec: LossSpec) -> nn.Gradients:
@@ -277,25 +277,25 @@ def constant_grads(model: MlpModel, value: float) -> nn.Gradients:
 def test_sgd_step_only_touches_trainable_groups():
     model = init_mlp([2, 4, 4, 3], seed=2)
     before = [w.copy() for w in model.weights] + [b.copy() for b in model.biases]
-    sgd_step(model, constant_grads(model, 1.0), 0.1, {"fc"})
+    sgd_step(model, only_layers(constant_grads(model, 1.0), {2}), 0.1)
     after = model.weights + model.biases
-    # layers 0 and 1 are block1/block2: bitwise untouched
+    # layers 0 and 1 (block1/block2) hold no gradient: bitwise untouched
     assert np.array_equal(before[0], after[0]) and np.array_equal(before[1], after[1])
     assert np.array_equal(before[3], after[3]) and np.array_equal(before[4], after[4])
     assert not np.array_equal(before[2], after[2])
 
 
 def test_sgd_step_single_parameter_arithmetic():
-    model = MlpModel([1, 1], [np.array([[1.0]])], [np.zeros(1)], ["fc"])
+    model = MlpModel([1, 1], [np.array([[1.0]])], [np.zeros(1)])
     grads = factored([[[1.0]]], [[[2.0]]], [[0.0]])
-    sgd_step(model, grads, 0.5, {"fc"})
+    sgd_step(model, grads, 0.5)
     assert model.weights[0][0, 0] == 0.0
 
 
 def test_sgd_step_empty_trainable_set_is_identity():
     model = init_mlp([3, 4, 2], seed=3)
     before = [w.copy() for w in model.weights] + [b.copy() for b in model.biases]
-    sgd_step(model, constant_grads(model, 5.0), 0.1, frozenset())
+    sgd_step(model, only_layers(constant_grads(model, 5.0), set()), 0.1)
     for b, a in zip(before, model.weights + model.biases):
         assert np.array_equal(b, a)
 
@@ -317,14 +317,14 @@ def test_sgd_step_consumes_grads_with_the_bits_of_lr_times_g():
     grads = random_grads(model, rng)
     factors0 = [a.copy() for a in factors_of(grads)]
     biases0 = [g.copy() for g in grads.d_biases]
-    lr, groups = 0.0375, {"block2", "fc"}
-    sgd_step_reference(ref, materialized(grads), lr, groups)
-    sgd_step(model, grads, lr, groups)
+    lr, trainable = 0.0375, only_layers(grads, {1, 2})
+    sgd_step_reference(ref, materialized(trainable), lr)
+    sgd_step(model, trainable, lr)
     for a, b in zip(model.weights + model.biases, ref.weights + ref.biases):
         assert a.tobytes() == b.tobytes()
-    # the factors are never written; the trainable layers' bias gradients
-    # are consumed: they now hold lr * g, and the frozen layer's (block1,
-    # index 0) is untouched
+    # the factors are never written; the bias gradients of the layers with a
+    # gradient are consumed: they now hold lr * g, and the one left out
+    # (block1, index 0) is untouched
     assert [a.tobytes() for a in factors_of(grads)] == [a.tobytes() for a in factors0]
     for i, (g, g0) in enumerate(zip(grads.d_biases, biases0)):
         want = g0 if i == 0 else lr * g0
@@ -352,14 +352,14 @@ def assert_blocked_update_equals_full(rng, n_rows, fan_in, cols):
     # Small weights and a unit learning rate: the updated weights carry the
     # gradient's bits, which a small step would round away.
     model = MlpModel([fan_in, cols], [nn._aligned(rng.normal(0.0, 1e-6, size=(fan_in, cols)))],
-                     [nn._aligned(rng.normal(0.0, 1e-6, size=cols))], ["fc"])
+                     [nn._aligned(rng.normal(0.0, 1e-6, size=cols))])
     ref = clone_frozen(model)
     for _ in range(2):
         a, delta = rng.normal(size=(n_rows, fan_in)), rng.normal(size=(n_rows, cols))
         bias = rng.normal(size=cols)
-        sgd_step(model, factored([a], [delta], [bias]), 1.0, {"fc"})
+        sgd_step(model, factored([a], [delta], [bias]), 1.0)
         sgd_step_reference(ref, FullGradients([full_matrix_gradient(a, delta)], [bias.copy()]),
-                           1.0, {"fc"})
+                           1.0)
     assert model.weights[0].tobytes() == ref.weights[0].tobytes()
     assert model.biases[0].tobytes() == ref.biases[0].tobytes()
 
@@ -408,10 +408,15 @@ def test_row_blocks_cover_the_weight_without_one_row_blocks(cols):
     assert len(nn._row_blocks(512, 512)) == 16
 
 
-def test_last_block_group_name():
+def test_group_labels_follow_the_layer_dims():
     model = init_mlp([2, 4, 4, 3], seed=0)
-    assert nn.last_block_group(model) == "block2"
     assert model.group_labels == ["block1", "block2", "fc"]
+    assert clone_frozen(model).group_labels == model.group_labels
+    assert identity_model(3).group_labels == ["fc"]
+    model.layer_dims = [2, 4, 3]
+    assert model.group_labels == ["block1", "fc"]
+    with pytest.raises(AttributeError):
+        model.group_labels = ["fc"]
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +430,7 @@ def test_clone_unchanged_by_updates_to_original():
     ref = forward_logits(clone, x).copy()
     for _ in range(100):
         grads = grads_of(model, x, LossSpec(uniform_weight=1.0))
-        sgd_step(model, grads, 0.1, model.group_labels)
+        sgd_step(model, grads, 0.1)
     assert np.array_equal(forward_logits(clone, x), ref)
 
 
@@ -508,7 +513,7 @@ def test_train_offline_rejects_a_learning_rate_not_above_zero(lr):
             train_offline(model, _Toy(np.zeros((1, 2)), np.array([0])), epochs=epochs,
                           batch_size=1, lr=lr)
     with pytest.raises(ValueError, match="^learning_rate must be positive"):
-        sgd_step(model, constant_grads(model, 1.0), lr, model.group_labels)
+        sgd_step(model, constant_grads(model, 1.0), lr)
     assert all(np.array_equal(b, a) for b, a in zip(before, model.weights))
 
 
@@ -572,12 +577,30 @@ def test_checkpoint_dimension_mismatch_errors(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(init_mlp([2, 3, 2], seed=0), path, HASH)
     *header, payload = path.read_bytes().split(b"\n", 4)
-    for dims, message in ((b"2 3 3 2", "expected 3 group labels, got 2"),
+    for dims, message in ((b"2 3 3 2", re.escape(
+                              "group labels 'block1 fc' do not name the layers of dims "
+                              "[2, 3, 3, 2]: expected 'block1 block2 fc'")),
                           (b"2 0 2", r"invalid layer dims \[2, 0, 2\]")):
         header[1] = dims
         path.write_bytes(b"\n".join(header) + b"\n" + payload)
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
+
+
+# labels lines for the dims 2 3 2, each but the last one of the right count
+@pytest.mark.parametrize("labels", ["block1 block2", "fc block1", "block1  fc", "block1 fc ",
+                                    "block1"])
+def test_checkpoint_labels_other_than_the_dims_names_fail(tmp_path, labels):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_mlp([2, 3, 2], seed=0), path, HASH)
+    *header, payload = path.read_bytes().split(b"\n", 4)
+    assert header[2] == b"block1 fc"
+    header[2] = labels.encode("ascii")
+    path.write_bytes(b"\n".join(header) + b"\n" + payload)
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == (f"group labels '{labels}' do not name the layers "
+                              "of dims [2, 3, 2]: expected 'block1 fc'")
 
 
 def test_checkpoint_dims_beyond_the_file_fail_before_any_allocation(tmp_path):

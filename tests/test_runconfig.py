@@ -489,8 +489,18 @@ def test_resolve_groups():
     with pytest.raises(ConfigError):
         replace(cfg, trainable_groups="blockZ").resolve_groups(model)
     # a group the config's own dims have but the model lacks
+    no_hidden = nn.init_mlp([2, 3], seed=0)
     with pytest.raises(ConfigError, match="unknown parameter groups"):
-        replace(cfg, trainable_groups="block1+fc").resolve_groups(nn.init_mlp([2, 3], seed=0))
+        replace(cfg, trainable_groups="block1+fc").resolve_groups(no_hidden)
+    with pytest.raises(ValueError, match="^model has no hidden layer$"):
+        cfg.resolve_groups(no_hidden)
+
+
+def test_unknown_group_message_at_load():
+    with pytest.raises(ConfigError) as err:
+        RunConfig(trainable_groups=" block1+blockZ+block9 ")
+    assert str(err.value) == ("unknown parameter groups ['block9', 'blockZ'] in "
+                              "sgd.trainable_groups; the model has ['block1', 'block2', 'fc']")
 
 
 def test_every_field_is_frozen_after_its_checks():
