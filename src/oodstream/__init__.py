@@ -14,8 +14,7 @@ from .engine import AutoState, EventLog, StreamEvent, init_state, run_posthoc, r
 from .filtering import (FilterDecision, Margins, classify, estimate_id_stats, init_margins,
                         update_outlier_margin)
 from .memory import init_random, replace
-from .metrics import (MetricsReport, auroc, fpr_at_tpr, id_accuracy, report,
-                      report_to_json)
+from .metrics import MetricsReport, auroc, fpr_at_tpr, id_accuracy, report
 from .nn import (EpisodeBatch, Gradients, LossSpec, MlpModel, clone_frozen, forward_logits,
                  init_mlp, load_checkpoint, prepare_episode, save_checkpoint, sgd_step,
                  total_loss, train_offline)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,14 +71,14 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _make_stream(cfg: RunConfig, test_id: data.LabeledSet,
-                 ood_sets: list[data.LabeledSet]) -> data.Stream:
+                 oods: list[np.ndarray]) -> data.Stream:
     """Compose the stream ``cfg`` names; one with no ID or no OOD arrival is refused."""
     if cfg.stream == "single":
-        stream = data.compose_stream(test_id, ood_sets[0], cfg.kappa, cfg.stream_seed)
+        stream = data.compose_stream(test_id, oods[0], cfg.kappa, cfg.stream_seed)
     elif cfg.stream == "mixed":
-        stream = data.compose_mixed(test_id, ood_sets, cfg.kappa, cfg.stream_seed)
+        stream = data.compose_mixed(test_id, oods, cfg.kappa, cfg.stream_seed)
     else:
-        stream = data.compose_timeseries(test_id, ood_sets, cfg.kappa, cfg.stream_seed)
+        stream = data.compose_timeseries(test_id, oods, cfg.kappa, cfg.stream_seed)
     if stream.is_ood.all() or not stream.is_ood.any():
         ood = int(np.count_nonzero(stream.is_ood))
         raise CliError(f"the composed stream holds {len(stream) - ood} ID and {ood} OOD "
@@ -105,12 +105,12 @@ def _prepare(cfg: RunConfig, *replays: RunConfig) -> tuple:
     if saved != expected:
         raise CliError(f"checkpoint {ckpt} was pretrained under pretrain hash {saved}, but the "
                        f"config has pretrain hash {expected} (run `pretrain` again)")
-    train, test_id, ood_sets = data.make_scenario(cfg)
+    train, test_id, oods = data.make_scenario(cfg)
     streams, keys = {}, []
     for c in replays or (cfg,):
         keys.append(tuple(getattr(c, name) for name in STREAM_FIELDS))
         if keys[-1] not in streams:
-            streams[keys[-1]] = _make_stream(c, test_id, ood_sets)
+            streams[keys[-1]] = _make_stream(c, test_id, oods)
     return (model, train, *(streams[key] for key in keys))
 
 
@@ -162,17 +162,21 @@ def _write_events_csv(path: Path, log: engine.EventLog, chash: str) -> None:
                 m_outs[run_of_row[rows]].tolist()))))
 
 
-def _write_metrics_json(path: Path, rep: metrics.MetricsReport, chash: str,
-                        mode: str) -> None:
-    path.write_text(metrics.report_to_json(rep, extra={"config_hash": chash, "mode": mode}),
-                    encoding="ascii")
+def _write_json(path: Path, obj: dict) -> None:
+    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="ascii")
 
 
 def cmd_pretrain(cfg: RunConfig) -> None:
     train, test_id, _ = data.make_scenario(cfg)
     model = nn.init_mlp(cfg.layer_dims(), seed=cfg.init_seed)
-    nn.train_offline(model, train, cfg.epochs, cfg.batch_size, cfg.pretrain_lr,
-                     seed=cfg.shuffle_seed)
+    # A diverging run raises once an epoch ends, so numpy's overflow warnings
+    # on the way there would only repeat the error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            nn.train_offline(model, train, cfg.epochs, cfg.batch_size, cfg.pretrain_lr,
+                             seed=cfg.shuffle_seed)
+        except FloatingPointError as exc:
+            raise CliError(f"{exc}; pretrain.lr = {cfg.pretrain_lr!r} may be too large") from exc
     out = _out_dir(cfg)
     nn.save_checkpoint(model, out / CHECKPOINT_NAME, runconfig.pretrain_hash(cfg))
     summary = {
@@ -182,8 +186,7 @@ def cmd_pretrain(cfg: RunConfig) -> None:
         "test_id_accuracy": nn.accuracy(model, test_id.features, test_id.labels),
         "checkpoint": CHECKPOINT_NAME,
     }
-    (out / "pretrain_summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="ascii")
+    _write_json(out / "pretrain_summary.json", summary)
     print(f"pretrain: train_acc={summary['train_accuracy']:.4f} "
           f"test_acc={summary['test_id_accuracy']:.4f} -> {out / CHECKPOINT_NAME}")
 
@@ -196,7 +199,8 @@ def cmd_run(cfg: RunConfig, mode: str, plot: bool) -> None:
     chash = runconfig.config_hash(cfg)
     rep = metrics.report(log)
     _write_events_csv(out / f"{mode}_events.csv", log, chash)
-    _write_metrics_json(out / f"{mode}_metrics.json", rep, chash, mode)
+    _write_json(out / f"{mode}_metrics.json",
+                {"config_hash": chash, "mode": mode, **asdict(rep)})
     if plot:
         svgplot.emit_score_plot(out / f"{mode}_scores.svg", log,
                                 m_in=state.margins.m_in,

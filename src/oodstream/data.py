@@ -1,10 +1,12 @@
 """Synthetic scenarios and stream composition.
 
-In-distribution data is a C-class isotropic Gaussian mixture; each outlier
-pool comes from one shifted isotropic Gaussian. Streams interleave an ID
+In-distribution data is a C-class isotropic Gaussian mixture, drawn as a
+``LabeledSet``; each outlier pool is an unlabeled ``(ood_n, dim)`` feature
+array drawn from one shifted isotropic Gaussian. Streams interleave an ID
 pool with one or more OOD pools by a per-position Bernoulli draw with ID
 probability kappa, sampling without replacement and truncating at the first
-pool exhaustion. Everything is a pure function of the ``RunConfig``.
+pool exhaustion; an OOD arrival's hidden label is -1. Everything is a pure
+function of the ``RunConfig``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ if TYPE_CHECKING:  # runconfig imports this module
 
 @dataclass
 class LabeledSet:
-    """Feature matrix (N, d) with integer labels; label -1 flags OOD rows."""
+    """Feature matrix (N, d) with one class label per row."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -104,14 +106,8 @@ def _draw_id_set(cfg: RunConfig, total: int, rng: np.random.Generator) -> Labele
     return LabeledSet(features[order], labels_arr[order], cfg.classes)
 
 
-def _draw_ood_set(src: GaussianSource, dim: int, n: int,
-                  rng: np.random.Generator) -> LabeledSet:
-    feats = rng.normal(0.0, src.spread, size=(n, dim)) + np.asarray(src.center)
-    return LabeledSet(feats, np.full(n, -1, dtype=np.int64), 0)
-
-
-def make_scenario(cfg: RunConfig) -> tuple[LabeledSet, LabeledSet, list[LabeledSet]]:
-    """Seeded draw of (train ID, test ID, one pool per OOD source).
+def make_scenario(cfg: RunConfig) -> tuple[LabeledSet, LabeledSet, list[np.ndarray]]:
+    """Seeded draw of (train ID, test ID, one ``(ood_n, dim)`` pool per OOD source).
 
     ``train_n`` and ``test_id_n`` are totals split as evenly as possible
     across classes (remainder to the lowest class indices); ``ood_n`` is
@@ -120,8 +116,9 @@ def make_scenario(cfg: RunConfig) -> tuple[LabeledSet, LabeledSet, list[LabeledS
     rng = np.random.default_rng(cfg.seed)
     train = _draw_id_set(cfg, cfg.train_n, rng)
     test_id = _draw_id_set(cfg, cfg.test_id_n, rng)
-    ood_sets = [_draw_ood_set(src, cfg.dim, cfg.ood_n, rng) for src in cfg.ood_sources]
-    return train, test_id, ood_sets
+    oods = [rng.normal(0.0, src.spread, size=(cfg.ood_n, cfg.dim)) + np.asarray(src.center)
+            for src in cfg.ood_sources]
+    return train, test_id, oods
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +138,12 @@ class Stream:
         return len(self.labels)
 
 
-def _compose(id_set: LabeledSet, ood_features: np.ndarray, ood_labels: np.ndarray,
+def _compose(id_features: np.ndarray, id_labels: np.ndarray, ood_features: np.ndarray,
              kappa: float, rng: np.random.Generator) -> Stream:
     """Common per-position Bernoulli interleaver, without replacement."""
     if not 0.0 <= kappa < 1.0:
         raise ValueError(f"kappa must be in [0, 1), got {kappa}")
-    n_id, n_ood = len(id_set), len(ood_features)
+    n_id, n_ood = len(id_labels), len(ood_features)
     if kappa > 0.0 and n_id == 0:
         raise ValueError("kappa > 0 requires a nonempty ID pool")
     if n_ood == 0:
@@ -168,11 +165,10 @@ def _compose(id_set: LabeledSet, ood_features: np.ndarray, ood_labels: np.ndarra
     id_rows = id_order[:np.count_nonzero(take_id)]
     ood_rows = ood_order[:end - len(id_rows)]
     features = np.empty((end, ood_features.shape[1]))
-    features[take_id] = id_set.features[id_rows]
+    features[take_id] = id_features[id_rows]
     features[take_ood] = ood_features[ood_rows]
-    labels = np.empty(end, dtype=np.int64)
-    labels[take_id] = id_set.labels[id_rows]
-    labels[take_ood] = ood_labels[ood_rows]
+    labels = np.full(end, -1, dtype=np.int64)
+    labels[take_id] = id_labels[id_rows]
     return Stream(
         features=features,
         is_ood=take_ood,
@@ -181,42 +177,40 @@ def _compose(id_set: LabeledSet, ood_features: np.ndarray, ood_labels: np.ndarra
     )
 
 
-def compose_stream(test_id_set: LabeledSet, ood_set: LabeledSet, kappa: float,
+def compose_stream(test_id_set: LabeledSet, ood_pool: np.ndarray, kappa: float,
                    seed: int) -> Stream:
     """Single-source contaminated stream: ID with probability kappa per slot."""
     rng = np.random.default_rng(seed)
-    return _compose(test_id_set, ood_set.features, ood_set.labels, kappa, rng)
+    return _compose(test_id_set.features, test_id_set.labels, ood_pool, kappa, rng)
 
 
-def compose_mixed(test_id_set: LabeledSet, ood_sets: list[LabeledSet], kappa: float,
+def compose_mixed(test_id_set: LabeledSet, ood_pools: list[np.ndarray], kappa: float,
                   seed: int) -> Stream:
     """One segment whose OOD slots draw uniformly across the pooled sources."""
-    if len(ood_sets) < 1:
+    if len(ood_pools) < 1:
         raise ValueError("compose_mixed needs at least one OOD source")
-    feats = np.concatenate([s.features for s in ood_sets])
-    labels = np.concatenate([s.labels for s in ood_sets])
     rng = np.random.default_rng(seed)
-    return _compose(test_id_set, feats, labels, kappa, rng)
+    return _compose(test_id_set.features, test_id_set.labels, np.concatenate(ood_pools),
+                    kappa, rng)
 
 
-def compose_timeseries(test_id_set: LabeledSet, ood_sets: list[LabeledSet],
+def compose_timeseries(test_id_set: LabeledSet, ood_pools: list[np.ndarray],
                        kappa: float, seed: int) -> Stream:
     """Sequential per-source segments; the ID pool splits evenly across them."""
-    if len(ood_sets) < 1:
+    if len(ood_pools) < 1:
         raise ValueError("compose_timeseries needs at least one OOD source")
-    n_segments = len(ood_sets)
+    n_segments = len(ood_pools)
     rng = np.random.default_rng(seed)
     id_order = rng.permutation(len(test_id_set))
     chunk_sizes = _even_split(len(test_id_set), n_segments)
     parts: list[Stream] = []
     start = 0
-    for k, (ood, size) in enumerate(zip(ood_sets, chunk_sizes)):
+    for k, (pool, size) in enumerate(zip(ood_pools, chunk_sizes)):
         idx = id_order[start:start + size]
         start += size
-        chunk = LabeledSet(test_id_set.features[idx], test_id_set.labels[idx],
-                           test_id_set.num_classes)
         seg_rng = np.random.default_rng([seed, k])
-        parts.append(_compose(chunk, ood.features, ood.labels, kappa, seg_rng))
+        parts.append(_compose(test_id_set.features[idx], test_id_set.labels[idx], pool,
+                              kappa, seg_rng))
     bounds = []
     offset = 0
     for p in parts:

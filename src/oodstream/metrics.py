@@ -12,9 +12,8 @@ convention and equals the trapezoidal ROC area.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,16 +71,4 @@ def report(log: EventLog) -> MetricsReport:
         id_acc=id_accuracy(log),
         counts=log.counts,
     )
-
-
-def report_to_json(rep: MetricsReport, extra: dict) -> str:
-    """Serialize with fixed key names; ``extra`` adds provenance keys."""
-    obj = dict(extra)
-    obj.update({
-        "fpr95": rep.fpr95,
-        "auroc": rep.auroc,
-        "id_acc": rep.id_acc,
-        "counts": asdict(rep.counts),
-    })
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 

@@ -434,7 +434,8 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
     all parameter groups.
 
     ``dataset`` needs ``.features`` (N, d) and ``.labels`` (N,). Shuffling is
-    seeded. ``epochs=0`` is a no-op.
+    seeded. ``epochs=0`` is a no-op. An epoch that leaves a non-finite weight
+    or bias raises ``FloatingPointError``.
     """
     feats = np.asarray(dataset.features, dtype=np.float64)
     labels = np.asarray(dataset.labels, dtype=np.int64)
@@ -446,7 +447,7 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
     _check_lr(lr)
     keep = [True] * model.num_layers
     rng = np.random.default_rng(seed)
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
@@ -460,6 +461,9 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
             dlogits[np.arange(len(yb)), yb] -= 1.0
             dlogits /= len(yb)
             sgd_step(model, _backprop(model, acts, dlogits, keep), lr)
+        if not all(np.isfinite(p).all() for p in (*model.weights, *model.biases)):
+            raise FloatingPointError(f"training diverged: epoch {epoch} of {epochs} left a "
+                                     "non-finite weight")
     return model
 
 

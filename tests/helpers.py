@@ -12,7 +12,7 @@ import numpy as np
 
 from oodstream import engine, filtering, memory, nn, scoring
 from oodstream.cli import EVENT_COLUMNS
-from oodstream.data import GaussianSource, LabeledSet, Stream
+from oodstream.data import GaussianSource, Stream
 from oodstream.engine import DECISIONS, EventLog, StreamEvent, UpdateTrace
 from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
@@ -549,13 +549,15 @@ def events_csv_reference(log: EventLog, chash: str) -> str:
 # stream composition oracle
 
 
-def compose_reference(id_set: LabeledSet, ood_features: np.ndarray, ood_labels: np.ndarray,
-                      kappa: float, rng: np.random.Generator) -> Stream:
+def compose_reference(id_features: np.ndarray, id_labels: np.ndarray,
+                      ood_features: np.ndarray, kappa: float,
+                      rng: np.random.Generator) -> Stream:
     """The per-slot interleaver: one ``rng.random()`` draw and one row copy per
-    slot, stopping at the first slot whose pool is empty."""
+    slot, stopping at the first slot whose pool is empty; an OOD slot's label
+    is -1."""
     if not 0.0 <= kappa < 1.0:
         raise ValueError(f"kappa must be in [0, 1), got {kappa}")
-    n_id, n_ood = len(id_set), len(ood_features)
+    n_id, n_ood = len(id_labels), len(ood_features)
     if kappa > 0.0 and n_id == 0:
         raise ValueError("kappa > 0 requires a nonempty ID pool")
     if n_ood == 0:
@@ -570,9 +572,9 @@ def compose_reference(id_set: LabeledSet, ood_features: np.ndarray, ood_labels: 
             if i >= n_id:
                 break
             k = id_order[i]
-            feats.append(id_set.features[k])
+            feats.append(id_features[k])
             flags.append(False)
-            labels.append(id_set.labels[k])
+            labels.append(id_labels[k])
             i += 1
         else:
             if j >= n_ood:
@@ -580,7 +582,7 @@ def compose_reference(id_set: LabeledSet, ood_features: np.ndarray, ood_labels: 
             k = ood_order[j]
             feats.append(ood_features[k])
             flags.append(True)
-            labels.append(ood_labels[k])
+            labels.append(-1)
             j += 1
     return Stream(
         features=np.asarray(feats, dtype=np.float64),

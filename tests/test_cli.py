@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from helpers import (CORRUPT_PAYLOADS, FLOAT_KEYS, REMOVED_KEY_VALUES, THREE_SOU
                      config_text_with, corrupt_checkpoint, non_finite_rule, removed_key_rule)
 from oodstream import cli, data, engine, nn
 from oodstream.cli import main
-from oodstream.runconfig import RunConfig, from_text, pretrain_hash, to_text
+from oodstream.runconfig import RunConfig, config_hash, from_text, pretrain_hash, to_text
 
 SMALL_OVERRIDES = dict(
     test_id_n=250,
@@ -406,8 +407,8 @@ def test_non_finite_arrival_fails_with_one_line(pretrained, capsys, mode):
     # the OOD sources are part of the pretrain hash
     assert main(["--config", str(cfg_path), "pretrain"]) == 0
     cfg = from_text(cfg_path.read_text())
-    _, test_id, ood_sets = data.make_scenario(cfg)
-    stream = cli._make_stream(cfg, test_id, ood_sets)
+    _, test_id, oods = data.make_scenario(cfg)
+    stream = cli._make_stream(cfg, test_id, oods)
     first = int(np.flatnonzero(np.abs(stream.features).max(axis=1) > 1e300)[0])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -432,6 +433,25 @@ def test_non_finite_loss_fails_with_one_line(tmp_path, capsys):
     assert main(["--config", str(cfg_path), "run", "--mode", "auto"]) == 1
     assert capsys.readouterr().err == f"error: non-finite loss nan at stream index {first}\n"
     assert list(out.glob("auto_*")) == []
+
+
+def test_diverging_pretrain_fails_with_one_line(tmp_path, capsys):
+    """A pretraining step of 1e300 overflows the weights in the first epoch.
+    Before, ``pretrain`` warned twice, saved the broken model and exited 0,
+    and every later run failed on loading it."""
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(to_text(RunConfig(test_id_n=300, ood_n=300, epochs=2, pretrain_lr=1e300,
+                                          out_dir=str(out))), encoding="ascii")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", str(cfg_path), "pretrain"]) == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: training diverged: epoch 1 of 2 left a non-finite weight; "
+                            "pretrain.lr = 1e+300 may be too large\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["auto", "frozen"])
@@ -486,6 +506,35 @@ def test_run_auto_outputs_and_determinism(pretrained):
     n_events = len(csv1.decode().splitlines()) - 2
     c = rep["counts"]
     assert c["pseudo_id"] + c["pseudo_ood"] + c["abstain"] == n_events
+
+
+def test_json_files_keep_their_key_order_and_layout(pretrained):
+    """``{mode}_metrics.json`` and ``pretrain_summary.json`` are laid out by
+    the CLI alone: two-space indent, a final newline and fixed key order.
+    ``perfbench/run.py`` reads these keys."""
+    cfg_path, out = pretrained
+    chash = config_hash(from_text(cfg_path.read_text()))
+    counts = ["pseudo_id", "pseudo_ood", "abstain", "updates", "bank_replacements",
+              "contaminated_replacements"]
+    assert counts == [f.name for f in fields(engine.RunCounts)]
+    for mode in ("auto", "frozen"):
+        assert main(["--config", str(cfg_path), "run", "--mode", mode]) == 0
+        text = (out / f"{mode}_metrics.json").read_text(encoding="ascii")
+        rep = json.loads(text)
+        assert text == json.dumps(rep, indent=2) + "\n"
+        assert list(rep) == ["config_hash", "mode", "fpr95", "auroc", "id_acc", "counts"]
+        assert (rep["config_hash"], rep["mode"]) == (chash, mode)
+        assert list(rep["counts"]) == counts
+        n_events = len((out / f"{mode}_events.csv").read_text().splitlines()) - 2
+        c = rep["counts"]
+        assert c["pseudo_id"] + c["pseudo_ood"] + c["abstain"] == n_events
+    text = (out / "pretrain_summary.json").read_text(encoding="ascii")
+    summary = json.loads(text)
+    assert text == json.dumps(summary, indent=2) + "\n"
+    assert list(summary) == ["config_hash", "epochs", "train_accuracy", "test_id_accuracy",
+                             "checkpoint"]
+    assert summary["config_hash"] == chash
+    assert summary["checkpoint"] == "model.ckpt"
 
 
 def test_ablate_four_rows(pretrained):

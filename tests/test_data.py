@@ -29,7 +29,7 @@ def test_make_scenario_shapes_and_labels():
     train, test_id, oods = make_scenario(small_spec())
     assert train.features.shape == (40, 2) and test_id.features.shape == (30, 2)
     assert set(np.unique(train.labels)) == {0, 1}
-    assert len(oods) == 1 and np.all(oods[0].labels == -1)
+    assert len(oods) == 1 and oods[0].shape == (25, 2) and oods[0].dtype == np.float64
 
 
 def test_make_scenario_deterministic():
@@ -37,7 +37,7 @@ def test_make_scenario_deterministic():
     b = make_scenario(small_spec())
     assert np.array_equal(a[0].features, b[0].features)
     assert np.array_equal(a[1].features, b[1].features)
-    assert np.array_equal(a[2][0].features, b[2][0].features)
+    assert np.array_equal(a[2][0], b[2][0])
 
 
 def test_make_scenario_degenerate_spread():
@@ -53,8 +53,8 @@ def test_gaussian_source_center_and_spread():
     _, _, oods = make_scenario(small_spec(ood_sources=THREE_SOURCES, ood_n=2000))
     assert len(oods) == len(THREE_SOURCES)
     for pool, src in zip(oods, THREE_SOURCES):
-        assert np.allclose(pool.features.mean(axis=0), src.center, atol=0.1 * src.spread + 0.05)
-        assert np.allclose(pool.features.std(axis=0), src.spread, atol=0.1 * src.spread)
+        assert np.allclose(pool.mean(axis=0), src.center, atol=0.1 * src.spread + 0.05)
+        assert np.allclose(pool.std(axis=0), src.spread, atol=0.1 * src.spread)
 
 
 def test_gaussian_source_in_three_dims():
@@ -62,8 +62,8 @@ def test_gaussian_source_in_three_dims():
     spec = small_spec(dim=3, ood_sources=(GaussianSource(center=center, spread=0.5),),
                       ood_n=2000)
     _, test_id, oods = make_scenario(spec)
-    assert test_id.features.shape == (30, 3) and oods[0].features.shape == (2000, 3)
-    assert np.allclose(oods[0].features.mean(axis=0), center, atol=0.1)
+    assert test_id.features.shape == (30, 3) and oods[0].shape == (2000, 3)
+    assert np.allclose(oods[0].mean(axis=0), center, atol=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +137,7 @@ def test_compose_mixed_length_matches_stream_on_pooled_input():
         ood_sources=(GaussianSource(center=(0.0, 4.0), spread=0.5),
                      GaussianSource(center=(0.0, -4.0), spread=0.5)))
     _, test_id, oods = make_scenario(spec)
-    pooled = LabeledSet(np.concatenate([oods[0].features, oods[1].features]),
-                        np.concatenate([oods[0].labels, oods[1].labels]), 0)
-    a = compose_stream(test_id, pooled, kappa=0.4, seed=8)
+    a = compose_stream(test_id, np.concatenate(oods), kappa=0.4, seed=8)
     b = compose_mixed(test_id, oods, kappa=0.4, seed=8)
     assert len(a) == len(b)
 
@@ -158,11 +156,31 @@ def test_compose_timeseries_segments():
     assert np.all(seg1[:, 1] > 0)
 
 
-def _compose_outcome(composer: str, id_set, ood_sets, kappa, seed):
-    """The composed stream's fields, or the error the composer raised."""
+def _run_composer(composer: str, id_set, oods, kappa, seed):
+    """``compose_{composer}`` on ``oods``; the single-source composer takes the first pool."""
     fn = getattr(data, f"compose_{composer}")
+    return fn(id_set, oods[0] if composer == "stream" else oods, kappa, seed)
+
+
+@pytest.mark.parametrize("composer", ["stream", "mixed", "timeseries"])
+def test_ood_arrivals_are_pool_rows_labeled_minus_one(composer):
+    """The pools carry no labels: the composed stream labels exactly its OOD
+    arrivals -1, and each OOD arrival is a row of one of the pools."""
+    spec = small_spec(
+        ood_sources=(GaussianSource(center=(0.0, 4.0), spread=0.5),
+                     GaussianSource(center=(0.0, -4.0), spread=0.5)))
+    _, test_id, oods = make_scenario(spec)
+    stream = _run_composer(composer, test_id, oods, kappa=0.5, seed=4)
+    assert stream.is_ood.any() and not stream.is_ood.all()
+    assert np.array_equal(stream.labels == -1, stream.is_ood)
+    pool_rows = {row.tobytes() for pool in oods for row in pool}
+    assert all(row.tobytes() in pool_rows for row in stream.features[stream.is_ood])
+
+
+def _compose_outcome(composer: str, id_set, oods, kappa, seed):
+    """The composed stream's fields, or the error the composer raised."""
     try:
-        stream = fn(id_set, ood_sets[0] if composer == "stream" else ood_sets, kappa, seed)
+        stream = _run_composer(composer, id_set, oods, kappa, seed)
     except ValueError as exc:
         return str(exc)
     arrays = [(a.dtype.str, a.shape, a.tobytes())
@@ -179,11 +197,10 @@ def _compose_outcome(composer: str, id_set, ood_sets, kappa, seed):
 def test_composers_equal_per_slot_reference(composer, n_id, n_oods, dim, seed, kappa):
     rng = np.random.default_rng(seed)
     id_set = LabeledSet(rng.normal(size=(n_id, dim)), rng.integers(0, 3, size=n_id), 3)
-    ood_sets = [LabeledSet(rng.normal(size=(n, dim)) + 5.0, np.full(n, -1), 0)
-                for n in n_oods]
-    fast = _compose_outcome(composer, id_set, ood_sets, kappa, seed)
+    oods = [rng.normal(size=(n, dim)) + 5.0 for n in n_oods]
+    fast = _compose_outcome(composer, id_set, oods, kappa, seed)
     with mock.patch.object(data, "_compose", compose_reference):
-        ref = _compose_outcome(composer, id_set, ood_sets, kappa, seed)
+        ref = _compose_outcome(composer, id_set, oods, kappa, seed)
     assert fast == ref
 
 

@@ -1,16 +1,13 @@
-"""Detection metrics vs brute-force oracles, plus report plumbing."""
+"""Detection metrics vs brute-force oracles."""
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 
 from helpers import (auroc_bruteforce, auroc_midrank_loop, fpr_at_tpr_bruteforce,
                      id_accuracy_recount, log_from_columns, log_from_scores, random_log)
-from oodstream.metrics import (MetricsReport, auroc, fpr_at_tpr, id_accuracy, report,
-                               report_to_json)
+from oodstream.metrics import auroc, fpr_at_tpr, id_accuracy
 
 
 def test_fpr95_worked_example():
@@ -115,14 +112,3 @@ def test_id_accuracy_requires_labeled_id():
     with pytest.raises(ValueError):
         id_accuracy(log_from_scores([], [0.5, 0.6]))
 
-
-def test_report_counts_partition_and_json_keys():
-    log = log_from_scores([0.9, 0.8], [0.1])
-    rep = report(log)
-    assert isinstance(rep, MetricsReport)
-    c = rep.counts
-    assert c.pseudo_id + c.pseudo_ood + c.abstain == len(log)
-    obj = json.loads(report_to_json(rep, extra={"config_hash": "abc"}))
-    assert set(obj) == {"config_hash", "fpr95", "auroc", "id_acc", "counts"}
-    assert set(obj["counts"]) == {"pseudo_id", "pseudo_ood", "abstain", "updates",
-                                  "bank_replacements", "contaminated_replacements"}

@@ -4,15 +4,17 @@ checked rather than claimed.
 The digests are sha256 of each ``EventLog`` column's ``tobytes()`` (and of
 the episode loss traces) for the canonical stream, replayed in frozen mode,
 in auto mode and in auto mode with ``auto.iters_T = 0`` from the session
-``canonical`` fixture, and of the canonical ``model.ckpt``. Row bits depend
-on the BLAS build and on the CPU kernel it picks, so the digests hold only on
-the platform recorded next to them; on any other BLAS they are not checked.
+``canonical`` fixture, of the canonical ``model.ckpt``, and of the files the
+canonical CLI commands write. Row bits depend on the BLAS build and on the
+CPU kernel it picks, so the digests hold only on the platform recorded next
+to them; on any other BLAS they are not checked.
 """
 
 from __future__ import annotations
 
 import hashlib
 import platform
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -20,8 +22,8 @@ import pytest
 
 from helpers import COLUMNS
 from oodstream import data, engine, nn
-from oodstream.cli import CHECKPOINT_NAME
-from oodstream.runconfig import RunConfig, pretrain_hash
+from oodstream.cli import CHECKPOINT_NAME, main
+from oodstream.runconfig import RunConfig, pretrain_hash, to_text
 
 # Where the digests were recorded.
 PINNED_NUMPY = "2.4.6"
@@ -29,6 +31,17 @@ PINNED_BLAS = ("scipy-openblas", "0.3.31.188.0")
 PINNED_MACHINE = "x86_64"
 
 PINNED_CHECKPOINT = "e4114385ffcc8bbc5975318e488e3a32e46e6f7eee932d8ffb118eddae4afa4b"
+
+# sha256 of each file the canonical CLI commands write
+PINNED_FILES = {
+    "auto_events.csv": "c076d07459082c6b753d52e6ab2f343eb13ec320a6eb255dab09ec2e54e83403",
+    "frozen_events.csv": "bcb8aa81ee1000861dfc3c939f33a6a4c4dd957a8ad4a326ea9240f8bbbeef83",
+    "auto_metrics.json": "8a2580f0f308c552434296f5449bbaa62ee2a3df0a3eec5f04d371a1973cca07",
+    "frozen_metrics.json": "b9380d4d232bdb1f3442538d9fd7040bda2f3a246292dd593031a82fd8c3a47e",
+    "ablation.csv": "a5428c7082fb2969e17986ad5cc798b898fd5351ca8f408a54f130c4491747ee",
+    "sweep_k2.csv": "8f5a60cbbe772b5f2bcc742a2591ee767c5aa99f698e3b20417fd16db20f47f9",
+    "pretrain_summary.json": "a31e142543a80c292aa1c75fe119cb480d30f2c576fcb4502f0c22e7e66ae4aa",
+}
 
 PINNED = {
     "frozen": {
@@ -119,3 +132,25 @@ def digest_table(pinned: dict[str, str], got: dict[str, str]) -> str:
     so a re-pin can be reviewed from the test log."""
     return "\n".join(f"  {name:<10} pinned {pinned[name]}  now {got[name]}"
                      f"{'' if got[name] == pinned[name] else '  MOVED'}" for name in pinned)
+
+
+def test_canonical_cli_files_are_pinned(canonical_out, tmp_path):
+    """``run --mode auto``, ``run --mode frozen``, ``ablate`` and ``sweep`` on
+    the canonical config, from a copy of the session's checkpoint, write the
+    pinned bytes; so does the session's ``pretrain`` summary."""
+    if not on_pinned_platform():
+        pytest.skip(f"digests pinned on BLAS {PINNED_BLAS} ({PINNED_MACHINE}), "
+                    f"this is {(*platform_blas(), platform.machine())}")
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(canonical_out / CHECKPOINT_NAME, out)
+    shutil.copy(canonical_out / "pretrain_summary.json", out)
+    cfg_path = tmp_path / "canonical.cfg"
+    cfg_path.write_text(to_text(RunConfig()), encoding="ascii")
+    base = ["--config", str(cfg_path), "--out", str(out)]
+    for command in (["run", "--mode", "auto"], ["run", "--mode", "frozen"], ["ablate"],
+                    ["sweep", "--param", "k2", "--values", "1,2"]):
+        assert main(base + command) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in PINNED_FILES}
+    assert got == PINNED_FILES, "CLI output bytes moved:\n" + digest_table(PINNED_FILES, got)
