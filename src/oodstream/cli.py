@@ -125,7 +125,7 @@ def _replay(cfg: RunConfig, mode: str, model: nn.MlpModel, train: data.LabeledSe
             log = engine.run_posthoc(model, state.margins, stream)
         else:
             log = engine.run_stream(state, cfg, stream)
-    if mode == "auto" and log.updates == 0:
+    if mode == "auto" and log.counts.updates == 0:
         print(f"warning: no arrival scored below the outlier margin, so the model never "
               f"adapted (auto.k2 = {cfg.k2!r}, final m_out = "
               f"{state.margins.m_out!r}); a smaller auto.k2 raises m_out", file=sys.stderr)
@@ -192,15 +192,13 @@ def cmd_pretrain(cfg: RunConfig) -> None:
 
 
 def cmd_run(cfg: RunConfig, mode: str, plot: bool) -> None:
-    if mode not in ("auto", "frozen"):
-        raise CliError(f"unknown mode {mode!r}; expected auto or frozen")
     log, state = _replay(cfg, mode, *_prepare(cfg))
     out = _out_dir(cfg)
     chash = runconfig.config_hash(cfg)
     rep = metrics.report(log)
     _write_events_csv(out / f"{mode}_events.csv", log, chash)
     _write_json(out / f"{mode}_metrics.json",
-                {"config_hash": chash, "mode": mode, **asdict(rep)})
+                {"config_hash": chash, "mode": mode, **asdict(rep), "counts": asdict(log.counts)})
     if plot:
         svgplot.emit_score_plot(out / f"{mode}_scores.svg", log,
                                 m_in=state.margins.m_in,

@@ -36,14 +36,13 @@ class AutoState:
     """Mutable per-run state owned by a single engine instance.
 
     ``bank`` is the (C, d) memory bank from ``memory.init_random``; online
-    SGD steps at rate ``lr`` write only the ``trainable`` parameter groups.
+    SGD steps at rate ``sgd.lr`` write only the ``trainable`` parameter groups.
     """
 
     model_t: MlpModel
     model_0: MlpModel
     margins: Margins
     bank: np.ndarray
-    lr: float
     trainable: frozenset[str]
     step_counter: int = 0
 
@@ -62,6 +61,11 @@ class StreamEvent(NamedTuple):
 
 @dataclass
 class RunCounts:
+    """Decision counts of a log and, if it adapted, what the replay did:
+    ``updates`` counts pseudo-OOD arrivals (margin updates, each with an
+    episode unless ``auto.iters_T = 0``), ``bank_replacements`` the pseudo-ID
+    bank writes and ``contaminated_replacements`` those whose truth is OOD."""
+
     pseudo_id: int = 0
     pseudo_ood: int = 0
     abstain: int = 0
@@ -86,10 +90,11 @@ DECISION_CODES = {d: code for code, d in enumerate(DECISIONS)}
 
 @dataclass
 class EventLog:
-    """One row per arrival, in stream order, as numpy columns, plus run-level
-    counters and episode traces. ``decision`` holds codes into ``DECISIONS``
-    and ``label`` holds -1 for an unlabeled arrival. The decision counts are
-    derived from the decision column, so they always partition the log."""
+    """One row per arrival, in stream order, as numpy columns, plus episode
+    traces. ``decision`` holds codes into ``DECISIONS`` and ``label`` holds -1
+    for an unlabeled arrival. ``adapted`` marks a replay that acted on its
+    decisions. Every count derives from the columns, so any run of rows has
+    its own."""
 
     score: np.ndarray
     prediction: np.ndarray
@@ -97,10 +102,8 @@ class EventLog:
     is_ood: np.ndarray
     label: np.ndarray
     m_out: np.ndarray
-    updates: int = 0
-    bank_replacements: int = 0
-    contaminated_replacements: int = 0
     update_traces: list[UpdateTrace] = field(default_factory=list)
+    adapted: bool = False
 
     def __len__(self) -> int:
         return len(self.decision)
@@ -109,17 +112,18 @@ class EventLog:
     def counts(self) -> RunCounts:
         pseudo_id, pseudo_ood, abstain = np.bincount(
             self.decision, minlength=len(DECISIONS)).tolist()
-        return RunCounts(pseudo_id, pseudo_ood, abstain, self.updates,
-                         self.bank_replacements, self.contaminated_replacements)
+        if not self.adapted:
+            return RunCounts(pseudo_id, pseudo_ood, abstain)
+        written = self.decision == DECISION_CODES[PSEUDO_ID]
+        contaminated = int(np.count_nonzero(self.is_ood[written]))
+        return RunCounts(pseudo_id, pseudo_ood, abstain, pseudo_ood, pseudo_id, contaminated)
 
 
-def _new_log(stream: Stream) -> EventLog:
-    """Empty per-arrival columns for ``stream``; the truth columns are copies."""
-    n = len(stream)
-    return EventLog(score=np.empty(n), prediction=np.empty(n, dtype=np.int64),
-                    decision=np.empty(n, dtype=np.int8),
-                    is_ood=stream.is_ood.astype(bool), label=stream.labels.astype(np.int64),
-                    m_out=np.empty(n))
+def _log(stream: Stream, score, prediction, decision, m_out, **rest) -> EventLog:
+    """The log of a finished replay of ``stream``; the truth columns are copies."""
+    return EventLog(np.asarray(score, dtype=np.float64), np.asarray(prediction, dtype=np.int64),
+                    np.asarray(decision, dtype=np.int8), stream.is_ood.astype(bool),
+                    stream.labels.astype(np.int64), np.asarray(m_out, dtype=np.float64), **rest)
 
 
 def init_state(model: MlpModel, train_set: LabeledSet, cfg: RunConfig) -> AutoState:
@@ -138,7 +142,7 @@ def init_state(model: MlpModel, train_set: LabeledSet, cfg: RunConfig) -> AutoSt
     mu, sigma = filtering.estimate_id_stats(scoring.score_rows(logits))
     margins = filtering.init_margins(mu, sigma, cfg.k1, cfg.k2)
     bank = memory.init_random(train_set, cfg.memory_seed)
-    return AutoState(model_t=model, model_0=model_0, margins=margins, bank=bank, lr=cfg.lr,
+    return AutoState(model_t=model, model_0=model_0, margins=margins, bank=bank,
                      trainable=trainable)
 
 
@@ -185,7 +189,7 @@ def step(state: AutoState, cfg: RunConfig, x: np.ndarray,
                 loss, grads = nn._loss_and_grad(state.model_t, batch)
                 _check_finite(loss, state)
                 losses.append(loss)
-                nn.sgd_step(state.model_t, grads, state.lr)
+                nn.sgd_step(state.model_t, grads, cfg.lr)
             final = nn.total_loss(state.model_t, batch)
             _check_finite(final, state)
             losses.append(final)
@@ -208,26 +212,17 @@ def run_stream(state: AutoState, cfg: RunConfig, stream: Stream) -> EventLog:
     writes the bank; a write is contaminated when the arrival's hidden truth
     is OOD.
     """
-    log = _new_log(stream)
-    scores, predictions, decisions, m_outs = [], [], [], []
-    for x, is_ood, label in zip(stream.features, log.is_ood.tolist(), log.label.tolist()):
+    scores, predictions, decisions, m_outs, traces = [], [], [], [], []
+    for x, is_ood, label in zip(stream.features, stream.is_ood.tolist(), stream.labels.tolist()):
         event, trace = step(state, cfg, x, (is_ood, label))
         scores.append(event.score_at_arrival)
         predictions.append(event.prediction)
         decisions.append(DECISION_CODES[event.decision])
         m_outs.append(event.m_out_after)
         if trace is not None:
-            log.update_traces.append(trace)
-    log.score[:] = scores
-    log.prediction[:] = predictions
-    log.decision[:] = decisions
-    log.m_out[:] = m_outs
-    counts = log.counts
-    log.updates = counts.pseudo_ood
-    log.bank_replacements = counts.pseudo_id
-    log.contaminated_replacements = int(np.count_nonzero(
-        log.is_ood[log.decision == DECISION_CODES[FilterDecision.PSEUDO_ID]]))
-    return log
+            traces.append(trace)
+    return _log(stream, scores, predictions, decisions, m_outs, update_traces=traces,
+                adapted=True)
 
 
 def run_posthoc(model: MlpModel, margins: Margins, stream: Stream) -> EventLog:
@@ -244,13 +239,11 @@ def run_posthoc(model: MlpModel, margins: Margins, stream: Stream) -> EventLog:
             logits[i] = nn.forward_logits(model, x)
         except FloatingPointError as exc:
             raise FloatingPointError(f"{exc} at stream index {i}") from exc
-    log = _new_log(stream)
-    log.score = scoring.score_rows(logits)
-    log.prediction = logits.argmax(axis=1)
+    score = scoring.score_rows(logits)
     # filtering.classify's strict comparisons, pseudo-ID written last: a
     # score exactly on a margin abstains.
-    log.decision[:] = DECISION_CODES[FilterDecision.ABSTAIN]
-    log.decision[log.score < margins.m_out] = DECISION_CODES[FilterDecision.PSEUDO_OOD]
-    log.decision[log.score > margins.m_in] = DECISION_CODES[FilterDecision.PSEUDO_ID]
-    log.m_out[:] = margins.m_out
-    return log
+    decision = np.full(len(stream), DECISION_CODES[FilterDecision.ABSTAIN], dtype=np.int8)
+    decision[score < margins.m_out] = DECISION_CODES[PSEUDO_OOD]
+    decision[score > margins.m_in] = DECISION_CODES[PSEUDO_ID]
+    return _log(stream, score, logits.argmax(axis=1), decision,
+                np.full(len(stream), margins.m_out))

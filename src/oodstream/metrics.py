@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EventLog, RunCounts
+from .engine import EventLog
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,6 @@ class MetricsReport:
     fpr95: float
     auroc: float
     id_acc: float
-    counts: RunCounts
 
 
 def _split_scores(log: EventLog) -> tuple[np.ndarray, np.ndarray]:
@@ -64,11 +63,6 @@ def id_accuracy(log: EventLog) -> float:
 
 
 def report(log: EventLog) -> MetricsReport:
-    """All sub-metrics plus the run counters."""
-    return MetricsReport(
-        fpr95=fpr_at_tpr(log),
-        auroc=auroc(log),
-        id_acc=id_accuracy(log),
-        counts=log.counts,
-    )
+    """All three metrics of one log."""
+    return MetricsReport(fpr95=fpr_at_tpr(log), auroc=auroc(log), id_acc=id_accuracy(log))
 

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import shutil
+import warnings
+
 import pytest
 
 from oodstream import data, engine, nn
@@ -12,13 +17,38 @@ from oodstream.runconfig import RunConfig, to_text
 @pytest.fixture(scope="session")
 def canonical_out(tmp_path_factory):
     """Output directory of one command-line ``pretrain`` on the pinned
-    canonical config: the session's only canonical pretrain. Tests that run
-    the CLI on the canonical config write their outputs here too."""
+    canonical config: the session's only canonical pretrain. A test that
+    runs the CLI on a changed canonical config writes its outputs here too."""
     root = tmp_path_factory.mktemp("canonical")
     cfg_path = root / "canonical.cfg"
     cfg_path.write_text(to_text(RunConfig(out_dir=str(root / "out"))), encoding="ascii")
     assert main(["--config", str(cfg_path), "pretrain"]) == 0
     return root / "out"
+
+
+@pytest.fixture(scope="session")
+def canonical_cli(canonical_out, tmp_path_factory):
+    """``run --mode auto``, ``run --mode frozen``, ``ablate`` and ``sweep
+    --param k2 --values 1,2`` on the canonical config, each run once in a
+    directory of its own that starts with copies of ``canonical_out``'s
+    checkpoint and pretrain summary. Holds that directory, the commands'
+    stderr text and the messages of the warnings they raised."""
+    root = tmp_path_factory.mktemp("canonical_cli")
+    out = root / "out"
+    out.mkdir()
+    shutil.copy(canonical_out / CHECKPOINT_NAME, out)
+    shutil.copy(canonical_out / "pretrain_summary.json", out)
+    cfg_path = root / "canonical.cfg"
+    cfg_path.write_text(to_text(RunConfig()), encoding="ascii")
+    base = ["--config", str(cfg_path), "--out", str(out)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for command in (["run", "--mode", "auto"], ["run", "--mode", "frozen"], ["ablate"],
+                        ["sweep", "--param", "k2", "--values", "1,2"]):
+            assert main(base + command) == 0
+    return {"out": out, "stderr": err.getvalue(),
+            "warnings": [str(w.message) for w in caught]}
 
 
 @pytest.fixture(scope="session")

@@ -140,12 +140,12 @@ def event_rows(log: EventLog, first_index: int = 0) -> list[StreamEvent]:
 
 
 def slice_log(log: EventLog, start: int, stop: int) -> EventLog:
-    """Rows [start, stop) of the log. Its decision counts follow from its
-    rows; the run-level counters and traces stay with the whole run."""
+    """Rows [start, stop) of the log, with its own counts; the traces stay
+    with the whole run."""
     rows = slice(start, stop)
     return EventLog(score=log.score[rows], prediction=log.prediction[rows],
                     decision=log.decision[rows], is_ood=log.is_ood[rows],
-                    label=log.label[rows], m_out=log.m_out[rows])
+                    label=log.label[rows], m_out=log.m_out[rows], adapted=log.adapted)
 
 
 def random_log(rng: np.random.Generator, n_id: int, n_ood: int,
@@ -397,8 +397,8 @@ def episode_reference(model: MlpModel, x, spec: LossSpec, lr: float, trainable: 
 
 def run_stream_reference(state: engine.AutoState, cfg, stream: Stream) -> EventLog:
     """The adaptive replay one arrival at a time, with reference scores and
-    predictions and ``episode_reference`` episodes. The log's columns and
-    traces are filled; its run-level counters are left at zero."""
+    predictions and ``episode_reference`` episodes: an adapted log with its
+    columns and traces."""
     scores, preds, decisions, m_outs, traces = [], [], [], [], []
     for x in stream.features:
         logits = nn.forward_logits(state.model_t, x)
@@ -411,7 +411,7 @@ def run_stream_reference(state: engine.AutoState, cfg, stream: Stream) -> EventL
             if cfg.iters_t > 0:
                 pred_0 = predict_reference(nn.forward_logits(state.model_0, x))
                 spec = engine._episode_spec(state, cfg, pred_0)
-                losses = episode_reference(state.model_t, x, spec, state.lr, state.trainable,
+                losses = episode_reference(state.model_t, x, spec, cfg.lr, state.trainable,
                                            cfg.iters_t)
                 traces.append(UpdateTrace(state.step_counter, losses))
             state.margins = filtering.update_outlier_margin(state.margins, s)
@@ -422,15 +422,16 @@ def run_stream_reference(state: engine.AutoState, cfg, stream: Stream) -> EventL
         state.step_counter += 1
     log = log_from_columns(scores, stream.is_ood, prediction=preds, label=stream.labels,
                            decision=decisions, m_out=m_outs)
-    log.update_traces = traces
+    log.update_traces, log.adapted = traces, True
     return log
 
 
 def assert_replays_equal(got: EventLog, got_state: engine.AutoState,
                          want: EventLog, want_state: engine.AutoState) -> None:
     """Every event column, every trace, the weights, the margins and the bank
-    hold the same bytes."""
+    hold the same bytes, and the logs report the same counts."""
     assert_columns_equal(got, want)
+    assert got.counts == want.counts
     assert [t.event_index for t in got.update_traces] == \
         [t.event_index for t in want.update_traces]
     assert [np.array(t.losses).tobytes() for t in got.update_traces] == \

@@ -279,14 +279,11 @@ def test_criterion_10_t_sweep(canonical_runs):
 # criterion 9: byte-identical reruns
 
 
-def test_cli_canonical_metrics_match_golden(canonical_out, tmp_path):
+def test_cli_canonical_metrics_match_golden(canonical_cli):
     # the command-line pipeline on the pinned default config reproduces the
-    # golden reference metrics end to end: the session's `pretrain` wrote
-    # canonical_out, and `run` reads its checkpoint
-    cfg_path = tmp_path / "canonical.cfg"
-    cfg_path.write_text(to_text(RunConfig(out_dir=str(canonical_out))), encoding="ascii")
-    assert cli_main(["--config", str(cfg_path), "run", "--mode", "auto"]) == 0
-    rep = json.loads((canonical_out / "auto_metrics.json").read_text())
+    # golden reference metrics end to end: `run` reads the checkpoint of the
+    # session's `pretrain`
+    rep = json.loads((canonical_cli["out"] / "auto_metrics.json").read_text())
     for key in ("fpr95", "auroc", "id_acc"):
         assert rep[key] == pytest.approx(GOLDEN["full"][key], abs=TOL)
     ok("cli golden", "auto metrics JSON within +/-0.5pp of golden values")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from helpers import slice_log
@@ -47,6 +49,17 @@ def test_timeseries_second_segment_trend(canonical):
 
     st0 = engine.init_state(nn.clone_frozen(canonical["model"]), canonical["train"], cfg)
     frozen = engine.run_posthoc(canonical["model"], st0.margins, stream)
+
+    # Each segment's counts follow from its own rows, so they add up to the run's.
+    starts = stream.segment_bounds
+    for log in (adaptive, frozen):
+        parts = [slice_log(log, lo, hi).counts
+                 for lo, hi in zip(starts, starts[1:] + (len(log),))]
+        for name, total in asdict(log.counts).items():
+            assert sum(getattr(part, name) for part in parts) == total, name
+    assert adaptive.counts.updates > 0
+    c = frozen.counts
+    assert c.updates == c.bank_replacements == c.contaminated_replacements == 0
 
     seg2_adaptive = slice_log(adaptive, boundary, len(adaptive))
     seg2_frozen = slice_log(frozen, boundary, len(frozen))

@@ -712,12 +712,10 @@ def test_ablation_combos_keep_their_weights_and_zero_the_rest():
             assert getattr(ov, w) == (getattr(cfg, w) if w in weights else 0.0)
 
 
-def test_canonical_msp_run_writes_nothing_to_stderr(canonical_out, tmp_path, capsys):
-    path = tmp_path / "msp.cfg"
-    path.write_text(to_text(RunConfig(out_dir=str(canonical_out))), encoding="ascii")
-    capsys.readouterr()
-    assert main(["--config", str(path), "run", "--mode", "auto"]) == 0
-    assert capsys.readouterr().err == ""
+def test_canonical_msp_run_writes_nothing_to_stderr(canonical_cli):
+    # `run` in both modes, `ablate` and `sweep` on the canonical config
+    assert canonical_cli["stderr"] == ""
+    assert canonical_cli["warnings"] == []
 
 
 def test_auto_run_without_updates_warns_once(canonical_out, tmp_path, capsys):

@@ -93,8 +93,9 @@ def test_run_stream_rows_equal_step_events(canonical):
     assert event_rows(log) == events
     assert log.update_traces == traces
     writes = [e for e in events if e.decision == FilterDecision.PSEUDO_ID]
-    assert log.updates == sum(e.decision == FilterDecision.PSEUDO_OOD for e in events) > 0
-    assert log.bank_replacements == len(writes)
-    assert log.contaminated_replacements == sum(e.ground_truth_is_ood for e in writes) > 0
+    counts = log.counts
+    assert counts.updates == sum(e.decision == FilterDecision.PSEUDO_OOD for e in events) > 0
+    assert counts.bank_replacements == len(writes)
+    assert counts.contaminated_replacements == sum(e.ground_truth_is_ood for e in writes) > 0
     assert state.margins == ref_state.margins
     assert np.array_equal(state.bank, ref_state.bank)

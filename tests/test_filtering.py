@@ -177,7 +177,7 @@ def test_canonical_auto_m_out_never_rises(canonical):
     state = fresh_state(canonical, config)
     m_out0 = state.margins.m_out
     log = engine.run_stream(state, config, canonical["stream"])
-    assert log.updates > 0
+    assert log.counts.updates > 0
     assert log.m_out[0] <= m_out0
     assert np.all(np.diff(log.m_out) <= 0.0)
     assert np.count_nonzero(np.diff(log.m_out)) > 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import platform
-import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -22,8 +21,8 @@ import pytest
 
 from helpers import COLUMNS
 from oodstream import data, engine, nn
-from oodstream.cli import CHECKPOINT_NAME, main
-from oodstream.runconfig import RunConfig, pretrain_hash, to_text
+from oodstream.cli import CHECKPOINT_NAME
+from oodstream.runconfig import RunConfig, pretrain_hash
 
 # Where the digests were recorded.
 PINNED_NUMPY = "2.4.6"
@@ -134,23 +133,14 @@ def digest_table(pinned: dict[str, str], got: dict[str, str]) -> str:
                      f"{'' if got[name] == pinned[name] else '  MOVED'}" for name in pinned)
 
 
-def test_canonical_cli_files_are_pinned(canonical_out, tmp_path):
+def test_canonical_cli_files_are_pinned(canonical_cli):
     """``run --mode auto``, ``run --mode frozen``, ``ablate`` and ``sweep`` on
     the canonical config, from a copy of the session's checkpoint, write the
     pinned bytes; so does the session's ``pretrain`` summary."""
     if not on_pinned_platform():
         pytest.skip(f"digests pinned on BLAS {PINNED_BLAS} ({PINNED_MACHINE}), "
                     f"this is {(*platform_blas(), platform.machine())}")
-    out = tmp_path / "out"
-    out.mkdir()
-    shutil.copy(canonical_out / CHECKPOINT_NAME, out)
-    shutil.copy(canonical_out / "pretrain_summary.json", out)
-    cfg_path = tmp_path / "canonical.cfg"
-    cfg_path.write_text(to_text(RunConfig()), encoding="ascii")
-    base = ["--config", str(cfg_path), "--out", str(out)]
-    for command in (["run", "--mode", "auto"], ["run", "--mode", "frozen"], ["ablate"],
-                    ["sweep", "--param", "k2", "--values", "1,2"]):
-        assert main(base + command) == 0
+    out = canonical_cli["out"]
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in PINNED_FILES}
     assert got == PINNED_FILES, "CLI output bytes moved:\n" + digest_table(PINNED_FILES, got)
