@@ -93,17 +93,12 @@ def _even_split(total: int, parts: int) -> list[int]:
 
 
 def _draw_id_set(cfg: RunConfig, total: int, rng: np.random.Generator) -> LabeledSet:
-    counts = _even_split(total, cfg.classes)
-    means = circle_means(cfg.classes, cfg.mean_radius, cfg.dim)
-    feats, labels = [], []
-    for c, n_c in enumerate(counts):
-        mean = np.asarray(means[c], dtype=np.float64)
-        feats.append(rng.normal(0.0, cfg.id_spread, size=(n_c, cfg.dim)) + mean)
-        labels.append(np.full(n_c, c, dtype=np.int64))
-    features = np.concatenate(feats)
-    labels_arr = np.concatenate(labels)
+    # One C-order (total, d) draw equals the per-class draws joined, bit for bit.
+    labels = np.repeat(np.arange(cfg.classes), _even_split(total, cfg.classes))
+    means = np.asarray(circle_means(cfg.classes, cfg.mean_radius, cfg.dim))
+    features = rng.normal(0.0, cfg.id_spread, size=(total, cfg.dim)) + means[labels]
     order = rng.permutation(total)
-    return LabeledSet(features[order], labels_arr[order], cfg.classes)
+    return LabeledSet(features[order], labels[order], cfg.classes)
 
 
 def make_scenario(cfg: RunConfig) -> tuple[LabeledSet, LabeledSet, list[np.ndarray]]:
@@ -169,12 +164,7 @@ def _compose(id_features: np.ndarray, id_labels: np.ndarray, ood_features: np.nd
     features[take_ood] = ood_features[ood_rows]
     labels = np.full(end, -1, dtype=np.int64)
     labels[take_id] = id_labels[id_rows]
-    return Stream(
-        features=features,
-        is_ood=take_ood,
-        labels=labels,
-        segment_bounds=(0,),
-    )
+    return Stream(features, is_ood=take_ood, labels=labels, segment_bounds=(0,))
 
 
 def compose_stream(test_id_set: LabeledSet, ood_pool: np.ndarray, kappa: float,
@@ -199,28 +189,16 @@ def compose_timeseries(test_id_set: LabeledSet, ood_pools: list[np.ndarray],
     """Sequential per-source segments; the ID pool splits evenly across them."""
     if len(ood_pools) < 1:
         raise ValueError("compose_timeseries needs at least one OOD source")
-    n_segments = len(ood_pools)
-    rng = np.random.default_rng(seed)
-    id_order = rng.permutation(len(test_id_set))
-    chunk_sizes = _even_split(len(test_id_set), n_segments)
-    parts: list[Stream] = []
-    start = 0
-    for k, (pool, size) in enumerate(zip(ood_pools, chunk_sizes)):
-        idx = id_order[start:start + size]
-        start += size
-        seg_rng = np.random.default_rng([seed, k])
-        parts.append(_compose(test_id_set.features[idx], test_id_set.labels[idx], pool,
-                              kappa, seg_rng))
-    bounds = []
-    offset = 0
-    for p in parts:
-        bounds.append(offset)
-        offset += len(p)
+    id_order = np.random.default_rng(seed).permutation(len(test_id_set))
+    chunks = np.split(id_order, np.cumsum(_even_split(len(id_order), len(ood_pools)))[:-1])
+    parts = [_compose(test_id_set.features[idx], test_id_set.labels[idx], pool, kappa,
+                      np.random.default_rng([seed, k]))
+             for k, (pool, idx) in enumerate(zip(ood_pools, chunks))]
     return Stream(
         features=np.concatenate([p.features for p in parts]),
         is_ood=np.concatenate([p.is_ood for p in parts]),
         labels=np.concatenate([p.labels for p in parts]),
-        segment_bounds=tuple(bounds),
+        segment_bounds=tuple(np.cumsum([0] + [len(p) for p in parts[:-1]]).tolist()),
     )
 
 

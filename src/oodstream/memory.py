@@ -10,21 +10,16 @@ import numpy as np
 from .data import LabeledSet
 
 
-def _class_indices(training_set: LabeledSet) -> list[np.ndarray]:
-    out = []
-    for c in range(training_set.num_classes):
-        idx = np.flatnonzero(training_set.labels == c)
-        if idx.size == 0:
-            raise ValueError(f"training data has no sample of class {c}")
-        out.append(idx)
-    return out
-
-
 def init_random(training_set: LabeledSet, seed: int) -> np.ndarray:
     """The bank: a (C, d) float64 array whose row c is one uniformly random
     training sample of class c; seeded."""
     rng = np.random.default_rng(seed)
-    rows = [training_set.features[rng.choice(idx)] for idx in _class_indices(training_set)]
+    rows = []
+    for c in range(training_set.num_classes):
+        idx = np.flatnonzero(training_set.labels == c)
+        if idx.size == 0:
+            raise ValueError(f"training data has no sample of class {c}")
+        rows.append(training_set.features[rng.choice(idx)])
     return np.stack(rows)
 
 

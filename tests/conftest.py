@@ -7,6 +7,7 @@ import io
 import shutil
 import warnings
 
+import numpy as np
 import pytest
 
 from oodstream import data, engine, nn
@@ -73,3 +74,31 @@ def canonical(canonical_out):
 def fresh_state(canonical_fixture, cfg: RunConfig) -> engine.AutoState:
     model = nn.clone_frozen(canonical_fixture["model"])
     return engine.init_state(model, canonical_fixture["train"], cfg)
+
+
+def canonical_auto_replay(canonical_fixture, replays, cfg: RunConfig):
+    """(log, final state) of ``engine.run_stream`` on the canonical stream
+    under ``cfg``: the shared read-only replay if ``cfg`` is the default."""
+    if cfg == canonical_fixture["run_config"]:
+        return replays["auto"], replays["state"]
+    state = fresh_state(canonical_fixture, cfg)
+    return engine.run_stream(state, cfg, canonical_fixture["stream"]), state
+
+
+@pytest.fixture(scope="session")
+def canonical_replays(canonical):
+    """The default config's replays of the canonical stream, each run once for
+    the tests that only read their results: ``auto`` (``engine.run_stream``)
+    and its final ``state``, ``frozen`` (``engine.run_posthoc`` on the
+    pretrained model) and ``margins0``, the margins both start from. Every
+    array is read-only, so no test can change what another one reads."""
+    cfg = canonical["run_config"]
+    state = fresh_state(canonical, cfg)
+    margins0 = state.margins
+    frozen = engine.run_posthoc(canonical["model"], margins0, canonical["stream"])
+    auto = engine.run_stream(state, cfg, canonical["stream"])
+    for a in (*vars(frozen).values(), *vars(auto).values(), state.bank, *state.model_t.weights,
+              *state.model_t.biases, *state.model_0.weights, *state.model_0.biases):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return {"auto": auto, "state": state, "frozen": frozen, "margins0": margins0}

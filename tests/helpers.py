@@ -12,7 +12,7 @@ import numpy as np
 
 from oodstream import engine, filtering, memory, nn, scoring
 from oodstream.cli import EVENT_COLUMNS
-from oodstream.data import GaussianSource, Stream
+from oodstream.data import GaussianSource, LabeledSet, Stream, _even_split, circle_means
 from oodstream.engine import DECISIONS, EventLog, StreamEvent, UpdateTrace
 from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
@@ -547,7 +547,20 @@ def events_csv_reference(log: EventLog, chash: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# stream composition oracle
+# scenario and stream composition oracles
+
+
+def draw_id_set_reference(cfg: RunConfig, total: int, rng: np.random.Generator) -> LabeledSet:
+    """The per-class ID draw: one ``(n_c, d)`` normal draw per class in class
+    order, joined, then one permutation of the rows."""
+    means = circle_means(cfg.classes, cfg.mean_radius, cfg.dim)
+    feats, labels = [], []
+    for c, n_c in enumerate(_even_split(total, cfg.classes)):
+        mean = np.asarray(means[c], dtype=np.float64)
+        feats.append(rng.normal(0.0, cfg.id_spread, size=(n_c, cfg.dim)) + mean)
+        labels.append(np.full(n_c, c, dtype=np.int64))
+    order = rng.permutation(total)
+    return LabeledSet(np.concatenate(feats)[order], np.concatenate(labels)[order], cfg.classes)
 
 
 def compose_reference(id_features: np.ndarray, id_labels: np.ndarray,

@@ -18,7 +18,7 @@ from helpers import (assert_columns_equal, auroc_bruteforce, fpr_at_tpr_brutefor
                      max_grad_rel_err, random_log, run_posthoc_reference)
 from oodstream import engine, filtering, metrics, nn
 from oodstream.cli import main as cli_main
-from oodstream.engine import run_posthoc, run_stream
+from oodstream.engine import run_stream
 from oodstream.nn import LossSpec
 from oodstream.runconfig import RunConfig, to_text
 
@@ -43,25 +43,21 @@ def ok(criterion: str, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def canonical_runs(canonical):
-    """Frozen baseline plus the adaptive runs every trend criterion consumes."""
-    cfg = canonical["run_config"]
+def canonical_runs(canonical, canonical_replays):
+    """Frozen baseline plus the adaptive runs every trend criterion consumes:
+    (report, log, final state, pretrained model); the frozen run has no state."""
     model = canonical["model"]
-    train = canonical["train"]
-    stream = canonical["stream"]
 
     def auto_run(**overrides):
-        m = nn.clone_frozen(model)
-        rc = RunConfig(**overrides) if overrides else cfg
-        st = engine.init_state(m, train, rc)
-        log = engine.run_stream(st, rc, stream)
+        cfg = RunConfig(**overrides)
+        st = engine.init_state(nn.clone_frozen(model), canonical["train"], cfg)
+        log = engine.run_stream(st, cfg, canonical["stream"])
         # the pristine pretrained model is the reference for frozen-state checks
         return metrics.report(log), log, st, model
 
-    st0 = engine.init_state(nn.clone_frozen(model), train, cfg)
-    frozen_log = run_posthoc(model, st0.margins, stream)
-    runs = {"frozen": (metrics.report(frozen_log), frozen_log, st0, model)}
-    runs["full"] = auto_run()
+    frozen, full = canonical_replays["frozen"], canonical_replays["auto"]
+    runs = {"frozen": (metrics.report(frozen), frozen, None, model),
+            "full": (metrics.report(full), full, canonical_replays["state"], model)}
     runs["id_ood"] = auto_run(lambda2=0.0)
     runs["ood_only"] = auto_run(lambda2=0.0, id_weight=0.0)
     runs["t1"] = auto_run(iters_t=1)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import THREE_SOURCES, compose_reference
+from helpers import THREE_SOURCES, compose_reference, draw_id_set_reference
 from oodstream import data
 from oodstream.data import (GaussianSource, LabeledSet, circle_means, compose_mixed,
                             compose_stream, compose_timeseries, make_scenario)
@@ -46,6 +46,28 @@ def test_make_scenario_degenerate_spread():
     means = circle_means(spec.classes, spec.mean_radius, spec.dim)
     for x, y in zip(test_id.features, test_id.labels):
         assert np.allclose(x, means[y], atol=1e-290)
+
+
+@settings(max_examples=60, deadline=None)
+@given(classes=st.integers(2, 6), dim=st.integers(1, 4),
+       total=st.one_of(st.integers(0, 7), st.integers(8, 300)),
+       id_spread=st.floats(1e-3, 3.0), mean_radius=st.floats(0.1, 5.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_draw_id_set_equals_per_class_reference(classes, dim, total, id_spread,
+                                                mean_radius, seed):
+    """One (total, d) draw has the bits of the per-class draws joined, and
+    leaves the generator where they leave it."""
+    sources = () if dim == 2 else (GaussianSource(center=(4.0,) * dim, spread=0.5),)
+    cfg = RunConfig(classes=classes, dim=dim, id_spread=id_spread, mean_radius=mean_radius,
+                    ood_sources=sources)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = data._draw_id_set(cfg, total, rng)
+    want = draw_id_set_reference(cfg, total, ref_rng)
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.features.shape == want.features.shape == (total, dim)
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.num_classes == want.num_classes == classes
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_gaussian_source_center_and_spread():
@@ -154,6 +176,31 @@ def test_compose_timeseries_segments():
     seg1 = stream.features[:boundary][stream.is_ood[:boundary]]
     # source 2 lives at y < 0; segment 1 must contain none of it
     assert np.all(seg1[:, 1] > 0)
+
+
+def test_compose_timeseries_uneven_split_equals_per_segment_reference():
+    """7 ID rows over 3 sources split 3, 2, 2: each segment is the reference
+    interleaver on its chunk of the seeded ID order, and the bounds are the
+    running segment lengths."""
+    rng = np.random.default_rng(5)
+    id_set = LabeledSet(rng.normal(size=(7, 2)), rng.integers(0, 3, size=7), 3)
+    pools = [rng.normal(size=(n, 2)) + 5.0 for n in (4, 6, 5)]
+    seed, kappa = 12, 0.5
+    stream = compose_timeseries(id_set, pools, kappa, seed)
+    id_order = np.random.default_rng(seed).permutation(7)
+    chunks = (id_order[:3], id_order[3:5], id_order[5:])
+    segments = [compose_reference(id_set.features[idx], id_set.labels[idx], pool, kappa,
+                                  np.random.default_rng([seed, k]))
+                for k, (idx, pool) in enumerate(zip(chunks, pools))]
+    assert [int(np.count_nonzero(~seg.is_ood)) for seg in segments] == [3, 2, 2]
+    lengths = [len(seg) for seg in segments]
+    assert stream.segment_bounds == (0, lengths[0], lengths[0] + lengths[1])
+    assert all(type(b) is int for b in stream.segment_bounds)
+    for got, want in ((stream.features, [seg.features for seg in segments]),
+                      (stream.is_ood, [seg.is_ood for seg in segments]),
+                      (stream.labels, [seg.labels for seg in segments])):
+        want = np.concatenate(want)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _run_composer(composer: str, id_set, oods, kappa, seed):

@@ -82,11 +82,10 @@ def step_by_step(state, config, stream):
     return events, traces
 
 
-def test_run_stream_rows_equal_step_events(canonical):
+def test_run_stream_rows_equal_step_events(canonical, canonical_replays):
     stream = canonical["stream"]
     config = RunConfig()
-    state = fresh_state(canonical, config)
-    log = engine.run_stream(state, config, stream)
+    log, state = canonical_replays["auto"], canonical_replays["state"]
     ref_state = fresh_state(canonical, config)
     events, traces = step_by_step(ref_state, config, stream)
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_state
+from conftest import canonical_auto_replay, fresh_state
 from helpers import (assert_columns_equal, assert_replays_equal, checkpoint_bytes_reference,
                      events_csv_reference, init_margins_reference, log_from_columns,
                      log_softmax_reference, loss_and_grad, loss_and_grad_reference,
@@ -159,14 +159,11 @@ def test_score_rows_equals_score_per_row(c):
     assert z.argmax(axis=1).tolist() == [predict(row) for row in z]
 
 
-def test_run_posthoc_equals_per_arrival_loop(canonical):
-    model = canonical["model"]
-    config = RunConfig(k2=1.0)
-    margins = fresh_state(canonical, config).margins
-    stream = canonical["stream"]
-    fast = engine.run_posthoc(model, margins, stream)
-    ref = run_posthoc_reference(model, margins, stream, update_margins=False)
-    assert ref.counts.pseudo_ood > 0 and ref.counts.pseudo_id > 0
+def test_run_posthoc_equals_per_arrival_loop(canonical, canonical_replays):
+    fast = canonical_replays["frozen"]
+    ref = run_posthoc_reference(canonical["model"], canonical_replays["margins0"],
+                                canonical["stream"], update_margins=False)
+    assert ref.counts.pseudo_ood > 0 and ref.counts.pseudo_id > 0 and ref.counts.abstain > 0
     assert_columns_equal(fast, ref)
     assert fast.counts == ref.counts
     assert fast.update_traces == ref.update_traces == []
@@ -248,12 +245,12 @@ def test_no_trainable_groups_gives_no_gradients():
 
 
 @pytest.mark.parametrize("groups", ["last_block", "block1+fc"])
-def test_canonical_replay_equals_full_gradient_replay(canonical, monkeypatch, groups):
+def test_canonical_replay_equals_full_gradient_replay(canonical, canonical_replays,
+                                                      monkeypatch, groups):
     model = canonical["model"]
     config = RunConfig(trainable_groups=groups)
     trainable = config.resolve_groups(model)
-    fast_state = fresh_state(canonical, config)
-    fast = engine.run_stream(fast_state, config, canonical["stream"])
+    fast, fast_state = canonical_auto_replay(canonical, canonical_replays, config)
 
     # Every episode prepared with every layer kept: full gradients from a
     # forward through every layer, of which only the trainable layers' reach
@@ -301,10 +298,11 @@ def replay_both_ways(model, train, stream, config):
 
 
 @pytest.mark.parametrize("groups", ["last_block", "block1+fc"])
-def test_canonical_replay_bytes_equal_per_call_episodes(canonical, groups):
+def test_canonical_replay_bytes_equal_per_call_episodes(canonical, canonical_replays, groups):
     config = RunConfig(trainable_groups=groups)
-    fast, fast_state, ref, ref_state = replay_both_ways(
-        canonical["model"], canonical["train"], canonical["stream"], config)
+    fast, fast_state = canonical_auto_replay(canonical, canonical_replays, config)
+    ref_state = fresh_state(canonical, config)
+    ref = run_stream_reference(ref_state, config, canonical["stream"])
     assert len(ref.update_traces) > 300
     assert_replays_equal(fast, fast_state, ref, ref_state)
 
@@ -458,9 +456,10 @@ def two_pass_loss_and_grad(model, batch, want_grad=True):
     return loss, grads if want_grad else None
 
 
-def test_canonical_replay_matches_two_pass_gradient_replay(canonical, monkeypatch):
+def test_canonical_replay_matches_two_pass_gradient_replay(canonical, canonical_replays,
+                                                           monkeypatch):
     config = canonical["run_config"]
-    fused = engine.run_stream(fresh_state(canonical, config), config, canonical["stream"])
+    fused = canonical_replays["auto"]
     monkeypatch.setattr(nn, "_loss_and_grad", two_pass_loss_and_grad)
     two_pass = engine.run_stream(fresh_state(canonical, config), config, canonical["stream"])
     assert fused.counts.updates > 0
@@ -506,15 +505,12 @@ def test_save_checkpoint_bytes_equal_per_value_oracle(tmp_path):
     assert path.read_bytes() == checkpoint_bytes_reference(model, "0123456789ab")
 
 
-def test_events_csv_bytes_equal_per_row_oracle(canonical, tmp_path):
+def test_events_csv_bytes_equal_per_row_oracle(canonical_replays, tmp_path):
     """The canonical frozen and auto logs, an empty log, a log whose m_out
     changes on every row (signed zeros, a NaN, repeats two rows apart), and
     logs of exactly one write chunk, one chunk plus one row, and several
     chunks with m_out runs that cross chunk boundaries."""
-    config = canonical["run_config"]
-    state = fresh_state(canonical, config)
-    frozen = engine.run_posthoc(state.model_t, state.margins, canonical["stream"])
-    auto = engine.run_stream(state, config, canonical["stream"])
+    frozen, auto = canonical_replays["frozen"], canonical_replays["auto"]
     assert auto.counts.updates > 0
     rng = np.random.default_rng(16)
 

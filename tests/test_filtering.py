@@ -10,8 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_state
-from oodstream import engine
 from oodstream.filtering import (FilterDecision, classify, estimate_id_stats, init_margins,
                                  update_outlier_margin)
 
@@ -172,11 +170,9 @@ def test_margins_move_only_on_accepted_scores(mu, sigma, k1, k2, m_count, arriva
             assert margins is before
 
 
-def test_canonical_auto_m_out_never_rises(canonical):
-    config = canonical["run_config"]
-    state = fresh_state(canonical, config)
-    m_out0 = state.margins.m_out
-    log = engine.run_stream(state, config, canonical["stream"])
+def test_canonical_auto_m_out_never_rises(canonical_replays):
+    m_out0 = canonical_replays["margins0"].m_out
+    log = canonical_replays["auto"]
     assert log.counts.updates > 0
     assert log.m_out[0] <= m_out0
     assert np.all(np.diff(log.m_out) <= 0.0)

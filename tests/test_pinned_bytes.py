@@ -107,19 +107,16 @@ def digests(log: engine.EventLog) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("mode", ["frozen", "auto", "auto_t0"])
-def test_canonical_replay_bytes_are_pinned(canonical, mode):
+def test_canonical_replay_bytes_are_pinned(canonical, canonical_replays, mode):
     if not on_pinned_platform():
         pytest.skip(f"digests pinned on BLAS {PINNED_BLAS} ({PINNED_MACHINE}), "
                     f"this is {(*platform_blas(), platform.machine())}")
-    cfg = canonical["run_config"]
     if mode == "auto_t0":
-        cfg = replace(cfg, iters_t=0)
-    model = nn.clone_frozen(canonical["model"])
-    state = engine.init_state(model, canonical["train"], cfg)
-    if mode == "frozen":
-        log = engine.run_posthoc(model, state.margins, canonical["stream"])
-    else:
+        cfg = replace(canonical["run_config"], iters_t=0)
+        state = engine.init_state(nn.clone_frozen(canonical["model"]), canonical["train"], cfg)
         log = engine.run_stream(state, cfg, canonical["stream"])
+    else:
+        log = canonical_replays[mode]
     got = digests(log)
     assert got == PINNED[mode], (
         f"{mode} replay bytes moved (pinned with numpy {PINNED_NUMPY}, "
