@@ -138,7 +138,10 @@ def init_state(model: MlpModel, train_set: LabeledSet, cfg: RunConfig) -> AutoSt
     feats = train_set.features[:cfg.stats_subsample_n or None]
     logits = np.empty((len(feats), model.num_classes))
     for i, x in enumerate(feats):
-        logits[i] = nn.forward_logits(model, x)
+        try:
+            logits[i] = nn.forward_logits(model, x)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{exc} at training row {i}") from exc
     mu, sigma = filtering.estimate_id_stats(scoring.score_rows(logits))
     margins = filtering.init_margins(mu, sigma, cfg.k1, cfg.k2)
     bank = memory.init_random(train_set, cfg.memory_seed)

@@ -76,29 +76,40 @@ def fresh_state(canonical_fixture, cfg: RunConfig) -> engine.AutoState:
     return engine.init_state(model, canonical_fixture["train"], cfg)
 
 
-def canonical_auto_replay(canonical_fixture, replays, cfg: RunConfig):
-    """(log, final state) of ``engine.run_stream`` on the canonical stream
-    under ``cfg``: the shared read-only replay if ``cfg`` is the default."""
-    if cfg == canonical_fixture["run_config"]:
-        return replays["auto"], replays["state"]
-    state = fresh_state(canonical_fixture, cfg)
-    return engine.run_stream(state, cfg, canonical_fixture["stream"]), state
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+
+
+class CanonicalReplay(dict):
+    """Maps a ``RunConfig`` to the (log, final state) of ``engine.run_stream``
+    on the canonical stream, each run from a fresh clone of the pretrained
+    model the first time a test asks for it. ``frozen`` is the default
+    config's ``engine.run_posthoc`` log and ``margins0`` the margins both
+    modes start from. Every array is read-only, so no test can change what
+    another one reads; a test that steps or patches a replay builds its own
+    state with ``fresh_state``."""
+
+    def __init__(self, canonical_fixture):
+        super().__init__()
+        self.canonical = canonical_fixture
+        self.margins0 = fresh_state(canonical_fixture, canonical_fixture["run_config"]).margins
+        self.frozen = engine.run_posthoc(canonical_fixture["model"], self.margins0,
+                                         canonical_fixture["stream"])
+        _read_only(*vars(self.frozen).values())
+
+    def __missing__(self, cfg: RunConfig):
+        state = fresh_state(self.canonical, cfg)
+        log = engine.run_stream(state, cfg, self.canonical["stream"])
+        _read_only(*vars(log).values(), state.bank, *state.model_t.weights,
+                   *state.model_t.biases, *state.model_0.weights, *state.model_0.biases)
+        self[cfg] = log, state
+        return log, state
 
 
 @pytest.fixture(scope="session")
-def canonical_replays(canonical):
-    """The default config's replays of the canonical stream, each run once for
-    the tests that only read their results: ``auto`` (``engine.run_stream``)
-    and its final ``state``, ``frozen`` (``engine.run_posthoc`` on the
-    pretrained model) and ``margins0``, the margins both start from. Every
-    array is read-only, so no test can change what another one reads."""
-    cfg = canonical["run_config"]
-    state = fresh_state(canonical, cfg)
-    margins0 = state.margins
-    frozen = engine.run_posthoc(canonical["model"], margins0, canonical["stream"])
-    auto = engine.run_stream(state, cfg, canonical["stream"])
-    for a in (*vars(frozen).values(), *vars(auto).values(), state.bank, *state.model_t.weights,
-              *state.model_t.biases, *state.model_0.weights, *state.model_0.biases):
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
-    return {"auto": auto, "state": state, "frozen": frozen, "margins0": margins0}
+def canonical_replay(canonical):
+    """The session's one memo of canonical replays (``CanonicalReplay``): a
+    test that only reads a canonical replay takes it from here."""
+    return CanonicalReplay(canonical)

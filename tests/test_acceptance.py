@@ -16,9 +16,8 @@ import pytest
 
 from helpers import (assert_columns_equal, auroc_bruteforce, fpr_at_tpr_bruteforce,
                      max_grad_rel_err, random_log, run_posthoc_reference)
-from oodstream import engine, filtering, metrics, nn
+from oodstream import cli, engine, filtering, metrics, nn
 from oodstream.cli import main as cli_main
-from oodstream.engine import run_stream
 from oodstream.nn import LossSpec
 from oodstream.runconfig import RunConfig, to_text
 
@@ -33,6 +32,15 @@ GOLDEN = {
     "t0": {"fpr95": 0.51700},
 }
 
+# Criterion 11: ``ablate``'s four combos at ``sgd.lr = 0.1``. The learning rate
+# is not a pretraining key, so the canonical checkpoint serves.
+GOLDEN_LR01 = {
+    "id_only": {"fpr95": 0.52100, "auroc": 0.77939, "id_acc": 0.99875},
+    "ood_only": {"fpr95": 1.00000, "auroc": 0.62151, "id_acc": 0.71099},
+    "id_ood": {"fpr95": 0.04025, "auroc": 0.99135, "id_acc": 0.99498},
+    "full": {"fpr95": 0.03475, "auroc": 0.99245, "id_acc": 0.99849},
+}
+
 
 def ok(criterion: str, detail: str) -> None:
     print(f"[PASS] {criterion}: {detail}")
@@ -41,33 +49,25 @@ def ok(criterion: str, detail: str) -> None:
 # ---------------------------------------------------------------------------
 # shared canonical runs
 
-
-@pytest.fixture(scope="module")
-def canonical_runs(canonical, canonical_replays):
-    """Frozen baseline plus the adaptive runs every trend criterion consumes:
-    (report, log, final state, pretrained model); the frozen run has no state."""
-    model = canonical["model"]
-
-    def auto_run(**overrides):
-        cfg = RunConfig(**overrides)
-        st = engine.init_state(nn.clone_frozen(model), canonical["train"], cfg)
-        log = engine.run_stream(st, cfg, canonical["stream"])
-        # the pristine pretrained model is the reference for frozen-state checks
-        return metrics.report(log), log, st, model
-
-    frozen, full = canonical_replays["frozen"], canonical_replays["auto"]
-    runs = {"frozen": (metrics.report(frozen), frozen, None, model),
-            "full": (metrics.report(full), full, canonical_replays["state"], model)}
-    runs["id_ood"] = auto_run(lambda2=0.0)
-    runs["ood_only"] = auto_run(lambda2=0.0, id_weight=0.0)
-    runs["t1"] = auto_run(iters_t=1)
-    runs["t0"] = auto_run(iters_t=0)
-    return runs
+# The adaptive canonical runs the trend criteria read, from the session's
+# ``canonical_replay`` memo; ``id_ood`` and ``ood_only`` are ``ablate``'s combos.
+RUNS = {"full": RunConfig(),
+        "id_ood": cli._ablation_overrides(RunConfig(), "id_ood"),
+        "ood_only": cli._ablation_overrides(RunConfig(), "ood_only"),
+        "t1": RunConfig(iters_t=1),
+        "t0": RunConfig(iters_t=0)}
 
 
-def assert_structural_invariants(canonical, log, state, initial_model):
+def canonical_run(canonical_replay, cfg: RunConfig):
+    """(report, log, final state) of the canonical replay under ``cfg``."""
+    log, state = canonical_replay[cfg]
+    return metrics.report(log), log, state
+
+
+def assert_structural_invariants(canonical, log, state):
     """Criterion 8 checks, applied to every end-to-end run."""
     cfg = canonical["run_config"]
+    initial_model = canonical["model"]
     # bank cardinality
     assert state.bank.shape == (cfg.classes, cfg.dim)
     # frozen parameter groups bitwise constant
@@ -170,56 +170,54 @@ def test_criterion_3_margin_replay():
 # criterion 4: frozen-baseline degeneracy
 
 
-def test_criterion_4_frozen_degeneracy(canonical):
+def test_criterion_4_frozen_degeneracy(canonical, canonical_replay):
     cfg = replace(canonical["run_config"], lambda1=0.0, lambda2=0.0, trainable_groups="none")
-    model = nn.clone_frozen(canonical["model"])
-    state = engine.init_state(model, canonical["train"], cfg)
-    margins0 = state.margins
-    log = run_stream(state, cfg, canonical["stream"])
-    baseline = run_posthoc_reference(canonical["model"], margins0, canonical["stream"],
-                                     update_margins=True)
+    log, _ = canonical_replay[cfg]
+    # no changed key reaches the margins, so the run starts from the default's
+    baseline = run_posthoc_reference(canonical["model"], canonical_replay.margins0,
+                                     canonical["stream"], update_margins=True)
     assert_columns_equal(log, baseline)
     ok("criterion 4", f"degenerate run log identical over {len(log)} events")
 
 
 # ---------------------------------------------------------------------------
-# criteria 5-8, 10: canonical trends
+# criteria 5-8, 10, 11: canonical trends
 
 
-def test_criterion_5_canonical_improvement(canonical, canonical_runs):
+def test_criterion_5_canonical_improvement(canonical, canonical_replay):
     started = time.time()
-    fr, _, _, _ = canonical_runs["frozen"]
-    full, flog, fstate, finit = canonical_runs["full"]
+    fr = metrics.report(canonical_replay.frozen)
+    full, flog, fstate = canonical_run(canonical_replay, RUNS["full"])
     assert full.fpr95 < fr.fpr95
     assert full.auroc > fr.auroc
     for name, rep in (("frozen", fr), ("full", full)):
         for key in ("fpr95", "auroc", "id_acc"):
             assert getattr(rep, key) == pytest.approx(GOLDEN[name][key], abs=TOL), \
                 f"{name}.{key} drifted from golden value"
-    assert_structural_invariants(canonical, flog, fstate, finit)
+    assert_structural_invariants(canonical, flog, fstate)
     elapsed = time.time() - started
     assert elapsed < 60.0
     ok("criterion 5", f"fpr95 {fr.fpr95:.4f}->{full.fpr95:.4f}, "
                       f"auroc {fr.auroc:.4f}->{full.auroc:.4f} (golden +/-0.5pp)")
 
 
-def test_criterion_6_anti_forgetting_ordering(canonical, canonical_runs):
-    full, _, _, _ = canonical_runs["full"]
-    idood, ilog, istate, iinit = canonical_runs["id_ood"]
-    oodonly, olog, ostate, oinit = canonical_runs["ood_only"]
+def test_criterion_6_anti_forgetting_ordering(canonical, canonical_replay):
+    full, _, _ = canonical_run(canonical_replay, RUNS["full"])
+    idood, ilog, istate = canonical_run(canonical_replay, RUNS["id_ood"])
+    oodonly, olog, ostate = canonical_run(canonical_replay, RUNS["ood_only"])
     assert full.id_acc >= idood.id_acc >= oodonly.id_acc
     assert full.fpr95 <= oodonly.fpr95
     for name, rep in (("id_ood", idood), ("ood_only", oodonly)):
         for key in ("fpr95", "auroc", "id_acc"):
             assert getattr(rep, key) == pytest.approx(GOLDEN[name][key], abs=TOL)
-    assert_structural_invariants(canonical, ilog, istate, iinit)
-    assert_structural_invariants(canonical, olog, ostate, oinit)
+    assert_structural_invariants(canonical, ilog, istate)
+    assert_structural_invariants(canonical, olog, ostate)
     ok("criterion 6", f"id_acc {full.id_acc:.4f} >= {idood.id_acc:.4f} >= "
                       f"{oodonly.id_acc:.4f}; fpr95 {full.fpr95:.4f} <= {oodonly.fpr95:.4f}")
 
 
-def test_criterion_7_descent_property(canonical_runs):
-    _, flog, _, _ = canonical_runs["full"]
+def test_criterion_7_descent_property(canonical_replay):
+    flog, _ = canonical_replay[RUNS["full"]]
     assert len(flog.update_traces) > 0
     good = total = 0
     for trace in flog.update_traces:
@@ -232,11 +230,11 @@ def test_criterion_7_descent_property(canonical_runs):
                       f"({fraction:.1%})")
 
 
-def test_criterion_8_structural_invariants(canonical, canonical_runs):
+def test_criterion_8_structural_invariants(canonical, canonical_replay):
     # post-run checks on every canonical run
-    for name in ("full", "id_ood", "ood_only", "t1", "t0"):
-        rep, log, state, initial = canonical_runs[name]
-        assert_structural_invariants(canonical, log, state, initial)
+    for cfg in RUNS.values():
+        log, state = canonical_replay[cfg]
+        assert_structural_invariants(canonical, log, state)
         assert len(log) == len(canonical["stream"])
     # per-step checks on a short instrumented replay
     cfg = canonical["run_config"]
@@ -259,16 +257,38 @@ def test_criterion_8_structural_invariants(canonical, canonical_runs):
                       "and partition counts verified")
 
 
-def test_criterion_10_t_sweep(canonical_runs):
-    t0, _, _, _ = canonical_runs["t0"]
-    t1, _, _, _ = canonical_runs["t1"]
-    full, _, _, _ = canonical_runs["full"]  # T=2
+def test_criterion_10_t_sweep(canonical_replay):
+    t0, _, _ = canonical_run(canonical_replay, RUNS["t0"])
+    t1, _, _ = canonical_run(canonical_replay, RUNS["t1"])
+    full, _, _ = canonical_run(canonical_replay, RUNS["full"])  # T=2
     assert t1.fpr95 < t0.fpr95
     assert full.fpr95 < t0.fpr95
     assert t0.fpr95 == pytest.approx(GOLDEN["t0"]["fpr95"], abs=TOL)
     assert t1.fpr95 == pytest.approx(GOLDEN["t1"]["fpr95"], abs=TOL)
     ok("criterion 10", f"fpr95: T=0 {t0.fpr95:.4f}, T=1 {t1.fpr95:.4f}, "
                        f"T=2 {full.fpr95:.4f}")
+
+
+def test_criterion_11_anti_forgetting_at_a_larger_step(canonical, canonical_replay):
+    """At the canonical ``sgd.lr`` the memory bank barely shows: ``id_ood``
+    and ``ood_only`` reach the same ID accuracy. At 0.1 dropping the bank's
+    ID term costs about 29 pp of it."""
+    reps = {}
+    for combo in cli.ABLATION_COMBOS:
+        cfg = cli._ablation_overrides(replace(canonical["run_config"], lr=0.1), combo)
+        reps[combo], log, state = canonical_run(canonical_replay, cfg)
+        assert_structural_invariants(canonical, log, state)
+        for key in ("fpr95", "auroc", "id_acc"):
+            assert getattr(reps[combo], key) == pytest.approx(GOLDEN_LR01[combo][key], abs=TOL), \
+                f"lr=0.1 {combo}.{key} drifted from golden value"
+    full, idood, oodonly = reps["full"], reps["id_ood"], reps["ood_only"]
+    assert full.id_acc >= idood.id_acc >= oodonly.id_acc
+    assert oodonly.id_acc <= full.id_acc - 0.25
+    frozen = metrics.report(canonical_replay.frozen)
+    assert full.fpr95 < frozen.fpr95
+    ok("criterion 11", f"lr=0.1: id_acc {full.id_acc:.4f} >= {idood.id_acc:.4f} >= "
+                       f"{oodonly.id_acc:.4f}; fpr95 {frozen.fpr95:.4f} (frozen) -> "
+                       f"{full.fpr95:.4f}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +303,16 @@ def test_cli_canonical_metrics_match_golden(canonical_cli):
     for key in ("fpr95", "auroc", "id_acc"):
         assert rep[key] == pytest.approx(GOLDEN["full"][key], abs=TOL)
     ok("cli golden", "auto metrics JSON within +/-0.5pp of golden values")
+
+
+def test_cli_ablation_rows_equal_library_reports(canonical_cli, canonical_replay):
+    """``ablate``'s rows for the combos that criterion 6 reads are the
+    ``metrics.report`` of the same replays run in process, to the last bit."""
+    rows = (canonical_cli["out"] / "ablation.csv").read_text().splitlines()[2:]
+    rows = {row.partition(",")[0]: row for row in rows}
+    for combo in ("full", "id_ood", "ood_only"):
+        rep, _, _ = canonical_run(canonical_replay, RUNS[combo])
+        assert rows[combo] == f"{combo},{rep.fpr95:.17g},{rep.auroc:.17g},{rep.id_acc:.17g}"
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
 from oodstream import data, engine, filtering, memory, metrics, nn, scoring
-from oodstream.cli import main
+from oodstream.cli import CHECKPOINT_NAME, main
 from oodstream.runconfig import RunConfig, to_text
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -60,16 +61,32 @@ STREAM_MODES = [pytest.param(stream, mode, id=mode if stream == "single" else f"
                 for stream in ("single", "mixed", "timeseries") for mode in ("auto", "frozen")]
 
 
-@pytest.mark.parametrize("stream,mode", STREAM_MODES)
-def test_traced_counts_equal_program_counts(tmp_path, capsys, tracer, stream, mode):
-    """A tiny run through the benchmark's own tracer and count check."""
-    run = load_bench_module("run")
-    out = tmp_path / "out"
+def tiny_config(tmp_path: Path, stream: str = "single") -> tuple[Path, str]:
     text = to_text(RunConfig(test_id_n=300, ood_n=300, hidden=(16, 16), epochs=3, k2=1.0,
-                             stats_subsample_n=40, stream=stream, out_dir=str(out)))
+                             stats_subsample_n=40, stream=stream, out_dir=str(tmp_path / "out")))
     path = tmp_path / "tiny.cfg"
     path.write_text(text, encoding="ascii")
+    return path, text
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """One ``pretrain`` of the tiny config. The stream keys are not part of
+    the pretrain hash, so every stream kind replays this checkpoint."""
+    path, _ = tiny_config(tmp_path_factory.mktemp("tiny"))
     assert main(["--config", str(path), "pretrain"]) == 0
+    return path.parent / "out" / CHECKPOINT_NAME
+
+
+@pytest.mark.parametrize("stream,mode", STREAM_MODES)
+def test_traced_counts_equal_program_counts(tmp_path, capsys, tracer, tiny_checkpoint,
+                                            stream, mode):
+    """A tiny run through the benchmark's own tracer and count check."""
+    run = load_bench_module("run")
+    path, text = tiny_config(tmp_path, stream)
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(tiny_checkpoint, out)
     traced = tracer.Tracer()
     with traced.installed(MODULES), traced.span("cli.run"):
         assert main(["--config", str(path), "run", "--mode", mode]) == 0

@@ -27,13 +27,13 @@ def test_predictions_match_accuracy_report(canonical):
         nn.accuracy(model, test_id.features[:500], test_id.labels[:500]), abs=0)
 
 
-def test_frozen_scores_clear_auroc_floor(canonical_replays):
+def test_frozen_scores_clear_auroc_floor(canonical_replay):
     # the scenario must be nontrivial but imperfect: the adaptive engine
     # needs headroom, so the frozen baseline sits between 0.7 and ~0.95
-    assert metrics.auroc(canonical_replays["frozen"]) > 0.7
+    assert metrics.auroc(canonical_replay.frozen) > 0.7
 
 
-def test_timeseries_second_segment_trend(canonical):
+def test_timeseries_second_segment_trend(canonical, canonical_replay):
     cfg = canonical["run_config"]
     stream = data.compose_timeseries(canonical["test_id"], canonical["oods"],
                                      kappa=cfg.kappa, seed=cfg.stream_seed)
@@ -44,8 +44,7 @@ def test_timeseries_second_segment_trend(canonical):
     state = engine.init_state(model, canonical["train"], cfg)
     adaptive = engine.run_stream(state, cfg, stream)
 
-    st0 = engine.init_state(nn.clone_frozen(canonical["model"]), canonical["train"], cfg)
-    frozen = engine.run_posthoc(canonical["model"], st0.margins, stream)
+    frozen = engine.run_posthoc(canonical["model"], canonical_replay.margins0, stream)
 
     # Each segment's counts follow from its own rows, so they add up to the run's.
     starts = stream.segment_bounds

@@ -7,6 +7,7 @@ canonical defaults are exercised by the acceptance suite.
 from __future__ import annotations
 
 import json
+import shutil
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 from helpers import (CORRUPT_PAYLOADS, FLOAT_KEYS, REMOVED_KEY_VALUES, THREE_SOURCES,
-                     config_text_with, corrupt_checkpoint, non_finite_rule, removed_key_rule)
+                     config_text_with, corrupt_checkpoint, forward_batch_reference,
+                     non_finite_rule, removed_key_rule)
 from oodstream import cli, data, engine, nn
 from oodstream.cli import main
 from oodstream.runconfig import RunConfig, config_hash, from_text, pretrain_hash, to_text
@@ -36,10 +38,22 @@ def write_config(tmp_path: Path, **overrides) -> Path:
     return path
 
 
-@pytest.fixture()
-def pretrained(tmp_path):
-    cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "out"))
+@pytest.fixture(scope="session")
+def small_pretrain(tmp_path_factory):
+    """Output directory of the session's one ``pretrain`` of the small scenario."""
+    root = tmp_path_factory.mktemp("small")
+    cfg_path = write_config(root, out_dir=str(root / "out"))
     assert main(["--config", str(cfg_path), "pretrain"]) == 0
+    return root / "out"
+
+
+@pytest.fixture()
+def pretrained(tmp_path, small_pretrain):
+    """The small config, and its own output directory that starts with a copy
+    of ``small_pretrain``'s files: neither the checkpoint nor the pretrain
+    summary depends on where they are written."""
+    cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "out"))
+    shutil.copytree(small_pretrain, tmp_path / "out")
     return cfg_path, tmp_path / "out"
 
 
@@ -418,13 +432,37 @@ def test_non_finite_arrival_fails_with_one_line(pretrained, capsys, mode):
     assert err == f"error: non-finite logits in forward pass at stream index {first}\n"
 
 
-def test_non_finite_loss_fails_with_one_line(tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["auto", "frozen"])
+def test_non_finite_training_row_fails_with_one_line(pretrained, capsys, mode):
+    """Finite weights scaled by 1e200 overflow the forward pass of the margin
+    statistics, before the first arrival. The error used to name no row."""
+    cfg_path, out = pretrained
+    cfg = from_text(cfg_path.read_text())
+    model, saved = nn.load_checkpoint(out / "model.ckpt")
+    assert saved == pretrain_hash(cfg)
+    for w in model.weights:
+        w *= 1e200
+    nn.save_checkpoint(model, out / "model.ckpt", saved)
+    train, _, _ = data.make_scenario(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, _, _ = forward_batch_reference(model, train.features)
+    first = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", str(cfg_path), "run", "--mode", mode]) == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err == (f"error: non-finite logits in forward pass "
+                                       f"at training row {first}\n")
+    assert list(out.glob(f"{mode}_*")) == []
+
+
+def test_non_finite_loss_fails_with_one_line(pretrained, capsys):
     """An SGD step of 1e300 on every layer makes the first update episode's
     loss NaN. Until that episode the auto replay decides as the frozen one,
     so the failing index is the frozen run's first pseudo-OOD arrival."""
-    out = tmp_path / "out"
-    cfg_path = write_config(tmp_path, out_dir=str(out), lr=1e300, trainable_groups="all")
-    assert main(["--config", str(cfg_path), "pretrain"]) == 0
+    cfg_path, out = pretrained
+    # the SGD keys are not part of the pretrain hash
+    cfg_path = write_config(cfg_path.parent, out_dir=str(out), lr=1e300, trainable_groups="all")
     assert main(["--config", str(cfg_path), "run", "--mode", "frozen"]) == 0
     decisions = [ln.split(",")[3] for ln in
                  (out / "frozen_events.csv").read_text().splitlines()[2:]]

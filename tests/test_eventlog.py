@@ -82,10 +82,10 @@ def step_by_step(state, config, stream):
     return events, traces
 
 
-def test_run_stream_rows_equal_step_events(canonical, canonical_replays):
+def test_run_stream_rows_equal_step_events(canonical, canonical_replay):
     stream = canonical["stream"]
     config = RunConfig()
-    log, state = canonical_replays["auto"], canonical_replays["state"]
+    log, state = canonical_replay[config]
     ref_state = fresh_state(canonical, config)
     events, traces = step_by_step(ref_state, config, stream)
 

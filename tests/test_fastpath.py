@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import canonical_auto_replay, fresh_state
+from conftest import fresh_state
 from helpers import (assert_columns_equal, assert_replays_equal, checkpoint_bytes_reference,
                      events_csv_reference, init_margins_reference, log_from_columns,
                      log_softmax_reference, loss_and_grad, loss_and_grad_reference,
@@ -159,9 +159,9 @@ def test_score_rows_equals_score_per_row(c):
     assert z.argmax(axis=1).tolist() == [predict(row) for row in z]
 
 
-def test_run_posthoc_equals_per_arrival_loop(canonical, canonical_replays):
-    fast = canonical_replays["frozen"]
-    ref = run_posthoc_reference(canonical["model"], canonical_replays["margins0"],
+def test_run_posthoc_equals_per_arrival_loop(canonical, canonical_replay):
+    fast = canonical_replay.frozen
+    ref = run_posthoc_reference(canonical["model"], canonical_replay.margins0,
                                 canonical["stream"], update_margins=False)
     assert ref.counts.pseudo_ood > 0 and ref.counts.pseudo_id > 0 and ref.counts.abstain > 0
     assert_columns_equal(fast, ref)
@@ -245,12 +245,12 @@ def test_no_trainable_groups_gives_no_gradients():
 
 
 @pytest.mark.parametrize("groups", ["last_block", "block1+fc"])
-def test_canonical_replay_equals_full_gradient_replay(canonical, canonical_replays,
+def test_canonical_replay_equals_full_gradient_replay(canonical, canonical_replay,
                                                       monkeypatch, groups):
     model = canonical["model"]
     config = RunConfig(trainable_groups=groups)
     trainable = config.resolve_groups(model)
-    fast, fast_state = canonical_auto_replay(canonical, canonical_replays, config)
+    fast, fast_state = canonical_replay[config]
 
     # Every episode prepared with every layer kept: full gradients from a
     # forward through every layer, of which only the trainable layers' reach
@@ -298,9 +298,9 @@ def replay_both_ways(model, train, stream, config):
 
 
 @pytest.mark.parametrize("groups", ["last_block", "block1+fc"])
-def test_canonical_replay_bytes_equal_per_call_episodes(canonical, canonical_replays, groups):
+def test_canonical_replay_bytes_equal_per_call_episodes(canonical, canonical_replay, groups):
     config = RunConfig(trainable_groups=groups)
-    fast, fast_state = canonical_auto_replay(canonical, canonical_replays, config)
+    fast, fast_state = canonical_replay[config]
     ref_state = fresh_state(canonical, config)
     ref = run_stream_reference(ref_state, config, canonical["stream"])
     assert len(ref.update_traces) > 300
@@ -456,10 +456,10 @@ def two_pass_loss_and_grad(model, batch, want_grad=True):
     return loss, grads if want_grad else None
 
 
-def test_canonical_replay_matches_two_pass_gradient_replay(canonical, canonical_replays,
+def test_canonical_replay_matches_two_pass_gradient_replay(canonical, canonical_replay,
                                                            monkeypatch):
     config = canonical["run_config"]
-    fused = canonical_replays["auto"]
+    fused, _ = canonical_replay[config]
     monkeypatch.setattr(nn, "_loss_and_grad", two_pass_loss_and_grad)
     two_pass = engine.run_stream(fresh_state(canonical, config), config, canonical["stream"])
     assert fused.counts.updates > 0
@@ -505,12 +505,12 @@ def test_save_checkpoint_bytes_equal_per_value_oracle(tmp_path):
     assert path.read_bytes() == checkpoint_bytes_reference(model, "0123456789ab")
 
 
-def test_events_csv_bytes_equal_per_row_oracle(canonical_replays, tmp_path):
+def test_events_csv_bytes_equal_per_row_oracle(canonical, canonical_replay, tmp_path):
     """The canonical frozen and auto logs, an empty log, a log whose m_out
     changes on every row (signed zeros, a NaN, repeats two rows apart), and
     logs of exactly one write chunk, one chunk plus one row, and several
     chunks with m_out runs that cross chunk boundaries."""
-    frozen, auto = canonical_replays["frozen"], canonical_replays["auto"]
+    frozen, (auto, _) = canonical_replay.frozen, canonical_replay[canonical["run_config"]]
     assert auto.counts.updates > 0
     rng = np.random.default_rng(16)
 

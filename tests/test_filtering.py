@@ -170,9 +170,9 @@ def test_margins_move_only_on_accepted_scores(mu, sigma, k1, k2, m_count, arriva
             assert margins is before
 
 
-def test_canonical_auto_m_out_never_rises(canonical_replays):
-    m_out0 = canonical_replays["margins0"].m_out
-    log = canonical_replays["auto"]
+def test_canonical_auto_m_out_never_rises(canonical, canonical_replay):
+    m_out0 = canonical_replay.margins0.m_out
+    log, _ = canonical_replay[canonical["run_config"]]
     assert log.counts.updates > 0
     assert log.m_out[0] <= m_out0
     assert np.all(np.diff(log.m_out) <= 0.0)

@@ -107,16 +107,15 @@ def digests(log: engine.EventLog) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("mode", ["frozen", "auto", "auto_t0"])
-def test_canonical_replay_bytes_are_pinned(canonical, canonical_replays, mode):
+def test_canonical_replay_bytes_are_pinned(canonical, canonical_replay, mode):
     if not on_pinned_platform():
         pytest.skip(f"digests pinned on BLAS {PINNED_BLAS} ({PINNED_MACHINE}), "
                     f"this is {(*platform_blas(), platform.machine())}")
-    if mode == "auto_t0":
-        cfg = replace(canonical["run_config"], iters_t=0)
-        state = engine.init_state(nn.clone_frozen(canonical["model"]), canonical["train"], cfg)
-        log = engine.run_stream(state, cfg, canonical["stream"])
+    cfg = canonical["run_config"]
+    if mode == "frozen":
+        log = canonical_replay.frozen
     else:
-        log = canonical_replays[mode]
+        log, _ = canonical_replay[replace(cfg, iters_t=0) if mode == "auto_t0" else cfg]
     got = digests(log)
     assert got == PINNED[mode], (
         f"{mode} replay bytes moved (pinned with numpy {PINNED_NUMPY}, "
@@ -141,3 +140,22 @@ def test_canonical_cli_files_are_pinned(canonical_cli):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in PINNED_FILES}
     assert got == PINNED_FILES, "CLI output bytes moved:\n" + digest_table(PINNED_FILES, got)
+
+
+def test_output_digest_table_names_every_command_file():
+    """``tests/output_digests.py`` pins the ten files that its five commands
+    write for each of its two configs, and its canonical entries are this
+    module's. No command runs here."""
+    import output_digests
+
+    names = {CHECKPOINT_NAME, "pretrain_summary.json", "ablation.csv", "sweep_k2.csv"} | {
+        f"{mode}_{kind}" for mode in ("auto", "frozen")
+        for kind in ("events.csv", "metrics.json", "scores.svg")}
+    assert len(names) == 10
+    assert set(output_digests.PINNED) == set(output_digests.CONFIGS) == {"canonical",
+                                                                         "wide_drift"}
+    for table in output_digests.PINNED.values():
+        assert set(table) == names
+    canonical = output_digests.PINNED["canonical"]
+    assert canonical[CHECKPOINT_NAME] == PINNED_CHECKPOINT
+    assert {name: canonical[name] for name in PINNED_FILES} == PINNED_FILES
