@@ -234,8 +234,8 @@ def run_posthoc(model: MlpModel, margins: Margins, stream: Stream) -> EventLog:
     With both fixed, every arrival's score, prediction and decision depend
     on that arrival alone, so they are computed for the whole stream at once.
     """
-    # One forward_logits call per row, never one matrix product over the
-    # stream: BLAS does not promise a row the same bits in every batch shape.
+    # One forward_logits call per row, as the benchmark counts them. A stacked
+    # (n, 1, d) product would keep each row's bits; a plain (n, d) one would not.
     logits = np.empty((len(stream), model.num_classes))
     for i, x in enumerate(stream.features):
         try:

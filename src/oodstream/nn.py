@@ -74,17 +74,8 @@ class Gradients:
     d_biases: list[np.ndarray | None]
 
     def weight(self, i: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Rows ``start:stop`` of layer i's weight gradient, in a new array.
-
-        A one-row batch's gradient is the outer product: numpy runs a
-        ``(h,1) @ (1,h)`` matmul through a slow generic loop, while each
-        entry is a single product either way.
-        """
-        a, delta = self.inputs[i][:, start:stop], self.deltas[i]
-        if len(delta) == 1:
-            # canonical ood_only replay: 185 ms, against 196 ms with the matmul
-            return np.einsum("i,j->ij", a[0], delta[0])
-        return a.T @ delta
+        """Rows ``start:stop`` of layer i's weight gradient, in a new array."""
+        return self.inputs[i][:, start:stop].T @ self.deltas[i]
 
 
 def default_group_labels(layer_dims: list[int]) -> list[str]:
@@ -133,19 +124,16 @@ def init_mlp(layer_dims: list[int], seed: int) -> MlpModel:
 # forward pass
 
 
-def _forward_from(model: MlpModel, a: np.ndarray, first: int = 0,
-                  stop: int | None = None) -> list:
-    """Batched forward through layers ``first`` to ``stop`` - 1 (default: to
-    the logits), where ``a`` (N, d) is the input of layer ``first``.
+def _forward_from(model: MlpModel, a: np.ndarray) -> list:
+    """Batched forward of the input rows ``a`` (N, d) to the logits.
 
-    Returns the activations: entry k feeds layer k (None for k < ``first``),
-    and the last entry is the output of layer ``stop`` - 1. Each layer is
-    ``a @ w``, plus the bias in place, then, for hidden layers, the ReLU in
-    place: the bits of ``np.maximum(a @ w + b, 0.0)`` without temporaries.
+    Returns the activations: entry k feeds layer k, the last entry is the
+    logits. Each layer is ``a @ w``, then the bias and, for hidden layers,
+    the ReLU in place: ``np.maximum(a @ w + b, 0.0)``'s bits, no temporaries.
     """
-    acts: list = [None] * first + [a]
+    acts: list = [a]
     last = model.num_layers - 1
-    for i in range(first, model.num_layers if stop is None else stop):
+    for i in range(model.num_layers):
         a = a @ model.weights[i]
         a += model.biases[i]
         if i != last:
@@ -213,26 +201,20 @@ class EpisodeBatch:
     ``rows`` stacks the probe row on the C bank rows, probe first; the bank
     rows ride along only when the bank term carries weight, and
     ``bank_label_index`` then holds the flat index of bank row c's class c
-    in the (1 + C, C) logits (it is empty otherwise). Gradients are
-    kept for the layers marked in ``keep``, and the error signal stops at
-    ``lowest``, the lowest kept layer. ``prefix`` holds the activations that
-    feed layer ``lowest``: the batch stays valid while no layer below
-    ``lowest`` changes, which holds for SGD steps restricted to the kept
-    layers.
+    in the (1 + C, C) logits (it is empty otherwise). ``keep`` marks the
+    layers that get gradients.
     """
 
     spec: LossSpec
     rows: np.ndarray
     keep: list[bool]
-    lowest: int
-    prefix: np.ndarray
     bank_label_index: np.ndarray
 
 
 def prepare_episode(model: MlpModel, x: np.ndarray, spec: LossSpec,
                     trainable: frozenset[str] | None = None) -> EpisodeBatch:
-    """Stack the probe row ``x`` on the bank rows of ``spec`` and forward
-    them through the layers below the lowest trainable one.
+    """Stack the probe row ``x`` on the bank rows of ``spec`` and mark the
+    trainable layers.
 
     ``trainable`` = None keeps every layer. The bank must hold one row per
     class.
@@ -249,9 +231,7 @@ def prepare_episode(model: MlpModel, x: np.ndarray, spec: LossSpec,
     else:
         rows, at_labels = xv[None, :], np.empty(0, dtype=np.int64)
     keep = [trainable is None or g in trainable for g in model.group_labels]
-    lowest = keep.index(True) if True in keep else model.num_layers
-    prefix = _forward_from(model, rows, 0, lowest)[-1]
-    return EpisodeBatch(spec, rows, keep, lowest, prefix, at_labels)
+    return EpisodeBatch(spec, rows, keep, at_labels)
 
 
 def _backprop(model: MlpModel, acts: list, dlogits: np.ndarray,
@@ -261,10 +241,9 @@ def _backprop(model: MlpModel, acts: list, dlogits: np.ndarray,
     Only layers with ``keep[i]`` get a gradient, and the error signal is not
     propagated below the lowest of them. A weight gradient is kept as its
     factors, the layer's input activations and its error signal (neither is
-    written afterwards); a bias gradient is the signal's column sum (for one
-    row, a copy of the row, which ``sgd_step`` may scale in place). The
-    ReLU mask is read from the activations: ``relu(z) > 0`` exactly where
-    ``z > 0``.
+    written afterwards); a bias gradient is the signal's column sum, a new
+    array that ``sgd_step`` may scale in place. The ReLU mask is read from
+    the activations: ``relu(z) > 0`` exactly where ``z > 0``.
     """
     n = model.num_layers
     grads = Gradients([None] * n, [None] * n, [None] * n)
@@ -273,8 +252,7 @@ def _backprop(model: MlpModel, acts: list, dlogits: np.ndarray,
     for i in range(n - 1, lowest - 1, -1):
         if keep[i]:
             grads.inputs[i], grads.deltas[i] = acts[i], delta
-            grads.d_biases[i] = delta[0].copy() if len(delta) == 1 \
-                else np.add.reduce(delta, axis=0)
+            grads.d_biases[i] = np.add.reduce(delta, axis=0)
         if i > lowest:
             delta = delta @ model.weights[i].T
             delta *= acts[i] > 0.0
@@ -321,8 +299,8 @@ def _loss_and_grad(model: MlpModel, batch: EpisodeBatch,
     """Loss value and, if ``want_grad``, the gradients of the kept layers
     (the others are None).
 
-    All rows of the batch go through one forward from ``batch.lowest`` and
-    one backprop: each kept layer's weight gradient is one matmul over all
+    All rows of the batch go through one forward from the input and one
+    backprop: each kept layer's weight gradient is one matmul over all
     terms. The batch shape is fixed by the spec, so the bits are too, and
     a kept layer's gradient has the bits of the full gradient's.
 
@@ -331,7 +309,7 @@ def _loss_and_grad(model: MlpModel, batch: EpisodeBatch,
     ``np.log``, as the two terms always had: they can differ in the last
     bit.
     """
-    acts = _forward_from(model, batch.prefix, batch.lowest)
+    acts = _forward_from(model, batch.rows)
     logits = acts[-1]
     shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     sums = np.add.reduce(np.exp(shifted), axis=1)

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import write_config
 from oodstream import data, engine, nn
 from oodstream.cli import CHECKPOINT_NAME, main
 from oodstream.runconfig import RunConfig, to_text
@@ -23,6 +24,15 @@ def canonical_out(tmp_path_factory):
     root = tmp_path_factory.mktemp("canonical")
     cfg_path = root / "canonical.cfg"
     cfg_path.write_text(to_text(RunConfig(out_dir=str(root / "out"))), encoding="ascii")
+    assert main(["--config", str(cfg_path), "pretrain"]) == 0
+    return root / "out"
+
+
+@pytest.fixture(scope="session")
+def small_pretrain(tmp_path_factory):
+    """Output directory of the session's one ``pretrain`` of the small scenario."""
+    root = tmp_path_factory.mktemp("small")
+    cfg_path = write_config(root, out_dir=str(root / "out"))
     assert main(["--config", str(cfg_path), "pretrain"]) == 0
     return root / "out"
 

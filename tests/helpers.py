@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +19,23 @@ from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
 from oodstream.nn import CHECKPOINT_MAGIC, LossSpec, MlpModel
 from oodstream.runconfig import REMOVED_KEYS, RunConfig, to_text
+
+# The shrunken scenario of the CLI tests: each command on it runs fast.
+SMALL_OVERRIDES = dict(
+    test_id_n=250,
+    ood_n=250,
+    train_n=150,
+    hidden=(16, 16),
+    epochs=60,
+)
+
+
+def write_config(tmp_path: Path, **overrides) -> Path:
+    """``run.cfg`` in ``tmp_path``: the small scenario with ``overrides``."""
+    cfg = RunConfig(**{**SMALL_OVERRIDES, **overrides})
+    path = tmp_path / "run.cfg"
+    path.write_text(to_text(cfg), encoding="ascii")
+    return path
 
 
 @dataclass

@@ -15,37 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (CORRUPT_PAYLOADS, FLOAT_KEYS, REMOVED_KEY_VALUES, THREE_SOURCES,
-                     config_text_with, corrupt_checkpoint, forward_batch_reference,
-                     non_finite_rule, removed_key_rule)
+from helpers import (CORRUPT_PAYLOADS, FLOAT_KEYS, REMOVED_KEY_VALUES, SMALL_OVERRIDES,
+                     THREE_SOURCES, config_text_with, corrupt_checkpoint,
+                     forward_batch_reference, non_finite_rule, removed_key_rule, write_config)
 from oodstream import cli, data, engine, nn
 from oodstream.cli import main
 from oodstream.runconfig import RunConfig, config_hash, from_text, pretrain_hash, to_text
-
-SMALL_OVERRIDES = dict(
-    test_id_n=250,
-    ood_n=250,
-    train_n=150,
-    hidden=(16, 16),
-    epochs=60,
-)
-
-
-def write_config(tmp_path: Path, **overrides) -> Path:
-    cfg = RunConfig(**{**SMALL_OVERRIDES, **overrides})
-    path = tmp_path / "run.cfg"
-    path.write_text(to_text(cfg), encoding="ascii")
-    return path
-
-
-@pytest.fixture(scope="session")
-def small_pretrain(tmp_path_factory):
-    """Output directory of the session's one ``pretrain`` of the small scenario."""
-    root = tmp_path_factory.mktemp("small")
-    cfg_path = write_config(root, out_dir=str(root / "out"))
-    assert main(["--config", str(cfg_path), "pretrain"]) == 0
-    return root / "out"
-
 
 @pytest.fixture()
 def pretrained(tmp_path, small_pretrain):

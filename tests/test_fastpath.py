@@ -2,12 +2,11 @@
 
 The per-arrival path (forward, scoring, prediction), fixed-model scoring
 (all rows of the frozen replay and of the margin statistics at once), the
-update episode (one prepared batch per episode, a frozen prefix below the
-lowest trainable layer, trainable-only gradients), the gradient buffers (one
-batch for all loss terms, no zero fill, one-row weight gradients as outer
-products) and checkpoint writing skip work the references do, but must
-compute the same results: every comparison here is exact, except against
-the two-pass gradient oracle, whose sums run in another order.
+update episode (one prepared batch per episode, trainable-only gradients),
+the gradient buffers (one batch for all loss terms, no zero fill) and
+checkpoint writing skip work the references do, but must compute the same
+results: every comparison here is exact, except against the two-pass
+gradient oracle, whose sums run in another order.
 """
 
 from __future__ import annotations
@@ -469,6 +468,9 @@ def test_canonical_replay_matches_two_pass_gradient_replay(canonical, canonical_
 
 
 def test_one_row_outer_product_equals_matmul():
+    """A one-row batch's weight gradient as the plain ``a.T @ delta`` matmul
+    has the outer product's bits, signed zeros included: this is why
+    ``Gradients.weight`` needs no one-row form."""
     rng = np.random.default_rng(13)
     for h in (1, 3, 128, 512):
         a = np.maximum(rng.normal(size=h), 0.0)  # ReLU rows hold exact zeros

@@ -109,6 +109,48 @@ def test_window_row_bits_do_not_depend_on_position_or_neighbours(dims):
             assert got.tobytes() == nn._forward_from(model, alone)[-1][0].tobytes(), (w, pos)
 
 
+def stacked_logits(model: MlpModel, block: np.ndarray) -> np.ndarray:
+    """Logits of the rows of ``block`` (k, d) through one stacked
+    ``(k, 1, d) @ (d, h)`` product a layer, the bias and the ReLU in place."""
+    a = block[:, None, :]
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        a = np.matmul(a, w)
+        a += b
+        if i < model.num_layers - 1:
+            np.maximum(a, 0.0, out=a)
+    return a[:, 0]
+
+
+@pytest.mark.parametrize("dims", [[2, 128, 128, 3], [8, 512, 512, 4]], ids=["canonical", "wide"])
+def test_stacked_rows_have_the_one_row_kernel_bits(dims):
+    """A stacked (k, 1, d) product gives every row the bits of
+    ``forward_logits`` on that row alone, whatever k, the block's start and
+    its byte alignment: numpy runs it as one gemv a row. So a windowed
+    replay built on it would move no event byte, where a plain
+    (k, d) @ (d, h) product would."""
+    model = init_mlp(dims, seed=11)
+    rng = np.random.default_rng(12)
+    for b in model.biases:
+        b[:] = rng.normal(0, 0.5, size=b.shape)
+    xs = rng.normal(0, 2, size=(80, dims[0]))
+
+    def check(block: np.ndarray, label) -> None:
+        got = stacked_logits(model, block)
+        for j, row in enumerate(block):
+            assert got[j].tobytes() == forward_logits(model, row).tobytes(), (label, j)
+
+    for k in (1, 2, 7, 8, 16, 33, 64):
+        for start in (1, 80 - k):
+            check(xs[start:start + k], (k, start))
+    block = xs[5:10]
+    for offset in range(8, 64, 8):
+        buf = np.empty(block.size + 8)
+        skip = (-buf.ctypes.data % 64 + offset) % 64 // 8
+        shifted = buf[skip:skip + block.size].reshape(block.shape)
+        shifted[...] = block
+        check(shifted, offset)
+
+
 # ---------------------------------------------------------------------------
 # log_softmax and losses
 

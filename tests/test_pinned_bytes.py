@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import COLUMNS
+from helpers import COLUMNS, SMALL_OVERRIDES
 from oodstream import data, engine, nn
 from oodstream.cli import CHECKPOINT_NAME
 from oodstream.runconfig import RunConfig, pretrain_hash
@@ -83,21 +83,32 @@ def on_pinned_platform() -> bool:
     return (*platform_blas(), platform.machine()) == (*PINNED_BLAS, PINNED_MACHINE)
 
 
-def test_in_process_pretrain_writes_the_cli_checkpoint(canonical_out, tmp_path):
+def skip_off_the_pinned_platform() -> None:
+    if not on_pinned_platform():
+        pytest.skip(f"digests pinned on BLAS {PINNED_BLAS} ({PINNED_MACHINE}), "
+                    f"this is {(*platform_blas(), platform.machine())}")
+
+
+def test_cli_checkpoint_is_pinned(canonical_out):
     """The session's canonical model is loaded from the command-line
-    ``pretrain``'s checkpoint. ``train_offline`` run here, in process, writes
-    the same bytes, which are pinned on the pinned platform."""
-    cfg = RunConfig()
+    ``pretrain``'s checkpoint, whose bytes are pinned. No pretrain runs here."""
+    skip_off_the_pinned_platform()
+    written = (canonical_out / CHECKPOINT_NAME).read_bytes()
+    assert hashlib.sha256(written).hexdigest() == PINNED_CHECKPOINT
+
+
+def test_in_process_pretrain_writes_the_cli_checkpoint(small_pretrain, tmp_path):
+    """``train_offline`` and ``save_checkpoint`` run in process write the
+    bytes of the command-line ``pretrain``, here on the small scenario that
+    the CLI tests pretrain once a session."""
+    cfg = RunConfig(**SMALL_OVERRIDES)
     train, _, _ = data.make_scenario(cfg)
     model = nn.init_mlp(cfg.layer_dims(), seed=cfg.init_seed)
     nn.train_offline(model, train, epochs=cfg.epochs, batch_size=cfg.batch_size,
                      lr=cfg.pretrain_lr, seed=cfg.shuffle_seed)
     path = tmp_path / CHECKPOINT_NAME
     nn.save_checkpoint(model, path, pretrain_hash(cfg))
-    written = path.read_bytes()
-    assert written == (canonical_out / CHECKPOINT_NAME).read_bytes()
-    if on_pinned_platform():
-        assert hashlib.sha256(written).hexdigest() == PINNED_CHECKPOINT
+    assert path.read_bytes() == (small_pretrain / CHECKPOINT_NAME).read_bytes()
 
 
 def digests(log: engine.EventLog) -> dict[str, str]:
@@ -108,9 +119,7 @@ def digests(log: engine.EventLog) -> dict[str, str]:
 
 @pytest.mark.parametrize("mode", ["frozen", "auto", "auto_t0"])
 def test_canonical_replay_bytes_are_pinned(canonical, canonical_replay, mode):
-    if not on_pinned_platform():
-        pytest.skip(f"digests pinned on BLAS {PINNED_BLAS} ({PINNED_MACHINE}), "
-                    f"this is {(*platform_blas(), platform.machine())}")
+    skip_off_the_pinned_platform()
     cfg = canonical["run_config"]
     if mode == "frozen":
         log = canonical_replay.frozen
@@ -133,9 +142,7 @@ def test_canonical_cli_files_are_pinned(canonical_cli):
     """``run --mode auto``, ``run --mode frozen``, ``ablate`` and ``sweep`` on
     the canonical config, from a copy of the session's checkpoint, write the
     pinned bytes; so does the session's ``pretrain`` summary."""
-    if not on_pinned_platform():
-        pytest.skip(f"digests pinned on BLAS {PINNED_BLAS} ({PINNED_MACHINE}), "
-                    f"this is {(*platform_blas(), platform.machine())}")
+    skip_off_the_pinned_platform()
     out = canonical_cli["out"]
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in PINNED_FILES}
