@@ -18,7 +18,7 @@ from .metrics import MetricsReport, auroc, fpr_at_tpr, id_accuracy, report
 from .nn import (EpisodeBatch, Gradients, LossSpec, MlpModel, clone_frozen, forward_logits,
                  init_mlp, load_checkpoint, prepare_episode, save_checkpoint, sgd_step,
                  total_loss, train_offline)
-from .runconfig import ConfigError, RunConfig, config_hash, from_text, to_text
+from .runconfig import ConfigError, RunConfig, config_hash, from_text
 from .scoring import predict, score
 
 __version__ = "0.1.0"

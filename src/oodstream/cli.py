@@ -214,17 +214,23 @@ def _ablation_overrides(cfg: RunConfig, combo: str) -> RunConfig:
     return replace(cfg, **{w: 0.0 for w in OBJECTIVE_WEIGHTS if w not in kept})
 
 
-def cmd_ablate(cfg: RunConfig) -> None:
-    lines = [f"# config_hash={runconfig.config_hash(cfg)}", "combo,fpr95,auroc,id_acc"]
-    model, train, stream = _prepare(cfg)
-    for combo in ABLATION_COMBOS:
-        log, _ = _replay(_ablation_overrides(cfg, combo), "auto", nn.clone_frozen(model),
-                         train, stream)
+def _replay_table(cfg: RunConfig, name: str, comment: str, columns: str, rows: list) -> None:
+    """Replay each ``(cells, label, config)`` row in auto mode, every stream checked first;
+    write its metrics after ``cells`` to the CSV ``name`` and print them after ``label``."""
+    model, train, *streams = _prepare(cfg, *(row_cfg for _, _, row_cfg in rows))
+    lines = [f"# config_hash={runconfig.config_hash(cfg)}{comment}",
+             f"{columns},fpr95,auroc,id_acc"]
+    for (cells, label, row_cfg), stream in zip(rows, streams):
+        log, _ = _replay(row_cfg, "auto", nn.clone_frozen(model), train, stream)
         rep = metrics.report(log)
-        lines.append(f"{combo},{rep.fpr95:.17g},{rep.auroc:.17g},{rep.id_acc:.17g}")
-        print(f"ablate {combo}: fpr95={rep.fpr95:.4f} auroc={rep.auroc:.4f} "
-              f"id_acc={rep.id_acc:.4f}")
-    (_out_dir(cfg) / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+        lines.append(f"{cells},{rep.fpr95:.17g},{rep.auroc:.17g},{rep.id_acc:.17g}")
+        print(f"{label}: fpr95={rep.fpr95:.4f} auroc={rep.auroc:.4f} id_acc={rep.id_acc:.4f}")
+    (_out_dir(cfg) / name).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def cmd_ablate(cfg: RunConfig) -> None:
+    rows = [(c, f"ablate {c}", _ablation_overrides(cfg, c)) for c in ABLATION_COMBOS]
+    _replay_table(cfg, "ablation.csv", "", "combo", rows)
 
 
 def _apply_sweep_value(cfg: RunConfig, param: str, key: str, raw: str) -> RunConfig:
@@ -240,18 +246,9 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[str]) -> None:
     keys = {key.rpartition(".")[2]: key for key in SWEEP_PARAMS}
     if param not in keys:
         raise CliError(f"unknown sweep parameter {param!r}; valid: {', '.join(keys)}")
-    # Every value, and the stream it composes, is checked before the first replay starts.
-    overrides = [_apply_sweep_value(cfg, param, keys[param], raw) for raw in values]
-    model, train, *streams = _prepare(cfg, *overrides)
-    lines = [f"# config_hash={runconfig.config_hash(cfg)} param={param}",
-             "param,value,fpr95,auroc,id_acc"]
-    for raw, ov, stream in zip(values, overrides, streams):
-        log, _ = _replay(ov, "auto", nn.clone_frozen(model), train, stream)
-        rep = metrics.report(log)
-        lines.append(f"{param},{raw},{rep.fpr95:.17g},{rep.auroc:.17g},{rep.id_acc:.17g}")
-        print(f"sweep {param}={raw}: fpr95={rep.fpr95:.4f} auroc={rep.auroc:.4f} "
-              f"id_acc={rep.id_acc:.4f}")
-    (_out_dir(cfg) / f"sweep_{param}.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    rows = [(f"{param},{raw}", f"sweep {param}={raw}",
+             _apply_sweep_value(cfg, param, keys[param], raw)) for raw in values]
+    _replay_table(cfg, f"sweep_{param}.csv", f" param={param}", "param,value", rows)
 
 
 def build_parser() -> argparse.ArgumentParser:

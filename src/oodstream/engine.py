@@ -126,6 +126,19 @@ def _log(stream: Stream, score, prediction, decision, m_out, **rest) -> EventLog
                     stream.labels.astype(np.int64), np.asarray(m_out, dtype=np.float64), **rest)
 
 
+def _fixed_logits(model: MlpModel, rows: np.ndarray, row_name: str) -> np.ndarray:
+    """The (N, C) logits of ``rows`` under a model that none of them changes."""
+    # One forward_logits call per row, as the benchmark counts them. A stacked
+    # (n, 1, d) product would keep each row's bits; a plain (n, d) one would not.
+    logits = np.empty((len(rows), model.num_classes))
+    for i, x in enumerate(rows):
+        try:
+            logits[i] = nn.forward_logits(model, x)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{exc} at {row_name} {i}") from exc
+    return logits
+
+
 def init_state(model: MlpModel, train_set: LabeledSet, cfg: RunConfig) -> AutoState:
     """Freeze a reference clone, estimate filter margins, and seed the bank.
 
@@ -135,13 +148,8 @@ def init_state(model: MlpModel, train_set: LabeledSet, cfg: RunConfig) -> AutoSt
     """
     trainable = cfg.resolve_groups(model)
     model_0 = nn.clone_frozen(model)
-    feats = train_set.features[:cfg.stats_subsample_n or None]
-    logits = np.empty((len(feats), model.num_classes))
-    for i, x in enumerate(feats):
-        try:
-            logits[i] = nn.forward_logits(model, x)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"{exc} at training row {i}") from exc
+    logits = _fixed_logits(model, train_set.features[:cfg.stats_subsample_n or None],
+                           "training row")
     mu, sigma = filtering.estimate_id_stats(scoring.score_rows(logits))
     margins = filtering.init_margins(mu, sigma, cfg.k1, cfg.k2)
     bank = memory.init_random(train_set, cfg.memory_seed)
@@ -234,14 +242,7 @@ def run_posthoc(model: MlpModel, margins: Margins, stream: Stream) -> EventLog:
     With both fixed, every arrival's score, prediction and decision depend
     on that arrival alone, so they are computed for the whole stream at once.
     """
-    # One forward_logits call per row, as the benchmark counts them. A stacked
-    # (n, 1, d) product would keep each row's bits; a plain (n, d) one would not.
-    logits = np.empty((len(stream), model.num_classes))
-    for i, x in enumerate(stream.features):
-        try:
-            logits[i] = nn.forward_logits(model, x)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"{exc} at stream index {i}") from exc
+    logits = _fixed_logits(model, stream.features, "stream index")
     score = scoring.score_rows(logits)
     # filtering.classify's strict comparisons, pseudo-ID written last: a
     # score exactly on a margin abstains.

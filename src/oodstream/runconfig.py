@@ -236,11 +236,6 @@ def _lines(cfg: RunConfig) -> list[tuple[Field, str]]:
     return lines
 
 
-def to_text(cfg: RunConfig) -> str:
-    """Canonical text form; parsing it back reproduces ``cfg`` exactly."""
-    return "".join(f"{line}\n" for _, line in _lines(cfg))
-
-
 def from_text(text: str) -> RunConfig:
     """Parse a config file; unknown keys raise ConfigError naming the key,
     and so does a removed key set to anything but its ``REMOVED_KEYS`` value.

@@ -19,16 +19,12 @@ def score(logits: np.ndarray) -> float:
 
 
 def score_rows(logits: np.ndarray) -> np.ndarray:
-    """``score`` of every row of an (N, C) logit matrix, bit for bit.
-
-    The arithmetic is ``score``'s, done once per matrix: the same max shift,
-    elementwise ``np.exp`` and row sums, and ``math.log`` per row, because
-    ``np.log`` can differ from it in the last bit.
-    """
+    """``score`` of every row of an (N, C) logit matrix, bit for bit: the
+    same max shift, elementwise ``np.exp`` and row sums, ``math.log`` per
+    row (``np.log`` can differ from it in the last bit), then ``exp(-L)``."""
     z = np.asarray(logits, dtype=np.float64)
-    shifted = z - z.max(axis=1, keepdims=True)
-    logs = np.array([math.log(v) for v in np.exp(shifted).sum(axis=1).tolist()])
-    return np.exp(shifted - logs[:, None]).max(axis=1)
+    sums = np.exp(z - z.max(axis=1, keepdims=True)).sum(axis=1)
+    return np.exp(-np.array([math.log(v) for v in sums.tolist()]))
 
 
 def predict(logits: np.ndarray) -> int:

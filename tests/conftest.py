@@ -10,10 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import write_config
+from helpers import CANONICAL_CLI_COMMANDS, to_text, write_config
 from oodstream import data, engine, nn
 from oodstream.cli import CHECKPOINT_NAME, main
-from oodstream.runconfig import RunConfig, to_text
+from oodstream.runconfig import RunConfig
 
 
 @pytest.fixture(scope="session")
@@ -39,11 +39,11 @@ def small_pretrain(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def canonical_cli(canonical_out, tmp_path_factory):
-    """``run --mode auto``, ``run --mode frozen``, ``ablate`` and ``sweep
-    --param k2 --values 1,2`` on the canonical config, each run once in a
+    """``CANONICAL_CLI_COMMANDS`` on the canonical config, each run once in a
     directory of its own that starts with copies of ``canonical_out``'s
-    checkpoint and pretrain summary. Holds that directory, the commands'
-    stderr text and the messages of the warnings they raised."""
+    checkpoint and pretrain summary. Holds that directory, each command's
+    stdout text by command, the commands' stderr text and the messages of
+    the warnings they raised."""
     root = tmp_path_factory.mktemp("canonical_cli")
     out = root / "out"
     out.mkdir()
@@ -52,13 +52,15 @@ def canonical_cli(canonical_out, tmp_path_factory):
     cfg_path = root / "canonical.cfg"
     cfg_path.write_text(to_text(RunConfig()), encoding="ascii")
     base = ["--config", str(cfg_path), "--out", str(out)]
-    err = io.StringIO()
+    err, stdout = io.StringIO(), {}
     with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for command in (["run", "--mode", "auto"], ["run", "--mode", "frozen"], ["ablate"],
-                        ["sweep", "--param", "k2", "--values", "1,2"]):
-            assert main(base + command) == 0
-    return {"out": out, "stderr": err.getvalue(),
+        for command in CANONICAL_CLI_COMMANDS:
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                assert main(base + command.split()) == 0
+            stdout[command] = printed.getvalue()
+    return {"out": out, "stdout": stdout, "stderr": err.getvalue(),
             "warnings": [str(w.message) for w in caught]}
 
 

@@ -11,14 +11,14 @@ from pathlib import Path
 
 import numpy as np
 
-from oodstream import engine, filtering, memory, nn, scoring
+from oodstream import engine, filtering, memory, nn, runconfig, scoring
 from oodstream.cli import EVENT_COLUMNS
 from oodstream.data import GaussianSource, LabeledSet, Stream, _even_split, circle_means
 from oodstream.engine import DECISIONS, EventLog, StreamEvent, UpdateTrace
 from oodstream.filtering import FilterDecision
 from oodstream.metrics import _split_scores
 from oodstream.nn import CHECKPOINT_MAGIC, LossSpec, MlpModel
-from oodstream.runconfig import REMOVED_KEYS, RunConfig, to_text
+from oodstream.runconfig import REMOVED_KEYS, RunConfig
 
 # The shrunken scenario of the CLI tests: each command on it runs fast.
 SMALL_OVERRIDES = dict(
@@ -28,6 +28,15 @@ SMALL_OVERRIDES = dict(
     hidden=(16, 16),
     epochs=60,
 )
+
+# The commands ``conftest.canonical_cli`` runs on the canonical config, in order.
+CANONICAL_CLI_COMMANDS = ("run --mode auto", "run --mode frozen", "ablate",
+                          "sweep --param k2 --values 1,2")
+
+
+def to_text(cfg: RunConfig) -> str:
+    """Canonical text form; parsing it back reproduces ``cfg`` exactly."""
+    return "".join(f"{line}\n" for _, line in runconfig._lines(cfg))
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from helpers import (assert_columns_equal, auroc_bruteforce, fpr_at_tpr_bruteforce,
-                     max_grad_rel_err, random_log, run_posthoc_reference)
+                     max_grad_rel_err, random_log, run_posthoc_reference, to_text)
 from oodstream import cli, engine, filtering, metrics, nn
 from oodstream.cli import main as cli_main
 from oodstream.nn import LossSpec
-from oodstream.runconfig import RunConfig, to_text
+from oodstream.runconfig import RunConfig
 
 TOL = 0.005  # +/- 0.5 percentage points on pinned golden values
 

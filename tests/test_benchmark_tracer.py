@@ -17,9 +17,10 @@ from pathlib import Path
 
 import pytest
 
+from helpers import to_text
 from oodstream import data, engine, filtering, memory, metrics, nn, scoring
 from oodstream.cli import CHECKPOINT_NAME, main
-from oodstream.runconfig import RunConfig, to_text
+from oodstream.runconfig import RunConfig
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = {"data": data, "engine": engine, "filtering": filtering, "memory": memory,

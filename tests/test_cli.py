@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (CORRUPT_PAYLOADS, FLOAT_KEYS, REMOVED_KEY_VALUES, SMALL_OVERRIDES,
-                     THREE_SOURCES, config_text_with, corrupt_checkpoint,
-                     forward_batch_reference, non_finite_rule, removed_key_rule, write_config)
+from helpers import (CANONICAL_CLI_COMMANDS, CORRUPT_PAYLOADS, FLOAT_KEYS, REMOVED_KEY_VALUES,
+                     SMALL_OVERRIDES, THREE_SOURCES, config_text_with, corrupt_checkpoint,
+                     forward_batch_reference, non_finite_rule, removed_key_rule, to_text,
+                     write_config)
 from oodstream import cli, data, engine, nn
 from oodstream.cli import main
-from oodstream.runconfig import RunConfig, config_hash, from_text, pretrain_hash, to_text
+from oodstream.runconfig import RunConfig, config_hash, from_text, pretrain_hash
 
 @pytest.fixture()
 def pretrained(tmp_path, small_pretrain):
@@ -729,6 +730,28 @@ def test_canonical_msp_run_writes_nothing_to_stderr(canonical_cli):
     # `run` in both modes, `ablate` and `sweep` on the canonical config
     assert canonical_cli["stderr"] == ""
     assert canonical_cli["warnings"] == []
+
+
+def metrics_line(label: str, fpr95: float, auroc: float, id_acc: float) -> str:
+    return f"{label}: fpr95={fpr95:.4f} auroc={auroc:.4f} id_acc={id_acc:.4f}"
+
+
+@pytest.mark.parametrize("command", CANONICAL_CLI_COMMANDS)
+def test_canonical_commands_print_the_metrics_they_write(canonical_cli, command):
+    """Each printed line is its file's metrics at four decimals: ``run``'s
+    metrics JSON, or the rows of ``ablate``'s and ``sweep``'s CSV in order."""
+    out = canonical_cli["out"]
+    if command.startswith("run"):
+        mode = command.split()[-1]
+        rep = json.loads((out / f"{mode}_metrics.json").read_text())
+        expected = [metrics_line(mode, rep["fpr95"], rep["auroc"], rep["id_acc"])]
+    else:
+        name, label = (("ablation.csv", "ablate {}") if command == "ablate"
+                       else ("sweep_k2.csv", "sweep k2={}"))
+        rows = [row.split(",") for row in (out / name).read_text().splitlines()[2:]]
+        expected = [metrics_line(label.format(row[-4]), *map(float, row[-3:])) for row in rows]
+        assert len(expected) == (4 if command == "ablate" else 2)
+    assert canonical_cli["stdout"][command].splitlines() == expected
 
 
 def test_auto_run_without_updates_warns_once(canonical_out, tmp_path, capsys):

@@ -89,9 +89,11 @@ def test_forward_rejects_wrong_input_dim():
 
 @pytest.mark.parametrize("dims", [[2, 128, 128, 3], [8, 512, 512, 4]], ids=["canonical", "wide"])
 def test_window_row_bits_do_not_depend_on_position_or_neighbours(dims):
-    """A zero-padded (W, d) window gives each row the logit bits it has at
-    position 0 with zero neighbours, on both benchmark widths: a windowed
-    replay rests on this, and a BLAS that breaks it fails here."""
+    """``nn._forward_from`` on a zero-padded (W, d) batch gives each row the
+    logit bits it has at position 0 with zero neighbours, on both benchmark
+    widths. No replay relies on this: those bits are not the one-row
+    kernel's, so a windowed replay would use the stacked product below. A
+    BLAS whose batch rows depend on their position or neighbours fails here."""
     model = init_mlp(dims, seed=11)
     rng = np.random.default_rng(12)
     for b in model.biases:

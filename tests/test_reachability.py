@@ -17,8 +17,9 @@ import sys
 from pathlib import Path
 
 import oodstream
+from helpers import to_text
 from oodstream.cli import main
-from oodstream.runconfig import RunConfig, to_text
+from oodstream.runconfig import RunConfig
 
 PACKAGE = Path(oodstream.__file__).resolve().parent
 
@@ -61,25 +62,29 @@ def config_text(drop_ood_keys: bool = False, **overrides) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_commands(tmp_path: Path) -> list[int]:
-    out = str(tmp_path / "out")
-
-    def cli(name: str, text: str, *command: str) -> int:
-        path = tmp_path / f"{name}.cfg"
-        path.write_text(text, encoding="ascii")
-        return main(["--config", str(path), "--out", out, *command])
-
+def command_lines(tmp_path: Path) -> list[list[str]]:
+    """The argument lists of the commands, their config files written first,
+    so that building the texts does not count as a command reaching code."""
     single = config_text(drop_ood_keys=True)
+    texts = {"single": single, "mixed": config_text(stream="mixed"),
+             "timeseries": config_text(stream="timeseries"),
+             "bogus": single.replace("sgd.trainable_groups = last_block",
+                                     "sgd.trainable_groups = bogus")}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.cfg").write_text(text, encoding="ascii")
+
+    def argv(name: str, *command: str) -> list[str]:
+        return ["--config", str(tmp_path / f"{name}.cfg"), "--out", str(tmp_path / "out"),
+                *command]
+
     return [
-        cli("single", single, "pretrain"),
-        cli("single", single, "--plot", "run", "--mode", "auto"),
-        cli("single", single, "--plot", "run", "--mode", "frozen"),
-        cli("mixed", config_text(stream="mixed"), "run", "--mode", "auto"),
-        cli("timeseries", config_text(stream="timeseries"), "ablate"),
-        cli("timeseries", config_text(stream="timeseries"),
-            "sweep", "--param", "k2", "--values", "1,2"),
-        cli("bogus", single.replace("sgd.trainable_groups = last_block",
-                                    "sgd.trainable_groups = bogus"), "run", "--mode", "auto"),
+        argv("single", "pretrain"),
+        argv("single", "--plot", "run", "--mode", "auto"),
+        argv("single", "--plot", "run", "--mode", "frozen"),
+        argv("mixed", "run", "--mode", "auto"),
+        argv("timeseries", "ablate"),
+        argv("timeseries", "sweep", "--param", "k2", "--values", "1,2"),
+        argv("bogus", "run", "--mode", "auto"),
     ]
 
 
@@ -103,9 +108,10 @@ def test_every_package_function_is_reached_by_a_command(tmp_path, capsys):
         if event == "call":
             entered.add(frame.f_code)
 
+    commands = command_lines(tmp_path)
     sys.setprofile(profile)
     try:
-        codes = run_commands(tmp_path)
+        codes = [main(argv) for argv in commands]
     finally:
         sys.setprofile(None)
     assert codes == [0, 0, 0, 0, 0, 0, 1]

@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (FLOAT_KEYS, REMOVED_KEY_VALUES, THREE_SOURCES, config_text_with,
-                     non_finite_rule, removed_key_rule)
+                     non_finite_rule, removed_key_rule, to_text)
 from oodstream import cli, data, nn
 from oodstream.data import GaussianSource, circle_means
 from oodstream.runconfig import (REMOVED_KEYS, ConfigError, RunConfig, config_hash, from_text,
-                                 parse_setting, pretrain_hash, to_text)
+                                 parse_setting, pretrain_hash)
 
 ROOT = Path(__file__).resolve().parent.parent
 
