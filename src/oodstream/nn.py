@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CHECKPOINT_MAGIC = "auto-mlp v3"
+CHECKPOINT_MAGIC = "auto-mlp v4"
 
 
 class CheckpointError(Exception):
@@ -455,16 +455,16 @@ _HEADER_LINE_BYTES = 1 << 16
 
 
 def save_checkpoint(model: MlpModel, path, pretrain_hash: str) -> None:
-    """Write the model as four ASCII header lines and raw float64 payloads,
+    """Write the model as three ASCII header lines and raw float64 payloads,
     bit-exact on reload.
 
-    The header holds the magic, the layer dims, the group labels and
-    ``pretrain_hash``. Then come the little-endian float64 bytes of W0, b0,
-    W1, b1, ... in C order, with no separators: the dims fix every size.
+    The header holds the magic, the layer dims and ``pretrain_hash``. Then
+    come the little-endian float64 bytes of W0, b0, W1, b1, ... in C order,
+    with no separators: the dims fix every size.
     """
     with open(path, "wb") as f:
         f.write(f"{CHECKPOINT_MAGIC}\n{' '.join(map(str, model.layer_dims))}\n"
-                f"{' '.join(model.group_labels)}\n{pretrain_hash}\n".encode("ascii"))
+                f"{pretrain_hash}\n".encode("ascii"))
         for w, b in zip(model.weights, model.biases):
             f.write(np.ascontiguousarray(w, "<f8").data)
             f.write(np.ascontiguousarray(b, "<f8").data)
@@ -491,21 +491,16 @@ def load_checkpoint(path) -> tuple[MlpModel, str]:
                 f"unsupported checkpoint header {magic!r}, expected {CHECKPOINT_MAGIC!r} "
                 "(run `pretrain` again to rewrite it)"
             )
-        raw += [f.readline(_HEADER_LINE_BYTES) for _ in range(3)]
+        raw += [f.readline(_HEADER_LINE_BYTES) for _ in range(2)]
         if not all(line.endswith(b"\n") for line in raw):
             raise CheckpointError("truncated checkpoint: missing header lines")
-        dims_line, labels_line, pretrain_hash = (
-            line[:-1].decode("ascii", "replace") for line in raw[1:])
+        dims_line, pretrain_hash = (line[:-1].decode("ascii", "replace") for line in raw[1:])
         try:
             layer_dims = [int(t) for t in dims_line.split()]
         except ValueError as exc:
             raise CheckpointError(f"bad layer dims line: {dims_line!r}") from exc
         if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
             raise CheckpointError(f"invalid layer dims {layer_dims}")
-        expected = " ".join(default_group_labels(layer_dims))
-        if labels_line != expected:
-            raise CheckpointError(f"group labels {labels_line!r} do not name the layers "
-                                  f"of dims {layer_dims}: expected {expected!r}")
         n_layers = len(layer_dims) - 1
         end = os.fstat(f.fileno()).st_size
         tensors: list[np.ndarray] = []

@@ -525,13 +525,27 @@ def sgd_step_reference(model: MlpModel, grads: FullGradients, lr: float) -> None
             param -= lr * grad
 
 
+def checkpoint_header(layer_dims: list[int], pretrain_hash: str) -> bytes:
+    """The current checkpoint header: the magic, the layer dims and the
+    pretrain hash, one ASCII line each. The only place the tests spell it."""
+    dims = " ".join(str(d) for d in layer_dims)
+    return f"{CHECKPOINT_MAGIC}\n{dims}\n{pretrain_hash}\n".encode("ascii")
+
+
+def split_checkpoint(data: bytes) -> tuple[list[bytes], bytes]:
+    """A checkpoint's header lines, without their newlines, and the tensor
+    bytes after them. It splits at the header's exact line count, so a 0x0A
+    byte in the tensors stays in them; ``b"\\n".join([*header, tensors])``
+    rebuilds the file."""
+    *header, tensors = data.split(b"\n", checkpoint_header([1, 1], "").count(b"\n"))
+    return header, tensors
+
+
 def checkpoint_bytes_reference(model: MlpModel, pretrain_hash: str) -> bytes:
-    """Current checkpoint file bytes: the four header lines, then every value
-    packed on its own as a little-endian double, tensor by tensor."""
-    header = "\n".join([CHECKPOINT_MAGIC, " ".join(str(d) for d in model.layer_dims),
-                        " ".join(model.group_labels), pretrain_hash]) + "\n"
+    """Current checkpoint file bytes: the header, then every value packed on
+    its own as a little-endian double, tensor by tensor."""
     tensors = [t for pair in zip(model.weights, model.biases) for t in pair]
-    return header.encode("ascii") + b"".join(
+    return checkpoint_header(model.layer_dims, pretrain_hash) + b"".join(
         struct.pack("<d", v) for t in tensors for v in t.ravel().tolist())
 
 
@@ -548,8 +562,8 @@ CORRUPT_PAYLOADS = {
 def corrupt_checkpoint(path, kind: str) -> str:
     """Apply one corruption to the payload of the checkpoint at ``path``;
     returns the message the loader's error must carry."""
-    *header, payload = path.read_bytes().split(b"\n", 4)
-    path.write_bytes(b"\n".join(header) + b"\n" + CORRUPT_PAYLOADS[kind](payload))
+    header, payload = split_checkpoint(path.read_bytes())
+    path.write_bytes(b"\n".join([*header, CORRUPT_PAYLOADS[kind](payload)]))
     dims = [int(t) for t in header[1].split()]
     last, size = f"b{len(dims) - 2}", 8 * dims[-1]
     return {"short_byte": f"tensor {last}: expected {size} bytes, got {size - 1}",

@@ -6,9 +6,10 @@ temporary directory it runs ``pretrain``, ``--plot run --mode auto``,
 ``--plot run --mode frozen``, ``ablate`` and ``sweep --param k2 --values 1,2``
 on ``configs/canonical.cfg`` and on ``perfbench/wide_drift.cfg``. It prints
 one line per file (the pinned sha256, the new one, and ``MOVED`` where they
-differ) and exits 1 if any file moved. The canonical entries are
-``test_pinned_bytes``' own. Like that module, it compares only on the BLAS
-build and machine the digests were recorded on.
+differ), then the same for each checkpoint's tensor bytes after its
+header, and exits 1 if any file or tensor digest moved. The canonical
+entries are ``test_pinned_bytes``' own. Like that module, it compares only
+on the BLAS build and machine the digests were recorded on.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from helpers import split_checkpoint  # noqa: E402
 from oodstream.cli import CHECKPOINT_NAME, main  # noqa: E402
-from test_pinned_bytes import (PINNED_BLAS, PINNED_CHECKPOINT, PINNED_FILES,  # noqa: E402
-                               PINNED_MACHINE, digest_table, on_pinned_platform)
+from test_pinned_bytes import (PINNED_BLAS, PINNED_CHECKPOINT,  # noqa: E402
+                               PINNED_CHECKPOINT_TENSORS, PINNED_FILES, PINNED_MACHINE,
+                               digest_table, on_pinned_platform)
 
 CONFIGS = {"canonical": ROOT / "configs" / "canonical.cfg",
            "wide_drift": ROOT / "perfbench" / "wide_drift.cfg"}
@@ -42,7 +45,7 @@ PINNED = {
         "frozen_scores.svg": "ab684059223e8c511a1c0e8712307c7ded4a746b8d3810d43b386bf06fe7bd69",
     },
     "wide_drift": {
-        CHECKPOINT_NAME: "3e6f8a52a9c24989ebb3e82de56cbe9538bca30c3daf0a35aec72ad3aaa33de8",
+        CHECKPOINT_NAME: "a3c6616c0fe39438bbd626335866fdc839eef4888399e68a680733a7ecc59170",
         "pretrain_summary.json":
             "26e5699a7474fda6cac5b16127a290da7c00dc305d5218b62ca01e9e245f8f69",
         "auto_events.csv": "520af89c40c705b5d5519d5116429efee42072beb4d3cfadaa1de81ed4b297fc",
@@ -56,11 +59,18 @@ PINNED = {
     },
 }
 
+# config name -> sha256 of its checkpoint's tensor bytes, after the header
+PINNED_TENSORS = {
+    "canonical": PINNED_CHECKPOINT_TENSORS,
+    "wide_drift": "702e2896728d5dc0f7e4eeb983baebebc8426d63c578215a6160f3e62c5f62cd",
+}
 
-def written_digests(root: Path) -> dict[str, str]:
+
+def written_digests(root: Path) -> tuple[dict[str, str], dict[str, str]]:
     """Run every command on every config under ``root``; the sha256 of each
-    file written, keyed ``<config>/<file>``."""
-    got = {}
+    file written, keyed ``<config>/<file>``, and of each checkpoint's tensor
+    bytes, keyed ``<config>``."""
+    got, tensors = {}, {}
     for name, config in CONFIGS.items():
         out = root / name
         for command in COMMANDS:
@@ -70,7 +80,9 @@ def written_digests(root: Path) -> dict[str, str]:
                 sys.exit(f"{name}: `{' '.join(command)}` exited {status}")
         got.update({f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
                     for path in sorted(out.iterdir())})
-    return got
+        ckpt = (out / CHECKPOINT_NAME).read_bytes()
+        tensors[name] = hashlib.sha256(split_checkpoint(ckpt)[1]).hexdigest()
+    return got, tensors
 
 
 def main_digests() -> int:
@@ -80,14 +92,17 @@ def main_digests() -> int:
     pinned = {f"{name}/{file}": digest for name, table in PINNED.items()
               for file, digest in table.items()}
     with tempfile.TemporaryDirectory() as root:
-        got = written_digests(Path(root))
+        got, tensors = written_digests(Path(root))
     print(digest_table(pinned, {name: got.get(name, "(not written)") for name in pinned}))
     unpinned = sorted(set(got) - set(pinned))
     for name in unpinned:
         print(f"  {name} is written but not pinned")
     moved = [name for name in pinned if got.get(name) != pinned[name]]
     print(f"{len(moved)} of {len(pinned)} pinned files moved")
-    return 1 if moved or unpinned else 0
+    print(digest_table(PINNED_TENSORS, tensors))
+    moved_tensors = [name for name in PINNED_TENSORS if tensors[name] != PINNED_TENSORS[name]]
+    print(f"{len(moved_tensors)} of {len(PINNED_TENSORS)} pinned checkpoint tensor digests moved")
+    return 1 if moved or unpinned or moved_tensors else 0
 
 
 if __name__ == "__main__":

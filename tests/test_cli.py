@@ -17,8 +17,8 @@ import pytest
 
 from helpers import (CANONICAL_CLI_COMMANDS, CORRUPT_PAYLOADS, FLOAT_KEYS, REMOVED_KEY_VALUES,
                      SMALL_OVERRIDES, THREE_SOURCES, config_text_with, corrupt_checkpoint,
-                     forward_batch_reference, non_finite_rule, removed_key_rule, to_text,
-                     write_config)
+                     forward_batch_reference, non_finite_rule, removed_key_rule,
+                     split_checkpoint, to_text, write_config)
 from oodstream import cli, data, engine, nn
 from oodstream.cli import main
 from oodstream.runconfig import RunConfig, config_hash, from_text, pretrain_hash
@@ -302,13 +302,15 @@ def test_stream_keys_alone_keep_the_checkpoint(pretrained, command):
         assert main(["--config", str(path), *command]) == 0, overrides
 
 
-def test_v1_checkpoint_fails_with_one_line(pretrained, capsys):
-    """The v1 and v2 text headers are both refused."""
+def test_checkpoints_before_v4_fail_with_one_line(pretrained, capsys):
+    """The v1 and v2 text headers and the v3 header, whose fourth line named
+    the dims' group labels, are all refused."""
     cfg_path, out = pretrained
     ckpt = out / "model.ckpt"
-    good = ckpt.read_bytes()
-    for old in ("auto-mlp v1", "auto-mlp v2"):
-        ckpt.write_bytes(good.replace(b"auto-mlp v3\n", f"{old}\n".encode(), 1))
+    header, tensors = split_checkpoint(ckpt.read_bytes())
+    v3 = b"\n".join([b"auto-mlp v3", header[1], b"block1 block2 fc", header[2], tensors])
+    for old in ("auto-mlp v1", "auto-mlp v2", "auto-mlp v3"):
+        ckpt.write_bytes(v3.replace(b"auto-mlp v3", old.encode(), 1))
         capsys.readouterr()
         assert main(["--config", str(cfg_path), "run", "--mode", "auto"]) == 1
         err = capsys.readouterr().err
@@ -369,21 +371,6 @@ def test_timeseries_test_id_n_below_segments_fails_at_load(tmp_path, capsys):
                                        "range: it must be >= the timeseries stream's 2 "
                                        "segments\n")
     assert not out.exists()
-
-
-def test_checkpoint_labels_other_than_the_dims_names_fail_with_one_line(pretrained, capsys):
-    cfg_path, out = pretrained
-    ckpt = out / "model.ckpt"
-    *header, payload = ckpt.read_bytes().split(b"\n", 4)
-    assert header[2] == b"block1 block2 fc"
-    header[2] = b"block1 block3 fc"
-    ckpt.write_bytes(b"\n".join(header) + b"\n" + payload)
-    capsys.readouterr()
-    assert main(["--config", str(cfg_path), "run", "--mode", "auto"]) == 1
-    assert capsys.readouterr().err == (
-        "error: group labels 'block1 block3 fc' do not name the layers of dims "
-        "[2, 16, 16, 3]: expected 'block1 block2 fc'\n")
-    assert not (out / "auto_events.csv").exists()
 
 
 @pytest.mark.parametrize("mode", ["auto", "frozen"])

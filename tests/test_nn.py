@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from helpers import (CORRUPT_PAYLOADS, FullGradients, corrupt_checkpoint,
                      log_softmax_reference, loss_and_grad, loss_sc, materialized,
-                     max_grad_rel_err, only_layers, sgd_step_reference, total_loss)
+                     max_grad_rel_err, only_layers, sgd_step_reference, split_checkpoint,
+                     total_loss)
 from oodstream import nn
 from oodstream.nn import (CheckpointError, LossSpec, MlpModel, clone_frozen,
                           forward_logits, init_mlp, load_checkpoint, save_checkpoint,
@@ -606,54 +607,39 @@ def test_checkpoint_unknown_version_errors(tmp_path):
         load_checkpoint(path)
 
 
-def test_v1_checkpoint_is_a_version_error(tmp_path):
-    """The decimal v1 and the hex v2 text formats are both refused."""
+def test_checkpoints_before_v4_are_version_errors(tmp_path):
+    """The decimal v1 and hex v2 text formats and the binary v3 one, whose
+    fourth header line named the dims' group labels, are all refused."""
     path = tmp_path / "m.ckpt"
-    for text in ("auto-mlp v1\n2 2\nfc\nW0 2 2 1 0 0 1\nb0 2 0 0\n",
-                 "auto-mlp v2\n2 1\nfc\nW0 2 1 " + "0" * 32 + "\nb0 1 " + "0" * 16 + "\n"):
-        path.write_text(text, encoding="ascii")
+    for data in (b"auto-mlp v1\n2 2\nfc\nW0 2 2 1 0 0 1\nb0 2 0 0\n",
+                 b"auto-mlp v2\n2 1\nfc\nW0 2 1 " + b"0" * 32 + b"\nb0 1 " + b"0" * 16 + b"\n",
+                 b"auto-mlp v3\n2 1\nfc\n" + HASH.encode() + b"\n" + bytes(24)):
+        path.write_bytes(data)
         with pytest.raises(CheckpointError,
-                           match=f"'{text[:11]}'.*run `pretrain` again"):
+                           match=f"'{data[:11].decode()}'.*run `pretrain` again"):
             load_checkpoint(path)
 
 
 def test_checkpoint_dimension_mismatch_errors(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(init_mlp([2, 3, 2], seed=0), path, HASH)
-    *header, payload = path.read_bytes().split(b"\n", 4)
-    for dims, message in ((b"2 3 3 2", re.escape(
-                              "group labels 'block1 fc' do not name the layers of dims "
-                              "[2, 3, 3, 2]: expected 'block1 block2 fc'")),
-                          (b"2 0 2", r"invalid layer dims \[2, 0, 2\]")):
+    header, payload = split_checkpoint(path.read_bytes())
+    # 2 3 3 2 asks for a 72-byte W1 where the 136 tensor bytes of 2 3 2 leave 64
+    for dims, message in ((b"2 3 3 2", "tensor W1: expected 72 bytes, got 64"),
+                          (b"2 0 2", "invalid layer dims [2, 0, 2]")):
         header[1] = dims
-        path.write_bytes(b"\n".join(header) + b"\n" + payload)
-        with pytest.raises(CheckpointError, match=message):
+        path.write_bytes(b"\n".join([*header, payload]))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
-
-
-# labels lines for the dims 2 3 2, each but the last one of the right count
-@pytest.mark.parametrize("labels", ["block1 block2", "fc block1", "block1  fc", "block1 fc ",
-                                    "block1"])
-def test_checkpoint_labels_other_than_the_dims_names_fail(tmp_path, labels):
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(init_mlp([2, 3, 2], seed=0), path, HASH)
-    *header, payload = path.read_bytes().split(b"\n", 4)
-    assert header[2] == b"block1 fc"
-    header[2] = labels.encode("ascii")
-    path.write_bytes(b"\n".join(header) + b"\n" + payload)
-    with pytest.raises(CheckpointError) as err:
-        load_checkpoint(path)
-    assert str(err.value) == (f"group labels '{labels}' do not name the layers "
-                              "of dims [2, 3, 2]: expected 'block1 fc'")
 
 
 def test_checkpoint_dims_beyond_the_file_fail_before_any_allocation(tmp_path):
     """Read as sizes, these dims would ask for a 160 TB array."""
     path = tmp_path / "m.ckpt"
     save_checkpoint(init_mlp([2, 3, 2], seed=0), path, HASH)
-    *header, payload = path.read_bytes().split(b"\n", 4)
+    header, payload = split_checkpoint(path.read_bytes())
     header[1] = b"2 10000000000000 2"
-    path.write_bytes(b"\n".join(header) + b"\n" + payload)
+    path.write_bytes(b"\n".join([*header, payload]))
     with pytest.raises(CheckpointError,
                        match="^tensor W0: expected 160000000000000 bytes, got 136$"):
         load_checkpoint(path)
@@ -706,7 +692,7 @@ def test_every_truncated_checkpoint_is_a_checkpoint_error(tmp_path_factory, dims
 
 
 @pytest.mark.parametrize("kind", CORRUPT_PAYLOADS)
-def test_corrupt_hex_payload_raises_format_error(tmp_path, kind):
+def test_corrupt_tensor_bytes_are_checkpoint_errors(tmp_path, kind):
     path = tmp_path / "m.ckpt"
     save_checkpoint(init_mlp([2, 3, 2], seed=0), path, HASH)
     message = corrupt_checkpoint(path, kind)
@@ -719,11 +705,11 @@ def test_checkpoint_payload_length_errors_count_values(tmp_path):
     the bytes expected and found, or the bytes left over."""
     path = tmp_path / "m.ckpt"
     save_checkpoint(init_mlp([2, 3, 2], seed=0), path, HASH)
-    *header, payload = path.read_bytes().split(b"\n", 4)
+    header, payload = split_checkpoint(path.read_bytes())
     for edit, message in ((b"", "tensor W0: expected 48 bytes, got 0"),
                           (payload[:20], "tensor W0: expected 48 bytes, got 20"),
                           (payload[:48], "tensor b0: expected 24 bytes, got 0"),
                           (payload + payload[:8], "unexpected bytes after tensor b1")):
-        path.write_bytes(b"\n".join(header) + b"\n" + edit)
+        path.write_bytes(b"\n".join([*header, edit]))
         with pytest.raises(CheckpointError, match=f"^{message}$"):
             load_checkpoint(path)

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import events_csv_reference, log_from_columns
+from helpers import checkpoint_header, events_csv_reference, log_from_columns
 from oodstream import cli, engine, nn
 from oodstream.data import LabeledSet, Stream
 from oodstream.runconfig import RunConfig
@@ -46,8 +46,7 @@ def test_checkpoint_save_holds_no_file_text(tmp_path, wide_model):
     tensor_bytes = sum(t.nbytes for t in wide_model.weights + wide_model.biases)
     assert tensor_bytes > 2 * MB
     assert peak <= tensor_bytes + MB // 2
-    header = f"{nn.CHECKPOINT_MAGIC}\n8 512 512 4\nblock1 block2 fc\n{HASH}\n"
-    assert path.stat().st_size == len(header) + tensor_bytes
+    assert path.stat().st_size == len(checkpoint_header(WIDE, HASH)) + tensor_bytes
 
 
 def test_checkpoint_load_holds_each_tensor_once(tmp_path, wide_model):

@@ -4,10 +4,11 @@ checked rather than claimed.
 The digests are sha256 of each ``EventLog`` column's ``tobytes()`` (and of
 the episode loss traces) for the canonical stream, replayed in frozen mode,
 in auto mode and in auto mode with ``auto.iters_T = 0`` from the session
-``canonical`` fixture, of the canonical ``model.ckpt``, and of the files the
-canonical CLI commands write. Row bits depend on the BLAS build and on the
-CPU kernel it picks, so the digests hold only on the platform recorded next
-to them; on any other BLAS they are not checked.
+``canonical`` fixture, of the canonical ``model.ckpt`` and of its tensor
+bytes after the header, and of the files the canonical CLI commands write.
+Row bits depend on the BLAS build and on the CPU kernel it picks, so the
+digests hold only on the platform recorded next to them; on any other BLAS
+they are not checked.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import COLUMNS, SMALL_OVERRIDES
+from helpers import COLUMNS, SMALL_OVERRIDES, split_checkpoint
 from oodstream import data, engine, nn
 from oodstream.cli import CHECKPOINT_NAME
 from oodstream.runconfig import RunConfig, pretrain_hash
@@ -29,7 +30,10 @@ PINNED_NUMPY = "2.4.6"
 PINNED_BLAS = ("scipy-openblas", "0.3.31.188.0")
 PINNED_MACHINE = "x86_64"
 
-PINNED_CHECKPOINT = "e4114385ffcc8bbc5975318e488e3a32e46e6f7eee932d8ffb118eddae4afa4b"
+PINNED_CHECKPOINT = "6035c790c7220a8221b22431390bea975e397bf4f1cb87f17a59fefa39b05da6"
+# sha256 of the checkpoint's tensor bytes alone, so a header change shows
+# that no weight moved
+PINNED_CHECKPOINT_TENSORS = "4002a3814640bf0740442c4466dcbc37c992cab4f16413f904a3fd483c2d524c"
 
 # sha256 of each file the canonical CLI commands write
 PINNED_FILES = {
@@ -94,6 +98,7 @@ def test_cli_checkpoint_is_pinned(canonical_out):
     ``pretrain``'s checkpoint, whose bytes are pinned. No pretrain runs here."""
     skip_off_the_pinned_platform()
     written = (canonical_out / CHECKPOINT_NAME).read_bytes()
+    assert hashlib.sha256(split_checkpoint(written)[1]).hexdigest() == PINNED_CHECKPOINT_TENSORS
     assert hashlib.sha256(written).hexdigest() == PINNED_CHECKPOINT
 
 
@@ -165,4 +170,6 @@ def test_output_digest_table_names_every_command_file():
         assert set(table) == names
     canonical = output_digests.PINNED["canonical"]
     assert canonical[CHECKPOINT_NAME] == PINNED_CHECKPOINT
+    assert set(output_digests.PINNED_TENSORS) == set(output_digests.CONFIGS)
+    assert output_digests.PINNED_TENSORS["canonical"] == PINNED_CHECKPOINT_TENSORS
     assert {name: canonical[name] for name in PINNED_FILES} == PINNED_FILES
