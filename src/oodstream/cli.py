@@ -115,8 +115,10 @@ def _prepare(cfg: RunConfig, *replays: RunConfig) -> tuple:
 
 
 def _replay(cfg: RunConfig, mode: str, model: nn.MlpModel, train: data.LabeledSet,
-            stream: data.Stream) -> tuple[engine.EventLog, engine.AutoState]:
-    """Replay a stream from ``_prepare``; `auto` mode adapts ``model`` in place."""
+            stream: data.Stream, lead: str = "warning"
+            ) -> tuple[engine.EventLog, engine.AutoState]:
+    """Replay a stream from ``_prepare``; `auto` mode adapts ``model`` in place.
+    A table command's ``lead`` names the row in the warning line."""
     # Non-finite logits and losses raise with the stream index, so numpy's
     # overflow warnings on the way there would only repeat the error.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -126,7 +128,7 @@ def _replay(cfg: RunConfig, mode: str, model: nn.MlpModel, train: data.LabeledSe
         else:
             log = engine.run_stream(state, cfg, stream)
     if mode == "auto" and log.counts.updates == 0:
-        print(f"warning: no arrival scored below the outlier margin, so the model never "
+        print(f"{lead}: no arrival scored below the outlier margin, so the model never "
               f"adapted (auto.k2 = {cfg.k2!r}, final m_out = "
               f"{state.margins.m_out!r}); a smaller auto.k2 raises m_out", file=sys.stderr)
     return log, state
@@ -221,7 +223,8 @@ def _replay_table(cfg: RunConfig, name: str, comment: str, columns: str, rows: l
     lines = [f"# config_hash={runconfig.config_hash(cfg)}{comment}",
              f"{columns},fpr95,auroc,id_acc"]
     for (cells, label, row_cfg), stream in zip(rows, streams):
-        log, _ = _replay(row_cfg, "auto", nn.clone_frozen(model), train, stream)
+        log, _ = _replay(row_cfg, "auto", nn.clone_frozen(model), train, stream,
+                         f"warning: {label}")
         rep = metrics.report(log)
         lines.append(f"{cells},{rep.fpr95:.17g},{rep.auroc:.17g},{rep.id_acc:.17g}")
         print(f"{label}: fpr95={rep.fpr95:.4f} auroc={rep.auroc:.4f} id_acc={rep.id_acc:.4f}")

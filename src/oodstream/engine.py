@@ -28,7 +28,7 @@ from . import filtering, memory, nn, scoring
 from .data import LabeledSet, Stream
 from .filtering import PSEUDO_ID, PSEUDO_OOD, FilterDecision, Margins
 from .nn import LossSpec, MlpModel
-from .runconfig import RunConfig
+from .runconfig import RunConfig, trainable_layers
 
 
 @dataclass
@@ -36,14 +36,14 @@ class AutoState:
     """Mutable per-run state owned by a single engine instance.
 
     ``bank`` is the (C, d) memory bank from ``memory.init_random``; online
-    SGD steps at rate ``sgd.lr`` write only the ``trainable`` parameter groups.
+    SGD steps at rate ``sgd.lr`` write only the layers that ``trainable`` marks.
     """
 
     model_t: MlpModel
     model_0: MlpModel
     margins: Margins
     bank: np.ndarray
-    trainable: frozenset[str]
+    trainable: tuple[bool, ...]
     step_counter: int = 0
 
 
@@ -142,11 +142,11 @@ def _fixed_logits(model: MlpModel, rows: np.ndarray, row_name: str) -> np.ndarra
 def init_state(model: MlpModel, train_set: LabeledSet, cfg: RunConfig) -> AutoState:
     """Freeze a reference clone, estimate filter margins, and seed the bank.
 
-    The SGD settings are resolved here, once per run.
+    ``sgd.trainable_groups`` becomes the state's layer mask here, once per run.
     ``stats_subsample_n`` = n > 0 keeps only the first n rows of the
     (already shuffled) training set for the estimate; 0 keeps every row.
     """
-    trainable = cfg.resolve_groups(model)
+    trainable = trainable_layers(cfg.trainable_groups, model.num_layers)
     model_0 = nn.clone_frozen(model)
     logits = _fixed_logits(model, train_set.features[:cfg.stats_subsample_n or None],
                            "training row")

@@ -30,18 +30,12 @@ class MlpModel:
     """Fully-connected network: ReLU hidden layers, identity (logit) output.
 
     ``weights[i]`` has shape ``(layer_dims[i], layer_dims[i+1])`` and
-    ``biases[i]`` shape ``(layer_dims[i+1],)``. Each layer is one named
-    parameter group, ``group_labels[i]``, which the dims alone name: hidden
-    layer k is ``"blockK"`` and the output layer is ``"fc"``.
+    ``biases[i]`` shape ``(layer_dims[i+1],)``.
     """
 
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-
-    @property
-    def group_labels(self) -> list[str]:
-        return default_group_labels(self.layer_dims)
 
     @property
     def input_dim(self) -> int:
@@ -65,8 +59,7 @@ class Gradients:
     ``inputs[i]`` (N, fan_in) holds the activations that fed the layer and
     ``deltas[i]`` (N, fan_out) its error signal; at N batch rows it has rank
     at most N, so the factors are far smaller than the matrix. ``weight``
-    materializes it. A gradient restricted to some parameter groups holds
-    None for the layers outside them.
+    materializes it. A gradient of only some layers holds None for the rest.
     """
 
     inputs: list[np.ndarray | None]
@@ -76,12 +69,6 @@ class Gradients:
     def weight(self, i: int, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Rows ``start:stop`` of layer i's weight gradient, in a new array."""
         return self.inputs[i][:, start:stop].T @ self.deltas[i]
-
-
-def default_group_labels(layer_dims: list[int]) -> list[str]:
-    """Hidden layer k -> "blockK"; output layer -> "fc"."""
-    n_layers = len(layer_dims) - 1
-    return [f"block{i + 1}" for i in range(n_layers - 1)] + ["fc"]
 
 
 def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
@@ -207,18 +194,15 @@ class EpisodeBatch:
 
     spec: LossSpec
     rows: np.ndarray
-    keep: list[bool]
+    keep: tuple[bool, ...]
     bank_label_index: np.ndarray
 
 
 def prepare_episode(model: MlpModel, x: np.ndarray, spec: LossSpec,
-                    trainable: frozenset[str] | None = None) -> EpisodeBatch:
-    """Stack the probe row ``x`` on the bank rows of ``spec`` and mark the
-    trainable layers.
-
-    ``trainable`` = None keeps every layer. The bank must hold one row per
-    class.
-    """
+                    trainable: tuple[bool, ...] | None = None) -> EpisodeBatch:
+    """Stack the probe row ``x`` on the bank rows of ``spec``, which must hold
+    one row per class, and keep the layers that the mask ``trainable`` marks,
+    or every layer if it is None."""
     xv = np.asarray(x, dtype=np.float64)
     if xv.shape != (model.input_dim,):
         raise ValueError(f"expected input of shape ({model.input_dim},), got {xv.shape}")
@@ -230,12 +214,12 @@ def prepare_episode(model: MlpModel, x: np.ndarray, spec: LossSpec,
         at_labels = np.arange(1, c + 1) * c + np.arange(c)
     else:
         rows, at_labels = xv[None, :], np.empty(0, dtype=np.int64)
-    keep = [trainable is None or g in trainable for g in model.group_labels]
+    keep = (True,) * model.num_layers if trainable is None else trainable
     return EpisodeBatch(spec, rows, keep, at_labels)
 
 
 def _backprop(model: MlpModel, acts: list, dlogits: np.ndarray,
-              keep: list[bool]) -> Gradients:
+              keep: tuple[bool, ...]) -> Gradients:
     """Parameter gradients from batched dL/dlogits (N, C).
 
     Only layers with ``keep[i]`` get a gradient, and the error signal is not
@@ -410,7 +394,7 @@ def accuracy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float
 def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
                   lr: float, seed: int = 0) -> MlpModel:
     """Minibatch SGD at learning rate ``lr`` on mean label cross-entropy over
-    all parameter groups.
+    all layers.
 
     ``dataset`` needs ``.features`` (N, d) and ``.labels`` (N,). Shuffling is
     seeded. ``epochs=0`` is a no-op. An epoch that leaves a non-finite weight
@@ -424,7 +408,7 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError("labels out of range for the model's class count")
     _check_lr(lr)
-    keep = [True] * model.num_layers
+    keep = (True,) * model.num_layers
     rng = np.random.default_rng(seed)
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)

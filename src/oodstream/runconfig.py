@@ -14,7 +14,6 @@ import math
 from dataclasses import Field, dataclass, field, fields
 
 from .data import CANONICAL_OOD_SOURCES, OOD_KINDS, GaussianSource, check_sources
-from .nn import MlpModel, default_group_labels
 
 
 class ConfigError(Exception):
@@ -104,8 +103,8 @@ class RunConfig:
                 continue
             shown = _fmt_value(value, f.type) if f.type == _INT_LIST else repr(value)
             raise ConfigError(f"{f.metadata['key']} = {shown} is out of range: it must be {rule}")
-        # The groups must be groups of the model `pretrain` builds from these dims.
-        _resolve_groups(self.trainable_groups, default_group_labels(self.layer_dims()))
+        # The groups must name layers of the model `pretrain` builds from these dims.
+        trainable_layers(self.trainable_groups, len(self.hidden) + 1)
         # train_n is split evenly across classes, so each class gets a row
         if self.train_n < self.classes:
             raise ConfigError(f"scenario.train_n = {self.train_n!r} is out of range: "
@@ -126,29 +125,25 @@ class RunConfig:
     def layer_dims(self) -> list[int]:
         return [self.dim, *self.hidden, self.classes]
 
-    def resolve_groups(self, model: MlpModel) -> frozenset[str]:
-        return _resolve_groups(self.trainable_groups, model.group_labels)
 
-
-def _resolve_groups(name: str, labels: list[str]) -> frozenset[str]:
-    """The groups of a model with group ``labels`` that ``sgd.trainable_groups``
-    = ``name`` selects: ``none``, ``all``, ``last_block`` (the last hidden
-    layer) or group names joined by ``+``."""
-    name = name.strip()
-    if name == "none":
-        return frozenset()
-    if name == "all":
-        return frozenset(labels)
-    if name == "last_block":
-        if len(labels) < 2:
+def trainable_layers(groups: str, num_layers: int) -> tuple[bool, ...]:
+    """The mask of the layers that ``sgd.trainable_groups`` = ``groups`` trains
+    in a ``num_layers``-layer model: ``none``, ``all``, ``last_block`` or
+    ``+``-joined names, hidden layer k ``blockK`` and the output layer ``fc``."""
+    names = [f"block{k}" for k in range(1, num_layers)] + ["fc"]
+    groups = groups.strip()
+    if groups in ("none", "all"):
+        return (groups == "all",) * num_layers
+    if groups == "last_block":
+        if num_layers < 2:
             raise ValueError("model has no hidden layer")
-        return frozenset({labels[-2]})
-    named = frozenset(name.split("+"))
-    unknown = named - set(labels)
+        groups = names[-2]
+    named = set(groups.split("+"))
+    unknown = named - set(names)
     if unknown:
         raise ConfigError(f"unknown parameter groups {sorted(unknown)} in "
-                          f"sgd.trainable_groups; the model has {labels}")
-    return named
+                          f"sgd.trainable_groups; the model has {names}")
+    return tuple(name in named for name in names)
 
 
 # ---------------------------------------------------------------------------

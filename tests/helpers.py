@@ -69,7 +69,7 @@ def materialized(grads: nn.Gradients) -> FullGradients:
 
 def only_layers(grads: nn.Gradients, layers) -> nn.Gradients:
     """``grads`` with None for each layer not in ``layers``, as a gradient
-    restricted to some parameter groups holds."""
+    of only some layers holds."""
     def kept(column):
         return [g if i in layers else None for i, g in enumerate(column)]
     return nn.Gradients(kept(grads.inputs), kept(grads.deltas), kept(grads.d_biases))
@@ -77,7 +77,8 @@ def only_layers(grads: nn.Gradients, layers) -> nn.Gradients:
 
 def loss_and_grad(model: MlpModel, x, spec: LossSpec, trainable=None):
     """Loss and gradients of one evaluation at probe row ``x``, through a
-    prepared episode batch (every layer kept when ``trainable`` is None)."""
+    prepared episode batch that keeps the layers the mask ``trainable`` marks
+    (every layer when it is None)."""
     return nn._loss_and_grad(model, nn.prepare_episode(model, x, spec, trainable))
 
 
@@ -341,7 +342,7 @@ def backprop_reference(model: MlpModel, pre_acts, acts, dlogits: np.ndarray,
 
 
 def _zero_filled_slots(model: MlpModel, trainable=None) -> FullGradients:
-    keep = [trainable is None or g in trainable for g in model.group_labels]
+    keep = (True,) * model.num_layers if trainable is None else trainable
     return FullGradients(
         [np.zeros_like(w) if k else None for w, k in zip(model.weights, keep)],
         [np.zeros_like(b) if k else None for b, k in zip(model.biases, keep)],
@@ -392,7 +393,7 @@ def per_call_loss_and_grad_reference(model: MlpModel, x, spec: LossSpec, trainab
     total, pre, acts, delta = _stacked_terms(model, x, spec)
     if not want_grad:
         return total, None
-    keep = [trainable is None or g in trainable for g in model.group_labels]
+    keep = (True,) * model.num_layers if trainable is None else trainable
     grads = FullGradients([None] * model.num_layers, [None] * model.num_layers)
     lowest = keep.index(True) if True in keep else model.num_layers
     for i in range(model.num_layers - 1, lowest - 1, -1):
@@ -408,8 +409,8 @@ def per_call_loss_and_grad_reference(model: MlpModel, x, spec: LossSpec, trainab
     return total, grads
 
 
-def episode_reference(model: MlpModel, x, spec: LossSpec, lr: float, trainable: frozenset[str],
-                      iters_t: int) -> tuple[float, ...]:
+def episode_reference(model: MlpModel, x, spec: LossSpec, lr: float,
+                      trainable: tuple[bool, ...], iters_t: int) -> tuple[float, ...]:
     """An update episode the per-call way: T evaluations, each followed by
     ``nn.sgd_step``, then the final loss. Returns the T + 1 losses."""
     losses = []

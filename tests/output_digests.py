@@ -3,7 +3,8 @@ pinned table.
 
 Run as ``python tests/output_digests.py``; pytest does not collect it. In a
 temporary directory it runs ``pretrain``, ``--plot run --mode auto``,
-``--plot run --mode frozen``, ``ablate`` and ``sweep --param k2 --values 1,2``
+``--plot run --mode frozen``, ``ablate``, ``sweep --param k2 --values 1,2``
+and a ``sweep --param trainable_groups`` over each form of the key's value
 on ``configs/canonical.cfg`` and on ``perfbench/wide_drift.cfg``. It prints
 one line per file (the pinned sha256, the new one, and ``MOVED`` where they
 differ), then the same for each checkpoint's tensor bytes after its
@@ -34,7 +35,8 @@ CONFIGS = {"canonical": ROOT / "configs" / "canonical.cfg",
            "wide_drift": ROOT / "perfbench" / "wide_drift.cfg"}
 COMMANDS = (["pretrain"], ["--plot", "run", "--mode", "auto"],
             ["--plot", "run", "--mode", "frozen"], ["ablate"],
-            ["sweep", "--param", "k2", "--values", "1,2"])
+            ["sweep", "--param", "k2", "--values", "1,2"],
+            ["sweep", "--param", "trainable_groups", "--values", "none,all,last_block,block1+fc"])
 
 # config name -> file name -> sha256 of the file
 PINNED = {
@@ -43,6 +45,8 @@ PINNED = {
         **PINNED_FILES,
         "auto_scores.svg": "c87db4df1bba6761b7f16d3a41284e5012ab48271f3d1f787485fc5f13ce5824",
         "frozen_scores.svg": "ab684059223e8c511a1c0e8712307c7ded4a746b8d3810d43b386bf06fe7bd69",
+        "sweep_trainable_groups.csv":
+            "e81bcf323639be945cba07e87d7b33e472230f8f502a4d847531e945790ec853",
     },
     "wide_drift": {
         CHECKPOINT_NAME: "a3c6616c0fe39438bbd626335866fdc839eef4888399e68a680733a7ecc59170",
@@ -56,6 +60,8 @@ PINNED = {
         "frozen_scores.svg": "d5f1e09845fd557e4cc14a2cd4b13579852a1f10855c488044ac71064d386726",
         "ablation.csv": "066d93827279124cbc56c9b4484fbfff45f076d6fbf894e2e84911c917ca34c4",
         "sweep_k2.csv": "88f9a3158d41d54feb64ebbaa5d8c136fe9e8dfb5121012fbaf0b4d31119bdae",
+        "sweep_trainable_groups.csv":
+            "6cb02fb054d095625ac8c871cb0de0b23a8b802c616260327ad02dbd05c71448",
     },
 }
 

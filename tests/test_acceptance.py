@@ -19,7 +19,7 @@ from helpers import (assert_columns_equal, auroc_bruteforce, fpr_at_tpr_brutefor
 from oodstream import cli, engine, filtering, metrics, nn
 from oodstream.cli import main as cli_main
 from oodstream.nn import LossSpec
-from oodstream.runconfig import RunConfig
+from oodstream.runconfig import RunConfig, trainable_layers
 
 TOL = 0.005  # +/- 0.5 percentage points on pinned golden values
 
@@ -70,10 +70,10 @@ def assert_structural_invariants(canonical, log, state):
     initial_model = canonical["model"]
     # bank cardinality
     assert state.bank.shape == (cfg.classes, cfg.dim)
-    # frozen parameter groups bitwise constant
-    trainable = cfg.resolve_groups(state.model_t)
-    for i, group in enumerate(state.model_t.group_labels):
-        if group not in trainable:
+    # frozen layers bitwise constant
+    trainable = trainable_layers(cfg.trainable_groups, state.model_t.num_layers)
+    for i, kept in enumerate(trainable):
+        if not kept:
             assert np.array_equal(state.model_t.weights[i], initial_model.weights[i])
             assert np.array_equal(state.model_t.biases[i], initial_model.biases[i])
     # m_in bitwise constant (re-derive the initialization)

@@ -758,3 +758,16 @@ def test_auto_run_without_updates_warns_once(canonical_out, tmp_path, capsys):
     # frozen mode never adapts by design and says nothing
     assert main(["--config", str(path), "run", "--mode", "frozen"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_table_warning_names_its_row(pretrained, capsys):
+    # k2 = 1000 puts m_out under msp's 1 / classes floor, so only that row of
+    # the sweep never adapts; with stdout redirected, its label places it
+    cfg_path, _ = pretrained
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "sweep", "--param", "k2",
+                 "--values", "3,1000"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: sweep k2=1000: no arrival scored below the outlier "
+                             "margin, so the model never adapted (auto.k2 = 1000.0, ")

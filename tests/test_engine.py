@@ -13,7 +13,7 @@ from oodstream import filtering, nn, scoring
 from oodstream.data import Stream
 from oodstream.engine import AutoState, run_posthoc, run_stream, step
 from oodstream.filtering import FilterDecision
-from oodstream.runconfig import ConfigError, RunConfig
+from oodstream.runconfig import ConfigError, RunConfig, trainable_layers
 
 
 def tiny_setup(m_in=0.9, m_out=0.5, iters_t=2, trainable_groups="block2", **cfg_overrides):
@@ -26,7 +26,7 @@ def tiny_setup(m_in=0.9, m_out=0.5, iters_t=2, trainable_groups="block2", **cfg_
     margins = filtering.Margins(m_in=m_in, m_out=m_out, m_count=1)
     config = RunConfig(iters_t=iters_t, trainable_groups=trainable_groups, **cfg_overrides)
     state = AutoState(model_t=model, model_0=nn.clone_frozen(model), margins=margins,
-                      bank=bank, trainable=config.resolve_groups(model))
+                      bank=bank, trainable=trainable_layers(trainable_groups, model.num_layers))
     return state, config
 
 
@@ -344,11 +344,11 @@ def test_posthoc_frozen_margins_mode():
 
 
 def test_init_state_resolves_run_config(canonical):
-    # the trainable groups are resolved once, into the state
+    # the trainable groups become the state's layer mask, once
     cfg = RunConfig(trainable_groups="block1+fc")
     state = fresh_state(canonical, cfg)
-    assert state.trainable == frozenset({"block1", "fc"})
-    assert fresh_state(canonical, RunConfig()).trainable == {"block2"}
+    assert state.trainable == (True, False, True)
+    assert fresh_state(canonical, RunConfig()).trainable == (False, True, False)
     with pytest.raises(ConfigError, match="unknown parameter groups"):
         fresh_state(canonical, RunConfig(trainable_groups="block9"))
 

@@ -29,7 +29,7 @@ from helpers import (assert_columns_equal, assert_replays_equal, checkpoint_byte
 from oodstream import cli, engine, metrics, nn
 from oodstream.data import LabeledSet, Stream
 from oodstream.nn import LossSpec, _probe_dlogits, init_mlp
-from oodstream.runconfig import RunConfig
+from oodstream.runconfig import RunConfig, trainable_layers
 from oodstream.scoring import predict, score, score_rows
 
 
@@ -205,9 +205,9 @@ def full_spec(rng, model, with_probe_terms=True):
 @pytest.mark.parametrize("groups", ["block1", "block2", "fc", "block1+fc",
                                     "block1+block2+fc"])
 def test_trainable_gradients_equal_full_backward(groups):
-    trainable = frozenset(groups.split("+"))
     rng = np.random.default_rng(len(groups))
     model = init_mlp([2, 16, 16, 3], seed=3)
+    trainable = trainable_layers(groups, model.num_layers)
     for with_probe in (True, False):
         for _ in range(10):
             x = rng.normal(size=2)
@@ -217,8 +217,8 @@ def test_trainable_gradients_equal_full_backward(groups):
             loss, part = loss_and_grad(model, x, spec, trainable)
             part = materialized(part)
             assert loss == full_loss
-            for i, group in enumerate(model.group_labels):
-                if group in trainable:
+            for i, kept in enumerate(trainable):
+                if kept:
                     assert np.array_equal(part.d_weights[i], full.d_weights[i])
                     assert np.array_equal(part.d_biases[i], full.d_biases[i])
                 else:
@@ -231,7 +231,7 @@ def test_trainable_gradients_on_wide_model():
     x = rng.normal(size=8)
     spec = full_spec(rng, model)
     full = loss_and_grad(model, x, spec)[1]
-    _, part = loss_and_grad(model, x, spec, frozenset({"block2"}))
+    _, part = loss_and_grad(model, x, spec, trainable_layers("block2", model.num_layers))
     assert np.array_equal(part.weight(1), full.weight(1))
     assert np.array_equal(part.d_biases[1], full.d_biases[1])
 
@@ -239,7 +239,8 @@ def test_trainable_gradients_on_wide_model():
 def test_no_trainable_groups_gives_no_gradients():
     rng = np.random.default_rng(6)
     model = init_mlp([2, 8, 3], seed=1)
-    _, part = loss_and_grad(model, rng.normal(size=2), full_spec(rng, model), frozenset())
+    _, part = loss_and_grad(model, rng.normal(size=2), full_spec(rng, model),
+                            trainable_layers("none", model.num_layers))
     assert part.inputs == part.deltas == part.d_biases == [None, None]
 
 
@@ -248,7 +249,7 @@ def test_canonical_replay_equals_full_gradient_replay(canonical, canonical_repla
                                                       monkeypatch, groups):
     model = canonical["model"]
     config = RunConfig(trainable_groups=groups)
-    trainable = config.resolve_groups(model)
+    trainable = trainable_layers(groups, model.num_layers)
     fast, fast_state = canonical_replay[config]
 
     # Every episode prepared with every layer kept: full gradients from a
@@ -262,7 +263,7 @@ def test_canonical_replay_equals_full_gradient_replay(canonical, canonical_repla
         return prepare(model, x, spec)
 
     def trainable_step(model, grads, lr):
-        kept = {i for i, group in enumerate(model.group_labels) if group in trainable}
+        kept = {i for i, keep in enumerate(trainable) if keep}
         return step(model, only_layers(grads, kept), lr)
 
     monkeypatch.setattr(nn, "prepare_episode", full_gradient)
@@ -416,8 +417,8 @@ def test_gradients_equal_per_call_oracle(dims, terms):
         assert_gradients_equal(full, ref)
         assert abs(loss - two_pass_loss) <= TWO_PASS_RTOL * abs(two_pass_loss)
         assert_gradients_close(full, two_pass, TWO_PASS_RTOL)
-        for groups in ({"block2"}, {"block1", "fc"}, {"fc"}):
-            trainable = frozenset(groups)
+        for groups in ("block2", "block1+fc", "fc"):
+            trainable = trainable_layers(groups, model.num_layers)
             loss, part = loss_and_grad(model, x, spec, trainable)
             _, ref_part = per_call_loss_and_grad_reference(model, x, spec, trainable)
             _, two_pass_part = loss_and_grad_reference(model, x, spec, trainable)
@@ -436,12 +437,13 @@ def test_trainable_gradient_bits_equal_full_gradient(dims, terms):
     model, cases = gradient_cases(dims, terms)
     for x, spec in cases:
         full = materialized(loss_and_grad(model, x, spec)[1])
-        for groups in ({"block1"}, {"block2"}, {"fc"}, {"block1", "fc"}):
-            part = materialized(loss_and_grad(model, x, spec, frozenset(groups))[1])
-            for i, group in enumerate(model.group_labels):
+        for groups in ("block1", "block2", "fc", "block1+fc"):
+            trainable = trainable_layers(groups, model.num_layers)
+            part = materialized(loss_and_grad(model, x, spec, trainable)[1])
+            for i, kept in enumerate(trainable):
                 for got, want in ((part.d_weights[i], full.d_weights[i]),
                                   (part.d_biases[i], full.d_biases[i])):
-                    if group in groups:
+                    if kept:
                         assert got.tobytes() == want.tobytes()
                     else:
                         assert got is None
@@ -450,8 +452,7 @@ def test_trainable_gradient_bits_equal_full_gradient(dims, terms):
 def two_pass_loss_and_grad(model, batch, want_grad=True):
     """``nn._loss_and_grad``'s signature over the two-pass oracle, which
     forwards the probe row, ``batch.rows[0]``, through every layer."""
-    trainable = {g for g, kept in zip(model.group_labels, batch.keep) if kept}
-    loss, grads = loss_and_grad_reference(model, batch.rows[0], batch.spec, trainable)
+    loss, grads = loss_and_grad_reference(model, batch.rows[0], batch.spec, batch.keep)
     return loss, grads if want_grad else None
 
 

@@ -453,17 +453,6 @@ def test_row_blocks_cover_the_weight_without_one_row_blocks(cols):
     assert len(nn._row_blocks(512, 512)) == 16
 
 
-def test_group_labels_follow_the_layer_dims():
-    model = init_mlp([2, 4, 4, 3], seed=0)
-    assert model.group_labels == ["block1", "block2", "fc"]
-    assert clone_frozen(model).group_labels == model.group_labels
-    assert identity_model(3).group_labels == ["fc"]
-    model.layer_dims = [2, 4, 3]
-    assert model.group_labels == ["block1", "fc"]
-    with pytest.raises(AttributeError):
-        model.group_labels = ["fc"]
-
-
 # ---------------------------------------------------------------------------
 # clone_frozen
 
@@ -482,6 +471,7 @@ def test_clone_unchanged_by_updates_to_original():
 def test_clone_forward_identical_immediately():
     model = init_mlp([3, 5, 2], seed=6)
     clone = clone_frozen(model)
+    assert clone.layer_dims == model.layer_dims
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.normal(0, 1, size=3)
@@ -581,7 +571,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert np.array_equal(forward_logits(model, x), forward_logits(loaded, x))
     for a, b in zip(model.weights + model.biases, loaded.weights + loaded.biases):
         assert np.array_equal(a, b)
-    assert loaded.group_labels == model.group_labels
+    assert loaded.layer_dims == model.layer_dims
 
 
 def test_parameter_arrays_start_on_a_cache_line(tmp_path):
@@ -672,7 +662,6 @@ def test_checkpoint_round_trips_random_bit_patterns(tmp_path_factory, dims, seed
     save_checkpoint(model, path, HASH)
     loaded, _ = load_checkpoint(path)
     assert loaded.layer_dims == model.layer_dims
-    assert loaded.group_labels == model.group_labels
     for a, b in zip(model.weights + model.biases, loaded.weights + loaded.biases):
         assert b.dtype == np.float64 and b.shape == a.shape and b.flags.writeable
         assert a.tobytes() == b.tobytes()

@@ -155,15 +155,16 @@ def test_canonical_cli_files_are_pinned(canonical_cli):
 
 
 def test_output_digest_table_names_every_command_file():
-    """``tests/output_digests.py`` pins the ten files that its five commands
+    """``tests/output_digests.py`` pins the eleven files that its six commands
     write for each of its two configs, and its canonical entries are this
     module's. No command runs here."""
     import output_digests
 
-    names = {CHECKPOINT_NAME, "pretrain_summary.json", "ablation.csv", "sweep_k2.csv"} | {
+    names = {CHECKPOINT_NAME, "pretrain_summary.json", "ablation.csv", "sweep_k2.csv",
+             "sweep_trainable_groups.csv"} | {
         f"{mode}_{kind}" for mode in ("auto", "frozen")
         for kind in ("events.csv", "metrics.json", "scores.svg")}
-    assert len(names) == 10
+    assert len(names) == 11
     assert set(output_digests.PINNED) == set(output_digests.CONFIGS) == {"canonical",
                                                                          "wide_drift"}
     for table in output_digests.PINNED.values():

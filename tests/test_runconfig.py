@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from helpers import (FLOAT_KEYS, REMOVED_KEY_VALUES, THREE_SOURCES, config_text_with,
                      non_finite_rule, removed_key_rule, to_text)
-from oodstream import cli, data, nn
+from oodstream import cli, data
 from oodstream.data import GaussianSource, circle_means
 from oodstream.runconfig import (REMOVED_KEYS, ConfigError, RunConfig, config_hash, from_text,
-                                 parse_setting, pretrain_hash)
+                                 parse_setting, pretrain_hash, trainable_layers)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -478,22 +478,42 @@ def test_round_trip_random_values(values):
     assert to_text(back) == text  # keeps the sign of -0.0, which == ignores
 
 
-def test_resolve_groups():
-    cfg = RunConfig()
-    model = nn.init_mlp([2, 4, 4, 3], seed=0)
-    assert cfg.resolve_groups(model) == {"block2"}
-    assert replace(cfg, trainable_groups="none").resolve_groups(model) == frozenset()
-    assert replace(cfg, trainable_groups="all").resolve_groups(model) == \
-        {"block1", "block2", "fc"}
-    assert replace(cfg, trainable_groups="block1+fc").resolve_groups(model) == {"block1", "fc"}
-    with pytest.raises(ConfigError):
-        replace(cfg, trainable_groups="blockZ").resolve_groups(model)
-    # a group the config's own dims have but the model lacks
-    no_hidden = nn.init_mlp([2, 3], seed=0)
-    with pytest.raises(ConfigError, match="unknown parameter groups"):
-        replace(cfg, trainable_groups="block1+fc").resolve_groups(no_hidden)
-    with pytest.raises(ValueError, match="^model has no hidden layer$"):
-        cfg.resolve_groups(no_hidden)
+def unknown_groups(names, layers) -> ConfigError:
+    return ConfigError(f"unknown parameter groups {names} in sgd.trainable_groups; "
+                       f"the model has {layers}")
+
+
+@pytest.mark.parametrize("groups, num_layers, expected", [
+    # one, two and three hidden layers
+    ("none", 2, (False, False)), ("all", 2, (True, True)), ("last_block", 2, (True, False)),
+    ("fc", 2, (False, True)), ("block1+fc", 2, (True, True)),
+    ("none", 3, (False, False, False)), ("all", 3, (True, True, True)),
+    ("last_block", 3, (False, True, False)), ("block1", 3, (True, False, False)),
+    ("block1+fc", 3, (True, False, True)), ("fc+block2", 3, (False, True, True)),
+    (" block2 ", 3, (False, True, False)), (" all ", 3, (True, True, True)),
+    ("last_block", 4, (False, False, True, False)), ("block3", 4, (False, False, True, False)),
+    ("block1+block2+block3+fc", 4, (True, True, True, True)),
+    # no hidden layer
+    ("none", 1, (False,)), ("all", 1, (True,)), ("fc", 1, (True,)),
+    ("last_block", 1, ValueError("model has no hidden layer")),
+    # names the model lacks
+    ("blockZ", 3, unknown_groups(["blockZ"], ["block1", "block2", "fc"])),
+    (" block1+blockZ+block9 ", 3,
+     unknown_groups(["block9", "blockZ"], ["block1", "block2", "fc"])),
+    ("block3+fc", 3, unknown_groups(["block3"], ["block1", "block2", "fc"])),
+    ("block1+fc", 1, unknown_groups(["block1"], ["fc"])),
+    ("block1 + fc", 2, unknown_groups([" fc", "block1 "], ["block1", "fc"])),
+    ("", 2, unknown_groups([""], ["block1", "fc"])),
+])
+def test_trainable_layers(groups, num_layers, expected):
+    """Hidden layer k is blockK and the output layer fc; each form of
+    sgd.trainable_groups becomes a per-layer mask."""
+    if isinstance(expected, Exception):
+        with pytest.raises(Exception) as err:
+            trainable_layers(groups, num_layers)
+        assert type(err.value) is type(expected) and str(err.value) == str(expected)
+    else:
+        assert trainable_layers(groups, num_layers) == expected
 
 
 def test_unknown_group_message_at_load():
