@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep one parameter over values")
     p_sweep.add_argument("--param", required=True)
     p_sweep.add_argument("--values", required=True,
-                         help="comma-separated values (use + to join group names)")
+                         help="comma-separated values (use + to join group names, e.g. block1+fc)")
     return parser
 
 

@@ -138,7 +138,7 @@ def trainable_layers(groups: str, num_layers: int) -> tuple[bool, ...]:
         if num_layers < 2:
             raise ValueError("model has no hidden layer")
         groups = names[-2]
-    named = set(groups.split("+"))
+    named = {name.strip() for name in groups.split("+")}
     unknown = named - set(names)
     if unknown:
         raise ConfigError(f"unknown parameter groups {sorted(unknown)} in "

@@ -46,8 +46,9 @@ def test_forward_logits_equals_batch_forward(dims):
         assert np.array_equal(nn.forward_logits(model, x), expected)
 
 
-# Inputs the one-row kernel must carry like the batch forward: signed zeros,
-# subnormals, and magnitudes near 1e150 whose products stay finite.
+# Inputs the one forward kernel must carry alike as a 1-D row and as a (1, d)
+# row: signed zeros, subnormals, and magnitudes near 1e150 whose products
+# stay finite.
 EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e150, -1e150, 9.9e149)
 row_values = st.one_of(st.sampled_from(EDGE_VALUES),
                        st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False),

@@ -92,9 +92,10 @@ def test_forward_rejects_wrong_input_dim():
 def test_window_row_bits_do_not_depend_on_position_or_neighbours(dims):
     """``nn._forward_from`` on a zero-padded (W, d) batch gives each row the
     logit bits it has at position 0 with zero neighbours, on both benchmark
-    widths. No replay relies on this: those bits are not the one-row
-    kernel's, so a windowed replay would use the stacked product below. A
-    BLAS whose batch rows depend on their position or neighbours fails here."""
+    widths. No replay relies on this yet: those bits are not a lone row's
+    gemv bits, so a windowed replay would use the stacked product below.
+    Windowed GEMM rows (ROADMAP item 10) would rely on it. A BLAS whose
+    batch rows depend on their position or neighbours fails here."""
     model = init_mlp(dims, seed=11)
     rng = np.random.default_rng(12)
     for b in model.biases:

@@ -6,6 +6,7 @@ the episode loss traces) for the canonical stream, replayed in frozen mode,
 in auto mode and in auto mode with ``auto.iters_T = 0`` from the session
 ``canonical`` fixture, of the canonical ``model.ckpt`` and of its tensor
 bytes after the header, and of the files the canonical CLI commands write.
+The forward kernel's logits on both benchmark widths are pinned too.
 Row bits depend on the BLAS build and on the CPU kernel it picks, so the
 digests hold only on the platform recorded next to them; on any other BLAS
 they are not checked.
@@ -174,3 +175,32 @@ def test_output_digest_table_names_every_command_file():
     assert set(output_digests.PINNED_TENSORS) == set(output_digests.CONFIGS)
     assert output_digests.PINNED_TENSORS["canonical"] == PINNED_CHECKPOINT_TENSORS
     assert {name: canonical[name] for name in PINNED_FILES} == PINNED_FILES
+
+
+# sha256 of the forward kernel's logits on 64 rows: one row at a time through
+# ``forward_logits``, then rows[:5] (an episode's shape) and rows[:32] (a
+# pretraining batch's) through ``_forward_from``
+PINNED_KERNEL = {
+    (2, 128, 128, 3): ("795390e53d1f706a7597609e7cd97e84039e216a591be5930cf72ff124fdac1d",
+                       "e74ab043e9de772918a1341831b47e546f137410d229884ba873cef51b390a6b",
+                       "d528a1b0ae735d5a246bc1aae53846cb191e0d2af153c510d2a43b319e23f1be"),
+    (8, 512, 512, 4): ("0c9212b7ac75f4db6dccdbd1e4ab04b3e8a00bf4fbf24115b32a18c5d9658abe",
+                       "d2de0c917ac20597e602f4d02f5ba3cb2f81a908f72506229f6d6eb63ba2fd64",
+                       "98c810be4c480de4785f338bafde0bc7e71ac76586cf13f59916217befc7e90a"),
+}
+
+
+@pytest.mark.parametrize("dims", list(PINNED_KERNEL), ids=["canonical", "wide"])
+def test_forward_kernel_bytes_are_pinned(dims):
+    """The forward kernel's bits on both benchmark widths, for one row and
+    for the episode and pretraining batch shapes."""
+    skip_off_the_pinned_platform()
+    model = nn.init_mlp(list(dims), seed=11)
+    rng = np.random.default_rng(12)
+    for b in model.biases:
+        b[:] = rng.normal(0, 0.5, size=b.shape)
+    rows = rng.normal(0, 2, size=(64, dims[0]))
+    got = (b"".join(nn.forward_logits(model, x).tobytes() for x in rows),
+           nn._forward_from(model, rows[:5])[-1].tobytes(),
+           nn._forward_from(model, rows[:32])[-1].tobytes())
+    assert tuple(hashlib.sha256(g).hexdigest() for g in got) == PINNED_KERNEL[dims]

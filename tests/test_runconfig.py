@@ -502,8 +502,9 @@ def unknown_groups(names, layers) -> ConfigError:
      unknown_groups(["block9", "blockZ"], ["block1", "block2", "fc"])),
     ("block3+fc", 3, unknown_groups(["block3"], ["block1", "block2", "fc"])),
     ("block1+fc", 1, unknown_groups(["block1"], ["fc"])),
-    ("block1 + fc", 2, unknown_groups([" fc", "block1 "], ["block1", "fc"])),
+    ("block1 + fc", 2, (True, True)),
     ("", 2, unknown_groups([""], ["block1", "fc"])),
+    ("block1+", 2, unknown_groups([""], ["block1", "fc"])),
 ])
 def test_trainable_layers(groups, num_layers, expected):
     """Hidden layer k is blockK and the output layer fc; each form of
