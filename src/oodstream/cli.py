@@ -52,6 +52,10 @@ def _load_config(args) -> RunConfig:
         raise CliError(f"config file not found: {path}")
     try:
         cfg = runconfig.from_text(path.read_text(encoding="ascii"))
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise CliError(f"config file {path}: line {line} is not ASCII "
+                       f"(byte 0x{exc.object[exc.start]:02x})") from exc
     except ConfigError as exc:
         raise CliError(f"config error: {exc}") from exc
     if args.seed is not None:
@@ -60,6 +64,8 @@ def _load_config(args) -> RunConfig:
         cfg = replace(cfg, seed=args.seed, stream_seed=args.seed + 1)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
+    if Path(cfg.out_dir).exists() and not Path(cfg.out_dir).is_dir():
+        raise CliError(f"output.dir {cfg.out_dir} exists and is not a directory")
     return cfg
 
 

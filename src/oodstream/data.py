@@ -12,8 +12,8 @@ function of the ``RunConfig``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, ClassVar
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,39 +39,12 @@ class LabeledSet:
         return len(self.labels)
 
 
-# The OOD source class declares its config keys: ``kind`` is the value of
-# ``scenario.oodK.kind``, and each field, in file order, is one more
-# ``scenario.oodK.*`` key. A tuple field has one value per dimension; a
-# scalar field must be > 0.
 @dataclass(frozen=True)
 class GaussianSource:
     """Isotropic Gaussian outlier cluster."""
 
-    kind: ClassVar[str] = "gaussian"
     center: tuple[float, ...]
     spread: float
-
-
-OOD_KINDS = {GaussianSource.kind: GaussianSource}
-
-
-def check_sources(sources: tuple[GaussianSource, ...], dim: int) -> None:
-    """Raise ValueError naming the config key of the first bad source value;
-    NaN fails every check."""
-    for i, src in enumerate(sources, start=1):
-        key = f"scenario.ood{i}"
-        for f in fields(src):
-            value = getattr(src, f.name)
-            values = value if isinstance(value, tuple) else (value,)
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{key}.{f.name} = {','.join(map(repr, values))} is out "
-                                 "of range: it must be finite")
-            if isinstance(value, tuple):
-                if len(value) != dim:
-                    raise ValueError(f"OOD source {i} ({key}.{f.name}) has "
-                                     f"length {len(value)}; dim is {dim}")
-            elif not value > 0:
-                raise ValueError(f"{key}.{f.name} = {value!r} is out of range: it must be > 0")
 
 
 def circle_means(num_classes: int, mean_radius: float,

@@ -13,7 +13,7 @@ import hashlib
 import math
 from dataclasses import Field, dataclass, field, fields
 
-from .data import CANONICAL_OOD_SOURCES, OOD_KINDS, GaussianSource, check_sources
+from .data import CANONICAL_OOD_SOURCES, GaussianSource
 
 
 class ConfigError(Exception):
@@ -25,6 +25,9 @@ _GE0 = (lambda v: v >= 0, ">= 0")
 _GE1 = (lambda v: v >= 1, ">= 1")
 _GT0 = (lambda v: v > 0, "> 0")
 
+# the value of every scenario.oodK.kind
+_SOURCE_KIND = "gaussian"
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -34,8 +37,9 @@ class RunConfig:
     ``metadata["key"]`` names it in the file, its default is the key's
     default, its annotation the value's type, and ``metadata["rule"]``, if
     any, is the range rule the loader holds it to. Field order is file
-    order; ``ood_sources`` is written as the ``scenario.ood*`` block, whose
-    keys are the fields of each source's class (``data.OOD_KINDS``).
+    order; ``ood_sources`` is written as the ``scenario.ood*`` block: each
+    source's ``kind`` is ``_SOURCE_KIND``, and its other keys are the fields
+    of ``GaussianSource``.
     ``metadata["stream"]`` marks the keys that only compose the stream, and
     ``metadata["hashed"] = False`` the key the config hash leaves out.
     Frozen: ``dataclasses.replace`` builds a changed copy, checked again.
@@ -109,10 +113,18 @@ class RunConfig:
         if self.train_n < self.classes:
             raise ConfigError(f"scenario.train_n = {self.train_n!r} is out of range: "
                               f"it must be >= scenario.classes ({self.classes})")
-        try:
-            check_sources(self.ood_sources, self.dim)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        for i, src in enumerate(self.ood_sources, start=1):
+            key = f"scenario.ood{i}"
+            if not all(map(math.isfinite, src.center)):
+                raise ConfigError(f"{key}.center = {','.join(map(repr, src.center))} is out of "
+                                  "range: it must be finite")
+            if len(src.center) != self.dim:
+                raise ConfigError(f"OOD source {i} ({key}.center) has length "
+                                  f"{len(src.center)}; dim is {self.dim}")
+            if not 0 < src.spread < math.inf:  # NaN included
+                rule = "> 0" if math.isfinite(src.spread) else "finite"
+                raise ConfigError(f"{key}.spread = {src.spread!r} is out of range: "
+                                  f"it must be {rule}")
         # a time series splits test_id_n evenly across its segments, one per
         # OOD source, so each segment gets an ID row
         segments = len(self.ood_sources)
@@ -225,7 +237,7 @@ def _lines(cfg: RunConfig) -> list[tuple[Field, str]]:
             continue
         lines.append((f, f"scenario.ood_count = {len(value)}"))
         for i, src in enumerate(value, start=1):
-            lines.append((f, f"scenario.ood{i}.kind = {src.kind}"))
+            lines.append((f, f"scenario.ood{i}.kind = {_SOURCE_KIND}"))
             lines += [(f, f"scenario.ood{i}.{g.name} = {_fmt_value(getattr(src, g.name), g.type)}")
                       for g in fields(src)]
     return lines
@@ -283,18 +295,17 @@ def _pop_sources(values: dict[str, str]) -> tuple[GaussianSource, ...]:
         if key not in values:
             raise ConfigError(f"missing config key {key!r}: scenario.ood_count = {count}")
         kind = values.pop(key)
-        if kind not in OOD_KINDS:
-            raise ConfigError(f"{key} = {kind!r} is out of range: it must be one of "
-                              + ", ".join(OOD_KINDS))
-        cls = OOD_KINDS[kind]
+        if kind != _SOURCE_KIND:
+            raise ConfigError(f"{key} = {kind!r} is out of range: "
+                              f"it must be one of {_SOURCE_KIND}")
         args = {}
-        for f in fields(cls):
+        for f in fields(GaussianSource):
             key = f"scenario.ood{i}.{f.name}"
             if key not in values:
                 raise ConfigError(f"missing config key {key!r}: a {kind} source sets "
-                                  + ", ".join(g.name for g in fields(cls)))
+                                  + ", ".join(g.name for g in fields(GaussianSource)))
             args[f.name] = _parse_value(values.pop(key), f.type, key)
-        sources.append(cls(**args))
+        sources.append(GaussianSource(**args))
     key = f"scenario.ood{count + 1}.kind"
     if key in values:
         raise ConfigError(f"unknown config key {key!r}: scenario.ood_count = {count}")

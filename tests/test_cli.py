@@ -654,6 +654,38 @@ def test_out_override_redirects_outputs(tmp_path):
     assert not (tmp_path / "ignored").exists()
 
 
+@pytest.mark.parametrize("via_flag", [True, False], ids=["--out", "output.dir"])
+@pytest.mark.parametrize("command", [["pretrain"], ["run", "--mode", "frozen"]],
+                         ids=["pretrain", "run-frozen"])
+def test_output_dir_that_is_a_file_fails_at_load(tmp_path, capsys, monkeypatch, command,
+                                                 via_flag):
+    """``pretrain`` used to train in full and then fail on ``[Errno 17] File
+    exists``, and ``run`` to report a missing checkpoint under the file."""
+    out = tmp_path / "taken"
+    out.write_text("a file\n", encoding="ascii")
+    cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "out" if via_flag else out))
+    monkeypatch.setattr(nn, "train_offline", lambda *args, **kwargs: pytest.fail("trained"))
+    flag = ["--out", str(out)] if via_flag else []
+    assert main(["--config", str(cfg_path), *flag, *command]) == 1
+    assert capsys.readouterr().err == f"error: output.dir {out} exists and is not a directory\n"
+    assert out.read_text(encoding="ascii") == "a file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
+
+
+@pytest.mark.parametrize("prefix,line,byte", [("", 1, 0xef), ("# r\u00e9glage\n", 1, 0xc3),
+                                              ("scenario.kappa = 0.5\n# r\u00e9glage\n", 2,
+                                               0xc3)], ids=["bom", "comment", "second-line"])
+def test_config_that_is_not_ascii_names_file_and_line(tmp_path, capsys, prefix, line, byte):
+    """The error used to be the codec's, naming neither the file nor the line."""
+    path = tmp_path / "run.cfg"
+    text = to_text(RunConfig(**SMALL_OVERRIDES, out_dir=str(tmp_path / "out")))
+    path.write_text(prefix + text, encoding="utf-8-sig" if not prefix else "utf-8")
+    assert main(["--config", str(path), "pretrain"]) == 1
+    assert capsys.readouterr().err == (f"error: config file {path}: line {line} is not ASCII "
+                                       f"(byte 0x{byte:02x})\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_override_changes_stream(pretrained):
     """``--seed`` changes the training data too, so it needs its own pretrain."""
     cfg_path, out = pretrained
