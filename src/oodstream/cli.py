@@ -64,8 +64,12 @@ def _load_config(args) -> RunConfig:
         cfg = replace(cfg, seed=args.seed, stream_seed=args.seed + 1)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
-    if Path(cfg.out_dir).exists() and not Path(cfg.out_dir).is_dir():
-        raise CliError(f"output.dir {cfg.out_dir} exists and is not a directory")
+    # the nearest existing path of output.dir and its ancestors must be a directory
+    out = Path(cfg.out_dir)
+    taken = next(p for p in (out, *out.parents) if p.exists())
+    if not taken.is_dir():
+        beneath = "" if taken == out else f" is beneath {taken}, which"
+        raise CliError(f"output.dir {cfg.out_dir}{beneath} exists and is not a directory")
     return cfg
 
 
@@ -101,7 +105,9 @@ def _prepare(cfg: RunConfig, *replays: RunConfig) -> tuple:
     changes the checkpoint or the scenario.
 
     The checkpoint must carry the config's pretrain hash: the scenario and
-    pretraining keys it was trained under, the stream keys aside.
+    pretraining keys it was trained under, the stream keys aside, and the
+    config's layer dims, which a rewritten hash line cannot fake. Past this
+    point the package trusts the model, the scenario and the streams.
     """
     ckpt = Path(cfg.out_dir) / CHECKPOINT_NAME
     if not ckpt.exists():
@@ -111,6 +117,9 @@ def _prepare(cfg: RunConfig, *replays: RunConfig) -> tuple:
     if saved != expected:
         raise CliError(f"checkpoint {ckpt} was pretrained under pretrain hash {saved}, but the "
                        f"config has pretrain hash {expected} (run `pretrain` again)")
+    if model.layer_dims != cfg.layer_dims():
+        raise CliError(f"checkpoint {ckpt} has layer dims {model.layer_dims}, but the config "
+                       f"has layer dims {cfg.layer_dims()} (run `pretrain` again)")
     train, test_id, oods = data.make_scenario(cfg)
     streams, keys = {}, []
     for c in replays or (cfg,):

@@ -32,8 +32,6 @@ class LabeledSet:
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or len(self.features) != len(self.labels):
-            raise ValueError("features must be (N, d) with one label per row")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -150,8 +148,6 @@ def compose_stream(test_id_set: LabeledSet, ood_pool: np.ndarray, kappa: float,
 def compose_mixed(test_id_set: LabeledSet, ood_pools: list[np.ndarray], kappa: float,
                   seed: int) -> Stream:
     """One segment whose OOD slots draw uniformly across the pooled sources."""
-    if len(ood_pools) < 1:
-        raise ValueError("compose_mixed needs at least one OOD source")
     rng = np.random.default_rng(seed)
     return _compose(test_id_set.features, test_id_set.labels, np.concatenate(ood_pools),
                     kappa, rng)
@@ -160,8 +156,6 @@ def compose_mixed(test_id_set: LabeledSet, ood_pools: list[np.ndarray], kappa: f
 def compose_timeseries(test_id_set: LabeledSet, ood_pools: list[np.ndarray],
                        kappa: float, seed: int) -> Stream:
     """Sequential per-source segments; the ID pool splits evenly across them."""
-    if len(ood_pools) < 1:
-        raise ValueError("compose_timeseries needs at least one OOD source")
     id_order = np.random.default_rng(seed).permutation(len(test_id_set))
     chunks = np.split(id_order, np.cumsum(_even_split(len(id_order), len(ood_pools)))[:-1])
     parts = [_compose(test_id_set.features[idx], test_id_set.labels[idx], pool, kappa,

@@ -61,8 +61,6 @@ def init_margins(mu: float, sigma: float, k1: float, k2: float) -> Margins:
     The initial m_out counts as one virtual observation, so it anchors the
     running mean.
     """
-    if not (k1 >= 0 and k2 >= 0):  # NaN fails too
-        raise ValueError("k1 and k2 must be nonnegative")
     return Margins(m_in=mu + k1 * sigma, m_out=mu - k2 * sigma, m_count=1)
 
 

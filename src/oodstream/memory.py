@@ -25,11 +25,6 @@ def init_random(training_set: LabeledSet, seed: int) -> np.ndarray:
 
 def replace(bank: np.ndarray, x_hat: np.ndarray, y_hat: int) -> np.ndarray:
     """Overwrite the slot for class ``y_hat`` in place."""
-    if not 0 <= y_hat < len(bank):
-        raise ValueError(f"class {y_hat} out of range for {len(bank)} slots")
-    x = np.asarray(x_hat, dtype=np.float64)
-    if x.shape != bank.shape[1:]:
-        raise ValueError(f"expected feature of shape {bank.shape[1:]}, got {x.shape}")
-    bank[y_hat] = x
+    bank[y_hat] = x_hat
     return bank
 

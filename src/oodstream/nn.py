@@ -38,10 +38,6 @@ class MlpModel:
     biases: list[np.ndarray]
 
     @property
-    def input_dim(self) -> int:
-        return self.layer_dims[0]
-
-    @property
     def num_classes(self) -> int:
         return self.layer_dims[-1]
 
@@ -132,10 +128,7 @@ def _forward_from(model: MlpModel, a: np.ndarray) -> list:
 
 
 def forward_logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Logits for a single input vector of length ``model.input_dim``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.input_dim,):
-        raise ValueError(f"expected input of shape ({model.input_dim},), got {x.shape}")
+    """Logits for a single float64 input row of length ``model.layer_dims[0]``."""
     out = _forward_from(model, x)[-1]
     if not all(map(math.isfinite, out.tolist())):
         raise FloatingPointError("non-finite logits in forward pass")
@@ -167,10 +160,6 @@ class LossSpec:
     bank_inputs: np.ndarray | None = None
     bank_weight: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.sc_weight != 0.0 and self.sc_ref_pred is None:
-            raise ValueError("sc_weight set but sc_ref_pred missing")
-
 
 @dataclass
 class EpisodeBatch:
@@ -192,20 +181,15 @@ class EpisodeBatch:
 
 def prepare_episode(model: MlpModel, x: np.ndarray, spec: LossSpec,
                     trainable: tuple[bool, ...] | None = None) -> EpisodeBatch:
-    """Stack the probe row ``x`` on the bank rows of ``spec``, which must hold
-    one row per class, and keep the layers that the mask ``trainable`` marks,
-    or every layer if it is None."""
-    xv = np.asarray(x, dtype=np.float64)
-    if xv.shape != (model.input_dim,):
-        raise ValueError(f"expected input of shape ({model.input_dim},), got {xv.shape}")
+    """Stack the float64 probe row ``x`` on the bank rows of ``spec`` (a
+    (C, d) float64 array, row c for class c), and keep the layers that the
+    mask ``trainable`` marks, or every layer if it is None."""
     if spec.bank_inputs is not None and spec.bank_weight != 0.0:
-        rows = np.concatenate([xv[None, :], np.asarray(spec.bank_inputs, dtype=np.float64)])
+        rows = np.concatenate([x[None, :], spec.bank_inputs])
         c = model.num_classes
-        if len(rows) != c + 1:
-            raise ValueError(f"bank holds {len(rows) - 1} rows, expected one per class ({c})")
         at_labels = np.arange(1, c + 1) * c + np.arange(c)
     else:
-        rows, at_labels = xv[None, :], np.empty(0, dtype=np.int64)
+        rows, at_labels = x[None, :], np.empty(0, dtype=np.int64)
     keep = (True,) * model.num_layers if trainable is None else trainable
     return EpisodeBatch(spec, rows, keep, at_labels)
 
@@ -257,8 +241,6 @@ def _probe_dlogits(logits: np.ndarray, ls: np.ndarray, p: np.ndarray,
     if spec.sc_weight != 0.0:
         pred_t = int(logits.argmax())
         ref = int(spec.sc_ref_pred)  # type: ignore[arg-type]
-        if not 0 <= ref < c:
-            raise ValueError(f"class index out of range for {c} classes")
         if pred_t != ref:
             w, p_t, p_ref = spec.sc_weight, pv[pred_t], pv[ref]
             loss += w * (p_t - p_ref + spec.sc_phi)
@@ -340,11 +322,6 @@ def _row_blocks(rows: int, cols: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(starts, starts[1:] + [rows]))
 
 
-def _check_lr(lr: float) -> None:
-    if not 0 < lr < math.inf:  # NaN fails too
-        raise ValueError(f"learning_rate must be positive and finite, got {lr}")
-
-
 def sgd_step(model: MlpModel, grads: Gradients, lr: float) -> MlpModel:
     """In-place ``param -= lr * g`` on each layer that ``grads`` holds a
     gradient for.
@@ -356,7 +333,6 @@ def sgd_step(model: MlpModel, grads: Gradients, lr: float) -> MlpModel:
     full-size gradient or temporary exists. Each gradient is scaled by the
     learning rate in place, so the bias gradients are consumed.
     """
-    _check_lr(lr)
     for i, d_bias in enumerate(grads.d_biases):
         if d_bias is None:
             continue
@@ -399,7 +375,8 @@ def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,
         raise ValueError("empty training dataset")
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError("labels out of range for the model's class count")
-    _check_lr(lr)
+    if not 0 < lr < math.inf:  # NaN fails too
+        raise ValueError(f"learning_rate must be positive and finite, got {lr}")
     keep = (True,) * model.num_layers
     rng = np.random.default_rng(seed)
     for epoch in range(1, epochs + 1):

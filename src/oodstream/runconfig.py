@@ -59,7 +59,7 @@ class RunConfig:
         "key": "scenario.stream", "stream": True, "rule": (
             lambda v: v in ("single", "mixed", "timeseries"), "one of single, mixed, timeseries")})
     kappa: float = field(default=0.5, metadata={
-        "key": "scenario.kappa", "stream": True, "rule": (lambda v: 0.0 <= v < 1.0, "in [0, 1)")})
+        "key": "scenario.kappa", "stream": True, "rule": (lambda v: 0.0 < v < 1.0, "in (0, 1)")})
     stream_seed: int = field(default=77, metadata={
         "key": "scenario.stream_seed", "stream": True, "rule": _GE0})
     ood_sources: tuple[GaussianSource, ...] = ()

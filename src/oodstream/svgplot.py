@@ -20,8 +20,6 @@ def _scale(values, lo, hi, out_lo, out_hi):
 
 def emit_score_plot(path, log: EventLog, m_in: float, header_comment: str) -> None:
     n = len(log)
-    if not n:
-        raise ValueError("cannot plot an empty event log")
     scores = log.score.tolist()
     m_outs = log.m_out.tolist()
     lo = min(min(scores), min(m_outs), m_in)

@@ -1,4 +1,5 @@
-"""Session fixtures: the pinned canonical scenario and its pretrained model."""
+"""Session fixtures: the pinned canonical scenario and its pretrained model,
+and a small wide scenario."""
 
 from __future__ import annotations
 
@@ -6,14 +7,18 @@ import contextlib
 import io
 import shutil
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import CANONICAL_CLI_COMMANDS, to_text, write_config
-from oodstream import data, engine, nn
+from oodstream import cli, data, engine, nn
 from oodstream.cli import CHECKPOINT_NAME, main
-from oodstream.runconfig import RunConfig
+from oodstream.runconfig import RunConfig, from_text
+
+WIDE_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "wide_drift.cfg"
 
 
 @pytest.fixture(scope="session")
@@ -62,6 +67,23 @@ def canonical_cli(canonical_out, tmp_path_factory):
             stdout[command] = printed.getvalue()
     return {"out": out, "stdout": stdout, "stderr": err.getvalue(),
             "warnings": [str(w.message) for w in caught]}
+
+
+@pytest.fixture(scope="session")
+def wide_small(tmp_path_factory):
+    """The benchmark's wide config (``WIDE_CONFIG``: 8 dims, 4 classes, a
+    512-wide net, a two-segment time series) with 4 pretrain epochs, 800
+    test-ID rows and 400 OOD rows per source. A command-line ``pretrain``,
+    then one frozen and one auto replay, each of a freshly loaded
+    checkpoint. Holds the checkpoint bytes and the log of each mode."""
+    root = tmp_path_factory.mktemp("wide_small")
+    cfg = replace(from_text(WIDE_CONFIG.read_text(encoding="ascii")), epochs=4, test_id_n=800,
+                  ood_n=400, out_dir=str(root / "out"))
+    cfg_path = root / "wide_small.cfg"
+    cfg_path.write_text(to_text(cfg), encoding="ascii")
+    assert main(["--config", str(cfg_path), "pretrain"]) == 0
+    logs = {mode: cli._replay(cfg, mode, *cli._prepare(cfg))[0] for mode in ("frozen", "auto")}
+    return {"checkpoint": (root / "out" / CHECKPOINT_NAME).read_bytes(), "logs": logs}
 
 
 @pytest.fixture(scope="session")

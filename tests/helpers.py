@@ -203,9 +203,6 @@ def loss_sc(softmax_t: np.ndarray, pred_t: int, pred_0: int, phi: float) -> floa
     Zero when the predictions agree; otherwise
     ``softmax_t[pred_t] - softmax_t[pred_0] + phi`` with no clamping.
     """
-    n = len(softmax_t)
-    if not (0 <= pred_t < n and 0 <= pred_0 < n):
-        raise ValueError(f"class index out of range for {n} classes")
     if pred_t == pred_0:
         return 0.0
     return float(softmax_t[pred_t] - softmax_t[pred_0] + phi)

@@ -210,7 +210,8 @@ def test_negative_seed_fails_before_any_work(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key,value", [("scenario.kappa", "1"), ("auto.iters_T", "-1"),
+@pytest.mark.parametrize("key,value", [("scenario.kappa", "1"), ("scenario.kappa", "0"),
+                                       ("auto.iters_T", "-1"),
                                        ("auto.energy_temperature", "0"),
                                        ("auto.k1", "-1"), ("auto.k2", "-0.5"),
                                        ("pretrain.batch_size", "0"),
@@ -292,6 +293,28 @@ def test_checkpoint_of_another_pretraining_config_fails_with_one_line(pretrained
         assert_checkpoint_refused(capsys, out, ["--config", str(path), *flags, *command])
 
 
+@pytest.mark.parametrize("mode", ["auto", "frozen"])
+@pytest.mark.parametrize("dims", [[2, 8, 8, 3], [2, 16, 16, 4]], ids=["hidden", "classes"])
+def test_checkpoint_of_other_layer_dims_fails_with_one_line(tmp_path, capsys, monkeypatch,
+                                                            dims, mode):
+    """A checkpoint whose hash line carries the config's pretrain hash, but
+    whose dims are not the config's, used to run: an 8,8 net under a 16,16
+    config exited 0 in both modes, and a 4-class net under a 3-class config
+    exited 0 in frozen mode and failed deep in the auto replay, on a bank
+    write of class 3."""
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, out_dir=str(out))
+    cfg = from_text(cfg_path.read_text(encoding="ascii"))
+    out.mkdir()
+    nn.save_checkpoint(nn.init_mlp(dims, seed=1), out / "model.ckpt", pretrain_hash(cfg))
+    monkeypatch.setattr(data, "make_scenario", lambda *args: pytest.fail("scenario drawn"))
+    assert main(["--config", str(cfg_path), "run", "--mode", mode]) == 1
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {out / 'model.ckpt'} has layer dims {dims}, but the config has "
+        "layer dims [2, 16, 16, 3] (run `pretrain` again)\n")
+    assert [p.name for p in out.iterdir()] == ["model.ckpt"]
+
+
 @pytest.mark.parametrize("command", REPLAY_COMMANDS)
 def test_stream_keys_alone_keep_the_checkpoint(pretrained, command):
     """Pretraining never reads how the stream is composed, so a config that
@@ -330,6 +353,17 @@ def test_corrupt_checkpoint_fails_with_one_line(pretrained, capsys):
         assert main(["--config", str(cfg_path), "run", "--mode", "frozen"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n", kind
         assert not (out / "frozen_events.csv").exists()
+
+
+def test_checkpoint_dims_line_that_is_not_numbers_fails_with_one_line(pretrained, capsys):
+    cfg_path, out = pretrained
+    ckpt = out / "model.ckpt"
+    header, tensors = split_checkpoint(ckpt.read_bytes())
+    ckpt.write_bytes(b"\n".join([header[0], b"2 16 sixteen 3", header[2], tensors]))
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "run", "--mode", "frozen"]) == 1
+    assert capsys.readouterr().err == "error: bad layer dims line: '2 16 sixteen 3'\n"
+    assert not (out / "frozen_events.csv").exists()
 
 
 def test_checkpoint_of_zero_bytes_fails_with_one_short_line(tmp_path, capsys):
@@ -456,23 +490,30 @@ def test_diverging_pretrain_fails_with_one_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode", ["auto", "frozen"])
-@pytest.mark.parametrize("overrides,counts", [({"ood_n": 1}, "0 ID and 1 OOD"),
-                                              ({"kappa": 0.0}, "0 ID and 250 OOD")],
-                         ids=["ood_n=1", "kappa=0"])
+@pytest.mark.parametrize("overrides,kappa,err", [
+    ({"ood_n": 1}, "0.5", "the composed stream holds 0 ID and 1 OOD arrivals, but a run needs "
+     "at least one of each; scenario.kappa, scenario.test_id_n and scenario.ood_n set the mix"),
+    ({}, "0", "config error: scenario.kappa = 0.0 is out of range: it must be in (0, 1)")],
+    ids=["ood_n=1", "kappa=0"])
 def test_stream_without_id_or_ood_arrival_fails_before_the_replay(
-        tmp_path, capsys, monkeypatch, overrides, counts, mode):
+        tmp_path, capsys, monkeypatch, overrides, kappa, err, mode):
     """Such a stream used to fail only after the whole replay, when the
     metrics found no ID or no OOD event. ``ood_n = 1`` ends the stream at
-    its first, OOD, arrival, and ``kappa = 0`` composes an all-OOD stream."""
+    its first, OOD, arrival; that depends on the draw, so the composed
+    stream is checked. ``kappa = 0`` composes an all-OOD stream whatever the
+    draw, so it fails at load. The kappa line is set after ``pretrain``,
+    which reads no stream key."""
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, epochs=5, out_dir=str(out), **overrides)
     assert main(["--config", str(cfg_path), "pretrain"]) == 0
+    text = cfg_path.read_text(encoding="ascii")
+    assert "scenario.kappa = 0.5\n" in text
+    cfg_path.write_text(text.replace("scenario.kappa = 0.5\n", f"scenario.kappa = {kappa}\n"),
+                        encoding="ascii")
     monkeypatch.setattr(engine, "init_state", lambda *args: pytest.fail("replay started"))
     capsys.readouterr()
     assert main(["--config", str(cfg_path), "run", "--mode", mode]) == 1
-    assert capsys.readouterr().err == (
-        f"error: the composed stream holds {counts} arrivals, but a run needs at least one "
-        "of each; scenario.kappa, scenario.test_id_n and scenario.ood_n set the mix\n")
+    assert capsys.readouterr().err == f"error: {err}\n"
     assert sorted(p.name for p in out.iterdir()) == ["model.ckpt", "pretrain_summary.json"]
 
 
@@ -646,6 +687,16 @@ def test_key_set_twice_fails_with_one_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_line_without_equals_sign_fails_with_one_line(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "out"))
+    cfg_path.write_text("# a comment\n\nscenario.kappa 0.5\n" + cfg_path.read_text(),
+                        encoding="ascii")
+    assert main(["--config", str(cfg_path), "pretrain"]) == 1
+    assert capsys.readouterr().err == ("error: config error: line 3: expected 'key = value', "
+                                       "got 'scenario.kappa 0.5'\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_override_redirects_outputs(tmp_path):
     cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "ignored"))
     alt = tmp_path / "elsewhere"
@@ -669,6 +720,24 @@ def test_output_dir_that_is_a_file_fails_at_load(tmp_path, capsys, monkeypatch, 
     assert main(["--config", str(cfg_path), *flag, *command]) == 1
     assert capsys.readouterr().err == f"error: output.dir {out} exists and is not a directory\n"
     assert out.read_text(encoding="ascii") == "a file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
+
+
+@pytest.mark.parametrize("command", [["pretrain"], ["run", "--mode", "frozen"]],
+                         ids=["pretrain", "run-frozen"])
+def test_output_dir_beneath_a_file_fails_at_load(tmp_path, capsys, monkeypatch, command):
+    """With a file ``f``, ``pretrain --out f/sub`` used to train in full and
+    then fail on ``[Errno 20] Not a directory``, and ``run`` to report a
+    missing checkpoint under the file."""
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n", encoding="ascii")
+    cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "out"))
+    monkeypatch.setattr(nn, "train_offline", lambda *args, **kwargs: pytest.fail("trained"))
+    for out in (taken / "sub", taken / "sub" / "deeper"):
+        assert main(["--config", str(cfg_path), "--out", str(out), *command]) == 1
+        assert capsys.readouterr().err == (f"error: output.dir {out} is beneath {taken}, "
+                                           "which exists and is not a directory\n")
+    assert taken.read_text(encoding="ascii") == "a file\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
 
 
@@ -719,17 +788,19 @@ def test_out_of_range_sweep_value_fails_before_any_replay(pretrained, capsys, pa
     assert list(out.glob("sweep_*.csv")) == []
 
 
-def test_sweep_value_without_id_arrivals_fails_before_any_replay(pretrained, capsys):
-    """``kappa = 0`` loads but composes an all-OOD stream. The sweep used to
-    replay 0.5, print its line, then fail on 0 and write no CSV."""
+def test_sweep_value_without_id_arrivals_fails_before_any_replay(pretrained, capsys,
+                                                                  monkeypatch):
+    """``kappa = 0`` composes an all-OOD stream. The sweep used to replay 0.5,
+    print its line, then fail on 0 and write no CSV; then it failed on the
+    composed stream, and now the value fails to load."""
     cfg_path, out = pretrained
+    monkeypatch.setattr(data, "make_scenario", lambda *args: pytest.fail("scenario drawn"))
     capsys.readouterr()
     assert main(["--config", str(cfg_path), "sweep", "--param", "kappa",
                  "--values", "0.5,0"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == (
-        "error: the composed stream holds 0 ID and 250 OOD arrivals, but a run needs at least "
-        "one of each; scenario.kappa, scenario.test_id_n and scenario.ood_n set the mix\n")
+    assert captured.err == ("error: scenario.kappa = 0.0 is out of range: "
+                            "it must be in (0, 1)\n")
     assert "sweep kappa=0.5" not in captured.out
     assert not (out / "sweep_kappa.csv").exists()
 

@@ -159,12 +159,6 @@ def test_hidden_truth_never_affects_decisions():
         assert a.m_out_after == b.m_out_after
 
 
-def test_input_dimension_error_propagates():
-    state, config = tiny_setup()
-    with pytest.raises(ValueError, match="expected input of shape"):
-        step(state, config, np.zeros(5), (False, 0))
-
-
 def test_non_finite_loss_aborts():
     state, config = tiny_setup()
     state.bank[0, 0] = np.inf  # poisoned bank entry -> nan loss

@@ -198,7 +198,7 @@ def full_spec(rng, model, with_probe_terms=True):
         sc_weight=0.5 if with_probe_terms else 0.0,
         sc_ref_pred=2,
         sc_phi=0.2,
-        bank_inputs=rng.normal(size=(c, model.input_dim)),
+        bank_inputs=rng.normal(size=(c, model.layer_dims[0])),
         bank_weight=1.0,
     )
 

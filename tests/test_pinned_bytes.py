@@ -6,7 +6,9 @@ the episode loss traces) for the canonical stream, replayed in frozen mode,
 in auto mode and in auto mode with ``auto.iters_T = 0`` from the session
 ``canonical`` fixture, of the canonical ``model.ckpt`` and of its tensor
 bytes after the header, and of the files the canonical CLI commands write.
-The forward kernel's logits on both benchmark widths are pinned too.
+The forward kernel's logits on both benchmark widths are pinned too, and so
+are the checkpoint tensors and both modes' columns and traces of the small
+wide scenario (``conftest.wide_small``).
 Row bits depend on the BLAS build and on the CPU kernel it picks, so the
 digests hold only on the platform recorded next to them; on any other BLAS
 they are not checked.
@@ -204,3 +206,40 @@ def test_forward_kernel_bytes_are_pinned(dims):
            nn._forward_from(model, rows[:5])[-1].tobytes(),
            nn._forward_from(model, rows[:32])[-1].tobytes())
     assert tuple(hashlib.sha256(g).hexdigest() for g in got) == PINNED_KERNEL[dims]
+
+
+# sha256 of the small wide scenario's checkpoint tensor bytes and of each
+# mode's columns and traces, as ``digests`` takes them
+PINNED_WIDE_TENSORS = "e7b3d46a1d98d2156f57e6bf67d31cacebd3ca1dab24531a4a0520ccb9ed9b2a"
+PINNED_WIDE = {
+    "frozen": {
+        "score": "eadc5930c9194a464103b990c462ad494bb64083c9603965df7dddcb6791f0bf",
+        "prediction": "fa6b2d6cca4380187be614ebb9388903666ea44dcd840324a2e9dc6d529cf7d1",
+        "decision": "c5533a1e34162afc1547cfb053517b4e31d2bdf3aa550f2aa96512ffe52deb1c",
+        "is_ood": "3417f985e9de5d4a034750aa0c771bee0269ed42a234f4966ea72204710957dc",
+        "label": "23ae3089b97b9062761749538a78eb03bebe55e66917c84a78f903649aeb4a6f",
+        "m_out": "474651cdbff5b52fdec8af8f8ba5b2fb6447b24b81a73c0f1db116be51d3cb48",
+        "traces": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    # 1,566 arrivals, 94 update episodes
+    "auto": {
+        "score": "a27e0a58a7791fca14a43638f95caa27c36e41bb5d7e801a3e23ea1b7ff402a3",
+        "prediction": "5bb70196d79b2db9c96c6b74bb7f34684857947d053370cd6e3742410bf7ca03",
+        "decision": "e76b5b977b57aa90ed99a04a2572dc1af6796211f0680b0fe35f2c4130108032",
+        "is_ood": "3417f985e9de5d4a034750aa0c771bee0269ed42a234f4966ea72204710957dc",
+        "label": "23ae3089b97b9062761749538a78eb03bebe55e66917c84a78f903649aeb4a6f",
+        "m_out": "19e4fd122b291cb79f1358a7bceedc6f0c083ba028876eb9484d3128d124a5b7",
+        "traces": "66c3b0f88587464cacb22b6f44b3b0a4a0f3bfa54a4269342205ac2836137394",
+    },
+}
+
+
+def test_small_wide_scenario_bytes_are_pinned(wide_small):
+    """A wide pretrain (512x512 ``sgd_step`` blocks), the 8-D time-series
+    composer, a wide ``init_state`` and wide update episodes, in Tier-1."""
+    skip_off_the_pinned_platform()
+    tensors = hashlib.sha256(split_checkpoint(wide_small["checkpoint"])[1]).hexdigest()
+    got = {mode: digests(log) for mode, log in wide_small["logs"].items()}
+    assert (tensors, got) == (PINNED_WIDE_TENSORS, PINNED_WIDE), (
+        f"checkpoint tensors {tensors}\n" + "\n".join(
+            f"{mode}:\n{digest_table(PINNED_WIDE[mode], got[mode])}" for mode in got))

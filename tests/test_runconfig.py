@@ -390,7 +390,7 @@ def test_shipped_configs_load():
 
 # key -> (values rejected at load, boundary values accepted)
 RANGE_CHECKS = {
-    "scenario.kappa": (["1", "1.5", "-0.1", "nan"], ["0", "0.999"]),
+    "scenario.kappa": (["0", "-0", "1", "1.5", "-0.1", "nan"], ["5e-324", "0.999"]),
     "scenario.seed": (["-1"], ["0"]),
     "scenario.stream_seed": (["-5"], ["0"]),
     "scenario.train_n": (["0", "2"], ["3"]),
@@ -458,7 +458,7 @@ CONFIG_VALUES = dict(
     dim=st.integers(1, 64), classes=st.integers(2, 64), mean_radius=finite,
     id_spread=positive, seed=st.integers(0, 2**70),
     stream=st.sampled_from(["single", "mixed", "timeseries"]),
-    kappa=st.floats(0.0, 1.0, exclude_max=True),
+    kappa=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     stream_seed=st.integers(0, 2**70),
     hidden=st.lists(st.integers(1, 4096), min_size=1, max_size=4).map(tuple),
     pretrain_lr=positive, lambda1=nonnegative,
