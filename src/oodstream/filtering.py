@@ -44,14 +44,14 @@ class Margins:
     m_count: int
 
 
-def estimate_id_stats(scores) -> tuple[float, float]:
-    """``(mu, sigma)`` of in-distribution scores: the arithmetic mean and the
-    population standard deviation (sqrt of sum((s-mu)^2)/N)."""
-    arr = np.asarray(scores, dtype=np.float64)
-    if arr.size == 0:
+def estimate_id_stats(scores: np.ndarray) -> tuple[float, float]:
+    """``(mu, sigma)`` of a float64 vector of in-distribution scores: the
+    arithmetic mean and the population standard deviation (sqrt of
+    sum((s-mu)^2)/N)."""
+    if scores.size == 0:
         raise ValueError("cannot estimate score statistics from an empty list")
-    mu = float(np.mean(arr))
-    sigma = float(math.sqrt(np.mean((arr - mu) ** 2)))
+    mu = float(np.mean(scores))
+    sigma = float(math.sqrt(np.mean((scores - mu) ** 2)))
     return mu, sigma
 
 

@@ -23,8 +23,7 @@ def init_random(training_set: LabeledSet, seed: int) -> np.ndarray:
     return np.stack(rows)
 
 
-def replace(bank: np.ndarray, x_hat: np.ndarray, y_hat: int) -> np.ndarray:
+def replace(bank: np.ndarray, x_hat: np.ndarray, y_hat: int) -> None:
     """Overwrite the slot for class ``y_hat`` in place."""
     bank[y_hat] = x_hat
-    return bank
 

@@ -322,7 +322,7 @@ def _row_blocks(rows: int, cols: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(starts, starts[1:] + [rows]))
 
 
-def sgd_step(model: MlpModel, grads: Gradients, lr: float) -> MlpModel:
+def sgd_step(model: MlpModel, grads: Gradients, lr: float) -> None:
     """In-place ``param -= lr * g`` on each layer that ``grads`` holds a
     gradient for.
 
@@ -341,7 +341,6 @@ def sgd_step(model: MlpModel, grads: Gradients, lr: float) -> MlpModel:
             block, g = w[start:stop], grads.weight(i, start, stop)
             block -= np.multiply(g, lr, out=g)
         model.biases[i] -= np.multiply(d_bias, lr, out=d_bias)
-    return model
 
 
 def clone_frozen(model: MlpModel) -> MlpModel:
@@ -354,9 +353,9 @@ def clone_frozen(model: MlpModel) -> MlpModel:
 
 
 def accuracy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of rows whose argmax logit matches the label."""
-    logits = _forward_from(model, np.asarray(features, dtype=np.float64))[-1]
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
+    """Fraction of float64 feature rows whose argmax logit matches the label."""
+    logits = _forward_from(model, features)[-1]
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 def train_offline(model: MlpModel, dataset, epochs: int, batch_size: int,

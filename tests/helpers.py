@@ -156,15 +156,12 @@ def assert_columns_equal(got: EventLog, want: EventLog) -> None:
         assert a.tobytes() == b.tobytes(), name
 
 
-def event_rows(log: EventLog, first_index: int = 0) -> list[StreamEvent]:
-    """The log's rows as the ``StreamEvent``s that ``engine.step`` returns."""
-    return [
-        StreamEvent(index=first_index + t, score_at_arrival=s, prediction=p,
-                    decision=DECISIONS[d], ground_truth_is_ood=o,
-                    ground_truth_label=None if y < 0 else y, m_out_after=m)
-        for t, (s, p, d, o, y, m) in enumerate(zip(*(getattr(log, c).tolist()
-                                                      for c in COLUMNS)))
-    ]
+def event_rows(log: EventLog) -> list[StreamEvent]:
+    """The log's four decision columns as the ``StreamEvent``s that
+    ``engine.step`` returns."""
+    return [StreamEvent(score_at_arrival=s, prediction=p, decision=DECISIONS[d], m_out_after=m)
+            for s, p, d, m in zip(log.score.tolist(), log.prediction.tolist(),
+                                  log.decision.tolist(), log.m_out.tolist())]
 
 
 def slice_log(log: EventLog, start: int, stop: int) -> EventLog:
@@ -294,8 +291,8 @@ def auroc_midrank_loop(log: EventLog) -> float:
 
 
 def init_margins_reference(model: MlpModel, features, config) -> filtering.Margins:
-    """``init_state``'s margins from a list of per-row ``scoring.score`` values."""
-    scores = [scoring.score(nn.forward_logits(model, x)) for x in features]
+    """``init_state``'s margins from per-row ``scoring.score`` values."""
+    scores = np.array([scoring.score(nn.forward_logits(model, x)) for x in features])
     mu, sigma = filtering.estimate_id_stats(scores)
     return filtering.init_margins(mu, sigma, config.k1, config.k2)
 

@@ -10,8 +10,8 @@ import pytest
 from conftest import fresh_state
 from helpers import COLUMNS, assert_columns_equal, run_posthoc_reference
 from oodstream import filtering, nn, scoring
-from oodstream.data import Stream
-from oodstream.engine import AutoState, run_posthoc, run_stream, step
+from oodstream.data import LabeledSet, Stream
+from oodstream.engine import AutoState, init_state, run_posthoc, run_stream, step
 from oodstream.filtering import FilterDecision
 from oodstream.runconfig import ConfigError, RunConfig, trainable_layers
 
@@ -144,19 +144,37 @@ def test_frozen_groups_stay_bitwise_constant():
     ), "trainable block should have moved"
 
 
-def test_hidden_truth_never_affects_decisions():
-    runs = []
-    for truth in ((False, 0), (True, None)):
-        state, config = tiny_setup()
-        rng = np.random.default_rng(6)
-        xs = rng.normal(0, 2, size=(40, 2))
-        events = [step(state, config, x, truth)[0] for x in xs]
-        runs.append(events)
-    for a, b in zip(*runs):
-        assert a.score_at_arrival == b.score_at_arrival
-        assert a.decision == b.decision
-        assert a.prediction == b.prediction
-        assert a.m_out_after == b.m_out_after
+def test_permuted_hidden_truth_replays_the_same_bytes(canonical, canonical_replay):
+    """The replay is unlabeled: the canonical stream with its OOD flags and
+    labels permuted together gives the memo's decisions, traces and final
+    state bit for bit, and only the log's truth columns follow the permutation."""
+    config = RunConfig()
+    want, want_state = canonical_replay[config]
+    stream = canonical["stream"]
+    perm = np.random.default_rng(42).permutation(len(stream))
+    permuted = Stream(stream.features, stream.is_ood[perm], stream.labels[perm],
+                      stream.segment_bounds)
+    assert not np.array_equal(permuted.is_ood, stream.is_ood)
+    state = fresh_state(canonical, config)
+    got = run_stream(state, config, permuted)
+    for name in ("score", "prediction", "decision", "m_out"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.is_ood.tobytes() == permuted.is_ood.tobytes()
+    assert got.label.tobytes() == permuted.labels.tobytes()
+    assert got.update_traces == want.update_traces
+    for a, b in zip(state.model_t.weights + state.model_t.biases,
+                    want_state.model_t.weights + want_state.model_t.biases, strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert state.margins == want_state.margins
+    assert state.bank.tobytes() == want_state.bank.tobytes()
+
+
+def test_init_state_refuses_last_block_on_a_model_without_hidden_layer():
+    """A library caller can hand ``init_state`` a model with no hidden layer;
+    the default ``sgd.trainable_groups = last_block`` names none there."""
+    train = LabeledSet(np.zeros((3, 2)), np.arange(3), 3)
+    with pytest.raises(ValueError, match=r"^model has no hidden layer$"):
+        init_state(nn.init_mlp([2, 3], 1), train, RunConfig())
 
 
 def test_non_finite_loss_aborts():

@@ -121,8 +121,10 @@ def test_score_and_predict_equal_reference_formulas():
     for z in random_logit_vectors(rng):
         assert score(z) == score_reference(z)
         assert predict(z) == predict_reference(z)
-    assert score([1.0, 2.0, 3.0]) == score_reference([1.0, 2.0, 3.0])
-    assert predict([0.0, 2.0, 2.0]) == predict_reference([0.0, 2.0, 2.0]) == 1
+    z = np.array([1.0, 2.0, 3.0])
+    assert score(z) == score_reference(z)
+    tied = np.array([0.0, 2.0, 2.0])
+    assert predict(tied) == predict_reference(tied) == 1
 
 
 @settings(max_examples=300, deadline=None)

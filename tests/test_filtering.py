@@ -14,25 +14,25 @@ from oodstream.filtering import (FilterDecision, classify, estimate_id_stats, in
 
 
 def test_stats_constant_list():
-    mu, sigma = estimate_id_stats([1.0, 1.0, 1.0])
+    mu, sigma = estimate_id_stats(np.array([1.0, 1.0, 1.0]))
     assert mu == 1.0 and sigma == 0.0
 
 
 def test_stats_two_point_symmetric():
-    mu, sigma = estimate_id_stats([0.9, 1.1])
+    mu, sigma = estimate_id_stats(np.array([0.9, 1.1]))
     assert mu == pytest.approx(1.0, abs=1e-15)
     assert sigma == pytest.approx(0.1, abs=1e-15)
 
 
 def test_stats_population_not_sample_std():
     # population convention: sqrt(sum((s-mu)^2) / N), not / (N-1)
-    _, sigma = estimate_id_stats([0.0, 2.0])
+    _, sigma = estimate_id_stats(np.array([0.0, 2.0]))
     assert sigma == pytest.approx(1.0, abs=1e-15)
 
 
 def test_stats_empty_errors():
     with pytest.raises(ValueError):
-        estimate_id_stats([])
+        estimate_id_stats(np.array([]))
 
 
 def test_init_margins_reference_values():
